@@ -198,6 +198,16 @@ impl SubscriptionHub {
         crate::lock::mutex_recover(self.shared.subs.lock()).len()
     }
 
+    /// Rows dropped so far across the live subscriptions (each one's
+    /// [`SubscriptionHandle::dropped_rows`]) — this hub's own figure,
+    /// where `hub_dropped_total` sums every hub in the process.
+    pub fn dropped_rows(&self) -> u64 {
+        crate::lock::mutex_recover(self.shared.subs.lock())
+            .iter()
+            .map(|sub| crate::lock::mutex_recover(sub.queue.lock()).dropped_total)
+            .sum()
+    }
+
     /// The commit log: one `(arrival epoch, commit Instant)` per
     /// non-empty committed delta, when enabled via
     /// [`HubConfig::record_commits`].

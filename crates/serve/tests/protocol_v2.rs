@@ -272,61 +272,58 @@ fn lagged_subscriber_gets_counted_notice_over_tcp() {
         .subscribe(&SubscriptionFilter::All)
         .expect("subscribe");
 
-    // ~16 MB of push volume while the client reads nothing: far past
-    // what the outbox high-water plus kernel socket buffers absorb —
-    // TCP autotuning can balloon the socket buffers to several MB, so
-    // the volume must dominate that bounded prefix with a wide margin
+    // Push while the client reads nothing, one epoch at a time, until
+    // the hub drops its first frame: the outbox high-water plus the
+    // kernel socket buffers absorb a bounded prefix (TCP autotuning can
+    // balloon it to several MB), after which the bounded queue
+    // overflows. Stopping at the first drop makes the outcome exact —
+    // one overflow run of one frame — whatever the buffers held; the
+    // cap (~130 MB of rows) only bounds a run that never jams.
     let mut sink = hub.sink();
-    let (epochs, rows_per_epoch) = (8_000u64, 80u64);
-    for e in 0..epochs {
+    let (max_epochs, rows_per_epoch) = (64_000u64, 80u64);
+    let mut epochs = 0u64;
+    while hub.dropped_rows() == 0 {
+        assert!(epochs < max_epochs, "the subscriber never lagged");
         for t in 0..rows_per_epoch {
             sink.on_event(&LocationEvent::new(
-                Epoch(2 + e),
+                Epoch(2 + epochs),
                 TagId(t),
                 // move every tag every epoch so threshold 0 fires
-                Point3::new(e as f64, t as f64, 0.0),
+                Point3::new(epochs as f64, t as f64, 0.0),
             ));
         }
-        sink.on_epoch_complete(Epoch(2 + e));
+        sink.on_epoch_complete(Epoch(2 + epochs));
+        epochs += 1;
     }
+    assert_eq!(hub.dropped_rows(), rows_per_epoch, "one frame dropped");
     let total_rows = epochs * rows_per_epoch;
 
-    // now drain: every row is either delivered or counted in a LAGGED
+    // now drain: every row is either delivered or counted in the one
+    // LAGGED notice, which sits exactly where the dropped frame was
     let mut delivered = 0u64;
     let mut dropped = 0u64;
-    let mut lagged_frames = 0u64;
-    let mut last_was_lagged = false;
+    let mut next_epoch = 2u64;
     while delivered + dropped < total_rows {
         match client.next_push().expect("drain") {
-            Frame::Push { id, rows, .. } => {
+            Frame::Push { id, epoch, rows } => {
                 assert_eq!(id, sub_id);
+                assert_eq!(epoch, next_epoch, "frames arrive in commit order");
                 delivered += rows.len() as u64;
-                last_was_lagged = false;
+                next_epoch += 1;
             }
             Frame::Lagged { id, dropped: d } => {
                 assert_eq!(id, sub_id);
-                assert!(d > 0, "a LAGGED notice always counts something");
-                assert!(
-                    !last_was_lagged,
-                    "two LAGGED notices with no frame between them"
-                );
+                assert_eq!(dropped, 0, "one overflow run, one LAGGED notice");
+                assert_eq!(d, rows_per_epoch, "the notice counts the dropped rows");
                 dropped += d;
-                lagged_frames += 1;
-                last_was_lagged = true;
+                // the dropped frame is the gap in the epoch sequence
+                next_epoch += 1;
             }
             other => panic!("unexpected frame {other:?}"),
         }
     }
+    assert_eq!(dropped, rows_per_epoch, "the jammed subscriber lagged");
     assert_eq!(delivered + dropped, total_rows, "every row accounted for");
-    assert!(lagged_frames >= 1, "the jammed subscriber must have lagged");
-    // the absorbed prefix (outbox high-water + kernel socket buffers)
-    // is bounded in *bytes*, so at this volume the overflow must
-    // dominate — a quarter leaves room for buffer autotuning while
-    // still proving the jam, not the drain, decided the run
-    assert!(
-        dropped >= total_rows / 4,
-        "most of the run overflowed: {dropped}/{total_rows}"
-    );
     handle.shutdown();
 }
 
