@@ -2,8 +2,14 @@
 //! (`ObjectFilter::step_fused`) against the retained AoS-style
 //! reference sequence (`weight` → `maybe_resample` → `estimate`), per
 //! particle count, plus the surrounding per-epoch components
-//! (`refresh_pointers_with`, `predict`) so a profile of the engine's
-//! infer stage can be cross-checked against isolated numbers.
+//! (`refresh_pointers_with`, `predict`, first-sighting
+//! `init_from_cone_with`) so a profile of the engine's infer stage can
+//! be cross-checked against isolated numbers.
+//!
+//! Two fixtures: the logistic sensor over a box prior, and the
+//! benchmark's operating point — `ConeSensor` over a `WarehouseLayout`
+//! with the reader in the aisle facing the shelf. Both supply the
+//! per-epoch heading table, as the engine does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -11,40 +17,58 @@ use rand::SeedableRng;
 use rfid_core::exec::StepScratch;
 use rfid_core::factored::{ObjectFilter, ReaderFilter};
 use rfid_geom::{Point3, Pose};
-use rfid_model::object::BoxPrior;
+use rfid_model::object::{BoxPrior, LocationPrior};
+use rfid_model::sensor::{ConeSensor, ReadRateModel};
 use rfid_model::table::LikelihoodTable;
 use rfid_model::{JointModel, ModelParams};
+use rfid_sim::WarehouseLayout;
 
 const READER_PARTICLES: usize = 100;
-const COUNTS: [usize; 3] = [100, 200, 500];
+const COUNTS: [usize; 4] = [100, 200, 500, 1000];
+/// `FilterConfig::full_default()`'s initialization cone over the paper
+/// sensor: 4 ft range × 1.25 overestimate, 35° half angle.
+const CONE_RANGE: f64 = 5.0;
+const CONE_HALF_ANGLE: f64 = 0.6108652381980153;
 
-struct Fixture {
-    model: JointModel,
-    prior: BoxPrior,
+struct Fixture<S: ReadRateModel, P: LocationPrior> {
+    model: JointModel<S>,
+    prior: P,
     reader: ReaderFilter,
     cdf: Vec<f64>,
+    trig: Vec<[f64; 2]>,
     filter: ObjectFilter,
     scratch: StepScratch,
     support: Vec<f64>,
     rng: StdRng,
 }
 
-fn fixture(n: usize) -> Fixture {
-    let model = JointModel::new(ModelParams::default_warehouse());
-    let prior = BoxPrior::new(rfid_geom::Aabb::new(
-        Point3::new(-20.0, -20.0, 0.0),
-        Point3::new(20.0, 20.0, 0.0),
-    ));
-    let reader = ReaderFilter::new(READER_PARTICLES, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1));
+fn fixture<S: ReadRateModel, P: LocationPrior>(
+    model: JointModel<S>,
+    prior: P,
+    pose: Pose,
+    n: usize,
+) -> Fixture<S, P> {
+    let reader = ReaderFilter::new(READER_PARTICLES, pose);
     let mut rng = StdRng::seed_from_u64(42);
-    let filter = ObjectFilter::init_from_cone(&reader, 5.0, 0.6, n, 0, Some(&prior), &mut rng);
+    let filter = ObjectFilter::init_from_cone(
+        &reader,
+        CONE_RANGE,
+        CONE_HALF_ANGLE,
+        n,
+        0,
+        Some(&prior),
+        &mut rng,
+    );
     let mut cdf = Vec::new();
     reader.sampling_cdf_into(&mut cdf);
+    let mut trig = Vec::new();
+    reader.trig_into(&mut trig);
     Fixture {
         model,
         prior,
         reader,
         cdf,
+        trig,
         filter,
         scratch: StepScratch::default(),
         support: vec![0.0f64; READER_PARTICLES],
@@ -52,12 +76,44 @@ fn fixture(n: usize) -> Fixture {
     }
 }
 
+/// Logistic sensor, one big legal box.
+fn logistic(n: usize) -> Fixture<rfid_model::LogisticSensorModel, BoxPrior> {
+    fixture(
+        JointModel::new(ModelParams::default_warehouse()),
+        BoxPrior::new(rfid_geom::Aabb::new(
+            Point3::new(-20.0, -20.0, 0.0),
+            Point3::new(20.0, 20.0, 0.0),
+        )),
+        Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1),
+        n,
+    )
+}
+
+/// The benchmark's operating point: paper cone sensor, shelves with
+/// faces at x = 2 ft, reader mid-aisle facing them.
+fn warehouse(n: usize) -> Fixture<ConeSensor, WarehouseLayout> {
+    fixture(
+        JointModel::with_sensor(
+            ConeSensor::paper_default(),
+            ModelParams::default_warehouse(),
+        ),
+        WarehouseLayout::for_objects(2000, 0.5),
+        Pose::new(Point3::new(0.0, 500.0, 0.0), 0.0),
+        n,
+    )
+}
+
 /// Fused SoA single-pass step (weight + resample decision + estimate),
 /// alternating read/miss epochs; resampling is exercised via ess_frac.
-fn bench_fused(c: &mut Criterion) {
-    let mut g = c.benchmark_group("step_fused_soa");
+fn fused_rows<S: ReadRateModel, P: LocationPrior>(
+    c: &mut Criterion,
+    group: &str,
+    table: Option<&LikelihoodTable>,
+    make: fn(usize) -> Fixture<S, P>,
+) {
+    let mut g = c.benchmark_group(group);
     for &n in &COUNTS {
-        let mut f = fixture(n);
+        let mut f = make(n);
         let mut epoch = 0u64;
         g.bench_function(format!("{n}"), |b| {
             b.iter(|| {
@@ -68,8 +124,8 @@ fn bench_fused(c: &mut Criterion) {
                     &f.reader,
                     epoch % 3 != 2,
                     0.5,
-                    None,
-                    None,
+                    table,
+                    Some(&f.trig),
                     &mut f.scratch,
                     &mut f.support,
                     &mut f.rng,
@@ -81,13 +137,28 @@ fn bench_fused(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_fused(c: &mut Criterion) {
+    fused_rows(c, "step_fused_soa", None, logistic);
+    fused_rows(c, "step_fused_soa_warehouse", None, warehouse);
+}
+
+/// Fused step through the quantized likelihood table (read epochs hit
+/// the table; the miss path is identical).
+fn bench_fused_table(c: &mut Criterion) {
+    let table = {
+        let model = JointModel::new(ModelParams::default_warehouse());
+        LikelihoodTable::build(&model.sensor, 10.0, 0.05, 0.02)
+    };
+    fused_rows(c, "step_fused_soa_table", Some(&table), logistic);
+}
+
 /// The retained AoS-style reference: three passes, each recomputing
 /// normalized joint weights and allocating fresh buffers (the seed
 /// code path the fused step is bit-pinned against).
 fn bench_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_reference_aos");
     for &n in &COUNTS {
-        let mut f = fixture(n);
+        let mut f = logistic(n);
         let mut reader = f.reader.clone();
         let mut epoch = 0u64;
         g.bench_function(format!("{n}"), |b| {
@@ -102,46 +173,15 @@ fn bench_reference(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fused step through the quantized likelihood table (read epochs hit
-/// the table; the miss path is identical).
-fn bench_fused_table(c: &mut Criterion) {
-    let table = {
-        let model = JointModel::new(ModelParams::default_warehouse());
-        LikelihoodTable::build(&model.sensor, 10.0, 0.05, 0.02)
-    };
-    let mut g = c.benchmark_group("step_fused_soa_table");
-    for &n in &COUNTS {
-        let mut f = fixture(n);
-        let mut epoch = 0u64;
-        g.bench_function(format!("{n}"), |b| {
-            b.iter(|| {
-                epoch += 1;
-                f.support.fill(0.0);
-                let out = f.filter.step_fused(
-                    &f.model,
-                    &f.reader,
-                    epoch % 3 != 2,
-                    0.5,
-                    Some(&table),
-                    None,
-                    &mut f.scratch,
-                    &mut f.support,
-                    &mut f.rng,
-                );
-                out.estimate.0.x
-            })
-        });
-    }
-    g.finish();
-}
-
 /// The per-epoch steps surrounding the fused step in the engine:
-/// pointer refresh (n CDF samples) and motion predict (n noise draws).
+/// pointer refresh (n CDF samples), motion predict (n noise draws), and
+/// the first-sighting cone initialization at the operating point
+/// (n reader draws + n rejection-sampled cone points).
 fn bench_epoch_components(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_components");
     let n = 200usize;
     {
-        let mut f = fixture(n);
+        let mut f = logistic(n);
         let mut stamp = 0u64;
         g.bench_function("refresh_pointers/200", |b| {
             b.iter(|| {
@@ -152,10 +192,28 @@ fn bench_epoch_components(c: &mut Criterion) {
         });
     }
     {
-        let mut f = fixture(n);
+        let mut f = logistic(n);
         g.bench_function("predict/200", |b| {
             b.iter(|| {
                 f.filter.predict(&f.model, &f.prior, true, &mut f.rng);
+            })
+        });
+    }
+    {
+        let mut f = warehouse(1);
+        g.bench_function("cold_init/1000", |b| {
+            b.iter(|| {
+                ObjectFilter::init_from_cone_with(
+                    &f.reader,
+                    &f.cdf,
+                    CONE_RANGE,
+                    CONE_HALF_ANGLE,
+                    1000,
+                    0,
+                    Some(&f.prior),
+                    &mut f.rng,
+                )
+                .len()
             })
         });
     }

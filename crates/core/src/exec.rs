@@ -40,9 +40,9 @@ use std::ops::Range;
 
 /// Per-worker scratch for one object step: the normalized joint-weight
 /// buffer, its exponentiated mirror, the systematic-resampling count
-/// buffer, and the per-reader grouping buffers of the batched weight
-/// pass. Buffers grow to the particle/reader count on first use and
-/// are reused afterwards.
+/// buffer, and the per-reader table of the post-resample refill.
+/// Buffers grow to the particle/reader count on first use and are
+/// reused afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct StepScratch {
     /// Joint (object × reader) weights, log space — the single
@@ -54,16 +54,9 @@ pub struct StepScratch {
     pub probs: Vec<f64>,
     /// Systematic-resampling replication counts.
     pub counts: Vec<u32>,
-    /// Particle indices grouped by reader pointer (counting-sort
-    /// output): the batched likelihood pass walks one reader cone's
-    /// particles at a time.
-    pub order: Vec<u32>,
-    /// Start offset of each reader's group in `order`
-    /// (`reader.len() + 1` entries; group `j` is
-    /// `order[group_start[j]..group_start[j + 1]]`).
-    pub group_start: Vec<u32>,
-    /// Counting-sort write cursors (`reader.len()` entries).
-    pub cursors: Vec<u32>,
+    /// One entry per reader particle: the exponentials of the
+    /// post-resample joint-weight refill.
+    pub reader_tab: Vec<f64>,
 }
 
 /// Everything one worker owns across its chunk of object steps.

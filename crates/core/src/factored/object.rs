@@ -20,7 +20,7 @@ use crate::particle::{
     systematic_resample, systematic_resample_counts, ObjectParticle, ParticleSoa,
 };
 use rand::Rng;
-use rfid_geom::{Point3, Pose};
+use rfid_geom::{Aabb, Point3, Pose};
 use rfid_model::object::LocationPrior;
 use rfid_model::sensor::ReadRateModel;
 use rfid_model::table::LikelihoodTable;
@@ -85,17 +85,59 @@ pub fn sample_cone_in_prior<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
     prior: Option<&P>,
     rng: &mut R,
 ) -> Point3 {
-    match prior {
-        None => sample_cone(pose, range, half_angle, rng),
-        Some(p) => {
-            for _ in 0..30 {
-                let cand = sample_cone(pose, range, half_angle, rng);
-                if p.contains(&cand) {
-                    return cand;
-                }
-            }
-            sample_cone(pose, range, half_angle, rng)
+    ConeSampler::new(range, half_angle, prior).sample(pose, rng)
+}
+
+/// The one cone sampler behind [`sample_cone_in_prior`], cone
+/// initialization and respawn: [`sample_cone`], rejection-sampled
+/// against the prior for up to [`REJECTION_TRIES`] candidates.
+///
+/// The prior's [`support_bounds`](LocationPrior::support_bounds) is
+/// hoisted at construction (once per init/respawn, not per candidate)
+/// and a candidate whose `x` falls outside it is rejected before its
+/// `sin`, its `y` and the prior lookup are paid for — in a warehouse
+/// the legal band is a thin strip of the cone, so most candidates go
+/// that way. Early rejection only skips work whose outcome the box
+/// already decides: every candidate costs the same two RNG draws and an
+/// accepted point comes from the same expressions as [`sample_cone`],
+/// so the sampler returns the same bits and leaves the RNG in the same
+/// state as the plain rejection loop.
+struct ConeSampler<'a, P: ?Sized> {
+    range: f64,
+    half_angle: f64,
+    prior: Option<(&'a P, Aabb)>,
+}
+
+/// Candidates tried before giving up on the prior and keeping the raw
+/// cone point.
+const REJECTION_TRIES: usize = 30;
+
+impl<'a, P: LocationPrior + ?Sized> ConeSampler<'a, P> {
+    fn new(range: f64, half_angle: f64, prior: Option<&'a P>) -> Self {
+        Self {
+            range,
+            half_angle,
+            prior: prior.map(|p| (p, p.support_bounds())),
         }
+    }
+
+    fn sample<R: Rng + ?Sized>(&self, pose: &Pose, rng: &mut R) -> Point3 {
+        let Some((prior, bounds)) = &self.prior else {
+            return sample_cone(pose, self.range, self.half_angle, rng);
+        };
+        for _ in 0..REJECTION_TRIES {
+            let d = self.range * rng.gen::<f64>().sqrt();
+            let ang = pose.phi + self.half_angle * (2.0 * rng.gen::<f64>() - 1.0);
+            let x = pose.pos.x + d * ang.cos();
+            if x < bounds.min.x || x > bounds.max.x {
+                continue;
+            }
+            let cand = Point3::new(x, pose.pos.y + d * ang.sin(), pose.pos.z);
+            if prior.contains(&cand) {
+                return cand;
+            }
+        }
+        sample_cone(pose, self.range, self.half_angle, rng)
     }
 }
 
@@ -136,11 +178,12 @@ impl ObjectFilter {
     ) -> Self {
         debug_assert!(n >= 1, "object filters are never empty");
         let uniform = -(n as f64).ln();
+        let cone = ConeSampler::new(range, half_angle, prior);
         let mut soa = ParticleSoa::with_capacity(n);
         for _ in 0..n {
             let j = reader.sample_index_with(cdf, rng);
             soa.push(ObjectParticle {
-                loc: sample_cone_in_prior(reader.pose_of(j), range, half_angle, prior, rng),
+                loc: cone.sample(reader.pose_of(j), rng),
                 reader_idx: j,
                 log_w: uniform,
             });
@@ -321,16 +364,17 @@ impl ObjectFilter {
     /// performing **zero heap allocations** once `scratch` has warmed
     /// up.
     ///
-    /// The weight pass is batched per reader cone: particle indices are
-    /// counting-sorted by reader pointer so each reader's pose lookup
-    /// and cone geometry is hoisted out of the per-particle loop, and —
-    /// when `table` is supplied — the sensor's `exp()` is replaced by a
-    /// quantized [`LikelihoodTable`] cell load (the one deliberate
-    /// numeric deviation; `None` keeps the exact bit-pinned path).
-    /// The joint weights are exponentiated once into `scratch.probs`
-    /// and shared by the support staging, the ESS decision, and the
-    /// moment estimate — 3 `exp()` calls per particle per step instead
-    /// of the previous 5.
+    /// The weight pass is one linear sweep over the particle columns
+    /// with the reader heading's cosine and sine taken from the
+    /// per-epoch `trig` table, and — when `table` is supplied — the
+    /// sensor's `exp()` is replaced by a quantized [`LikelihoodTable`]
+    /// cell load (the one deliberate numeric deviation; `None` keeps
+    /// the exact bit-pinned path). The joint weights are exponentiated
+    /// once into `scratch.probs` and shared by the support staging, the
+    /// ESS decision, the resampler and the moment estimate — 3 `exp()`
+    /// calls per particle per step (two normalizations and the
+    /// probabilities); the refill after a resample costs two per
+    /// *reader* particle instead.
     ///
     /// Reader support is *staged* into `support` (a zeroed,
     /// `reader.len()`-sized slice) rather than deposited into the
@@ -353,7 +397,7 @@ impl ObjectFilter {
         let n = self.soa.len();
 
         // -- weight (w_ti of Eq. 5), normalize in place ----------------
-        self.accumulate_weights(model, reader, read, table, trig, scratch);
+        self.accumulate_weights(model, reader, read, table, trig);
         log_normalize(&mut self.soa.log_w);
 
         // -- the single joint-weight pass ------------------------------
@@ -368,7 +412,7 @@ impl ObjectFilter {
         // -- resample on low joint ESS, in place -----------------------
         let resampled = effective_sample_size_probs(&scratch.probs) < ess_frac * n as f64;
         if resampled {
-            systematic_resample_counts(&scratch.joint, n, &mut scratch.counts, rng);
+            systematic_resample_counts(&scratch.probs, n, &mut scratch.counts, rng);
             self.soa.reorder_by_counts(&mut scratch.counts);
             let uniform = -(n as f64).ln();
             for w in &mut self.soa.log_w {
@@ -377,8 +421,7 @@ impl ObjectFilter {
             self.resample_count += 1;
             // the joint weights changed with the particle set: recompute
             // for the estimate (the only second pass, resample epochs only)
-            Self::fill_joint(&self.soa, reader, &mut scratch.joint);
-            Self::fill_probs(&scratch.joint, &mut scratch.probs);
+            Self::fill_probs_uniform(&self.soa, reader, scratch);
         }
 
         // -- estimate under the current joint weights ------------------
@@ -389,21 +432,13 @@ impl ObjectFilter {
         }
     }
 
-    /// The batched weight pass. Each particle's increment is identical
+    /// The weight pass: one sequential sweep over the coordinate,
+    /// pointer and weight columns, each particle's increment identical
     /// to the naive
-    /// `log_w += object_log_weight(pose_of(reader_idx), loc, read)`
-    /// regardless of evaluation order, so both strategies below are
-    /// bit-exact and interchangeable:
-    ///
-    /// * **Grouped** (particle count ≥ [`GROUP_MIN_RATIO`] × reader
-    ///   count): counting-sorts particle indices by reader pointer into
-    ///   `scratch.order` (groups delimited by `scratch.group_start`),
-    ///   then walks one reader cone's particles at a time with the pose
-    ///   lookup hoisted out of the inner loop.
-    /// * **Linear** (small groups): one sequential sweep over the
-    ///   coordinate/pointer/weight columns. When the average group is
-    ///   only a couple of particles, the counting sort plus the
-    ///   scattered gather costs more than the hoisted lookup saves.
+    /// `log_w += object_log_weight(pose_of(reader_idx), loc, read)`.
+    /// The reader heading's cosine and sine come from the per-epoch
+    /// table when the engine provides one and are recomputed otherwise
+    /// — identical values, identical bits either way.
     fn accumulate_weights<S: ReadRateModel>(
         &mut self,
         model: &JointModel<S>,
@@ -411,21 +446,7 @@ impl ObjectFilter {
         read: bool,
         table: Option<&LikelihoodTable>,
         trig: Option<&[[f64; 2]]>,
-        scratch: &mut StepScratch,
     ) {
-        let n = self.soa.len();
-        let nr = reader.len();
-
-        /// Minimum average particles-per-reader-group for the grouped
-        /// pass to pay for its counting sort (measured on the
-        /// `experiments -- throughput` workload). The paper's operating
-        /// point (1000 particles, 100 reader particles) groups; sparse
-        /// clouds sweep linearly.
-        const GROUP_MIN_RATIO: usize = 8;
-
-        // Heading cosine/sine per reader particle: from the per-epoch
-        // table when the engine provides one, recomputed otherwise —
-        // identical values, identical bits either way.
         let trig_of = |r: u32| -> [f64; 2] {
             match trig {
                 Some(t) => t[r as usize],
@@ -435,84 +456,28 @@ impl ObjectFilter {
                 }
             }
         };
-
-        if n < nr * GROUP_MIN_RATIO {
-            match table {
-                None => {
-                    for i in 0..n {
-                        let r = self.soa.reader_idx[i];
-                        let pose = reader.pose_of(r);
-                        let [cph, sph] = trig_of(r);
-                        let loc = self.soa.loc(i);
-                        self.soa.log_w[i] +=
-                            model.object_log_weight_pose(&pose.pos, cph, sph, &loc, read);
-                    }
-                }
-                Some(t) => {
-                    for i in 0..n {
-                        let r = self.soa.reader_idx[i];
-                        let pose = reader.pose_of(r);
-                        let [cph, sph] = trig_of(r);
-                        let loc = self.soa.loc(i);
-                        let (d, th) = pose.range_bearing_with(cph, sph, &loc);
-                        let ll = t
-                            .lookup(d, th, read)
-                            .unwrap_or_else(|| model.sensor.log_likelihood_dt(d, th, read));
-                        self.soa.log_w[i] += ll;
-                    }
+        match table {
+            None => {
+                for i in 0..self.soa.len() {
+                    let r = self.soa.reader_idx[i];
+                    let pose = reader.pose_of(r);
+                    let [cph, sph] = trig_of(r);
+                    let loc = self.soa.loc(i);
+                    self.soa.log_w[i] +=
+                        model.object_log_weight_pose(&pose.pos, cph, sph, &loc, read);
                 }
             }
-            return;
-        }
-
-        // counting sort: histogram, prefix-sum, scatter
-        scratch.group_start.clear();
-        scratch.group_start.resize(nr + 1, 0);
-        for &r in &self.soa.reader_idx {
-            scratch.group_start[r as usize + 1] += 1;
-        }
-        for j in 1..=nr {
-            scratch.group_start[j] += scratch.group_start[j - 1];
-        }
-        scratch.cursors.clear();
-        scratch
-            .cursors
-            .extend_from_slice(&scratch.group_start[..nr]);
-        scratch.order.clear();
-        scratch.order.resize(n, 0);
-        for (i, &r) in self.soa.reader_idx.iter().enumerate() {
-            let c = &mut scratch.cursors[r as usize];
-            scratch.order[*c as usize] = i as u32;
-            *c += 1;
-        }
-
-        for j in 0..nr {
-            let start = scratch.group_start[j] as usize;
-            let end = scratch.group_start[j + 1] as usize;
-            if start == end {
-                continue;
-            }
-            let pose = reader.pose_of(j as u32);
-            let [cph, sph] = trig_of(j as u32);
-            match table {
-                None => {
-                    for &i in &scratch.order[start..end] {
-                        let i = i as usize;
-                        let loc = self.soa.loc(i);
-                        self.soa.log_w[i] +=
-                            model.object_log_weight_pose(&pose.pos, cph, sph, &loc, read);
-                    }
-                }
-                Some(t) => {
-                    for &i in &scratch.order[start..end] {
-                        let i = i as usize;
-                        let loc = self.soa.loc(i);
-                        let (d, th) = pose.range_bearing_with(cph, sph, &loc);
-                        let ll = t
-                            .lookup(d, th, read)
-                            .unwrap_or_else(|| model.sensor.log_likelihood_dt(d, th, read));
-                        self.soa.log_w[i] += ll;
-                    }
+            Some(t) => {
+                for i in 0..self.soa.len() {
+                    let r = self.soa.reader_idx[i];
+                    let pose = reader.pose_of(r);
+                    let [cph, sph] = trig_of(r);
+                    let loc = self.soa.loc(i);
+                    let (d, th) = pose.range_bearing_with(cph, sph, &loc);
+                    let ll = t
+                        .lookup(d, th, read)
+                        .unwrap_or_else(|| model.sensor.log_likelihood_dt(d, th, read));
+                    self.soa.log_w[i] += ll;
                 }
             }
         }
@@ -525,31 +490,65 @@ impl ObjectFilter {
         probs.extend(joint.iter().map(|w| w.exp()));
     }
 
+    /// [`fill_joint`](Self::fill_joint) + [`fill_probs`](Self::fill_probs)
+    /// for a set whose object weights are uniform (fresh from a
+    /// resample): the joint log weight then depends on the reader
+    /// pointer alone, so both `exp` passes run over one entry per
+    /// reader particle instead of one per object particle. The
+    /// normalizer is still summed over the particles in index order, so
+    /// `scratch.probs` holds the same bits the two general passes would
+    /// produce; `scratch.joint` is left holding the per-reader table.
+    fn fill_probs_uniform(soa: &ParticleSoa, reader: &ReaderFilter, scratch: &mut StepScratch) {
+        let StepScratch {
+            joint: by_reader,
+            probs,
+            reader_tab: tab,
+            ..
+        } = scratch;
+        let uniform = soa.log_w[0];
+        by_reader.clear();
+        by_reader.extend(reader.particles().iter().map(|p| uniform + p.log_w));
+        let max = soa
+            .reader_idx
+            .iter()
+            .map(|&r| by_reader[r as usize])
+            .fold(f64::NEG_INFINITY, f64::max);
+        probs.clear();
+        if !max.is_finite() {
+            // every pointed-to reader particle is impossible: the joint
+            // weights reset to uniform, as `log_normalize` does
+            probs.resize(soa.len(), uniform.exp());
+            return;
+        }
+        tab.clear();
+        tab.extend(by_reader.iter().map(|a| (a - max).exp()));
+        let sum: f64 = soa.reader_idx.iter().map(|&r| tab[r as usize]).sum();
+        let log_z = max + sum.ln();
+        for (t, a) in tab.iter_mut().zip(by_reader.iter()) {
+            *t = (a - log_z).exp();
+        }
+        probs.extend(soa.reader_idx.iter().map(|&r| tab[r as usize]));
+    }
+
     /// Posterior mean and per-axis variance given probability-space
-    /// joint weights aligned with the particle columns. One streaming
-    /// pass per axis per moment over two contiguous `f64` slices —
-    /// the accumulation order per axis matches the old interleaved
-    /// AoS loop exactly (each axis only ever summed its own products).
+    /// joint weights aligned with the particle columns: one sweep for
+    /// the three means, one for the three variances. Each axis still
+    /// sums only its own products, in index order, so the result bits
+    /// match a separate pass per axis.
     fn moments(soa: &ParticleSoa, w: &[f64]) -> (Point3, [f64; 3]) {
+        let n = w.len();
+        let (xs, ys, zs) = (&soa.xs[..n], &soa.ys[..n], &soa.zs[..n]);
         let mut mean = Point3::origin();
-        for (wi, x) in w.iter().zip(&soa.xs) {
-            mean.x += wi * x;
-        }
-        for (wi, y) in w.iter().zip(&soa.ys) {
-            mean.y += wi * y;
-        }
-        for (wi, z) in w.iter().zip(&soa.zs) {
-            mean.z += wi * z;
+        for i in 0..n {
+            mean.x += w[i] * xs[i];
+            mean.y += w[i] * ys[i];
+            mean.z += w[i] * zs[i];
         }
         let mut var = [0.0f64; 3];
-        for (wi, x) in w.iter().zip(&soa.xs) {
-            var[0] += wi * (x - mean.x) * (x - mean.x);
-        }
-        for (wi, y) in w.iter().zip(&soa.ys) {
-            var[1] += wi * (y - mean.y) * (y - mean.y);
-        }
-        for (wi, z) in w.iter().zip(&soa.zs) {
-            var[2] += wi * (z - mean.z) * (z - mean.z);
+        for i in 0..n {
+            var[0] += w[i] * (xs[i] - mean.x) * (xs[i] - mean.x);
+            var[1] += w[i] * (ys[i] - mean.y) * (ys[i] - mean.y);
+            var[2] += w[i] * (zs[i] - mean.z) * (zs[i] - mean.z);
         }
         (mean, var)
     }
@@ -721,12 +720,13 @@ impl ObjectFilter {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let uniform = -(n as f64).ln();
+        let cone = ConeSampler::new(range, half_angle, prior);
         for &i in order.iter().take(n / 2) {
             let j = reader.sample_index_with(cdf, rng);
             self.soa.set(
                 i,
                 ObjectParticle {
-                    loc: sample_cone_in_prior(reader.pose_of(j), range, half_angle, prior, rng),
+                    loc: cone.sample(reader.pose_of(j), rng),
                     reader_idx: j,
                     log_w: uniform,
                 },

@@ -178,30 +178,30 @@ pub fn log_normalize_by<T>(
 
 /// Systematic resampling into per-source replication counts: after the
 /// call, `counts[i]` is the number of times particle `i` appears in the
-/// resampled set. Consumes exactly one RNG draw and selects the same
-/// ancestors as [`systematic_resample`] (whose ancestry vector is the
-/// non-decreasing sequence `i` repeated `counts[i]` times) — but fills
-/// a caller-owned buffer instead of allocating, which combined with
+/// resampled set. Takes the weights in probability space (the hot path
+/// has them exponentiated already); for `probs[i] == log_w[i].exp()` it
+/// consumes exactly one RNG draw and selects the same ancestors as
+/// [`systematic_resample`] (whose ancestry vector is the non-decreasing
+/// sequence `i` repeated `counts[i]` times) — but fills a caller-owned
+/// buffer instead of allocating, which combined with
 /// [`reorder_by_counts`] makes resampling allocation-free.
 pub fn systematic_resample_counts<R: Rng + ?Sized>(
-    log_w: &[f64],
+    probs: &[f64],
     n: usize,
     counts: &mut Vec<u32>,
     rng: &mut R,
 ) {
-    debug_assert!(!log_w.is_empty());
+    debug_assert!(!probs.is_empty());
     counts.clear();
-    counts.resize(log_w.len(), 0);
+    counts.resize(probs.len(), 0);
     let step = 1.0 / n as f64;
     let mut u = rng.gen::<f64>() * step;
     let mut cum = 0.0;
     let mut i = 0usize;
-    let mut w_i = log_w[0].exp();
     for _ in 0..n {
-        while cum + w_i < u && i + 1 < log_w.len() {
-            cum += w_i;
+        while cum + probs[i] < u && i + 1 < probs.len() {
+            cum += probs[i];
             i += 1;
-            w_i = log_w[i].exp();
         }
         counts[i] += 1;
         u += step;
@@ -514,8 +514,9 @@ mod tests {
             log_normalize(&mut w).unwrap();
             let n = w.len();
             let ancestry = systematic_resample(&w, n, &mut StdRng::seed_from_u64(seed));
+            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
             let mut counts = Vec::new();
-            systematic_resample_counts(&w, n, &mut counts, &mut StdRng::seed_from_u64(seed));
+            systematic_resample_counts(&probs, n, &mut counts, &mut StdRng::seed_from_u64(seed));
             // ancestry is non-decreasing and is the histogram expansion
             let expanded: Vec<u32> = counts
                 .iter()
@@ -588,8 +589,14 @@ mod tests {
             // the columnar reorder must equal the generic AoS reorder
             let mut w: Vec<f64> = aos.iter().map(|p| p.log_w).collect();
             log_normalize(&mut w).unwrap();
+            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
             let mut counts = Vec::new();
-            systematic_resample_counts(&w, n, &mut counts, &mut StdRng::seed_from_u64(n as u64));
+            systematic_resample_counts(
+                &probs,
+                n,
+                &mut counts,
+                &mut StdRng::seed_from_u64(n as u64),
+            );
             let mut counts_soa = counts.clone();
             let mut aos_reordered = aos.clone();
             reorder_by_counts(&mut aos_reordered, &mut counts);

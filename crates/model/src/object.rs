@@ -32,6 +32,20 @@ pub trait LocationPrior: Send + Sync {
 
     /// Bounding box of the legal space.
     fn bounds(&self) -> Aabb;
+
+    /// A box that every legal location lies in: `contains(p)` implies
+    /// `support_bounds().contains(p)`. Rejection samplers test a
+    /// candidate's first coordinate against it before paying for the
+    /// rest of the candidate and for [`pdf`](Self::pdf). Unlike
+    /// [`bounds`](Self::bounds) it must cover any tolerance band
+    /// `contains` accepts; the default is the whole space, which can
+    /// never be wrong.
+    fn support_bounds(&self) -> Aabb {
+        Aabb::new(
+            Point3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
+            Point3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY),
+        )
+    }
 }
 
 /// A trivially simple prior: uniform over one box. Useful for tests and
@@ -85,6 +99,10 @@ impl LocationPrior for BoxPrior {
     }
 
     fn bounds(&self) -> Aabb {
+        self.bbox
+    }
+
+    fn support_bounds(&self) -> Aabb {
         self.bbox
     }
 }

@@ -49,16 +49,42 @@ pub struct WarehouseLayout {
     /// Cached `Σ (max.y - min.y)`, summed in shelf order (so the float
     /// result is bit-identical to an on-the-fly summation).
     total_length: f64,
+    /// Cached [`LocationPrior::support_bounds`]: the shelf faces widened
+    /// by the tolerance bands [`LocationPrior::pdf`] accepts.
+    support: Aabb,
 }
 
-/// Shared constructor tail: caches the total run length.
+/// Slack on the 0.5 ft x/z tolerance of the cached support box: `pdf`
+/// compares a rounded difference against 0.5, so a point it accepts can
+/// sit an ulp or so past `face ± 0.5`. Far wider than that rounding at
+/// any warehouse-scale coordinate.
+const SUPPORT_SLACK: f64 = 1e-6;
+
+/// Shared constructor tail: caches the total run length and the support
+/// box.
 fn finish_layout(shelves: Vec<Shelf>, standoff: f64, tag_z: f64) -> WarehouseLayout {
     let total_length = shelves.iter().map(|s| s.bbox.max.y - s.bbox.min.y).sum();
+    let band = 0.5 + SUPPORT_SLACK;
+    let mut support = Aabb::empty();
+    for s in &shelves {
+        // the y band is `pdf`'s own expressions, so it needs no slack
+        support.extend(Point3::new(
+            s.face_x() - band,
+            s.bbox.min.y - 1e-9,
+            tag_z - band,
+        ));
+        support.extend(Point3::new(
+            s.face_x() + band,
+            s.bbox.max.y + 1e-9,
+            tag_z + band,
+        ));
+    }
     WarehouseLayout {
         shelves,
         standoff,
         tag_z,
         total_length,
+        support,
     }
 }
 
@@ -262,6 +288,10 @@ impl LocationPrior for WarehouseLayout {
             b = b.union(&s.bbox);
         }
         b
+    }
+
+    fn support_bounds(&self) -> Aabb {
+        self.support
     }
 }
 
