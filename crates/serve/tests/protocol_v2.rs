@@ -273,12 +273,14 @@ fn lagged_subscriber_gets_counted_notice_over_tcp() {
         .expect("subscribe");
 
     // Push while the client reads nothing, one epoch at a time, until
-    // the hub drops its first frame: the outbox high-water plus the
-    // kernel socket buffers absorb a bounded prefix (TCP autotuning can
-    // balloon it to several MB), after which the bounded queue
-    // overflows. Stopping at the first drop makes the outcome exact —
-    // one overflow run of one frame — whatever the buffers held; the
-    // cap (~130 MB of rows) only bounds a run that never jams.
+    // the hub drops its first frame. The bounded queue overflows as
+    // soon as the server worker stops draining it: because the outbox
+    // high-water plus the kernel socket buffers are full (TCP
+    // autotuning can balloon that prefix to several MB), or simply
+    // because this thread got ahead of the worker. Stopping at the
+    // first drop makes the outcome exact either way — one overflow run
+    // of one frame; the cap (~130 MB of rows) only bounds a run that
+    // never lags.
     let mut sink = hub.sink();
     let (max_epochs, rows_per_epoch) = (64_000u64, 80u64);
     let mut epochs = 0u64;
@@ -297,32 +299,32 @@ fn lagged_subscriber_gets_counted_notice_over_tcp() {
     }
     assert_eq!(hub.dropped_rows(), rows_per_epoch, "one frame dropped");
     let total_rows = epochs * rows_per_epoch;
+    // arrival stamps of the committed frames, in commit order: the
+    // first delta arrives at 0, the one completed at epoch E at E + 1
+    let mut stamps = (0..epochs).map(|k| if k == 0 { 0 } else { 2 + k });
 
-    // now drain: every row is either delivered or counted in the one
-    // LAGGED notice, which sits exactly where the dropped frame was
+    // now drain: every frame arrives in commit order except the dropped
+    // one, and the one LAGGED notice sits exactly in its place
     let mut delivered = 0u64;
     let mut dropped = 0u64;
-    let mut next_epoch = 2u64;
     while delivered + dropped < total_rows {
         match client.next_push().expect("drain") {
             Frame::Push { id, epoch, rows } => {
                 assert_eq!(id, sub_id);
-                assert_eq!(epoch, next_epoch, "frames arrive in commit order");
+                assert_eq!(Some(epoch), stamps.next(), "frames arrive in commit order");
                 delivered += rows.len() as u64;
-                next_epoch += 1;
             }
             Frame::Lagged { id, dropped: d } => {
                 assert_eq!(id, sub_id);
                 assert_eq!(dropped, 0, "one overflow run, one LAGGED notice");
                 assert_eq!(d, rows_per_epoch, "the notice counts the dropped rows");
                 dropped += d;
-                // the dropped frame is the gap in the epoch sequence
-                next_epoch += 1;
+                stamps.next().expect("the notice stands in for a frame");
             }
             other => panic!("unexpected frame {other:?}"),
         }
     }
-    assert_eq!(dropped, rows_per_epoch, "the jammed subscriber lagged");
+    assert_eq!(dropped, rows_per_epoch, "the subscriber lagged");
     assert_eq!(delivered + dropped, total_rows, "every row accounted for");
     handle.shutdown();
 }
