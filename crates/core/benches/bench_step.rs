@@ -1,21 +1,25 @@
-//! Microbenchmark for the per-object hot path: the fused SoA step
-//! (`ObjectFilter::step_fused`) against the retained AoS-style
-//! reference sequence (`weight` → `maybe_resample` → `estimate`), per
-//! particle count, plus the surrounding per-epoch components
+//! Microbenchmark for the per-object hot path: the production step
+//! (`ObjectFilter::step_fused`) against the naive AoS reference
+//! sequence (`weight` → `maybe_resample` → `estimate`, shared with
+//! `tests/fused_equivalence.rs`), per particle count, plus the
+//! surrounding per-epoch components
 //! (`refresh_pointers_with`, `predict`, first-sighting
 //! `init_from_cone_with`) so a profile of the engine's infer stage can
 //! be cross-checked against isolated numbers.
 //!
 //! Two fixtures: the logistic sensor over a box prior, and the
 //! benchmark's operating point — `ConeSensor` over a `WarehouseLayout`
-//! with the reader in the aisle facing the shelf. Both supply the
-//! per-epoch heading table, as the engine does.
+//! with the reader in the aisle facing the shelf.
+
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reference::ReferenceFilter;
 use rfid_core::exec::StepScratch;
-use rfid_core::factored::{ObjectFilter, ReaderFilter};
+use rfid_core::factored::{ObjectFilter, ReaderFilter, ReaderTables};
 use rfid_geom::{Point3, Pose};
 use rfid_model::object::{BoxPrior, LocationPrior};
 use rfid_model::sensor::{ConeSensor, ReadRateModel};
@@ -34,8 +38,7 @@ struct Fixture<S: ReadRateModel, P: LocationPrior> {
     model: JointModel<S>,
     prior: P,
     reader: ReaderFilter,
-    cdf: Vec<f64>,
-    trig: Vec<[f64; 2]>,
+    tables: ReaderTables,
     filter: ObjectFilter,
     scratch: StepScratch,
     support: Vec<f64>,
@@ -59,16 +62,12 @@ fn fixture<S: ReadRateModel, P: LocationPrior>(
         Some(&prior),
         &mut rng,
     );
-    let mut cdf = Vec::new();
-    reader.sampling_cdf_into(&mut cdf);
-    let mut trig = Vec::new();
-    reader.trig_into(&mut trig);
+    let tables = reader.tables();
     Fixture {
         model,
         prior,
         reader,
-        cdf,
-        trig,
+        tables,
         filter,
         scratch: StepScratch::default(),
         support: vec![0.0f64; READER_PARTICLES],
@@ -122,10 +121,10 @@ fn fused_rows<S: ReadRateModel, P: LocationPrior>(
                 let out = f.filter.step_fused(
                     &f.model,
                     &f.reader,
+                    &f.tables,
                     epoch % 3 != 2,
                     0.5,
                     table,
-                    Some(&f.trig),
                     &mut f.scratch,
                     &mut f.support,
                     &mut f.rng,
@@ -152,21 +151,21 @@ fn bench_fused_table(c: &mut Criterion) {
     fused_rows(c, "step_fused_soa_table", Some(&table), logistic);
 }
 
-/// The retained AoS-style reference: three passes, each recomputing
-/// normalized joint weights and allocating fresh buffers (the seed
-/// code path the fused step is bit-pinned against).
+/// The naive AoS reference: the same arithmetic in three calls with
+/// fresh buffers (what the production step is bit-pinned against).
 fn bench_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_reference_aos");
     for &n in &COUNTS {
         let mut f = logistic(n);
+        let mut reference = ReferenceFilter::from_filter(&f.filter);
         let mut reader = f.reader.clone();
         let mut epoch = 0u64;
         g.bench_function(format!("{n}"), |b| {
             b.iter(|| {
                 epoch += 1;
-                f.filter.weight(&f.model, &mut reader, epoch % 3 != 2);
-                f.filter.maybe_resample(&reader, 0.5, &mut f.rng);
-                f.filter.estimate(&reader).0.x
+                let probs = reference.weight(&f.model, &mut reader, epoch % 3 != 2);
+                let resampled = reference.maybe_resample(&reader, &probs, 0.5, &mut f.rng);
+                reference.estimate(resampled.as_ref().unwrap_or(&probs)).0.x
             })
         });
     }
@@ -187,7 +186,7 @@ fn bench_epoch_components(c: &mut Criterion) {
             b.iter(|| {
                 stamp += 1;
                 f.filter
-                    .refresh_pointers_with(&f.reader, &f.cdf, stamp, &mut f.rng);
+                    .refresh_pointers_with(&f.reader, &f.tables.cdf, stamp, &mut f.rng);
             })
         });
     }
@@ -205,7 +204,7 @@ fn bench_epoch_components(c: &mut Criterion) {
             b.iter(|| {
                 ObjectFilter::init_from_cone_with(
                     &f.reader,
-                    &f.cdf,
+                    &f.tables.cdf,
                     CONE_RANGE,
                     CONE_HALF_ANGLE,
                     1000,

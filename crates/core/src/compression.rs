@@ -135,7 +135,7 @@ mod tests {
         let reader = ReaderFilter::new(10, Pose::identity());
         let f = c.decompress(10, &reader, 3, &mut rng);
         assert_eq!(f.len(), 10);
-        let (est, _) = f.estimate(&reader);
+        let (est, _) = f.estimate_with(&reader, &mut crate::exec::StepScratch::default());
         assert!(est.dist(&center) < 0.2, "decompressed estimate {est:?}");
     }
 

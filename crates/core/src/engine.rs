@@ -25,8 +25,8 @@
 //!
 //! * every buffer the per-object step needs lives in reusable scratch
 //!   owned by the engine ([`crate::exec`]);
-//! * the fused [`ObjectFilter::step_fused`] computes the normalized
-//!   joint weights once per step and resamples in place;
+//! * [`ObjectFilter::step_fused`] computes the joint probabilities
+//!   once per step (one `exp` per particle) and resamples in place;
 //! * each object's step draws from its own RNG stream seeded from
 //!   `(config.seed, tag, epoch)`, and all cross-object side effects
 //!   (reader support, reader-remap draws, statistics, event order) are
@@ -40,7 +40,7 @@ use crate::compression::CompressedBelief;
 use crate::config::{FilterConfig, ReaderMode};
 use crate::error::ConfigError;
 use crate::exec::{self, StepScratch, WorkerScratch};
-use crate::factored::{ObjectFilter, ReaderFilter};
+use crate::factored::{ObjectFilter, ReaderFilter, ReaderTables};
 use crate::output::OutputPolicy;
 use crate::shard::{merge_by_tag, shard_index, Belief, ObjectState, Shard, ShardCounts};
 use crate::spatial_hook::{sensing_box, SpatialHook};
@@ -225,13 +225,11 @@ struct StepCtx<'a, P, S> {
     range_over: f64,
     /// Posterior-mean reader position this epoch (for re-detection).
     reader_pos: Point3,
-    /// Reader-weight CDF, built once per epoch (the reader is frozen
-    /// while objects step) and shared by every pointer refresh, cone
-    /// initialization, and respawn.
-    reader_cdf: &'a [f64],
-    /// Per-reader-particle heading `[cos φ, sin φ]`, built once per
-    /// epoch beside the CDF and shared by every object weight pass.
-    reader_trig: &'a [[f64; 2]],
+    /// The reader's sampling CDF, weights and heading trig, built once
+    /// per epoch (the reader is frozen while objects step) and shared
+    /// by every pointer refresh, cone initialization, respawn and
+    /// object step.
+    reader_tables: &'a ReaderTables,
     /// Quantized likelihood table shared by every object step (`None`
     /// keeps the exact sensor path).
     table: Option<&'a LikelihoodTable>,
@@ -288,11 +286,9 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     steps: Vec<StepTask>,
     /// Per-worker step scratch (`config.worker_threads` entries).
     scratches: Vec<WorkerScratch>,
-    /// Reader-weight CDF of the current epoch (reused buffer).
-    reader_cdf: Vec<f64>,
-    /// Per-reader-particle heading trig of the current epoch (reused
-    /// buffer; see [`ReaderFilter::trig_into`]).
-    reader_trig: Vec<[f64; 2]>,
+    /// Per-reader-particle tables of the current epoch (reused
+    /// buffers; see [`ReaderFilter::tables_into`]).
+    reader_tables: ReaderTables,
     /// Quantized likelihood table (`config.likelihood_table`), built
     /// lazily at the first inference step and immutable afterwards —
     /// one grid serves every reader, object, epoch, and worker thread.
@@ -355,8 +351,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             scratches: (0..config.worker_threads)
                 .map(|_| WorkerScratch::default())
                 .collect(),
-            reader_cdf: Vec::new(),
-            reader_trig: Vec::new(),
+            reader_tables: ReaderTables::default(),
             table: None,
             support_tee: None,
             config,
@@ -828,23 +823,19 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let mut reader = self.reader.take().expect("reader initialized");
         let mut steps = std::mem::take(&mut self.steps);
         let mut scratches = std::mem::take(&mut self.scratches);
-        let mut reader_cdf = std::mem::take(&mut self.reader_cdf);
-        let mut reader_trig = std::mem::take(&mut self.reader_trig);
+        let mut reader_tables = std::mem::take(&mut self.reader_tables);
         let num_shards = self.num_shards;
         let nr = reader.len();
-        // one CDF build serves every pointer refresh / init / respawn
-        // this epoch — the reader weights are frozen while objects step;
-        // likewise one heading-trig table serves every weight pass
-        reader.sampling_cdf_into(&mut reader_cdf);
-        reader.trig_into(&mut reader_trig);
+        // one build serves every pointer refresh / init / respawn /
+        // step this epoch — the reader is frozen while objects step
+        reader.tables_into(&mut reader_tables);
         let ctx = StepCtx {
             model: &self.model,
             prior: &self.prior,
             config: &self.config,
             range_over: self.range_over,
             reader_pos,
-            reader_cdf: &reader_cdf,
-            reader_trig: &reader_trig,
+            reader_tables: &reader_tables,
             table: self.table.as_ref(),
             epoch,
             stamp,
@@ -968,8 +959,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.reader = Some(reader);
         self.steps = steps;
         self.scratches = scratches;
-        self.reader_cdf = reader_cdf;
-        self.reader_trig = reader_trig;
+        self.reader_tables = reader_tables;
     }
 
     fn run_compression_sweep(&mut self, epoch: Epoch) {
@@ -1061,7 +1051,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             // restricted to the legal object space
             let f = ObjectFilter::init_from_cone_with(
                 reader,
-                ctx.reader_cdf,
+                &ctx.reader_tables.cdf,
                 ctx.range_over,
                 half_angle,
                 k,
@@ -1091,7 +1081,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     let Belief::Active(f) = &mut state.belief else {
         unreachable!("belief made active above")
     };
-    f.refresh_pointers_with(reader, ctx.reader_cdf, ctx.stamp, &mut rng);
+    f.refresh_pointers_with(reader, &ctx.reader_tables.cdf, ctx.stamp, &mut rng);
     f.predict(ctx.model, ctx.prior, read, &mut rng);
 
     // §IV-A re-detection handling: compare the current estimate with
@@ -1104,7 +1094,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             // new location
             *f = ObjectFilter::init_from_cone_with(
                 reader,
-                ctx.reader_cdf,
+                &ctx.reader_tables.cdf,
                 ctx.range_over,
                 half_angle,
                 k,
@@ -1117,7 +1107,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             // moved a little: keep half, move half
             f.respawn_half_with(
                 reader,
-                ctx.reader_cdf,
+                &ctx.reader_tables.cdf,
                 ctx.range_over,
                 half_angle,
                 Some(ctx.prior),
@@ -1131,10 +1121,10 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     let outcome = f.step_fused(
         ctx.model,
         reader,
+        ctx.reader_tables,
         read,
         ctx.config.resample_ess_frac,
         ctx.table,
-        Some(ctx.reader_trig),
         scratch,
         support,
         &mut rng,

@@ -14,9 +14,9 @@
 //!    emitted event stream is bit-identical for any `worker_threads`,
 //!    including 1 (the default).
 //! 2. **Scratch buffers** ([`StepScratch`], [`WorkerScratch`]): the
-//!    joint-weight buffer, the resampling-count buffer, and the staged
-//!    reader-support matrix are owned per worker and reused across
-//!    epochs, so the steady-state step path performs no heap
+//!    joint-probability buffer, the resampling-count buffer, and the
+//!    staged reader-support matrix are owned per worker and reused
+//!    across epochs, so the steady-state step path performs no heap
 //!    allocation.
 //! 3. **A deterministic fork/join primitive** ([`parallel_chunks`],
 //!    [`chunk_ranges`]): tasks are partitioned into contiguous chunks
@@ -38,31 +38,28 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 
-/// Per-worker scratch for one object step: the normalized joint-weight
-/// buffer, its exponentiated mirror, the systematic-resampling count
-/// buffer, and the per-reader table of the post-resample refill.
-/// Buffers grow to the particle/reader count on first use and are
-/// reused afterwards.
+/// Per-worker scratch for one object step. Buffers grow to the particle
+/// count on first use and are reused afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct StepScratch {
-    /// Joint (object × reader) weights, log space — the single
-    /// per-step weight pass lives here.
+    /// Normalized joint (object × reader) log weights — written only
+    /// by the log-space joint pass (first-sighting estimates and the
+    /// step's underflow fallback), never by an ordinary step.
     pub joint: Vec<f64>,
-    /// `joint` in probability space (`joint[i].exp()`), computed once
-    /// per pass and shared by the support staging, the ESS decision,
-    /// and the moment estimate.
+    /// The step's one probability buffer: first `exp(log_w − max)` from
+    /// the object-weight normalization, then — multiplied by the reader
+    /// weights and divided by the sum — the joint probabilities shared
+    /// by the support staging, the ESS decision, the resampler and the
+    /// moment estimate.
     pub probs: Vec<f64>,
     /// Systematic-resampling replication counts.
     pub counts: Vec<u32>,
-    /// One entry per reader particle: the exponentials of the
-    /// post-resample joint-weight refill.
-    pub reader_tab: Vec<f64>,
 }
 
 /// Everything one worker owns across its chunk of object steps.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
-    /// Step buffers (joint weights, resample counts).
+    /// Step buffers (joint probabilities, resample counts).
     pub step: StepScratch,
     /// Staged reader support: one dense `reader.len()`-sized row per
     /// task in this worker's chunk, merged into the reader filter in

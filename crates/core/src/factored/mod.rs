@@ -20,4 +20,4 @@ pub mod object;
 pub mod reader;
 
 pub use object::{ObjectFilter, StepOutcome};
-pub use reader::{ReaderFilter, ReaderRemap};
+pub use reader::{ReaderFilter, ReaderRemap, ReaderTables};

@@ -14,10 +14,10 @@
 //! touched at all.
 
 use crate::exec::StepScratch;
-use crate::factored::reader::ReaderFilter;
+use crate::factored::reader::{ReaderFilter, ReaderTables};
 use crate::particle::{
-    effective_sample_size, effective_sample_size_iter, effective_sample_size_probs, log_normalize,
-    systematic_resample, systematic_resample_counts, ObjectParticle, ParticleSoa,
+    effective_sample_size_iter, effective_sample_size_probs, log_normalize, log_normalize_exp,
+    systematic_resample_counts, ObjectParticle, ParticleSoa,
 };
 use rand::Rng;
 use rfid_geom::{Aabb, Point3, Pose};
@@ -29,10 +29,10 @@ use rfid_model::JointModel;
 /// A per-object particle filter.
 ///
 /// Particles live in struct-of-arrays layout ([`ParticleSoa`]): the
-/// weight, support, ESS, resample, and moment loops of the fused step
-/// each stream over one or two contiguous `f64` columns, which is what
-/// lets them autovectorize. Reference (seed) methods and external
-/// consumers that want whole particles go through
+/// weight, support, ESS, resample, and moment loops of the step each
+/// stream over one or two contiguous `f64` columns, which is what
+/// lets them autovectorize. Consumers that want whole particles
+/// (checkpointing, the test reference) go through
 /// [`iter_particles`](Self::iter_particles) /
 /// [`soa`](Self::soa).
 #[derive(Debug, Clone)]
@@ -353,56 +353,66 @@ impl ObjectFilter {
         }
     }
 
-    /// The fused hot-path step: weight → (maybe) resample → estimate in
-    /// one pass over the normalized joint weights, with every buffer
-    /// supplied by the caller. Emits the same particle states and
-    /// estimates as the unfused [`weight`](Self::weight) /
-    /// [`maybe_resample`](Self::maybe_resample) /
-    /// [`estimate`](Self::estimate) sequence (pinned bit-for-bit by
-    /// `tests/fused_equivalence.rs`, exact-likelihood path) while
-    /// computing the joint weights once instead of three times and
-    /// performing **zero heap allocations** once `scratch` has warmed
-    /// up.
+    /// The object step of the hot path: weight → (maybe) resample →
+    /// estimate over one set of joint probabilities, with every buffer
+    /// supplied by the caller and **zero heap allocations** once
+    /// `scratch` has warmed up.
     ///
-    /// The weight pass is one linear sweep over the particle columns
-    /// with the reader heading's cosine and sine taken from the
-    /// per-epoch `trig` table, and — when `table` is supplied — the
-    /// sensor's `exp()` is replaced by a quantized [`LikelihoodTable`]
-    /// cell load (the one deliberate numeric deviation; `None` keeps
-    /// the exact bit-pinned path). The joint weights are exponentiated
-    /// once into `scratch.probs` and shared by the support staging, the
-    /// ESS decision, the resampler and the moment estimate — 3 `exp()`
-    /// calls per particle per step (two normalizations and the
-    /// probabilities); the refill after a resample costs two per
-    /// *reader* particle instead.
+    /// One `exp` per particle per step. The weight pass is a linear
+    /// sweep over the particle columns (reader heading trig from
+    /// `tables`; when `table` is supplied the sensor's `exp()` becomes
+    /// a quantized [`LikelihoodTable`] cell load — the one deliberate
+    /// numeric deviation, `None` keeps the exact path). Normalizing the
+    /// object weights exponentiates `log_w − max` once
+    /// ([`log_normalize_exp`]); those values times the reader weights
+    /// `tables.probs`, divided by their sum, are the joint
+    /// probabilities of Eq. 5's expansion, shared by the support
+    /// staging, the ESS decision, the resampler and the moment
+    /// estimate. Resampling carries reader pointers along with the
+    /// survivors, which concentrates object mass on good reader
+    /// hypotheses — the factored analogue of joint resampling; after it
+    /// the object weights are uniform, so the joint probabilities are
+    /// the pointed-to reader weights renormalized — no `exp` at all. Only when that product sums to
+    /// zero or overflows (every pointed-to reader weight underflowed)
+    /// does the step fall back to the log-space joint pass
+    /// (`fill_joint`, two more `exp` passes).
     ///
-    /// Reader support is *staged* into `support` (a zeroed,
-    /// `reader.len()`-sized slice) rather than deposited into the
-    /// reader directly, so steps for different objects can run on
-    /// different threads and merge deterministically afterwards.
-    #[allow(clippy::too_many_arguments)] // the fused step's full input set
+    /// `tests/fused_equivalence.rs` pins the particle states, resample
+    /// decisions and estimates bit-for-bit against a naive allocating
+    /// implementation of the same arithmetic.
+    ///
+    /// `tables` must have been built from `reader` in its current state
+    /// ([`ReaderFilter::tables_into`]). Reader support is *staged* into
+    /// `support` (a zeroed, `reader.len()`-sized slice) rather than
+    /// deposited into the reader directly, so steps for different
+    /// objects can run on different threads and merge deterministically
+    /// afterwards.
+    #[allow(clippy::too_many_arguments)] // the step's full input set
     pub fn step_fused<S: ReadRateModel, R: Rng + ?Sized>(
         &mut self,
         model: &JointModel<S>,
         reader: &ReaderFilter,
+        tables: &ReaderTables,
         read: bool,
         ess_frac: f64,
         table: Option<&LikelihoodTable>,
-        trig: Option<&[[f64; 2]]>,
         scratch: &mut StepScratch,
         support: &mut [f64],
         rng: &mut R,
     ) -> StepOutcome {
         debug_assert_eq!(support.len(), reader.len());
+        debug_assert_eq!(tables.probs.len(), reader.len());
         let n = self.soa.len();
 
-        // -- weight (w_ti of Eq. 5), normalize in place ----------------
-        self.accumulate_weights(model, reader, read, table, trig);
-        log_normalize(&mut self.soa.log_w);
+        // -- weight (w_ti of Eq. 5), normalize in place, keep the exps --
+        self.accumulate_weights(model, reader, &tables.trig, read, table);
+        log_normalize_exp(&mut self.soa.log_w, &mut scratch.probs);
 
-        // -- the single joint-weight pass ------------------------------
-        Self::fill_joint(&self.soa, reader, &mut scratch.joint);
-        Self::fill_probs(&scratch.joint, &mut scratch.probs);
+        // -- joint probabilities: object factor × reader factor ---------
+        for (p, &r) in scratch.probs.iter_mut().zip(&self.soa.reader_idx) {
+            *p *= tables.probs[r as usize];
+        }
+        Self::normalize_joint(&self.soa, reader, scratch);
 
         // stage per-reader support (probability space)
         for (&r, &p) in self.soa.reader_idx.iter().zip(scratch.probs.iter()) {
@@ -419,9 +429,15 @@ impl ObjectFilter {
                 *w = uniform;
             }
             self.resample_count += 1;
-            // the joint weights changed with the particle set: recompute
-            // for the estimate (the only second pass, resample epochs only)
-            Self::fill_probs_uniform(&self.soa, reader, scratch);
+            // uniform object weights: the joint is the reader factor alone
+            scratch.probs.clear();
+            scratch.probs.extend(
+                self.soa
+                    .reader_idx
+                    .iter()
+                    .map(|&r| tables.probs[r as usize]),
+            );
+            Self::normalize_joint(&self.soa, reader, scratch);
         }
 
         // -- estimate under the current joint weights ------------------
@@ -432,36 +448,42 @@ impl ObjectFilter {
         }
     }
 
+    /// Divides the unnormalized joint weights in `scratch.probs` by
+    /// their sum. A sum of zero (every product underflowed) or a
+    /// non-finite one cannot be divided by: the joint probabilities are
+    /// then recomputed in log space from the normalized object weights
+    /// and the reader's log weights, which cannot underflow.
+    fn normalize_joint(soa: &ParticleSoa, reader: &ReaderFilter, scratch: &mut StepScratch) {
+        let sum: f64 = scratch.probs.iter().sum();
+        if sum > 0.0 && sum.is_finite() {
+            for p in &mut scratch.probs {
+                *p /= sum;
+            }
+        } else {
+            Self::fill_joint(soa, reader, &mut scratch.joint, &mut scratch.probs);
+        }
+    }
+
     /// The weight pass: one sequential sweep over the coordinate,
     /// pointer and weight columns, each particle's increment identical
     /// to the naive
-    /// `log_w += object_log_weight(pose_of(reader_idx), loc, read)`.
-    /// The reader heading's cosine and sine come from the per-epoch
-    /// table when the engine provides one and are recomputed otherwise
-    /// — identical values, identical bits either way.
+    /// `log_w += object_log_weight(pose_of(reader_idx), loc, read)`
+    /// with the reader heading's cosine and sine read from the
+    /// per-epoch table instead of recomputed.
     fn accumulate_weights<S: ReadRateModel>(
         &mut self,
         model: &JointModel<S>,
         reader: &ReaderFilter,
+        trig: &[[f64; 2]],
         read: bool,
         table: Option<&LikelihoodTable>,
-        trig: Option<&[[f64; 2]]>,
     ) {
-        let trig_of = |r: u32| -> [f64; 2] {
-            match trig {
-                Some(t) => t[r as usize],
-                None => {
-                    let phi = reader.pose_of(r).phi;
-                    [phi.cos(), phi.sin()]
-                }
-            }
-        };
         match table {
             None => {
                 for i in 0..self.soa.len() {
                     let r = self.soa.reader_idx[i];
                     let pose = reader.pose_of(r);
-                    let [cph, sph] = trig_of(r);
+                    let [cph, sph] = trig[r as usize];
                     let loc = self.soa.loc(i);
                     self.soa.log_w[i] +=
                         model.object_log_weight_pose(&pose.pos, cph, sph, &loc, read);
@@ -471,7 +493,7 @@ impl ObjectFilter {
                 for i in 0..self.soa.len() {
                     let r = self.soa.reader_idx[i];
                     let pose = reader.pose_of(r);
-                    let [cph, sph] = trig_of(r);
+                    let [cph, sph] = trig[r as usize];
                     let loc = self.soa.loc(i);
                     let (d, th) = pose.range_bearing_with(cph, sph, &loc);
                     let ll = t
@@ -481,53 +503,6 @@ impl ObjectFilter {
                 }
             }
         }
-    }
-
-    /// Exponentiates the normalized joint log weights into `probs` —
-    /// the shared probability-space mirror.
-    fn fill_probs(joint: &[f64], probs: &mut Vec<f64>) {
-        probs.clear();
-        probs.extend(joint.iter().map(|w| w.exp()));
-    }
-
-    /// [`fill_joint`](Self::fill_joint) + [`fill_probs`](Self::fill_probs)
-    /// for a set whose object weights are uniform (fresh from a
-    /// resample): the joint log weight then depends on the reader
-    /// pointer alone, so both `exp` passes run over one entry per
-    /// reader particle instead of one per object particle. The
-    /// normalizer is still summed over the particles in index order, so
-    /// `scratch.probs` holds the same bits the two general passes would
-    /// produce; `scratch.joint` is left holding the per-reader table.
-    fn fill_probs_uniform(soa: &ParticleSoa, reader: &ReaderFilter, scratch: &mut StepScratch) {
-        let StepScratch {
-            joint: by_reader,
-            probs,
-            reader_tab: tab,
-            ..
-        } = scratch;
-        let uniform = soa.log_w[0];
-        by_reader.clear();
-        by_reader.extend(reader.particles().iter().map(|p| uniform + p.log_w));
-        let max = soa
-            .reader_idx
-            .iter()
-            .map(|&r| by_reader[r as usize])
-            .fold(f64::NEG_INFINITY, f64::max);
-        probs.clear();
-        if !max.is_finite() {
-            // every pointed-to reader particle is impossible: the joint
-            // weights reset to uniform, as `log_normalize` does
-            probs.resize(soa.len(), uniform.exp());
-            return;
-        }
-        tab.clear();
-        tab.extend(by_reader.iter().map(|a| (a - max).exp()));
-        let sum: f64 = soa.reader_idx.iter().map(|&r| tab[r as usize]).sum();
-        let log_z = max + sum.ln();
-        for (t, a) in tab.iter_mut().zip(by_reader.iter()) {
-            *t = (a - log_z).exp();
-        }
-        probs.extend(soa.reader_idx.iter().map(|&r| tab[r as usize]));
     }
 
     /// Posterior mean and per-axis variance given probability-space
@@ -553,15 +528,14 @@ impl ObjectFilter {
         (mean, var)
     }
 
-    /// [`estimate`](Self::estimate) into caller-owned scratch — same
-    /// result, no allocation.
+    /// Posterior mean and per-axis variance under the joint weights,
+    /// computed into caller-owned scratch (no allocation once warm).
     pub fn estimate_with(
         &self,
         reader: &ReaderFilter,
         scratch: &mut StepScratch,
     ) -> (Point3, [f64; 3]) {
-        Self::fill_joint(&self.soa, reader, &mut scratch.joint);
-        Self::fill_probs(&scratch.joint, &mut scratch.probs);
+        Self::fill_joint(&self.soa, reader, &mut scratch.joint, &mut scratch.probs);
         Self::moments(&self.soa, &scratch.probs)
     }
 
@@ -571,10 +545,19 @@ impl ObjectFilter {
         effective_sample_size_iter(self.soa.log_w.iter().copied())
     }
 
-    /// Writes the normalized joint (object factor × reader factor) log
-    /// weights into `joint` — the buffer-reusing core shared by the
-    /// fused step and [`estimate_with`](Self::estimate_with).
-    fn fill_joint(soa: &ParticleSoa, reader: &ReaderFilter, joint: &mut Vec<f64>) {
+    /// The joint (object factor × reader factor) weights by the
+    /// log-space route: log weights added, normalized with log-sum-exp
+    /// into `joint`, exponentiated into `probs`. Two `exp` passes, but
+    /// no product can underflow — the route of everything off the
+    /// per-step path ([`estimate_with`](Self::estimate_with),
+    /// [`normalized_joint_weights`](Self::normalized_joint_weights))
+    /// and the step's fallback.
+    fn fill_joint(
+        soa: &ParticleSoa,
+        reader: &ReaderFilter,
+        joint: &mut Vec<f64>,
+        probs: &mut Vec<f64>,
+    ) {
         joint.clear();
         joint.extend(
             soa.log_w
@@ -583,56 +566,16 @@ impl ObjectFilter {
                 .map(|(&w, &r)| w + reader.log_weight_of(r)),
         );
         log_normalize(joint);
-    }
-
-    /// Weighting step (the `w_ti` factor of Eq. 5): multiplies each
-    /// particle's weight by the sensor likelihood of the observed
-    /// outcome under its own reader hypothesis, renormalizes, and
-    /// deposits per-reader support (the summed joint weight mass of the
-    /// object particles pointing at each reader particle).
-    ///
-    /// Together with [`maybe_resample`](Self::maybe_resample) and
-    /// [`estimate`](Self::estimate) this is the *reference* (seed)
-    /// step path; the engine's hot path runs the allocation-free
-    /// [`step_fused`](Self::step_fused), which is pinned to emit
-    /// identical results.
-    pub fn weight<S: ReadRateModel>(
-        &mut self,
-        model: &JointModel<S>,
-        reader: &mut ReaderFilter,
-        read: bool,
-    ) {
-        for i in 0..self.soa.len() {
-            let pose = reader.pose_of(self.soa.reader_idx[i]);
-            let loc = self.soa.loc(i);
-            self.soa.log_w[i] += model.object_log_weight(pose, &loc, read);
-        }
-        self.normalize();
-        // deposit support for instrumented reader resampling
-        let joint = self.normalized_joint_weights(reader);
-        for (&r, w) in self.soa.reader_idx.iter().zip(joint) {
-            reader.add_support(r, w);
-        }
+        probs.clear();
+        probs.extend(joint.iter().map(|w| w.exp()));
     }
 
     /// Normalized joint weights (object factor × reader factor), in
     /// probability space.
     pub fn normalized_joint_weights(&self, reader: &ReaderFilter) -> Vec<f64> {
-        let mut w: Vec<f64> = self
-            .soa
-            .log_w
-            .iter()
-            .zip(self.soa.reader_idx.iter())
-            .map(|(&lw, &r)| lw + reader.log_weight_of(r))
-            .collect();
-        log_normalize(&mut w);
-        w.into_iter().map(f64::exp).collect()
-    }
-
-    /// Posterior mean and per-axis variance under the joint weights.
-    pub fn estimate(&self, reader: &ReaderFilter) -> (Point3, [f64; 3]) {
-        let w = self.normalized_joint_weights(reader);
-        Self::moments(&self.soa, &w)
+        let (mut joint, mut probs) = (Vec::new(), Vec::new());
+        Self::fill_joint(&self.soa, reader, &mut joint, &mut probs);
+        probs
     }
 
     /// The particle cloud as `(weight, location)` pairs under joint
@@ -643,42 +586,6 @@ impl ObjectFilter {
             .zip(self.soa.iter())
             .map(|(w, p)| (w, p.loc))
             .collect()
-    }
-
-    /// Resamples by joint weight when the joint ESS drops below
-    /// `ess_frac * n`. Reader pointers are carried along with the
-    /// surviving particles, which concentrates object mass on good
-    /// reader hypotheses — the factored analogue of joint resampling.
-    pub fn maybe_resample<R: Rng + ?Sized>(
-        &mut self,
-        reader: &ReaderFilter,
-        ess_frac: f64,
-        rng: &mut R,
-    ) -> bool {
-        let n = self.soa.len();
-        let mut joint: Vec<f64> = self
-            .soa
-            .log_w
-            .iter()
-            .zip(self.soa.reader_idx.iter())
-            .map(|(&lw, &r)| lw + reader.log_weight_of(r))
-            .collect();
-        log_normalize(&mut joint);
-        if effective_sample_size(&joint) >= ess_frac * n as f64 {
-            return false;
-        }
-        let ancestry = systematic_resample(&joint, n, rng);
-        let uniform = -(n as f64).ln();
-        let mut next = ParticleSoa::with_capacity(n);
-        for i in ancestry {
-            next.push(ObjectParticle {
-                log_w: uniform,
-                ..self.soa.get(i as usize)
-            });
-        }
-        self.soa = next;
-        self.resample_count += 1;
-        true
     }
 
     /// §IV-A re-detection handling: keeps the better half of the
@@ -736,10 +643,6 @@ impl ObjectFilter {
             self.soa.log_w[i] = uniform;
         }
     }
-
-    fn normalize(&mut self) {
-        log_normalize(&mut self.soa.log_w);
-    }
 }
 
 #[cfg(test)]
@@ -767,6 +670,32 @@ mod tests {
             Point3::new(-10.0, -10.0, 0.0),
             Point3::new(10.0, 10.0, 0.0),
         ))
+    }
+
+    /// One object step the way the engine runs it: tables built from
+    /// the current reader, staged support merged back into it.
+    fn step(
+        f: &mut ObjectFilter,
+        m: &JointModel,
+        reader: &mut ReaderFilter,
+        read: bool,
+        ess_frac: f64,
+        rng: &mut StdRng,
+    ) -> StepOutcome {
+        let mut support = vec![0.0; reader.len()];
+        let out = f.step_fused(
+            m,
+            reader,
+            &reader.tables(),
+            read,
+            ess_frac,
+            None,
+            &mut StepScratch::default(),
+            &mut support,
+            rng,
+        );
+        reader.merge_support(&support);
+        out
     }
 
     #[test]
@@ -805,16 +734,13 @@ mod tests {
 
         let mut reader = reader_at(pose1, 50);
         let mut f = ObjectFilter::init_from_cone(&reader, 6.0, 1.0, 2000, 0, NO_PRIOR, &mut rng);
-        f.weight(&m, &mut reader, true);
-        let (e1, _) = f.estimate(&reader);
+        let (e1, _) = step(&mut f, &m, &mut reader, true, 0.0, &mut rng).estimate;
         let err1 = e1.dist_xy(&truth);
 
         // second reading from pose2
         let mut reader2 = reader_at(pose2, 50);
         f.refresh_pointers(&reader2, 1, &mut rng);
-        f.weight(&m, &mut reader2, true);
-        f.maybe_resample(&reader2, 0.9, &mut rng);
-        let (e2, _) = f.estimate(&reader2);
+        let (e2, _) = step(&mut f, &m, &mut reader2, true, 0.9, &mut rng).estimate;
         let err2 = e2.dist_xy(&truth);
         assert!(
             err2 < err1 + 0.15,
@@ -830,11 +756,11 @@ mod tests {
         let m = model();
         let mut reader = reader_at(Pose::identity(), 20);
         let mut f = ObjectFilter::init_from_cone(&reader, 6.0, 1.0, 2000, 0, NO_PRIOR, &mut rng);
-        let (before, _) = f.estimate(&reader);
+        let (before, _) = f.estimate_with(&reader, &mut StepScratch::default());
+        let mut after = before;
         for _ in 0..5 {
-            f.weight(&m, &mut reader, false);
+            (after, _) = step(&mut f, &m, &mut reader, false, 0.0, &mut rng).estimate;
         }
-        let (after, _) = f.estimate(&reader);
         assert!(
             after.dist(&Point3::origin()) > before.dist(&Point3::origin()),
             "misses should push the estimate outward: {before:?} -> {after:?}"
@@ -844,7 +770,7 @@ mod tests {
     #[test]
     fn resample_concentrates_on_heavy_particles() {
         let mut rng = StdRng::seed_from_u64(5);
-        let reader = reader_at(Pose::identity(), 10);
+        let mut reader = reader_at(Pose::identity(), 10);
         let particles: Vec<ObjectParticle> = (0..100)
             .map(|i| ObjectParticle {
                 loc: Point3::new(i as f64, 0.0, 0.0),
@@ -853,7 +779,9 @@ mod tests {
             })
             .collect();
         let mut f = ObjectFilter::from_particles(particles, 0);
-        assert!(f.maybe_resample(&reader, 0.5, &mut rng));
+        // a miss barely moves weights this far from the reader, so the
+        // step resamples on the degeneracy it was handed
+        assert!(step(&mut f, &model(), &mut reader, false, 0.5, &mut rng).resampled);
         assert_eq!(f.resample_count(), 1);
         let at_42 = f
             .iter_particles()
@@ -927,7 +855,7 @@ mod tests {
         let m = model();
         let mut reader = reader_at(Pose::identity(), 10);
         let mut f = ObjectFilter::init_from_cone(&reader, 4.0, 0.5, 100, 0, NO_PRIOR, &mut rng);
-        f.weight(&m, &mut reader, true);
+        step(&mut f, &m, &mut reader, true, 0.0, &mut rng);
         let total: f64 = reader.support.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "support mass {total}");
     }

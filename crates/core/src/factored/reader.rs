@@ -58,6 +58,22 @@ impl ReaderRemap {
     }
 }
 
+/// Per-epoch read-only tables derived from a [`ReaderFilter`], one
+/// entry per reader particle (see [`ReaderFilter::tables_into`]). Valid
+/// until the reader's weights or poses change.
+#[derive(Debug, Clone, Default)]
+pub struct ReaderTables {
+    /// Cumulative particle weights (probability space), for O(log n)
+    /// draws via [`ReaderFilter::sample_index_with`].
+    pub cdf: Vec<f64>,
+    /// Particle weights in probability space: `exp(log_w)`, the reader
+    /// factor of every object particle's joint weight.
+    pub probs: Vec<f64>,
+    /// Heading `[cos φ, sin φ]`, hoisted out of the object weight
+    /// passes.
+    pub trig: Vec<[f64; 2]>,
+}
+
 /// The reader particle filter.
 #[derive(Debug, Clone)]
 pub struct ReaderFilter {
@@ -296,20 +312,41 @@ impl ReaderFilter {
         }
     }
 
-    /// Writes each particle heading's `[cos φ, sin φ]` into `out`
-    /// (cleared and reused). Like the sampling CDF, the table is built
-    /// once per epoch — the poses are frozen while objects step — and
-    /// shared by every object weight pass, hoisting the per-particle
-    /// `sin`/`cos` out of the likelihood loops. Valid until the poses
-    /// change.
-    pub fn trig_into(&self, out: &mut Vec<[f64; 2]>) {
-        out.clear();
-        out.reserve(self.particles.len());
-        out.extend(
+    /// Rebuilds `out` (cleared and reused) from the current particles:
+    /// the sampling CDF of [`sampling_cdf_into`](Self::sampling_cdf_into),
+    /// the weights it accumulates, and the heading trig. The engine
+    /// calls this once per epoch, after the reader update — the reader
+    /// is frozen while objects step, so one build serves every pointer
+    /// refresh, cone initialization, respawn and object step of the
+    /// epoch, with one `exp` and one `sin`/`cos` per reader particle.
+    pub fn tables_into(&self, out: &mut ReaderTables) {
+        let n = self.particles.len();
+        out.cdf.clear();
+        out.cdf.reserve(n);
+        out.probs.clear();
+        out.probs.reserve(n);
+        let mut cum = 0.0;
+        for p in &self.particles {
+            let w = p.log_w.exp();
+            cum += w;
+            out.probs.push(w);
+            out.cdf.push(cum);
+        }
+        out.trig.clear();
+        out.trig.reserve(n);
+        out.trig.extend(
             self.particles
                 .iter()
                 .map(|p| [p.pose.phi.cos(), p.pose.phi.sin()]),
         );
+    }
+
+    /// [`tables_into`](Self::tables_into) into a fresh allocation, for
+    /// callers outside the engine's per-epoch loop.
+    pub fn tables(&self) -> ReaderTables {
+        let mut out = ReaderTables::default();
+        self.tables_into(&mut out);
+        out
     }
 
     /// Draws a particle index by binary search over a CDF built by

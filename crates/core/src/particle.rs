@@ -49,6 +49,33 @@ pub fn log_normalize(log_w: &mut [f64]) -> Option<f64> {
     Some(log_z)
 }
 
+/// [`log_normalize`] that keeps the exponentials it computes: on return
+/// `exps[i]` is `exp(w_i - max)` of the *incoming* weights — the object
+/// step multiplies them by the reader factor instead of exponentiating
+/// a second and a third time. The weights themselves end up with the
+/// same bits as under [`log_normalize`]. On total depletion they reset
+/// to uniform and `exps` is all ones (equal weights, same scale-free
+/// meaning).
+pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> {
+    exps.clear();
+    let max = log_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if !max.is_finite() {
+        let u = -(log_w.len() as f64).ln();
+        for w in log_w.iter_mut() {
+            *w = u;
+        }
+        exps.resize(log_w.len(), 1.0);
+        return None;
+    }
+    exps.extend(log_w.iter().map(|w| (w - max).exp()));
+    let sum: f64 = exps.iter().sum();
+    let log_z = max + sum.ln();
+    for w in log_w.iter_mut() {
+        *w -= log_z;
+    }
+    Some(log_z)
+}
+
 /// Effective sample size of normalized log weights:
 /// `1 / sum(w_i^2)`. Ranges from 1 (degenerate) to `n` (uniform).
 ///
@@ -468,6 +495,31 @@ mod tests {
         for x in &w {
             assert!((x.exp() - 0.25).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn log_normalize_exp_matches_log_normalize_bitwise() {
+        for seed in 0..10u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut w: Vec<f64> = (0..41).map(|_| rng.gen::<f64>().ln() * 40.0).collect();
+            w[7] = f64::NEG_INFINITY;
+            let raw = w.clone();
+            let mut plain = w.clone();
+            let mut exps = Vec::new();
+            let z = log_normalize_exp(&mut w, &mut exps).unwrap();
+            assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
+            let max = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for i in 0..w.len() {
+                assert_eq!(w[i].to_bits(), plain[i].to_bits(), "seed {seed} weight {i}");
+                assert_eq!(exps[i].to_bits(), (raw[i] - max).exp().to_bits());
+            }
+        }
+        // total depletion: uniform weights, equal exponentials
+        let mut w = vec![f64::NEG_INFINITY; 4];
+        let mut exps = vec![9.0];
+        assert!(log_normalize_exp(&mut w, &mut exps).is_none());
+        assert_eq!(exps, vec![1.0; 4]);
+        assert!(w.iter().all(|x| (x.exp() - 0.25).abs() < 1e-12));
     }
 
     #[test]

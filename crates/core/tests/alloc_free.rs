@@ -64,9 +64,9 @@ fn steady_state_object_step_allocates_nothing() {
         ObjectFilter::init_from_cone(&reader, 4.0, 0.6, 500, 0, Some(&prior), &mut rng);
     let mut scratch = StepScratch::default();
     let mut support = vec![0.0f64; reader.len()];
-    // the engine builds this once per epoch and shares it
-    let mut cdf = Vec::new();
-    reader.sampling_cdf_into(&mut cdf);
+    // per-epoch reader tables (sampling CDF, weights, heading trig):
+    // the engine builds them once per epoch into reused buffers
+    let tables = reader.tables();
 
     // metric handles registered before measurement (registration
     // allocates once; recording must not allocate at all)
@@ -77,19 +77,16 @@ fn steady_state_object_step_allocates_nothing() {
 
     // built before measurement, shared by the table-path steps below
     let table = rfid_model::table::LikelihoodTable::build(&model.sensor, 10.0, 0.05, 0.02);
-    // per-epoch heading-trig table (reused buffer, like the engine's)
-    let mut trig = Vec::new();
-    reader.trig_into(&mut trig);
 
-    // warm-up: grows the joint/probs/counts and grouping buffers to the
-    // particle count (a resampling step warms the counts buffer too)
-    filter.refresh_pointers_with(&reader, &cdf, 1, &mut rng);
+    // warm-up: grows the probs/counts buffers to the particle count (a
+    // resampling step warms the counts buffer too)
+    filter.refresh_pointers_with(&reader, &tables.cdf, 1, &mut rng);
     filter.step_fused(
         &model,
         &reader,
+        &tables,
         true,
         1.0, // force one resample so scratch.counts is sized
-        None,
         None,
         &mut scratch,
         &mut support,
@@ -117,23 +114,16 @@ fn steady_state_object_step_allocates_nothing() {
             // be allocation-free (the table is immutable plain data —
             // lookups cannot allocate, and the shared scratch is warm)
             let table = if stamp % 3 == 0 { Some(&table) } else { None };
-            // alternate the hoisted-trig and inline-sincos paths: both
-            // must be allocation-free
-            let trig = if stamp % 2 == 0 {
-                Some(&trig[..])
-            } else {
-                None
-            };
-            filter.refresh_pointers_with(&reader, &cdf, stamp, &mut rng);
+            filter.refresh_pointers_with(&reader, &tables.cdf, stamp, &mut rng);
             filter.predict(&model, &prior, read, &mut rng);
             support.fill(0.0);
             let out = filter.step_fused(
                 &model,
                 &reader,
+                &tables,
                 read,
                 0.0,
                 table,
-                trig,
                 &mut scratch,
                 &mut support,
                 &mut rng,

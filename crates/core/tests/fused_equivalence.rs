@@ -1,27 +1,32 @@
-//! Pins the fused single-pass hot path to the seed code path.
+//! Pins the production object step to the naive reference.
 //!
-//! The seed engine stepped each object with three separate calls —
-//! `weight` (normalize + deposit support), `maybe_resample` (recompute
-//! joint weights, resample), `estimate` (recompute joint weights again)
-//! — each recomputing the normalized joint weights and allocating
-//! fresh buffers. Those unfused methods are retained as the reference
-//! path; this test drives both paths over multi-epoch read/miss
-//! sequences and asserts **bit-identical** particle states, estimates,
-//! and resample decisions from identical RNG streams.
+//! `ObjectFilter::step_fused` runs weight → resample → estimate over
+//! struct-of-arrays columns, caller-owned scratch, per-epoch reader
+//! tables and an in-place reorder. `reference::ReferenceFilter` performs
+//! the same arithmetic with array-of-structs particles, fresh buffers
+//! and an ancestry vector, in three separate calls. This suite drives
+//! both over multi-epoch read/miss sequences — and over the degenerate
+//! weight configurations where the step changes route — and asserts
+//! **bit-identical** particle states, estimates, resample decisions and
+//! staged support from identical RNG streams.
+
+mod reference;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reference::ReferenceFilter;
 use rfid_core::exec::StepScratch;
 use rfid_core::factored::{ObjectFilter, ReaderFilter};
+use rfid_core::particle::{ObjectParticle, ReaderParticle};
 use rfid_geom::{Point3, Pose};
 use rfid_model::object::BoxPrior;
 use rfid_model::{JointModel, ModelParams};
 
 const NO_PRIOR: Option<&BoxPrior> = None;
 
-fn assert_particles_identical(a: &ObjectFilter, b: &ObjectFilter, epoch: usize) {
-    assert_eq!(a.len(), b.len(), "epoch {epoch}: particle counts");
-    for (i, (pa, pb)) in a.iter_particles().zip(b.iter_particles()).enumerate() {
+fn assert_particles_identical(a: &ReferenceFilter, b: &ObjectFilter, epoch: usize) {
+    assert_eq!(a.particles.len(), b.len(), "epoch {epoch}: particle counts");
+    for (i, (pa, pb)) in a.particles.iter().zip(b.iter_particles()).enumerate() {
         assert_eq!(
             pa.loc.x.to_bits(),
             pb.loc.x.to_bits(),
@@ -53,50 +58,61 @@ fn assert_particles_identical(a: &ObjectFilter, b: &ObjectFilter, epoch: usize) 
     }
 }
 
-/// Drives the reference (seed) path and the fused path side by side
-/// through `epochs` weight/resample/estimate steps under a read/miss
-/// schedule, asserting bit-identical outcomes at every step.
-fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) -> u64 {
+/// Steps the reference (three calls) and the production step side by
+/// side from the same particle set, against the same reader, through
+/// `epochs` steps under a read/miss schedule, asserting bit-identical
+/// outcomes at every step. Returns the resample count and the last
+/// step's staged support row.
+fn drive_pair(
+    start: ObjectFilter,
+    reader: ReaderFilter,
+    ess_frac: f64,
+    read_at: fn(usize) -> bool,
+    epochs: usize,
+    seed: u64,
+) -> (u64, Vec<f64>) {
     let m = JointModel::new(ModelParams::default_warehouse());
-    let pose = Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1);
-    let mut reader_ref = ReaderFilter::new(30, pose);
-    let mut reader_fused = ReaderFilter::new(30, pose);
-
-    let mut init_rng = StdRng::seed_from_u64(seed);
-    let reference_seed =
-        ObjectFilter::init_from_cone(&reader_ref, 5.0, 0.6, 120, 0, NO_PRIOR, &mut init_rng);
-    let mut reference = reference_seed.clone();
-    let mut fused = reference_seed;
+    let mut reader_ref = reader.clone();
+    let mut reader_fused = reader;
+    let mut reference = ReferenceFilter::from_filter(&start);
+    let mut fused = start;
 
     // identical RNG streams for the two paths
     let mut rng_ref = StdRng::seed_from_u64(seed ^ 0xABCD);
     let mut rng_fused = StdRng::seed_from_u64(seed ^ 0xABCD);
     let mut scratch = StepScratch::default();
     let mut support = vec![0.0f64; reader_ref.len()];
-    // the fused side uses the per-epoch hoisted heading-trig table the
-    // engine builds; the reference recomputes sin/cos per particle —
-    // the bit-identity assertions below pin the two as equivalent
-    let mut trig = Vec::new();
-    reader_fused.trig_into(&mut trig);
+    // the production side reads the per-epoch tables the engine builds
+    // (sampling weights, heading trig); the reference exponentiates and
+    // recomputes sin/cos per particle — the bit-identity assertions
+    // below pin the two as equivalent
+    let tables = reader_fused.tables();
 
     let mut resamples = 0;
     for epoch in 0..epochs {
         let read = read_at(epoch);
 
-        // --- reference: the seed three-call sequence ------------------
-        reference.weight(&m, &mut reader_ref, read);
-        let resampled_ref = reference.maybe_resample(&reader_ref, ess_frac, &mut rng_ref);
-        let est_ref = reference.estimate(&reader_ref);
+        // --- reference: three calls, fresh buffers --------------------
+        let probs = reference.weight(&m, &mut reader_ref, read);
+        // the support row the weighted set implies, slot by slot in
+        // particle order (the reference deposits the same addends
+        // straight into its reader's running totals)
+        let mut row_ref = vec![0.0f64; support.len()];
+        for (p, w) in reference.particles.iter().zip(&probs) {
+            row_ref[p.reader_idx as usize] += w;
+        }
+        let resampled_probs = reference.maybe_resample(&reader_ref, &probs, ess_frac, &mut rng_ref);
+        let est_ref = reference.estimate(resampled_probs.as_ref().unwrap_or(&probs));
 
-        // --- fused: one pass ------------------------------------------
+        // --- production: one pass -------------------------------------
         support.fill(0.0);
         let out = fused.step_fused(
             &m,
             &reader_fused,
+            &tables,
             read,
             ess_frac,
             None,
-            Some(&trig),
             &mut scratch,
             &mut support,
             &mut rng_fused,
@@ -105,7 +121,8 @@ fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) ->
 
         // --- identical results ----------------------------------------
         assert_eq!(
-            resampled_ref, out.resampled,
+            resampled_probs.is_some(),
+            out.resampled,
             "epoch {epoch}: resample decision"
         );
         resamples += u64::from(out.resampled);
@@ -134,9 +151,10 @@ fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) ->
                 "epoch {epoch}: variance[{ax}]"
             );
         }
-        // staged support merges to the same accumulated mass the seed
-        // path deposited particle-by-particle (same addends, grouped
-        // per object before the running sum — agreement to float noise)
+        for (i, (a, b)) in row_ref.iter().zip(&support).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "epoch {epoch}: support[{i}]");
+        }
+        // neither path touches the reader's weights
         for (i, (a, b)) in reader_ref
             .particles()
             .iter()
@@ -150,7 +168,16 @@ fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) ->
             );
         }
     }
-    resamples
+    (resamples, support)
+}
+
+/// [`drive_pair`] from a cone-initialized particle set against a
+/// uniform-weight reader.
+fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) -> u64 {
+    let reader = ReaderFilter::new(30, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1));
+    let mut init_rng = StdRng::seed_from_u64(seed);
+    let start = ObjectFilter::init_from_cone(&reader, 5.0, 0.6, 120, 0, NO_PRIOR, &mut init_rng);
+    drive_pair(start, reader, ess_frac, read_at, epochs, seed).0
 }
 
 #[test]
@@ -188,9 +215,9 @@ fn fused_support_mass_matches_seed_deposits() {
     f.step_fused(
         &m,
         &reader,
+        &reader.tables(),
         true,
         0.5,
-        None,
         None,
         &mut scratch,
         &mut support,
@@ -198,6 +225,159 @@ fn fused_support_mass_matches_seed_deposits() {
     );
     let total: f64 = support.iter().sum();
     assert!((total - 1.0).abs() < 1e-9, "staged support mass {total}");
+}
+
+// --- degenerate weights: where the step changes route ----------------
+//
+// Each case builds the particle set and the reader by hand, drives both
+// paths through a few steps with and without resampling, and — beyond
+// the bit-for-bit pin inside `drive_pair` — checks the staged support
+// row is a probability distribution (finite, summing to one).
+
+/// A fan of particles in front of the reader, pointers cycling over the
+/// first `pointed` reader particles, object log weights from `log_w`.
+fn fan(n: usize, pointed: u32, log_w: impl Fn(usize) -> f64) -> ObjectFilter {
+    let particles: Vec<ObjectParticle> = (0..n)
+        .map(|i| ObjectParticle {
+            loc: Point3::new(
+                1.0 + 0.03 * i as f64,
+                0.5 + 0.02 * (i % 7) as f64 - 0.06,
+                0.0,
+            ),
+            reader_idx: i as u32 % pointed,
+            log_w: log_w(i),
+        })
+        .collect();
+    ObjectFilter::from_parts(particles, 0, 0)
+}
+
+/// A reader of `n` co-located particles with the given log weights.
+fn reader_with(n: usize, log_w: impl Fn(usize) -> f64) -> ReaderFilter {
+    let pose = Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1);
+    let particles = (0..n)
+        .map(|j| ReaderParticle {
+            pose,
+            log_w: log_w(j),
+        })
+        .collect();
+    ReaderFilter::from_parts(particles, vec![0.0; n], 0)
+}
+
+fn assert_distribution(row: &[f64], what: &str) {
+    assert!(
+        row.iter().all(|p| p.is_finite() && *p >= 0.0),
+        "{what}: support row {row:?}"
+    );
+    let total: f64 = row.iter().sum();
+    assert!((total - 1.0).abs() < 1e-9, "{what}: support mass {total}");
+}
+
+fn drive_edge_case(what: &str, start: ObjectFilter, reader: ReaderFilter) {
+    for ess_frac in [0.0, 1.0] {
+        let (resamples, row) = drive_pair(
+            start.clone(),
+            reader.clone(),
+            ess_frac,
+            |e| e % 2 == 0,
+            4,
+            17,
+        );
+        assert_distribution(&row, what);
+        if ess_frac == 0.0 {
+            assert_eq!(resamples, 0, "{what}: ess_frac 0 never resamples");
+        }
+    }
+}
+
+#[test]
+fn edge_all_object_weights_impossible_resets_uniform() {
+    let uniform = -(10f64).ln();
+    let start = fan(60, 10, |_| f64::NEG_INFINITY);
+    let reader = reader_with(10, |_| uniform);
+    drive_edge_case("all -inf", start.clone(), reader.clone());
+
+    // the reset itself: one step leaves uniform object weights
+    let mut f = start;
+    let m = JointModel::new(ModelParams::default_warehouse());
+    let mut support = vec![0.0f64; reader.len()];
+    f.step_fused(
+        &m,
+        &reader,
+        &reader.tables(),
+        true,
+        0.0,
+        None,
+        &mut StepScratch::default(),
+        &mut support,
+        &mut StdRng::seed_from_u64(1),
+    );
+    let want = -(60f64).ln();
+    assert!(f.iter_particles().all(|p| p.log_w == want));
+}
+
+#[test]
+fn edge_one_surviving_particle_takes_all_the_mass() {
+    let uniform = -(10f64).ln();
+    let start = fan(60, 10, |i| if i == 23 { -3.0 } else { f64::NEG_INFINITY });
+    let reader = reader_with(10, |_| uniform);
+    drive_edge_case("one survivor", start.clone(), reader.clone());
+
+    let mut f = start;
+    let m = JointModel::new(ModelParams::default_warehouse());
+    let mut support = vec![0.0f64; reader.len()];
+    let out = f.step_fused(
+        &m,
+        &reader,
+        &reader.tables(),
+        true,
+        0.0,
+        None,
+        &mut StepScratch::default(),
+        &mut support,
+        &mut StdRng::seed_from_u64(1),
+    );
+    // all support on the survivor's reader particle, estimate on it
+    assert_eq!(support[23 % 10], 1.0);
+    let survivor = f.iter_particles().nth(23).unwrap();
+    assert_eq!(out.estimate.0.x, survivor.loc.x);
+    assert_eq!(survivor.log_w, 0.0);
+}
+
+#[test]
+fn edge_pointed_reader_weights_underflow_takes_log_space_route() {
+    // the object particles point at reader particles 0..4 only; all the
+    // reader's mass sits on particle 9, so every product
+    // `exp(log_w - max) * exp(reader log_w)` is exactly zero and the
+    // joint probabilities must come from the log-space pass
+    let start = fan(48, 4, |i| -0.01 * i as f64);
+    let underflow = reader_with(10, |j| if j == 9 { 0.0 } else { -800.0 - j as f64 });
+    assert_eq!(underflow.weight_of(0), 0.0, "exp(-800) underflows");
+    drive_edge_case("underflowing reader weights", start.clone(), underflow);
+
+    // pointed-to reader particles outright impossible: the log-space
+    // pass itself resets the joint weights to uniform
+    let impossible = reader_with(10, |j| if j == 9 { 0.0 } else { f64::NEG_INFINITY });
+    drive_edge_case("impossible reader particles", start.clone(), impossible);
+
+    // a mix: some pointed-to reader particles live, some underflowed
+    let mixed = reader_with(10, |j| match j {
+        0 | 2 => -900.0,
+        9 => (0.5f64).ln(),
+        _ => (0.5f64 / 7.0).ln(),
+    });
+    drive_edge_case("mixed reader weights", start, mixed);
+}
+
+#[test]
+fn edge_step_after_a_resample_matches() {
+    // sharply peaked object weights force a resample on the first step
+    // at the default threshold; the steps after it start from uniform
+    // object weights and duplicated particles
+    let start = fan(80, 10, |i| if i % 16 == 0 { -1.0 } else { -40.0 });
+    let reader = reader_with(10, |j| ((j + 1) as f64 / 55.0).ln());
+    let (resamples, row) = drive_pair(start, reader, 0.5, |_| true, 6, 29);
+    assert!(resamples >= 1, "the peaked set must resample");
+    assert_distribution(&row, "post-resample");
 }
 
 /// The quantized likelihood table is the one *deliberate* numeric
@@ -216,6 +396,7 @@ fn table_path_is_deterministic_and_close_to_exact() {
         let reader = ReaderFilter::new(25, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1));
         let mut rng = StdRng::seed_from_u64(21);
         let mut f = ObjectFilter::init_from_cone(&reader, 5.0, 0.6, 300, 0, NO_PRIOR, &mut rng);
+        let tables = reader.tables();
         let mut scratch = StepScratch::default();
         let mut support = vec![0.0f64; reader.len()];
         let mut out = Vec::new();
@@ -225,10 +406,10 @@ fn table_path_is_deterministic_and_close_to_exact() {
             let o = f.step_fused(
                 &m,
                 &reader,
+                &tables,
                 read,
                 0.5,
                 table,
-                None,
                 &mut scratch,
                 &mut support,
                 &mut rng,
