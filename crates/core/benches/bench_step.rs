@@ -179,10 +179,10 @@ fn bench_reference(c: &mut Criterion) {
 fn bench_epoch_components(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_components");
     let n = 200usize;
-    {
+    for n in [n, 1000] {
         let mut f = logistic(n);
         let mut stamp = 0u64;
-        g.bench_function("refresh_pointers/200", |b| {
+        g.bench_function(format!("refresh_pointers/{n}"), |b| {
             b.iter(|| {
                 stamp += 1;
                 f.filter

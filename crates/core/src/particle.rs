@@ -89,10 +89,8 @@ pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> 
 ///
 /// Each squared weight is computed as `exp(w) * exp(w)` — not
 /// `exp(2w)` — so the result is bit-identical to
-/// [`effective_sample_size_probs`] over the exponentiated weights.
-/// This lets the fused step reuse its probability buffer for the
-/// resample decision (no second `exp` pass) while the unfused
-/// reference path, which calls this function, decides identically.
+/// [`effective_sample_size_probs`] over the exponentiated weights,
+/// the form the object step applies to its probability buffer.
 pub fn effective_sample_size(log_w: &[f64]) -> f64 {
     debug_assert!(
         log_w.is_empty() || {
