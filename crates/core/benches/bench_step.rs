@@ -178,8 +178,7 @@ fn bench_reference(c: &mut Criterion) {
 /// (n reader draws + n rejection-sampled cone points).
 fn bench_epoch_components(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_components");
-    let n = 200usize;
-    for n in [n, 1000] {
+    for n in [200usize, 1000] {
         let mut f = logistic(n);
         let mut stamp = 0u64;
         g.bench_function(format!("refresh_pointers/{n}"), |b| {
@@ -191,7 +190,7 @@ fn bench_epoch_components(c: &mut Criterion) {
         });
     }
     {
-        let mut f = logistic(n);
+        let mut f = logistic(200);
         g.bench_function("predict/200", |b| {
             b.iter(|| {
                 f.filter.predict(&f.model, &f.prior, true, &mut f.rng);

@@ -272,7 +272,7 @@ fn assert_distribution(row: &[f64], what: &str) {
     assert!((total - 1.0).abs() < 1e-9, "{what}: support mass {total}");
 }
 
-fn drive_edge_case(what: &str, start: ObjectFilter, reader: ReaderFilter) {
+fn drive_edge_case(what: &str, start: &ObjectFilter, reader: &ReaderFilter) {
     for ess_frac in [0.0, 1.0] {
         let (resamples, row) = drive_pair(
             start.clone(),
@@ -294,7 +294,7 @@ fn edge_all_object_weights_impossible_resets_uniform() {
     let uniform = -(10f64).ln();
     let start = fan(60, 10, |_| f64::NEG_INFINITY);
     let reader = reader_with(10, |_| uniform);
-    drive_edge_case("all -inf", start.clone(), reader.clone());
+    drive_edge_case("all -inf", &start, &reader);
 
     // the reset itself: one step leaves uniform object weights
     let mut f = start;
@@ -320,7 +320,7 @@ fn edge_one_surviving_particle_takes_all_the_mass() {
     let uniform = -(10f64).ln();
     let start = fan(60, 10, |i| if i == 23 { -3.0 } else { f64::NEG_INFINITY });
     let reader = reader_with(10, |_| uniform);
-    drive_edge_case("one survivor", start.clone(), reader.clone());
+    drive_edge_case("one survivor", &start, &reader);
 
     let mut f = start;
     let m = JointModel::new(ModelParams::default_warehouse());
@@ -352,12 +352,12 @@ fn edge_pointed_reader_weights_underflow_takes_log_space_route() {
     let start = fan(48, 4, |i| -0.01 * i as f64);
     let underflow = reader_with(10, |j| if j == 9 { 0.0 } else { -800.0 - j as f64 });
     assert_eq!(underflow.weight_of(0), 0.0, "exp(-800) underflows");
-    drive_edge_case("underflowing reader weights", start.clone(), underflow);
+    drive_edge_case("underflowing reader weights", &start, &underflow);
 
     // pointed-to reader particles outright impossible: the log-space
     // pass itself resets the joint weights to uniform
     let impossible = reader_with(10, |j| if j == 9 { 0.0 } else { f64::NEG_INFINITY });
-    drive_edge_case("impossible reader particles", start.clone(), impossible);
+    drive_edge_case("impossible reader particles", &start, &impossible);
 
     // a mix: some pointed-to reader particles live, some underflowed
     let mixed = reader_with(10, |j| match j {
@@ -365,7 +365,7 @@ fn edge_pointed_reader_weights_underflow_takes_log_space_route() {
         9 => (0.5f64).ln(),
         _ => (0.5f64 / 7.0).ln(),
     });
-    drive_edge_case("mixed reader weights", start, mixed);
+    drive_edge_case("mixed reader weights", &start, &mixed);
 }
 
 #[test]
