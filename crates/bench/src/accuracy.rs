@@ -32,9 +32,8 @@ pub struct AccuracyConfig {
     /// Sampling radius handed to both baselines (the usable read
     /// range, as in the Fig. 6(b) comparison).
     pub baseline_read_range: f64,
-    /// Execution knobs (results are bit-identical for every value).
+    /// Execution knob (results are bit-identical for every value).
     pub opts_workers: usize,
-    pub opts_shards: usize,
 }
 
 impl AccuracyConfig {
@@ -46,7 +45,6 @@ impl AccuracyConfig {
             score: EventScoreConfig::default(),
             baseline_read_range: 4.4,
             opts_workers: 1,
-            opts_shards: 1,
         }
     }
 }
@@ -121,9 +119,7 @@ pub fn score_entry(entry: &LibraryEntry, cfg: &AccuracyConfig) -> Vec<AccuracyRo
         EngineVariant::Full,
         InferenceSensor::TrueCone(ConeSensor::with_rr_major(entry.rr_major)),
         ModelParams::default_warehouse(),
-        RunOpts::new(cfg.particles_per_object, cfg.report_delay)
-            .with_workers(cfg.opts_workers)
-            .with_shards(cfg.opts_shards),
+        RunOpts::new(cfg.particles_per_object, cfg.report_delay).with_workers(cfg.opts_workers),
     );
     let smurf = run_baseline_smurf(
         &batches,

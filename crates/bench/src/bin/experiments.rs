@@ -670,7 +670,6 @@ struct ThroughputRow {
     variant: &'static str,
     objects: usize,
     workers: usize,
-    shards: usize,
     /// Scan rounds of the workload (2 = the standard trace; larger
     /// values are the endurance runs probing bounded-memory streaming).
     rounds: usize,
@@ -713,15 +712,14 @@ struct ClusterRow {
 /// **streaming pipeline** (incremental source → synchronizer → engine
 /// → sink) on the `bench_scalability` scenario (`scalability_trace(100,
 /// 99)`, 200 particles/object — the same workload as the criterion
-/// bench), plus a `worker_threads` sweep, a `num_shards` sweep, and an
-/// endurance pair (2 vs 20 scan rounds) whose pipeline-buffer
+/// bench), plus a `worker_threads` sweep and an endurance pair (2 vs 20 scan rounds) whose pipeline-buffer
 /// high-water marks demonstrate bounded-memory streaming. Each
 /// configuration runs `reps` times; the best run is reported (min wall
 /// time), the standard way to suppress scheduler noise.
 fn throughput(opts: Opts, json: bool) {
     let mut r = Report::new(
         "throughput",
-        "Whole-trace pipeline throughput (bench_scalability scenario + worker/shard sweeps)",
+        "Whole-trace pipeline throughput (bench_scalability scenario + worker sweep)",
     );
     let reps = opts.repeat.unwrap_or(if opts.quick { 1 } else { 3 });
     // --repeat N reports the median run; the default reports the best
@@ -730,7 +728,6 @@ fn throughput(opts: Opts, json: bool) {
     let particles = 200;
 
     let mut rows: Vec<ThroughputRow> = Vec::new();
-    let mut last_per_shard: Option<Vec<rfid_core::ShardCounts>> = None;
     // registry-vs-legacy agreement: every measured run is bracketed by
     // a registry snapshot diff, and the diff must reproduce the run's
     // `EngineStats` exactly (stage histogram `_sum` == struct stage
@@ -745,7 +742,6 @@ fn throughput(opts: Opts, json: bool) {
                        rounds: usize,
                        variant: EngineVariant,
                        workers: usize,
-                       shards: usize,
                        rows: &mut Vec<ThroughputRow>| {
         let mut runs: Vec<rfid_bench::runner::RunOutput> = (0..reps)
             .map(|_| {
@@ -757,17 +753,14 @@ fn throughput(opts: Opts, json: bool) {
                     InferenceSensor::TrueCone(ConeSensor::paper_default()),
                     ModelParams::default_warehouse(),
                     rfid_bench::runner::RunOpts::new(particles, default_report_delay())
-                        .with_workers(workers)
-                        .with_shards(shards),
+                        .with_workers(workers),
                 );
                 let delta = rfid_obs::global().snapshot().diff(&before);
                 if let Some(stats) = out.stats.as_ref() {
                     match rfid_bench::obs::engine_delta_agrees(&delta, stats) {
                         Ok(()) => agreed_runs += 1,
-                        Err(e) => disagreements.push(format!(
-                            "[{} n={objects} w={workers} s={shards}] {e}",
-                            variant.label()
-                        )),
+                        Err(e) => disagreements
+                            .push(format!("[{} n={objects} w={workers}] {e}", variant.label())),
                     }
                 }
                 out
@@ -784,7 +777,7 @@ fn throughput(opts: Opts, json: bool) {
             .map(|s| (s.ingest_us, s.infer_us, s.emit_us))
             .unwrap_or_default();
         eprintln!(
-            "  [{} n={objects} w={workers} s={shards} r={rounds}] {:.0} readings/s, \
+            "  [{} n={objects} w={workers} r={rounds}] {:.0} readings/s, \
              {:.3} ms/reading, sync hw {}, batch hw {}, \
              stages i/f/e {ingest_us}/{infer_us}/{emit_us} µs",
             variant.label(),
@@ -793,12 +786,10 @@ fn throughput(opts: Opts, json: bool) {
             pstats.sync_pending_high_water,
             pstats.batch_buffer_high_water,
         );
-        last_per_shard = out.stats.as_ref().map(|s| s.per_shard.clone());
         rows.push(ThroughputRow {
             variant: variant.label(),
             objects,
             workers,
-            shards,
             rounds,
             epochs: pstats.epochs,
             readings: out.readings,
@@ -821,7 +812,7 @@ fn throughput(opts: Opts, json: bool) {
         EngineVariant::FactoredIndexed,
         EngineVariant::Full,
     ] {
-        run_one(&sc100, 100, 2, variant, 1, 1, &mut rows);
+        run_one(&sc100, 100, 2, variant, 1, &mut rows);
     }
     // worker sweep on a denser multi-object trace (factored: every
     // object is active every epoch, so the fan-out has real work)
@@ -834,19 +825,6 @@ fn throughput(opts: Opts, json: bool) {
             2,
             EngineVariant::Factored,
             workers,
-            1,
-            &mut rows,
-        );
-    }
-    // shard sweep: state partitioning must be near-free single-threaded
-    for shards in [2usize, 8] {
-        run_one(
-            &sc100,
-            100,
-            2,
-            EngineVariant::FactoredIndexed,
-            1,
-            shards,
             &mut rows,
         );
     }
@@ -856,33 +834,15 @@ fn throughput(opts: Opts, json: bool) {
     let endurance_rounds = if opts.quick { 6 } else { 20 };
     let sc_short = scenario::endurance_trace(100, 2, 99);
     let sc_long = scenario::endurance_trace(100, endurance_rounds, 99);
-    run_one(&sc_short, 100, 2, EngineVariant::Full, 1, 4, &mut rows);
+    run_one(&sc_short, 100, 2, EngineVariant::Full, 1, &mut rows);
     run_one(
         &sc_long,
         100,
         endurance_rounds,
         EngineVariant::Full,
         1,
-        4,
         &mut rows,
     );
-    if let Some(per_shard) = &last_per_shard {
-        let line: Vec<String> = per_shard
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                format!(
-                    "shard {i}: {} objects, {} compressed, {} cooldown",
-                    c.objects, c.compressed, c.cooldown_entries
-                )
-            })
-            .collect();
-        r.line(&format!(
-            "per-shard state after the endurance run ({} shards): {}",
-            per_shard.len(),
-            line.join("; ")
-        ));
-    }
     {
         let short = &rows[rows.len() - 2];
         let long = &rows[rows.len() - 1];
@@ -902,7 +862,6 @@ fn throughput(opts: Opts, json: bool) {
         "variant",
         "#objects",
         "workers",
-        "shards",
         "rounds",
         "epochs",
         "readings",
@@ -921,7 +880,6 @@ fn throughput(opts: Opts, json: bool) {
             row.variant.to_string(),
             row.objects.to_string(),
             row.workers.to_string(),
-            row.shards.to_string(),
             row.rounds.to_string(),
             row.epochs.to_string(),
             row.readings.to_string(),
@@ -1076,7 +1034,7 @@ fn throughput(opts: Opts, json: bool) {
         for (i, row) in rows.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"variant\": \"{}\", \"objects\": {}, \"worker_threads\": {}, \
-                 \"num_shards\": {}, \"rounds\": {}, \"epochs\": {}, \
+                 \"rounds\": {}, \"epochs\": {}, \
                  \"readings\": {}, \"readings_per_sec\": {:.1}, \"ms_per_reading\": {:.4}, \
                  \"memory_mb\": {:.3}, \"ingest_us\": {}, \"infer_us\": {}, \
                  \"emit_us\": {}, \"sync_pending_high_water\": {}, \
@@ -1084,7 +1042,6 @@ fn throughput(opts: Opts, json: bool) {
                 row.variant,
                 row.objects,
                 row.workers,
-                row.shards,
                 row.rounds,
                 row.epochs,
                 row.readings,
@@ -1645,7 +1602,6 @@ fn report() {
             ("variant", "variant", 0),
             ("objects", "objects", 0),
             ("workers", "worker_threads", 0),
-            ("shards", "num_shards", 0),
             ("rounds", "rounds", 0),
             ("epochs", "epochs", 0),
             ("readings/s", "readings_per_sec", 1),

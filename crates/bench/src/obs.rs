@@ -39,6 +39,8 @@ pub fn engine_delta_agrees(delta: &Snapshot, stats: &EngineStats) -> Result<(), 
     counter("engine_reader_resamples_total", stats.reader_resamples);
     counter("engine_compressions_total", stats.compressions);
     counter("engine_decompressions_total", stats.decompressions);
+    counter("engine_half_respawns_total", stats.half_respawns);
+    counter("engine_full_reinits_total", stats.full_reinits);
     for (name, legacy) in [
         ("engine_ingest_us", stats.ingest_us),
         ("engine_infer_us", stats.infer_us),
@@ -128,6 +130,7 @@ mod tests {
         let r = Registry::new();
         r.counter("engine_epochs_total").add(2);
         r.counter("engine_readings_total").add(30);
+        r.counter("engine_half_respawns_total").add(3);
         let ingest = r.histogram("engine_ingest_us");
         let infer = r.histogram("engine_infer_us");
         let emit = r.histogram("engine_emit_us");
@@ -139,6 +142,7 @@ mod tests {
         let stats = EngineStats {
             epochs: 2,
             readings: 30,
+            half_respawns: 3,
             ingest_us: 12,
             infer_us: 100,
             emit_us: 3,
@@ -149,10 +153,12 @@ mod tests {
         let drifted = EngineStats {
             infer_us: 99,
             readings: 31,
+            full_reinits: 1,
             ..stats
         };
         let err = engine_delta_agrees(&r.snapshot(), &drifted).unwrap_err();
         assert!(err.contains("engine_infer_us_sum"), "{err}");
         assert!(err.contains("engine_readings_total"), "{err}");
+        assert!(err.contains("engine_full_reinits_total"), "{err}");
     }
 }

@@ -104,31 +104,21 @@ pub struct RunOpts {
     /// Worker threads for the per-object fan-out (`rfid_core::exec`);
     /// events are bit-identical for every value.
     pub worker_threads: usize,
-    /// Object-state shards (`rfid_core::shard`); events are
-    /// bit-identical for every value.
-    pub num_shards: usize,
 }
 
 impl RunOpts {
-    /// Sequential single-shard run (the default execution mode).
+    /// Sequential run (the default execution mode).
     pub fn new(particles_per_object: usize, report_delay: u64) -> Self {
         Self {
             particles_per_object,
             report_delay,
             worker_threads: 1,
-            num_shards: 1,
         }
     }
 
     /// Same run fanned out across `workers` threads.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
-        self
-    }
-
-    /// Same run with object state partitioned into `shards`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.num_shards = shards;
         self
     }
 }
@@ -171,7 +161,6 @@ fn variant_config(variant: EngineVariant, opts: RunOpts) -> FilterConfig {
     cfg.particles_per_object = opts.particles_per_object;
     cfg.report_delay_epochs = opts.report_delay;
     cfg.worker_threads = opts.worker_threads;
-    cfg.num_shards = opts.num_shards;
     cfg
 }
 
@@ -261,7 +250,7 @@ fn run_factored<P: LocationPrior + Clone, S: ReadRateModel>(
         elapsed,
         readings,
         memory_bytes: engine.memory_bytes(),
-        stats: Some(engine.stats().clone()),
+        stats: Some(*engine.stats()),
         pipeline: None,
     }
 }
@@ -435,7 +424,7 @@ pub fn run_pipeline_variant_opts<P: LocationPrior + Clone>(
             elapsed,
             readings: stats.batch_readings as usize,
             memory_bytes: engine.memory_bytes(),
-            stats: Some(engine.stats().clone()),
+            stats: Some(*engine.stats()),
             pipeline: Some(stats),
         }
     }

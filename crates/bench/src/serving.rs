@@ -225,7 +225,6 @@ fn run_row(cfg: &ServingConfig, mode: &'static str, clients: usize) -> ServingRo
     fcfg.particles_per_object = cfg.particles;
     fcfg.report_delay_epochs = cfg.opts.report_delay;
     fcfg.worker_threads = cfg.opts.worker_threads;
-    fcfg.num_shards = cfg.opts.num_shards;
     let model = JointModel::with_sensor(
         ConeSensor::paper_default(),
         ModelParams::default_warehouse(),

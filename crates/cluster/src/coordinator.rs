@@ -2,8 +2,9 @@
 //! reconstructs the single-process emission order, one epoch at a
 //! time. Every worker sends exactly one `EVENTS` frame per epoch (even
 //! when it emitted nothing), so a round of frames *is* the epoch
-//! barrier; within a round the lists are k-way merged by tag —
-//! `shard::merge_by_tag` semantics over the wire.
+//! barrier; within a round the lists are k-way merged by tag
+//! (`rfid_stream::wire::merge_by_tag`, the merge the router's head
+//! runs over support rows).
 
 use crate::proto;
 use rfid_stream::digest::event_digest;

@@ -148,12 +148,6 @@ pub struct FilterConfig {
     /// the default of 1 (fully sequential, no threads spawned). See the
     /// `exec` module docs for guidance on picking a value.
     pub worker_threads: usize,
-    /// Shards the object state is partitioned into (`tag % num_shards`;
-    /// `rfid_core::shard`). Each shard owns its objects, output policy,
-    /// and compression cooldown. Like `worker_threads`, this changes
-    /// cost only: emitted events are bit-identical for every
-    /// `(worker_threads, num_shards)` combination.
-    pub num_shards: usize,
 }
 
 impl FilterConfig {
@@ -176,7 +170,6 @@ impl FilterConfig {
             report_delay_epochs: 60,
             seed: 0x5eed,
             worker_threads: 1,
-            num_shards: 1,
         }
     }
 
@@ -242,9 +235,6 @@ impl FilterConfig {
         if self.worker_threads == 0 {
             return Err(ConfigError::new("worker_threads must be >= 1"));
         }
-        if self.num_shards == 0 {
-            return Err(ConfigError::new("num_shards must be >= 1"));
-        }
         Ok(())
     }
 }
@@ -306,9 +296,5 @@ mod tests {
         let mut c = FilterConfig::factored_default();
         c.likelihood_table.d_step = 0.0;
         assert!(c.validate().is_ok());
-
-        let mut c = FilterConfig::factored_default();
-        c.num_shards = 0;
-        assert!(c.validate().is_err());
     }
 }

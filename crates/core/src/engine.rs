@@ -3,25 +3,24 @@
 //! [`InferenceEngine::process_batch`] runs one epoch of §IV's filter in
 //! three explicit stages:
 //!
-//! 1. **ingestion** ([`InferenceEngine::ingest`]): partition the
-//!    epoch's readings into shelf evidence and per-shard object reads,
-//!    then update the reader filter;
-//! 2. **inference** ([`InferenceEngine::infer`]): build the per-shard
-//!    active sets (Cases 1–2 via the spatial index), merge them into
-//!    the global step queue, run the per-object updates, schedule
-//!    compression checks, and record the sensing region;
-//! 3. **emission** ([`InferenceEngine::emit`]): collect due events
-//!    from every shard's output policy, resample the reader, and run
-//!    the compression sweep.
+//! 1. **ingestion** (`InferenceEngine::ingest`): split the epoch's
+//!    readings into shelf evidence and object reads, then update the
+//!    reader filter;
+//! 2. **inference** (`InferenceEngine::infer`): build the sorted
+//!    active set (Cases 1–2 via the spatial index) — the step queue —
+//!    run the per-object updates, schedule compression checks, and
+//!    record the sensing region;
+//! 3. **emission** (`InferenceEngine::emit`): collect due events
+//!    from the output policy, resample the reader, and run the
+//!    compression sweep.
 //!
 //! # Execution model
 //!
-//! Object state is partitioned into [`crate::shard`]s by
-//! `tag % config.num_shards`; the per-object updates fan out across
-//! `config.worker_threads` scoped threads. Both knobs change *cost
-//! only*: the hot path is **allocation-free in steady state** and the
-//! emitted event stream is **bit-identical for every
-//! `(worker_threads, num_shards)` combination**, because
+//! The engine owns one object map; the per-object updates fan out
+//! across `config.worker_threads` scoped threads. That knob changes
+//! *cost only*: the hot path is **allocation-free in steady state** and
+//! the emitted event stream is **bit-identical for every
+//! `worker_threads` value**, because
 //!
 //! * every buffer the per-object step needs lives in reusable scratch
 //!   owned by the engine ([`crate::exec`]);
@@ -30,8 +29,11 @@
 //! * each object's step draws from its own RNG stream seeded from
 //!   `(config.seed, tag, epoch)`, and all cross-object side effects
 //!   (reader support, reader-remap draws, statistics, event order) are
-//!   staged per shard/task and merged in **global tag order** on the
-//!   calling thread (see [`crate::shard`] for the rule).
+//!   staged per task and merged in **tag order** on the calling thread.
+//!
+//! Partitioning objects by `tag % N` happens in exactly one place, one
+//! level up: [`cluster`] splits whole engines across processes and
+//! merges every cross-worker effect in global tag order.
 
 pub mod checkpoint;
 pub mod cluster;
@@ -42,7 +44,6 @@ use crate::error::ConfigError;
 use crate::exec::{self, StepScratch, WorkerScratch};
 use crate::factored::{ObjectFilter, ReaderFilter, ReaderTables};
 use crate::output::OutputPolicy;
-use crate::shard::{merge_by_tag, shard_index, Belief, ObjectState, Shard, ShardCounts};
 use crate::spatial_hook::{sensing_box, SpatialHook};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,9 +53,33 @@ use rfid_model::sensor::ReadRateModel;
 use rfid_model::table::LikelihoodTable;
 use rfid_model::JointModel;
 use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
+use std::collections::{BTreeMap, HashMap};
+
+/// One object's belief representation.
+// Compressed is the larger variant but keeps dormant objects heap-free;
+// Active dominates during tracking and already owns a particle Vec.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Belief {
+    Active(ObjectFilter),
+    Compressed(CompressedBelief),
+}
+
+#[derive(Debug, Clone)]
+struct ObjectState {
+    belief: Belief,
+    last_estimate: (Point3, [f64; 3]),
+    last_read: Epoch,
+    /// Epoch at which the compression sweep should next consider this
+    /// object (0 = no check queued). Bumped on every *read* epoch
+    /// (Case-2 activity does not reset the clock) and on failed
+    /// compression attempts, so the cooldown queue holds at most one
+    /// live entry per tag instead of one per active epoch.
+    compression_due: u64,
+}
 
 /// Counters exposed for tests, benchmarks, and EXPERIMENTS.md tables.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     pub epochs: u64,
     pub readings: u64,
@@ -76,45 +101,6 @@ pub struct EngineStats {
     pub infer_us: u64,
     /// Microseconds spent in the emit stage (output policy).
     pub emit_us: u64,
-    /// Current per-shard state counters (objects, compressed, cooldown
-    /// entries), refreshed after every processed batch.
-    pub per_shard: Vec<ShardCounts>,
-}
-
-/// The [`EngineStats`] counter fields, copied as plain values — the
-/// delta baseline for registry mirroring (no `per_shard` vector, so
-/// taking a copy never allocates).
-#[derive(Debug, Clone, Copy, Default)]
-struct StatCounters {
-    epochs: u64,
-    readings: u64,
-    object_updates: u64,
-    events_emitted: u64,
-    object_resamples: u64,
-    reader_resamples: u64,
-    compressions: u64,
-    decompressions: u64,
-    ingest_us: u64,
-    infer_us: u64,
-    emit_us: u64,
-}
-
-impl StatCounters {
-    fn of(s: &EngineStats) -> Self {
-        Self {
-            epochs: s.epochs,
-            readings: s.readings,
-            object_updates: s.object_updates,
-            events_emitted: s.events_emitted,
-            object_resamples: s.object_resamples,
-            reader_resamples: s.reader_resamples,
-            compressions: s.compressions,
-            decompressions: s.decompressions,
-            ingest_us: s.ingest_us,
-            infer_us: s.infer_us,
-            emit_us: s.emit_us,
-        }
-    }
 }
 
 /// Mirrors [`EngineStats`] onto the global metrics registry (see
@@ -125,7 +111,7 @@ impl StatCounters {
 /// RNG-free, so instrumentation cannot perturb inference.
 #[derive(Debug)]
 struct EngineMetrics {
-    last: StatCounters,
+    last: EngineStats,
     epochs: rfid_obs::Counter,
     readings: rfid_obs::Counter,
     object_updates: rfid_obs::Counter,
@@ -134,6 +120,8 @@ struct EngineMetrics {
     reader_resamples: rfid_obs::Counter,
     compressions: rfid_obs::Counter,
     decompressions: rfid_obs::Counter,
+    half_respawns: rfid_obs::Counter,
+    full_reinits: rfid_obs::Counter,
     ingest_us: rfid_obs::Histogram,
     infer_us: rfid_obs::Histogram,
     emit_us: rfid_obs::Histogram,
@@ -143,7 +131,7 @@ impl EngineMetrics {
     fn registered() -> Self {
         let r = rfid_obs::global();
         Self {
-            last: StatCounters::default(),
+            last: EngineStats::default(),
             epochs: r.counter("engine_epochs_total"),
             readings: r.counter("engine_readings_total"),
             object_updates: r.counter("engine_object_updates_total"),
@@ -152,6 +140,8 @@ impl EngineMetrics {
             reader_resamples: r.counter("engine_reader_resamples_total"),
             compressions: r.counter("engine_compressions_total"),
             decompressions: r.counter("engine_decompressions_total"),
+            half_respawns: r.counter("engine_half_respawns_total"),
+            full_reinits: r.counter("engine_full_reinits_total"),
             ingest_us: r.histogram("engine_ingest_us"),
             infer_us: r.histogram("engine_infer_us"),
             emit_us: r.histogram("engine_emit_us"),
@@ -165,15 +155,11 @@ impl EngineMetrics {
     /// registry-vs-legacy agreement `experiments -- throughput`
     /// checks.
     fn observe(&mut self, stats: &EngineStats) {
-        let now = StatCounters::of(stats);
-        let last = self.last;
-        self.last = now;
-        if now.epochs == last.epochs
-            && now.events_emitted == last.events_emitted
-            && now.reader_resamples == last.reader_resamples
-        {
+        let (now, last) = (*stats, self.last);
+        if now == last {
             return;
         }
+        self.last = now;
         self.epochs.add(now.epochs - last.epochs);
         self.readings.add(now.readings - last.readings);
         self.object_updates
@@ -187,6 +173,9 @@ impl EngineMetrics {
         self.compressions.add(now.compressions - last.compressions);
         self.decompressions
             .add(now.decompressions - last.decompressions);
+        self.half_respawns
+            .add(now.half_respawns - last.half_respawns);
+        self.full_reinits.add(now.full_reinits - last.full_reinits);
         if now.epochs > last.epochs {
             self.ingest_us.record(now.ingest_us - last.ingest_us);
             self.infer_us.record(now.infer_us - last.infer_us);
@@ -212,7 +201,7 @@ struct StepTask {
     tag: TagId,
     read: bool,
     /// Owned state while the task is in flight (parallel path only;
-    /// the sequential path mutates the shard entry directly).
+    /// the sequential path mutates the map entry directly).
     state: Option<ObjectState>,
     delta: StepDelta,
 }
@@ -249,11 +238,12 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     shelf_tags: Vec<(TagId, Point3)>,
     shelf_ids: std::collections::BTreeSet<TagId>,
     reader: Option<ReaderFilter>,
-    /// Object state, partitioned by `tag % num_shards`.
-    shards: Vec<Shard>,
-    /// `config.num_shards` as `u64`, cached for the modulo on every
-    /// state lookup.
-    num_shards: u64,
+    objects: HashMap<TagId, ObjectState>,
+    /// Emission policy for the tracked objects.
+    policy: OutputPolicy,
+    /// Compression schedule: epoch -> objects to check (at most one
+    /// live entry per tag; see `ObjectState::compression_due`).
+    cooldown: BTreeMap<u64, Vec<TagId>>,
     hook: Option<SpatialHook>,
     rng: StdRng,
     stats: EngineStats,
@@ -267,8 +257,9 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     range_over: f64,
     last_report: Option<Pose>,
     // --- reusable per-epoch scratch (allocation-free steady state) ---
-    /// Global active set of the current epoch: the per-shard active
-    /// sets merged in tag order.
+    /// Sorted object tags read this epoch.
+    object_read: Vec<TagId>,
+    /// Sorted active set (Cases 1–2) of the current epoch.
     active: Vec<TagId>,
     /// Sorted shelf tags read this epoch.
     shelf_read: Vec<TagId>,
@@ -278,11 +269,9 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     candidates: Vec<TagId>,
     /// Active objects with a particle in the sensing box.
     members: Vec<TagId>,
-    /// Merged due tags of the emission stage.
-    due_merged: Vec<TagId>,
-    /// Cursor scratch for the k-way shard merges.
-    merge_pos: Vec<usize>,
-    /// Per-object update queue for the current epoch (global tag order).
+    /// Due tags of the emission stage, sorted.
+    due: Vec<TagId>,
+    /// Per-object update queue for the current epoch (tag order).
     steps: Vec<StepTask>,
     /// Per-worker step scratch (`config.worker_threads` entries).
     scratches: Vec<WorkerScratch>,
@@ -318,35 +307,32 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let hook = config
             .use_spatial_index
             .then(|| SpatialHook::new(range_over));
-        let shards = (0..config.num_shards)
-            .map(|_| {
-                Shard::new(OutputPolicy::new(
-                    config.report_delay_epochs,
-                    config.report_delay_epochs.saturating_mul(2),
-                ))
-            })
-            .collect();
+        let policy = OutputPolicy::new(
+            config.report_delay_epochs,
+            config.report_delay_epochs.saturating_mul(2),
+        );
         Ok(Self {
             model,
             prior,
             shelf_ids,
             shelf_tags,
             reader: None,
-            shards,
-            num_shards: config.num_shards as u64,
+            objects: HashMap::new(),
+            policy,
+            cooldown: BTreeMap::new(),
             hook,
             rng: StdRng::seed_from_u64(config.seed),
             stats: EngineStats::default(),
             metrics: EngineMetrics::registered(),
             range_over,
             last_report: None,
+            object_read: Vec::new(),
             active: Vec::new(),
             shelf_read: Vec::new(),
             shelf_obs: Vec::new(),
             candidates: Vec::new(),
             members: Vec::new(),
-            due_merged: Vec::new(),
-            merge_pos: Vec::new(),
+            due: Vec::new(),
             steps: Vec::new(),
             scratches: (0..config.worker_threads)
                 .map(|_| WorkerScratch::default())
@@ -369,37 +355,30 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.reader.as_ref().map(|r| r.estimate())
     }
 
-    #[inline]
-    fn shard(&self, tag: TagId) -> &Shard {
-        &self.shards[shard_index(self.num_shards, tag)]
-    }
-
-    #[inline]
-    fn object(&self, tag: TagId) -> Option<&ObjectState> {
-        self.shard(tag).objects.get(&tag)
-    }
-
     /// The current location estimate of an object.
     pub fn object_estimate(&self, tag: TagId) -> Option<(Point3, [f64; 3])> {
-        self.object(tag).map(|s| s.last_estimate)
+        self.objects.get(&tag).map(|s| s.last_estimate)
     }
 
     /// Tags of all objects the engine tracks.
     pub fn tracked_objects(&self) -> impl Iterator<Item = TagId> + '_ {
-        self.shards.iter().flat_map(|s| s.objects.keys().copied())
+        self.objects.keys().copied()
     }
 
-    /// Live entries in the compression cooldown queues (diagnostics).
+    /// Live entries in the compression cooldown queue (diagnostics).
     /// The scheduler keeps at most one entry per tracked tag, so this
     /// is bounded by the object count no matter how long the engine
     /// runs or how often compression attempts fail and retry.
     pub fn cooldown_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.cooldown_len).sum()
+        self.cooldown.values().map(Vec::len).sum()
     }
 
     /// Number of objects currently in compressed representation.
     pub fn num_compressed(&self) -> usize {
-        self.shards.iter().map(|s| s.compressed).sum()
+        self.objects
+            .values()
+            .filter(|s| matches!(s.belief, Belief::Compressed(_)))
+            .count()
     }
 
     /// Reader particles (exposed for the EM learner's E-step).
@@ -409,7 +388,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
 
     /// Object particle columns of a tag, when its belief is active.
     pub fn object_particles(&self, tag: TagId) -> Option<&crate::particle::ParticleSoa> {
-        match self.object(tag).map(|s| &s.belief) {
+        match self.objects.get(&tag).map(|s| &s.belief) {
             Some(Belief::Active(f)) => Some(f.soa()),
             _ => None,
         }
@@ -419,7 +398,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// paper's claim that compression keeps memory small.
     pub fn memory_bytes(&self) -> usize {
         let mut total = 0usize;
-        for s in self.shards.iter().flat_map(|s| s.objects.values()) {
+        for s in self.objects.values() {
             total += match &s.belief {
                 Belief::Active(f) => f.soa().approx_bytes(),
                 Belief::Compressed(_) => std::mem::size_of::<CompressedBelief>(),
@@ -482,13 +461,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// [`InferenceEngine::finalize`] appending into a caller-owned
     /// buffer.
     pub fn finalize_into(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
-        for shard in &mut self.shards {
-            shard.policy.flush_into(&mut shard.due);
-        }
-        let before = events.len();
+        self.policy.flush_into(&mut self.due);
         self.emit_due_events(epoch, events);
-        self.stats.events_emitted += (events.len() - before) as u64;
-        self.refresh_per_shard_stats();
         self.metrics.observe(&self.stats);
     }
 
@@ -505,30 +479,23 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     // stage 1: ingestion
     // ------------------------------------------------------------------
 
-    /// Partitions the epoch's readings into shelf evidence and
-    /// per-shard object reads, then updates the reader filter. Returns
-    /// the posterior reader estimate the rest of the epoch runs
-    /// against.
+    /// Splits the epoch's readings into shelf evidence and object
+    /// reads, then updates the reader filter. Returns the posterior
+    /// reader estimate the rest of the epoch runs against.
     fn ingest(&mut self, batch: &EpochBatch) -> Pose {
         self.shelf_read.clear();
-        for shard in &mut self.shards {
-            shard.object_read.clear();
-        }
+        self.object_read.clear();
         for tag in &batch.readings {
             if self.shelf_ids.contains(tag) {
                 self.shelf_read.push(*tag);
             } else {
-                self.shards[shard_index(self.num_shards, *tag)]
-                    .object_read
-                    .push(*tag);
+                self.object_read.push(*tag);
             }
         }
         self.shelf_read.sort_unstable();
         self.shelf_read.dedup();
-        for shard in &mut self.shards {
-            shard.object_read.sort_unstable();
-            shard.object_read.dedup();
-        }
+        self.object_read.sort_unstable();
+        self.object_read.dedup();
 
         self.update_reader(batch.reader_report.as_ref());
         self.reader
@@ -541,7 +508,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     // stage 2: inference
     // ------------------------------------------------------------------
 
-    /// Builds the active sets, runs the per-object updates, schedules
+    /// Builds the active set, runs the per-object updates, schedules
     /// compression checks, and records the sensing region.
     fn infer(&mut self, epoch: Epoch, reader_est: &Pose) {
         let stamp = epoch.0;
@@ -561,53 +528,35 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             ));
         }
 
-        // --- per-shard active sets (Cases 1 and 2) -------------------
-        for shard in &mut self.shards {
-            shard.active.clear();
-            shard.active.extend_from_slice(&shard.object_read);
-        }
+        // --- active set (Cases 1 and 2), in tag order ----------------
+        self.active.clear();
+        self.active.extend_from_slice(&self.object_read);
         match &self.hook {
             Some(hook) => {
                 self.candidates.clear();
                 hook.candidates_into(&sensing_box, &mut self.candidates);
                 // hook candidates may be stale; only keep known objects
                 for tag in &self.candidates {
-                    let shard = &mut self.shards[shard_index(self.num_shards, *tag)];
-                    if shard.objects.contains_key(tag) {
-                        shard.active.push(*tag);
+                    if self.objects.contains_key(tag) {
+                        self.active.push(*tag);
                     }
                 }
             }
-            None => {
-                // no index: every known object is processed (Cases 1-4)
-                for shard in &mut self.shards {
-                    let objects = &shard.objects;
-                    shard.active.extend(objects.keys().copied());
-                }
-            }
+            // no index: every known object is processed (Cases 1-4)
+            None => self.active.extend(self.objects.keys().copied()),
         }
-        for shard in &mut self.shards {
-            shard.active.sort_unstable();
-            shard.active.dedup();
-        }
-        // merge into the canonical global order (see crate::shard)
-        merge_by_tag(
-            &self.shards,
-            |s| &s.active,
-            &mut self.merge_pos,
-            &mut self.active,
-        );
+        self.active.sort_unstable();
+        self.active.dedup();
 
         // --- pre-pass: output policy, compressed-miss skip -----------
         self.steps.clear();
         for i in 0..self.active.len() {
             let tag = self.active[i];
-            let shard = &mut self.shards[shard_index(self.num_shards, tag)];
-            let read = shard.object_read.binary_search(&tag).is_ok();
+            let read = self.object_read.binary_search(&tag).is_ok();
             if read {
-                shard.policy.on_read(tag, epoch);
+                self.policy.on_read(tag, epoch);
             } else if matches!(
-                shard.objects.get(&tag),
+                self.objects.get(&tag),
                 Some(ObjectState {
                     belief: Belief::Compressed(_),
                     ..
@@ -644,13 +593,11 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 if !read {
                     continue;
                 }
-                let shard = &mut self.shards[shard_index(self.num_shards, tag)];
-                let Some(state) = shard.objects.get_mut(&tag) else {
+                let Some(state) = self.objects.get_mut(&tag) else {
                     continue;
                 };
                 if state.compression_due == 0 {
-                    shard.cooldown.entry(due).or_default().push(tag);
-                    shard.cooldown_len += 1;
+                    self.cooldown.entry(due).or_default().push(tag);
                 }
                 state.compression_due = due;
             }
@@ -663,7 +610,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 if let Some(ObjectState {
                     belief: Belief::Active(f),
                     ..
-                }) = self.shard(*tag).objects.get(tag)
+                }) = self.objects.get(tag)
                 {
                     if f.iter_particles().any(|p| sensing_box.contains(&p.loc)) {
                         self.members.push(*tag);
@@ -684,12 +631,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// sweep.
     fn emit(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
         // --- emit due events -----------------------------------------
-        for shard in &mut self.shards {
-            shard.policy.due_into(epoch, &mut shard.due);
-        }
-        let before = events.len();
+        self.policy.due_into(epoch, &mut self.due);
         self.emit_due_events(epoch, events);
-        self.stats.events_emitted += (events.len() - before) as u64;
 
         // --- instrumented reader resampling --------------------------
         if self.config.reader_mode == ReaderMode::Filter {
@@ -701,16 +644,15 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             if let Some(remap) = remap {
                 self.stats.reader_resamples += 1;
                 // realign pointers of the objects touched this epoch in
-                // global tag order (the remap draws consume the engine
+                // tag order (the remap draws consume the engine
                 // RNG stream, so the order is part of the determinism
                 // contract); untouched objects refresh on activation
                 for i in 0..self.active.len() {
                     let tag = self.active[i];
-                    let shard = &mut self.shards[shard_index(self.num_shards, tag)];
                     if let Some(ObjectState {
                         belief: Belief::Active(f),
                         ..
-                    }) = shard.objects.get_mut(&tag)
+                    }) = self.objects.get_mut(&tag)
                     {
                         f.apply_reader_remap(&remap, &mut self.rng);
                     }
@@ -720,32 +662,18 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
 
         // --- compression sweep ---------------------------------------
         self.run_compression_sweep(epoch);
-
-        self.refresh_per_shard_stats();
     }
 
-    /// Turns the shards' staged `due` lists into events, in global tag
-    /// order.
+    /// Turns the staged `due` list into events, in tag order, and
+    /// counts them.
     fn emit_due_events(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
-        merge_by_tag(
-            &self.shards,
-            |s| &s.due,
-            &mut self.merge_pos,
-            &mut self.due_merged,
-        );
-        for i in 0..self.due_merged.len() {
-            let tag = self.due_merged[i];
-            if let Some(s) = self.shard(tag).objects.get(&tag) {
-                events.push(self.make_event(epoch, tag, s));
+        let before = events.len();
+        for tag in &self.due {
+            if let Some(s) = self.objects.get(tag) {
+                events.push(self.make_event(epoch, *tag, s));
             }
         }
-    }
-
-    fn refresh_per_shard_stats(&mut self) {
-        self.stats.per_shard.clear();
-        self.stats
-            .per_shard
-            .extend(self.shards.iter().map(Shard::counts));
+        self.stats.events_emitted += (events.len() - before) as u64;
     }
 
     // ------------------------------------------------------------------
@@ -812,7 +740,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     }
 
     /// Executes the queued per-object updates — on the calling thread
-    /// when `worker_threads == 1` (shard entries mutated in place via
+    /// when `worker_threads == 1` (map entries mutated in place via
     /// `get_mut`/`entry`, no remove/insert churn), otherwise fanned out
     /// across scoped worker threads with staged side effects.
     fn run_steps(&mut self, epoch: Epoch, stamp: u64, reader_pos: Point3) {
@@ -824,7 +752,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let mut steps = std::mem::take(&mut self.steps);
         let mut scratches = std::mem::take(&mut self.scratches);
         let mut reader_tables = std::mem::take(&mut self.reader_tables);
-        let num_shards = self.num_shards;
         let nr = reader.len();
         // one build serves every pointer refresh / init / respawn /
         // step this epoch — the reader is frozen while objects step
@@ -848,8 +775,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             scratch.staged_support.resize(nr, 0.0);
             for task in &mut steps {
                 scratch.staged_support.fill(0.0);
-                let shard = &mut self.shards[shard_index(num_shards, task.tag)];
-                match shard.objects.entry(task.tag) {
+                match self.objects.entry(task.tag) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
                         task.delta = step_one(
                             &ctx,
@@ -884,9 +810,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         } else {
             // move the states into the tasks, fan out, merge back
             for task in &mut steps {
-                task.state = self.shards[shard_index(num_shards, task.tag)]
-                    .objects
-                    .remove(&task.tag);
+                task.state = self.objects.remove(&task.tag);
             }
             let scratch_slice = &mut scratches[..workers];
             for (scratch, range) in scratch_slice
@@ -923,9 +847,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     }
                 },
             );
-            // deterministic merge: support rows and states in global
-            // task (= tag) order, regardless of how many workers ran
-            // or how the tags are sharded
+            // deterministic merge: support rows and states in task
+            // (= tag) order, regardless of how many workers ran
             for (scratch, range) in scratches[..workers]
                 .iter()
                 .zip(exec::chunk_ranges(steps.len(), workers))
@@ -940,9 +863,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             }
             for task in &mut steps {
                 let state = task.state.take().expect("state returned by step");
-                self.shards[shard_index(num_shards, task.tag)]
-                    .objects
-                    .insert(task.tag, state);
+                self.objects.insert(task.tag, state);
             }
         }
 
@@ -951,9 +872,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             self.stats.decompressions += u64::from(task.delta.decompressed);
             self.stats.full_reinits += u64::from(task.delta.full_reinit);
             self.stats.half_respawns += u64::from(task.delta.half_respawn);
-            if task.delta.decompressed {
-                self.shards[shard_index(num_shards, task.tag)].compressed -= 1;
-            }
         }
 
         self.reader = Some(reader);
@@ -966,57 +884,45 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         if !self.config.compression.enabled {
             return;
         }
-        // Per-tag decisions are independent of sweep order (each
-        // depends only on the tag's own belief and the frozen reader),
-        // so sweeping shard-by-shard stays deterministic for every
-        // shard count.
         let reader = self.reader.as_ref().expect("reader initialized");
-        for shard in &mut self.shards {
-            while let Some((&e, _)) = shard.cooldown.range(..=epoch.0).next() {
-                let tags = shard.cooldown.remove(&e).unwrap_or_default();
-                shard.cooldown_len -= tags.len();
-                for tag in tags {
-                    let Some(state) = shard.objects.get_mut(&tag) else {
-                        continue;
-                    };
-                    if state.compression_due > e {
-                        // activity after this entry was queued pushed the
-                        // check out; re-queue at the authoritative epoch
-                        let due = state.compression_due;
-                        shard.cooldown.entry(due).or_default().push(tag);
-                        shard.cooldown_len += 1;
-                        continue;
+        while let Some((&e, _)) = self.cooldown.range(..=epoch.0).next() {
+            let tags = self.cooldown.remove(&e).unwrap_or_default();
+            for tag in tags {
+                let Some(state) = self.objects.get_mut(&tag) else {
+                    continue;
+                };
+                if state.compression_due > e {
+                    // activity after this entry was queued pushed the
+                    // check out; re-queue at the authoritative epoch
+                    let due = state.compression_due;
+                    self.cooldown.entry(due).or_default().push(tag);
+                    continue;
+                }
+                state.compression_due = 0;
+                // compression_due is only ever last_read + idle_epochs
+                // (or a later retry), so a popped-at-due object has
+                // been silent for at least a full idle period
+                debug_assert!(epoch.since(state.last_read) >= self.config.compression.idle_epochs);
+                if let Belief::Active(f) = &state.belief {
+                    let cloud = f.weighted_cloud(reader);
+                    let mut compressed = false;
+                    if let Some(c) = CompressedBelief::compress(&cloud, epoch) {
+                        if c.loss <= self.config.compression.max_cross_entropy {
+                            state.last_estimate = c.estimate();
+                            state.belief = Belief::Compressed(c);
+                            self.stats.compressions += 1;
+                            compressed = true;
+                        }
                     }
-                    state.compression_due = 0;
-                    // compression_due is only ever last_read + idle_epochs
-                    // (or a later retry), so a popped-at-due object has
-                    // been silent for at least a full idle period
-                    debug_assert!(
-                        epoch.since(state.last_read) >= self.config.compression.idle_epochs
-                    );
-                    if let Belief::Active(f) = &state.belief {
-                        let cloud = f.weighted_cloud(reader);
-                        let mut compressed = false;
-                        if let Some(c) = CompressedBelief::compress(&cloud, epoch) {
-                            if c.loss <= self.config.compression.max_cross_entropy {
-                                state.last_estimate = c.estimate();
-                                state.belief = Belief::Compressed(c);
-                                self.stats.compressions += 1;
-                                shard.compressed += 1;
-                                compressed = true;
-                            }
-                        }
-                        if !compressed {
-                            // the belief has not converged enough yet
-                            // (loss above threshold): retry one idle
-                            // period later — a bounded cadence keeps the
-                            // one-entry-per-tag invariant without
-                            // dropping the object forever
-                            let retry = epoch.0 + self.config.compression.idle_epochs.max(1);
-                            state.compression_due = retry;
-                            shard.cooldown.entry(retry).or_default().push(tag);
-                            shard.cooldown_len += 1;
-                        }
+                    if !compressed {
+                        // the belief has not converged enough yet
+                        // (loss above threshold): retry one idle
+                        // period later — a bounded cadence keeps the
+                        // one-entry-per-tag invariant without
+                        // dropping the object forever
+                        let retry = epoch.0 + self.config.compression.idle_epochs.max(1);
+                        state.compression_due = retry;
+                        self.cooldown.entry(retry).or_default().push(tag);
                     }
                 }
             }
@@ -1466,79 +1372,5 @@ mod tests {
             ec.memory_bytes(),
             ea.memory_bytes()
         );
-    }
-
-    #[test]
-    fn sharded_engine_matches_single_shard() {
-        // the core of the sharding determinism contract, at unit scale:
-        // identical event streams (bitwise) for 1, 2, and 8 shards
-        use rand::{Rng, SeedableRng};
-        let run = |num_shards: usize| -> Vec<LocationEvent> {
-            let mut cfg = FilterConfig::full_default();
-            cfg.particles_per_object = 150;
-            cfg.reader_particles = 30;
-            cfg.report_delay_epochs = 10;
-            cfg.compression.idle_epochs = 6;
-            cfg.num_shards = num_shards;
-            let mut e = engine(cfg);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-            let model = JointModel::new(ModelParams::default_warehouse());
-            let mut events = Vec::new();
-            // five objects spread along the aisle
-            let objs: Vec<(u64, Point3)> = (0..5)
-                .map(|i| (i, Point3::new(2.0, 1.0 + i as f64 * 1.5, 0.0)))
-                .collect();
-            for t in 0..90u64 {
-                let y = t as f64 * 0.1;
-                let pose = Pose::new(Point3::new(0.0, y, 0.0), 0.0);
-                let mut tags = Vec::new();
-                for (tag, loc) in &objs {
-                    if rng.gen::<f64>() < model.sensor.p_read(&pose, loc) {
-                        tags.push(*tag);
-                    }
-                }
-                events.extend(e.process_batch(&batch(t, y, &tags)));
-            }
-            events.extend(e.finalize(Epoch(90)));
-            events
-        };
-        let one = run(1);
-        assert!(!one.is_empty());
-        for shards in [2usize, 8] {
-            let multi = run(shards);
-            assert_eq!(one.len(), multi.len(), "shards={shards}");
-            for (a, b) in one.iter().zip(&multi) {
-                assert_eq!(a.epoch, b.epoch);
-                assert_eq!(a.tag, b.tag);
-                assert_eq!(a.location.x.to_bits(), b.location.x.to_bits());
-                assert_eq!(a.location.y.to_bits(), b.location.y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn per_shard_counts_cover_all_objects() {
-        let mut cfg = FilterConfig::full_default();
-        cfg.particles_per_object = 100;
-        cfg.reader_particles = 20;
-        cfg.num_shards = 4;
-        cfg.compression.idle_epochs = 5;
-        let mut e = engine(cfg);
-        for t in 0..40u64 {
-            let y = t as f64 * 0.1;
-            let tags: Vec<u64> = if y < 2.0 { vec![1, 2, 3, 6] } else { vec![] };
-            e.process_batch(&batch(t, y, &tags));
-        }
-        let per_shard = &e.stats().per_shard;
-        assert_eq!(per_shard.len(), 4);
-        let objects: usize = per_shard.iter().map(|c| c.objects).sum();
-        assert_eq!(objects, 4);
-        // tags 1, 2, 3, 6 land in shards 1, 2, 3, 2 (mod 4)
-        assert_eq!(per_shard[0].objects, 0);
-        assert_eq!(per_shard[2].objects, 2);
-        let compressed: usize = per_shard.iter().map(|c| c.compressed).sum();
-        assert_eq!(compressed, e.num_compressed());
-        let cooldown: usize = per_shard.iter().map(|c| c.cooldown_entries).sum();
-        assert_eq!(cooldown, e.cooldown_entries());
     }
 }

@@ -1,11 +1,11 @@
 //! Engine checkpointing: full filter state to bytes and back.
 //!
 //! The determinism contract (every object step draws from its own
-//! `(seed, tag, epoch)` RNG stream; all cross-shard effects merge in
-//! global tag order) means the engine's observable behaviour is a pure
+//! `(seed, tag, epoch)` RNG stream; all cross-object effects merge in
+//! tag order) means the engine's observable behaviour is a pure
 //! function of its state at an epoch boundary. This module serializes
-//! that state — per-shard particle sets, the reader filter, output
-//! policies, compression cooldowns, the spatial index, the engine RNG —
+//! that state — per-object particle sets, the reader filter, the output
+//! policy, the compression cooldown, the spatial index, the engine RNG —
 //! so that a restored engine resumed at epoch `E+1` emits an event
 //! stream **bit-identical** to the uninterrupted run (pinned by the
 //! golden digests and the kill-and-restart suite).
@@ -21,9 +21,12 @@
 //!
 //! All integers and float bit patterns are little-endian. The config
 //! fingerprint covers every [`FilterConfig`] field **except**
-//! `worker_threads` and `num_shards` — those change cost, not output,
-//! so a checkpoint taken with 8 shards restores into a 1-shard engine
-//! (objects are re-distributed by tag residue on restore).
+//! `worker_threads` — it changes cost, not output. Every list in the
+//! payload is in a canonical order (objects and policy rows by tag,
+//! cooldown entries by `(due, tag)`), so the bytes never depended on
+//! how the writing engine laid its state out: blobs written by the
+//! engines that still partitioned objects in-process load unchanged
+//! (`crates/core/tests/checkpoint_compat.rs`).
 //!
 //! Files are written atomically: temp file + `fsync` + rename +
 //! directory `fsync`, so a crash mid-save leaves the previous
@@ -31,18 +34,17 @@
 //!
 //! [`FilterConfig`]: crate::config::FilterConfig
 
-use super::InferenceEngine;
+use super::{Belief, InferenceEngine, ObjectState};
 use crate::compression::CompressedBelief;
 use crate::config::{FilterConfig, ReaderMode};
 use crate::factored::{ObjectFilter, ReaderFilter};
-use crate::output::OutputPolicy;
 use crate::particle::{ObjectParticle, ReaderParticle};
-use crate::shard::{shard_index, Belief, ObjectState, Shard};
 use crate::spatial_hook::SpatialHook;
 use rand::rngs::StdRng;
 use rfid_geom::{Aabb, Gaussian3, Mat3, Point3, Pose};
 use rfid_model::object::LocationPrior;
 use rfid_model::sensor::ReadRateModel;
+use rfid_stream::digest::{fnv1a, FNV_OFFSET};
 use rfid_stream::{Epoch, TagId};
 use std::io::Write as _;
 use std::path::Path;
@@ -51,17 +53,6 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"RFCKPT01";
 /// Format version inside the current magic generation.
 pub const VERSION: u32 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Why a checkpoint could not be read or applied.
 #[derive(Debug)]
@@ -193,8 +184,8 @@ impl<'a> Dec<'a> {
 
 /// The canonical byte string the config fingerprint hashes: every
 /// output-relevant [`FilterConfig`] field, in declaration order.
-/// `worker_threads` and `num_shards` are deliberately excluded — the
-/// determinism contract guarantees they never change the event stream.
+/// `worker_threads` is deliberately excluded — the determinism
+/// contract guarantees it never changes the event stream.
 fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     let mut e = Enc::default();
     e.u64(cfg.particles_per_object as u64);
@@ -226,7 +217,7 @@ fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
 }
 
 /// The fingerprint of an inference configuration: FNV-1a over
-/// [`config_bytes`]. Two configs fingerprint equal iff they produce
+/// `config_bytes`. Two configs fingerprint equal iff they produce
 /// identical event streams from identical state.
 pub fn config_fingerprint(cfg: &FilterConfig) -> u64 {
     fnv1a(FNV_OFFSET, &config_bytes(cfg))
@@ -291,7 +282,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             }
         }
 
-        // statistics (per_shard is re-derived on restore)
+        // statistics
         p.u64(self.stats.epochs);
         p.u64(self.stats.readings);
         p.u64(self.stats.object_updates);
@@ -303,16 +294,11 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         p.u64(self.stats.half_respawns);
         p.u64(self.stats.full_reinits);
 
-        // object states, globally sorted by tag (shard-count neutral)
-        let mut tags: Vec<TagId> = self.tracked_objects().collect();
-        tags.sort_unstable();
-        p.u64(tags.len() as u64);
-        for tag in &tags {
-            let state = self
-                .shard(*tag)
-                .objects
-                .get(tag)
-                .expect("tracked tag has state");
+        // object states, sorted by tag
+        let mut states: Vec<(&TagId, &ObjectState)> = self.objects.iter().collect();
+        states.sort_unstable_by_key(|(tag, _)| **tag);
+        p.u64(states.len() as u64);
+        for (tag, state) in states {
             p.u64(tag.0);
             match &state.belief {
                 Belief::Active(f) => {
@@ -347,12 +333,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             p.u64(state.compression_due);
         }
 
-        // output-policy scope states, globally sorted by tag
-        let mut rows: Vec<(TagId, Epoch, Epoch, bool)> = Vec::new();
-        for shard in &self.shards {
-            rows.extend(shard.policy.snapshot_states());
-        }
-        rows.sort_unstable_by_key(|r| r.0);
+        // output-policy scope states, sorted by tag
+        let rows = self.policy.snapshot_states();
         p.u64(rows.len() as u64);
         for (tag, entered, last_read, reported) in &rows {
             p.u64(tag.0);
@@ -362,14 +344,12 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
 
         // compression cooldown entries, sorted by (due epoch, tag).
-        // Per-tag sweep decisions are order-independent (see the sweep
-        // in the parent module), so the canonical order restores an
-        // equivalent schedule for any shard count.
+        // Per-tag sweep decisions are order-independent (each depends
+        // only on the tag's own belief and the frozen reader), so the
+        // canonical order restores an equivalent schedule.
         let mut cooldown: Vec<(u64, TagId)> = Vec::new();
-        for shard in &self.shards {
-            for (due, tags) in &shard.cooldown {
-                cooldown.extend(tags.iter().map(|t| (*due, *t)));
-            }
+        for (due, tags) in &self.cooldown {
+            cooldown.extend(tags.iter().map(|t| (*due, *t)));
         }
         cooldown.sort_unstable();
         p.u64(cooldown.len() as u64);
@@ -414,7 +394,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// Restores the engine to the state captured by a
     /// [`checkpoint_bytes`](Self::checkpoint_bytes) blob. The engine
     /// must have been built with a fingerprint-equal configuration
-    /// (shard/worker counts may differ). Returns the checkpoint epoch;
+    /// (`worker_threads` may differ). Returns the checkpoint epoch;
     /// resume processing from the next batch after it.
     ///
     /// On error the engine may be partially overwritten — rebuild it
@@ -495,19 +475,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.stats.half_respawns = d.u64()?;
         self.stats.full_reinits = d.u64()?;
 
-        // rebuild the shards from scratch
-        let num_shards = self.config.num_shards;
-        self.shards = (0..num_shards)
-            .map(|_| {
-                Shard::new(OutputPolicy::new(
-                    self.config.report_delay_epochs,
-                    self.config.report_delay_epochs.saturating_mul(2),
-                ))
-            })
-            .collect();
-        self.num_shards = num_shards as u64;
-
         // object states
+        self.objects.clear();
         let n_objects = d.len()?;
         for _ in 0..n_objects {
             let tag = TagId(d.u64()?);
@@ -556,11 +525,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             let var = [d.f64()?, d.f64()?, d.f64()?];
             let last_read = Epoch(d.u64()?);
             let compression_due = d.u64()?;
-            let shard = &mut self.shards[shard_index(self.num_shards, tag)];
-            if matches!(belief, Belief::Compressed(_)) {
-                shard.compressed += 1;
-            }
-            shard.objects.insert(
+            self.objects.insert(
                 tag,
                 ObjectState {
                     belief,
@@ -571,10 +536,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             );
         }
 
-        // output-policy scope states, re-distributed by tag residue
+        // output-policy scope states
         let n_rows = d.len()?;
-        let mut per_shard_rows: Vec<Vec<(TagId, Epoch, Epoch, bool)>> =
-            (0..num_shards).map(|_| Vec::new()).collect();
+        let mut rows = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             let tag = TagId(d.u64()?);
             let entered = Epoch(d.u64()?);
@@ -584,21 +548,17 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 1 => true,
                 _ => return Err(CheckpointError::Corrupt("bad reported flag")),
             };
-            per_shard_rows[shard_index(self.num_shards, tag)]
-                .push((tag, entered, last_read, reported));
+            rows.push((tag, entered, last_read, reported));
         }
-        for (shard, rows) in self.shards.iter_mut().zip(per_shard_rows) {
-            shard.policy.restore_states(rows);
-        }
+        self.policy.restore_states(rows);
 
-        // compression cooldowns
+        // compression cooldown
+        self.cooldown.clear();
         let n_cooldown = d.len()?;
         for _ in 0..n_cooldown {
             let due = d.u64()?;
             let tag = TagId(d.u64()?);
-            let shard = &mut self.shards[shard_index(self.num_shards, tag)];
-            shard.cooldown.entry(due).or_default().push(tag);
-            shard.cooldown_len += 1;
+            self.cooldown.entry(due).or_default().push(tag);
         }
 
         // spatial index
@@ -631,7 +591,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             ));
         }
 
-        self.refresh_per_shard_stats();
         Ok(epoch)
     }
 
@@ -775,31 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_across_shard_counts() {
-        let all = batches(50);
-        let mut baseline = engine(cfg());
-        let expect = run_engine(&mut baseline, &all);
-
-        // checkpoint from a 4-shard engine, restore into 1-shard
-        let mut sharded_cfg = cfg();
-        sharded_cfg.num_shards = 4;
-        let mut first = engine(sharded_cfg);
-        let mut events = Vec::new();
-        for b in &all[..25] {
-            first.process_batch_into(b, &mut events);
-        }
-        let blob = first.checkpoint_bytes(Epoch(24));
-
-        let mut resumed = engine(cfg());
-        resumed.restore_bytes(&blob).unwrap();
-        for b in &all[25..] {
-            resumed.process_batch_into(b, &mut events);
-        }
-        resumed.finalize_into(Epoch(49), &mut events);
-        assert_streams_equal(&expect, &events);
-    }
-
-    #[test]
     fn corrupt_blobs_are_rejected() {
         let mut e = engine(cfg());
         for b in &batches(10) {
@@ -866,7 +800,6 @@ mod tests {
         let base = cfg();
         let mut par = base;
         par.worker_threads = 8;
-        par.num_shards = 4;
         assert_eq!(config_fingerprint(&base), config_fingerprint(&par));
         let mut other = base;
         other.particles_per_object += 1;

@@ -1,10 +1,13 @@
 //! Head / worker halves of the multi-process engine cluster.
 //!
-//! The factored filter was sharded by `tag % N` in-process (see
-//! [`crate::shard`]); this module splits the same partition across
-//! *processes* while keeping the emitted event stream **bit-identical**
-//! to the single-process engine. The obstacle is the reader filter,
-//! which globally couples the objects three ways:
+//! The factorization makes objects independent given the reader, so
+//! they can be partitioned by `tag % N` — this module is the one place
+//! that partition exists. It splits whole engines across *processes*
+//! while keeping the emitted event stream **bit-identical** to the
+//! single-process engine. The rule every piece below follows: **merge
+//! every cross-worker floating-point effect in global tag order**,
+//! never in worker order, which changes with `N`. The obstacle is the
+//! reader filter, which globally couples the objects three ways:
 //!
 //! 1. every object step stages a **support row** that is merged into
 //!    the reader's support accumulator in global tag order (f64 sums —
@@ -48,8 +51,8 @@
 //!
 //! The event stream of an epoch is the tag-ordered concatenation of
 //! the workers' due events; a coordinator reconstructs the global
-//! order with the same k-way merge rule (`shard::merge_by_tag`
-//! semantics — see `rfid_stream::wire::merge_events_by_tag`). The
+//! order with the same k-way merge (`rfid_stream::wire::merge_by_tag`,
+//! which [`ClusterHead::finish_epoch`] uses too). The
 //! wire protocol and process topology live in the `rfid-cluster`
 //! crate; this module is transport-free so the equivalence can be
 //! tested in-process.
@@ -168,22 +171,8 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
         let e = &mut self.engine;
         // k-way merge by tag: residue classes are disjoint, so this is
         // exactly the single-process global step order
-        let total: usize = reports.iter().map(Vec::len).sum();
-        let mut order: Vec<&TaskReport> = Vec::with_capacity(total);
-        let mut pos = vec![0usize; reports.len()];
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, list) in reports.iter().enumerate() {
-                if pos[i] < list.len()
-                    && best.is_none_or(|b| list[pos[i]].tag < reports[b][pos[b]].tag)
-                {
-                    best = Some(i);
-                }
-            }
-            let Some(b) = best else { break };
-            order.push(&reports[b][pos[b]]);
-            pos[b] += 1;
-        }
+        let mut order: Vec<&TaskReport> = Vec::new();
+        rfid_stream::wire::merge_by_tag(reports, |t| t.tag, |t| order.push(t));
         e.stats.object_updates += order.len() as u64;
         {
             let reader = e.reader.as_mut().expect("reader initialized");
@@ -278,18 +267,10 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
         // ingest, minus the reader update the head already ran: the
         // plan's readings are all objects this worker owns
         e.shelf_read.clear();
-        for shard in &mut e.shards {
-            shard.object_read.clear();
-        }
-        for tag in readings {
-            e.shards[shard_index(e.num_shards, *tag)]
-                .object_read
-                .push(*tag);
-        }
-        for shard in &mut e.shards {
-            shard.object_read.sort_unstable();
-            shard.object_read.dedup();
-        }
+        e.object_read.clear();
+        e.object_read.extend_from_slice(readings);
+        e.object_read.sort_unstable();
+        e.object_read.dedup();
         e.support_tee = Some(Vec::new());
         e.infer(epoch, &plan.reader_est);
         let rows = e.support_tee.take().unwrap_or_default();
@@ -300,7 +281,7 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
                 let Some(ObjectState {
                     belief: Belief::Active(f),
                     ..
-                }) = e.shards[shard_index(e.num_shards, tag)].objects.get(&tag)
+                }) = e.objects.get(&tag)
                 else {
                     unreachable!("a stepped object ends the epoch active");
                 };
@@ -319,12 +300,8 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
         }
         // due events, exactly as the single-process emit stage (events
         // precede the resample there, so they are final already)
-        for shard in &mut e.shards {
-            shard.policy.due_into(epoch, &mut shard.due);
-        }
-        let before = events.len();
+        e.policy.due_into(epoch, &mut e.due);
         e.emit_due_events(epoch, events);
-        e.stats.events_emitted += (events.len() - before) as u64;
         reports
     }
 
@@ -343,11 +320,10 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
                 .collect();
             for i in 0..e.active.len() {
                 let tag = e.active[i];
-                let shard = &mut e.shards[shard_index(e.num_shards, tag)];
                 if let Some(ObjectState {
                     belief: Belief::Active(f),
                     ..
-                }) = shard.objects.get_mut(&tag)
+                }) = e.objects.get_mut(&tag)
                 {
                     let vals = by_tag.get(&tag).copied().unwrap_or(&[]);
                     let mut next = vals.iter();
@@ -363,7 +339,6 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
             e.reader = Some(ReaderFilter::from_parts(d.reader.clone(), vec![0.0; nr], 0));
         }
         e.run_compression_sweep(epoch);
-        e.refresh_per_shard_stats();
     }
 
     /// Flushes pending reports at end of trace (tag-sorted, like every

@@ -31,8 +31,10 @@
 //! the number of physical cores, capped by the typical active-set size
 //! — workers beyond `|active set|` idle. Small active sets (spatial
 //! indexing at its best) are dominated by the reader update; keep
-//! `worker_threads = 1` there and spend the cores across engine shards
-//! instead.
+//! `worker_threads = 1` there and spend the cores on cluster workers
+//! (`rfid_core::engine::cluster`, one engine per `tag % N` partition)
+//! instead. Recorded on a 2-vCPU box (EXPERIMENTS.md PR 14): 2 threads
+//! are 1.3–1.4× with the index off, and cost 0–20 % with it on.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

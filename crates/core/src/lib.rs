@@ -34,7 +34,6 @@ pub mod exec;
 pub mod factored;
 pub mod output;
 pub mod particle;
-pub mod shard;
 pub mod spatial_hook;
 
 pub use basic::BasicParticleFilter;
@@ -42,4 +41,3 @@ pub use config::{CompressionPolicy, FilterConfig, LikelihoodTableConfig, ReaderM
 pub use engine::checkpoint::{self, CheckpointError};
 pub use engine::{EngineStats, InferenceEngine};
 pub use error::ConfigError;
-pub use shard::ShardCounts;

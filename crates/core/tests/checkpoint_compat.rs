@@ -1,0 +1,145 @@
+//! Checkpoints written before the engine lost its in-process object
+//! partition still load: `RFCKPT01` stores every list in a canonical
+//! order, so the bytes never depended on how the writer laid out its
+//! state.
+//!
+//! `fixtures/pr13_four_partitions.ckpt` (7,809 bytes: 5 objects, 3 of
+//! them compressed, 2 cooldown entries, the spatial index) was written
+//! at commit 6771bac (PR 13) by an engine whose `FilterConfig` set the
+//! since-removed partition count to 4 — every partition populated —
+//! with this file's `cfg()`, `engine()` and `batches()`:
+//!
+//! ```ignore
+//! let mut partitioned = cfg();
+//! // ... set the partition-count field `FilterConfig` had then to 4
+//! let mut first = engine(partitioned);
+//! let mut events = Vec::new();
+//! for b in &batches()[..CUT] {
+//!     first.process_batch_into(b, &mut events);
+//! }
+//! std::fs::write(path, first.checkpoint_bytes(Epoch(CUT as u64 - 1))).unwrap();
+//! ```
+//!
+//! (EXPERIMENTS.md "PR 14" has the snippet verbatim.) A change to the
+//! inference arithmetic that re-blesses the goldens invalidates the
+//! fixture's second half too: regenerate it from the commit before
+//! that change, the same way.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rfid_core::checkpoint::{config_fingerprint, peek_epoch};
+use rfid_core::engine::run_engine;
+use rfid_core::{FilterConfig, InferenceEngine};
+use rfid_geom::{Aabb, Point3, Pose};
+use rfid_model::object::BoxPrior;
+use rfid_model::{JointModel, ModelParams, ReadRateModel};
+use rfid_stream::digest::event_digest;
+use rfid_stream::{Epoch, EpochBatch, TagId};
+
+const FIXTURE: &[u8] = include_bytes!("fixtures/pr13_four_partitions.ckpt");
+const EPOCHS: u64 = 100;
+/// Batches the fixture's writer had processed.
+const CUT: usize = 40;
+
+fn cfg() -> FilterConfig {
+    let mut cfg = FilterConfig::full_default();
+    cfg.particles_per_object = 40;
+    cfg.reader_particles = 20;
+    cfg.report_delay_epochs = 8;
+    cfg.compression.idle_epochs = 6;
+    cfg
+}
+
+fn engine(config: FilterConfig) -> InferenceEngine<BoxPrior> {
+    let model = JointModel::new(ModelParams::default_warehouse());
+    let prior = BoxPrior::new(Aabb::new(
+        Point3::new(0.0, 0.0, 0.0),
+        Point3::new(4.0, 40.0, 0.0),
+    ));
+    let shelf = vec![
+        (TagId(1_000_000), Point3::new(2.0, 2.0, 0.0)),
+        (TagId(1_000_001), Point3::new(2.0, 6.0, 0.0)),
+    ];
+    InferenceEngine::new(model, prior, shelf, config).unwrap()
+}
+
+/// Six objects along an aisle; the reader walks out and back, so
+/// objects compressed on the way out are read again (decompressed)
+/// after the cut.
+fn batches() -> Vec<EpochBatch> {
+    let model = JointModel::new(ModelParams::default_warehouse());
+    let mut rng = StdRng::seed_from_u64(1404);
+    let objs: Vec<(u64, Point3)> = (0..6)
+        .map(|i| (i, Point3::new(2.0, 1.0 + i as f64 * 1.5, 0.0)))
+        .collect();
+    (0..EPOCHS)
+        .map(|t| {
+            let y = t.min(EPOCHS - t) as f64 * 0.15;
+            let pose = Pose::new(Point3::new(0.0, y, 0.0), 0.0);
+            let mut readings = Vec::new();
+            for (tag, loc) in &objs {
+                if rng.gen::<f64>() < model.sensor.p_read(&pose, loc) {
+                    readings.push(TagId(*tag));
+                }
+            }
+            EpochBatch {
+                epoch: Epoch(t),
+                readings,
+                reader_report: Some(pose),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn parent_written_checkpoint_restores_and_finishes_on_the_uninterrupted_digest() {
+    let all = batches();
+    let mut uninterrupted = engine(cfg());
+    let expect = run_engine(&mut uninterrupted, &all);
+    assert_eq!(uninterrupted.stats().decompressions, 4);
+
+    // the events the writer had already emitted, then the restored
+    // engine's: together they must be the uninterrupted stream
+    let mut events = Vec::new();
+    let mut first = engine(cfg());
+    for b in &all[..CUT] {
+        first.process_batch_into(b, &mut events);
+    }
+    // the engine writes today the bytes the partitioned engine wrote
+    let at = Epoch(CUT as u64 - 1);
+    assert_eq!(peek_epoch(FIXTURE).unwrap(), at);
+    assert!(first.checkpoint_bytes(at) == FIXTURE, "checkpoint bytes");
+
+    let mut resumed = engine(cfg());
+    assert_eq!(resumed.restore_bytes(FIXTURE).unwrap(), at);
+    assert_eq!(resumed.tracked_objects().count(), 5);
+    assert_eq!(resumed.num_compressed(), 3);
+    assert_eq!(resumed.cooldown_entries(), 2);
+    for b in &all[CUT..] {
+        resumed.process_batch_into(b, &mut events);
+    }
+    resumed.finalize_into(Epoch(EPOCHS - 1), &mut events);
+    assert_eq!(events.len(), 9);
+    assert_eq!(event_digest(&events), event_digest(&expect));
+    // the restored counters carry on from the writer's
+    let (a, b) = (resumed.stats(), uninterrupted.stats());
+    assert_eq!(
+        (a.epochs, a.object_updates, a.compressions, a.decompressions),
+        (b.epochs, b.object_updates, b.compressions, b.decompressions)
+    );
+}
+
+#[test]
+fn config_fingerprints_equal_the_parents() {
+    // literals computed at commit 6771bac; a checkpoint's header
+    // carries one, so a drift here orphans every checkpoint on disk
+    assert_eq!(
+        config_fingerprint(&FilterConfig::full_default()),
+        0xcb71_515f_ff2f_a0de
+    );
+    assert_eq!(
+        config_fingerprint(&FilterConfig::factored_default()),
+        0xa003_0d50_f013_2102
+    );
+    assert_eq!(config_fingerprint(&cfg()), 0x45f3_086d_15cf_fb8b);
+}

@@ -148,7 +148,7 @@ fn cluster_matches_single_process_for_every_worker_count() {
 
 #[test]
 fn cluster_is_invariant_to_worker_internals() {
-    // inside each worker, thread and shard counts stay cost-only knobs
+    // inside each worker, the thread count stays a cost-only knob
     let sc = scenario::small_trace(8, 4, 777);
     let cfg = full_cfg();
     let batches = sc.trace.epoch_batches();
@@ -156,9 +156,8 @@ fn cluster_is_invariant_to_worker_internals() {
     let expected = run_engine(&mut reference, &batches);
     let mut threaded = cfg;
     threaded.worker_threads = 2;
-    threaded.num_shards = 3;
     let got = run_cluster(&sc, threaded, 2);
-    assert_identical(&expected, &got, "2 workers x 2 threads x 3 shards");
+    assert_identical(&expected, &got, "2 workers x 2 threads");
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! Determinism of the execution model: the engine's emitted event
-//! stream must be **bit-identical** for every
-//! `(worker_threads, num_shards)` combination *and* between the legacy
-//! batch path (`run_engine` over `Vec<EpochBatch>`) and the streaming
-//! pipeline, because each object step draws from its own
-//! `(seed, tag, epoch)` RNG stream and all cross-object side effects
-//! (reader support, remap draws, event order) merge in global tag
-//! order on the calling thread.
+//! stream must be **bit-identical** for every `worker_threads` value
+//! *and* between the legacy batch path (`run_engine` over
+//! `Vec<EpochBatch>`) and the streaming pipeline, because each object
+//! step draws from its own `(seed, tag, epoch)` RNG stream and all
+//! cross-object side effects (reader support, remap draws, event
+//! order) merge in tag order on the calling thread.
+//!
+//! Two test names still say "shard": they are the ids the tier-1 floor
+//! list knows these pins by.
 
 use rfid_core::engine::run_engine;
 use rfid_core::{FilterConfig, InferenceEngine};
@@ -41,12 +43,11 @@ fn run_with_threads(cfg_base: FilterConfig, workers: usize) -> (Vec<LocationEven
 }
 
 /// The same trace, but pulled incrementally through the streaming
-/// pipeline (source → synchronizer → sharded engine → sink).
-fn run_pipeline_with(cfg_base: FilterConfig, workers: usize, shards: usize) -> Vec<LocationEvent> {
+/// pipeline (source → synchronizer → engine → sink).
+fn run_pipeline_with(cfg_base: FilterConfig, workers: usize) -> Vec<LocationEvent> {
     let sc = scenario::scalability_trace(60, 4242);
     let mut cfg = cfg_base;
     cfg.worker_threads = workers;
-    cfg.num_shards = shards;
     let engine = engine_for(&sc, cfg);
     let mut pipeline = Pipeline::new(sc.trace.epoch_len, engine, Vec::new());
     pipeline.run_to_completion(&mut sc.trace.stream());
@@ -126,9 +127,8 @@ fn full_variant_bit_identical_across_worker_threads() {
 
 #[test]
 fn pipeline_bit_identical_to_legacy_for_every_worker_shard_combination() {
-    // the PR 3 acceptance matrix: the streaming pipeline must emit the
-    // exact bits of the legacy batch path for worker_threads x
-    // num_shards in {1,2,4} x {1,2,8}
+    // the streaming pipeline must emit the exact bits of the legacy
+    // batch path for worker_threads in {1,2,4}
     let mut cfg = FilterConfig::indexed_default();
     cfg.particles_per_object = 150;
     cfg.reader_particles = 50;
@@ -136,28 +136,22 @@ fn pipeline_bit_identical_to_legacy_for_every_worker_shard_combination() {
     let (legacy, ..) = run_with_threads(cfg, 1);
     assert!(!legacy.is_empty(), "trace produced no events");
     for workers in [1usize, 2, 4] {
-        for shards in [1usize, 2, 8] {
-            let piped = run_pipeline_with(cfg, workers, shards);
-            assert_identical(
-                &legacy,
-                &piped,
-                &format!("pipeline workers={workers} shards={shards}"),
-            );
-        }
+        let piped = run_pipeline_with(cfg, workers);
+        assert_identical(&legacy, &piped, &format!("pipeline workers={workers}"));
     }
 }
 
 #[test]
 fn full_variant_pipeline_bit_identical_with_shards() {
-    // compression + decompression + cooldown scheduling run per shard
+    // compression + decompression + cooldown scheduling, piped
     let mut cfg = FilterConfig::full_default();
     cfg.particles_per_object = 120;
     cfg.reader_particles = 40;
     cfg.report_delay_epochs = 40;
     cfg.compression.idle_epochs = 8;
     let (legacy, ..) = run_with_threads(cfg, 1);
-    let piped = run_pipeline_with(cfg, 4, 8);
-    assert_identical(&legacy, &piped, "full pipeline workers=4 shards=8");
+    let piped = run_pipeline_with(cfg, 4);
+    assert_identical(&legacy, &piped, "full pipeline workers=4");
 }
 
 #[test]

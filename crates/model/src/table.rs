@@ -27,8 +27,8 @@
 //! which is why the engine leaves the table off by default and enables
 //! it only for smooth (logistic) sensors.
 //!
-//! Distances at or beyond `d_max` fall outside the grid; [`lookup`]
-//! (see [`LikelihoodTable::lookup`]) returns `None` there and the
+//! Distances at or beyond `d_max` fall outside the grid;
+//! [`LikelihoodTable::lookup`] returns `None` there and the
 //! caller falls back to the exact model. Choosing
 //! `d_max ≥ detection_range` makes the fallback rare (far particles of
 //! a *miss* observation, whose weight is ~0 anyway).

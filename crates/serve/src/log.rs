@@ -46,6 +46,7 @@
 
 use crate::store::{EventStore, StoreConfig};
 use rfid_geom::Point3;
+use rfid_stream::digest::{fnv1a, FNV_OFFSET};
 use rfid_stream::{Epoch, EventSink, EventStats, LocationEvent, TagId};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
@@ -61,18 +62,6 @@ const KIND_FINISH: u8 = 0x03;
 
 /// Frame overhead per record: payload length + checksum.
 const RECORD_HEADER: usize = 4 + 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Why the log could not be opened or replayed.
 #[derive(Debug)]
@@ -196,7 +185,7 @@ fn encode_record(record: &LogRecord, out: &mut Vec<u8>) {
         LogRecord::Finish => p.push(KIND_FINISH),
     }
     out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&p).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_OFFSET, &p).to_le_bytes());
     out.extend_from_slice(&p);
 }
 
@@ -261,7 +250,7 @@ fn scan_record(buf: &[u8], pos: usize) -> Scan {
     let Some(payload) = buf.get(pos + RECORD_HEADER..pos + RECORD_HEADER + len) else {
         return Scan::End(pos);
     };
-    if fnv1a(payload) != checksum {
+    if fnv1a(FNV_OFFSET, payload) != checksum {
         return Scan::End(pos);
     }
     match decode_payload(payload) {

@@ -140,7 +140,7 @@ fn tombstoned_tag_matches_sinks() {
 
 #[test]
 fn duplicate_events_in_one_epoch_match_sinks() {
-    // the same tag reports twice in epoch 1 (e.g. merged shard
+    // the same tag reports twice in epoch 1 (e.g. merged worker
     // streams); last arrival wins the snapshot, the trail keeps both
     assert_store_matches_sinks(&Replay {
         epochs: vec![

@@ -2,7 +2,7 @@
 //!
 //! Two ways to feed the streaming pipeline:
 //!
-//! * [`TraceStream`] — borrows an already-generated [`SimTrace`] and
+//! * [`TraceStream`] — borrows an already-generated [`crate::SimTrace`] and
 //!   merges its two raw streams in time order, one item per pull;
 //! * [`EpochStreamSource`] — wraps an [`EpochSim`] so the trace is
 //!   *generated on demand*, epoch by epoch: nothing is materialized

@@ -6,14 +6,21 @@
 //! the digest must equal the single-process engine's for every worker
 //! count. It lives here, next to [`LocationEvent`], so both the bench
 //! crate and the cluster binaries share one definition.
+//!
+//! [`fnv1a`] is the workspace's one FNV-1a: the WAL's record checksum
+//! (`rfid_serve::log`) and the checkpoint's payload checksum and config
+//! fingerprint (`rfid_core::checkpoint`) call it too.
 
 use crate::LocationEvent;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the `h` a fresh hash starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Folds `bytes` into the running FNV-1a hash `h` (start from
+/// [`FNV_OFFSET`]).
 #[inline]
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(FNV_PRIME);

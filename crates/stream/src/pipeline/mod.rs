@@ -10,7 +10,7 @@
 //! raw readings ──┐
 //!                ├─► StreamSynchronizer ─► EpochBatch ─► InferenceStage ─► LocationEvent ─► EventSink(s)
 //! reports  ──────┘    (watermarks,           (one           (engine,          (operators,
-//!                      bounded buffer)        epoch)          shards)           queries, logs)
+//!                      bounded buffer)        epoch)          baselines)        queries, logs)
 //! ```
 //!
 //! * a [`ReadingSource`] produces the interleaved raw items one at a

@@ -19,9 +19,9 @@
 //! 3. pipeline adapters: [`WireItemSource`] (a
 //!    [`ReadingSource`](crate::ReadingSource) reading item frames) and
 //!    [`WireEventSink`] (an [`EventSink`] writing one frame per
-//!    completed epoch), plus [`merge_events_by_tag`] — the
-//!    coordinator's k-way merge with the same global-tag-order rule as
-//!    `rfid_core`'s shard merge.
+//!    completed epoch), plus [`merge_by_tag`] — the one k-way merge
+//!    in global tag order that the cluster head (support rows) and the
+//!    coordinator (events, via [`merge_events_by_tag`]) both use.
 
 use crate::pipeline::{EventSink, StreamItem};
 use crate::{Epoch, EventStats, LocationEvent, ReaderLocationReport, RfidReading, TagId};
@@ -562,24 +562,39 @@ pub fn decode_event_frame(payload: &[u8]) -> Result<EventFrame, WireFormatError>
     })
 }
 
-/// K-way merges per-worker event lists by tag — the wire-level
-/// equivalent of `rfid_core`'s shard merge rule. Each input list must
-/// be sorted by tag (every per-epoch and final list the engine emits
-/// is); the workers own disjoint tag sets, so the merged order is the
-/// single-process emission order.
-pub fn merge_events_by_tag(lists: &[Vec<LocationEvent>], out: &mut Vec<LocationEvent>) {
+/// K-way merges per-worker lists into **global tag order** — the
+/// canonical order every cross-worker effect of the cluster is folded
+/// in (worker order changes with the worker count; tag order does
+/// not). Each input list must be sorted by `key`; the workers own
+/// disjoint tag sets, so the merged order is the single-process order.
+/// Items are handed to `push` by reference.
+pub fn merge_by_tag<'a, T>(
+    lists: &'a [Vec<T>],
+    key: impl Fn(&T) -> TagId,
+    mut push: impl FnMut(&'a T),
+) {
     let mut pos = vec![0usize; lists.len()];
     loop {
-        let mut best: Option<usize> = None;
+        let mut best: Option<(TagId, usize)> = None;
         for (i, list) in lists.iter().enumerate() {
-            if pos[i] < list.len() && best.is_none_or(|b| list[pos[i]].tag < lists[b][pos[b]].tag) {
-                best = Some(i);
+            if let Some(item) = list.get(pos[i]) {
+                let tag = key(item);
+                if best.is_none_or(|(b, _)| tag < b) {
+                    best = Some((tag, i));
+                }
             }
         }
-        let Some(b) = best else { break };
-        out.push(lists[b][pos[b]]);
-        pos[b] += 1;
+        let Some((_, i)) = best else { break };
+        push(&lists[i][pos[i]]);
+        pos[i] += 1;
     }
+}
+
+/// [`merge_by_tag`] over per-worker event lists (every per-epoch and
+/// final list the engine emits is sorted by tag), appending to `out`:
+/// the merged order is the single-process emission order.
+pub fn merge_events_by_tag(lists: &[Vec<LocationEvent>], out: &mut Vec<LocationEvent>) {
+    merge_by_tag(lists, |e| e.tag, |e| out.push(*e));
 }
 
 #[cfg(test)]
@@ -786,5 +801,29 @@ mod tests {
         merge_events_by_tag(&lists, &mut out);
         let tags: Vec<u64> = out.iter().map(|e| e.tag.0).collect();
         assert_eq!(tags, vec![0, 1, 2, 3, 4, 9]);
+    }
+
+    fn merged(lists: &[Vec<u64>]) -> Vec<u64> {
+        let mut out = Vec::new();
+        merge_by_tag(lists, |t| TagId(*t), |t| out.push(*t));
+        out
+    }
+
+    #[test]
+    fn merge_by_tag_reproduces_global_sort() {
+        // residue classes mod 3, each sorted
+        let lists = [vec![0, 3, 9], vec![1, 4, 7], vec![2, 5]];
+        assert_eq!(merged(&lists), vec![0, 1, 2, 3, 4, 5, 7, 9]);
+    }
+
+    #[test]
+    fn merge_by_tag_single_list_is_identity() {
+        assert_eq!(merged(&[vec![2, 5, 8]]), vec![2, 5, 8]);
+    }
+
+    #[test]
+    fn merge_by_tag_handles_empty_lists() {
+        assert_eq!(merged(&[vec![], vec![1], vec![]]), vec![1]);
+        assert_eq!(merged(&[]), Vec::<u64>::new());
     }
 }

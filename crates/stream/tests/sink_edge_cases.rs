@@ -82,7 +82,7 @@ fn departed_tag_tombstone_mid_window() {
 fn duplicate_events_in_one_epoch() {
     let mut trail = TrailSink::new(8);
     let mut snap = SnapshotSink::new(1);
-    // two reports of tag 1 inside epoch 0 (e.g. merged shard streams),
+    // two reports of tag 1 inside epoch 0 (e.g. merged worker streams),
     // arriving in stream order
     for event in [ev(0, 1, 1.0, 0.0), ev(0, 1, 2.0, 0.0)] {
         trail.on_event(&event);

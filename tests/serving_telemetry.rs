@@ -70,6 +70,8 @@ fn telemetry_scrape_exposes_every_layer() {
         "engine_ingest_us",
         "engine_emit_us",
         "engine_epochs_total",
+        "engine_half_respawns_total",
+        "engine_full_reinits_total",
         // pipeline: stage counters + buffer high-water gauges
         "pipeline_epochs_total",
         "pipeline_readings_total",

@@ -26,7 +26,6 @@ fn run_dense_scenario() -> (scenario::Scenario, SinkStack) {
     let sc = scenario::small_trace(16, 4, 301);
     let mut cfg = FilterConfig::full_default();
     cfg.particles_per_object = 400;
-    cfg.num_shards = 2;
     let engine = InferenceEngine::new(
         JointModel::new(ModelParams::default_warehouse()),
         sc.layout.clone(),
