@@ -712,7 +712,8 @@ struct ClusterRow {
 /// **streaming pipeline** (incremental source → synchronizer → engine
 /// → sink) on the `bench_scalability` scenario (`scalability_trace(100,
 /// 99)`, 200 particles/object — the same workload as the criterion
-/// bench), plus a `worker_threads` sweep and an endurance pair (2 vs 20 scan rounds) whose pipeline-buffer
+/// bench), plus a `worker_threads` sweep and an endurance run (20 scan
+/// rounds against the full variant's 2) whose pipeline-buffer
 /// high-water marks demonstrate bounded-memory streaming. Each
 /// configuration runs `reps` times; the best run is reported (min wall
 /// time), the standard way to suppress scheduler noise.
@@ -828,13 +829,12 @@ fn throughput(opts: Opts, json: bool) {
             &mut rows,
         );
     }
-    // endurance pair: 10x the scan rounds, same warehouse — the
-    // pipeline's buffer high-water marks must stay flat (O(open
-    // epochs), not O(trace length))
+    // endurance pair: 10x the scan rounds of the full-variant row
+    // above (`scalability_trace` is the 2-round endurance trace), same
+    // warehouse — the pipeline's buffer high-water marks must stay
+    // flat (O(open epochs), not O(trace length))
     let endurance_rounds = if opts.quick { 6 } else { 20 };
-    let sc_short = scenario::endurance_trace(100, 2, 99);
     let sc_long = scenario::endurance_trace(100, endurance_rounds, 99);
-    run_one(&sc_short, 100, 2, EngineVariant::Full, 1, &mut rows);
     run_one(
         &sc_long,
         100,
@@ -844,7 +844,7 @@ fn throughput(opts: Opts, json: bool) {
         &mut rows,
     );
     {
-        let short = &rows[rows.len() - 2];
+        let short = &rows[2];
         let long = &rows[rows.len() - 1];
         r.line(&format!(
             "endurance: {}x epochs ({} -> {}), sync high-water {} -> {}, batch high-water {} -> {}",

@@ -171,7 +171,7 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
         let e = &mut self.engine;
         // k-way merge by tag: residue classes are disjoint, so this is
         // exactly the single-process global step order
-        let mut order: Vec<&TaskReport> = Vec::new();
+        let mut order: Vec<&TaskReport> = Vec::with_capacity(reports.iter().map(Vec::len).sum());
         rfid_stream::wire::merge_by_tag(reports, |t| t.tag, |t| order.push(t));
         e.stats.object_updates += order.len() as u64;
         {
