@@ -33,10 +33,10 @@ fn bench_compression(c: &mut Criterion) {
         });
     }
     let compressed = CompressedBelief::compress(&cloud(1000, 2), Epoch(0)).unwrap();
-    let reader = ReaderFilter::new(100, Pose::identity());
+    let tables = ReaderFilter::new(100, Pose::identity()).tables();
     g.bench_function("decompress_10", |b| {
         let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| compressed.decompress(10, black_box(&reader), 0, &mut rng))
+        b.iter(|| compressed.decompress(10, black_box(&tables), 0, &mut rng))
     });
     g.finish();
 }

@@ -2,10 +2,10 @@
 //! (`ObjectFilter::step_fused`) against the naive AoS reference
 //! sequence (`weight` → `maybe_resample` → `estimate`, shared with
 //! `tests/fused_equivalence.rs`), per particle count, plus the
-//! surrounding per-epoch components
-//! (`refresh_pointers_with`, `predict`, first-sighting
-//! `init_from_cone_with`) so a profile of the engine's infer stage can
-//! be cross-checked against isolated numbers.
+//! surrounding per-epoch components (`refresh_pointers`, `predict`,
+//! first-sighting `init_from_cone`, the `log_normalize_exp` pass on the
+//! two kinds of weight column) so a profile of the engine's infer stage
+//! can be cross-checked against isolated numbers.
 //!
 //! Two fixtures: the logistic sensor over a box prior, and the
 //! benchmark's operating point — `ConeSensor` over a `WarehouseLayout`
@@ -16,10 +16,11 @@ mod reference;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use reference::ReferenceFilter;
 use rfid_core::exec::StepScratch;
 use rfid_core::factored::{ObjectFilter, ReaderFilter, ReaderTables};
+use rfid_core::particle::log_normalize_exp;
 use rfid_geom::{Point3, Pose};
 use rfid_model::object::{BoxPrior, LocationPrior};
 use rfid_model::sensor::{ConeSensor, ReadRateModel};
@@ -52,9 +53,11 @@ fn fixture<S: ReadRateModel, P: LocationPrior>(
     n: usize,
 ) -> Fixture<S, P> {
     let reader = ReaderFilter::new(READER_PARTICLES, pose);
+    let tables = reader.tables();
     let mut rng = StdRng::seed_from_u64(42);
     let filter = ObjectFilter::init_from_cone(
         &reader,
+        &tables,
         CONE_RANGE,
         CONE_HALF_ANGLE,
         n,
@@ -62,7 +65,6 @@ fn fixture<S: ReadRateModel, P: LocationPrior>(
         Some(&prior),
         &mut rng,
     );
-    let tables = reader.tables();
     Fixture {
         model,
         prior,
@@ -172,20 +174,68 @@ fn bench_reference(c: &mut Criterion) {
     g.finish();
 }
 
+/// The weight column `log_normalize_exp` sees at the benchmark's
+/// operating point: the cone sensor's likelihood is piecewise constant,
+/// so after a read and then a miss from 2 ft further along the aisle
+/// most weights sit at the maximum or at `−inf` and need no `exp`.
+fn cone_miss_column(n: usize) -> Vec<f64> {
+    let mut f = warehouse(n);
+    let moved = ReaderFilter::new(
+        READER_PARTICLES,
+        Pose::new(Point3::new(0.0, 502.0, 0.0), 0.0),
+    );
+    for (reader, read) in [(&f.reader, true), (&moved, false)] {
+        f.support.fill(0.0);
+        f.filter.step_fused(
+            &f.model,
+            reader,
+            &reader.tables(),
+            read,
+            0.0,
+            None,
+            &mut f.scratch,
+            &mut f.support,
+            &mut f.rng,
+        );
+    }
+    f.filter.soa().log_w.clone()
+}
+
+/// A column with one maximum and no dead weight (what the logistic
+/// sensor produces): every entry takes the `exp` call, so this row
+/// prices the shortcut's branch where it never fires.
+fn dense_column(n: usize) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(7);
+    (0..n).map(|_| rng.gen::<f64>().ln() * 3.0).collect()
+}
+
 /// The per-epoch steps surrounding the fused step in the engine:
-/// pointer refresh (n CDF samples), motion predict (n noise draws), and
+/// pointer refresh (n reader draws), motion predict (n noise draws),
 /// the first-sighting cone initialization at the operating point
-/// (n reader draws + n rejection-sampled cone points).
+/// (n reader draws + n rejection-sampled cone points), and the one
+/// `exp` pass of the step on its own.
 fn bench_epoch_components(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_components");
+    for (name, column) in [
+        ("cone_miss", cone_miss_column(1000)),
+        ("dense", dense_column(1000)),
+    ] {
+        let mut work = column.clone();
+        let mut exps = Vec::new();
+        g.bench_function(format!("log_normalize_exp/1000/{name}"), |b| {
+            b.iter(|| {
+                work.copy_from_slice(&column);
+                log_normalize_exp(&mut work, &mut exps)
+            })
+        });
+    }
     for n in [200usize, 1000] {
         let mut f = logistic(n);
         let mut stamp = 0u64;
         g.bench_function(format!("refresh_pointers/{n}"), |b| {
             b.iter(|| {
                 stamp += 1;
-                f.filter
-                    .refresh_pointers_with(&f.reader, &f.tables.cdf, stamp, &mut f.rng);
+                f.filter.refresh_pointers(&f.tables, stamp, &mut f.rng);
             })
         });
     }
@@ -201,9 +251,9 @@ fn bench_epoch_components(c: &mut Criterion) {
         let mut f = warehouse(1);
         g.bench_function("cold_init/1000", |b| {
             b.iter(|| {
-                ObjectFilter::init_from_cone_with(
+                ObjectFilter::init_from_cone(
                     &f.reader,
-                    &f.tables.cdf,
+                    &f.tables,
                     CONE_RANGE,
                     CONE_HALF_ANGLE,
                     1000,

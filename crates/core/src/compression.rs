@@ -11,7 +11,7 @@
 //! Gaussian and particle representations.
 
 use crate::factored::object::ObjectFilter;
-use crate::factored::reader::ReaderFilter;
+use crate::factored::reader::ReaderTables;
 use crate::particle::ObjectParticle;
 use rand::Rng;
 use rfid_geom::{Gaussian3, Point3};
@@ -56,11 +56,12 @@ impl CompressedBelief {
     }
 
     /// Decompression: draws `n` particles from the Gaussian with
-    /// uniform weights, pointing at reader particles sampled by weight.
+    /// uniform weights, pointing at reader particles sampled by weight
+    /// through the reader's per-epoch `tables`.
     pub fn decompress<R: Rng + ?Sized>(
         &self,
         n: usize,
-        reader: &ReaderFilter,
+        tables: &ReaderTables,
         stamp: u64,
         rng: &mut R,
     ) -> ObjectFilter {
@@ -69,7 +70,7 @@ impl CompressedBelief {
         let particles: Vec<ObjectParticle> = (0..n)
             .map(|_| ObjectParticle {
                 loc: self.gaussian.sample(rng),
-                reader_idx: reader.sample_index(rng),
+                reader_idx: tables.sample_index(rng),
                 log_w: uniform,
             })
             .collect();
@@ -80,6 +81,7 @@ impl CompressedBelief {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factored::reader::ReaderFilter;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rfid_geom::Pose;
@@ -133,7 +135,7 @@ mod tests {
         let cloud = tight_cloud(center, 200);
         let c = CompressedBelief::compress(&cloud, Epoch(0)).unwrap();
         let reader = ReaderFilter::new(10, Pose::identity());
-        let f = c.decompress(10, &reader, 3, &mut rng);
+        let f = c.decompress(10, &reader.tables(), 3, &mut rng);
         assert_eq!(f.len(), 10);
         let (est, _) = f.estimate_with(&reader, &mut crate::exec::StepScratch::default());
         assert!(est.dist(&center) < 0.2, "decompressed estimate {est:?}");
@@ -147,7 +149,7 @@ mod tests {
         let cloud = tight_cloud(center, 500);
         let c1 = CompressedBelief::compress(&cloud, Epoch(0)).unwrap();
         let reader = ReaderFilter::new(10, Pose::identity());
-        let f = c1.decompress(50, &reader, 0, &mut rng);
+        let f = c1.decompress(50, &reader.tables(), 0, &mut rng);
         let cloud2 = f.weighted_cloud(&reader);
         let c2 = CompressedBelief::compress(&cloud2, Epoch(1)).unwrap();
         assert!(c1.gaussian.mean.dist(&c2.gaussian.mean) < 0.1);

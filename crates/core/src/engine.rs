@@ -955,9 +955,9 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
         None => {
             // first sighting: sensor-model-based initialization,
             // restricted to the legal object space
-            let f = ObjectFilter::init_from_cone_with(
+            let f = ObjectFilter::init_from_cone(
                 reader,
-                &ctx.reader_tables.cdf,
+                ctx.reader_tables,
                 ctx.range_over,
                 half_angle,
                 k,
@@ -977,7 +977,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     if let Belief::Compressed(c) = &state.belief {
         let f = c.decompress(
             ctx.config.compression.decompressed_particles,
-            reader,
+            ctx.reader_tables,
             ctx.stamp,
             &mut rng,
         );
@@ -987,7 +987,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     let Belief::Active(f) = &mut state.belief else {
         unreachable!("belief made active above")
     };
-    f.refresh_pointers_with(reader, &ctx.reader_tables.cdf, ctx.stamp, &mut rng);
+    f.refresh_pointers(ctx.reader_tables, ctx.stamp, &mut rng);
     f.predict(ctx.model, ctx.prior, read, &mut rng);
 
     // §IV-A re-detection handling: compare the current estimate with
@@ -998,9 +998,9 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
         if gap > ctx.range_over + ctx.config.respawn_distance {
             // moved far: discard all old particles, re-create at the
             // new location
-            *f = ObjectFilter::init_from_cone_with(
+            *f = ObjectFilter::init_from_cone(
                 reader,
-                &ctx.reader_tables.cdf,
+                ctx.reader_tables,
                 ctx.range_over,
                 half_angle,
                 k,
@@ -1011,9 +1011,9 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             delta.full_reinit = true;
         } else if gap > ctx.range_over + ctx.config.small_move_distance {
             // moved a little: keep half, move half
-            f.respawn_half_with(
+            f.respawn_half(
                 reader,
-                &ctx.reader_tables.cdf,
+                ctx.reader_tables,
                 ctx.range_over,
                 half_angle,
                 Some(ctx.prior),

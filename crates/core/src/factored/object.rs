@@ -97,11 +97,13 @@ pub fn sample_cone_in_prior<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
 /// and a candidate whose `x` falls outside it is rejected before its
 /// `sin`, its `y` and the prior lookup are paid for — in a warehouse
 /// the legal band is a thin strip of the cone, so most candidates go
-/// that way. Early rejection only skips work whose outcome the box
-/// already decides: every candidate costs the same two RNG draws and an
-/// accepted point comes from the same expressions as [`sample_cone`],
-/// so the sampler returns the same bits and leaves the RNG in the same
-/// state as the plain rejection loop.
+/// that way, and most of those are far enough outside that
+/// [`cos_bounds`] decides without the `cos` either. Early rejection
+/// only skips work whose outcome the box already decides: every
+/// candidate costs the same two RNG draws and an accepted point comes
+/// from the same expressions as [`sample_cone`], so the sampler returns
+/// the same bits and leaves the RNG in the same state as the plain
+/// rejection loop (`tests/cone_sampler_prop.rs`).
 struct ConeSampler<'a, P: ?Sized> {
     range: f64,
     half_angle: f64,
@@ -111,6 +113,25 @@ struct ConeSampler<'a, P: ?Sized> {
 /// Candidates tried before giving up on the prior and keeping the raw
 /// cone point.
 const REJECTION_TRIES: usize = 30;
+
+/// Margin of the bound test in [`ConeSampler::sample`], relative to the
+/// magnitudes that enter a candidate's `x`. The computed `x` and the
+/// computed bounds are each within a few ulps (1e-15 relative) of their
+/// real values; a candidate closer than this to a face takes the exact
+/// line, so rounding cannot flip a decision.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// `(lo, hi, scale)` with `lo ≤ cos a ≤ hi` for every real `a` (the
+/// alternating Taylor bounds `1 − a²/2` and `1 − a²/2 + a⁴/24`) and
+/// `scale = 1 + a²/2 + a⁴/24`, the magnitude their rounding error grows
+/// with. Tight for the headings a reader facing its shelf produces
+/// (`|a|` under 1: within 1.4e-3); loose — and then useless, never
+/// wrong — as `|a|` grows.
+fn cos_bounds(a: f64) -> (f64, f64, f64) {
+    let half = 0.5 * a * a;
+    let quart = half * half * (1.0 / 6.0);
+    (1.0 - half, 1.0 - half + quart, 1.0 + half + quart)
+}
 
 impl<'a, P: LocationPrior + ?Sized> ConeSampler<'a, P> {
     fn new(range: f64, half_angle: f64, prior: Option<&'a P>) -> Self {
@@ -128,6 +149,16 @@ impl<'a, P: LocationPrior + ?Sized> ConeSampler<'a, P> {
         for _ in 0..REJECTION_TRIES {
             let d = self.range * rng.gen::<f64>().sqrt();
             let ang = pose.phi + self.half_angle * (2.0 * rng.gen::<f64>() - 1.0);
+            // conservative bound first: d ≥ 0, so x lies between the
+            // two products; only a candidate within the slack of a face
+            // pays for the exact line below
+            let (lo, hi, scale) = cos_bounds(ang);
+            let slack = BOUND_SLACK * (pose.pos.x.abs() + d * scale);
+            if pose.pos.x + d * hi + slack < bounds.min.x
+                || pose.pos.x + d * lo - slack > bounds.max.x
+            {
+                continue;
+            }
             let x = pose.pos.x + d * ang.cos();
             if x < bounds.min.x || x > bounds.max.x {
                 continue;
@@ -145,30 +176,12 @@ impl ObjectFilter {
     /// Sensor-model-based initialization: `n` particles sampled from
     /// cones at reader particles (reader particle drawn per-object
     /// particle, proportionally to reader weights), restricted to the
-    /// legal object space when `prior` is supplied.
+    /// legal object space when `prior` is supplied. `tables` must have
+    /// been built from `reader` in its current state.
+    #[allow(clippy::too_many_arguments)] // the cone, the reader and its tables
     pub fn init_from_cone<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
         reader: &ReaderFilter,
-        range: f64,
-        half_angle: f64,
-        n: usize,
-        stamp: u64,
-        prior: Option<&P>,
-        rng: &mut R,
-    ) -> Self {
-        // one O(reader) CDF build, then O(log reader) per draw — picks
-        // the same indices as per-particle `sample_index` scans
-        let mut cdf = Vec::new();
-        reader.sampling_cdf_into(&mut cdf);
-        Self::init_from_cone_with(reader, &cdf, range, half_angle, n, stamp, prior, rng)
-    }
-
-    /// [`init_from_cone`](Self::init_from_cone) with a prebuilt reader
-    /// CDF (see [`ReaderFilter::sampling_cdf_into`]) — the engine's
-    /// hot path, which builds the CDF once per epoch.
-    #[allow(clippy::too_many_arguments)] // init_from_cone + the CDF
-    pub fn init_from_cone_with<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
-        reader: &ReaderFilter,
-        cdf: &[f64],
+        tables: &ReaderTables,
         range: f64,
         half_angle: f64,
         n: usize,
@@ -181,7 +194,7 @@ impl ObjectFilter {
         let cone = ConeSampler::new(range, half_angle, prior);
         let mut soa = ParticleSoa::with_capacity(n);
         for _ in 0..n {
-            let j = reader.sample_index_with(cdf, rng);
+            let j = tables.sample_index(rng);
             soa.push(ObjectParticle {
                 loc: cone.sample(reader.pose_of(j), rng),
                 reader_idx: j,
@@ -255,30 +268,12 @@ impl ObjectFilter {
 
     /// Refreshes reader pointers if they are older than `stamp`:
     /// each particle re-draws a reader index proportionally to the
-    /// current reader weights.
+    /// current reader weights. Allocation-free: one `tables` build per
+    /// epoch serves every active object, since the reader weights are
+    /// frozen while objects step.
     pub fn refresh_pointers<R: Rng + ?Sized>(
         &mut self,
-        reader: &ReaderFilter,
-        stamp: u64,
-        rng: &mut R,
-    ) {
-        if self.pointer_stamp == stamp {
-            return;
-        }
-        let mut cdf = Vec::new();
-        reader.sampling_cdf_into(&mut cdf);
-        self.refresh_pointers_with(reader, &cdf, stamp, rng);
-    }
-
-    /// [`refresh_pointers`](Self::refresh_pointers) with a prebuilt
-    /// reader CDF — the engine's allocation-free hot path (one CDF
-    /// build per epoch serves every active object, since the reader
-    /// weights are frozen while objects step). Draws the same indices
-    /// as the buffer-less version for the same RNG stream.
-    pub fn refresh_pointers_with<R: Rng + ?Sized>(
-        &mut self,
-        reader: &ReaderFilter,
-        cdf: &[f64],
+        tables: &ReaderTables,
         stamp: u64,
         rng: &mut R,
     ) {
@@ -286,7 +281,7 @@ impl ObjectFilter {
             return;
         }
         for r in &mut self.soa.reader_idx {
-            *r = reader.sample_index_with(cdf, rng);
+            *r = tables.sample_index(rng);
         }
         self.pointer_stamp = stamp;
     }
@@ -358,13 +353,14 @@ impl ObjectFilter {
     /// supplied by the caller and **zero heap allocations** once
     /// `scratch` has warmed up.
     ///
-    /// One `exp` per particle per step. The weight pass is a linear
-    /// sweep over the particle columns (reader heading trig from
+    /// At most one `exp` per particle per step. The weight pass is a
+    /// linear sweep over the particle columns (reader heading trig from
     /// `tables`; when `table` is supplied the sensor's `exp()` becomes
     /// a quantized [`LikelihoodTable`] cell load — the one deliberate
     /// numeric deviation, `None` keeps the exact path). Normalizing the
     /// object weights exponentiates `log_w − max` once
-    /// ([`log_normalize_exp`]); those values times the reader weights
+    /// ([`log_normalize_exp`], which skips the call where the result is
+    /// exactly 1 or 0); those values times the reader weights
     /// `tables.probs`, divided by their sum, are the joint
     /// probabilities of Eq. 5's expansion, shared by the support
     /// staging, the ESS decision, the resampler and the moment
@@ -372,10 +368,10 @@ impl ObjectFilter {
     /// survivors, which concentrates object mass on good reader
     /// hypotheses — the factored analogue of joint resampling; after it
     /// the object weights are uniform, so the joint probabilities are
-    /// the pointed-to reader weights renormalized — no `exp` at all. Only when that product sums to
-    /// zero or overflows (every pointed-to reader weight underflowed)
-    /// does the step fall back to the log-space joint pass
-    /// (`fill_joint`, two more `exp` passes).
+    /// the pointed-to reader weights renormalized — no `exp` at all.
+    /// Only when that product sums to zero or overflows (every
+    /// pointed-to reader weight underflowed) does the step fall back to
+    /// the log-space joint pass (`fill_joint`, two more `exp` passes).
     ///
     /// `tests/fused_equivalence.rs` pins the particle states, resample
     /// decisions and estimates bit-for-bit against a naive allocating
@@ -596,22 +592,7 @@ impl ObjectFilter {
     pub fn respawn_half<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
         &mut self,
         reader: &ReaderFilter,
-        range: f64,
-        half_angle: f64,
-        prior: Option<&P>,
-        rng: &mut R,
-    ) {
-        let mut cdf = Vec::new();
-        reader.sampling_cdf_into(&mut cdf);
-        self.respawn_half_with(reader, &cdf, range, half_angle, prior, rng);
-    }
-
-    /// [`respawn_half`](Self::respawn_half) with a prebuilt reader CDF
-    /// (the engine's per-epoch one).
-    pub fn respawn_half_with<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
-        &mut self,
-        reader: &ReaderFilter,
-        cdf: &[f64],
+        tables: &ReaderTables,
         range: f64,
         half_angle: f64,
         prior: Option<&P>,
@@ -629,7 +610,7 @@ impl ObjectFilter {
         let uniform = -(n as f64).ln();
         let cone = ConeSampler::new(range, half_angle, prior);
         for &i in order.iter().take(n / 2) {
-            let j = reader.sample_index_with(cdf, rng);
+            let j = tables.sample_index(rng);
             self.soa.set(
                 i,
                 ObjectParticle {
@@ -670,6 +651,26 @@ mod tests {
             Point3::new(-10.0, -10.0, 0.0),
             Point3::new(10.0, 10.0, 0.0),
         ))
+    }
+
+    /// Cone initialization without a prior, tables built on the spot.
+    fn init(
+        reader: &ReaderFilter,
+        range: f64,
+        half_angle: f64,
+        n: usize,
+        rng: &mut StdRng,
+    ) -> ObjectFilter {
+        ObjectFilter::init_from_cone(
+            reader,
+            &reader.tables(),
+            range,
+            half_angle,
+            n,
+            0,
+            NO_PRIOR,
+            rng,
+        )
     }
 
     /// One object step the way the engine runs it: tables built from
@@ -714,7 +715,7 @@ mod tests {
     fn init_spreads_particles_in_front_of_reader() {
         let mut rng = StdRng::seed_from_u64(2);
         let reader = reader_at(Pose::identity(), 20);
-        let f = ObjectFilter::init_from_cone(&reader, 4.0, 0.6, 1000, 0, NO_PRIOR, &mut rng);
+        let f = init(&reader, 4.0, 0.6, 1000, &mut rng);
         assert_eq!(f.len(), 1000);
         // all particles forward of the reader
         for p in f.iter_particles() {
@@ -733,13 +734,13 @@ mod tests {
         let pose2 = Pose::new(Point3::new(0.0, 2.0, 0.0), 0.0);
 
         let mut reader = reader_at(pose1, 50);
-        let mut f = ObjectFilter::init_from_cone(&reader, 6.0, 1.0, 2000, 0, NO_PRIOR, &mut rng);
+        let mut f = init(&reader, 6.0, 1.0, 2000, &mut rng);
         let (e1, _) = step(&mut f, &m, &mut reader, true, 0.0, &mut rng).estimate;
         let err1 = e1.dist_xy(&truth);
 
         // second reading from pose2
         let mut reader2 = reader_at(pose2, 50);
-        f.refresh_pointers(&reader2, 1, &mut rng);
+        f.refresh_pointers(&reader2.tables(), 1, &mut rng);
         let (e2, _) = step(&mut f, &m, &mut reader2, true, 0.9, &mut rng).estimate;
         let err2 = e2.dist_xy(&truth);
         assert!(
@@ -755,7 +756,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let m = model();
         let mut reader = reader_at(Pose::identity(), 20);
-        let mut f = ObjectFilter::init_from_cone(&reader, 6.0, 1.0, 2000, 0, NO_PRIOR, &mut rng);
+        let mut f = init(&reader, 6.0, 1.0, 2000, &mut rng);
         let (before, _) = f.estimate_with(&reader, &mut StepScratch::default());
         let mut after = before;
         for _ in 0..5 {
@@ -805,7 +806,7 @@ mod tests {
             })
             .collect();
         let mut f = ObjectFilter::from_particles(particles, 0);
-        f.respawn_half(&reader, 4.0, 0.6, NO_PRIOR, &mut rng);
+        f.respawn_half(&reader, &reader.tables(), 4.0, 0.6, NO_PRIOR, &mut rng);
         // half the particles moved near the (distant) reader
         let near_reader = f
             .iter_particles()
@@ -824,10 +825,10 @@ mod tests {
     fn pointer_refresh_is_idempotent_per_stamp() {
         let mut rng = StdRng::seed_from_u64(7);
         let reader = reader_at(Pose::identity(), 10);
-        let mut f = ObjectFilter::init_from_cone(&reader, 4.0, 0.5, 100, 0, NO_PRIOR, &mut rng);
-        f.refresh_pointers(&reader, 5, &mut rng);
+        let mut f = init(&reader, 4.0, 0.5, 100, &mut rng);
+        f.refresh_pointers(&reader.tables(), 5, &mut rng);
         let ptrs: Vec<u32> = f.iter_particles().map(|p| p.reader_idx).collect();
-        f.refresh_pointers(&reader, 5, &mut rng); // same stamp: no-op
+        f.refresh_pointers(&reader.tables(), 5, &mut rng); // same stamp: no-op
         let ptrs2: Vec<u32> = f.iter_particles().map(|p| p.reader_idx).collect();
         assert_eq!(ptrs, ptrs2);
     }
@@ -839,7 +840,7 @@ mod tests {
         params.object.alpha = 0.0;
         let m = JointModel::new(params);
         let reader = reader_at(Pose::identity(), 5);
-        let mut f = ObjectFilter::init_from_cone(&reader, 4.0, 0.5, 50, 0, NO_PRIOR, &mut rng);
+        let mut f = init(&reader, 4.0, 0.5, 50, &mut rng);
         let before: Vec<Point3> = f.iter_particles().map(|p| p.loc).collect();
         f.predict(&m, &prior(), true, &mut rng);
         let after: Vec<Point3> = f.iter_particles().map(|p| p.loc).collect();
@@ -854,7 +855,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let m = model();
         let mut reader = reader_at(Pose::identity(), 10);
-        let mut f = ObjectFilter::init_from_cone(&reader, 4.0, 0.5, 100, 0, NO_PRIOR, &mut rng);
+        let mut f = init(&reader, 4.0, 0.5, 100, &mut rng);
         step(&mut f, &m, &mut reader, true, 0.0, &mut rng);
         let total: f64 = reader.support.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "support mass {total}");
@@ -865,7 +866,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let m = model();
         let mut reader = reader_at(Pose::identity(), 20);
-        let mut f = ObjectFilter::init_from_cone(&reader, 4.0, 0.5, 200, 0, NO_PRIOR, &mut rng);
+        let mut f = init(&reader, 4.0, 0.5, 200, &mut rng);
         // degenerate reader weights to force a resample
         reader.predict(&m, Some(Vec3::zero()), None, &mut rng);
         for p in reader.particles.iter_mut() {

@@ -63,15 +63,83 @@ impl ReaderRemap {
 /// until the reader's weights or poses change.
 #[derive(Debug, Clone, Default)]
 pub struct ReaderTables {
-    /// Cumulative particle weights (probability space), for O(log n)
-    /// draws via [`ReaderFilter::sample_index_with`].
-    pub cdf: Vec<f64>,
+    /// Cumulative particle weights (probability space). Private with
+    /// `guide`: the two are only meaningful built together.
+    cdf: Vec<f64>,
+    /// Guide table over `cdf`: `guide[b]` is the first index whose
+    /// cumulative weight reaches `b / guide.len()`, so a draw `u` in
+    /// bucket `b` starts its scan there instead of searching the whole
+    /// CDF.
+    guide: Vec<u32>,
     /// Particle weights in probability space: `exp(log_w)`, the reader
     /// factor of every object particle's joint weight.
     pub probs: Vec<f64>,
     /// Heading `[cos φ, sin φ]`, hoisted out of the object weight
     /// passes.
     pub trig: Vec<[f64; 2]>,
+}
+
+/// Guide buckets per reader particle (rounded up to a power of two).
+/// At 8 a draw's forward scan averages 0.05 CDF entries on the
+/// benchmark's cold scan; 2 measured 4–10% slower there
+/// (EXPERIMENTS.md PR 15).
+const GUIDE_BUCKETS_PER_PARTICLE: usize = 8;
+
+/// Upper limit of the guide size, so that the per-epoch build stays
+/// within 4 KB of `fill` however many reader particles there are.
+const MAX_GUIDE_BUCKETS: usize = 1024;
+
+impl ReaderTables {
+    /// Number of guide buckets for `n` reader particles: a power of
+    /// two, which makes the bucket of a draw (`u · K`) and a bucket's
+    /// lower edge (`b / K`) exact in floating point.
+    pub fn guide_buckets(n: usize) -> usize {
+        (n * GUIDE_BUCKETS_PER_PARTICLE)
+            .next_power_of_two()
+            .min(MAX_GUIDE_BUCKETS)
+    }
+
+    /// Draws a reader particle index according to the weights the
+    /// tables were built from: one uniform `u`, then the first `i` with
+    /// `cdf[i] >= u`, clamped to the last particle when floating-point
+    /// shortfall leaves the total below `u` — the index
+    /// [`ReaderFilter::sample_index`]'s linear scan stops at, from the
+    /// same single RNG draw. Every reader-index draw of the engine
+    /// (pointer refresh, cone initialization, half respawn,
+    /// decompression) goes through here.
+    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+        let u: f64 = rng.gen();
+        let last = self.cdf.len() - 1;
+        // u < 1 and the scale is a power of two: the product is exact
+        // and below the bucket count
+        let mut i = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while i < last && self.cdf[i] < u {
+            i += 1;
+        }
+        i as u32
+    }
+
+    /// Rebuilds the guide from `cdf` by one contiguous `fill` per
+    /// reader particle: particle `i` owns the buckets whose lower edge
+    /// `b / K` lies in `(cdf[i-1], cdf[i]]`, i.e. `b` up to
+    /// `floor(cdf[i] · K)`. Buckets above the CDF's total point at the
+    /// last particle (the clamp).
+    fn build_guide(&mut self) {
+        let n = self.cdf.len();
+        let buckets = Self::guide_buckets(n);
+        self.guide.clear();
+        self.guide.resize(buckets, (n - 1) as u32);
+        let mut start = 0;
+        for (i, c) in self.cdf.iter().enumerate() {
+            // the clamp's lower end: a NaN weight must not turn into a
+            // reversed range
+            let end = ((c * buckets as f64) as usize)
+                .saturating_add(1)
+                .clamp(start, buckets);
+            self.guide[start..end].fill(i as u32);
+            start = end;
+        }
+    }
 }
 
 /// The reader particle filter.
@@ -278,12 +346,10 @@ impl ReaderFilter {
 
     /// Draws a particle index according to the current weights.
     ///
-    /// One O(n) scan with an `exp` per step — fine for occasional
-    /// draws. Loops that draw per object particle (pointer refreshes,
-    /// cone initialization) build the CDF once with
-    /// [`sampling_cdf_into`](Self::sampling_cdf_into) and draw through
-    /// [`sample_index_with`](Self::sample_index_with) instead; both
-    /// paths select identical indices from identical RNG draws.
+    /// One O(n) scan with an `exp` per step: the plain statement of
+    /// the draw, which [`ReaderTables::sample_index`] is pinned against
+    /// (`tests/reader_draw_prop.rs`). The engine draws through the
+    /// tables; both select identical indices from identical RNG draws.
     pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let u: f64 = rng.gen();
         let mut cum = 0.0;
@@ -296,29 +362,15 @@ impl ReaderFilter {
         (self.particles.len() - 1) as u32
     }
 
-    /// Fills `out` with the cumulative particle weights (probability
-    /// space), for repeated O(log n) draws via
-    /// [`sample_index_with`](Self::sample_index_with). The running sum
-    /// accumulates in the same order as [`sample_index`](Self::sample_index)'s
-    /// scan, so the two paths pick bit-identical indices for the same
-    /// RNG draw. Valid until the weights change.
-    pub fn sampling_cdf_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.particles.len());
-        let mut cum = 0.0;
-        for p in &self.particles {
-            cum += p.log_w.exp();
-            out.push(cum);
-        }
-    }
-
     /// Rebuilds `out` (cleared and reused) from the current particles:
-    /// the sampling CDF of [`sampling_cdf_into`](Self::sampling_cdf_into),
-    /// the weights it accumulates, and the heading trig. The engine
-    /// calls this once per epoch, after the reader update — the reader
-    /// is frozen while objects step, so one build serves every pointer
-    /// refresh, cone initialization, respawn and object step of the
-    /// epoch, with one `exp` and one `sin`/`cos` per reader particle.
+    /// the sampling CDF (the running sum accumulates in the order of
+    /// [`sample_index`](Self::sample_index)'s scan) with its guide
+    /// table, the weights it accumulates, and the heading trig. The
+    /// engine calls this once per epoch, after the reader update — the
+    /// reader is frozen while objects step, so one build serves every
+    /// pointer refresh, cone initialization, respawn, decompression and
+    /// object step of the epoch, with one `exp` and one `sin`/`cos` per
+    /// reader particle.
     pub fn tables_into(&self, out: &mut ReaderTables) {
         let n = self.particles.len();
         out.cdf.clear();
@@ -339,6 +391,7 @@ impl ReaderFilter {
                 .iter()
                 .map(|p| [p.pose.phi.cos(), p.pose.phi.sin()]),
         );
+        out.build_guide();
     }
 
     /// [`tables_into`](Self::tables_into) into a fresh allocation, for
@@ -347,18 +400,6 @@ impl ReaderFilter {
         let mut out = ReaderTables::default();
         self.tables_into(&mut out);
         out
-    }
-
-    /// Draws a particle index by binary search over a CDF built by
-    /// [`sampling_cdf_into`](Self::sampling_cdf_into).
-    pub fn sample_index_with<R: Rng + ?Sized>(&self, cdf: &[f64], rng: &mut R) -> u32 {
-        debug_assert_eq!(cdf.len(), self.particles.len());
-        let u: f64 = rng.gen();
-        // first index with cdf[i] >= u — exactly sample_index's
-        // `u <= cum` stopping rule (clamped like its fallback when
-        // floating-point shortfall leaves the total below u)
-        let i = cdf.partition_point(|c| *c < u);
-        i.min(self.particles.len() - 1) as u32
     }
 
     /// The normalized weight of particle `idx` (probability space).

@@ -56,6 +56,11 @@ pub fn log_normalize(log_w: &mut [f64]) -> Option<f64> {
 /// same bits as under [`log_normalize`]. On total depletion they reset
 /// to uniform and `exps` is all ones (equal weights, same scale-free
 /// meaning).
+///
+/// A weight at the maximum and a dead one skip the `exp` call: IEEE 754
+/// fixes `exp(±0) = 1` and `exp(−inf) = +0` exactly, so the shortcut
+/// returns what the call would. A piecewise-constant sensor (the cone
+/// model) leaves most of a column at one of the two.
 pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> {
     exps.clear();
     let max = log_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -67,7 +72,16 @@ pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> 
         exps.resize(log_w.len(), 1.0);
         return None;
     }
-    exps.extend(log_w.iter().map(|w| (w - max).exp()));
+    exps.extend(log_w.iter().map(|w| {
+        let d = w - max;
+        if d == 0.0 {
+            1.0
+        } else if d == f64::NEG_INFINITY {
+            0.0
+        } else {
+            d.exp()
+        }
+    }));
     let sum: f64 = exps.iter().sum();
     let log_z = max + sum.ln();
     for w in log_w.iter_mut() {
@@ -510,6 +524,36 @@ mod tests {
             for i in 0..w.len() {
                 assert_eq!(w[i].to_bits(), plain[i].to_bits(), "seed {seed} weight {i}");
                 assert_eq!(exps[i].to_bits(), (raw[i] - max).exp().to_bits());
+            }
+        }
+        // the columns the shortcut exists for, and the ones that could
+        // trip it: every `exps[i]` is what `exp` returns, bit for bit
+        let inf = f64::NEG_INFINITY;
+        let columns: [&[f64]; 9] = [
+            &[-3.25; 5],                          // all equal
+            &[-1.5, -0.5, -7.0, -0.5, -0.5, inf], // several maxima
+            &[-0.0, 0.0, -0.0, -2.0],             // signed zeros at the maximum
+            &[0.0, -0.0],                         // +0 first
+            &[-4.0, -0.0, inf, -0.0],             // the maximum is −0
+            &[inf, inf, -745.2, inf],             // one survivor
+            &[-1.0, f64::NAN, -2.0, inf, -1.0],   // a NaN member
+            &[5e-324, 0.0, -5e-324],              // differences that are not zero
+            &[1e308, -1e308, 1e308],              // w − max overflows to −inf
+        ];
+        for raw in columns {
+            let mut w = raw.to_vec();
+            let mut plain = raw.to_vec();
+            let mut exps = Vec::new();
+            let z = log_normalize_exp(&mut w, &mut exps).unwrap();
+            assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
+            let max = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for i in 0..raw.len() {
+                assert_eq!(w[i].to_bits(), plain[i].to_bits(), "{raw:?} weight {i}");
+                assert_eq!(
+                    exps[i].to_bits(),
+                    (raw[i] - max).exp().to_bits(),
+                    "{raw:?} exp {i}"
+                );
             }
         }
         // total depletion: uniform weights, equal exponentials

@@ -59,14 +59,15 @@ fn steady_state_object_step_allocates_nothing() {
         Point3::new(20.0, 20.0, 0.0),
     ));
     let reader = ReaderFilter::new(50, Pose::identity());
+    // per-epoch reader tables (sampling CDF and guide, weights,
+    // heading trig): the engine builds them once per epoch into reused
+    // buffers
+    let tables = reader.tables();
     let mut rng = StdRng::seed_from_u64(99);
     let mut filter =
-        ObjectFilter::init_from_cone(&reader, 4.0, 0.6, 500, 0, Some(&prior), &mut rng);
+        ObjectFilter::init_from_cone(&reader, &tables, 4.0, 0.6, 500, 0, Some(&prior), &mut rng);
     let mut scratch = StepScratch::default();
     let mut support = vec![0.0f64; reader.len()];
-    // per-epoch reader tables (sampling CDF, weights, heading trig):
-    // the engine builds them once per epoch into reused buffers
-    let tables = reader.tables();
 
     // metric handles registered before measurement (registration
     // allocates once; recording must not allocate at all)
@@ -80,7 +81,7 @@ fn steady_state_object_step_allocates_nothing() {
 
     // warm-up: grows the probs/counts buffers to the particle count (a
     // resampling step warms the counts buffer too)
-    filter.refresh_pointers_with(&reader, &tables.cdf, 1, &mut rng);
+    filter.refresh_pointers(&tables, 1, &mut rng);
     filter.step_fused(
         &model,
         &reader,
@@ -114,7 +115,7 @@ fn steady_state_object_step_allocates_nothing() {
             // be allocation-free (the table is immutable plain data —
             // lookups cannot allocate, and the shared scratch is warm)
             let table = if stamp % 3 == 0 { Some(&table) } else { None };
-            filter.refresh_pointers_with(&reader, &tables.cdf, stamp, &mut rng);
+            filter.refresh_pointers(&tables, stamp, &mut rng);
             filter.predict(&model, &prior, read, &mut rng);
             support.fill(0.0);
             let out = filter.step_fused(

@@ -8,7 +8,11 @@
 //! * against the plain rejection loop (draw a cone point, ask
 //!   `contains`, up to 30 times) it returns **bit-identical points and
 //!   leaves the RNG in the identical state**, for every prior —
-//!   including one that keeps the default unbounded box;
+//!   including one that keeps the default unbounded box — and also
+//!   where the polynomial bounds on `cos` that decide most rejections
+//!   are at their limits: a reader a million feet out (the slack must
+//!   scale), headings where the bounds are loose, a cone a millionth of
+//!   a foot long, a face bitwise on a candidate;
 //! * `contains(p)` implies `support_bounds().contains(p)`, probed on
 //!   points around and across every face of the legal space.
 
@@ -121,6 +125,83 @@ proptest! {
             half_angle,
             seed,
         );
+    }
+}
+
+/// A thin legal band across the cone in front of `pose`, so that the
+/// rejection test has something to decide at every scale.
+fn band_ahead(pose: &Pose, range: f64) -> BoxPrior {
+    let p = pose.pos;
+    BoxPrior::new(Aabb::new(
+        Point3::new(p.x + 0.3 * range, p.y - 2.0 * range, p.z),
+        Point3::new(p.x + 0.5 * range, p.y + 2.0 * range, p.z),
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+    #[test]
+    fn cosine_bounds_never_flip_a_decision_at_the_extremes(
+        seed in any::<u64>(),
+        x_exp in 0.0..6.0f64,
+        y in -6.0..46.0f64,
+        quadrant in 0usize..4,
+        off in -0.05..0.05f64,
+        range_exp in -6.0..1.1f64,
+        half_angle in 0.02..std::f64::consts::PI,
+    ) {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        // reader up to ±1e6 ft out, heading within 0.05 of ±π/2 or ±π,
+        // range from 1e-6 ft
+        let x = if seed % 2 == 0 { 1.0 } else { -1.0 } * 10f64.powf(x_exp);
+        let phi = [FRAC_PI_2, -FRAC_PI_2, PI, -PI][quadrant] + off;
+        let range = 10f64.powf(range_exp);
+        let pose = Pose::new(Point3::new(x, y, 0.0), phi);
+        assert_same_stream("band", &band_ahead(&pose, range), &pose, range, half_angle, seed);
+        assert_same_stream("box", &boxed(), &pose, range, half_angle, seed);
+        assert_same_stream("linear", &linear(), &pose, range, half_angle, seed);
+        // the same extremes with the reader facing its band
+        let facing = Pose::new(pose.pos, off);
+        assert_same_stream("band, facing", &band_ahead(&facing, range), &facing, range, half_angle, seed);
+    }
+}
+
+/// A face of the support box set bitwise onto a candidate's `x`, and
+/// onto its two float neighbours: the bounds cannot tell, the exact
+/// comparison must.
+#[test]
+fn a_face_bitwise_on_a_candidate_takes_the_exact_line() {
+    let (range, half_angle) = (5.0, 0.6);
+    for seed in 0..24u64 {
+        let pose = Pose::new(
+            Point3::new(0.3 * seed as f64 - 2.0, 1.0, 0.0),
+            0.1 * seed as f64 - 1.0,
+        );
+        // the first candidates this seed produces
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<f64> = (0..4)
+            .map(|_| sample_cone(&pose, range, half_angle, &mut rng).x)
+            .collect();
+        for x in xs {
+            for face in [x, next_up(x), next_down(x)] {
+                for (lo, hi) in [(face, face + 1.0), (face - 1.0, face)] {
+                    let prior = BoxPrior::new(Aabb::new(
+                        Point3::new(lo, -50.0, 0.0),
+                        Point3::new(hi, 50.0, 0.0),
+                    ));
+                    assert_eq!(prior.support_bounds().min.x.to_bits(), lo.to_bits());
+                    assert_eq!(prior.support_bounds().max.x.to_bits(), hi.to_bits());
+                    assert_same_stream(
+                        "face on a candidate",
+                        &prior,
+                        &pose,
+                        range,
+                        half_angle,
+                        seed,
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -176,7 +176,16 @@ fn drive_pair(
 fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) -> u64 {
     let reader = ReaderFilter::new(30, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1));
     let mut init_rng = StdRng::seed_from_u64(seed);
-    let start = ObjectFilter::init_from_cone(&reader, 5.0, 0.6, 120, 0, NO_PRIOR, &mut init_rng);
+    let start = ObjectFilter::init_from_cone(
+        &reader,
+        &reader.tables(),
+        5.0,
+        0.6,
+        120,
+        0,
+        NO_PRIOR,
+        &mut init_rng,
+    );
     drive_pair(start, reader, ess_frac, read_at, epochs, seed).0
 }
 
@@ -209,7 +218,16 @@ fn fused_support_mass_matches_seed_deposits() {
     let m = JointModel::new(ModelParams::default_warehouse());
     let reader = ReaderFilter::new(20, Pose::identity());
     let mut rng = StdRng::seed_from_u64(7);
-    let mut f = ObjectFilter::init_from_cone(&reader, 4.0, 0.5, 200, 0, NO_PRIOR, &mut rng);
+    let mut f = ObjectFilter::init_from_cone(
+        &reader,
+        &reader.tables(),
+        4.0,
+        0.5,
+        200,
+        0,
+        NO_PRIOR,
+        &mut rng,
+    );
     let mut scratch = StepScratch::default();
     let mut support = vec![0.0f64; reader.len()];
     f.step_fused(
@@ -395,8 +413,9 @@ fn table_path_is_deterministic_and_close_to_exact() {
     let run = |table: Option<&LikelihoodTable>| -> Vec<(Point3, bool)> {
         let reader = ReaderFilter::new(25, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1));
         let mut rng = StdRng::seed_from_u64(21);
-        let mut f = ObjectFilter::init_from_cone(&reader, 5.0, 0.6, 300, 0, NO_PRIOR, &mut rng);
         let tables = reader.tables();
+        let mut f =
+            ObjectFilter::init_from_cone(&reader, &tables, 5.0, 0.6, 300, 0, NO_PRIOR, &mut rng);
         let mut scratch = StepScratch::default();
         let mut support = vec![0.0f64; reader.len()];
         let mut out = Vec::new();
