@@ -73,8 +73,13 @@ pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> 
         return None;
     }
     exps.extend(log_w.iter().map(|w| {
+        // d lies in [−inf, 0] (or is NaN). The open interval goes
+        // first: on a column with one maximum and no dead weight that
+        // single test is all the shortcut costs.
         let d = w - max;
-        if d == 0.0 {
+        if d > f64::NEG_INFINITY && d < 0.0 {
+            d.exp()
+        } else if d == 0.0 {
             1.0
         } else if d == f64::NEG_INFINITY {
             0.0
