@@ -73,16 +73,18 @@ pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> 
         return None;
     }
     exps.extend(log_w.iter().map(|w| {
-        // d lies in [−inf, 0] (or is NaN). The open interval goes
-        // first: on a column with one maximum and no dead weight that
-        // single test is all the shortcut costs.
+        // d lies in [−inf, 0] or is NaN; the sign test goes first so a
+        // column with one maximum and no dead weight pays one
+        // predictable branch per entry
         let d = w - max;
-        if d > f64::NEG_INFINITY && d < 0.0 {
-            d.exp()
+        if d < 0.0 {
+            if d == f64::NEG_INFINITY {
+                0.0
+            } else {
+                d.exp()
+            }
         } else if d == 0.0 {
             1.0
-        } else if d == f64::NEG_INFINITY {
-            0.0
         } else {
             d.exp()
         }
