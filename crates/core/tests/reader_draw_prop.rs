@@ -72,23 +72,30 @@ fn reader_with(log_w: &[f64]) -> ReaderFilter {
     ReaderFilter::from_parts(particles, vec![0.0; log_w.len()], 0)
 }
 
-/// The sampling CDF the way the tables accumulate it.
-fn cdf_of(reader: &ReaderFilter) -> Vec<f64> {
-    let mut cum = 0.0;
-    reader
-        .particles()
-        .iter()
-        .map(|p| {
-            cum += p.log_w.exp();
-            cum
-        })
-        .collect()
+/// The draw as it was before the guide table: a binary search over the
+/// sampling CDF, accumulated the way the tables accumulate it.
+struct SearchDraw {
+    cdf: Vec<f64>,
 }
 
-/// The draw as it was before the guide table.
-fn search_draw<R: Rng + ?Sized>(cdf: &[f64], rng: &mut R) -> u32 {
-    let u: f64 = rng.gen();
-    cdf.partition_point(|c| *c < u).min(cdf.len() - 1) as u32
+impl SearchDraw {
+    fn of(reader: &ReaderFilter) -> Self {
+        let mut cum = 0.0;
+        let cdf = reader
+            .particles()
+            .iter()
+            .map(|p| {
+                cum += p.log_w.exp();
+                cum
+            })
+            .collect();
+        Self { cdf }
+    }
+
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+        let u: f64 = rng.gen();
+        self.cdf.partition_point(|c| *c < u).min(self.cdf.len() - 1) as u32
+    }
 }
 
 /// The weight shapes of the issue, for `n` particles.
@@ -177,14 +184,14 @@ fn scripted_draws_on_every_edge_match_the_search() {
         for (shape, log_w) in shapes(n) {
             let reader = reader_with(&log_w);
             let tables = reader.tables();
-            let cdf = cdf_of(&reader);
+            let search = SearchDraw::of(&reader);
             let buckets = ReaderTables::guide_buckets(n);
 
             let mut us = vec![0.0, 1.0 - GRID];
             for b in 0..buckets {
                 around(b as f64 / buckets as f64, &mut us);
             }
-            for &c in &cdf {
+            for &c in &search.cdf {
                 around(c, &mut us);
             }
 
@@ -192,7 +199,7 @@ fn scripted_draws_on_every_edge_match_the_search() {
             let mut plain = Scripted::new(&us);
             for &u in &us {
                 let got = tables.sample_index(&mut fast);
-                let want = search_draw(&cdf, &mut plain);
+                let want = search.sample(&mut plain);
                 assert_eq!(got, want, "n {n} {shape}: u = {u:e}");
                 assert_eq!(fast.next, plain.next, "n {n} {shape}: draws consumed");
             }
@@ -218,12 +225,12 @@ proptest! {
             for (shape, log_w) in shapes(n) {
                 let reader = reader_with(&log_w);
                 let tables = reader.tables();
-                let cdf = cdf_of(&reader);
+                let search = SearchDraw::of(&reader);
                 let mut fast = StdRng::seed_from_u64(seed);
                 let mut plain = StdRng::seed_from_u64(seed);
                 for draw in 0..64 {
                     let got = tables.sample_index(&mut fast);
-                    let want = search_draw(&cdf, &mut plain);
+                    let want = search.sample(&mut plain);
                     prop_assert_eq!(got, want, "n {} {}: seed {} draw {}", n, shape, seed, draw);
                 }
                 prop_assert_eq!(fast.gen::<u64>(), plain.gen::<u64>(), "rng state");
