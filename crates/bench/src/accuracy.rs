@@ -32,8 +32,6 @@ pub struct AccuracyConfig {
     /// Sampling radius handed to both baselines (the usable read
     /// range, as in the Fig. 6(b) comparison).
     pub baseline_read_range: f64,
-    /// Execution knob (results are bit-identical for every value).
-    pub opts_workers: usize,
 }
 
 impl AccuracyConfig {
@@ -44,7 +42,6 @@ impl AccuracyConfig {
             report_delay: 30,
             score: EventScoreConfig::default(),
             baseline_read_range: 4.4,
-            opts_workers: 1,
         }
     }
 }
@@ -119,7 +116,7 @@ pub fn score_entry(entry: &LibraryEntry, cfg: &AccuracyConfig) -> Vec<AccuracyRo
         EngineVariant::Full,
         InferenceSensor::TrueCone(ConeSensor::with_rr_major(entry.rr_major)),
         ModelParams::default_warehouse(),
-        RunOpts::new(cfg.particles_per_object, cfg.report_delay).with_workers(cfg.opts_workers),
+        RunOpts::new(cfg.particles_per_object, cfg.report_delay),
     );
     let smurf = run_baseline_smurf(
         &batches,

@@ -669,7 +669,6 @@ fn fig5ij_scalability(opts: Opts) {
 struct ThroughputRow {
     variant: &'static str,
     objects: usize,
-    workers: usize,
     /// Scan rounds of the workload (2 = the standard trace; larger
     /// values are the endurance runs probing bounded-memory streaming).
     rounds: usize,
@@ -712,7 +711,7 @@ struct ClusterRow {
 /// **streaming pipeline** (incremental source → synchronizer → engine
 /// → sink) on the `bench_scalability` scenario (`scalability_trace(100,
 /// 99)`, 200 particles/object — the same workload as the criterion
-/// bench), plus a `worker_threads` sweep and an endurance run (20 scan
+/// bench), plus a denser factored row and an endurance run (20 scan
 /// rounds against the full variant's 2) whose pipeline-buffer
 /// high-water marks demonstrate bounded-memory streaming. Each
 /// configuration runs `reps` times; the best run is reported (min wall
@@ -720,7 +719,7 @@ struct ClusterRow {
 fn throughput(opts: Opts, json: bool) {
     let mut r = Report::new(
         "throughput",
-        "Whole-trace pipeline throughput (bench_scalability scenario + worker sweep)",
+        "Whole-trace pipeline throughput (bench_scalability scenario + dense row)",
     );
     let reps = opts.repeat.unwrap_or(if opts.quick { 1 } else { 3 });
     // --repeat N reports the median run; the default reports the best
@@ -742,7 +741,6 @@ fn throughput(opts: Opts, json: bool) {
                        objects: usize,
                        rounds: usize,
                        variant: EngineVariant,
-                       workers: usize,
                        rows: &mut Vec<ThroughputRow>| {
         let mut runs: Vec<rfid_bench::runner::RunOutput> = (0..reps)
             .map(|_| {
@@ -753,15 +751,15 @@ fn throughput(opts: Opts, json: bool) {
                     variant,
                     InferenceSensor::TrueCone(ConeSensor::paper_default()),
                     ModelParams::default_warehouse(),
-                    rfid_bench::runner::RunOpts::new(particles, default_report_delay())
-                        .with_workers(workers),
+                    rfid_bench::runner::RunOpts::new(particles, default_report_delay()),
                 );
                 let delta = rfid_obs::global().snapshot().diff(&before);
                 if let Some(stats) = out.stats.as_ref() {
                     match rfid_bench::obs::engine_delta_agrees(&delta, stats) {
                         Ok(()) => agreed_runs += 1,
-                        Err(e) => disagreements
-                            .push(format!("[{} n={objects} w={workers}] {e}", variant.label())),
+                        Err(e) => {
+                            disagreements.push(format!("[{} n={objects}] {e}", variant.label()))
+                        }
                     }
                 }
                 out
@@ -778,7 +776,7 @@ fn throughput(opts: Opts, json: bool) {
             .map(|s| (s.ingest_us, s.infer_us, s.emit_us))
             .unwrap_or_default();
         eprintln!(
-            "  [{} n={objects} w={workers} r={rounds}] {:.0} readings/s, \
+            "  [{} n={objects} r={rounds}] {:.0} readings/s, \
              {:.3} ms/reading, sync hw {}, batch hw {}, \
              stages i/f/e {ingest_us}/{infer_us}/{emit_us} µs",
             variant.label(),
@@ -790,7 +788,6 @@ fn throughput(opts: Opts, json: bool) {
         rows.push(ThroughputRow {
             variant: variant.label(),
             objects,
-            workers,
             rounds,
             epochs: pstats.epochs,
             readings: out.readings,
@@ -806,29 +803,20 @@ fn throughput(opts: Opts, json: bool) {
         });
     };
 
-    // single-threaded variant comparison (the acceptance baseline)
+    // variant comparison (the acceptance baseline)
     let sc100 = scenario::scalability_trace(100, 99);
     for variant in [
         EngineVariant::Factored,
         EngineVariant::FactoredIndexed,
         EngineVariant::Full,
     ] {
-        run_one(&sc100, 100, 2, variant, 1, &mut rows);
+        run_one(&sc100, 100, 2, variant, &mut rows);
     }
-    // worker sweep on a denser multi-object trace (factored: every
-    // object is active every epoch, so the fan-out has real work)
-    let sweep_n = if opts.quick { 200 } else { 500 };
-    let sc_sweep = scenario::scalability_trace(sweep_n, 99);
-    for workers in [1usize, 2, 4] {
-        run_one(
-            &sc_sweep,
-            sweep_n,
-            2,
-            EngineVariant::Factored,
-            workers,
-            &mut rows,
-        );
-    }
+    // a denser multi-object trace (factored: every object is active
+    // every epoch)
+    let dense_n = if opts.quick { 200 } else { 500 };
+    let sc_dense = scenario::scalability_trace(dense_n, 99);
+    run_one(&sc_dense, dense_n, 2, EngineVariant::Factored, &mut rows);
     // endurance pair: 10x the scan rounds of the full-variant row
     // above (`scalability_trace` is the 2-round endurance trace), same
     // warehouse — the pipeline's buffer high-water marks must stay
@@ -840,7 +828,6 @@ fn throughput(opts: Opts, json: bool) {
         100,
         endurance_rounds,
         EngineVariant::Full,
-        1,
         &mut rows,
     );
     {
@@ -861,7 +848,6 @@ fn throughput(opts: Opts, json: bool) {
     let mut t = Table::new(vec![
         "variant",
         "#objects",
-        "workers",
         "rounds",
         "epochs",
         "readings",
@@ -879,7 +865,6 @@ fn throughput(opts: Opts, json: bool) {
         t.row(vec![
             row.variant.to_string(),
             row.objects.to_string(),
-            row.workers.to_string(),
             row.rounds.to_string(),
             row.epochs.to_string(),
             row.readings.to_string(),
@@ -1012,7 +997,7 @@ fn throughput(opts: Opts, json: bool) {
     if json {
         let mut s = String::from("{\n  \"scenario\": \"endurance_trace(n, rounds, 99)\",\n");
         s.push_str(&format!("  \"particles_per_object\": {particles},\n"));
-        // recorded single-threaded trajectory numbers on the 100-object
+        // recorded trajectory numbers on the 100-object
         // workload, kept in the file so any run can be compared against
         // the history (see EXPERIMENTS.md): pr2 = seed hot path,
         // pr3 = fused hot path through the batch API, pr7 = the
@@ -1033,7 +1018,7 @@ fn throughput(opts: Opts, json: bool) {
         s.push_str("  \"rows\": [\n");
         for (i, row) in rows.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"variant\": \"{}\", \"objects\": {}, \"worker_threads\": {}, \
+                "    {{\"variant\": \"{}\", \"objects\": {}, \
                  \"rounds\": {}, \"epochs\": {}, \
                  \"readings\": {}, \"readings_per_sec\": {:.1}, \"ms_per_reading\": {:.4}, \
                  \"memory_mb\": {:.3}, \"ingest_us\": {}, \"infer_us\": {}, \
@@ -1041,7 +1026,6 @@ fn throughput(opts: Opts, json: bool) {
                  \"batch_buffer_high_water\": {}, \"events\": {}}}{}\n",
                 row.variant,
                 row.objects,
-                row.workers,
                 row.rounds,
                 row.epochs,
                 row.readings,
@@ -1601,7 +1585,6 @@ fn report() {
         &[
             ("variant", "variant", 0),
             ("objects", "objects", 0),
-            ("workers", "worker_threads", 0),
             ("rounds", "rounds", 0),
             ("epochs", "epochs", 0),
             ("readings/s", "readings_per_sec", 1),

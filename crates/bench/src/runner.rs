@@ -101,25 +101,14 @@ fn last_epoch(batches: &[EpochBatch]) -> Epoch {
 pub struct RunOpts {
     pub particles_per_object: usize,
     pub report_delay: u64,
-    /// Worker threads for the per-object fan-out (`rfid_core::exec`);
-    /// events are bit-identical for every value.
-    pub worker_threads: usize,
 }
 
 impl RunOpts {
-    /// Sequential run (the default execution mode).
     pub fn new(particles_per_object: usize, report_delay: u64) -> Self {
         Self {
             particles_per_object,
             report_delay,
-            worker_threads: 1,
         }
-    }
-
-    /// Same run fanned out across `workers` threads.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.worker_threads = workers;
-        self
     }
 }
 
@@ -160,7 +149,6 @@ fn variant_config(variant: EngineVariant, opts: RunOpts) -> FilterConfig {
     };
     cfg.particles_per_object = opts.particles_per_object;
     cfg.report_delay_epochs = opts.report_delay;
-    cfg.worker_threads = opts.worker_threads;
     cfg
 }
 

@@ -224,7 +224,6 @@ fn run_row(cfg: &ServingConfig, mode: &'static str, clients: usize) -> ServingRo
     let mut fcfg = FilterConfig::full_default();
     fcfg.particles_per_object = cfg.particles;
     fcfg.report_delay_epochs = cfg.opts.report_delay;
-    fcfg.worker_threads = cfg.opts.worker_threads;
     let model = JointModel::with_sensor(
         ConeSensor::paper_default(),
         ModelParams::default_warehouse(),

@@ -24,7 +24,6 @@ use rfid_core::particle::log_normalize_exp;
 use rfid_geom::{Point3, Pose};
 use rfid_model::object::{BoxPrior, LocationPrior};
 use rfid_model::sensor::{ConeSensor, ReadRateModel};
-use rfid_model::table::LikelihoodTable;
 use rfid_model::{JointModel, ModelParams};
 use rfid_sim::WarehouseLayout;
 
@@ -109,7 +108,6 @@ fn warehouse(n: usize) -> Fixture<ConeSensor, WarehouseLayout> {
 fn fused_rows<S: ReadRateModel, P: LocationPrior>(
     c: &mut Criterion,
     group: &str,
-    table: Option<&LikelihoodTable>,
     make: fn(usize) -> Fixture<S, P>,
 ) {
     let mut g = c.benchmark_group(group);
@@ -126,7 +124,6 @@ fn fused_rows<S: ReadRateModel, P: LocationPrior>(
                     &f.tables,
                     epoch % 3 != 2,
                     0.5,
-                    table,
                     &mut f.scratch,
                     &mut f.support,
                     &mut f.rng,
@@ -139,18 +136,8 @@ fn fused_rows<S: ReadRateModel, P: LocationPrior>(
 }
 
 fn bench_fused(c: &mut Criterion) {
-    fused_rows(c, "step_fused_soa", None, logistic);
-    fused_rows(c, "step_fused_soa_warehouse", None, warehouse);
-}
-
-/// Fused step through the quantized likelihood table (read epochs hit
-/// the table; the miss path is identical).
-fn bench_fused_table(c: &mut Criterion) {
-    let table = {
-        let model = JointModel::new(ModelParams::default_warehouse());
-        LikelihoodTable::build(&model.sensor, 10.0, 0.05, 0.02)
-    };
-    fused_rows(c, "step_fused_soa_table", Some(&table), logistic);
+    fused_rows(c, "step_fused_soa", logistic);
+    fused_rows(c, "step_fused_soa_warehouse", warehouse);
 }
 
 /// The naive AoS reference: the same arithmetic in three calls with
@@ -192,7 +179,6 @@ fn cone_miss_column(n: usize) -> Vec<f64> {
             &reader.tables(),
             read,
             0.0,
-            None,
             &mut f.scratch,
             &mut f.support,
             &mut f.rng,
@@ -272,7 +258,6 @@ criterion_group!(
     benches,
     bench_fused,
     bench_reference,
-    bench_fused_table,
     bench_epoch_components
 );
 criterion_main!(benches);

@@ -53,46 +53,6 @@ impl CompressionPolicy {
     }
 }
 
-/// Quantized likelihood-table policy (`rfid_model::table`).
-///
-/// When enabled, the engine builds one immutable log-likelihood grid
-/// over `(distance, bearing)` at the first inference step and the
-/// batched weight pass reads cells instead of evaluating the sensor's
-/// `exp()` per particle. Off by default: the table trades a bounded
-/// quantization error (half a cell times the model's Lipschitz
-/// constants) for speed, which is a good deal for smooth logistic
-/// sensors and a bad one for hard-edged ground-truth cones — and the
-/// golden traces are pinned to the exact path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LikelihoodTableConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Distance bin width, feet.
-    pub d_step: f64,
-    /// Bearing bin width, radians.
-    pub theta_step: f64,
-}
-
-impl LikelihoodTableConfig {
-    /// Table off (the default; exact likelihoods everywhere).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            d_step: 0.05,
-            theta_step: 0.02,
-        }
-    }
-
-    /// Table on with the given bin widths.
-    pub fn with_steps(d_step: f64, theta_step: f64) -> Self {
-        Self {
-            enabled: true,
-            d_step,
-            theta_step,
-        }
-    }
-}
-
 /// Full configuration of the inference engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilterConfig {
@@ -132,22 +92,12 @@ pub struct FilterConfig {
     pub use_spatial_index: bool,
     /// Belief compression policy (§IV-D).
     pub compression: CompressionPolicy,
-    /// Quantized likelihood-table policy. Changes the weights the
-    /// filter computes (within the documented quantization bound), so
-    /// it is part of the checkpoint config fingerprint.
-    pub likelihood_table: LikelihoodTableConfig,
     /// Epochs after first entering reader scope at which the object's
     /// location event is emitted (the paper reports 60 s after an
     /// object comes into scope).
     pub report_delay_epochs: u64,
     /// RNG seed for the engine.
     pub seed: u64,
-    /// Worker threads for the per-object update fan-out (`rfid_core::exec`).
-    /// Per-object RNG streams are seeded from `(seed, tag, epoch)`, so
-    /// the emitted events are bit-identical for every value, including
-    /// the default of 1 (fully sequential, no threads spawned). See the
-    /// `exec` module docs for guidance on picking a value.
-    pub worker_threads: usize,
 }
 
 impl FilterConfig {
@@ -166,10 +116,8 @@ impl FilterConfig {
             reader_mode: ReaderMode::Filter,
             use_spatial_index: false,
             compression: CompressionPolicy::disabled(),
-            likelihood_table: LikelihoodTableConfig::disabled(),
             report_delay_epochs: 60,
             seed: 0x5eed,
-            worker_threads: 1,
         }
     }
 
@@ -201,39 +149,40 @@ impl FilterConfig {
         if !(0.0..=1.0).contains(&self.resample_ess_frac) {
             return Err(ConfigError::new("resample_ess_frac must lie in [0, 1]"));
         }
-        if self.init_range_overestimate < 1.0 {
+        // negated comparisons: NaN fails every one of them
+        if !(self.init_range_overestimate >= 1.0 && self.init_range_overestimate.is_finite()) {
             return Err(ConfigError::new(
-                "init_range_overestimate must be >= 1 (an overestimate)",
+                "init_range_overestimate must be finite and >= 1 (an overestimate)",
             ));
         }
-        if self.max_init_range <= 0.0 {
-            return Err(ConfigError::new("max_init_range must be positive"));
+        if !(self.init_cone_half_angle > 0.0 && self.init_cone_half_angle <= std::f64::consts::PI) {
+            return Err(ConfigError::new("init_cone_half_angle must lie in (0, pi]"));
+        }
+        if !(self.max_init_range > 0.0 && self.max_init_range.is_finite()) {
+            return Err(ConfigError::new(
+                "max_init_range must be positive and finite",
+            ));
+        }
+        if !(self.respawn_distance.is_finite() && self.small_move_distance.is_finite()) {
+            return Err(ConfigError::new(
+                "respawn_distance and small_move_distance must be finite",
+            ));
         }
         if self.respawn_distance < self.small_move_distance {
             return Err(ConfigError::new(
                 "respawn_distance must be >= small_move_distance",
             ));
         }
+        // +inf is the documented "no loss check"; only NaN is meaningless
+        if self.compression.max_cross_entropy.is_nan() {
+            return Err(ConfigError::new(
+                "compression.max_cross_entropy must not be NaN",
+            ));
+        }
         if self.compression.enabled && self.compression.decompressed_particles == 0 {
             return Err(ConfigError::new(
                 "decompressed_particles must be >= 1 when compression is on",
             ));
-        }
-        if self.likelihood_table.enabled {
-            let t = &self.likelihood_table;
-            if !(t.d_step > 0.0 && t.d_step.is_finite()) {
-                return Err(ConfigError::new(
-                    "likelihood_table.d_step must be positive and finite",
-                ));
-            }
-            if !(t.theta_step > 0.0 && t.theta_step.is_finite()) {
-                return Err(ConfigError::new(
-                    "likelihood_table.theta_step must be positive and finite",
-                ));
-            }
-        }
-        if self.worker_threads == 0 {
-            return Err(ConfigError::new("worker_threads must be >= 1"));
         }
         Ok(())
     }
@@ -280,21 +229,34 @@ mod tests {
         c.compression.decompressed_particles = 0;
         assert!(c.validate().is_err());
 
-        let mut c = FilterConfig::factored_default();
-        c.worker_threads = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = FilterConfig::factored_default();
-        c.likelihood_table = LikelihoodTableConfig::with_steps(0.0, 0.02);
-        assert!(c.validate().is_err());
-
-        let mut c = FilterConfig::factored_default();
-        c.likelihood_table = LikelihoodTableConfig::with_steps(0.05, f64::NAN);
-        assert!(c.validate().is_err());
-
-        // the same invalid steps are fine while the table is off
-        let mut c = FilterConfig::factored_default();
-        c.likelihood_table.d_step = 0.0;
-        assert!(c.validate().is_ok());
+        // NaN compares false with everything, so `x < bound` checks let
+        // it through; every f64 field must reject it explicitly
+        let valid = |edit: fn(&mut FilterConfig, f64), v: f64| {
+            let mut c = FilterConfig::full_default();
+            edit(&mut c, v);
+            c.validate().is_ok()
+        };
+        assert!(!valid(|c, v| c.resample_ess_frac = v, f64::NAN));
+        assert!(!valid(|c, v| c.small_move_distance = v, f64::NAN));
+        assert!(!valid(|c, v| c.compression.max_cross_entropy = v, f64::NAN));
+        // an infinite loss threshold is the documented "always compress"
+        assert!(valid(
+            |c, v| c.compression.max_cross_entropy = v,
+            f64::INFINITY
+        ));
+        for v in [f64::NAN, f64::INFINITY] {
+            assert!(!valid(|c, v| c.init_range_overestimate = v, v), "{v}");
+            assert!(!valid(|c, v| c.init_cone_half_angle = v, v), "{v}");
+            assert!(!valid(|c, v| c.max_init_range = v, v), "{v}");
+            assert!(!valid(|c, v| c.respawn_distance = v, v), "{v}");
+        }
+        for v in [0.0, -0.3, 3.2] {
+            assert!(!valid(|c, v| c.init_cone_half_angle = v, v), "{v}");
+        }
+        assert!(valid(
+            |c, v| c.init_cone_half_angle = v,
+            std::f64::consts::PI
+        ));
+        assert!(!valid(|c, v| c.max_init_range = v, 0.0));
     }
 }

@@ -16,24 +16,25 @@
 //!
 //! # Execution model
 //!
-//! The engine owns one object map; the per-object updates fan out
-//! across `config.worker_threads` scoped threads. That knob changes
-//! *cost only*: the hot path is **allocation-free in steady state** and
-//! the emitted event stream is **bit-identical for every
-//! `worker_threads` value**, because
+//! The engine owns one object map and steps the epoch's objects one
+//! after another on the calling thread, in **tag order**. There is one
+//! path and no execution option; the hot path is **allocation-free in
+//! steady state**:
 //!
 //! * every buffer the per-object step needs lives in reusable scratch
 //!   owned by the engine ([`crate::exec`]);
 //! * [`ObjectFilter::step_fused`] computes the joint probabilities
 //!   once per step (one `exp` per particle) and resamples in place;
 //! * each object's step draws from its own RNG stream seeded from
-//!   `(config.seed, tag, epoch)`, and all cross-object side effects
-//!   (reader support, reader-remap draws, statistics, event order) are
-//!   staged per task and merged in **tag order** on the calling thread.
+//!   `(config.seed, tag, epoch)`, and its reader support is staged in a
+//!   row that is merged into the reader after the step — so an object's
+//!   step does not depend on which engine runs it.
 //!
-//! Partitioning objects by `tag % N` happens in exactly one place, one
-//! level up: [`cluster`] splits whole engines across processes and
-//! merges every cross-worker effect in global tag order.
+//! That last property is what the one way of using more cores rests
+//! on: [`cluster`] splits whole engines by `tag % N` across processes
+//! and merges every cross-worker effect in global tag order, and the
+//! event stream is **bit-identical for every cluster size and across
+//! checkpoint restarts**.
 
 pub mod checkpoint;
 pub mod cluster;
@@ -41,7 +42,7 @@ pub mod cluster;
 use crate::compression::CompressedBelief;
 use crate::config::{FilterConfig, ReaderMode};
 use crate::error::ConfigError;
-use crate::exec::{self, StepScratch, WorkerScratch};
+use crate::exec::{self, StepScratch};
 use crate::factored::{ObjectFilter, ReaderFilter, ReaderTables};
 use crate::output::OutputPolicy;
 use crate::spatial_hook::{sensing_box, SpatialHook};
@@ -50,7 +51,6 @@ use rand::SeedableRng;
 use rfid_geom::{Point3, Pose};
 use rfid_model::object::LocationPrior;
 use rfid_model::sensor::ReadRateModel;
-use rfid_model::table::LikelihoodTable;
 use rfid_model::JointModel;
 use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
 use std::collections::{BTreeMap, HashMap};
@@ -184,8 +184,8 @@ impl EngineMetrics {
     }
 }
 
-/// Statistic deltas produced by one object step, merged into
-/// [`EngineStats`] on the calling thread in global task order.
+/// Statistic deltas produced by one object step, added to
+/// [`EngineStats`] after the step.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepDelta {
     resampled: bool,
@@ -195,15 +195,11 @@ struct StepDelta {
 }
 
 /// One queued per-object update: built during the epoch pre-pass,
-/// executed sequentially or fanned out across workers.
+/// executed in queue (= tag) order.
 #[derive(Debug)]
 struct StepTask {
     tag: TagId,
     read: bool,
-    /// Owned state while the task is in flight (parallel path only;
-    /// the sequential path mutates the map entry directly).
-    state: Option<ObjectState>,
-    delta: StepDelta,
 }
 
 /// The read-only environment one object step runs against.
@@ -219,18 +215,13 @@ struct StepCtx<'a, P, S> {
     /// by every pointer refresh, cone initialization, respawn and
     /// object step.
     reader_tables: &'a ReaderTables,
-    /// Quantized likelihood table shared by every object step (`None`
-    /// keeps the exact sensor path).
-    table: Option<&'a LikelihoodTable>,
     epoch: Epoch,
     stamp: u64,
 }
 
 /// The end-to-end inference engine, generic over the location prior
 /// and the sensor model (logistic by default; a ground-truth sensor
-/// shape can be plugged in for oracle experiments). Priors and sensor
-/// models are `Send + Sync` by trait contract, so the per-object
-/// updates can fan out across `config.worker_threads` scoped threads.
+/// shape can be plugged in for oracle experiments).
 pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::LogisticSensorModel> {
     model: JointModel<S>,
     config: FilterConfig,
@@ -273,17 +264,17 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     due: Vec<TagId>,
     /// Per-object update queue for the current epoch (tag order).
     steps: Vec<StepTask>,
-    /// Per-worker step scratch (`config.worker_threads` entries).
-    scratches: Vec<WorkerScratch>,
+    /// Step buffers (joint probabilities, resample counts).
+    scratch: StepScratch,
+    /// The current step's staged reader support: one dense
+    /// `reader.len()`-sized row, merged into the reader filter after
+    /// each step.
+    staged_support: Vec<f64>,
     /// Per-reader-particle tables of the current epoch (reused
     /// buffers; see [`ReaderFilter::tables_into`]).
     reader_tables: ReaderTables,
-    /// Quantized likelihood table (`config.likelihood_table`), built
-    /// lazily at the first inference step and immutable afterwards —
-    /// one grid serves every reader, object, epoch, and worker thread.
-    table: Option<LikelihoodTable>,
     /// When set, [`InferenceEngine::run_steps`] records each task's
-    /// staged reader-support row (in global task order) instead of only
+    /// staged reader-support row (in task order) instead of only
     /// merging it locally. Cluster workers enable this to ship the rows
     /// to the head, which merges them in global tag order across all
     /// workers (see [`cluster`]).
@@ -334,11 +325,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             members: Vec::new(),
             due: Vec::new(),
             steps: Vec::new(),
-            scratches: (0..config.worker_threads)
-                .map(|_| WorkerScratch::default())
-                .collect(),
+            scratch: StepScratch::default(),
+            staged_support: Vec::new(),
             reader_tables: ReaderTables::default(),
-            table: None,
             support_tee: None,
             config,
         })
@@ -514,20 +503,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let stamp = epoch.0;
         let sensing_box = sensing_box(self.range_over, reader_est);
 
-        // --- one-time likelihood-table build -------------------------
-        // Tabulate out to twice the overestimated sensing range: every
-        // particle a read cone can produce lands inside, and farther
-        // (miss-epoch) particles fall back to the exact sensor.
-        if self.config.likelihood_table.enabled && self.table.is_none() {
-            let t = self.config.likelihood_table;
-            self.table = Some(LikelihoodTable::build(
-                &self.model.sensor,
-                2.0 * self.range_over,
-                t.d_step,
-                t.theta_step,
-            ));
-        }
-
         // --- active set (Cases 1 and 2), in tag order ----------------
         self.active.clear();
         self.active.extend_from_slice(&self.object_read);
@@ -569,15 +544,10 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 // and decompressing for it would thrash.
                 continue;
             }
-            self.steps.push(StepTask {
-                tag,
-                read,
-                state: None,
-                delta: StepDelta::default(),
-            });
+            self.steps.push(StepTask { tag, read });
         }
 
-        // --- per-object updates (sequential or fanned out) -----------
+        // --- per-object updates ---------------------------------------
         self.run_steps(epoch, stamp, reader_est.pos);
 
         // --- compression scheduling (one live entry per tag) ---------
@@ -589,7 +559,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         if self.config.compression.enabled {
             let due = epoch.0 + self.config.compression.idle_epochs;
             for i in 0..self.steps.len() {
-                let StepTask { tag, read, .. } = self.steps[i];
+                let StepTask { tag, read } = self.steps[i];
                 if !read {
                     continue;
                 }
@@ -739,145 +709,55 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
     }
 
-    /// Executes the queued per-object updates — on the calling thread
-    /// when `worker_threads == 1` (map entries mutated in place via
-    /// `get_mut`/`entry`, no remove/insert churn), otherwise fanned out
-    /// across scoped worker threads with staged side effects.
+    /// Executes the queued per-object updates on the calling thread, in
+    /// queue (= tag) order; map entries are mutated in place via
+    /// `entry`, no remove/insert churn.
     fn run_steps(&mut self, epoch: Epoch, stamp: u64, reader_pos: Point3) {
         if self.steps.is_empty() {
             return;
         }
         self.stats.object_updates += self.steps.len() as u64;
-        let mut reader = self.reader.take().expect("reader initialized");
-        let mut steps = std::mem::take(&mut self.steps);
-        let mut scratches = std::mem::take(&mut self.scratches);
-        let mut reader_tables = std::mem::take(&mut self.reader_tables);
-        let nr = reader.len();
+        let reader = self.reader.as_mut().expect("reader initialized");
         // one build serves every pointer refresh / init / respawn /
         // step this epoch — the reader is frozen while objects step
-        reader.tables_into(&mut reader_tables);
+        reader.tables_into(&mut self.reader_tables);
         let ctx = StepCtx {
             model: &self.model,
             prior: &self.prior,
             config: &self.config,
             range_over: self.range_over,
             reader_pos,
-            reader_tables: &reader_tables,
-            table: self.table.as_ref(),
+            reader_tables: &self.reader_tables,
             epoch,
             stamp,
         };
-        let workers = self.config.worker_threads.min(steps.len()).max(1);
+        let scratch = &mut self.scratch;
+        let support = &mut self.staged_support;
+        support.resize(reader.len(), 0.0);
 
-        if workers == 1 {
-            let scratch = scratches.first_mut().expect("worker scratch");
-            scratch.staged_support.clear();
-            scratch.staged_support.resize(nr, 0.0);
-            for task in &mut steps {
-                scratch.staged_support.fill(0.0);
-                match self.objects.entry(task.tag) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        task.delta = step_one(
-                            &ctx,
-                            &reader,
-                            task.tag,
-                            task.read,
-                            Some(e.get_mut()),
-                            &mut scratch.step,
-                            &mut scratch.staged_support,
-                        )
-                        .0;
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let (delta, created) = step_one(
-                            &ctx,
-                            &reader,
-                            task.tag,
-                            task.read,
-                            None,
-                            &mut scratch.step,
-                            &mut scratch.staged_support,
-                        );
-                        task.delta = delta;
-                        v.insert(created.expect("step created a state"));
-                    }
+        for task in &self.steps {
+            support.fill(0.0);
+            let delta = match self.objects.entry(task.tag) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let state = Some(e.get_mut());
+                    step_one(&ctx, reader, task.tag, task.read, state, scratch, support).0
                 }
-                if let Some(tee) = self.support_tee.as_mut() {
-                    tee.push((task.tag, scratch.staged_support.clone()));
+                std::collections::hash_map::Entry::Vacant(v) => {
+                    let (delta, created) =
+                        step_one(&ctx, reader, task.tag, task.read, None, scratch, support);
+                    v.insert(created.expect("step created a state"));
+                    delta
                 }
-                reader.merge_support(&scratch.staged_support);
+            };
+            if let Some(tee) = self.support_tee.as_mut() {
+                tee.push((task.tag, support.clone()));
             }
-        } else {
-            // move the states into the tasks, fan out, merge back
-            for task in &mut steps {
-                task.state = self.objects.remove(&task.tag);
-            }
-            let scratch_slice = &mut scratches[..workers];
-            for (scratch, range) in scratch_slice
-                .iter_mut()
-                .zip(exec::chunk_ranges(steps.len(), workers))
-            {
-                // clear + resize leaves every element freshly zeroed
-                scratch.staged_support.clear();
-                scratch.staged_support.resize(range.len() * nr, 0.0);
-            }
-            let ctx_ref = &ctx;
-            let reader_ref = &reader;
-            exec::parallel_chunks(
-                &mut steps,
-                scratch_slice,
-                |_global, local, task, scratch| {
-                    let WorkerScratch {
-                        step,
-                        staged_support,
-                    } = scratch;
-                    let row = &mut staged_support[local * nr..(local + 1) * nr];
-                    let (delta, created) = step_one(
-                        ctx_ref,
-                        reader_ref,
-                        task.tag,
-                        task.read,
-                        task.state.as_mut(),
-                        step,
-                        row,
-                    );
-                    task.delta = delta;
-                    if let Some(created) = created {
-                        task.state = Some(created);
-                    }
-                },
-            );
-            // deterministic merge: support rows and states in task
-            // (= tag) order, regardless of how many workers ran
-            for (scratch, range) in scratches[..workers]
-                .iter()
-                .zip(exec::chunk_ranges(steps.len(), workers))
-            {
-                for (local, global) in range.enumerate() {
-                    let row = &scratch.staged_support[local * nr..(local + 1) * nr];
-                    if let Some(tee) = self.support_tee.as_mut() {
-                        tee.push((steps[global].tag, row.to_vec()));
-                    }
-                    reader.merge_support(row);
-                }
-            }
-            for task in &mut steps {
-                let state = task.state.take().expect("state returned by step");
-                self.objects.insert(task.tag, state);
-            }
+            reader.merge_support(support);
+            self.stats.object_resamples += u64::from(delta.resampled);
+            self.stats.decompressions += u64::from(delta.decompressed);
+            self.stats.full_reinits += u64::from(delta.full_reinit);
+            self.stats.half_respawns += u64::from(delta.half_respawn);
         }
-
-        for task in &steps {
-            self.stats.object_resamples += u64::from(task.delta.resampled);
-            self.stats.decompressions += u64::from(task.delta.decompressed);
-            self.stats.full_reinits += u64::from(task.delta.full_reinit);
-            self.stats.half_respawns += u64::from(task.delta.half_respawn);
-        }
-
-        self.reader = Some(reader);
-        self.steps = steps;
-        self.scratches = scratches;
-        self.reader_tables = reader_tables;
     }
 
     fn run_compression_sweep(&mut self, epoch: Epoch) {
@@ -932,9 +812,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
 
 /// One per-object update: materialize an active filter (init or
 /// decompress), refresh pointers, predict, handle re-detection, then
-/// the fused weight/resample/estimate pass. Runs on any thread; all
-/// randomness comes from the task's own `(seed, tag, epoch)` stream and
-/// all shared-state effects are staged in `support`/the returned delta.
+/// the fused weight/resample/estimate pass. All randomness comes from
+/// the task's own `(seed, tag, epoch)` stream and all shared-state
+/// effects are staged in `support`/the returned delta.
 fn step_one<P: LocationPrior, S: ReadRateModel>(
     ctx: &StepCtx<'_, P, S>,
     reader: &ReaderFilter,
@@ -1030,7 +910,6 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
         ctx.reader_tables,
         read,
         ctx.config.resample_ess_frac,
-        ctx.table,
         scratch,
         support,
         &mut rng,

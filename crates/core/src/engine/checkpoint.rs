@@ -20,8 +20,7 @@
 //! ```
 //!
 //! All integers and float bit patterns are little-endian. The config
-//! fingerprint covers every [`FilterConfig`] field **except**
-//! `worker_threads` — it changes cost, not output. Every list in the
+//! fingerprint covers every [`FilterConfig`] field. Every list in the
 //! payload is in a canonical order (objects and policy rows by tag,
 //! cooldown entries by `(due, tag)`), so the bytes never depended on
 //! how the writing engine laid its state out: blobs written by the
@@ -183,9 +182,7 @@ impl<'a> Dec<'a> {
 }
 
 /// The canonical byte string the config fingerprint hashes: every
-/// output-relevant [`FilterConfig`] field, in declaration order.
-/// `worker_threads` is deliberately excluded — the determinism
-/// contract guarantees it never changes the event stream.
+/// [`FilterConfig`] field, in declaration order.
 fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     let mut e = Enc::default();
     e.u64(cfg.particles_per_object as u64);
@@ -205,12 +202,11 @@ fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     e.u64(cfg.compression.idle_epochs);
     e.f64(cfg.compression.max_cross_entropy);
     e.u64(cfg.compression.decompressed_particles as u64);
-    e.u8(cfg.likelihood_table.enabled as u8);
-    if cfg.likelihood_table.enabled {
-        // bin widths shape the weights only while the table is on
-        e.f64(cfg.likelihood_table.d_step);
-        e.f64(cfg.likelihood_table.theta_step);
-    }
+    // reserved: the byte a removed option's off-switch occupied. Kept
+    // at 0 so fingerprints and `RFCKPT01` blobs stay byte-identical; a
+    // blob written with that option on (1 + two `f64`s here) has a
+    // different fingerprint and is refused as `ConfigMismatch`.
+    e.u8(0);
     e.u64(cfg.report_delay_epochs);
     e.u64(cfg.seed);
     e.buf
@@ -393,9 +389,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
 
     /// Restores the engine to the state captured by a
     /// [`checkpoint_bytes`](Self::checkpoint_bytes) blob. The engine
-    /// must have been built with a fingerprint-equal configuration
-    /// (`worker_threads` may differ). Returns the checkpoint epoch;
-    /// resume processing from the next batch after it.
+    /// must have been built with a fingerprint-equal configuration.
+    /// Returns the checkpoint epoch; resume processing from the next
+    /// batch after it.
     ///
     /// On error the engine may be partially overwritten — rebuild it
     /// before retrying.
@@ -796,11 +792,9 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_execution_knobs() {
+    fn fingerprint_changes_with_config() {
         let base = cfg();
-        let mut par = base;
-        par.worker_threads = 8;
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&par));
+        assert_eq!(config_fingerprint(&base), config_fingerprint(&cfg()));
         let mut other = base;
         other.particles_per_object += 1;
         assert_ne!(config_fingerprint(&base), config_fingerprint(&other));

@@ -23,7 +23,6 @@ use rand::Rng;
 use rfid_geom::{Aabb, Point3, Pose};
 use rfid_model::object::LocationPrior;
 use rfid_model::sensor::ReadRateModel;
-use rfid_model::table::LikelihoodTable;
 use rfid_model::JointModel;
 
 /// A per-object particle filter.
@@ -355,9 +354,7 @@ impl ObjectFilter {
     ///
     /// At most one `exp` per particle per step. The weight pass is a
     /// linear sweep over the particle columns (reader heading trig from
-    /// `tables`; when `table` is supplied the sensor's `exp()` becomes
-    /// a quantized [`LikelihoodTable`] cell load — the one deliberate
-    /// numeric deviation, `None` keeps the exact path). Normalizing the
+    /// `tables`). Normalizing the
     /// object weights exponentiates `log_w − max` once
     /// ([`log_normalize_exp`], which skips the call where the result is
     /// exactly 1 or 0); those values times the reader weights
@@ -380,9 +377,8 @@ impl ObjectFilter {
     /// `tables` must have been built from `reader` in its current state
     /// ([`ReaderFilter::tables_into`]). Reader support is *staged* into
     /// `support` (a zeroed, `reader.len()`-sized slice) rather than
-    /// deposited into the reader directly, so steps for different
-    /// objects can run on different threads and merge deterministically
-    /// afterwards.
+    /// deposited into the reader directly, so the caller merges it —
+    /// locally, or in global tag order across cluster workers.
     #[allow(clippy::too_many_arguments)] // the step's full input set
     pub fn step_fused<S: ReadRateModel, R: Rng + ?Sized>(
         &mut self,
@@ -391,7 +387,6 @@ impl ObjectFilter {
         tables: &ReaderTables,
         read: bool,
         ess_frac: f64,
-        table: Option<&LikelihoodTable>,
         scratch: &mut StepScratch,
         support: &mut [f64],
         rng: &mut R,
@@ -401,7 +396,7 @@ impl ObjectFilter {
         let n = self.soa.len();
 
         // -- weight (w_ti of Eq. 5), normalize in place, keep the exps --
-        self.accumulate_weights(model, reader, &tables.trig, read, table);
+        self.accumulate_weights(model, reader, &tables.trig, read);
         log_normalize_exp(&mut self.soa.log_w, &mut scratch.probs);
 
         // -- joint probabilities: object factor × reader factor ---------
@@ -472,32 +467,13 @@ impl ObjectFilter {
         reader: &ReaderFilter,
         trig: &[[f64; 2]],
         read: bool,
-        table: Option<&LikelihoodTable>,
     ) {
-        match table {
-            None => {
-                for i in 0..self.soa.len() {
-                    let r = self.soa.reader_idx[i];
-                    let pose = reader.pose_of(r);
-                    let [cph, sph] = trig[r as usize];
-                    let loc = self.soa.loc(i);
-                    self.soa.log_w[i] +=
-                        model.object_log_weight_pose(&pose.pos, cph, sph, &loc, read);
-                }
-            }
-            Some(t) => {
-                for i in 0..self.soa.len() {
-                    let r = self.soa.reader_idx[i];
-                    let pose = reader.pose_of(r);
-                    let [cph, sph] = trig[r as usize];
-                    let loc = self.soa.loc(i);
-                    let (d, th) = pose.range_bearing_with(cph, sph, &loc);
-                    let ll = t
-                        .lookup(d, th, read)
-                        .unwrap_or_else(|| model.sensor.log_likelihood_dt(d, th, read));
-                    self.soa.log_w[i] += ll;
-                }
-            }
+        for i in 0..self.soa.len() {
+            let r = self.soa.reader_idx[i];
+            let pose = reader.pose_of(r);
+            let [cph, sph] = trig[r as usize];
+            let loc = self.soa.loc(i);
+            self.soa.log_w[i] += model.object_log_weight_pose(&pose.pos, cph, sph, &loc, read);
         }
     }
 
@@ -690,7 +666,6 @@ mod tests {
             &reader.tables(),
             read,
             ess_frac,
-            None,
             &mut StepScratch::default(),
             &mut support,
             rng,

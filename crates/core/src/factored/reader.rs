@@ -102,10 +102,10 @@ impl ReaderTables {
     /// Draws a reader particle index according to the weights the
     /// tables were built from: one uniform `u`, then the first `i` with
     /// `cdf[i] >= u`, clamped to the last particle when floating-point
-    /// shortfall leaves the total below `u` — the index
-    /// [`ReaderFilter::sample_index`]'s linear scan stops at, from the
-    /// same single RNG draw. Every reader-index draw of the engine
-    /// (pointer refresh, cone initialization, half respawn,
+    /// shortfall leaves the total below `u` — the index a linear scan
+    /// over the weights stops at, from the same single RNG draw
+    /// (`tests/reader_draw_prop.rs`). Every reader-index draw of the
+    /// engine (pointer refresh, cone initialization, half respawn,
     /// decompression) goes through here.
     pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let u: f64 = rng.gen();
@@ -271,9 +271,10 @@ impl ReaderFilter {
     }
 
     /// Merges one object's staged support row (dense, `len()`-sized)
-    /// into the accumulated support. The engine merges rows in active-
-    /// set order on one thread, so the floating-point sum is identical
-    /// for every `worker_threads` value.
+    /// into the accumulated support. Rows are merged in tag order —
+    /// by the engine after each step, by the cluster head across all
+    /// workers — so the floating-point sum is identical for every
+    /// cluster size.
     pub fn merge_support(&mut self, staged: &[f64]) {
         debug_assert_eq!(staged.len(), self.support.len());
         for (s, d) in self.support.iter_mut().zip(staged) {
@@ -344,33 +345,14 @@ impl ReaderFilter {
         weighted_mean_pose(&self.particles).expect("reader filter is never empty")
     }
 
-    /// Draws a particle index according to the current weights.
-    ///
-    /// One O(n) scan with an `exp` per step: the plain statement of
-    /// the draw, which [`ReaderTables::sample_index`] is pinned against
-    /// (`tests/reader_draw_prop.rs`). The engine draws through the
-    /// tables; both select identical indices from identical RNG draws.
-    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let u: f64 = rng.gen();
-        let mut cum = 0.0;
-        for (i, p) in self.particles.iter().enumerate() {
-            cum += p.log_w.exp();
-            if u <= cum {
-                return i as u32;
-            }
-        }
-        (self.particles.len() - 1) as u32
-    }
-
     /// Rebuilds `out` (cleared and reused) from the current particles:
-    /// the sampling CDF (the running sum accumulates in the order of
-    /// [`sample_index`](Self::sample_index)'s scan) with its guide
-    /// table, the weights it accumulates, and the heading trig. The
-    /// engine calls this once per epoch, after the reader update — the
-    /// reader is frozen while objects step, so one build serves every
-    /// pointer refresh, cone initialization, respawn, decompression and
-    /// object step of the epoch, with one `exp` and one `sin`/`cos` per
-    /// reader particle.
+    /// the sampling CDF (the running sum accumulates in particle
+    /// order) with its guide table, the weights it accumulates, and the
+    /// heading trig. The engine calls this once per epoch, after the
+    /// reader update — the reader is frozen while objects step, so one
+    /// build serves every pointer refresh, cone initialization, respawn,
+    /// decompression and object step of the epoch, with one `exp` and
+    /// one `sin`/`cos` per reader particle.
     pub fn tables_into(&self, out: &mut ReaderTables) {
         let n = self.particles.len();
         out.cdf.clear();
@@ -579,9 +561,10 @@ mod tests {
             p.log_w = f64::NEG_INFINITY;
         }
         f.particles[4].log_w = 0.0;
+        let tables = f.tables();
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..50 {
-            assert_eq!(f.sample_index(&mut rng), 4);
+            assert_eq!(tables.sample_index(&mut rng), 4);
         }
     }
 }

@@ -37,7 +37,7 @@ pub mod particle;
 pub mod spatial_hook;
 
 pub use basic::BasicParticleFilter;
-pub use config::{CompressionPolicy, FilterConfig, LikelihoodTableConfig, ReaderMode};
+pub use config::{CompressionPolicy, FilterConfig, ReaderMode};
 pub use engine::checkpoint::{self, CheckpointError};
 pub use engine::{EngineStats, InferenceEngine};
 pub use error::ConfigError;

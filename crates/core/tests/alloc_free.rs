@@ -76,9 +76,6 @@ fn steady_state_object_step_allocates_nothing() {
     let step_stamp_hw = reg.gauge("alloc_free_stamp_high_water");
     let step_us = reg.histogram("alloc_free_step_us");
 
-    // built before measurement, shared by the table-path steps below
-    let table = rfid_model::table::LikelihoodTable::build(&model.sensor, 10.0, 0.05, 0.02);
-
     // warm-up: grows the probs/counts buffers to the particle count (a
     // resampling step warms the counts buffer too)
     filter.refresh_pointers(&tables, 1, &mut rng);
@@ -88,7 +85,6 @@ fn steady_state_object_step_allocates_nothing() {
         &tables,
         true,
         1.0, // force one resample so scratch.counts is sized
-        None,
         &mut scratch,
         &mut support,
         &mut rng,
@@ -111,10 +107,6 @@ fn steady_state_object_step_allocates_nothing() {
         for stamp in 2..12u64 {
             let stamp = stamp + attempt * 100;
             let read = stamp % 2 == 0;
-            // alternate the exact and table likelihood paths: both must
-            // be allocation-free (the table is immutable plain data —
-            // lookups cannot allocate, and the shared scratch is warm)
-            let table = if stamp % 3 == 0 { Some(&table) } else { None };
             filter.refresh_pointers(&tables, stamp, &mut rng);
             filter.predict(&model, &prior, read, &mut rng);
             support.fill(0.0);
@@ -124,7 +116,6 @@ fn steady_state_object_step_allocates_nothing() {
                 &tables,
                 read,
                 0.0,
-                table,
                 &mut scratch,
                 &mut support,
                 &mut rng,

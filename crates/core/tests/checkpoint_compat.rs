@@ -27,13 +27,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfid_core::checkpoint::{config_fingerprint, peek_epoch};
+use rfid_core::checkpoint::{config_fingerprint, peek_epoch, CheckpointError};
 use rfid_core::engine::run_engine;
-use rfid_core::{FilterConfig, InferenceEngine};
+use rfid_core::{FilterConfig, InferenceEngine, ReaderMode};
 use rfid_geom::{Aabb, Point3, Pose};
 use rfid_model::object::BoxPrior;
 use rfid_model::{JointModel, ModelParams, ReadRateModel};
-use rfid_stream::digest::event_digest;
+use rfid_stream::digest::{event_digest, fnv1a, FNV_OFFSET};
 use rfid_stream::{Epoch, EpochBatch, TagId};
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/pr13_four_partitions.ckpt");
@@ -142,4 +142,58 @@ fn config_fingerprints_equal_the_parents() {
         0xa003_0d50_f013_2102
     );
     assert_eq!(config_fingerprint(&cfg()), 0x45f3_086d_15cf_fb8b);
+}
+
+/// The fingerprint `c` had while `FilterConfig` still carried the
+/// quantized likelihood table: `table` is that option's
+/// `(d_step, theta_step)` when it was on. Field order and widths as
+/// `config_bytes` wrote them at commit 1b977d4, the last with the option.
+fn fingerprint_with_table(c: &FilterConfig, table: Option<(f64, f64)>) -> u64 {
+    let mut b = Vec::new();
+    b.extend((c.particles_per_object as u64).to_le_bytes());
+    b.extend((c.reader_particles as u64).to_le_bytes());
+    for v in [
+        c.resample_ess_frac,
+        c.init_range_overestimate,
+        c.init_cone_half_angle,
+        c.max_init_range,
+        c.respawn_distance,
+        c.small_move_distance,
+    ] {
+        b.extend(v.to_bits().to_le_bytes());
+    }
+    b.push((c.reader_mode == ReaderMode::TrustReports) as u8);
+    b.push(c.use_spatial_index as u8);
+    b.push(c.compression.enabled as u8);
+    b.extend(c.compression.idle_epochs.to_le_bytes());
+    b.extend(c.compression.max_cross_entropy.to_bits().to_le_bytes());
+    b.extend((c.compression.decompressed_particles as u64).to_le_bytes());
+    b.push(table.is_some() as u8);
+    if let Some((d_step, theta_step)) = table {
+        b.extend(d_step.to_bits().to_le_bytes());
+        b.extend(theta_step.to_bits().to_le_bytes());
+    }
+    b.extend(c.report_delay_epochs.to_le_bytes());
+    b.extend(c.seed.to_le_bytes());
+    fnv1a(FNV_OFFSET, &b)
+}
+
+#[test]
+fn checkpoint_written_with_the_table_on_is_refused() {
+    // the byte layout above is the engine's: table off reproduces it
+    assert_eq!(
+        fingerprint_with_table(&cfg(), None),
+        config_fingerprint(&cfg())
+    );
+    let table_on = fingerprint_with_table(&cfg(), Some((0.05, 0.02)));
+    // the fingerprint sits after the 8-byte magic and the u32 version
+    let mut blob = FIXTURE.to_vec();
+    blob[12..20].copy_from_slice(&table_on.to_le_bytes());
+    match engine(cfg()).restore_bytes(&blob) {
+        Err(CheckpointError::ConfigMismatch { expected, found }) => {
+            assert_eq!(expected, config_fingerprint(&cfg()));
+            assert_eq!(found, table_on);
+        }
+        other => panic!("expected ConfigMismatch, got {other:?}"),
+    }
 }

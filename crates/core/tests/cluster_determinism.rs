@@ -147,20 +147,6 @@ fn cluster_matches_single_process_for_every_worker_count() {
 }
 
 #[test]
-fn cluster_is_invariant_to_worker_internals() {
-    // inside each worker, the thread count stays a cost-only knob
-    let sc = scenario::small_trace(8, 4, 777);
-    let cfg = full_cfg();
-    let batches = sc.trace.epoch_batches();
-    let mut reference = engine_for(&sc, cfg);
-    let expected = run_engine(&mut reference, &batches);
-    let mut threaded = cfg;
-    threaded.worker_threads = 2;
-    let got = run_cluster(&sc, threaded, 2);
-    assert_identical(&expected, &got, "2 workers x 2 threads");
-}
-
-#[test]
 fn cluster_matches_in_trust_reports_mode() {
     let sc = scenario::small_trace(6, 4, 99);
     let mut cfg = full_cfg();

@@ -112,7 +112,6 @@ fn drive_pair(
             &tables,
             read,
             ess_frac,
-            None,
             &mut scratch,
             &mut support,
             &mut rng_fused,
@@ -236,7 +235,6 @@ fn fused_support_mass_matches_seed_deposits() {
         &reader.tables(),
         true,
         0.5,
-        None,
         &mut scratch,
         &mut support,
         &mut rng,
@@ -324,7 +322,6 @@ fn edge_all_object_weights_impossible_resets_uniform() {
         &reader.tables(),
         true,
         0.0,
-        None,
         &mut StepScratch::default(),
         &mut support,
         &mut StdRng::seed_from_u64(1),
@@ -349,7 +346,6 @@ fn edge_one_surviving_particle_takes_all_the_mass() {
         &reader.tables(),
         true,
         0.0,
-        None,
         &mut StepScratch::default(),
         &mut support,
         &mut StdRng::seed_from_u64(1),
@@ -396,71 +392,4 @@ fn edge_step_after_a_resample_matches() {
     let (resamples, row) = drive_pair(start, reader, 0.5, |_| true, 6, 29);
     assert!(resamples >= 1, "the peaked set must resample");
     assert_distribution(&row, "post-resample");
-}
-
-/// The quantized likelihood table is the one *deliberate* numeric
-/// deviation from the exact path: drive the same trace with and without
-/// it and check the estimates agree to the quantization scale, while
-/// two table runs from the same seed agree bit-for-bit (the table is
-/// deterministic, so the contract "same config → same bits" holds).
-#[test]
-fn table_path_is_deterministic_and_close_to_exact() {
-    use rfid_model::table::LikelihoodTable;
-
-    let m = JointModel::new(ModelParams::default_warehouse());
-    let table = LikelihoodTable::build(&m.sensor, 10.0, 0.05, 0.02);
-
-    let run = |table: Option<&LikelihoodTable>| -> Vec<(Point3, bool)> {
-        let reader = ReaderFilter::new(25, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1));
-        let mut rng = StdRng::seed_from_u64(21);
-        let tables = reader.tables();
-        let mut f =
-            ObjectFilter::init_from_cone(&reader, &tables, 5.0, 0.6, 300, 0, NO_PRIOR, &mut rng);
-        let mut scratch = StepScratch::default();
-        let mut support = vec![0.0f64; reader.len()];
-        let mut out = Vec::new();
-        for epoch in 0..20 {
-            let read = epoch % 3 != 2;
-            support.fill(0.0);
-            let o = f.step_fused(
-                &m,
-                &reader,
-                &tables,
-                read,
-                0.5,
-                table,
-                &mut scratch,
-                &mut support,
-                &mut rng,
-            );
-            out.push((o.estimate.0, o.resampled));
-        }
-        out
-    };
-
-    let exact = run(None);
-    let quant = run(Some(&table));
-    let quant2 = run(Some(&table));
-    for (i, (a, b)) in quant.iter().zip(&quant2).enumerate() {
-        assert_eq!(
-            a.0.x.to_bits(),
-            b.0.x.to_bits(),
-            "epoch {i}: table determinism"
-        );
-        assert_eq!(
-            a.0.y.to_bits(),
-            b.0.y.to_bits(),
-            "epoch {i}: table determinism"
-        );
-        assert_eq!(a.1, b.1, "epoch {i}: table resample determinism");
-    }
-    for (i, (e, q)) in exact.iter().zip(&quant).enumerate() {
-        let gap = e.0.dist(&q.0);
-        assert!(
-            gap < 0.5,
-            "epoch {i}: table estimate drifted {gap} ft from exact ({:?} vs {:?})",
-            e.0,
-            q.0
-        );
-    }
 }

@@ -10,7 +10,7 @@
 //!   every reader size and weight shape the engine meets — including
 //!   `u` forced onto every bucket edge through a scripted RNG;
 //! * `CompressedBelief::decompress` through the tables picks the
-//!   indices the linear `ReaderFilter::sample_index` scan picked.
+//!   indices the linear scan (`reference/linear_draw.rs`) picked.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,6 +20,9 @@ use rfid_core::factored::{ReaderFilter, ReaderTables};
 use rfid_core::particle::ReaderParticle;
 use rfid_geom::{Point3, Pose};
 use rfid_stream::Epoch;
+
+#[path = "reference/linear_draw.rs"]
+mod linear_draw;
 
 /// The spacing of the values `rng.gen::<f64>()` can return.
 const GRID: f64 = 1.0 / (1u64 << 53) as f64;
@@ -264,7 +267,7 @@ proptest! {
         for draw in 0..200 {
             prop_assert_eq!(
                 tables.sample_index(&mut fast),
-                reader.sample_index(&mut linear),
+                linear_draw::sample_index(&reader, &mut linear),
                 "n {} seed {} draw {}", n, seed, draw
             );
         }
@@ -297,7 +300,7 @@ fn decompress_picks_the_indices_of_the_linear_scan() {
                 assert_eq!(f.len(), 10);
                 for (i, p) in f.iter_particles().enumerate() {
                     let loc = belief.gaussian.sample(&mut linear);
-                    let idx = reader.sample_index(&mut linear);
+                    let idx = linear_draw::sample_index(&reader, &mut linear);
                     let ctx = format!("{n_reader} readers {shape}: seed {seed} particle {i}");
                     assert_eq!(p.reader_idx, idx, "{ctx}");
                     assert_eq!(p.loc.x.to_bits(), loc.x.to_bits(), "{ctx}");

@@ -57,17 +57,6 @@ impl Pose {
         (self.dist_to(tag), self.angle_to(tag))
     }
 
-    /// [`range_bearing`](Self::range_bearing) with the heading's
-    /// cosine/sine precomputed (hoisted out of per-particle loops);
-    /// bit-identical to the plain form.
-    #[inline]
-    pub fn range_bearing_with(&self, cos_phi: f64, sin_phi: f64, tag: &Point3) -> (f64, f64) {
-        (
-            self.dist_to(tag),
-            crate::angles::reader_tag_angle_trig(&self.pos, cos_phi, sin_phi, tag),
-        )
-    }
-
     /// Returns the pose translated by `v` (heading unchanged).
     #[inline]
     pub fn translated(&self, v: Vec3) -> Pose {

@@ -36,7 +36,6 @@ pub mod object;
 pub mod params;
 pub mod sensing;
 pub mod sensor;
-pub mod table;
 
 pub use dbn::JointModel;
 pub use motion::MotionModel;
@@ -44,4 +43,3 @@ pub use object::{LocationPrior, ObjectLocationModel};
 pub use params::{ModelParams, SensorParams};
 pub use sensing::LocationSensingModel;
 pub use sensor::{ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor};
-pub use table::LikelihoodTable;

@@ -16,8 +16,9 @@ use rfid_geom::{Aabb, Point3};
 
 /// A distribution over legal object locations (in practice: uniform over
 /// the union of shelf surfaces). Implemented by the warehouse layout.
-// `Send + Sync` supertraits: priors are immutable model data shared by
-// reference across the engine's worker threads (`rfid_core::exec`).
+// `Send + Sync` supertraits: priors are immutable model data, and the
+// engine that owns one is moved onto pipeline, server and cluster-worker
+// threads.
 pub trait LocationPrior: Send + Sync {
     /// Draws a location uniformly over the legal space.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Point3;

@@ -33,8 +33,9 @@ pub fn log_sigmoid(x: f64) -> f64 {
 }
 
 /// Anything that yields a read probability for a (reader pose, tag) pair.
-// `Send + Sync` supertraits: sensor models are immutable model data
-// shared by reference across the engine's worker threads.
+// `Send + Sync` supertraits: sensor models are immutable model data,
+// and the engine that owns one is moved onto pipeline, server and
+// cluster-worker threads.
 pub trait ReadRateModel: Send + Sync {
     /// Probability of reading a tag at distance `d` (feet) and bearing
     /// angle `theta` (radians, `[0, π]`) from the reader.
@@ -48,13 +49,11 @@ pub trait ReadRateModel: Send + Sync {
 
     /// Log likelihood of a binary reading outcome at distance `d` and
     /// bearing `theta` — the `(d, θ)`-space core every pose-based
-    /// likelihood reduces to, and the function the quantized
-    /// [`table::LikelihoodTable`](crate::table::LikelihoodTable)
-    /// memoizes. Default goes through `p_read_dt` (exact zeros/ones
-    /// produce `-inf`, which is correct for hard-edged ground-truth
-    /// models: a particle inconsistent with the observation is
-    /// impossible); implementations with an analytic form override for
-    /// numerical stability.
+    /// likelihood reduces to. Default goes through `p_read_dt` (exact
+    /// zeros/ones produce `-inf`, which is correct for hard-edged
+    /// ground-truth models: a particle inconsistent with the
+    /// observation is impossible); implementations with an analytic
+    /// form override for numerical stability.
     fn log_likelihood_dt(&self, d: f64, theta: f64, read: bool) -> f64 {
         let p = self.p_read_dt(d, theta);
         if read {

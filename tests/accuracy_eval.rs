@@ -1,8 +1,7 @@
 //! Accuracy-evaluation integration: the event-level scorer over real
-//! system runs, and the determinism contract extended to the new
-//! adversarial scenarios — accuracy results must be bit-identical for
-//! every `worker_threads` value, or the accuracy trajectory would
-//! depend on the execution configuration.
+//! system runs on the adversarial scenarios. (That the churn scenario's
+//! event stream is reproducible bit for bit is pinned next to the other
+//! determinism checks, in `crates/core/tests/determinism.rs`.)
 
 use rfid_bench::runner::{
     run_baseline_uniform, run_engine_variant_opts, EngineVariant, InferenceSensor, RunOpts,
@@ -13,7 +12,7 @@ use rfid_model::ModelParams;
 use rfid_repro::sim::scenario;
 use rfid_stream::LocationEvent;
 
-fn run_churn(workers: usize) -> (scenario::Scenario, Vec<LocationEvent>) {
+fn run_churn() -> (scenario::Scenario, Vec<LocationEvent>) {
     let sc = scenario::tag_churn_trace(4004);
     let out = run_engine_variant_opts(
         &sc.trace.epoch_batches(),
@@ -22,47 +21,14 @@ fn run_churn(workers: usize) -> (scenario::Scenario, Vec<LocationEvent>) {
         EngineVariant::Full,
         InferenceSensor::TrueCone(ConeSensor::paper_default()),
         ModelParams::default_warehouse(),
-        RunOpts::new(150, 30).with_workers(workers),
+        RunOpts::new(150, 30),
     );
     (sc, out.events)
 }
 
-// The name is the id the tier-1 floor list knows this pin by; the
-// subject is `worker_threads`.
-#[test]
-fn churn_accuracy_is_bit_identical_across_workers_and_shards() {
-    let (_, base) = run_churn(1);
-    assert!(!base.is_empty());
-    // the digest covers every bit of every event — epoch, tag, full
-    // location, and the statistics payload — so a scheduling-dependent
-    // perturbation anywhere in the stream fails here
-    let base_digest = rfid_bench::golden::event_digest(&base);
-    for workers in [2usize, 4] {
-        let (_, events) = run_churn(workers);
-        // field-level diagnostics first: a digest mismatch alone
-        // would not say where the streams diverged
-        assert_eq!(base.len(), events.len(), "w={workers}");
-        for (a, b) in base.iter().zip(&events) {
-            assert_eq!(a.epoch, b.epoch, "w={workers}");
-            assert_eq!(a.tag, b.tag, "w={workers}");
-            assert_eq!(
-                a.location.x.to_bits(),
-                b.location.x.to_bits(),
-                "w={workers} tag={:?}",
-                a.tag
-            );
-        }
-        assert_eq!(
-            base_digest,
-            rfid_bench::golden::event_digest(&events),
-            "w={workers}: full-bit digest diverged"
-        );
-    }
-}
-
 #[test]
 fn engine_beats_uniform_on_event_f1_under_churn() {
-    let (sc, events) = run_churn(1);
+    let (sc, events) = run_churn();
     let cfg = EventScoreConfig::default();
     let engine = score_scenario(&events, &sc, &cfg);
     let shelves = sc.layout.shelves().iter().map(|s| s.bbox).collect();
