@@ -1,5 +1,6 @@
-//! Microbenchmark: the M-step logistic fit and one full EM iteration —
-//! calibration is offline, but it must stay in seconds, not minutes.
+//! Does offline calibration (§III-C) stay in seconds? Times the M-step
+//! logistic fit and one full EM iteration — the only timing of
+//! `rfid-learn`, which no `benchmark/` workload runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

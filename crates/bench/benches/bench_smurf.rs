@@ -1,5 +1,6 @@
-//! Microbenchmark: the SMURF baseline's per-batch cost (it should be
-//! far cheaper than inference — it does much less).
+//! How much cheaper than inference are the baselines the accuracy
+//! matrix compares against? Times SMURF and uniform sampling over one
+//! whole trace — the only timing of `rfid-baselines`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfid_baselines::{Smurf, SmurfConfig, UniformBaseline};

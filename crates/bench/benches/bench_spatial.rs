@@ -1,5 +1,7 @@
-//! Microbenchmark: the simplified R*-tree and the region index — the
-//! per-epoch cost of the spatial-indexing enhancement (§IV-C).
+//! What does one spatial-index operation (§IV-C) cost as the tree
+//! grows? Times R*-tree query and insert at two sizes and the region
+//! index probe an epoch pays — the only timing of `rfid-spatial` on its
+//! own (`benchmark/` has no metric for the index alone).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

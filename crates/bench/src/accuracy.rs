@@ -1,11 +1,10 @@
 //! The accuracy matrix: every system (engine, SMURF, uniform) scored
 //! over the adversarial scenario library plus the read-rate sweep —
-//! the quality twin of the throughput trajectory.
+//! the quality record next to the speed benchmark (`BENCHMARK.json`).
 //!
 //! `experiments -- accuracy --json` runs the matrix and writes
 //! `BENCH_accuracy.json` at the repo root; the committed file is the
-//! trajectory future PRs are judged against, exactly as
-//! `BENCH_throughput.json` gates performance. The paper's headline
+//! trajectory future PRs are judged against. The paper's headline
 //! ordering — the factored filter beats SMURF beats uniform — must
 //! hold as *event-level F1*, not just mean feet of error.
 

@@ -25,6 +25,7 @@ use rfid_sim::lab::LabDeployment;
 use rfid_sim::scenario;
 use rfid_sim::GroundTruth;
 use rfid_stream::LocationEvent;
+use std::process::ExitCode;
 
 /// Global run options.
 #[derive(Debug, Clone, Copy)]
@@ -32,48 +33,85 @@ struct Opts {
     /// Shrinks every experiment (fewer points, fewer particles) for a
     /// fast smoke pass.
     quick: bool,
-    /// `--repeat N`: run each throughput configuration N times and
-    /// report the median-wall-time run instead of the default
-    /// best-of-reps. Medians are robust to one-off scheduler stalls,
-    /// which dominate on small containers.
-    repeat: Option<usize>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+const HELP: &str = "experiments — regenerate the paper's tables and figures\n\
+\n\
+subcommands:\n\
+\x20 fig5a-sensor-models    true vs learned sensor heatmaps (Fig 5a-c)\n\
+\x20 fig5d-lab-sensor       learned lab (spherical) sensor model (Fig 5d)\n\
+\x20 fig5e-shelf-tags       error vs #shelf tags used in learning (Fig 5e)\n\
+\x20 fig5f-read-rate        error vs major-range read rate (Fig 5f)\n\
+\x20 fig5g-location-noise   error vs systematic reader-location bias (Fig 5g)\n\
+\x20 fig5h-moving-objects   error vs object movement distance (Fig 5h)\n\
+\x20 fig5ij-scalability     error and CPU time vs #objects (Fig 5i/5j)\n\
+\x20 fig6b-lab-table        lab comparison vs SMURF and uniform (Fig 6b)\n\
+\x20 accuracy               event-level accuracy matrix: engine vs SMURF vs\n\
+\x20                        uniform over the adversarial scenario library;\n\
+\x20                        exits 1 when the paper's ordering fails\n\
+\x20                        (--json writes BENCH_accuracy.json;\n\
+\x20                        --scenario <name> runs one scenario;\n\
+\x20                        --list enumerates the library)\n\
+\x20 recovery               crash-recovery timings: kill each canonical\n\
+\x20                        scenario mid-trace, recover, resume to digest\n\
+\x20                        equality; exits 1 on a digest mismatch\n\
+\x20                        (--json writes BENCH_recovery.json)\n\
+\x20 report                 render the committed BENCH_accuracy.json and\n\
+\x20                        BENCH_recovery.json as markdown tables (for\n\
+\x20                        EXPERIMENTS.md); exits 1 when one is unreadable\n\
+\x20 ablation-init          initialization-cone overestimate sweep\n\
+\x20 ablation-particles     particles-per-object accuracy/cost frontier\n\
+\x20 ablation-resample      resampling-threshold policy sweep\n\
+\x20 all                    run every figure and ablation\n\
+\n\
+flags: --quick  (smaller sweeps for a smoke pass)\n\
+\n\
+Speed is measured by the benchmark, not here: see BENCHMARK.json and\n\
+benchmark/README.md.";
+
+/// Exit status of a usage error (unknown subcommand or flag, missing
+/// flag value); a failed verdict exits 1.
+const USAGE: u8 = 2;
+
+fn main() -> ExitCode {
     // positional parsing that knows `--scenario` takes a value, so
     // `accuracy --scenario churn` does not mistake "churn" for a
     // subcommand
+    let (mut quick, mut json, mut list) = (false, false, false);
     let mut scenario_filter: Option<String> = None;
-    let mut repeat: Option<usize> = None;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut positional: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
+            "--quick" => quick = true,
+            "--json" => json = true,
+            "--list" => list = true,
             "--scenario" => {
-                scenario_filter = it.next().cloned();
+                scenario_filter = args.next();
                 if scenario_filter.is_none() {
                     // a forgotten value must not silently run (and with
                     // --json, overwrite) the full matrix
                     eprintln!("--scenario requires a value; see `accuracy --list`");
-                    std::process::exit(2);
+                    return ExitCode::from(USAGE);
                 }
             }
-            "--repeat" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => repeat = Some(n),
-                _ => {
-                    eprintln!("--repeat requires a positive integer, e.g. --repeat 5");
-                    std::process::exit(2);
-                }
-            },
-            s if s.starts_with("--") => {}
-            s => positional.push(s),
+            "--help" => {
+                eprintln!("{HELP}");
+                return ExitCode::SUCCESS;
+            }
+            s if s.starts_with("--") => {
+                // a mistyped flag must not run the experiment without it
+                eprintln!("unknown flag {s:?}; see `experiments -- help`");
+                return ExitCode::from(USAGE);
+            }
+            _ => positional.push(a),
         }
     }
-    let cmd = positional.first().copied().unwrap_or("help");
-    let opts = Opts { quick, repeat };
+    let cmd = positional.first().map_or("help", String::as_str);
+    let opts = Opts { quick };
 
+    // only the subcommands that reach a verdict can fail
+    let mut passed = true;
     match cmd {
         "fig5a-sensor-models" => fig5a_sensor_models(opts),
         "fig5d-lab-sensor" => fig5d_lab_sensor(opts),
@@ -85,16 +123,9 @@ fn main() {
             fig5ij_scalability(opts)
         }
         "fig6b-lab-table" => fig6b_lab_table(opts),
-        "throughput" => throughput(opts, args.iter().any(|a| a == "--json")),
-        "accuracy" => accuracy(
-            opts,
-            args.iter().any(|a| a == "--json"),
-            scenario_filter.as_deref(),
-            args.iter().any(|a| a == "--list"),
-        ),
-        "serving" => serving(opts, args.iter().any(|a| a == "--json")),
-        "recovery" => recovery(opts, args.iter().any(|a| a == "--json")),
-        "report" => report(),
+        "accuracy" => passed = accuracy(opts, json, scenario_filter.as_deref(), list),
+        "recovery" => passed = recovery(opts, json),
+        "report" => passed = report(),
         "ablation-init" => ablation_init(opts),
         "ablation-particles" => ablation_particles(opts),
         "ablation-resample" => ablation_resample(opts),
@@ -111,44 +142,16 @@ fn main() {
             ablation_particles(opts);
             ablation_resample(opts);
         }
+        "help" => eprintln!("{HELP}"),
         _ => {
-            eprintln!(
-                "experiments — regenerate the paper's tables and figures\n\
-                 \n\
-                 subcommands:\n\
-                 \x20 fig5a-sensor-models    true vs learned sensor heatmaps (Fig 5a-c)\n\
-                 \x20 fig5d-lab-sensor       learned lab (spherical) sensor model (Fig 5d)\n\
-                 \x20 fig5e-shelf-tags       error vs #shelf tags used in learning (Fig 5e)\n\
-                 \x20 fig5f-read-rate        error vs major-range read rate (Fig 5f)\n\
-                 \x20 fig5g-location-noise   error vs systematic reader-location bias (Fig 5g)\n\
-                 \x20 fig5h-moving-objects   error vs object movement distance (Fig 5h)\n\
-                 \x20 fig5ij-scalability     error and CPU time vs #objects (Fig 5i/5j)\n\
-                 \x20 fig6b-lab-table        lab comparison vs SMURF and uniform (Fig 6b)\n\
-                 \x20 throughput             whole-trace engine throughput (--json writes\n\
-                 \x20                        BENCH_throughput.json at the repo root)\n\
-                 \x20 accuracy               event-level accuracy matrix: engine vs SMURF vs\n\
-                 \x20                        uniform over the adversarial scenario library\n\
-                 \x20                        (--json writes BENCH_accuracy.json;\n\
-                 \x20                        --scenario <name> runs one scenario;\n\
-                 \x20                        --list enumerates the library)\n\
-                 \x20 serving                query-serving load test: live pipeline ingestion\n\
-                 \x20                        + N TCP client threads, latency percentiles\n\
-                 \x20                        (--json writes BENCH_serving.json)\n\
-                 \x20 recovery               crash-recovery timings: kill each canonical\n\
-                 \x20                        scenario mid-trace, recover, resume to digest\n\
-                 \x20                        equality (--json writes BENCH_recovery.json)\n\
-                 \x20 report                 render the committed BENCH_*.json trajectories\n\
-                 \x20                        as markdown tables (for EXPERIMENTS.md)\n\
-                 \x20 ablation-init          initialization-cone overestimate sweep\n\
-                 \x20 ablation-particles     particles-per-object accuracy/cost frontier\n\
-                 \x20 ablation-resample      resampling-threshold policy sweep\n\
-                 \x20 all                    run everything\n\
-                 \n\
-                 flags: --quick     (smaller sweeps for a smoke pass)\n\
-                 \x20      --repeat N  (throughput: report the median of N runs\n\
-                 \x20                  per configuration instead of the best)"
-            );
+            eprintln!("unknown subcommand {cmd:?}\n\n{HELP}");
+            return ExitCode::from(USAGE);
         }
+    }
+    if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -662,432 +665,18 @@ fn fig5ij_scalability(opts: Opts) {
 }
 
 // ---------------------------------------------------------------------
-// Throughput baseline: whole-trace readings/sec per engine variant
-// ---------------------------------------------------------------------
-
-/// One measured throughput row.
-struct ThroughputRow {
-    variant: &'static str,
-    objects: usize,
-    /// Scan rounds of the workload (2 = the standard trace; larger
-    /// values are the endurance runs probing bounded-memory streaming).
-    rounds: usize,
-    epochs: u64,
-    readings: usize,
-    readings_per_sec: f64,
-    ms_per_reading: f64,
-    memory_mb: f64,
-    events: usize,
-    /// Synchronizer buffer high-water (epochs) — must stay flat as
-    /// `rounds` grows.
-    sync_high_water: usize,
-    /// Drained-batch buffer high-water — must stay flat as `rounds`
-    /// grows.
-    batch_high_water: usize,
-    /// Per-stage engine time (µs) over the whole run — where a perf PR
-    /// should look next. Zero for non-engine variants.
-    ingest_us: u64,
-    infer_us: u64,
-    emit_us: u64,
-}
-
-/// One measured multi-process cluster row: a real router + N worker
-/// processes + coordinator over sockets (see `crates/cluster`).
-struct ClusterRow {
-    scenario: &'static str,
-    worker_processes: usize,
-    readings: usize,
-    events: usize,
-    elapsed_ms: f64,
-    readings_per_sec: f64,
-    digest: u64,
-    /// Whether the merged event stream was bit-identical to the
-    /// single-process engine — the gate that makes the wall-clock
-    /// number meaningful at all.
-    digest_match: bool,
-}
-
-/// Measures whole-trace throughput of each engine variant through the
-/// **streaming pipeline** (incremental source → synchronizer → engine
-/// → sink) on the `bench_scalability` scenario (`scalability_trace(100,
-/// 99)`, 200 particles/object — the same workload as the criterion
-/// bench), plus a denser factored row and an endurance run (20 scan
-/// rounds against the full variant's 2) whose pipeline-buffer
-/// high-water marks demonstrate bounded-memory streaming. Each
-/// configuration runs `reps` times; the best run is reported (min wall
-/// time), the standard way to suppress scheduler noise.
-fn throughput(opts: Opts, json: bool) {
-    let mut r = Report::new(
-        "throughput",
-        "Whole-trace pipeline throughput (bench_scalability scenario + dense row)",
-    );
-    let reps = opts.repeat.unwrap_or(if opts.quick { 1 } else { 3 });
-    // --repeat N reports the median run; the default reports the best
-    // (min wall time), the standard way to suppress scheduler noise.
-    let use_median = opts.repeat.is_some();
-    let particles = 200;
-
-    let mut rows: Vec<ThroughputRow> = Vec::new();
-    // registry-vs-legacy agreement: every measured run is bracketed by
-    // a registry snapshot diff, and the diff must reproduce the run's
-    // `EngineStats` exactly (stage histogram `_sum` == struct stage
-    // micros, mirrored counters == struct fields). This is the proof
-    // that the observability layer reports the same numbers the legacy
-    // tables always printed.
-    let bench_baseline = rfid_obs::global().snapshot();
-    let mut agreed_runs = 0usize;
-    let mut disagreements: Vec<String> = Vec::new();
-    let mut run_one = |sc: &rfid_sim::scenario::Scenario,
-                       objects: usize,
-                       rounds: usize,
-                       variant: EngineVariant,
-                       rows: &mut Vec<ThroughputRow>| {
-        let mut runs: Vec<rfid_bench::runner::RunOutput> = (0..reps)
-            .map(|_| {
-                let before = rfid_obs::global().snapshot();
-                let out = rfid_bench::runner::run_pipeline_variant_opts(
-                    &sc.trace,
-                    &sc.layout,
-                    variant,
-                    InferenceSensor::TrueCone(ConeSensor::paper_default()),
-                    ModelParams::default_warehouse(),
-                    rfid_bench::runner::RunOpts::new(particles, default_report_delay()),
-                );
-                let delta = rfid_obs::global().snapshot().diff(&before);
-                if let Some(stats) = out.stats.as_ref() {
-                    match rfid_bench::obs::engine_delta_agrees(&delta, stats) {
-                        Ok(()) => agreed_runs += 1,
-                        Err(e) => {
-                            disagreements.push(format!("[{} n={objects}] {e}", variant.label()))
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-        runs.sort_by_key(|o| o.elapsed);
-        // min at index 0; median at len/2 (upper median for even N)
-        let pick = if use_median { runs.len() / 2 } else { 0 };
-        let out = runs.swap_remove(pick);
-        let pstats = out.pipeline.expect("pipeline run records stats");
-        let (ingest_us, infer_us, emit_us) = out
-            .stats
-            .as_ref()
-            .map(|s| (s.ingest_us, s.infer_us, s.emit_us))
-            .unwrap_or_default();
-        eprintln!(
-            "  [{} n={objects} r={rounds}] {:.0} readings/s, \
-             {:.3} ms/reading, sync hw {}, batch hw {}, \
-             stages i/f/e {ingest_us}/{infer_us}/{emit_us} µs",
-            variant.label(),
-            out.readings_per_sec(),
-            out.ms_per_reading(),
-            pstats.sync_pending_high_water,
-            pstats.batch_buffer_high_water,
-        );
-        rows.push(ThroughputRow {
-            variant: variant.label(),
-            objects,
-            rounds,
-            epochs: pstats.epochs,
-            readings: out.readings,
-            readings_per_sec: out.readings_per_sec(),
-            ms_per_reading: out.ms_per_reading(),
-            memory_mb: out.memory_bytes as f64 / (1024.0 * 1024.0),
-            events: out.events.len(),
-            sync_high_water: pstats.sync_pending_high_water,
-            batch_high_water: pstats.batch_buffer_high_water,
-            ingest_us,
-            infer_us,
-            emit_us,
-        });
-    };
-
-    // variant comparison (the acceptance baseline)
-    let sc100 = scenario::scalability_trace(100, 99);
-    for variant in [
-        EngineVariant::Factored,
-        EngineVariant::FactoredIndexed,
-        EngineVariant::Full,
-    ] {
-        run_one(&sc100, 100, 2, variant, &mut rows);
-    }
-    // a denser multi-object trace (factored: every object is active
-    // every epoch)
-    let dense_n = if opts.quick { 200 } else { 500 };
-    let sc_dense = scenario::scalability_trace(dense_n, 99);
-    run_one(&sc_dense, dense_n, 2, EngineVariant::Factored, &mut rows);
-    // endurance pair: 10x the scan rounds of the full-variant row
-    // above (`scalability_trace` is the 2-round endurance trace), same
-    // warehouse — the pipeline's buffer high-water marks must stay
-    // flat (O(open epochs), not O(trace length))
-    let endurance_rounds = if opts.quick { 6 } else { 20 };
-    let sc_long = scenario::endurance_trace(100, endurance_rounds, 99);
-    run_one(
-        &sc_long,
-        100,
-        endurance_rounds,
-        EngineVariant::Full,
-        &mut rows,
-    );
-    {
-        let short = &rows[2];
-        let long = &rows[rows.len() - 1];
-        r.line(&format!(
-            "endurance: {}x epochs ({} -> {}), sync high-water {} -> {}, batch high-water {} -> {}",
-            long.epochs / short.epochs.max(1),
-            short.epochs,
-            long.epochs,
-            short.sync_high_water,
-            long.sync_high_water,
-            short.batch_high_water,
-            long.batch_high_water,
-        ));
-    }
-
-    let mut t = Table::new(vec![
-        "variant",
-        "#objects",
-        "rounds",
-        "epochs",
-        "readings",
-        "readings/s",
-        "ms/reading",
-        "memory (MB)",
-        "ingest µs",
-        "infer µs",
-        "emit µs",
-        "sync hw",
-        "batch hw",
-        "events",
-    ]);
-    for row in &rows {
-        t.row(vec![
-            row.variant.to_string(),
-            row.objects.to_string(),
-            row.rounds.to_string(),
-            row.epochs.to_string(),
-            row.readings.to_string(),
-            format!("{:.0}", row.readings_per_sec),
-            f3(row.ms_per_reading),
-            f2(row.memory_mb),
-            row.ingest_us.to_string(),
-            row.infer_us.to_string(),
-            row.emit_us.to_string(),
-            row.sync_high_water.to_string(),
-            row.batch_high_water.to_string(),
-            row.events.to_string(),
-        ]);
-    }
-    r.table(&t);
-    // the registry dump of exactly the measured runs above (taken
-    // before the cluster family, whose in-process reference digest
-    // would otherwise leak into the engine counters)
-    let run_metrics = rfid_obs::global().snapshot().diff(&bench_baseline);
-    r.line(&if disagreements.is_empty() {
-        format!(
-            "registry vs legacy: exact agreement on all {agreed_runs} measured engine runs \
-             (stage histogram sums == EngineStats stage micros, mirrored counters == struct \
-             fields)"
-        )
-    } else {
-        format!(
-            "# WARNING: registry/legacy disagreement on {}/{} runs: {}",
-            disagreements.len(),
-            agreed_runs + disagreements.len(),
-            disagreements.join(" | ")
-        )
-    });
-
-    // cluster row family: the same engine split over real processes —
-    // router + N worker processes + coordinator (crates/cluster). The
-    // wall clock covers process launch, socket setup, the full epoch
-    // protocol, and the coordinator's k-way merge; a row only counts
-    // when the merged stream is bit-identical to the single-process
-    // engine, so the numbers can never quietly measure a divergent run.
-    let cluster_scenario = "small_warehouse";
-    let mut cluster_rows: Vec<ClusterRow> = Vec::new();
-    {
-        let (sc, cfg) =
-            rfid_cluster::canonical_scenario(cluster_scenario).expect("canonical scenario");
-        let cluster_readings: usize = sc
-            .trace
-            .epoch_batches()
-            .iter()
-            .map(|b| b.readings.len())
-            .sum();
-        let expected = rfid_bench::recovery::reference_digest(&sc, &cfg);
-        'sweep: for n in [1usize, 2, 4] {
-            let mut best: Option<(std::time::Duration, rfid_cluster::ClusterOutcome)> = None;
-            for _ in 0..reps {
-                let start = std::time::Instant::now();
-                match rfid_cluster::LocalCluster::new(cluster_scenario, n).run() {
-                    Ok(outcome) => {
-                        let elapsed = start.elapsed();
-                        if best.as_ref().is_none_or(|(t, _)| elapsed < *t) {
-                            best = Some((elapsed, outcome));
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "  [cluster w={n}] skipped: {e} (build the cluster binaries \
-                             first: cargo build --release -p rfid-cluster)"
-                        );
-                        break 'sweep;
-                    }
-                }
-            }
-            let Some((elapsed, outcome)) = best else {
-                break;
-            };
-            let secs = elapsed.as_secs_f64();
-            eprintln!(
-                "  [cluster {cluster_scenario} w={n}] {:.0} readings/s wall, {} events, \
-                 digest {}",
-                cluster_readings as f64 / secs,
-                outcome.events,
-                if outcome.digest == expected {
-                    "matches the single-process engine"
-                } else {
-                    "MISMATCH"
-                },
-            );
-            cluster_rows.push(ClusterRow {
-                scenario: cluster_scenario,
-                worker_processes: n,
-                readings: cluster_readings,
-                events: outcome.events,
-                elapsed_ms: secs * 1e3,
-                readings_per_sec: cluster_readings as f64 / secs,
-                digest: outcome.digest,
-                digest_match: outcome.digest == expected,
-            });
-        }
-    }
-    if !cluster_rows.is_empty() {
-        r.line("multi-process cluster (router + N worker processes + coordinator):");
-        let mut ct = Table::new(vec![
-            "scenario",
-            "worker procs",
-            "readings",
-            "readings/s (wall)",
-            "elapsed ms",
-            "events",
-            "digest vs engine",
-        ]);
-        for row in &cluster_rows {
-            ct.row(vec![
-                row.scenario.to_string(),
-                row.worker_processes.to_string(),
-                row.readings.to_string(),
-                format!("{:.0}", row.readings_per_sec),
-                f2(row.elapsed_ms),
-                row.events.to_string(),
-                if row.digest_match {
-                    format!("{:#018x} (bit-identical)", row.digest)
-                } else {
-                    format!("{:#018x} MISMATCH", row.digest)
-                },
-            ]);
-        }
-        r.table(&ct);
-    }
-    r.finish();
-
-    if json {
-        let mut s = String::from("{\n  \"scenario\": \"endurance_trace(n, rounds, 99)\",\n");
-        s.push_str(&format!("  \"particles_per_object\": {particles},\n"));
-        // recorded trajectory numbers on the 100-object
-        // workload, kept in the file so any run can be compared against
-        // the history (see EXPERIMENTS.md): pr2 = seed hot path,
-        // pr3 = fused hot path through the batch API, pr7 = the
-        // pre-data-oriented-storage rerun measured back-to-back against
-        // the PR 8 rows on the same machine
-        s.push_str(
-            "  \"baseline_pr2_readings_per_sec\": {\"Factorized\": 753.3, \
-             \"Factorized+Index\": 2198.7, \"Factorized+Index+Compression\": 6538.4},\n",
-        );
-        s.push_str(
-            "  \"baseline_pr3_batch_readings_per_sec\": {\"Factorized\": 4149.0, \
-             \"Factorized+Index\": 10509.0, \"Factorized+Index+Compression\": 24223.0},\n",
-        );
-        s.push_str(
-            "  \"baseline_pr7_readings_per_sec\": {\"Factorized\": 3869.0, \
-             \"Factorized+Index\": 10293.0, \"Factorized+Index+Compression\": 22552.0},\n",
-        );
-        s.push_str("  \"rows\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"variant\": \"{}\", \"objects\": {}, \
-                 \"rounds\": {}, \"epochs\": {}, \
-                 \"readings\": {}, \"readings_per_sec\": {:.1}, \"ms_per_reading\": {:.4}, \
-                 \"memory_mb\": {:.3}, \"ingest_us\": {}, \"infer_us\": {}, \
-                 \"emit_us\": {}, \"sync_pending_high_water\": {}, \
-                 \"batch_buffer_high_water\": {}, \"events\": {}}}{}\n",
-                row.variant,
-                row.objects,
-                row.rounds,
-                row.epochs,
-                row.readings,
-                row.readings_per_sec,
-                row.ms_per_reading,
-                row.memory_mb,
-                row.ingest_us,
-                row.infer_us,
-                row.emit_us,
-                row.sync_high_water,
-                row.batch_high_water,
-                row.events,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n");
-        // the registry dump of the measured runs, so `experiments --
-        // report` can render the snapshot table and future runs can be
-        // compared metric by metric
-        s.push_str(&format!(
-            "  \"registry_agreement\": {},\n  \"metrics\": {},\n",
-            disagreements.is_empty(),
-            rfid_bench::obs::metrics_json(&run_metrics, "  "),
-        ));
-        s.push_str(&format!(
-            "  \"cluster_scenario\": \"{cluster_scenario}\",\n"
-        ));
-        s.push_str("  \"cluster_rows\": [\n");
-        for (i, row) in cluster_rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"worker_processes\": {}, \"readings\": {}, \
-                 \"readings_per_sec\": {:.1}, \"elapsed_ms\": {:.2}, \"events\": {}, \
-                 \"digest\": \"{:#018x}\", \"digest_match\": {}}}{}\n",
-                row.scenario,
-                row.worker_processes,
-                row.readings,
-                row.readings_per_sec,
-                row.elapsed_ms,
-                row.events,
-                row.digest,
-                row.digest_match,
-                if i + 1 == cluster_rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        std::fs::write("BENCH_throughput.json", &s).expect("write BENCH_throughput.json");
-        eprintln!("  wrote BENCH_throughput.json");
-    }
-}
-
-// ---------------------------------------------------------------------
 // Accuracy matrix: event-level scores over the adversarial library
 // ---------------------------------------------------------------------
 
 /// Runs the accuracy matrix (engine vs SMURF vs uniform over the
 /// adversarial scenario library × read-rate sweep) and, with `--json`,
 /// seeds `BENCH_accuracy.json` — the quality trajectory future PRs are
-/// judged against, mirroring how `BENCH_throughput.json` gates perf.
-/// `--scenario <name>` restricts the run to matching scenarios (for
-/// debugging one workload without the full matrix); `--list` only
-/// enumerates the library.
-fn accuracy(opts: Opts, json: bool, scenario_filter: Option<&str>, list: bool) {
+/// judged against. `--scenario <name>` restricts the run to matching
+/// scenarios (for debugging one workload without the full matrix);
+/// `--list` only enumerates the library. Returns whether the paper's
+/// ordering held on every sweep point run — and, unfiltered, that at
+/// least one was.
+fn accuracy(opts: Opts, json: bool, scenario_filter: Option<&str>, list: bool) -> bool {
     use rfid_bench::accuracy::{
         run_matrix_filtered, scenario_names, to_json, AccuracyConfig, READ_RATE_SWEEP,
     };
@@ -1103,13 +692,13 @@ fn accuracy(opts: Opts, json: bool, scenario_filter: Option<&str>, list: bool) {
             };
             println!("  {name}{marker}");
         }
-        return;
+        return true;
     }
     if let Some(f) = scenario_filter {
         let names = scenario_names(opts.quick);
         if !names.iter().any(|n| n.contains(f)) {
             eprintln!("--scenario {f:?} matches nothing; available: {names:?}");
-            std::process::exit(2);
+            std::process::exit(USAGE.into());
         }
     }
 
@@ -1209,135 +798,8 @@ fn accuracy(opts: Opts, json: bool, scenario_filter: Option<&str>, list: bool) {
             eprintln!("  wrote BENCH_accuracy.json");
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Serving: load-tested query latency over the live TCP server
-// ---------------------------------------------------------------------
-
-/// Runs the serving load test (live pipeline ingestion into the shared
-/// `EventStore` + a client-thread sweep of mixed TCP queries) and,
-/// with `--json`, seeds `BENCH_serving.json` — the third benchmark
-/// trajectory next to throughput and accuracy.
-fn serving(opts: Opts, json: bool) {
-    use rfid_bench::serving::{run_serving, to_json, ServingConfig};
-
-    let mut r = Report::new(
-        "serving",
-        "Query serving under load: live ingestion + N TCP clients, mixed query workload",
-    );
-    let sweep_baseline = rfid_obs::global().snapshot();
-    let cfg = ServingConfig::standard(opts.quick);
-    r.line(&format!(
-        "scenario endurance_trace({}, {}, 99), {} particles/object; pull clients issue >= {} \
-         mixed queries (current/snapshot/trail/containment/delta) while ingestion streams; \
-         mixed rows hold SUBSCRIBE ALL on {:.0}% of connections",
-        cfg.objects,
-        cfg.rounds,
-        cfg.particles,
-        cfg.min_queries_per_client,
-        cfg.subscriber_share * 100.0,
-    ));
-    let rows = run_serving(&cfg);
-
-    let mut t = Table::new(vec![
-        "mode",
-        "clients",
-        "subs",
-        "queries",
-        "errors",
-        "queries/s",
-        "p50 (us)",
-        "p95 (us)",
-        "p99 (us)",
-        "push p50 (us)",
-        "push p95 (us)",
-        "push p99 (us)",
-        "pushes",
-        "lagged",
-        "ingest epochs",
-        "ingest readings/s",
-    ]);
-    for row in &rows {
-        t.row(vec![
-            row.mode.to_string(),
-            row.clients.to_string(),
-            row.subscribers.to_string(),
-            row.queries.to_string(),
-            row.errors.to_string(),
-            format!("{:.0}", row.queries_per_sec),
-            format!("{:.0}", row.p50_us),
-            format!("{:.0}", row.p95_us),
-            format!("{:.0}", row.p99_us),
-            format!("{:.0}", row.push_p50_us),
-            format!("{:.0}", row.push_p95_us),
-            format!("{:.0}", row.push_p99_us),
-            row.push_frames.to_string(),
-            row.lagged_frames.to_string(),
-            row.ingest_epochs.to_string(),
-            format!("{:.0}", row.ingest_readings_per_sec),
-        ]);
-    }
-    r.table(&t);
-    // registry vs legacy: the server-side registry must count exactly
-    // the queries the client threads measured, the stored events the
-    // store reports, and the subscriptions taken out — per row
-    let mut disagreements: Vec<String> = Vec::new();
-    for row in &rows {
-        let mut check = |what: &str, reg: u64, legacy: u64| {
-            if reg != legacy {
-                disagreements.push(format!(
-                    "[{} c={}] {what}: registry {reg} != legacy {legacy}",
-                    row.mode, row.clients
-                ));
-            }
-        };
-        check("queries", row.registry_queries, row.queries);
-        check(
-            "subscribes",
-            row.registry_subscribes,
-            row.subscribers as u64,
-        );
-        check("store events", row.registry_store_events, row.store_events);
-        // delivery counters bound (never equal) the client view: frames
-        // still queued at shutdown are counted but never received
-        if row.registry_delivered < row.push_frames {
-            disagreements.push(format!(
-                "[{} c={}] hub delivered {} < frames received {}",
-                row.mode, row.clients, row.registry_delivered, row.push_frames
-            ));
-        }
-        if row.registry_lagged < row.lagged_frames {
-            disagreements.push(format!(
-                "[{} c={}] hub lagged runs {} < LAGGED frames received {}",
-                row.mode, row.clients, row.registry_lagged, row.lagged_frames
-            ));
-        }
-    }
-    r.line(&if disagreements.is_empty() {
-        format!(
-            "registry vs legacy: exact agreement on all {} sweep rows (server verb-histogram \
-             samples == client query counts; store/hub counters consistent)",
-            rows.len()
-        )
-    } else {
-        format!(
-            "# WARNING: registry/legacy disagreement: {}",
-            disagreements.join(" | ")
-        )
-    });
-    r.line("# queries run against the store *while* the pipeline writes it; pull latency");
-    r.line("# is measured end-to-end over the wire (connect once, then frame per query).");
-    r.line("# push latency joins subscriber receive instants against the hub commit log");
-    r.line("# on the arrival epoch: location-change commit -> subscriber socket read.");
-    r.finish();
-
-    if json {
-        let sweep_metrics = rfid_obs::global().snapshot().diff(&sweep_baseline);
-        std::fs::write("BENCH_serving.json", to_json(&rows, &cfg, &sweep_metrics))
-            .expect("write BENCH_serving.json");
-        eprintln!("  wrote BENCH_serving.json");
-    }
+    // a filtered run may legitimately contain no sweep point
+    ordering_holds && (checked > 0 || scenario_filter.is_some())
 }
 
 // ---------------------------------------------------------------------
@@ -1348,8 +810,8 @@ fn serving(opts: Opts, json: bool) {
 /// recovers it, and reports what recovery cost and that the resumed
 /// event stream is bit-identical to an uninterrupted run. With
 /// `--json`, seeds `BENCH_recovery.json` — the durability trajectory
-/// next to throughput, accuracy, and serving.
-fn recovery(opts: Opts, json: bool) {
+/// next to accuracy. Returns whether every digest matched.
+fn recovery(opts: Opts, json: bool) -> bool {
     use rfid_bench::fault::FaultPlan;
     use rfid_bench::recovery::{
         canonical_scenario, reference_digest, resume, run_fresh, DurableRunOpts,
@@ -1506,6 +968,7 @@ fn recovery(opts: Opts, json: bool) {
         std::fs::write("BENCH_recovery.json", &s).expect("write BENCH_recovery.json");
         eprintln!("  wrote BENCH_recovery.json");
     }
+    rows.iter().all(|row| row.digest_match)
 }
 
 // ---------------------------------------------------------------------
@@ -1531,72 +994,31 @@ fn md_table_from(doc: &rfid_bench::json::Json, spec: &[(&str, &str, usize)]) -> 
     Some(t)
 }
 
-/// Renders every committed `BENCH_*.json` as a markdown table — the
-/// single source for the tables pasted into EXPERIMENTS.md (ROADMAP
-/// open item: port bench numbers into tables via the experiments bin).
-fn report() {
+/// Renders the committed `BENCH_accuracy.json` and `BENCH_recovery.json`
+/// as markdown tables — the single source for the tables pasted into
+/// EXPERIMENTS.md. Returns whether both rendered.
+fn report() -> bool {
     use rfid_bench::json::Json;
 
     let mut r = Report::new("report", "Committed benchmark trajectories (markdown)");
+    let mut rendered_all = true;
     let mut render = |path: &str, title: &str, spec: &[(&str, &str, usize)]| {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                r.line(&format!(
-                    "### {title}\n\n`{path}` not found ({e}) — skipped.\n"
-                ));
-                return;
-            }
-        };
-        let doc = match Json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                r.line(&format!("### {title}\n\n`{path}` failed to parse: {e}\n"));
-                return;
-            }
-        };
-        match md_table_from(&doc, spec) {
-            Some(t) => {
+        let table = std::fs::read_to_string(path)
+            .map_err(|e| format!("not found ({e})"))
+            .and_then(|text| Json::parse(&text).map_err(|e| format!("failed to parse: {e}")))
+            .and_then(|doc| md_table_from(&doc, spec).ok_or_else(|| "has no rows array".into()));
+        match table {
+            Ok(t) => {
                 r.line(&format!("### {title} (`{path}`)\n"));
                 r.line(&t.render_markdown());
             }
-            None => r.line(&format!("### {title}\n\n`{path}` has no rows array.\n")),
-        }
-        // documents written since the observability layer embed the
-        // registry dump of the run that produced them; older committed
-        // files simply lack the member and are skipped
-        if let Some(metrics) = doc.get("metrics").and_then(|v| v.as_obj()) {
-            if !metrics.is_empty() {
-                let mut mt = Table::new(vec!["metric", "value"]);
-                for (name, value) in metrics {
-                    mt.row(vec![name.clone(), value.cell(0)]);
-                }
-                r.line(&format!(
-                    "#### {title}: registry snapshot of the recorded run\n"
-                ));
-                r.line(&mt.render_markdown());
+            Err(why) => {
+                rendered_all = false;
+                r.line(&format!("### {title}\n\n`{path}` {why}.\n"));
             }
         }
     };
 
-    render(
-        "BENCH_throughput.json",
-        "Throughput",
-        &[
-            ("variant", "variant", 0),
-            ("objects", "objects", 0),
-            ("rounds", "rounds", 0),
-            ("epochs", "epochs", 0),
-            ("readings/s", "readings_per_sec", 1),
-            ("ms/reading", "ms_per_reading", 4),
-            ("memory (MB)", "memory_mb", 2),
-            ("ingest µs", "ingest_us", 0),
-            ("infer µs", "infer_us", 0),
-            ("emit µs", "emit_us", 0),
-            ("sync hw", "sync_pending_high_water", 0),
-            ("batch hw", "batch_buffer_high_water", 0),
-        ],
-    );
     render(
         "BENCH_accuracy.json",
         "Accuracy",
@@ -1612,28 +1034,6 @@ fn report() {
             ("moves det.", "moves_detected", 0),
             ("moves total", "moves_total", 0),
             ("delay (ep)", "mean_change_delay_epochs", 2),
-        ],
-    );
-    render(
-        "BENCH_serving.json",
-        "Serving",
-        &[
-            ("mode", "mode", 0),
-            ("clients", "clients", 0),
-            ("subs", "subscribers", 0),
-            ("queries", "queries", 0),
-            ("errors", "errors", 0),
-            ("queries/s", "queries_per_sec", 0),
-            ("p50 (us)", "p50_us", 0),
-            ("p95 (us)", "p95_us", 0),
-            ("p99 (us)", "p99_us", 0),
-            ("push p50 (us)", "push_p50_us", 0),
-            ("push p95 (us)", "push_p95_us", 0),
-            ("push p99 (us)", "push_p99_us", 0),
-            ("pushes", "push_frames", 0),
-            ("lagged", "lagged_frames", 0),
-            ("ingest epochs", "ingest_epochs", 0),
-            ("ingest readings/s", "ingest_readings_per_sec", 0),
         ],
     );
     render(
@@ -1653,6 +1053,7 @@ fn report() {
         ],
     );
     r.finish();
+    rendered_all
 }
 
 // ---------------------------------------------------------------------

@@ -10,16 +10,17 @@
 //!   `tests/golden/` regression harness.
 //! * [`runner`] — drives each system (our engine in its four variants,
 //!   SMURF, uniform) over a scenario and collects events, wall-clock
-//!   cost, and engine statistics.
-//! * [`serving`] — the query-serving load generator (live ingestion +
-//!   N TCP client threads), seeding `BENCH_serving.json`.
+//!   cost, and memory.
+//! * [`recovery`] / [`fault`] — the durable run, its kill-and-resume
+//!   cycle and the fault plans behind `experiments -- recovery`, the
+//!   `recovery_harness` binary and the benchmark's `durable_patrol`.
 //! * [`report`] — plain-text tables written to stdout and to
 //!   `results/<experiment>.txt`.
 //! * [`json`] — a minimal JSON reader so `experiments -- report` can
 //!   render the committed `BENCH_*.json` files as markdown tables.
-//! * [`obs`] — registry-vs-legacy agreement (the metrics mirror must
-//!   reproduce `EngineStats` exactly) and the JSON embedding of
-//!   registry snapshots into the `BENCH_*.json` documents.
+//!
+//! Speed is measured by the `benchmark/` package (`BENCHMARK.json`),
+//! not here.
 //!
 //! The `experiments` binary exposes one subcommand per figure/table;
 //! see `cargo run -p rfid-bench --release --bin experiments -- help`.
@@ -29,11 +30,9 @@ pub mod fault;
 pub mod golden;
 pub mod json;
 pub mod metrics;
-pub mod obs;
 pub mod recovery;
 pub mod report;
 pub mod runner;
-pub mod serving;
 
 pub use metrics::{
     containment_accuracy, score_scenario, ChangeDetection, Confusion, ErrorStats, EventScore,

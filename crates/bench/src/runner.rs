@@ -1,17 +1,15 @@
 //! Drivers: run each system over a scenario and collect events, cost,
-//! and statistics.
+//! and memory.
 
 use crate::metrics::ErrorStats;
 use rfid_baselines::{Smurf, SmurfConfig, UniformBaseline};
 use rfid_core::engine::run_engine;
-use rfid_core::{BasicParticleFilter, EngineStats, FilterConfig, InferenceEngine, ReaderMode};
+use rfid_core::{BasicParticleFilter, FilterConfig, InferenceEngine, ReaderMode};
 use rfid_geom::Aabb;
 use rfid_model::object::LocationPrior;
 use rfid_model::sensor::{ConeSensor, ReadRateModel};
 use rfid_model::{JointModel, ModelParams};
 use rfid_sim::scenario::Scenario;
-use rfid_sim::SimTrace;
-use rfid_stream::pipeline::{InferenceStage, Pipeline, PipelineStats};
 use rfid_stream::{Epoch, EpochBatch, LocationEvent};
 use std::time::{Duration, Instant};
 
@@ -56,11 +54,7 @@ pub struct RunOutput {
     pub events: Vec<LocationEvent>,
     pub elapsed: Duration,
     pub readings: usize,
-    pub stats: Option<EngineStats>,
     pub memory_bytes: usize,
-    /// Streaming-pipeline counters and buffer high-water marks
-    /// (`None` for the legacy batch paths).
-    pub pipeline: Option<PipelineStats>,
 }
 
 impl RunOutput {
@@ -137,8 +131,7 @@ pub fn run_engine_variant<P: LocationPrior + Clone>(
 }
 
 /// The engine configuration a variant runs with under the given
-/// options — shared by the batch and pipeline entry points so the two
-/// paths can never diverge.
+/// options.
 fn variant_config(variant: EngineVariant, opts: RunOpts) -> FilterConfig {
     let mut cfg = match variant {
         EngineVariant::Unfactored { .. } | EngineVariant::Factored => {
@@ -238,8 +231,6 @@ fn run_factored<P: LocationPrior + Clone, S: ReadRateModel>(
         elapsed,
         readings,
         memory_bytes: engine.memory_bytes(),
-        stats: Some(*engine.stats()),
-        pipeline: None,
     }
 }
 
@@ -266,8 +257,6 @@ fn run_unfactored<P: LocationPrior + Clone, S: ReadRateModel>(
         elapsed,
         readings,
         memory_bytes: particles * filter.num_objects() * std::mem::size_of::<rfid_geom::Point3>(),
-        stats: None,
-        pipeline: None,
     }
 }
 
@@ -336,9 +325,7 @@ pub fn run_baseline_smurf(
         events,
         elapsed: start.elapsed(),
         readings,
-        stats: None,
         memory_bytes: 0,
-        pipeline: None,
     }
 }
 
@@ -362,101 +349,7 @@ pub fn run_baseline_uniform(
         events,
         elapsed: start.elapsed(),
         readings,
-        stats: None,
         memory_bytes: 0,
-        pipeline: None,
-    }
-}
-
-/// Drives any [`InferenceStage`] through the streaming pipeline over a
-/// simulated trace (incremental source, watermark synchronization) and
-/// returns the collected events plus the pipeline's buffer statistics.
-pub fn drive_pipeline<St: InferenceStage>(
-    trace: &SimTrace,
-    stage: St,
-) -> (Vec<LocationEvent>, Duration, PipelineStats, St) {
-    let mut pipeline = Pipeline::new(trace.epoch_len, stage, Vec::new());
-    let start = Instant::now();
-    let stats = pipeline.run_to_completion(&mut trace.stream());
-    let elapsed = start.elapsed();
-    let (stage, events, _) = pipeline.into_parts();
-    (events, elapsed, stats, stage)
-}
-
-/// [`run_engine_variant_opts`], but through the streaming pipeline:
-/// the trace's raw streams are pulled incrementally through the
-/// synchronizer into the engine — no `Vec<EpochBatch>` is ever built.
-/// Event streams are bit-identical to the batch path.
-pub fn run_pipeline_variant_opts<P: LocationPrior + Clone>(
-    trace: &SimTrace,
-    prior: &P,
-    variant: EngineVariant,
-    sensor: InferenceSensor,
-    params: ModelParams,
-    opts: RunOpts,
-) -> RunOutput {
-    let cfg = variant_config(variant, opts);
-    let shelf_tags = trace.shelf_tags.clone();
-
-    fn run_factored_pipeline<P: LocationPrior + Clone, S: ReadRateModel>(
-        trace: &SimTrace,
-        model: JointModel<S>,
-        prior: P,
-        shelf_tags: Vec<(rfid_stream::TagId, rfid_geom::Point3)>,
-        cfg: FilterConfig,
-    ) -> RunOutput {
-        let engine = InferenceEngine::new(model, prior, shelf_tags, cfg).expect("valid config");
-        let (events, elapsed, stats, engine) = drive_pipeline(trace, engine);
-        RunOutput {
-            events,
-            elapsed,
-            readings: stats.batch_readings as usize,
-            memory_bytes: engine.memory_bytes(),
-            stats: Some(*engine.stats()),
-            pipeline: Some(stats),
-        }
-    }
-
-    fn run_unfactored_pipeline<P: LocationPrior + Clone, S: ReadRateModel>(
-        trace: &SimTrace,
-        model: JointModel<S>,
-        prior: P,
-        shelf_tags: Vec<(rfid_stream::TagId, rfid_geom::Point3)>,
-        cfg: FilterConfig,
-        particles: usize,
-    ) -> RunOutput {
-        let filter = BasicParticleFilter::new(model, prior, shelf_tags, cfg, particles)
-            .expect("valid config");
-        let (events, elapsed, stats, filter) = drive_pipeline(trace, filter);
-        RunOutput {
-            events,
-            elapsed,
-            readings: stats.batch_readings as usize,
-            memory_bytes: particles
-                * filter.num_objects()
-                * std::mem::size_of::<rfid_geom::Point3>(),
-            stats: None,
-            pipeline: Some(stats),
-        }
-    }
-
-    match (variant, sensor) {
-        (EngineVariant::Unfactored { particles }, InferenceSensor::TrueCone(c)) => {
-            let model = JointModel::with_sensor(c, params);
-            run_unfactored_pipeline(trace, model, prior.clone(), shelf_tags, cfg, particles)
-        }
-        (EngineVariant::Unfactored { particles }, InferenceSensor::Logistic(sp)) => {
-            let model = JointModel::new(with_logistic_sensor(params, sp));
-            run_unfactored_pipeline(trace, model, prior.clone(), shelf_tags, cfg, particles)
-        }
-        (_, InferenceSensor::TrueCone(c)) => {
-            let model = JointModel::with_sensor(c, params);
-            run_factored_pipeline(trace, model, prior.clone(), shelf_tags, cfg)
-        }
-        (_, InferenceSensor::Logistic(sp)) => {
-            let model = JointModel::new(with_logistic_sensor(params, sp));
-            run_factored_pipeline(trace, model, prior.clone(), shelf_tags, cfg)
-        }
     }
 }
 
@@ -486,48 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_run_matches_batch_run() {
-        let sc = scenario::small_trace(8, 4, 77);
-        let batch = run_engine_variant(
-            &sc.trace.epoch_batches(),
-            &sc.layout,
-            &sc.trace.shelf_tags,
-            EngineVariant::FactoredIndexed,
-            InferenceSensor::TrueCone(ConeSensor::paper_default()),
-            ModelParams::default_warehouse(),
-            200,
-            30,
-        );
-        let piped = run_pipeline_variant_opts(
-            &sc.trace,
-            &sc.layout,
-            EngineVariant::FactoredIndexed,
-            InferenceSensor::TrueCone(ConeSensor::paper_default()),
-            ModelParams::default_warehouse(),
-            RunOpts::new(200, 30),
-        );
-        assert_eq!(batch.readings, piped.readings);
-        assert_eq!(batch.events.len(), piped.events.len());
-        for (a, b) in batch.events.iter().zip(&piped.events) {
-            assert_eq!(a.epoch, b.epoch);
-            assert_eq!(a.tag, b.tag);
-            assert_eq!(a.location.x.to_bits(), b.location.x.to_bits());
-            assert_eq!(a.location.y.to_bits(), b.location.y.to_bits());
-        }
-        let pstats = piped.pipeline.expect("pipeline stats recorded");
-        assert!(pstats.sync_pending_high_water >= 1);
-        assert!(pstats.epochs > 0);
-    }
-
-    #[test]
     fn zero_reading_run_reports_zero_not_nan() {
         let out = RunOutput {
             events: Vec::new(),
             elapsed: Duration::ZERO,
             readings: 0,
-            stats: None,
             memory_bytes: 0,
-            pipeline: None,
         };
         assert_eq!(out.ms_per_reading(), 0.0);
         assert_eq!(out.readings_per_sec(), 0.0);

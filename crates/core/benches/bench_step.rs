@@ -4,7 +4,8 @@
 //! `tests/fused_equivalence.rs`), per particle count, plus the
 //! surrounding per-epoch components (`refresh_pointers`, `predict`,
 //! first-sighting `init_from_cone`, the `log_normalize_exp` pass on the
-//! two kinds of weight column) so a profile of the engine's infer stage
+//! two kinds of weight column, one belief compression and
+//! decompression) so a profile of the engine's infer and emit stages
 //! can be cross-checked against isolated numbers.
 //!
 //! Two fixtures: the logistic sensor over a box prior, and the
@@ -14,10 +15,11 @@
 #[path = "../tests/reference/mod.rs"]
 mod reference;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reference::ReferenceFilter;
+use rfid_core::compression::CompressedBelief;
 use rfid_core::exec::StepScratch;
 use rfid_core::factored::{ObjectFilter, ReaderFilter, ReaderTables};
 use rfid_core::particle::log_normalize_exp;
@@ -26,6 +28,7 @@ use rfid_model::object::{BoxPrior, LocationPrior};
 use rfid_model::sensor::{ConeSensor, ReadRateModel};
 use rfid_model::{JointModel, ModelParams};
 use rfid_sim::WarehouseLayout;
+use rfid_stream::Epoch;
 
 const READER_PARTICLES: usize = 100;
 const COUNTS: [usize; 4] = [100, 200, 500, 1000];
@@ -198,8 +201,9 @@ fn dense_column(n: usize) -> Vec<f64> {
 /// The per-epoch steps surrounding the fused step in the engine:
 /// pointer refresh (n reader draws), motion predict (n noise draws),
 /// the first-sighting cone initialization at the operating point
-/// (n reader draws + n rejection-sampled cone points), and the one
-/// `exp` pass of the step on its own.
+/// (n reader draws + n rejection-sampled cone points), the one `exp`
+/// pass of the step on its own, and the emit stage's belief
+/// compression with the decompression a re-sighting pays.
 fn bench_epoch_components(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_components");
     for (name, column) in [
@@ -231,6 +235,25 @@ fn bench_epoch_components(c: &mut Criterion) {
             b.iter(|| {
                 f.filter.predict(&f.model, &f.prior, true, &mut f.rng);
             })
+        });
+    }
+    {
+        // one belief compression of a converged 1,000-particle cloud and
+        // one 10-particle decompression (§IV-D)
+        let mut rng = StdRng::seed_from_u64(1);
+        let cloud: Vec<(f64, Point3)> = (0..1000)
+            .map(|_| {
+                let (dx, dy) = (rng.gen_range(-0.2..0.2), rng.gen_range(-0.3..0.3));
+                (1e-3, Point3::new(2.0 + dx, 5.0 + dy, 0.0))
+            })
+            .collect();
+        g.bench_function("compress/1000", |b| {
+            b.iter(|| CompressedBelief::compress(black_box(&cloud), Epoch(0)).unwrap())
+        });
+        let compressed = CompressedBelief::compress(&cloud, Epoch(0)).unwrap();
+        let tables = ReaderFilter::new(READER_PARTICLES, Pose::identity()).tables();
+        g.bench_function("decompress/10", |b| {
+            b.iter(|| compressed.decompress(10, black_box(&tables), 0, &mut rng))
         });
     }
     {

@@ -14,7 +14,8 @@ use rfid_core::{FilterConfig, InferenceEngine};
 use rfid_model::sensor::ConeSensor;
 use rfid_model::{JointModel, ModelParams};
 use rfid_sim::scenario::{self, Scenario};
-use rfid_stream::{LocationEvent, Pipeline};
+use rfid_stream::pipeline::DEFAULT_MAX_SKEW_EPOCHS;
+use rfid_stream::{LocationEvent, Pipeline, PipelineStats};
 
 fn engine_for(
     sc: &Scenario,
@@ -35,12 +36,12 @@ fn run_batch(sc: &Scenario, cfg: FilterConfig) -> Vec<LocationEvent> {
 
 /// The same trace, but pulled incrementally through the streaming
 /// pipeline (source → synchronizer → engine → sink).
-fn run_pipeline(sc: &Scenario, cfg: FilterConfig) -> Vec<LocationEvent> {
+fn run_pipeline(sc: &Scenario, cfg: FilterConfig) -> (Vec<LocationEvent>, PipelineStats) {
     let engine = engine_for(sc, cfg);
     let mut pipeline = Pipeline::new(sc.trace.epoch_len, engine, Vec::new());
-    pipeline.run_to_completion(&mut sc.trace.stream());
+    let stats = pipeline.run_to_completion(&mut sc.trace.stream());
     let (_, events, _) = pipeline.into_parts();
-    events
+    (events, stats)
 }
 
 /// The two inputs every pin runs on: a steady two-round scan, and a
@@ -58,7 +59,7 @@ fn assert_pipeline_matches_batch(cfg: FilterConfig) {
     for (name, sc) in scenarios() {
         let batch = run_batch(&sc, cfg);
         assert!(!batch.is_empty(), "{name}: trace produced no events");
-        assert_identical(&batch, &run_pipeline(&sc, cfg), name);
+        assert_identical(&batch, &run_pipeline(&sc, cfg).0, name);
     }
 }
 
@@ -107,6 +108,21 @@ fn pipeline_bit_identical_to_batch() {
     cfg.reader_particles = 50;
     cfg.report_delay_epochs = 40;
     assert_pipeline_matches_batch(cfg);
+
+    // bounded memory on a real trace: ten times the scan rounds may not
+    // buffer more — both high-water marks are held by the synchronizer's
+    // skew window, not by the trace length
+    cfg.particles_per_object = 30;
+    let window = DEFAULT_MAX_SKEW_EPOCHS as usize + 1;
+    for rounds in [2, 20] {
+        let (_, stats) = run_pipeline(&scenario::endurance_trace(20, rounds, 99), cfg);
+        assert!(
+            stats.sync_pending_high_water <= window && stats.batch_buffer_high_water <= window,
+            "{rounds} rounds: sync high-water {}, batch high-water {}, window {window}",
+            stats.sync_pending_high_water,
+            stats.batch_buffer_high_water
+        );
+    }
 }
 
 #[test]

@@ -102,6 +102,26 @@ fn telemetry_scrape_exposes_every_layer() {
     assert_eq!(counter("engine_epochs_total"), stats.epochs);
     assert_eq!(counter("pipeline_epochs_total"), stats.epochs);
     assert_eq!(counter("engine_infer_us_count"), stats.epochs);
+    // and the registry mirror must reproduce the engine's own counters
+    // exactly: it records the same integers the struct accumulates
+    let engine = *pipeline.stage().stats();
+    for (name, legacy) in [
+        ("engine_epochs_total", engine.epochs),
+        ("engine_readings_total", engine.readings),
+        ("engine_object_updates_total", engine.object_updates),
+        ("engine_events_total", engine.events_emitted),
+        ("engine_object_resamples_total", engine.object_resamples),
+        ("engine_reader_resamples_total", engine.reader_resamples),
+        ("engine_compressions_total", engine.compressions),
+        ("engine_decompressions_total", engine.decompressions),
+        ("engine_half_respawns_total", engine.half_respawns),
+        ("engine_full_reinits_total", engine.full_reinits),
+        ("engine_ingest_us_sum", engine.ingest_us),
+        ("engine_infer_us_sum", engine.infer_us),
+        ("engine_emit_us_sum", engine.emit_us),
+    ] {
+        assert_eq!(counter(name), legacy, "{name} vs EngineStats");
+    }
 
     // the armed trace ring must have sampled the streamed epochs
     let trace = client.telemetry(TelemetryCmd::Trace).expect("TRACE scrape");
