@@ -952,6 +952,95 @@ mod tests {
         assert_eq!(got.as_slice(), records.as_slice());
     }
 
+    /// One record of each shape, byte for byte as commit d52ebce wrote
+    /// them (computed outside this crate: FNV-1a 64 over the payload,
+    /// `struct.pack('<IQ', len, fnv) + payload`). Every segment file on
+    /// disk is a run of these, so a drift here orphans every log.
+    #[rustfmt::skip]
+    fn pinned() -> [(&'static [u8], LogRecord); 4] { [
+        (
+            &[
+                0x4a, 0x00, 0x00, 0x00, // payload length 74
+                0x3e, 0x29, 0x5e, 0x8f, 0xe6, 0x6b, 0x3b, 0xad, // FNV-1a(payload)
+                0x01, // EVENT
+                0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // epoch 7
+                0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // tag 3
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // x 1.5
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xbf, // y -0.5
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, // z 0.25
+                0x01, // stats present: var first, support last
+                0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f, // var[0] 0.1
+                0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xc9, 0x3f, // var[1] 0.2
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // var[2] 0.0
+                0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x5e, 0x40, // support 123.0
+            ],
+            LogRecord::Event(ev(7, 3, 1.5)),
+        ),
+        (
+            &[
+                0x2a, 0x00, 0x00, 0x00, // payload length 42
+                0x07, 0x83, 0x08, 0x6b, 0xe0, 0x82, 0x88, 0xe3, // FNV-1a(payload)
+                0x01, // EVENT
+                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // epoch
+                0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // tag u64::MAX - 1
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // x -0.0
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // y 2.0
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, // z f64::MIN_POSITIVE
+                0x00, // no stats
+            ],
+            LogRecord::Event(LocationEvent::new(
+                Epoch(0x0102_0304_0506_0708),
+                TagId(u64::MAX - 1),
+                Point3::new(-0.0, 2.0, f64::MIN_POSITIVE),
+            )),
+        ),
+        (
+            &[
+                0x09, 0x00, 0x00, 0x00, // payload length 9
+                0xcc, 0x1c, 0x51, 0x9a, 0x34, 0x9e, 0xb4, 0xe5, // FNV-1a(payload)
+                0x02, // EPOCH_COMPLETE
+                0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // epoch 9
+            ],
+            LogRecord::EpochComplete(Epoch(9)),
+        ),
+        (
+            &[
+                0x01, 0x00, 0x00, 0x00, // payload length 1
+                0x92, 0xb9, 0x01, 0x86, 0x4c, 0xbe, 0x63, 0xaf, // FNV-1a(payload)
+                0x03, // FINISH
+            ],
+            LogRecord::Finish,
+        ),
+    ] }
+
+    #[test]
+    fn record_bytes_equal_the_parents() {
+        let mut segment = Vec::new();
+        for (bytes, record) in pinned() {
+            let mut buf = Vec::new();
+            encode_record(&record, &mut buf);
+            assert_eq!(buf.as_slice(), bytes, "{record:?}");
+            segment.extend_from_slice(bytes);
+        }
+        // the literals, not the encoder's output, decode back
+        let mut pos = 0;
+        for (bytes, record) in pinned() {
+            match scan_record(&segment, pos) {
+                Scan::Record { record: got, next } => {
+                    // `==` on the -0.0 coordinate would also accept 0.0
+                    if let (LogRecord::Event(a), LogRecord::Event(b)) = (&got, &record) {
+                        assert_eq!(a.location.x.to_bits(), b.location.x.to_bits());
+                    }
+                    assert_eq!(got, record);
+                    assert_eq!(next, pos + bytes.len());
+                    pos = next;
+                }
+                Scan::End(at) => panic!("pinned bytes stop decoding at {at}"),
+            }
+        }
+        assert!(matches!(scan_record(&segment, pos), Scan::End(at) if at == segment.len()));
+    }
+
     #[test]
     fn reopen_rebuilds_identical_store_state() {
         let dir = temp_dir("reopen");
