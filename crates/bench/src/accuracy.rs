@@ -145,11 +145,6 @@ pub fn scenario_names(quick: bool) -> Vec<&'static str> {
     library(quick).iter().map(|e| e.name).collect()
 }
 
-/// Runs the full matrix.
-pub fn run_matrix(cfg: &AccuracyConfig, quick: bool) -> Vec<AccuracyRow> {
-    run_matrix_filtered(cfg, quick, None)
-}
-
 /// Runs the matrix restricted to scenarios whose name contains
 /// `filter` (all of them when `None`) — single-scenario debugging
 /// without a full matrix run.

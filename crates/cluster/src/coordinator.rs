@@ -123,17 +123,12 @@ pub fn write_events_file(path: &Path, events: &[LocationEvent]) -> io::Result<()
 pub fn read_events_file(path: &Path) -> io::Result<Vec<LocationEvent>> {
     let buf = std::fs::read(path)?;
     let mut r = wire::PayloadReader::new(&buf);
-    let parse =
-        |r: &mut wire::PayloadReader<'_>| -> Result<Vec<LocationEvent>, wire::WireFormatError> {
-            let n = r.u64()? as usize;
-            let mut events = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                events.push(wire::decode_event(r)?);
-            }
-            Ok(events)
-        };
-    let events = parse(&mut r).map_err(io::Error::from)?;
-    r.finish().map_err(io::Error::from)?;
+    let n = r.count_u64()?;
+    let mut events = Vec::with_capacity(n);
+    for _ in 0..n {
+        events.push(wire::decode_event(&mut r)?);
+    }
+    r.finish()?;
     Ok(events)
 }
 

@@ -1,8 +1,8 @@
 //! One-command local cluster launch: spawns the router, `N` workers,
 //! and the coordinator as real child processes on loopback sockets,
 //! waits for the run, and returns the coordinator's merged digest.
-//! Used by the integration tests, the throughput benchmark, and the
-//! `cluster-smoke` CI job.
+//! Used by the integration tests (`cluster_identity`,
+//! `cluster_metrics`, `tests/cluster_equivalence.rs`).
 
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};

@@ -99,8 +99,8 @@ fn put_reader(out: &mut Vec<u8>, reader: &[ReaderParticle]) {
 }
 
 fn take_reader(r: &mut PayloadReader<'_>) -> Result<Vec<ReaderParticle>, WireFormatError> {
-    let n = r.u32()? as usize;
-    let mut reader = Vec::with_capacity(n.min(1 << 20));
+    let n = r.count_u32()?;
+    let mut reader = Vec::with_capacity(n);
     for _ in 0..n {
         let pose = r.pose()?;
         let log_w = r.f64()?;
@@ -138,8 +138,8 @@ pub fn decode_plan(payload: &[u8]) -> Result<EpochPlan, WireFormatError> {
     let reader_est = r.pose()?;
     let will_resample = r.u8()? != 0;
     let reader = take_reader(&mut r)?;
-    let n = r.u32()? as usize;
-    let mut readings = Vec::with_capacity(n.min(1 << 20));
+    let n = r.count_u32()?;
+    let mut readings = Vec::with_capacity(n);
     for _ in 0..n {
         readings.push(TagId(r.u64()?));
     }
@@ -179,17 +179,17 @@ pub fn decode_reports(payload: &[u8]) -> Result<(Epoch, Vec<TaskReport>), WireFo
         other => return Err(WireFormatError::BadTag(other)),
     }
     let epoch = Epoch(r.u64()?);
-    let n = r.u32()? as usize;
-    let mut reports = Vec::with_capacity(n.min(1 << 20));
+    let n = r.count_u32()?;
+    let mut reports = Vec::with_capacity(n);
     for _ in 0..n {
         let tag = TagId(r.u64()?);
-        let ns = r.u32()? as usize;
-        let mut support = Vec::with_capacity(ns.min(1 << 20));
+        let ns = r.count_u32()?;
+        let mut support = Vec::with_capacity(ns);
         for _ in 0..ns {
             support.push(r.f64()?);
         }
-        let nh = r.u32()? as usize;
-        let mut reader_hist = Vec::with_capacity(nh.min(1 << 20));
+        let nh = r.count_u32()?;
+        let mut reader_hist = Vec::with_capacity(nh);
         for _ in 0..nh {
             reader_hist.push(r.u32()?);
         }
@@ -247,8 +247,8 @@ pub fn decode_resample(payload: &[u8]) -> Result<ResampleDirective, WireFormatEr
         MSG_RESAMPLE => {}
         other => return Err(WireFormatError::BadTag(other)),
     }
-    let nf = r.u32()? as usize;
-    let mut fd = Vec::with_capacity(nf.min(1 << 20));
+    let nf = r.count_u32()?;
+    let mut fd = Vec::with_capacity(nf);
     for _ in 0..nf {
         let present = r.u8()? != 0;
         let v = r.u32()?;
@@ -256,12 +256,12 @@ pub fn decode_resample(payload: &[u8]) -> Result<ResampleDirective, WireFormatEr
     }
     let num_new = r.u32()?;
     let reader = take_reader(&mut r)?;
-    let nd = r.u32()? as usize;
-    let mut draws = Vec::with_capacity(nd.min(1 << 20));
+    let nd = r.count_u32()?;
+    let mut draws = Vec::with_capacity(nd);
     for _ in 0..nd {
         let tag = TagId(r.u64()?);
-        let nv = r.u32()? as usize;
-        let mut vals = Vec::with_capacity(nv.min(1 << 20));
+        let nv = r.count_u32()?;
+        let mut vals = Vec::with_capacity(nv);
         for _ in 0..nv {
             vals.push(r.u32()?);
         }
@@ -323,8 +323,8 @@ pub fn decode_metrics(payload: &[u8]) -> Result<(Epoch, Snapshot), WireFormatErr
         other => return Err(WireFormatError::BadTag(other)),
     }
     let epoch = Epoch(r.u64()?);
-    let n = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    let n = r.count_u32()?;
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.str_field()?.to_string();
         let value = match r.u8()? {

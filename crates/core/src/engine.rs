@@ -152,7 +152,7 @@ impl EngineMetrics {
     /// `u64` stage micros added to [`EngineStats`] are recorded into
     /// the histograms, so `engine_ingest_us_sum` equals
     /// `EngineStats::ingest_us` at every observation point — the
-    /// registry-vs-legacy agreement `experiments -- throughput`
+    /// registry-vs-stats agreement `tests/serving_telemetry.rs`
     /// checks.
     fn observe(&mut self, stats: &EngineStats) {
         let (now, last) = (*stats, self.last);

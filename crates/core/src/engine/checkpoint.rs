@@ -19,9 +19,14 @@
 //! payload length u64 | payload bytes | FNV-1a(payload) u64
 //! ```
 //!
-//! All integers and float bit patterns are little-endian. The config
-//! fingerprint covers every [`FilterConfig`] field. Every list in the
-//! payload is in a canonical order (objects and policy rows by tag,
+//! All integers and float bit patterns are little-endian, written and
+//! read with the workspace's one byte cursor (`rfid_stream::wire`'s
+//! `put_*` / `PayloadReader`); an element count larger than the bytes
+//! left in the blob is refused before anything is allocated for it
+//! (`PayloadReader::count_u64`), and a reader pointer outside the
+//! blob's own reader section is refused too. The config fingerprint
+//! covers every [`FilterConfig`] field. Every list in the payload is
+//! in a canonical order (objects and policy rows by tag,
 //! cooldown entries by `(due, tag)`), so the bytes never depended on
 //! how the writing engine laid its state out: blobs written by the
 //! engines that still partitioned objects in-process load unchanged
@@ -40,10 +45,13 @@ use crate::factored::{ObjectFilter, ReaderFilter};
 use crate::particle::{ObjectParticle, ReaderParticle};
 use crate::spatial_hook::SpatialHook;
 use rand::rngs::StdRng;
-use rfid_geom::{Aabb, Gaussian3, Mat3, Point3, Pose};
+use rfid_geom::{Aabb, Gaussian3, Mat3};
 use rfid_model::object::LocationPrior;
 use rfid_model::sensor::ReadRateModel;
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
+use rfid_stream::wire::{
+    put_f64, put_point, put_pose, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,
+};
 use rfid_stream::{Epoch, TagId};
 use std::io::Write as _;
 use std::path::Path;
@@ -93,123 +101,46 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-// ---------------------------------------------------------------------
-// byte-level encoding
-// ---------------------------------------------------------------------
-
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn point(&mut self, p: &Point3) {
-        self.f64(p.x);
-        self.f64(p.y);
-        self.f64(p.z);
-    }
-    fn pose(&mut self, p: &Pose) {
-        self.point(&p.pos);
-        self.f64(p.phi);
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|e| *e <= self.buf.len())
-            .ok_or(CheckpointError::Corrupt("truncated payload"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// A length that must be storable (guards against allocating from a
-    /// corrupt count before the data would fail to decode anyway).
-    fn len(&mut self) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        if n > (self.buf.len() - self.pos) as u64 {
-            return Err(CheckpointError::Corrupt("implausible element count"));
-        }
-        Ok(n as usize)
-    }
-    fn point(&mut self) -> Result<Point3, CheckpointError> {
-        Ok(Point3::new(self.f64()?, self.f64()?, self.f64()?))
-    }
-    fn pose(&mut self) -> Result<Pose, CheckpointError> {
-        let pos = self.point()?;
-        let phi = self.f64()?;
-        Ok(Pose { pos, phi })
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+impl From<WireFormatError> for CheckpointError {
+    fn from(e: WireFormatError) -> Self {
+        CheckpointError::Corrupt(match e {
+            WireFormatError::Truncated => "truncated, or an element count exceeds the bytes left",
+            WireFormatError::TrailingBytes(_) => "trailing bytes",
+            WireFormatError::BadTag(_) | WireFormatError::BadString => "malformed field",
+        })
     }
 }
 
 /// The canonical byte string the config fingerprint hashes: every
 /// [`FilterConfig`] field, in declaration order.
 fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(cfg.particles_per_object as u64);
-    e.u64(cfg.reader_particles as u64);
-    e.f64(cfg.resample_ess_frac);
-    e.f64(cfg.init_range_overestimate);
-    e.f64(cfg.init_cone_half_angle);
-    e.f64(cfg.max_init_range);
-    e.f64(cfg.respawn_distance);
-    e.f64(cfg.small_move_distance);
-    e.u8(match cfg.reader_mode {
+    let mut e = Vec::new();
+    put_u64(&mut e, cfg.particles_per_object as u64);
+    put_u64(&mut e, cfg.reader_particles as u64);
+    put_f64(&mut e, cfg.resample_ess_frac);
+    put_f64(&mut e, cfg.init_range_overestimate);
+    put_f64(&mut e, cfg.init_cone_half_angle);
+    put_f64(&mut e, cfg.max_init_range);
+    put_f64(&mut e, cfg.respawn_distance);
+    put_f64(&mut e, cfg.small_move_distance);
+    let reader_mode = match cfg.reader_mode {
         ReaderMode::Filter => 0,
         ReaderMode::TrustReports => 1,
-    });
-    e.u8(cfg.use_spatial_index as u8);
-    e.u8(cfg.compression.enabled as u8);
-    e.u64(cfg.compression.idle_epochs);
-    e.f64(cfg.compression.max_cross_entropy);
-    e.u64(cfg.compression.decompressed_particles as u64);
+    };
+    put_u8(&mut e, reader_mode);
+    put_u8(&mut e, cfg.use_spatial_index as u8);
+    put_u8(&mut e, cfg.compression.enabled as u8);
+    put_u64(&mut e, cfg.compression.idle_epochs);
+    put_f64(&mut e, cfg.compression.max_cross_entropy);
+    put_u64(&mut e, cfg.compression.decompressed_particles as u64);
     // reserved: the byte a removed option's off-switch occupied. Kept
     // at 0 so fingerprints and `RFCKPT01` blobs stay byte-identical; a
     // blob written with that option on (1 + two `f64`s here) has a
     // different fingerprint and is refused as `ConfigMismatch`.
-    e.u8(0);
-    e.u64(cfg.report_delay_epochs);
-    e.u64(cfg.seed);
-    e.buf
+    put_u8(&mut e, 0);
+    put_u64(&mut e, cfg.report_delay_epochs);
+    put_u64(&mut e, cfg.seed);
+    e
 }
 
 /// The fingerprint of an inference configuration: FNV-1a over
@@ -222,8 +153,8 @@ pub fn config_fingerprint(cfg: &FilterConfig) -> u64 {
 /// The epoch recorded in a checkpoint blob's header (cheap peek — no
 /// payload validation beyond the magic and version).
 pub fn peek_epoch(bytes: &[u8]) -> Result<Epoch, CheckpointError> {
-    let mut d = Dec::new(bytes);
-    if d.take(8)? != MAGIC {
+    let mut d = PayloadReader::new(bytes);
+    if d.bytes(8)? != MAGIC {
         return Err(CheckpointError::Corrupt("bad magic"));
     }
     let version = d.u32()?;
@@ -245,98 +176,98 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// `epoch` (call at an epoch boundary — after `process_batch`,
     /// before the next).
     pub fn checkpoint_bytes(&self, epoch: Epoch) -> Vec<u8> {
-        let mut p = Enc::default();
+        let mut p = Vec::new();
 
         // engine RNG
         for w in self.rng.state() {
-            p.u64(w);
+            put_u64(&mut p, w);
         }
 
         // last report
         match &self.last_report {
-            None => p.u8(0),
+            None => put_u8(&mut p, 0),
             Some(pose) => {
-                p.u8(1);
-                p.pose(pose);
+                put_u8(&mut p, 1);
+                put_pose(&mut p, pose);
             }
         }
 
         // reader filter
         match &self.reader {
-            None => p.u8(0),
+            None => put_u8(&mut p, 0),
             Some(r) => {
-                p.u8(1);
-                p.u64(r.len() as u64);
+                put_u8(&mut p, 1);
+                put_u64(&mut p, r.len() as u64);
                 for rp in r.particles() {
-                    p.pose(&rp.pose);
-                    p.f64(rp.log_w);
+                    put_pose(&mut p, &rp.pose);
+                    put_f64(&mut p, rp.log_w);
                 }
                 for s in r.support() {
-                    p.f64(*s);
+                    put_f64(&mut p, *s);
                 }
-                p.u64(r.resample_count());
+                put_u64(&mut p, r.resample_count());
             }
         }
 
         // statistics
-        p.u64(self.stats.epochs);
-        p.u64(self.stats.readings);
-        p.u64(self.stats.object_updates);
-        p.u64(self.stats.events_emitted);
-        p.u64(self.stats.object_resamples);
-        p.u64(self.stats.reader_resamples);
-        p.u64(self.stats.compressions);
-        p.u64(self.stats.decompressions);
-        p.u64(self.stats.half_respawns);
-        p.u64(self.stats.full_reinits);
+        put_u64(&mut p, self.stats.epochs);
+        put_u64(&mut p, self.stats.readings);
+        put_u64(&mut p, self.stats.object_updates);
+        put_u64(&mut p, self.stats.events_emitted);
+        put_u64(&mut p, self.stats.object_resamples);
+        put_u64(&mut p, self.stats.reader_resamples);
+        put_u64(&mut p, self.stats.compressions);
+        put_u64(&mut p, self.stats.decompressions);
+        put_u64(&mut p, self.stats.half_respawns);
+        put_u64(&mut p, self.stats.full_reinits);
 
         // object states, sorted by tag
         let mut states: Vec<(&TagId, &ObjectState)> = self.objects.iter().collect();
         states.sort_unstable_by_key(|(tag, _)| **tag);
-        p.u64(states.len() as u64);
+        put_u64(&mut p, states.len() as u64);
         for (tag, state) in states {
-            p.u64(tag.0);
+            put_u64(&mut p, tag.0);
             match &state.belief {
                 Belief::Active(f) => {
-                    p.u8(0);
-                    p.u64(f.len() as u64);
+                    put_u8(&mut p, 0);
+                    put_u64(&mut p, f.len() as u64);
                     for op in f.iter_particles() {
-                        p.point(&op.loc);
-                        p.u32(op.reader_idx);
-                        p.f64(op.log_w);
+                        put_point(&mut p, &op.loc);
+                        put_u32(&mut p, op.reader_idx);
+                        put_f64(&mut p, op.log_w);
                     }
-                    p.u64(f.pointer_stamp());
-                    p.u64(f.resample_count());
+                    put_u64(&mut p, f.pointer_stamp());
+                    put_u64(&mut p, f.resample_count());
                 }
                 Belief::Compressed(c) => {
-                    p.u8(1);
-                    p.point(&c.gaussian.mean);
+                    put_u8(&mut p, 1);
+                    put_point(&mut p, &c.gaussian.mean);
                     for row in &c.gaussian.cov.m {
                         for v in row {
-                            p.f64(*v);
+                            put_f64(&mut p, *v);
                         }
                     }
-                    p.f64(c.loss);
-                    p.u64(c.compressed_at.0);
+                    put_f64(&mut p, c.loss);
+                    put_u64(&mut p, c.compressed_at.0);
                 }
             }
             let (loc, var) = state.last_estimate;
-            p.point(&loc);
+            put_point(&mut p, &loc);
             for v in var {
-                p.f64(v);
+                put_f64(&mut p, v);
             }
-            p.u64(state.last_read.0);
-            p.u64(state.compression_due);
+            put_u64(&mut p, state.last_read.0);
+            put_u64(&mut p, state.compression_due);
         }
 
         // output-policy scope states, sorted by tag
         let rows = self.policy.snapshot_states();
-        p.u64(rows.len() as u64);
+        put_u64(&mut p, rows.len() as u64);
         for (tag, entered, last_read, reported) in &rows {
-            p.u64(tag.0);
-            p.u64(entered.0);
-            p.u64(last_read.0);
-            p.u8(*reported as u8);
+            put_u64(&mut p, tag.0);
+            put_u64(&mut p, entered.0);
+            put_u64(&mut p, last_read.0);
+            put_u8(&mut p, *reported as u8);
         }
 
         // compression cooldown entries, sorted by (due epoch, tag).
@@ -348,43 +279,42 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             cooldown.extend(tags.iter().map(|t| (*due, *t)));
         }
         cooldown.sort_unstable();
-        p.u64(cooldown.len() as u64);
+        put_u64(&mut p, cooldown.len() as u64);
         for (due, tag) in &cooldown {
-            p.u64(*due);
-            p.u64(tag.0);
+            put_u64(&mut p, *due);
+            put_u64(&mut p, tag.0);
         }
 
         // spatial index: regions in insertion order
         match &self.hook {
-            None => p.u8(0),
+            None => put_u8(&mut p, 0),
             Some(hook) => {
-                p.u8(1);
+                put_u8(&mut p, 1);
                 let n = hook.num_regions() as u64;
-                p.u64(n);
+                put_u64(&mut p, n);
                 for id in 0..n {
                     let bbox = hook.region_box(id);
-                    p.point(&bbox.min);
-                    p.point(&bbox.max);
+                    put_point(&mut p, &bbox.min);
+                    put_point(&mut p, &bbox.max);
                     let members = hook.region_members(id);
-                    p.u64(members.len() as u64);
+                    put_u64(&mut p, members.len() as u64);
                     for m in members {
-                        p.u64(m.0);
+                        put_u64(&mut p, m.0);
                     }
                 }
             }
         }
 
         // frame the payload
-        let mut out = Enc::default();
-        out.buf.extend_from_slice(&MAGIC);
-        out.u32(VERSION);
-        out.u64(self.config_fingerprint());
-        out.u64(epoch.0);
-        out.u64(p.buf.len() as u64);
-        let checksum = fnv1a(FNV_OFFSET, &p.buf);
-        out.buf.extend_from_slice(&p.buf);
-        out.u64(checksum);
-        out.buf
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        put_u32(&mut out, VERSION);
+        put_u64(&mut out, self.config_fingerprint());
+        put_u64(&mut out, epoch.0);
+        put_u64(&mut out, p.len() as u64);
+        out.extend_from_slice(&p);
+        put_u64(&mut out, fnv1a(FNV_OFFSET, &p));
+        out
     }
 
     /// Restores the engine to the state captured by a
@@ -396,8 +326,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// On error the engine may be partially overwritten — rebuild it
     /// before retrying.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<Epoch, CheckpointError> {
-        let mut d = Dec::new(bytes);
-        if d.take(8)? != MAGIC {
+        let mut d = PayloadReader::new(bytes);
+        if d.bytes(8)? != MAGIC {
             return Err(CheckpointError::Corrupt("bad magic"));
         }
         let version = d.u32()?;
@@ -410,16 +340,14 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             return Err(CheckpointError::ConfigMismatch { expected, found });
         }
         let epoch = Epoch(d.u64()?);
-        let payload_len = d.len()?;
-        let payload = d.take(payload_len)?;
+        let payload_len = d.count_u64()?;
+        let payload = d.bytes(payload_len)?;
         let checksum = d.u64()?;
-        if !d.done() {
-            return Err(CheckpointError::Corrupt("trailing bytes"));
-        }
+        d.finish()?;
         if fnv1a(FNV_OFFSET, payload) != checksum {
             return Err(CheckpointError::Corrupt("payload checksum mismatch"));
         }
-        let mut d = Dec::new(payload);
+        let mut d = PayloadReader::new(payload);
 
         // engine RNG
         let mut words = [0u64; 4];
@@ -439,7 +367,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.reader = match d.u8()? {
             0 => None,
             1 => {
-                let n = d.len()?;
+                let n = d.count_u64()?;
                 if n == 0 {
                     return Err(CheckpointError::Corrupt("empty reader filter"));
                 }
@@ -458,6 +386,10 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             }
             _ => return Err(CheckpointError::Corrupt("bad reader flag")),
         };
+        // the object step indexes the reader tables by each particle's
+        // pointer unchecked, and a checksum only proves the writer
+        // computed one
+        let reader_len = self.reader.as_ref().map_or(0, |r| r.len());
 
         // statistics
         self.stats.epochs = d.u64()?;
@@ -473,12 +405,12 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
 
         // object states
         self.objects.clear();
-        let n_objects = d.len()?;
+        let n_objects = d.count_u64()?;
         for _ in 0..n_objects {
             let tag = TagId(d.u64()?);
             let belief = match d.u8()? {
                 0 => {
-                    let k = d.len()?;
+                    let k = d.count_u64()?;
                     if k == 0 {
                         return Err(CheckpointError::Corrupt("empty object filter"));
                     }
@@ -486,6 +418,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     for _ in 0..k {
                         let loc = d.point()?;
                         let reader_idx = d.u32()?;
+                        if reader_idx as usize >= reader_len {
+                            return Err(CheckpointError::Corrupt("reader pointer out of range"));
+                        }
                         let log_w = d.f64()?;
                         particles.push(ObjectParticle {
                             loc,
@@ -533,7 +468,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
 
         // output-policy scope states
-        let n_rows = d.len()?;
+        let n_rows = d.count_u64()?;
         let mut rows = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             let tag = TagId(d.u64()?);
@@ -550,7 +485,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
 
         // compression cooldown
         self.cooldown.clear();
-        let n_cooldown = d.len()?;
+        let n_cooldown = d.count_u64()?;
         for _ in 0..n_cooldown {
             let due = d.u64()?;
             let tag = TagId(d.u64()?);
@@ -562,12 +497,12 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             0 => None,
             1 => {
                 let mut hook = SpatialHook::new(self.range_over);
-                let n_regions = d.len()?;
+                let n_regions = d.count_u64()?;
                 let mut members = Vec::new();
                 for _ in 0..n_regions {
                     let min = d.point()?;
                     let max = d.point()?;
-                    let n_members = d.len()?;
+                    let n_members = d.count_u64()?;
                     members.clear();
                     for _ in 0..n_members {
                         members.push(TagId(d.u64()?));
@@ -578,9 +513,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             }
             _ => return Err(CheckpointError::Corrupt("bad hook flag")),
         };
-        if !d.done() {
-            return Err(CheckpointError::Corrupt("trailing payload bytes"));
-        }
+        d.finish()?;
         if self.hook.is_some() != self.config.use_spatial_index {
             return Err(CheckpointError::Corrupt(
                 "hook presence disagrees with config",
@@ -625,6 +558,7 @@ mod tests {
     use super::*;
     use crate::config::FilterConfig;
     use crate::engine::run_engine;
+    use rfid_geom::{Point3, Pose};
     use rfid_model::object::BoxPrior;
     use rfid_model::{JointModel, ModelParams};
     use rfid_stream::{EpochBatch, LocationEvent};
@@ -731,41 +665,104 @@ mod tests {
 
     #[test]
     fn corrupt_blobs_are_rejected() {
-        let mut e = engine(cfg());
+        // small clouds keep the every-byte sweeps below quick
+        let mut small = cfg();
+        small.particles_per_object = 12;
+        small.reader_particles = 5;
+        let mut e = engine(small);
         for b in &batches(10) {
             e.process_batch(b);
         }
-        let blob = e.checkpoint_bytes(Epoch(9));
+        let mut blob = e.checkpoint_bytes(Epoch(9));
         assert_eq!(peek_epoch(&blob).unwrap(), Epoch(9));
 
-        // truncation
-        let mut fresh = engine(cfg());
-        assert!(matches!(
-            fresh.restore_bytes(&blob[..blob.len() - 9]),
-            Err(CheckpointError::Corrupt(_))
-        ));
-        // bit flip in the payload
-        let mut flipped = blob.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        let mut fresh = engine(cfg());
-        assert!(fresh.restore_bytes(&flipped).is_err());
+        // truncated at every length: an error, never a panic
+        for cut in 0..blob.len() {
+            assert!(
+                matches!(
+                    engine(small).restore_bytes(&blob[..cut]),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "cut at {cut}/{} restored",
+                blob.len()
+            );
+        }
+        // every single-bit flip is refused — magic, version, fingerprint
+        // and payload length field by field, the payload and its
+        // checksum by the checksum — with the one exception RFCKPT01
+        // has: the header's epoch sits outside the payload checksum, so
+        // a flipped epoch restores `Ok` at a wrong epoch
+        const UNCHECKSUMMED_EPOCH: std::ops::Range<usize> = 20..28;
+        for at in 0..blob.len() {
+            for bit in 0..8 {
+                blob[at] ^= 1 << bit;
+                let got = engine(small).restore_bytes(&blob);
+                if UNCHECKSUMMED_EPOCH.contains(&at) {
+                    let shift = 8 * (at - UNCHECKSUMMED_EPOCH.start) + bit;
+                    assert_eq!(got.unwrap(), Epoch(9 ^ (1 << shift)));
+                } else {
+                    assert!(got.is_err(), "bit {bit} of byte {at} flipped and restored");
+                }
+                blob[at] ^= 1 << bit;
+            }
+        }
+        let mut fresh = engine(small);
+        assert_eq!(fresh.restore_bytes(&blob).unwrap(), Epoch(9));
+        assert_eq!(fresh.checkpoint_bytes(Epoch(9)), blob);
+
         // bad magic
         let mut bad = blob.clone();
         bad[0] = b'X';
-        let mut fresh = engine(cfg());
         assert!(matches!(
-            fresh.restore_bytes(&bad),
+            engine(small).restore_bytes(&bad),
             Err(CheckpointError::Corrupt(_))
         ));
         // config mismatch
-        let mut other = cfg();
+        let mut other = small;
         other.seed ^= 1;
         let mut fresh = engine(other);
         assert!(matches!(
             fresh.restore_bytes(&blob),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
+    }
+
+    /// A blob someone wrote, as opposed to one that rotted: valid
+    /// checksum, one reader pointer past the reader section it came
+    /// with. The object step indexes by that pointer unchecked.
+    #[test]
+    fn out_of_range_reader_pointer_is_rejected() {
+        let config = cfg();
+        let mut e = engine(config);
+        for b in &batches(10) {
+            e.process_batch(b);
+        }
+        let blob = e.checkpoint_bytes(Epoch(9));
+        // header | rng | last report | reader section | stats | object
+        // count, then the first object: tag, kind, particle count, and
+        // its first particle's location
+        let n = config.reader_particles;
+        let header = 8 + 4 + 8 + 8 + 8;
+        let first_object = header + 32 + (1 + 32) + (1 + 8 + n * (32 + 8) + n * 8 + 8) + 80 + 8;
+        let kind = first_object + 8;
+        assert_eq!(blob[kind], 0, "first object is an active cloud");
+        let pointer = kind + 1 + 8 + 24;
+
+        let with_pointer = |value: u32| {
+            let mut patched = blob.clone();
+            patched[pointer..pointer + 4].copy_from_slice(&value.to_le_bytes());
+            let end = patched.len() - 8;
+            let checksum = fnv1a(FNV_OFFSET, &patched[header..end]);
+            patched[end..].copy_from_slice(&checksum.to_le_bytes());
+            engine(config).restore_bytes(&patched)
+        };
+        assert_eq!(with_pointer(n as u32 - 1).unwrap(), Epoch(9));
+        for bad in [n as u32, u32::MAX] {
+            assert!(matches!(
+                with_pointer(bad),
+                Err(CheckpointError::Corrupt("reader pointer out of range"))
+            ));
+        }
     }
 
     #[test]

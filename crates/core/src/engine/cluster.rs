@@ -148,8 +148,8 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
             }
         }
         let reader_est = e.ingest(&self.stripped);
-        // a no-object infer: builds the likelihood table lazily and
-        // records an empty sensing region, but steps nothing
+        // a no-object infer: records an empty sensing region, but
+        // steps nothing
         e.infer(batch.epoch, &reader_est);
         let reader = e.reader.as_ref().expect("reader initialized");
         let will_resample = e.config.reader_mode == ReaderMode::Filter

@@ -263,12 +263,6 @@ impl Gaussian3 {
         }
         s
     }
-
-    /// Largest diagonal variance — a cheap spread measure used to decide
-    /// whether a belief has "stabilized in a small region".
-    pub fn max_axis_var(&self) -> f64 {
-        self.cov.m[0][0].max(self.cov.m[1][1]).max(self.cov.m[2][2])
-    }
 }
 
 #[cfg(test)]

@@ -32,13 +32,3 @@ pub use gaussian::{standard_normal, DiagGaussian3, Gaussian1, Gaussian3};
 pub use mat3::Mat3;
 pub use point::{Point3, Vec3};
 pub use pose::Pose;
-
-/// Absolute tolerance used by approximate comparisons in tests and
-/// numerically-guarded library code.
-pub const EPS: f64 = 1e-9;
-
-/// Returns true when `a` and `b` are within `tol` of each other.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}

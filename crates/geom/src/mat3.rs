@@ -185,13 +185,6 @@ impl Mat3 {
         r
     }
 
-    /// True when the matrix is symmetric to tolerance `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        (self.m[0][1] - self.m[1][0]).abs() <= tol
-            && (self.m[0][2] - self.m[2][0]).abs() <= tol
-            && (self.m[1][2] - self.m[2][1]).abs() <= tol
-    }
-
     /// Trace of the matrix.
     #[inline]
     pub fn trace(&self) -> f64 {

@@ -53,13 +53,6 @@ impl Point3 {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Squared Euclidean distance to `other`; avoids the square root on
-    /// hot paths such as particle weighting.
-    #[inline]
-    pub fn dist_sq(&self, other: &Point3) -> f64 {
-        (*self - *other).norm_sq()
-    }
-
     /// Component-wise linear interpolation: `self` when `t == 0`, `other`
     /// when `t == 1`.
     #[inline]
@@ -135,12 +128,6 @@ impl Vec3 {
         } else {
             Some(*self / n)
         }
-    }
-
-    /// The planar (XY) norm of the vector.
-    #[inline]
-    pub fn norm_xy(&self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
     }
 
     /// Converts the vector to a point (origin + self).

@@ -146,12 +146,6 @@ impl LogisticSensorModel {
     pub fn log_p_miss_dt(&self, d: f64, theta: f64) -> f64 {
         log_sigmoid(-self.params.linear_predictor(d, theta))
     }
-
-    /// Likelihood (not log) of a binary reading outcome.
-    #[inline]
-    pub fn likelihood(&self, reader: &Pose, tag: &Point3, read: bool) -> f64 {
-        self.log_likelihood(reader, tag, read).exp()
-    }
 }
 
 impl ReadRateModel for LogisticSensorModel {

@@ -8,11 +8,10 @@
 //! pipeline ─► (StoreSink(store), hub.sink()) ─► per-subscription queues
 //! ```
 //!
-//! [`HubSink`] runs a [`LocationChangeQuery`] (threshold 0.0 by
-//! default — the exact `Istream` semantics of `LocationChangeSink`)
-//! over the stream and, at every completed epoch, commits the fired
-//! changes as one delta per subscription whose
-//! [`SubscriptionFilter`] matches. Deltas are stamped with the
+//! [`HubSink`] runs a [`LocationChangeQuery`] (threshold 0.0 — the
+//! exact `Istream` semantics of `LocationChangeSink`) over the stream
+//! and, at every completed epoch, commits the fired changes as one
+//! delta per subscription whose [`SubscriptionFilter`] matches. Deltas are stamped with the
 //! **arrival epoch** under the same convention as the store (events
 //! delivered between the completions of `E-1` and `E` arrive at `E`;
 //! end-of-stream flush events arrive at `last + 1`), so a `PUSH`
@@ -38,32 +37,25 @@ use rfid_stream::queries::LocationChangeQuery;
 use rfid_stream::{Epoch, EventSink, LocationEvent};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// Hub knobs.
+/// The hub's one knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HubConfig {
-    /// Movement threshold in feet for the change query; 0.0 fires on
-    /// every reported movement (and the first report of each tag) —
-    /// identical to `LocationChangeSink::new(0.0)`.
-    pub threshold: f64,
     /// Per-subscription queue capacity in frames (>= 1). When a
     /// subscriber falls this many committed deltas behind, its oldest
     /// frames are dropped and counted into a `LAGGED` notice.
     pub queue_frames: usize,
-    /// Record an `(arrival epoch, Instant)` entry per non-empty
-    /// committed delta — the join key load generators use to measure
-    /// push fan-out latency. Off by default (serving does not need it).
-    pub record_commits: bool,
 }
+
+/// Movement threshold in feet for the hub's change query: 0.0 fires on
+/// every reported movement (and the first report of each tag), which
+/// is what makes a subscription's pushes equal
+/// `LocationChangeSink::new(0.0)` over the same stream.
+const CHANGE_THRESHOLD_FT: f64 = 0.0;
 
 impl Default for HubConfig {
     fn default() -> Self {
-        Self {
-            threshold: 0.0,
-            queue_frames: 64,
-            record_commits: false,
-        }
+        Self { queue_frames: 64 }
     }
 }
 
@@ -72,18 +64,6 @@ impl HubConfig {
     pub fn with_queue_frames(mut self, frames: usize) -> Self {
         assert!(frames >= 1, "subscription queues hold at least 1 frame");
         self.queue_frames = frames;
-        self
-    }
-
-    /// Default config with a movement threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Enables the commit log.
-    pub fn with_commit_log(mut self) -> Self {
-        self.record_commits = true;
         self
     }
 }
@@ -135,7 +115,6 @@ impl Default for HubMetrics {
 #[derive(Debug, Default)]
 struct HubShared {
     subs: Mutex<Vec<SubEntry>>,
-    commits: Mutex<Vec<(u64, Instant)>>,
     metrics: HubMetrics,
 }
 
@@ -167,7 +146,7 @@ impl SubscriptionHub {
     /// `(StoreSink::new(store), hub.sink())`.
     pub fn sink(&self) -> HubSink {
         HubSink {
-            query: LocationChangeQuery::new(self.cfg.threshold),
+            query: LocationChangeQuery::new(CHANGE_THRESHOLD_FT),
             pending: Vec::new(),
             last_completed: None,
             hub: self.clone(),
@@ -208,20 +187,12 @@ impl SubscriptionHub {
             .sum()
     }
 
-    /// The commit log: one `(arrival epoch, commit Instant)` per
-    /// non-empty committed delta, when enabled via
-    /// [`HubConfig::record_commits`].
-    pub fn commit_log(&self) -> Vec<(u64, Instant)> {
-        crate::lock::mutex_recover(self.shared.commits.lock()).clone()
-    }
-
     /// Fans one committed delta out to every matching subscription and
     /// prunes cancelled ones.
     fn commit(&self, epoch: u64, updates: &[LocationUpdate]) {
         if updates.is_empty() {
             return;
         }
-        let mut delivered = false;
         let mut subs = crate::lock::mutex_recover(self.shared.subs.lock());
         subs.retain(|sub| {
             let mut q = crate::lock::mutex_recover(sub.queue.lock());
@@ -253,13 +224,8 @@ impl SubscriptionHub {
             }
             q.frames.push_back(PendingPush { epoch, rows });
             self.shared.metrics.delivered.inc();
-            delivered = true;
             true
         });
-        drop(subs);
-        if delivered && self.cfg.record_commits {
-            crate::lock::mutex_recover(self.shared.commits.lock()).push((epoch, Instant::now()));
-        }
     }
 }
 
@@ -295,11 +261,6 @@ impl SubscriptionHandle {
             epoch: p.epoch,
             rows: p.rows,
         })
-    }
-
-    /// Frames currently queued (not counting a pending lag notice).
-    pub fn pending_frames(&self) -> usize {
-        crate::lock::mutex_recover(self.queue.lock()).frames.len()
     }
 
     /// Total rows dropped over the subscription's lifetime.
@@ -499,20 +460,5 @@ mod tests {
         sink.on_epoch_complete(Epoch(1));
         assert!(sub.poll().is_none());
         assert_eq!(hub.subscriber_count(), 0, "pruned on commit");
-    }
-
-    #[test]
-    fn commit_log_records_nonempty_deltas() {
-        let hub = SubscriptionHub::new(HubConfig::default().with_commit_log());
-        let _sub = hub.subscribe(1, SubscriptionFilter::All);
-        let mut sink = hub.sink();
-        sink.on_event(&ev(0, 1, 1.0));
-        sink.on_epoch_complete(Epoch(0));
-        sink.on_epoch_complete(Epoch(1)); // empty delta: no record
-        sink.on_event(&ev(2, 1, 9.0));
-        sink.on_epoch_complete(Epoch(2));
-        let log = hub.commit_log();
-        let epochs: Vec<u64> = log.iter().map(|(e, _)| *e).collect();
-        assert_eq!(epochs, vec![0, 2]);
     }
 }

@@ -22,7 +22,11 @@
 //! `0x03` FINISH. The log is a write-ahead journal of **sink calls**:
 //! replaying its records through a fresh [`EventStore`] re-derives
 //! every arrival stamp and sequence number exactly, because the
-//! store's stamping is a pure function of the call sequence.
+//! store's stamping is a pure function of the call sequence. Records
+//! are written and parsed with the workspace's one byte cursor
+//! ([`rfid_stream::wire`]'s `put_*` / `PayloadReader`, as frames and
+//! checkpoints are); they carry no element count, and a payload length
+//! that runs past the file is a torn tail, never an allocation.
 //!
 //! ## Commit protocol
 //!
@@ -45,8 +49,10 @@
 //! the compacted snapshot base exactly).
 
 use crate::store::{EventStore, StoreConfig};
-use rfid_geom::Point3;
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
+use rfid_stream::wire::{
+    put_f64, put_point, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,
+};
 use rfid_stream::{Epoch, EventSink, EventStats, LocationEvent, TagId};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
@@ -158,77 +164,65 @@ fn parse_segment_start(name: &str) -> Option<u64> {
 // record codec
 // ---------------------------------------------------------------------
 
+/// Appends one framed record to `out`. The WAL's own field order
+/// (`var` before `support`; the wire's event codec has them the other
+/// way round) is what every segment on disk holds.
 fn encode_record(record: &LogRecord, out: &mut Vec<u8>) {
-    let mut p = Vec::with_capacity(64);
+    let start = out.len();
     match record {
         LogRecord::Event(ev) => {
-            p.push(KIND_EVENT);
-            p.extend_from_slice(&ev.epoch.0.to_le_bytes());
-            p.extend_from_slice(&ev.tag.0.to_le_bytes());
-            for v in [ev.location.x, ev.location.y, ev.location.z] {
-                p.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            put_u8(out, KIND_EVENT);
+            put_u64(out, ev.epoch.0);
+            put_u64(out, ev.tag.0);
+            put_point(out, &ev.location);
             match &ev.stats {
-                None => p.push(0),
+                None => put_u8(out, 0),
                 Some(s) => {
-                    p.push(1);
-                    for v in [s.var[0], s.var[1], s.var[2], s.support] {
-                        p.extend_from_slice(&v.to_bits().to_le_bytes());
+                    put_u8(out, 1);
+                    for v in s.var {
+                        put_f64(out, v);
                     }
+                    put_f64(out, s.support);
                 }
             }
         }
         LogRecord::EpochComplete(e) => {
-            p.push(KIND_EPOCH_COMPLETE);
-            p.extend_from_slice(&e.0.to_le_bytes());
+            put_u8(out, KIND_EPOCH_COMPLETE);
+            put_u64(out, e.0);
         }
-        LogRecord::Finish => p.push(KIND_FINISH),
+        LogRecord::Finish => put_u8(out, KIND_FINISH),
     }
-    out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(FNV_OFFSET, &p).to_le_bytes());
-    out.extend_from_slice(&p);
+    // the header needs the finished payload: write it behind, then
+    // rotate it in front
+    let len = out.len() - start;
+    let checksum = fnv1a(FNV_OFFSET, &out[start..]);
+    put_u32(out, len as u32);
+    put_u64(out, checksum);
+    out[start..].rotate_right(RECORD_HEADER);
 }
 
-fn decode_payload(p: &[u8]) -> Option<LogRecord> {
-    let mut pos = 0usize;
-    let u8_at = |pos: &mut usize| -> Option<u8> {
-        let v = *p.get(*pos)?;
-        *pos += 1;
-        Some(v)
-    };
-    let u64_at = |pos: &mut usize| -> Option<u64> {
-        let b = p.get(*pos..*pos + 8)?;
-        *pos += 8;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    };
-    let record = match u8_at(&mut pos)? {
+fn decode_payload(p: &[u8]) -> Result<LogRecord, WireFormatError> {
+    let mut r = PayloadReader::new(p);
+    let record = match r.u8()? {
         KIND_EVENT => {
-            let epoch = Epoch(u64_at(&mut pos)?);
-            let tag = TagId(u64_at(&mut pos)?);
-            let x = f64::from_bits(u64_at(&mut pos)?);
-            let y = f64::from_bits(u64_at(&mut pos)?);
-            let z = f64::from_bits(u64_at(&mut pos)?);
-            let mut ev = LocationEvent::new(epoch, tag, Point3::new(x, y, z));
-            match u8_at(&mut pos)? {
+            let mut ev = LocationEvent::new(Epoch(r.u64()?), TagId(r.u64()?), r.point()?);
+            match r.u8()? {
                 0 => {}
                 1 => {
-                    let var = [
-                        f64::from_bits(u64_at(&mut pos)?),
-                        f64::from_bits(u64_at(&mut pos)?),
-                        f64::from_bits(u64_at(&mut pos)?),
-                    ];
-                    let support = f64::from_bits(u64_at(&mut pos)?);
+                    let var = [r.f64()?, r.f64()?, r.f64()?];
+                    let support = r.f64()?;
                     ev = ev.with_stats(EventStats { var, support });
                 }
-                _ => return None,
+                t => return Err(WireFormatError::BadTag(t)),
             }
             LogRecord::Event(ev)
         }
-        KIND_EPOCH_COMPLETE => LogRecord::EpochComplete(Epoch(u64_at(&mut pos)?)),
+        KIND_EPOCH_COMPLETE => LogRecord::EpochComplete(Epoch(r.u64()?)),
         KIND_FINISH => LogRecord::Finish,
-        _ => return None,
+        t => return Err(WireFormatError::BadTag(t)),
     };
-    (pos == p.len()).then_some(record)
+    r.finish()?;
+    Ok(record)
 }
 
 enum Scan {
@@ -240,25 +234,26 @@ enum Scan {
     End(usize),
 }
 
-/// Decodes the record at `pos`, or reports where valid data ends.
+/// Decodes the record at `pos`, or reports where valid data ends: a
+/// header or payload cut short, a checksum mismatch and a payload that
+/// does not parse exactly all end the scan at `pos`.
 fn scan_record(buf: &[u8], pos: usize) -> Scan {
-    let Some(head) = buf.get(pos..pos + RECORD_HEADER) else {
+    let mut r = PayloadReader::new(buf.get(pos..).unwrap_or_default());
+    let (Ok(len), Ok(checksum)) = (r.u32(), r.u64()) else {
         return Scan::End(pos);
     };
-    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
-    let checksum = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
-    let Some(payload) = buf.get(pos + RECORD_HEADER..pos + RECORD_HEADER + len) else {
+    let Ok(payload) = r.bytes(len as usize) else {
         return Scan::End(pos);
     };
     if fnv1a(FNV_OFFSET, payload) != checksum {
         return Scan::End(pos);
     }
     match decode_payload(payload) {
-        Some(record) => Scan::Record {
+        Ok(record) => Scan::Record {
             record,
-            next: pos + RECORD_HEADER + len,
+            next: buf.len() - r.remaining(),
         },
-        None => Scan::End(pos),
+        Err(_) => Scan::End(pos),
     }
 }
 
@@ -874,6 +869,7 @@ impl EventSink for DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_geom::Point3;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -931,25 +927,52 @@ mod tests {
             LogRecord::EpochComplete(Epoch(9)),
             LogRecord::Finish,
         ];
+        // `bounds[k]` is where record `k` starts; the last is the end
         let mut buf = Vec::new();
+        let mut bounds = vec![0];
         for r in &records {
             encode_record(r, &mut buf);
+            bounds.push(buf.len());
         }
-        let mut pos = 0;
-        let mut got = Vec::new();
-        loop {
-            match scan_record(&buf, pos) {
-                Scan::Record { record, next } => {
-                    got.push(record);
-                    pos = next;
-                }
-                Scan::End(at) => {
-                    assert_eq!(at, buf.len());
-                    break;
+        let scan_all = |buf: &[u8]| {
+            let mut pos = 0;
+            let mut got = Vec::new();
+            loop {
+                match scan_record(buf, pos) {
+                    Scan::Record { record, next } => {
+                        got.push(record);
+                        pos = next;
+                    }
+                    Scan::End(at) => return (got, at),
                 }
             }
+        };
+        assert_eq!(scan_all(&buf), (records.to_vec(), buf.len()));
+
+        // damage anywhere — the buffer cut at every length, every single
+        // bit flipped — stops the scan at the boundary of the record it
+        // lands in: the records before come back as written, nothing
+        // after the damage does, nothing panics
+        for cut in 0..buf.len() {
+            let whole = bounds.iter().rposition(|b| *b <= cut).expect("0 <= cut");
+            assert_eq!(
+                scan_all(&buf[..cut]),
+                (records[..whole].to_vec(), bounds[whole]),
+                "cut at {cut}"
+            );
         }
-        assert_eq!(got.as_slice(), records.as_slice());
+        for at in 0..buf.len() {
+            let hit = bounds.iter().rposition(|b| *b <= at).expect("0 <= at");
+            for bit in 0..8 {
+                buf[at] ^= 1 << bit;
+                assert_eq!(
+                    scan_all(&buf),
+                    (records[..hit].to_vec(), bounds[hit]),
+                    "bit {bit} of byte {at}"
+                );
+                buf[at] ^= 1 << bit;
+            }
+        }
     }
 
     /// One record of each shape, byte for byte as commit d52ebce wrote

@@ -140,13 +140,6 @@ pub fn endurance_trace(num_objects: usize, rounds: usize, seed: u64) -> Scenario
     Scenario { layout, trace }
 }
 
-/// The calibration trace of §V-B: readings of `num_tags` tags (up to
-/// `num_known` of which will be treated as shelf tags with known
-/// locations during learning), single pass.
-pub fn calibration_trace(num_tags: usize, seed: u64) -> Scenario {
-    small_trace(num_tags, 0, seed)
-}
-
 // ---------------------------------------------------------------------
 // Adversarial scenario library
 // ---------------------------------------------------------------------

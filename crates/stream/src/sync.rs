@@ -127,11 +127,6 @@ impl StreamSynchronizer {
         self.pending.len()
     }
 
-    /// Raw readings currently buffered across all open epochs.
-    pub fn pending_readings(&self) -> usize {
-        self.pending.values().map(|p| p.readings.len()).sum()
-    }
-
     /// Items dropped because they arrived for an already-emitted epoch
     /// (late data beyond the skew bound, or malformed traces). A
     /// nonzero count means the stream skew exceeded

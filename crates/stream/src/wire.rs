@@ -1,30 +1,38 @@
-//! Binary wire format for stream items and location events.
+//! Binary wire format for location events, and the workspace's one
+//! byte cursor.
 //!
-//! The cluster (router → worker → coordinator) moves readings and
-//! events between processes over the same transport the query server
-//! uses: 4-byte **big-endian** length-prefixed frames. Payloads here
-//! are binary — integers little-endian, floats as raw IEEE-754 bits —
-//! so a decoded event is *bit-identical* to the one encoded, which the
+//! The cluster (router → worker → coordinator) moves plans and events
+//! between processes over the same transport the query server uses:
+//! 4-byte **big-endian** length-prefixed frames. Payloads here are
+//! binary — integers little-endian, floats as raw IEEE-754 bits — so a
+//! decoded event is *bit-identical* to the one encoded, which the
 //! cluster's digest gate depends on.
 //!
-//! The module provides three layers:
+//! The module provides two layers:
 //!
 //! 1. byte framing ([`write_frame`] / [`read_frame`]) with an explicit
 //!    `max_frame_len` — the length prefix is untrusted input, so the
 //!    limit is checked *before* any allocation and an oversized prefix
 //!    surfaces as a typed [`OversizedFrame`] error the caller can
 //!    answer before closing;
-//! 2. payload codecs for [`StreamItem`]s and [`LocationEvent`]s
-//!    ([`PayloadReader`] plus the `encode_*`/`decode_*` pairs);
-//! 3. pipeline adapters: [`WireItemSource`] (a
-//!    [`ReadingSource`](crate::ReadingSource) reading item frames) and
-//!    [`WireEventSink`] (an [`EventSink`] writing one frame per
-//!    completed epoch), plus [`merge_by_tag`] — the one k-way merge
-//!    in global tag order that the cluster head (support rows) and the
-//!    coordinator (events, via [`merge_events_by_tag`]) both use.
+//! 2. the payload cursor — [`PayloadReader`] and the `put_*` writers —
+//!    with the [`LocationEvent`] codec and the per-epoch event frames
+//!    of [`WireEventSink`] / [`decode_event_frame`] on top of it.
+//!
+//! Engine checkpoints (`rfid_core::checkpoint`) and WAL records
+//! (`rfid_serve::log`) are written and read with the same `put_*` /
+//! [`PayloadReader`] calls inside their own envelopes, so every binary
+//! format in the workspace answers a hostile element count the same
+//! way: [`PayloadReader::count_u32`] / [`PayloadReader::count_u64`]
+//! refuse a count larger than the bytes that remain *before* anything
+//! is allocated for it.
+//!
+//! [`merge_by_tag`] is the one k-way merge in global tag order that the
+//! cluster head (support rows) and the coordinator (events, via
+//! [`merge_events_by_tag`]) both use.
 
-use crate::pipeline::{EventSink, StreamItem};
-use crate::{Epoch, EventStats, LocationEvent, ReaderLocationReport, RfidReading, TagId};
+use crate::pipeline::EventSink;
+use crate::{Epoch, EventStats, LocationEvent, TagId};
 use rfid_geom::{Point3, Pose};
 use std::io::{self, Read, Write};
 
@@ -164,13 +172,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     fn take<const N: usize>(&mut self) -> Result<[u8; N], WireFormatError> {
-        let end = self.pos.checked_add(N).ok_or(WireFormatError::Truncated)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(WireFormatError::Truncated)?;
-        self.pos = end;
-        Ok(bytes.try_into().expect("slice of length N"))
+        Ok(self.bytes(N)?.try_into().expect("slice of length N"))
     }
 
     pub fn u8(&mut self) -> Result<u8, WireFormatError> {
@@ -190,8 +192,12 @@ impl<'a> PayloadReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    pub fn point(&mut self) -> Result<Point3, WireFormatError> {
+        Ok(Point3::new(self.f64()?, self.f64()?, self.f64()?))
+    }
+
     pub fn pose(&mut self) -> Result<Pose, WireFormatError> {
-        let pos = Point3::new(self.f64()?, self.f64()?, self.f64()?);
+        let pos = self.point()?;
         let phi = self.f64()?;
         // field construction, not Pose::new: re-normalizing phi could
         // flip the sign bit of an encoded -pi
@@ -213,6 +219,29 @@ impl<'a> PayloadReader<'a> {
     pub fn str_field(&mut self) -> Result<&'a str, WireFormatError> {
         let n = self.u32()? as usize;
         std::str::from_utf8(self.bytes(n)?).map_err(|_| WireFormatError::BadString)
+    }
+
+    /// A `u32` element count, refused when it exceeds the bytes that
+    /// remain: every element takes at least one byte, so such a count
+    /// is a truncated (or hostile) payload. Call it before
+    /// `with_capacity` — the count is outside input.
+    pub fn count_u32(&mut self) -> Result<usize, WireFormatError> {
+        let n = self.u32()?;
+        self.check_count(n.into())
+    }
+
+    /// [`count_u32`](Self::count_u32) for the `u64` counts checkpoints
+    /// carry.
+    pub fn count_u64(&mut self) -> Result<usize, WireFormatError> {
+        let n = self.u64()?;
+        self.check_count(n)
+    }
+
+    fn check_count(&self, n: u64) -> Result<usize, WireFormatError> {
+        if n > self.remaining() as u64 {
+            return Err(WireFormatError::Truncated);
+        }
+        Ok(n as usize)
     }
 
     /// Bytes not yet consumed.
@@ -253,54 +282,22 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+pub fn put_point(out: &mut Vec<u8>, p: &Point3) {
+    put_f64(out, p.x);
+    put_f64(out, p.y);
+    put_f64(out, p.z);
+}
+
 pub fn put_pose(out: &mut Vec<u8>, p: &Pose) {
-    put_f64(out, p.pos.x);
-    put_f64(out, p.pos.y);
-    put_f64(out, p.pos.z);
+    put_point(out, &p.pos);
     put_f64(out, p.phi);
-}
-
-const ITEM_READING: u8 = 0;
-const ITEM_REPORT: u8 = 1;
-
-/// Encodes one raw stream item (reading or report).
-pub fn encode_item(item: &StreamItem, out: &mut Vec<u8>) {
-    match item {
-        StreamItem::Reading(r) => {
-            put_u8(out, ITEM_READING);
-            put_f64(out, r.time);
-            put_u64(out, r.tag.0);
-        }
-        StreamItem::Report(r) => {
-            put_u8(out, ITEM_REPORT);
-            put_f64(out, r.time);
-            put_pose(out, &r.pose);
-        }
-    }
-}
-
-/// Decodes one raw stream item.
-pub fn decode_item(r: &mut PayloadReader<'_>) -> Result<StreamItem, WireFormatError> {
-    match r.u8()? {
-        ITEM_READING => Ok(StreamItem::Reading(RfidReading {
-            time: r.f64()?,
-            tag: TagId(r.u64()?),
-        })),
-        ITEM_REPORT => Ok(StreamItem::Report(ReaderLocationReport {
-            time: r.f64()?,
-            pose: r.pose()?,
-        })),
-        t => Err(WireFormatError::BadTag(t)),
-    }
 }
 
 /// Encodes one location event (bit-exact floats).
 pub fn encode_event(e: &LocationEvent, out: &mut Vec<u8>) {
     put_u64(out, e.epoch.0);
     put_u64(out, e.tag.0);
-    put_f64(out, e.location.x);
-    put_f64(out, e.location.y);
-    put_f64(out, e.location.z);
+    put_point(out, &e.location);
     match &e.stats {
         None => put_u8(out, 0),
         Some(s) => {
@@ -317,7 +314,7 @@ pub fn encode_event(e: &LocationEvent, out: &mut Vec<u8>) {
 pub fn decode_event(r: &mut PayloadReader<'_>) -> Result<LocationEvent, WireFormatError> {
     let epoch = Epoch(r.u64()?);
     let tag = TagId(r.u64()?);
-    let location = Point3::new(r.f64()?, r.f64()?, r.f64()?);
+    let location = r.point()?;
     let stats = match r.u8()? {
         0 => None,
         1 => Some(EventStats {
@@ -337,128 +334,6 @@ pub fn decode_event(r: &mut PayloadReader<'_>) -> Result<LocationEvent, WireForm
 // ---------------------------------------------------------------------
 // pipeline adapters
 // ---------------------------------------------------------------------
-
-/// Writes raw stream items as item frames (`count` + items each); the
-/// producing half of [`WireItemSource`].
-#[derive(Debug)]
-pub struct WireItemWriter<W: Write> {
-    w: W,
-    buf: Vec<u8>,
-    pending: u32,
-    max_frame_len: u32,
-}
-
-impl<W: Write> WireItemWriter<W> {
-    pub fn new(w: W) -> Self {
-        Self {
-            w,
-            buf: Vec::new(),
-            pending: 0,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-        }
-    }
-
-    /// Buffers one item; call [`WireItemWriter::flush`] to frame what
-    /// has accumulated.
-    pub fn push(&mut self, item: &StreamItem) -> io::Result<()> {
-        if self.pending == 0 {
-            self.buf.clear();
-            put_u32(&mut self.buf, 0); // count patched on flush
-        }
-        encode_item(item, &mut self.buf);
-        self.pending += 1;
-        // keep frames comfortably under the cap
-        if self.buf.len() >= (self.max_frame_len / 2) as usize {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Writes the buffered items as one frame (no-op when empty).
-    pub fn flush(&mut self) -> io::Result<()> {
-        if self.pending > 0 {
-            self.buf[..4].copy_from_slice(&self.pending.to_le_bytes());
-            write_frame(&mut self.w, &self.buf, self.max_frame_len)?;
-            self.pending = 0;
-            self.buf.clear();
-        }
-        self.w.flush()
-    }
-}
-
-/// A [`ReadingSource`](crate::ReadingSource) decoding item frames from
-/// a byte stream — the router's input when the trace arrives over a
-/// socket or file instead of from the in-process simulator. Ends the
-/// stream at EOF; a transport or format error also ends the stream and
-/// is kept for [`WireItemSource::take_error`].
-#[derive(Debug)]
-pub struct WireItemSource<R: Read> {
-    r: R,
-    queue: std::collections::VecDeque<StreamItem>,
-    error: Option<io::Error>,
-    max_frame_len: u32,
-    done: bool,
-}
-
-impl<R: Read> WireItemSource<R> {
-    pub fn new(r: R) -> Self {
-        Self {
-            r,
-            queue: std::collections::VecDeque::new(),
-            error: None,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            done: false,
-        }
-    }
-
-    /// The error that ended the stream early, if any.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
-    }
-
-    fn fail(&mut self, e: io::Error) -> Option<StreamItem> {
-        self.error = Some(e);
-        self.done = true;
-        None
-    }
-}
-
-impl<R: Read> Iterator for WireItemSource<R> {
-    type Item = StreamItem;
-
-    fn next(&mut self) -> Option<StreamItem> {
-        loop {
-            if let Some(item) = self.queue.pop_front() {
-                return Some(item);
-            }
-            if self.done {
-                return None;
-            }
-            let payload = match read_frame(&mut self.r, self.max_frame_len) {
-                Ok(Some(p)) => p,
-                Ok(None) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => return self.fail(e),
-            };
-            let mut rd = PayloadReader::new(&payload);
-            let count = match rd.u32() {
-                Ok(c) => c,
-                Err(e) => return self.fail(e.into()),
-            };
-            for _ in 0..count {
-                match decode_item(&mut rd) {
-                    Ok(item) => self.queue.push_back(item),
-                    Err(e) => return self.fail(e.into()),
-                }
-            }
-            if let Err(e) = rd.finish() {
-                return self.fail(e.into());
-            }
-        }
-    }
-}
 
 /// Event-frame kinds written by [`WireEventSink`].
 pub const EVENTS_EPOCH: u8 = 0;
@@ -549,8 +424,8 @@ pub fn decode_event_frame(payload: &[u8]) -> Result<EventFrame, WireFormatError>
         return Err(WireFormatError::BadTag(kind));
     }
     let epoch = Epoch(r.u64()?);
-    let count = r.u32()?;
-    let mut events = Vec::with_capacity(count.min(1 << 16) as usize);
+    let count = r.count_u32()?;
+    let mut events = Vec::with_capacity(count);
     for _ in 0..count {
         events.push(decode_event(&mut r)?);
     }
@@ -690,76 +565,27 @@ mod tests {
     }
 
     #[test]
-    fn item_source_round_trips_and_ends_cleanly() {
-        let items = vec![
-            StreamItem::Reading(RfidReading {
-                time: 0.25,
-                tag: TagId(42),
-            }),
-            StreamItem::Report(ReaderLocationReport {
-                time: 0.5,
-                pose: Pose {
-                    pos: Point3::new(1.0, 2.0, 3.0),
-                    phi: -std::f64::consts::PI,
-                },
-            }),
-            StreamItem::Reading(RfidReading {
-                time: 0.75,
-                tag: TagId(43),
-            }),
-        ];
+    fn counts_above_the_remaining_bytes_are_refused() {
         let mut buf = Vec::new();
-        {
-            let mut w = WireItemWriter::new(&mut buf);
-            for (i, item) in items.iter().enumerate() {
-                w.push(item).unwrap();
-                if i == 0 {
-                    w.flush().unwrap(); // multiple frames on the stream
-                }
-            }
-            w.flush().unwrap();
-        }
-        let mut src = WireItemSource::new(io::Cursor::new(buf));
-        let decoded: Vec<StreamItem> = (&mut src).collect();
-        assert!(src.take_error().is_none());
-        assert_eq!(decoded.len(), items.len());
-        for (d, i) in decoded.iter().zip(&items) {
-            match (d, i) {
-                (StreamItem::Reading(a), StreamItem::Reading(b)) => {
-                    assert_eq!(a.tag, b.tag);
-                    assert_eq!(a.time.to_bits(), b.time.to_bits());
-                }
-                (StreamItem::Report(a), StreamItem::Report(b)) => {
-                    assert_eq!(a.time.to_bits(), b.time.to_bits());
-                    assert_eq!(a.pose.pos.x.to_bits(), b.pose.pos.x.to_bits());
-                    assert_eq!(a.pose.phi.to_bits(), b.pose.phi.to_bits());
-                }
-                _ => panic!("item kind changed"),
-            }
-        }
-    }
-
-    #[test]
-    fn garbage_after_valid_frame_is_an_error() {
-        let mut buf = Vec::new();
-        {
-            let mut w = WireItemWriter::new(&mut buf);
-            w.push(&StreamItem::Reading(RfidReading {
-                time: 0.0,
-                tag: TagId(1),
-            }))
-            .unwrap();
-            w.flush().unwrap();
-        }
-        // valid frame, then a frame whose payload is garbage
-        write_frame(&mut buf, &[0xde, 0xad, 0xbe, 0xef, 0xff], 64).unwrap();
-        let mut src = WireItemSource::new(io::Cursor::new(buf));
-        let decoded: Vec<StreamItem> = (&mut src).collect();
-        assert_eq!(decoded.len(), 1, "the valid frame still decodes");
-        assert!(
-            src.take_error().is_some(),
-            "the garbage ends the stream loudly"
+        put_u32(&mut buf, 3);
+        buf.extend_from_slice(&[0; 3]);
+        assert_eq!(PayloadReader::new(&buf).count_u32(), Ok(3));
+        buf[0] = 4;
+        assert_eq!(
+            PayloadReader::new(&buf).count_u32(),
+            Err(WireFormatError::Truncated)
         );
+        // a count no `usize` cast may get to truncate
+        let mut buf = Vec::new();
+        put_u64(&mut buf, u64::MAX);
+        assert_eq!(
+            PayloadReader::new(&buf).count_u64(),
+            Err(WireFormatError::Truncated)
+        );
+        put_u64(&mut buf, 0);
+        let mut r = PayloadReader::new(&buf[8..]);
+        assert_eq!(r.count_u64(), Ok(0));
+        r.finish().unwrap();
     }
 
     #[test]
