@@ -3,14 +3,13 @@
 
 use crate::metrics::ErrorStats;
 use rfid_baselines::{Smurf, SmurfConfig, UniformBaseline};
-use rfid_core::engine::run_engine;
 use rfid_core::{BasicParticleFilter, FilterConfig, InferenceEngine, ReaderMode};
 use rfid_geom::Aabb;
 use rfid_model::object::LocationPrior;
 use rfid_model::sensor::{ConeSensor, ReadRateModel};
 use rfid_model::{JointModel, ModelParams};
 use rfid_sim::scenario::Scenario;
-use rfid_stream::{Epoch, EpochBatch, LocationEvent};
+use rfid_stream::{Epoch, EpochBatch, InferenceStage, LocationEvent};
 use std::time::{Duration, Instant};
 
 /// Which inference configuration to run (the four curves of
@@ -86,8 +85,23 @@ impl RunOutput {
     }
 }
 
-fn last_epoch(batches: &[EpochBatch]) -> Epoch {
-    batches.last().map(|b| b.epoch).unwrap_or(Epoch(0))
+/// Drives any inference stage over prepared batches — every batch,
+/// then the final flush — and times it. `memory_bytes` is left at 0
+/// for the caller to fill in.
+fn drive<S: InferenceStage>(stage: &mut S, batches: &[EpochBatch]) -> RunOutput {
+    let start = Instant::now();
+    let mut events = Vec::new();
+    for b in batches {
+        stage.process_batch_into(b, &mut events);
+    }
+    let last = batches.last().map(|b| b.epoch).unwrap_or(Epoch(0));
+    stage.finalize_into(last, &mut events);
+    RunOutput {
+        events,
+        elapsed: start.elapsed(),
+        readings: batches.iter().map(|b| b.readings.len()).sum(),
+        memory_bytes: 0,
+    }
 }
 
 /// Engine knobs shared by every variant run.
@@ -145,12 +159,6 @@ fn variant_config(variant: EngineVariant, opts: RunOpts) -> FilterConfig {
     cfg
 }
 
-/// `params` with its sensor component replaced by a learned model.
-fn with_logistic_sensor(mut params: ModelParams, sp: rfid_model::SensorParams) -> ModelParams {
-    params.sensor = sp;
-    params
-}
-
 /// [`run_engine_variant`] with the full option set.
 pub fn run_engine_variant_opts<P: LocationPrior + Clone>(
     batches: &[EpochBatch],
@@ -162,101 +170,87 @@ pub fn run_engine_variant_opts<P: LocationPrior + Clone>(
     opts: RunOpts,
 ) -> RunOutput {
     let cfg = variant_config(variant, opts);
-    let readings: usize = batches.iter().map(|b| b.readings.len()).sum();
+    let joint_particles = match variant {
+        EngineVariant::Unfactored { particles } => Some(particles),
+        _ => None,
+    };
+    run_config(
+        batches,
+        prior,
+        shelf_tags,
+        cfg,
+        joint_particles,
+        sensor,
+        params,
+    )
+}
 
-    match (variant, sensor) {
-        (EngineVariant::Unfactored { particles }, InferenceSensor::TrueCone(c)) => {
-            let model = JointModel::with_sensor(c, params);
-            run_unfactored(
-                model,
-                prior.clone(),
-                shelf_tags.to_vec(),
+/// Builds the joint model the sensor choice selects (the two choices
+/// are different model types) and runs `cfg` with it.
+fn run_config<P: LocationPrior + Clone>(
+    batches: &[EpochBatch],
+    prior: &P,
+    shelf_tags: &[(rfid_stream::TagId, rfid_geom::Point3)],
+    cfg: FilterConfig,
+    joint_particles: Option<usize>,
+    sensor: InferenceSensor,
+    mut params: ModelParams,
+) -> RunOutput {
+    let (prior, shelf_tags) = (prior.clone(), shelf_tags.to_vec());
+    match sensor {
+        InferenceSensor::TrueCone(c) => run_model(
+            JointModel::with_sensor(c, params),
+            prior,
+            shelf_tags,
+            cfg,
+            joint_particles,
+            batches,
+        ),
+        InferenceSensor::Logistic(sp) => {
+            params.sensor = sp;
+            run_model(
+                JointModel::new(params),
+                prior,
+                shelf_tags,
                 cfg,
-                particles,
+                joint_particles,
                 batches,
-                readings,
-            )
-        }
-        (EngineVariant::Unfactored { particles }, InferenceSensor::Logistic(sp)) => {
-            let model = JointModel::new(with_logistic_sensor(params, sp));
-            run_unfactored(
-                model,
-                prior.clone(),
-                shelf_tags.to_vec(),
-                cfg,
-                particles,
-                batches,
-                readings,
-            )
-        }
-        (_, InferenceSensor::TrueCone(c)) => {
-            let model = JointModel::with_sensor(c, params);
-            run_factored(
-                model,
-                prior.clone(),
-                shelf_tags.to_vec(),
-                cfg,
-                batches,
-                readings,
-            )
-        }
-        (_, InferenceSensor::Logistic(sp)) => {
-            let model = JointModel::new(with_logistic_sensor(params, sp));
-            run_factored(
-                model,
-                prior.clone(),
-                shelf_tags.to_vec(),
-                cfg,
-                batches,
-                readings,
             )
         }
     }
 }
 
-fn run_factored<P: LocationPrior + Clone, S: ReadRateModel>(
+/// Runs the basic joint filter when `joint_particles` is set, the
+/// factored engine otherwise.
+fn run_model<P: LocationPrior, S: ReadRateModel>(
     model: JointModel<S>,
     prior: P,
     shelf_tags: Vec<(rfid_stream::TagId, rfid_geom::Point3)>,
     cfg: FilterConfig,
+    joint_particles: Option<usize>,
     batches: &[EpochBatch],
-    readings: usize,
 ) -> RunOutput {
-    let mut engine = InferenceEngine::new(model, prior, shelf_tags, cfg).expect("valid config");
-    let start = Instant::now();
-    let events = run_engine(&mut engine, batches);
-    let elapsed = start.elapsed();
-    RunOutput {
-        events,
-        elapsed,
-        readings,
-        memory_bytes: engine.memory_bytes(),
-    }
-}
-
-fn run_unfactored<P: LocationPrior + Clone, S: ReadRateModel>(
-    model: JointModel<S>,
-    prior: P,
-    shelf_tags: Vec<(rfid_stream::TagId, rfid_geom::Point3)>,
-    cfg: FilterConfig,
-    particles: usize,
-    batches: &[EpochBatch],
-    readings: usize,
-) -> RunOutput {
-    let mut filter =
-        BasicParticleFilter::new(model, prior, shelf_tags, cfg, particles).expect("valid config");
-    let start = Instant::now();
-    let mut events = Vec::new();
-    for b in batches {
-        events.extend(filter.process_batch(b));
-    }
-    events.extend(filter.finalize(last_epoch(batches)));
-    let elapsed = start.elapsed();
-    RunOutput {
-        events,
-        elapsed,
-        readings,
-        memory_bytes: particles * filter.num_objects() * std::mem::size_of::<rfid_geom::Point3>(),
+    match joint_particles {
+        Some(particles) => {
+            let mut filter = BasicParticleFilter::new(model, prior, shelf_tags, cfg, particles)
+                .expect("valid config");
+            let out = drive(&mut filter, batches);
+            RunOutput {
+                memory_bytes: particles
+                    * filter.num_objects()
+                    * std::mem::size_of::<rfid_geom::Point3>(),
+                ..out
+            }
+        }
+        None => {
+            let mut engine =
+                InferenceEngine::new(model, prior, shelf_tags, cfg).expect("valid config");
+            let out = drive(&mut engine, batches);
+            RunOutput {
+                memory_bytes: engine.memory_bytes(),
+                ..out
+            }
+        }
     }
 }
 
@@ -276,31 +270,7 @@ pub fn run_motion_off<P: LocationPrior + Clone>(
     cfg.reader_particles = 1;
     cfg.particles_per_object = particles_per_object;
     cfg.report_delay_epochs = report_delay;
-    let readings: usize = batches.iter().map(|b| b.readings.len()).sum();
-    match sensor {
-        InferenceSensor::TrueCone(c) => {
-            let model = JointModel::with_sensor(c, params);
-            run_factored(
-                model,
-                prior.clone(),
-                shelf_tags.to_vec(),
-                cfg,
-                batches,
-                readings,
-            )
-        }
-        InferenceSensor::Logistic(sp) => {
-            let model = JointModel::new(with_logistic_sensor(params, sp));
-            run_factored(
-                model,
-                prior.clone(),
-                shelf_tags.to_vec(),
-                cfg,
-                batches,
-                readings,
-            )
-        }
-    }
+    run_config(batches, prior, shelf_tags, cfg, None, sensor, params)
 }
 
 /// Runs the SMURF baseline.
@@ -310,23 +280,11 @@ pub fn run_baseline_smurf(
     read_range: f64,
     ignored: &[(rfid_stream::TagId, rfid_geom::Point3)],
 ) -> RunOutput {
-    let readings: usize = batches.iter().map(|b| b.readings.len()).sum();
     let mut smurf = Smurf::new(
         SmurfConfig::new(read_range, shelves),
         ignored.iter().map(|(t, _)| *t),
     );
-    let start = Instant::now();
-    let mut events = Vec::new();
-    for b in batches {
-        events.extend(smurf.process_batch(b));
-    }
-    events.extend(smurf.finalize(last_epoch(batches)));
-    RunOutput {
-        events,
-        elapsed: start.elapsed(),
-        readings,
-        memory_bytes: 0,
-    }
+    drive(&mut smurf, batches)
 }
 
 /// Runs the uniform-sampling baseline.
@@ -337,20 +295,8 @@ pub fn run_baseline_uniform(
     ignored: &[(rfid_stream::TagId, rfid_geom::Point3)],
     seed: u64,
 ) -> RunOutput {
-    let readings: usize = batches.iter().map(|b| b.readings.len()).sum();
     let mut uni = UniformBaseline::new(read_range, shelves, ignored.iter().map(|(t, _)| *t), seed);
-    let start = Instant::now();
-    let mut events = Vec::new();
-    for b in batches {
-        events.extend(uni.process_batch(b));
-    }
-    events.extend(uni.finalize(last_epoch(batches)));
-    RunOutput {
-        events,
-        elapsed: start.elapsed(),
-        readings,
-        memory_bytes: 0,
-    }
+    drive(&mut uni, batches)
 }
 
 #[cfg(test)]

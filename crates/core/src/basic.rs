@@ -10,7 +10,7 @@
 //! scalability study (Fig. 5(i)/(j)); the paper could not push it past
 //! 20 objects.
 
-use crate::config::FilterConfig;
+use crate::config::{FilterConfig, INIT_CONE_HALF_ANGLE, MAX_INIT_RANGE};
 use crate::error::ConfigError;
 use crate::factored::object::sample_cone_in_prior;
 use crate::output::OutputPolicy;
@@ -68,7 +68,7 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
             return Err(ConfigError::new("num_particles must be >= 1"));
         }
         let range_over = (model.sensor.detection_range(0.02) * config.init_range_overestimate)
-            .min(config.max_init_range);
+            .min(MAX_INIT_RANGE);
         let shelf_ids = shelf_tags.iter().map(|(t, _)| *t).collect();
         let uniform = -(num_particles as f64).ln();
         Ok(Self {
@@ -220,7 +220,7 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
                     let loc = sample_cone_in_prior(
                         &pose,
                         self.range_over,
-                        self.config.init_cone_half_angle,
+                        INIT_CONE_HALF_ANGLE,
                         Some(&self.prior),
                         &mut self.rng,
                     );

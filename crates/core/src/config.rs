@@ -1,6 +1,35 @@
-//! Filter configuration.
+//! Filter configuration: the eleven values a figure, ablation, preset
+//! or test sets ([`FilterConfig`], three of them in
+//! [`CompressionPolicy`]), and the five the paper fixes in prose, which
+//! are constants here. A checkpoint's config fingerprint still covers
+//! the constants (at the byte offsets the fields had), so a blob
+//! written by a build with another value is refused, not mis-decoded.
 
 use crate::error::ConfigError;
+
+/// Half-angle (radians) of the particle-initialization cone, 35°.
+/// Like the range, it overestimates the sensor's angular width (§IV-A:
+/// the paper's cone is 15° major + 15° minor half-angle; this adds 5°).
+pub const INIT_CONE_HALF_ANGLE: f64 = 35.0 * (std::f64::consts::PI / 180.0);
+/// Hard cap on the initialization range in feet, applied after
+/// [`FilterConfig::init_range_overestimate`] (§IV-A). Learned sensor
+/// models on geometries that cannot identify distance decay (tags all
+/// at one standoff) can report enormous detection ranges; the cap keeps
+/// the initialization cone physical.
+pub const MAX_INIT_RANGE: f64 = 10.0;
+/// A re-detection farther than this (feet) beyond the sensing range
+/// from the current estimate discards the object's particles and
+/// re-creates them at the new location; between
+/// [`SMALL_MOVE_DISTANCE`] and this, §IV-A's "keep half of the old
+/// particles and move the other half" applies.
+pub const RESPAWN_DISTANCE: f64 = 2.0;
+/// Below this re-detection distance (feet) the existing particles are
+/// simply reweighted (§IV-A: "if the distance ... is very small, we
+/// just use the existing particles").
+pub const SMALL_MOVE_DISTANCE: f64 = 0.25;
+/// Particles drawn when decompressing a belief (§IV-D: "with 10
+/// particles").
+pub const DECOMPRESSED_PARTICLES: usize = 10;
 
 /// How the engine treats reader location reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,8 +55,6 @@ pub struct CompressionPolicy {
     /// disables the check. Low values compress only well-behaved,
     /// tight clouds.
     pub max_cross_entropy: f64,
-    /// Particles drawn when decompressing (the paper uses 10).
-    pub decompressed_particles: usize,
 }
 
 impl CompressionPolicy {
@@ -37,18 +64,17 @@ impl CompressionPolicy {
             enabled: false,
             idle_epochs: u64::MAX,
             max_cross_entropy: f64::INFINITY,
-            decompressed_particles: 10,
         }
     }
 
     /// The paper's operating point: compress whenever an object leaves
-    /// the reader's scope, decompress with 10 particles.
+    /// the reader's scope (decompression draws
+    /// [`DECOMPRESSED_PARTICLES`]).
     pub fn paper_default() -> Self {
         Self {
             enabled: true,
             idle_epochs: 10,
             max_cross_entropy: f64::INFINITY,
-            decompressed_particles: 10,
         }
     }
 }
@@ -67,25 +93,6 @@ pub struct FilterConfig {
     /// particles in a cone at the reader ("chosen to be an overestimate
     /// of the true range").
     pub init_range_overestimate: f64,
-    /// Half-angle (radians) of the particle-initialization cone. Like
-    /// the range, this should overestimate the sensor's angular width
-    /// (paper cone: 15° major + 15° minor half-angle; default adds 5°).
-    pub init_cone_half_angle: f64,
-    /// Hard cap on the initialization range in feet, applied after the
-    /// overestimate factor. Learned sensor models on geometries that
-    /// cannot identify distance decay (tags all at one standoff) can
-    /// report enormous detection ranges; the cap keeps the
-    /// initialization cone physical.
-    pub max_init_range: f64,
-    /// A re-detection farther than this from the current estimate
-    /// respawns half of the object's particles at the new location
-    /// (§IV-A's "keep half of the old particles and move the other
-    /// half"). In feet.
-    pub respawn_distance: f64,
-    /// Below this re-detection distance the existing particles are
-    /// simply reweighted ("if the distance ... is very small, we just
-    /// use the existing particles"). In feet.
-    pub small_move_distance: f64,
     /// Reader handling mode.
     pub reader_mode: ReaderMode,
     /// Use the spatial index to restrict per-epoch work (§IV-C).
@@ -109,10 +116,6 @@ impl FilterConfig {
             reader_particles: 100,
             resample_ess_frac: 0.5,
             init_range_overestimate: 1.25,
-            max_init_range: 10.0,
-            init_cone_half_angle: 35f64.to_radians(),
-            respawn_distance: 2.0,
-            small_move_distance: 0.25,
             reader_mode: ReaderMode::Filter,
             use_spatial_index: false,
             compression: CompressionPolicy::disabled(),
@@ -155,33 +158,10 @@ impl FilterConfig {
                 "init_range_overestimate must be finite and >= 1 (an overestimate)",
             ));
         }
-        if !(self.init_cone_half_angle > 0.0 && self.init_cone_half_angle <= std::f64::consts::PI) {
-            return Err(ConfigError::new("init_cone_half_angle must lie in (0, pi]"));
-        }
-        if !(self.max_init_range > 0.0 && self.max_init_range.is_finite()) {
-            return Err(ConfigError::new(
-                "max_init_range must be positive and finite",
-            ));
-        }
-        if !(self.respawn_distance.is_finite() && self.small_move_distance.is_finite()) {
-            return Err(ConfigError::new(
-                "respawn_distance and small_move_distance must be finite",
-            ));
-        }
-        if self.respawn_distance < self.small_move_distance {
-            return Err(ConfigError::new(
-                "respawn_distance must be >= small_move_distance",
-            ));
-        }
         // +inf is the documented "no loss check"; only NaN is meaningless
         if self.compression.max_cross_entropy.is_nan() {
             return Err(ConfigError::new(
                 "compression.max_cross_entropy must not be NaN",
-            ));
-        }
-        if self.compression.enabled && self.compression.decompressed_particles == 0 {
-            return Err(ConfigError::new(
-                "decompressed_particles must be >= 1 when compression is on",
             ));
         }
         Ok(())
@@ -220,15 +200,6 @@ mod tests {
         c.init_range_overestimate = 0.5;
         assert!(c.validate().is_err());
 
-        let mut c = FilterConfig::factored_default();
-        c.respawn_distance = 0.1;
-        c.small_move_distance = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = FilterConfig::full_default();
-        c.compression.decompressed_particles = 0;
-        assert!(c.validate().is_err());
-
         // NaN compares false with everything, so `x < bound` checks let
         // it through; every f64 field must reject it explicitly
         let valid = |edit: fn(&mut FilterConfig, f64), v: f64| {
@@ -237,7 +208,6 @@ mod tests {
             c.validate().is_ok()
         };
         assert!(!valid(|c, v| c.resample_ess_frac = v, f64::NAN));
-        assert!(!valid(|c, v| c.small_move_distance = v, f64::NAN));
         assert!(!valid(|c, v| c.compression.max_cross_entropy = v, f64::NAN));
         // an infinite loss threshold is the documented "always compress"
         assert!(valid(
@@ -246,17 +216,6 @@ mod tests {
         ));
         for v in [f64::NAN, f64::INFINITY] {
             assert!(!valid(|c, v| c.init_range_overestimate = v, v), "{v}");
-            assert!(!valid(|c, v| c.init_cone_half_angle = v, v), "{v}");
-            assert!(!valid(|c, v| c.max_init_range = v, v), "{v}");
-            assert!(!valid(|c, v| c.respawn_distance = v, v), "{v}");
         }
-        for v in [0.0, -0.3, 3.2] {
-            assert!(!valid(|c, v| c.init_cone_half_angle = v, v), "{v}");
-        }
-        assert!(valid(
-            |c, v| c.init_cone_half_angle = v,
-            std::f64::consts::PI
-        ));
-        assert!(!valid(|c, v| c.max_init_range = v, 0.0));
     }
 }

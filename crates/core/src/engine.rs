@@ -40,7 +40,10 @@ pub mod checkpoint;
 pub mod cluster;
 
 use crate::compression::CompressedBelief;
-use crate::config::{FilterConfig, ReaderMode};
+use crate::config::{
+    FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE, MAX_INIT_RANGE,
+    RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+};
 use crate::error::ConfigError;
 use crate::exec::{self, StepScratch};
 use crate::factored::{ObjectFilter, ReaderFilter, ReaderTables};
@@ -293,7 +296,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let range_over = (model.sensor.detection_range(0.02) * config.init_range_overestimate)
-            .min(config.max_init_range);
+            .min(MAX_INIT_RANGE);
         let shelf_ids = shelf_tags.iter().map(|(t, _)| *t).collect();
         let hook = config
             .use_spatial_index
@@ -555,9 +558,13 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         // its last *read* (continued Case-2 processing does not reset
         // the clock — a silent object compresses even while the reader
         // keeps passing it). A read epoch bumps the tag's authoritative
-        // due epoch; the queue holds one live entry per tag.
+        // due epoch; the queue holds one live entry per tag. The sum
+        // saturates: an idle period that cannot elapse (`u64::MAX`,
+        // what `CompressionPolicy::disabled` carries) is never due.
         if self.config.compression.enabled {
-            let due = epoch.0 + self.config.compression.idle_epochs;
+            let due = epoch
+                .0
+                .saturating_add(self.config.compression.idle_epochs);
             for i in 0..self.steps.len() {
                 let StepTask { tag, read } = self.steps[i];
                 if !read {
@@ -652,7 +659,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let (loc, var) = s.last_estimate;
         let support = match &s.belief {
             Belief::Active(f) => f.object_ess(),
-            Belief::Compressed(_) => self.config.compression.decompressed_particles as f64,
+            Belief::Compressed(_) => DECOMPRESSED_PARTICLES as f64,
         };
         LocationEvent::new(epoch, tag, loc).with_stats(EventStats { var, support })
     }
@@ -800,7 +807,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                         // period later — a bounded cadence keeps the
                         // one-entry-per-tag invariant without
                         // dropping the object forever
-                        let retry = epoch.0 + self.config.compression.idle_epochs.max(1);
+                        let retry = epoch
+                            .0
+                            .saturating_add(self.config.compression.idle_epochs.max(1));
                         state.compression_due = retry;
                         self.cooldown.entry(retry).or_default().push(tag);
                     }
@@ -827,7 +836,6 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     let mut delta = StepDelta::default();
     let mut rng = exec::task_rng(ctx.config.seed, tag.0, ctx.epoch.0);
     let k = ctx.config.particles_per_object;
-    let half_angle = ctx.config.init_cone_half_angle;
 
     let mut created: Option<ObjectState> = None;
     let state: &mut ObjectState = match state {
@@ -839,7 +847,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
                 reader,
                 ctx.reader_tables,
                 ctx.range_over,
-                half_angle,
+                INIT_CONE_HALF_ANGLE,
                 k,
                 ctx.stamp,
                 Some(ctx.prior),
@@ -856,7 +864,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
 
     if let Belief::Compressed(c) = &state.belief {
         let f = c.decompress(
-            ctx.config.compression.decompressed_particles,
+            DECOMPRESSED_PARTICLES,
             ctx.reader_tables,
             ctx.stamp,
             &mut rng,
@@ -875,27 +883,27 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     if read {
         let est = state.last_estimate.0;
         let gap = est.dist_xy(&ctx.reader_pos);
-        if gap > ctx.range_over + ctx.config.respawn_distance {
+        if gap > ctx.range_over + RESPAWN_DISTANCE {
             // moved far: discard all old particles, re-create at the
             // new location
             *f = ObjectFilter::init_from_cone(
                 reader,
                 ctx.reader_tables,
                 ctx.range_over,
-                half_angle,
+                INIT_CONE_HALF_ANGLE,
                 k,
                 ctx.stamp,
                 Some(ctx.prior),
                 &mut rng,
             );
             delta.full_reinit = true;
-        } else if gap > ctx.range_over + ctx.config.small_move_distance {
+        } else if gap > ctx.range_over + SMALL_MOVE_DISTANCE {
             // moved a little: keep half, move half
             f.respawn_half(
                 reader,
                 ctx.reader_tables,
                 ctx.range_over,
-                half_angle,
+                INIT_CONE_HALF_ANGLE,
                 Some(ctx.prior),
                 &mut rng,
             );
@@ -1109,6 +1117,26 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_period_that_cannot_elapse_never_compresses() {
+        // the factored preset's policy is `disabled()`, whose idle
+        // period is u64::MAX: switching it on alone used to overflow
+        // the due epoch (debug: panic; release: a due epoch in the
+        // past, one compression per sweep)
+        let mut cfg = FilterConfig::factored_default();
+        cfg.particles_per_object = 200;
+        cfg.reader_particles = 30;
+        cfg.compression.enabled = true;
+        let mut e = engine(cfg);
+        for t in 0..40u64 {
+            let y = t as f64 * 0.1;
+            let tags: &[u64] = if (y - 1.0).abs() < 1.0 { &[7] } else { &[] };
+            e.process_batch(&batch(t, y, tags));
+        }
+        assert_eq!(e.stats().compressions, 0, "stats: {:?}", e.stats());
+        assert_eq!(e.cooldown_entries(), 1);
+    }
+
+    #[test]
     fn decompression_on_reencounter() {
         let mut cfg = FilterConfig::full_default();
         cfg.particles_per_object = 200;
@@ -1228,7 +1256,6 @@ mod tests {
             enabled: true,
             idle_epochs: 3,
             max_cross_entropy: f64::INFINITY,
-            decompressed_particles: 10,
         };
         let drive = |e: &mut InferenceEngine<BoxPrior>| {
             for t in 0..30u64 {

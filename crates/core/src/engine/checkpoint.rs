@@ -40,7 +40,10 @@
 
 use super::{Belief, InferenceEngine, ObjectState};
 use crate::compression::CompressedBelief;
-use crate::config::{FilterConfig, ReaderMode};
+use crate::config::{
+    FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE, MAX_INIT_RANGE,
+    RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+};
 use crate::factored::{ObjectFilter, ReaderFilter};
 use crate::particle::{ObjectParticle, ReaderParticle};
 use crate::spatial_hook::SpatialHook;
@@ -112,17 +115,19 @@ impl From<WireFormatError> for CheckpointError {
 }
 
 /// The canonical byte string the config fingerprint hashes: every
-/// [`FilterConfig`] field, in declaration order.
+/// [`FilterConfig`] field, with the `crate::config` constants at the
+/// offsets they had as fields, so a blob written by a build with
+/// another value is refused as `ConfigMismatch`.
 fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     let mut e = Vec::new();
     put_u64(&mut e, cfg.particles_per_object as u64);
     put_u64(&mut e, cfg.reader_particles as u64);
     put_f64(&mut e, cfg.resample_ess_frac);
     put_f64(&mut e, cfg.init_range_overestimate);
-    put_f64(&mut e, cfg.init_cone_half_angle);
-    put_f64(&mut e, cfg.max_init_range);
-    put_f64(&mut e, cfg.respawn_distance);
-    put_f64(&mut e, cfg.small_move_distance);
+    put_f64(&mut e, INIT_CONE_HALF_ANGLE);
+    put_f64(&mut e, MAX_INIT_RANGE);
+    put_f64(&mut e, RESPAWN_DISTANCE);
+    put_f64(&mut e, SMALL_MOVE_DISTANCE);
     let reader_mode = match cfg.reader_mode {
         ReaderMode::Filter => 0,
         ReaderMode::TrustReports => 1,
@@ -132,7 +137,7 @@ fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     put_u8(&mut e, cfg.compression.enabled as u8);
     put_u64(&mut e, cfg.compression.idle_epochs);
     put_f64(&mut e, cfg.compression.max_cross_entropy);
-    put_u64(&mut e, cfg.compression.decompressed_particles as u64);
+    put_u64(&mut e, DECOMPRESSED_PARTICLES as u64);
     // reserved: the byte a removed option's off-switch occupied. Kept
     // at 0 so fingerprints and `RFCKPT01` blobs stay byte-identical; a
     // blob written with that option on (1 + two `f64`s here) has a

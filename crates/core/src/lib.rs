@@ -37,7 +37,10 @@ pub mod particle;
 pub mod spatial_hook;
 
 pub use basic::BasicParticleFilter;
-pub use config::{CompressionPolicy, FilterConfig, ReaderMode};
+pub use config::{
+    CompressionPolicy, FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
+    MAX_INIT_RANGE, RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+};
 pub use engine::checkpoint::{self, CheckpointError};
 pub use engine::{EngineStats, InferenceEngine};
 pub use error::ConfigError;

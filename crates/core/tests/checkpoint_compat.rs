@@ -29,7 +29,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_core::checkpoint::{config_fingerprint, peek_epoch, CheckpointError};
 use rfid_core::engine::run_engine;
-use rfid_core::{FilterConfig, InferenceEngine, ReaderMode};
+use rfid_core::{
+    FilterConfig, InferenceEngine, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
+    MAX_INIT_RANGE, RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+};
 use rfid_geom::{Aabb, Point3, Pose};
 use rfid_model::object::BoxPrior;
 use rfid_model::{JointModel, ModelParams, ReadRateModel};
@@ -149,16 +152,23 @@ fn config_fingerprints_equal_the_parents() {
 /// `(d_step, theta_step)` when it was on. Field order and widths as
 /// `config_bytes` wrote them at commit 1b977d4, the last with the option.
 fn fingerprint_with_table(c: &FilterConfig, table: Option<(f64, f64)>) -> u64 {
+    fingerprint_at(c, RESPAWN_DISTANCE, table)
+}
+
+/// [`fingerprint_with_table`] as a build whose respawn distance (a
+/// `FilterConfig` field until PR 23, like the other four constants
+/// named here) was `respawn_distance` computed it.
+fn fingerprint_at(c: &FilterConfig, respawn_distance: f64, table: Option<(f64, f64)>) -> u64 {
     let mut b = Vec::new();
     b.extend((c.particles_per_object as u64).to_le_bytes());
     b.extend((c.reader_particles as u64).to_le_bytes());
     for v in [
         c.resample_ess_frac,
         c.init_range_overestimate,
-        c.init_cone_half_angle,
-        c.max_init_range,
-        c.respawn_distance,
-        c.small_move_distance,
+        INIT_CONE_HALF_ANGLE,
+        MAX_INIT_RANGE,
+        respawn_distance,
+        SMALL_MOVE_DISTANCE,
     ] {
         b.extend(v.to_bits().to_le_bytes());
     }
@@ -167,7 +177,7 @@ fn fingerprint_with_table(c: &FilterConfig, table: Option<(f64, f64)>) -> u64 {
     b.push(c.compression.enabled as u8);
     b.extend(c.compression.idle_epochs.to_le_bytes());
     b.extend(c.compression.max_cross_entropy.to_bits().to_le_bytes());
-    b.extend((c.compression.decompressed_particles as u64).to_le_bytes());
+    b.extend((DECOMPRESSED_PARTICLES as u64).to_le_bytes());
     b.push(table.is_some() as u8);
     if let Some((d_step, theta_step)) = table {
         b.extend(d_step.to_bits().to_le_bytes());
@@ -196,4 +206,17 @@ fn checkpoint_written_with_the_table_on_is_refused() {
         }
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
+}
+
+#[test]
+fn checkpoint_written_with_another_respawn_distance_is_refused() {
+    // a value that was a field when the blob was written and is a
+    // constant now still sits in the fingerprint
+    let other = fingerprint_at(&cfg(), 3.0, None);
+    let mut blob = FIXTURE.to_vec();
+    blob[12..20].copy_from_slice(&other.to_le_bytes());
+    assert!(matches!(
+        engine(cfg()).restore_bytes(&blob),
+        Err(CheckpointError::ConfigMismatch { found, .. }) if found == other
+    ));
 }

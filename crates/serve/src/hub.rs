@@ -31,7 +31,7 @@
 //! [`LocationChangeQuery`]: rfid_stream::queries::LocationChangeQuery
 
 use crate::query::{Frame, SubscriptionFilter};
-use crate::store::LocationRow;
+use crate::store::{ArrivalClock, LocationRow};
 use rfid_stream::pipeline::sinks::LocationUpdate;
 use rfid_stream::queries::LocationChangeQuery;
 use rfid_stream::{Epoch, EventSink, LocationEvent};
@@ -148,7 +148,7 @@ impl SubscriptionHub {
         HubSink {
             query: LocationChangeQuery::new(CHANGE_THRESHOLD_FT),
             pending: Vec::new(),
-            last_completed: None,
+            clock: ArrivalClock::default(),
             hub: self.clone(),
         }
     }
@@ -287,25 +287,16 @@ pub struct HubSink {
     /// Updates fired since the last commit; all share the same arrival
     /// stamp (the arrival clock only advances on completion).
     pending: Vec<LocationUpdate>,
-    last_completed: Option<u64>,
+    clock: ArrivalClock,
     hub: SubscriptionHub,
 }
 
 impl HubSink {
-    /// Arrival epoch the next delivered event would be stamped with
-    /// (mirrors `EventStore::next_arrival`).
-    fn next_arrival(&self) -> u64 {
-        match self.last_completed {
-            Some(e) => e + 1,
-            None => 0,
-        }
-    }
-
     fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let arrival = self.next_arrival();
+        let arrival = self.clock.next();
         let pending = std::mem::take(&mut self.pending);
         self.hub.commit(arrival, &pending);
     }
@@ -324,10 +315,7 @@ impl EventSink for HubSink {
 
     fn on_epoch_complete(&mut self, epoch: Epoch) {
         self.flush();
-        self.last_completed = Some(match self.last_completed {
-            Some(prev) => prev.max(epoch.0),
-            None => epoch.0,
-        });
+        self.clock.complete(epoch);
     }
 
     fn on_finish(&mut self) {

@@ -48,7 +48,7 @@
 //! full history remains on disk (and is replayed at open to rebuild
 //! the compacted snapshot base exactly).
 
-use crate::store::{EventStore, StoreConfig};
+use crate::store::{ArrivalClock, EventStore, StoreConfig};
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
 use rfid_stream::wire::{
     put_f64, put_point, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,
@@ -286,8 +286,8 @@ pub struct SegmentLog {
     sealed: Vec<SegFile>,
     archived: Vec<SegFile>,
     tail: Option<Tail>,
-    /// Mirror of the store's arrival clock.
-    last_completed: Option<u64>,
+    /// The store's arrival clock, rebuilt from the records at open.
+    clock: ArrivalClock,
     finished: bool,
     recovery: Recovery,
     fault: Option<WriteFault>,
@@ -309,7 +309,7 @@ impl SegmentLog {
             sealed: Vec::new(),
             archived: Vec::new(),
             tail: None,
-            last_completed: None,
+            clock: ArrivalClock::default(),
             finished: false,
             recovery: Recovery::default(),
             fault: None,
@@ -318,17 +318,19 @@ impl SegmentLog {
         let committed = log.read_manifest()?;
         log.adopt_files(committed)?;
         // replay the retained records to rebuild the clock
-        let mut last = None;
+        let mut clock = ArrivalClock::default();
         let mut finished = false;
         log.replay(|record| {
             match record {
-                LogRecord::EpochComplete(e) => last = Some(last.map_or(e.0, |p: u64| p.max(e.0))),
+                LogRecord::EpochComplete(e) => {
+                    clock.complete(e);
+                }
                 LogRecord::Finish => finished = true,
                 LogRecord::Event(_) => {}
             }
             Ok(())
         })?;
-        log.last_completed = last;
+        log.clock = clock;
         log.finished = finished;
         if log.recovery != Recovery::default() || !dir.join(MANIFEST).exists() {
             log.commit_manifest()?;
@@ -505,7 +507,7 @@ impl SegmentLog {
 
     /// Highest completed epoch in the log (`None` when empty).
     pub fn last_completed(&self) -> Option<u64> {
-        self.last_completed
+        self.clock.last()
     }
 
     /// Whether a FINISH record is on disk.
@@ -527,15 +529,6 @@ impl SegmentLog {
     /// harnesses only — the armed process WILL abort.
     pub fn arm_fault(&mut self, fault: WriteFault) {
         self.fault = Some(fault);
-    }
-
-    /// The arrival epoch the next event record would be stamped with
-    /// (mirrors `EventStore::next_arrival`).
-    fn next_arrival(&self) -> u64 {
-        match self.last_completed {
-            Some(e) => e + 1,
-            None => 0,
-        }
     }
 
     fn append(&mut self, slot: u64, record: &LogRecord) -> Result<(), LogError> {
@@ -604,18 +597,17 @@ impl SegmentLog {
 
     /// Journals one event (call before applying it to the store).
     pub fn append_event(&mut self, event: &LocationEvent) -> Result<(), LogError> {
-        self.append(self.next_arrival(), &LogRecord::Event(*event))
+        self.append(self.clock.next(), &LogRecord::Event(*event))
     }
 
     /// Journals an epoch completion; seals the tail at segment
     /// boundaries exactly when the in-memory store does.
     pub fn complete_epoch(&mut self, epoch: Epoch) -> Result<(), LogError> {
-        let e = match self.last_completed {
-            Some(prev) => prev.max(epoch.0),
-            None => epoch.0,
-        };
+        // the clock advances only once the record is on its way
+        let mut clock = self.clock;
+        let e = clock.complete(epoch);
         self.append(e, &LogRecord::EpochComplete(epoch))?;
-        self.last_completed = Some(e);
+        self.clock = clock;
         if self.tail.as_ref().is_some_and(|t| e >= t.seg.end) {
             self.seal_tail()?;
         }
@@ -624,7 +616,7 @@ impl SegmentLog {
 
     /// Journals end-of-stream and seals the tail.
     pub fn finish(&mut self) -> Result<(), LogError> {
-        self.append(self.next_arrival(), &LogRecord::Finish)?;
+        self.append(self.clock.next(), &LogRecord::Finish)?;
         self.finished = true;
         self.seal_tail()
     }
@@ -755,7 +747,7 @@ impl SegmentLog {
             file,
             bytes: offset,
         });
-        self.last_completed = Some(epoch.0);
+        self.clock = ArrivalClock::completed_at(epoch.0);
         self.finished = false;
         self.commit_manifest()
     }

@@ -64,6 +64,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(1);
 /// Idle iterations a worker spin-yields before sleeping.
 const IDLE_SPINS: u32 = 64;
 
+/// How long an idle worker sleeps between polls once spinning has not
+/// produced work. Bounds worst-case added latency on an otherwise idle
+/// server.
+const IDLE_SLEEP: Duration = Duration::from_micros(100);
+
 /// Server knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -72,10 +77,6 @@ pub struct ServerConfig {
     /// Outbox size (bytes) past which a connection stops being read
     /// and stops receiving push frames until it drains.
     pub outbox_high_water: usize,
-    /// How long an idle worker sleeps between polls once spinning has
-    /// not produced work. Bounds worst-case added latency on an
-    /// otherwise idle server.
-    pub idle_sleep: Duration,
     /// Accepted connections the server holds at once. An accept past
     /// the bound gets a best-effort `ERR` frame with
     /// [`ErrorCode::Overloaded`] and a clean close — never a silent
@@ -102,7 +103,6 @@ impl Default for ServerConfig {
                 .unwrap_or(2)
                 .clamp(1, 4),
             outbox_high_water: 256 << 10,
-            idle_sleep: Duration::from_micros(100),
             max_connections: None,
             max_frame_len: MAX_FRAME_BYTES,
             slow_query_us: 0,
@@ -144,6 +144,21 @@ impl ServerConfig {
     pub fn with_slow_query_us(mut self, us: u64) -> Self {
         self.slow_query_us = us;
         self
+    }
+
+    /// The bounds the `with_*` builders assert, for a config built as
+    /// a struct literal (the fields are public).
+    fn check(&self) -> io::Result<()> {
+        let reason = if self.workers == 0 {
+            "workers must be >= 1"
+        } else if self.max_connections == Some(0) {
+            "max_connections must be >= 1"
+        } else if self.max_frame_len < 16 {
+            "max_frame_len must be >= 16 (a HELLO must fit)"
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, reason))
     }
 }
 
@@ -305,13 +320,16 @@ pub fn serve(addr: &str, store: Arc<RwLock<EventStore>>) -> io::Result<ServerHan
 }
 
 /// [`serve`] with an explicit hub (shared with the ingestion side)
-/// and config.
+/// and config. A config outside the bounds the `with_*` builders
+/// assert (no worker, no connection slot, a frame cap below a HELLO)
+/// is [`io::ErrorKind::InvalidInput`] before anything is bound.
 pub fn serve_with(
     addr: &str,
     store: Arc<RwLock<EventStore>>,
     hub: SubscriptionHub,
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
+    cfg.check()?;
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
@@ -599,7 +617,7 @@ fn worker_loop(
             spins += 1;
             std::thread::yield_now();
         } else {
-            std::thread::sleep(cfg.idle_sleep);
+            std::thread::sleep(IDLE_SLEEP);
         }
     }
     // shutdown: cancel subscriptions so the hub prunes them

@@ -182,6 +182,44 @@ impl Default for StoreMetrics {
     }
 }
 
+/// The arrival clock shared by the store, the hub's sink and the
+/// segment log: an event is stamped with the epoch that was open when
+/// it was delivered, so a `PUSH` epoch names a store state and replaying
+/// the log re-derives every stamp.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ArrivalClock(Option<u64>);
+
+impl ArrivalClock {
+    /// A clock whose highest completed epoch is `epoch` (the log's
+    /// truncation cut).
+    pub(crate) fn completed_at(epoch: u64) -> Self {
+        Self(Some(epoch))
+    }
+
+    /// The arrival epoch the next delivered event is stamped with.
+    pub(crate) fn next(&self) -> u64 {
+        match self.0 {
+            // between completions of E-1 and E, deliveries belong to E;
+            // after the final completion, flush deliveries get last + 1
+            Some(e) => e + 1,
+            None => 0,
+        }
+    }
+
+    /// Marks `epoch` complete and returns the highest completed epoch
+    /// (a completion never moves the clock back).
+    pub(crate) fn complete(&mut self, epoch: Epoch) -> u64 {
+        let e = self.0.map_or(epoch.0, |prev| prev.max(epoch.0));
+        self.0 = Some(e);
+        e
+    }
+
+    /// Highest completed epoch (`None` before the first).
+    pub(crate) fn last(&self) -> Option<u64> {
+        self.0
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Segment {
     /// First arrival epoch covered (inclusive), aligned to the width.
@@ -234,8 +272,7 @@ pub struct EventStore {
     /// segment).
     compacted: Option<(u64, BTreeMap<TagId, StoredEvent>)>,
     next_seq: u64,
-    /// Highest completed epoch seen (`None` before the first).
-    last_completed: Option<u64>,
+    clock: ArrivalClock,
     events_compacted: u64,
     finished: bool,
     metrics: StoreMetrics,
@@ -256,19 +293,9 @@ impl EventStore {
         &self.cfg
     }
 
-    /// The arrival epoch the next pushed event would be stamped with.
-    fn next_arrival(&self) -> u64 {
-        match self.last_completed {
-            // between completions of E-1 and E, deliveries belong to E;
-            // after the final completion, flush deliveries get last + 1
-            Some(e) => e + 1,
-            None => 0,
-        }
-    }
-
     /// Highest epoch the store has completed (0 before the first).
     pub fn latest_epoch(&self) -> u64 {
-        self.last_completed.unwrap_or(0)
+        self.clock.last().unwrap_or(0)
     }
 
     /// True once the feeding stream signalled end-of-stream.
@@ -290,7 +317,7 @@ impl EventStore {
     /// the event as stored — its assigned sequence number and arrival
     /// stamp — so durability layers can mirror the stamping exactly.
     pub fn push(&mut self, event: &LocationEvent) -> StoredEvent {
-        let arrival = self.next_arrival();
+        let arrival = self.clock.next();
         let stored = StoredEvent {
             seq: self.next_seq,
             arrival,
@@ -321,11 +348,7 @@ impl EventStore {
     /// clock, seals the tail segment once arrivals pass it, and
     /// applies retention.
     pub fn complete_epoch(&mut self, epoch: Epoch) {
-        let e = match self.last_completed {
-            Some(prev) => prev.max(epoch.0),
-            None => epoch.0,
-        };
-        self.last_completed = Some(e);
+        let e = self.clock.complete(epoch);
         if self.segments.last().is_some_and(|tail| e >= tail.end) {
             self.seal_tail();
         }
@@ -353,7 +376,7 @@ impl EventStore {
         let Some(retention) = self.cfg.retention_epochs else {
             return;
         };
-        let horizon = self.next_arrival().saturating_sub(retention);
+        let horizon = self.clock.next().saturating_sub(retention);
         let mut drop_upto = 0usize;
         for (i, seg) in self.segments.iter().enumerate() {
             // the tail (last, unsealed) segment is never compacted
@@ -465,7 +488,7 @@ impl EventStore {
     fn relation_events(&self, state: &BTreeMap<TagId, StoredEvent>, at: u64) -> Vec<StoredEvent> {
         // clamp the staleness reference so querying far past the end
         // of data does not age every tag out
-        let at = at.min(self.next_arrival());
+        let at = at.min(self.clock.next());
         state
             .values()
             .filter(|s| {

@@ -77,3 +77,34 @@ fn overflow_connections_get_a_typed_error_and_slots_recycle() {
 
     server.shutdown();
 }
+
+#[test]
+fn a_config_outside_the_builder_bounds_is_refused_before_binding() {
+    // the fields are public, so a struct literal bypasses the `with_*`
+    // asserts; with no worker the accept thread used to die on the
+    // first connection (`next % senders.len()`, remainder by zero)
+    let hostile = [
+        ServerConfig {
+            workers: 0,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            max_connections: Some(0),
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            max_frame_len: 15,
+            ..ServerConfig::default()
+        },
+    ];
+    for cfg in hostile {
+        let store = Arc::new(RwLock::new(EventStore::default()));
+        match serve_with("127.0.0.1:0", store, SubscriptionHub::default(), cfg) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{cfg:?}"),
+            Ok(server) => {
+                server.shutdown();
+                panic!("{cfg:?} was served");
+            }
+        }
+    }
+}
