@@ -14,7 +14,7 @@ use rfid_geom::{Aabb, Point3, Pose};
 /// XY plane (z fixed to the shelf's z). Rejection-samples from the
 /// intersection's bounding box; falls back to the disc-clamped shelf
 /// point nearest `center` when the intersection is numerically empty.
-pub fn sample_range_shelf<R: Rng + ?Sized>(
+pub(crate) fn sample_range_shelf<R: Rng + ?Sized>(
     center: &Point3,
     range: f64,
     shelf: &Aabb,
@@ -58,7 +58,7 @@ pub fn sample_range_shelf<R: Rng + ?Sized>(
 /// Among the shelves ahead of the reader (positive projection of the
 /// center onto the heading), the nearest wins; if none is ahead, the
 /// nearest overall wins.
-pub fn nearest_shelf<'a>(shelves: &'a [Aabb], pose: &Pose) -> &'a Aabb {
+pub(crate) fn nearest_shelf<'a>(shelves: &'a [Aabb], pose: &Pose) -> &'a Aabb {
     assert!(!shelves.is_empty(), "at least one shelf area required");
     let heading = rfid_geom::angles::heading_vec(pose.phi);
     let key = |b: &Aabb| -> (bool, f64) {
@@ -81,19 +81,19 @@ pub fn nearest_shelf<'a>(shelves: &'a [Aabb], pose: &Pose) -> &'a Aabb {
 /// Running mean of sampled points (the "average of all sampled
 /// locations" step of the augmented SMURF).
 #[derive(Debug, Clone, Default)]
-pub struct LocationAccumulator {
+pub(crate) struct LocationAccumulator {
     sum: (f64, f64, f64),
     n: usize,
 }
 
 impl LocationAccumulator {
     /// Empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds one sample.
-    pub fn push(&mut self, p: Point3) {
+    pub(crate) fn push(&mut self, p: Point3) {
         self.sum.0 += p.x;
         self.sum.1 += p.y;
         self.sum.2 += p.z;
@@ -101,17 +101,12 @@ impl LocationAccumulator {
     }
 
     /// Number of samples so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// True when no samples were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The mean, or `None` when empty.
-    pub fn mean(&self) -> Option<Point3> {
+    pub(crate) fn mean(&self) -> Option<Point3> {
         if self.n == 0 {
             return None;
         }
@@ -120,7 +115,7 @@ impl LocationAccumulator {
     }
 
     /// Clears the accumulator (new scope pass).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = Self::default();
     }
 }
@@ -164,6 +159,6 @@ mod tests {
         assert_eq!(m, Point3::new(1.0, 2.0, 0.0));
         assert_eq!(a.len(), 2);
         a.clear();
-        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
     }
 }

@@ -15,9 +15,9 @@
 //! produce the same event type, so experiments score all three systems
 //! identically.
 
-pub mod common;
-pub mod smurf;
-pub mod uniform;
+mod common;
+mod smurf;
+mod uniform;
 
 pub use smurf::{Smurf, SmurfConfig};
 pub use uniform::UniformBaseline;

@@ -117,16 +117,6 @@ impl Smurf {
         }
     }
 
-    /// Current adaptive window of a tag (diagnostics).
-    pub fn window_of(&self, tag: TagId) -> Option<usize> {
-        self.tags.get(&tag).map(|s| s.window)
-    }
-
-    /// Whether SMURF currently believes the tag is in scope.
-    pub fn in_scope(&self, tag: TagId) -> bool {
-        self.tags.get(&tag).map(|s| s.in_scope).unwrap_or(false)
-    }
-
     /// Processes one epoch batch; returns location events for tags that
     /// left scope this epoch.
     pub fn process_batch(&mut self, batch: &EpochBatch) -> Vec<LocationEvent> {
@@ -244,7 +234,7 @@ impl Smurf {
     }
 }
 
-impl rfid_stream::pipeline::InferenceStage for Smurf {
+impl rfid_stream::InferenceStage for Smurf {
     fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
         out.extend(self.process_batch(batch));
     }
@@ -282,7 +272,7 @@ mod tests {
         s.process_batch(&batch(0, 3.0, &[7]));
         s.process_batch(&batch(1, 3.1, &[]));
         let _ = s.process_batch(&batch(2, 3.2, &[7]));
-        assert!(s.in_scope(TagId(7)));
+        assert!(s.tags[&TagId(7)].in_scope);
     }
 
     #[test]
@@ -301,7 +291,7 @@ mod tests {
         assert_eq!(e.tag, TagId(7));
         // location averaged over range∩shelf samples near the scan path
         assert!(shelf().contains(&e.location), "location {:?}", e.location);
-        assert!(!s.in_scope(TagId(7)));
+        assert!(!s.tags[&TagId(7)].in_scope);
     }
 
     #[test]
@@ -312,7 +302,7 @@ mod tests {
             let tags: Vec<u64> = if t % 2 == 0 { vec![7] } else { vec![] };
             s.process_batch(&batch(t, 3.0, &tags));
         }
-        let w = s.window_of(TagId(7)).unwrap();
+        let w = s.tags[&TagId(7)].window;
         assert!(w >= 4, "window too small for p=0.5: {w}");
     }
 
@@ -323,11 +313,11 @@ mod tests {
         for t in 0..12u64 {
             s.process_batch(&batch(t, 3.0, &[7]));
         }
-        let w_before = s.window_of(TagId(7)).unwrap();
+        let w_before = s.tags[&TagId(7)].window;
         for t in 12..18u64 {
             s.process_batch(&batch(t, 3.0, &[]));
         }
-        let w_after = s.window_of(TagId(7)).unwrap();
+        let w_after = s.tags[&TagId(7)].window;
         assert!(
             w_after < w_before.max(2),
             "window should shrink on departure: {w_before} -> {w_after}"

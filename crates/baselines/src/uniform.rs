@@ -115,7 +115,7 @@ impl UniformBaseline {
     }
 }
 
-impl rfid_stream::pipeline::InferenceStage for UniformBaseline {
+impl rfid_stream::InferenceStage for UniformBaseline {
     fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
         out.extend(self.process_batch(batch));
     }

@@ -14,7 +14,7 @@ use crate::runner::{
     InferenceSensor, RunOpts,
 };
 use rfid_geom::Aabb;
-use rfid_model::sensor::ConeSensor;
+use rfid_model::ConeSensor;
 use rfid_model::ModelParams;
 use rfid_sim::scenario::{self, Scenario};
 
@@ -103,7 +103,7 @@ pub struct AccuracyRow {
 }
 
 /// Runs one system triplet over a library entry.
-pub fn score_entry(entry: &LibraryEntry, cfg: &AccuracyConfig) -> Vec<AccuracyRow> {
+pub(crate) fn score_entry(entry: &LibraryEntry, cfg: &AccuracyConfig) -> Vec<AccuracyRow> {
     let sc = &entry.scenario;
     let batches = sc.trace.epoch_batches();
     let shelves: Vec<Aabb> = sc.layout.shelves().iter().map(|s| s.bbox).collect();

@@ -16,12 +16,12 @@ use rfid_bench::runner::{
     run_baseline_smurf, run_baseline_uniform, run_engine_variant, run_motion_off, EngineVariant,
     InferenceSensor,
 };
-use rfid_bench::ErrorStats;
+use rfid_bench::metrics::ErrorStats;
 use rfid_learn::{calibrate, EmConfig};
-use rfid_model::object::LocationPrior;
-use rfid_model::sensor::{ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor};
+use rfid_model::LocationPrior;
+use rfid_model::{ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor};
 use rfid_model::{ModelParams, SensorParams};
-use rfid_sim::lab::LabDeployment;
+use rfid_sim::LabDeployment;
 use rfid_sim::scenario;
 use rfid_sim::GroundTruth;
 use rfid_stream::LocationEvent;

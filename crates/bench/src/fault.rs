@@ -41,18 +41,9 @@ pub enum FaultPlan {
 }
 
 impl FaultPlan {
-    /// The epoch-triggered plans (the run loop checks these); byte
-    /// plans return `None` because the log layer fires them itself.
-    pub fn trigger_epoch(&self) -> Option<u64> {
-        match self {
-            FaultPlan::KillAtEpoch(e) | FaultPlan::CheckpointRotationCrash(e) => Some(*e),
-            FaultPlan::KillAfterBytes(_) | FaultPlan::TornWrite(_) => None,
-        }
-    }
-
     /// The [`rfid_serve::WriteFault`] to arm on the segment log, if
     /// this plan is byte-triggered.
-    pub fn write_fault(&self) -> Option<rfid_serve::WriteFault> {
+    pub(crate) fn write_fault(&self) -> Option<rfid_serve::WriteFault> {
         match self {
             FaultPlan::KillAfterBytes(n) => Some(rfid_serve::WriteFault {
                 after_bytes: *n,
@@ -141,7 +132,5 @@ mod tests {
         assert!(f.torn);
         assert_eq!(f.after_bytes, 100);
         assert!(FaultPlan::KillAtEpoch(3).write_fault().is_none());
-        assert_eq!(FaultPlan::KillAtEpoch(3).trigger_epoch(), Some(3));
-        assert_eq!(FaultPlan::KillAfterBytes(3).trigger_epoch(), None);
     }
 }

@@ -17,7 +17,7 @@ use rfid_stream::LocationEvent;
 use std::fmt::Write as _;
 
 /// Events spelled out at the head of a digest file.
-pub const DIGEST_HEAD_EVENTS: usize = 8;
+pub(crate) const DIGEST_HEAD_EVENTS: usize = 8;
 
 /// Re-exported from `rfid_stream::digest`, where the cluster
 /// coordinator shares the same definition (PR 9).

@@ -22,6 +22,9 @@
 //! Speed is measured by the `benchmark/` package (`BENCHMARK.json`),
 //! not here.
 //!
+//! Every item is named through its module (`rfid_bench::metrics::…`);
+//! the root re-exports nothing.
+//!
 //! The `experiments` binary exposes one subcommand per figure/table;
 //! see `cargo run -p rfid-bench --release --bin experiments -- help`.
 
@@ -33,9 +36,3 @@ pub mod metrics;
 pub mod recovery;
 pub mod report;
 pub mod runner;
-
-pub use metrics::{
-    containment_accuracy, score_scenario, ChangeDetection, Confusion, ErrorStats, EventScore,
-    EventScoreConfig, ScenarioScore,
-};
-pub use runner::{run_baseline_smurf, run_baseline_uniform, run_engine_variant, EngineVariant};

@@ -70,25 +70,6 @@ impl ErrorStats {
             unscored,
         }
     }
-
-    /// Relative error reduction of `self` vs a `baseline` (the paper's
-    /// "49% error reduction over SMURF"), in percent.
-    ///
-    /// A zero-error baseline admits no relative reduction, so the
-    /// ratio's division is never performed there; instead the defined
-    /// conventions keep the value finite:
-    /// * `0 / 0` — both systems are perfect: **0.0** (parity, no
-    ///   reduction to claim);
-    /// * `x / 0` with `x > 0` — the baseline is perfect and we are
-    ///   not: **-100.0** (the symmetric-form cap
-    ///   `100·(baseline−ours)/max(baseline, ours)`, i.e. "100% worse",
-    ///   rather than the `-inf` the naive formula produces).
-    pub fn reduction_vs(&self, baseline: &ErrorStats) -> f64 {
-        if baseline.mean_xy == 0.0 {
-            return if self.mean_xy == 0.0 { 0.0 } else { -100.0 };
-        }
-        100.0 * (1.0 - self.mean_xy / baseline.mean_xy)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +259,7 @@ impl ChangeDetection {
 /// event is contained when the shelf whose y-range holds the true
 /// location also holds the estimate (x within the shelf's face band).
 /// Returns `f64::NAN` when no event is attributable to a shelf.
-pub fn containment_accuracy(
+pub(crate) fn containment_accuracy(
     events: &[LocationEvent],
     truth: &GroundTruth,
     layout: &WarehouseLayout,
@@ -373,47 +354,6 @@ mod tests {
         assert_eq!(s.n, 0);
         assert_eq!(s.unscored, 1);
         assert!(s.mean_xy.is_nan());
-    }
-
-    #[test]
-    fn reduction_math() {
-        let ours = ErrorStats {
-            mean_x: 0.0,
-            mean_y: 0.0,
-            mean_xy: 0.5,
-            max_xy: 0.5,
-            n: 1,
-            unscored: 0,
-        };
-        let smurf = ErrorStats {
-            mean_xy: 1.0,
-            ..ours
-        };
-        assert!((ours.reduction_vs(&smurf) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reduction_zero_baseline_conventions() {
-        let zero = ErrorStats {
-            mean_x: 0.0,
-            mean_y: 0.0,
-            mean_xy: 0.0,
-            max_xy: 0.0,
-            n: 1,
-            unscored: 0,
-        };
-        let nonzero = ErrorStats {
-            mean_xy: 0.5,
-            ..zero
-        };
-        // 0/0: both perfect — parity, not NaN
-        assert_eq!(zero.reduction_vs(&zero), 0.0);
-        // x/0: perfect baseline — capped at -100%, not -inf
-        assert_eq!(nonzero.reduction_vs(&zero), -100.0);
-        assert!(nonzero.reduction_vs(&zero).is_finite());
-        // the normal direction is untouched: perfect ours vs nonzero
-        // baseline is a full 100% reduction
-        assert_eq!(zero.reduction_vs(&nonzero), 100.0);
     }
 
     fn ev(epoch: u64, tag: u64, x: f64, y: f64) -> LocationEvent {

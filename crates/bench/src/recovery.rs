@@ -32,10 +32,10 @@
 
 use crate::fault::FaultPlan;
 use crate::golden::event_digest;
-use rfid_core::checkpoint::{self, CheckpointError};
+use rfid_core::engine::checkpoint::{self, CheckpointError};
 use rfid_core::engine::run_engine;
 use rfid_core::{FilterConfig, InferenceEngine};
-use rfid_model::sensor::ConeSensor;
+use rfid_model::ConeSensor;
 use rfid_serve::store::{EventStore, StoreConfig};
 use rfid_serve::{DurableStore, LogError, Recovery, SegmentLog};
 use rfid_sim::scenario::Scenario;

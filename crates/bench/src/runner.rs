@@ -5,8 +5,8 @@ use crate::metrics::ErrorStats;
 use rfid_baselines::{Smurf, SmurfConfig, UniformBaseline};
 use rfid_core::{BasicParticleFilter, FilterConfig, InferenceEngine, ReaderMode};
 use rfid_geom::Aabb;
-use rfid_model::object::LocationPrior;
-use rfid_model::sensor::{ConeSensor, ReadRateModel};
+use rfid_model::LocationPrior;
+use rfid_model::{ConeSensor, ReadRateModel};
 use rfid_model::{JointModel, ModelParams};
 use rfid_sim::scenario::Scenario;
 use rfid_stream::{Epoch, EpochBatch, InferenceStage, LocationEvent};
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn baselines_run_and_score() {
         let sc = scenario::small_trace(8, 4, 78);
-        let shelf = rfid_model::object::LocationPrior::bounds(&sc.layout);
+        let shelf = rfid_model::LocationPrior::bounds(&sc.layout);
         let batches = sc.trace.epoch_batches();
         let s = run_baseline_smurf(&batches, vec![shelf], 4.0, &sc.trace.shelf_tags);
         let u = run_baseline_uniform(&batches, vec![shelf], 4.0, &sc.trace.shelf_tags, 1);

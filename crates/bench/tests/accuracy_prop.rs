@@ -1,5 +1,5 @@
 //! Metamorphic properties of the event-level scorer
-//! ([`rfid_bench::EventScore`] / [`rfid_bench::ChangeDetection`]):
+//! ([`rfid_bench::metrics::EventScore`] / [`rfid_bench::metrics::ChangeDetection`]):
 //!
 //! 1. permuting event order (within an epoch, and in fact globally)
 //!    leaves every score unchanged;
@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfid_bench::{ChangeDetection, EventScore, EventScoreConfig};
+use rfid_bench::metrics::{ChangeDetection, EventScore, EventScoreConfig};
 use rfid_geom::Point3;
 use rfid_sim::GroundTruth;
 use rfid_stream::{Epoch, LocationEvent, TagId};

@@ -27,7 +27,7 @@ fn main() -> ExitCode {
         }
     };
     let metrics_out = args.get("--metrics-out").cloned();
-    let Some((sc, cfg)) = rfid_cluster::canonical_scenario(&scenario) else {
+    let Some((sc, cfg)) = rfid_cluster::scenario::canonical_scenario(&scenario) else {
         eprintln!(
             "unknown scenario {scenario:?} (tiny, small_warehouse, low_read_rate, moving_object)"
         );
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
     };
     println!("LISTENING {}", listener.local_addr().expect("bound"));
     let _ = std::io::stdout().flush();
-    let engine = rfid_cluster::build_engine(&sc, &cfg);
+    let engine = rfid_cluster::scenario::build_engine(&sc, &cfg);
     match rfid_cluster::router::run_router(&listener, workers, engine, &sc.trace.epoch_batches()) {
         Ok(summary) => {
             println!(

@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let Some((sc, cfg)) = rfid_cluster::canonical_scenario(&scenario) else {
+    let Some((sc, cfg)) = rfid_cluster::scenario::canonical_scenario(&scenario) else {
         eprintln!("unknown scenario {scenario:?}");
         return ExitCode::from(2);
     };
@@ -55,7 +55,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let engine = rfid_cluster::build_engine(&sc, &cfg);
+    let engine = rfid_cluster::scenario::build_engine(&sc, &cfg);
     match rfid_cluster::worker::run_worker(index, router, coordinator, engine) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -30,8 +30,11 @@
 //! length-prefixed framing the query server speaks
 //! ([`rfid_stream::wire`]), the three process loops ([`router`],
 //! [`worker`], [`coordinator`]), and a child-process launcher
-//! ([`local`]) used by the integration tests and the throughput
-//! benchmarks.
+//! ([`LocalCluster`]) used by the integration tests.
+//!
+//! One import path per item: the roles, the messages and the canonical
+//! scenarios are named through their modules; only the launcher is
+//! exported from the root.
 //!
 //! All framing honors [`rfid_stream::wire::DEFAULT_MAX_FRAME_LEN`]:
 //! an oversized or malformed frame is a typed error, never an
@@ -39,11 +42,10 @@
 
 pub mod cli;
 pub mod coordinator;
-pub mod local;
+mod local;
 pub mod proto;
 pub mod router;
 pub mod scenario;
 pub mod worker;
 
 pub use local::{ClusterOutcome, LocalCluster};
-pub use scenario::{build_engine, canonical_scenario, reference_events, Engine};

@@ -22,7 +22,7 @@ pub struct ClusterOutcome {
 /// integration tests; otherwise walks up from the current executable
 /// (`target/<profile>/deps/test-xyz` or `target/<profile>/bench-xyz`)
 /// to the profile directory, where sibling binaries land.
-pub fn bin_path(name: &str) -> io::Result<PathBuf> {
+pub(crate) fn bin_path(name: &str) -> io::Result<PathBuf> {
     if let Ok(p) = std::env::var(format!("CARGO_BIN_EXE_{name}")) {
         return Ok(PathBuf::from(p));
     }

@@ -14,8 +14,8 @@
 //! byte-boundary cut).
 
 use rfid_core::engine::cluster::{EpochPlan, ResampleDirective, TaskReport};
-use rfid_core::factored::reader::ReaderRemap;
-use rfid_core::particle::ReaderParticle;
+use rfid_core::ReaderRemap;
+use rfid_core::ReaderParticle;
 use rfid_obs::{HistogramSnapshot, Snapshot, Value, HISTOGRAM_BUCKETS};
 use rfid_stream::wire::{
     self, put_f64, put_pose, put_str, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,
@@ -25,23 +25,23 @@ use rfid_stream::{Epoch, TagId};
 use std::io::{self, Read, Write};
 
 /// Worker → router/coordinator: identifies the connection.
-pub const MSG_HELLO: u8 = 0x10;
+pub(crate) const MSG_HELLO: u8 = 0x10;
 /// Router → worker: one epoch's plan (this worker's partition only).
-pub const MSG_PLAN: u8 = 0x11;
+pub(crate) const MSG_PLAN: u8 = 0x11;
 /// Worker → router: the stepped objects' task reports.
-pub const MSG_REPORTS: u8 = 0x12;
+pub(crate) const MSG_REPORTS: u8 = 0x12;
 /// Router → worker: the resample directive (will-resample epochs only).
-pub const MSG_RESAMPLE: u8 = 0x13;
+pub(crate) const MSG_RESAMPLE: u8 = 0x13;
 /// Router → worker: end of trace; finalize and shut down.
-pub const MSG_FINISH: u8 = 0x14;
+pub(crate) const MSG_FINISH: u8 = 0x14;
 /// Worker → router: a registry snapshot, piggybacked after each
 /// REPORTS frame (and once more after FINISH, covering the final
 /// resample and flush). The router keeps the latest snapshot per
 /// worker and merges them into the cluster-wide view.
-pub const MSG_METRICS: u8 = 0x15;
+pub(crate) const MSG_METRICS: u8 = 0x15;
 
 /// Writes one message frame (kind byte + body).
-pub fn write_msg<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+pub(crate) fn write_msg<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     wire::write_frame(w, payload, DEFAULT_MAX_FRAME_LEN)?;
     w.flush()
 }
@@ -57,7 +57,7 @@ fn format_err(e: WireFormatError) -> io::Error {
 
 /// Expects the next frame to carry `kind`, returning its body reader
 /// position past the kind byte.
-pub fn expect_msg<R: Read>(r: &mut R, kind: u8) -> io::Result<Vec<u8>> {
+pub(crate) fn expect_msg<R: Read>(r: &mut R, kind: u8) -> io::Result<Vec<u8>> {
     let payload = read_msg(r)?.ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::UnexpectedEof,
@@ -72,14 +72,14 @@ pub fn expect_msg<R: Read>(r: &mut R, kind: u8) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-pub fn encode_hello(index: u32) -> Vec<u8> {
+pub(crate) fn encode_hello(index: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(5);
     put_u8(&mut out, MSG_HELLO);
     put_u32(&mut out, index);
     out
 }
 
-pub fn decode_hello(payload: &[u8]) -> Result<u32, WireFormatError> {
+pub(crate) fn decode_hello(payload: &[u8]) -> Result<u32, WireFormatError> {
     let mut r = PayloadReader::new(payload);
     match r.u8()? {
         MSG_HELLO => {}
@@ -354,14 +354,14 @@ pub fn decode_metrics(payload: &[u8]) -> Result<(Epoch, Snapshot), WireFormatErr
     Ok((epoch, Snapshot::from_entries(entries)))
 }
 
-pub fn encode_finish(last_epoch: Epoch) -> Vec<u8> {
+pub(crate) fn encode_finish(last_epoch: Epoch) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
     put_u8(&mut out, MSG_FINISH);
     put_u64(&mut out, last_epoch.0);
     out
 }
 
-pub fn decode_finish(payload: &[u8]) -> Result<Epoch, WireFormatError> {
+pub(crate) fn decode_finish(payload: &[u8]) -> Result<Epoch, WireFormatError> {
     let mut r = PayloadReader::new(payload);
     match r.u8()? {
         MSG_FINISH => {}

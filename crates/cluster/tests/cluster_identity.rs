@@ -5,7 +5,8 @@
 //! scenarios are covered by the root `cluster_equivalence` suite.
 
 use rfid_cluster::coordinator::read_events_file;
-use rfid_cluster::{canonical_scenario, reference_events, LocalCluster};
+use rfid_cluster::scenario::{canonical_scenario, reference_events};
+use rfid_cluster::LocalCluster;
 use rfid_stream::digest::event_digest;
 
 #[test]

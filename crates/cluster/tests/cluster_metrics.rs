@@ -5,7 +5,8 @@
 //! (shelf/reader tags stay on the head), and `engine_epochs_total`
 //! equals `workers x epochs` (every worker steps every epoch).
 
-use rfid_cluster::{canonical_scenario, LocalCluster};
+use rfid_cluster::scenario::canonical_scenario;
+use rfid_cluster::LocalCluster;
 
 #[test]
 fn two_worker_cluster_merges_one_registry_snapshot() {

@@ -12,14 +12,14 @@
 
 use crate::config::{FilterConfig, INIT_CONE_HALF_ANGLE, MAX_INIT_RANGE};
 use crate::error::ConfigError;
-use crate::factored::object::sample_cone_in_prior;
+use crate::factored::sample_cone_in_prior;
 use crate::output::OutputPolicy;
 use crate::particle::{effective_sample_size, log_normalize, systematic_resample};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Point3, Pose, Vec3};
-use rfid_model::object::LocationPrior;
-use rfid_model::sensor::ReadRateModel;
+use rfid_model::LocationPrior;
+use rfid_model::ReadRateModel;
 use rfid_model::JointModel;
 use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
 use std::collections::{BTreeSet, HashMap};
@@ -49,7 +49,6 @@ pub struct BasicParticleFilter<P: LocationPrior, S: ReadRateModel = rfid_model::
     range_over: f64,
     last_report: Option<Pose>,
     initialized: bool,
-    resamples: u64,
 }
 
 impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
@@ -94,24 +93,13 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
             range_over,
             last_report: None,
             initialized: false,
-            resamples: 0,
             config,
         })
-    }
-
-    /// Number of joint particles.
-    pub fn num_particles(&self) -> usize {
-        self.particles.len()
     }
 
     /// Number of registered objects.
     pub fn num_objects(&self) -> usize {
         self.tags.len()
-    }
-
-    /// Resampling events so far.
-    pub fn resample_count(&self) -> u64 {
-        self.resamples
     }
 
     /// Posterior-mean estimate for an object.
@@ -273,7 +261,6 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
                     ..old[i as usize].clone()
                 })
                 .collect();
-            self.resamples += 1;
         }
 
         // ---- events ---------------------------------------------------
@@ -304,7 +291,7 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
     }
 }
 
-impl<P: LocationPrior, S: ReadRateModel> rfid_stream::pipeline::InferenceStage
+impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage
     for BasicParticleFilter<P, S>
 {
     fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
@@ -320,7 +307,7 @@ impl<P: LocationPrior, S: ReadRateModel> rfid_stream::pipeline::InferenceStage
 mod tests {
     use super::*;
     use rfid_geom::Aabb;
-    use rfid_model::object::BoxPrior;
+    use rfid_model::BoxPrior;
     use rfid_model::ModelParams;
 
     fn prior() -> BoxPrior {

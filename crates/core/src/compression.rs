@@ -10,8 +10,8 @@
 //! Boyen–Koller algorithm; compressing selectively combines the
 //! Gaussian and particle representations.
 
-use crate::factored::object::ObjectFilter;
-use crate::factored::reader::ReaderTables;
+use crate::factored::ObjectFilter;
+use crate::factored::ReaderTables;
 use crate::particle::ObjectParticle;
 use rand::Rng;
 use rfid_geom::{Gaussian3, Point3};
@@ -81,7 +81,7 @@ impl CompressedBelief {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factored::reader::ReaderFilter;
+    use crate::factored::ReaderFilter;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rfid_geom::Pose;

@@ -142,7 +142,7 @@ impl FilterConfig {
     }
 
     /// Validates parameter ranges.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.particles_per_object == 0 {
             return Err(ConfigError::new("particles_per_object must be >= 1"));
         }

@@ -52,8 +52,8 @@ use crate::spatial_hook::{sensing_box, SpatialHook};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Point3, Pose};
-use rfid_model::object::LocationPrior;
-use rfid_model::sensor::ReadRateModel;
+use rfid_model::LocationPrior;
+use rfid_model::ReadRateModel;
 use rfid_model::JointModel;
 use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
 use std::collections::{BTreeMap, HashMap};
@@ -298,9 +298,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let range_over = (model.sensor.detection_range(0.02) * config.init_range_overestimate)
             .min(MAX_INIT_RANGE);
         let shelf_ids = shelf_tags.iter().map(|(t, _)| *t).collect();
-        let hook = config
-            .use_spatial_index
-            .then(|| SpatialHook::new(range_over));
+        let hook = config.use_spatial_index.then(SpatialHook::new);
         let policy = OutputPolicy::new(
             config.report_delay_epochs,
             config.report_delay_epochs.saturating_mul(2),
@@ -930,7 +928,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
 /// Convenience driver: runs the engine over a full batch sequence and
 /// returns every emitted event (including the final flush). This is
 /// the *legacy batch path*, kept as the reference the streaming
-/// [`rfid_stream::pipeline::Pipeline`] is pinned against
+/// [`rfid_stream::Pipeline`] is pinned against
 /// (`crates/core/tests/determinism.rs`).
 pub fn run_engine<P: LocationPrior, S: ReadRateModel>(
     engine: &mut InferenceEngine<P, S>,
@@ -945,7 +943,7 @@ pub fn run_engine<P: LocationPrior, S: ReadRateModel>(
     events
 }
 
-impl<P: LocationPrior, S: ReadRateModel> rfid_stream::pipeline::InferenceStage
+impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage
     for InferenceEngine<P, S>
 {
     fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
@@ -961,7 +959,7 @@ impl<P: LocationPrior, S: ReadRateModel> rfid_stream::pipeline::InferenceStage
 mod tests {
     use super::*;
     use rfid_geom::Aabb;
-    use rfid_model::object::BoxPrior;
+    use rfid_model::BoxPrior;
     use rfid_model::{JointModel, ModelParams};
     use rfid_stream::EpochBatch;
 

@@ -49,8 +49,8 @@ use crate::particle::{ObjectParticle, ReaderParticle};
 use crate::spatial_hook::SpatialHook;
 use rand::rngs::StdRng;
 use rfid_geom::{Aabb, Gaussian3, Mat3};
-use rfid_model::object::LocationPrior;
-use rfid_model::sensor::ReadRateModel;
+use rfid_model::LocationPrior;
+use rfid_model::ReadRateModel;
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
 use rfid_stream::wire::{
     put_f64, put_point, put_pose, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,
@@ -60,9 +60,9 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// File magic: "RFCKPT" + format generation.
-pub const MAGIC: [u8; 8] = *b"RFCKPT01";
+pub(crate) const MAGIC: [u8; 8] = *b"RFCKPT01";
 /// Format version inside the current magic generation.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// Why a checkpoint could not be read or applied.
 #[derive(Debug)]
@@ -501,7 +501,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.hook = match d.u8()? {
             0 => None,
             1 => {
-                let mut hook = SpatialHook::new(self.range_over);
+                let mut hook = SpatialHook::new();
                 let n_regions = d.count_u64()?;
                 let mut members = Vec::new();
                 for _ in 0..n_regions {
@@ -564,7 +564,7 @@ mod tests {
     use crate::config::FilterConfig;
     use crate::engine::run_engine;
     use rfid_geom::{Point3, Pose};
-    use rfid_model::object::BoxPrior;
+    use rfid_model::BoxPrior;
     use rfid_model::{JointModel, ModelParams};
     use rfid_stream::{EpochBatch, LocationEvent};
 

@@ -58,7 +58,7 @@
 //! tested in-process.
 
 use super::*;
-use crate::factored::reader::ReaderRemap;
+use crate::factored::ReaderRemap;
 use crate::particle::ReaderParticle;
 use rand::Rng;
 

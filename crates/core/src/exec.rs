@@ -51,7 +51,7 @@ pub struct StepScratch {
 /// Mixes `(master_seed, tag, epoch)` into a single seed word with a
 /// SplitMix64-style avalanche, so neighbouring tags and epochs land in
 /// unrelated streams.
-pub fn stream_seed(master_seed: u64, tag: u64, epoch: u64) -> u64 {
+pub(crate) fn stream_seed(master_seed: u64, tag: u64, epoch: u64) -> u64 {
     let mut h = master_seed ^ 0x9E37_79B9_7F4A_7C15;
     for word in [tag, epoch] {
         h ^= word.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -63,7 +63,7 @@ pub fn stream_seed(master_seed: u64, tag: u64, epoch: u64) -> u64 {
 
 /// The RNG for one object step: a fresh `StdRng` on the
 /// `(master_seed, tag, epoch)` stream.
-pub fn task_rng(master_seed: u64, tag: u64, epoch: u64) -> StdRng {
+pub(crate) fn task_rng(master_seed: u64, tag: u64, epoch: u64) -> StdRng {
     StdRng::seed_from_u64(stream_seed(master_seed, tag, epoch))
 }
 

@@ -16,8 +16,8 @@
 //! particles — the effect Fig. 3(a) motivates — so the particle count
 //! needed is linear, not exponential, in the number of objects.
 
-pub mod object;
-pub mod reader;
+mod object;
+mod reader;
 
-pub use object::{ObjectFilter, StepOutcome};
+pub use object::{sample_cone, sample_cone_in_prior, ObjectFilter, StepOutcome};
 pub use reader::{ReaderFilter, ReaderRemap, ReaderTables};

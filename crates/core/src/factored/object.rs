@@ -21,8 +21,8 @@ use crate::particle::{
 };
 use rand::Rng;
 use rfid_geom::{Aabb, Point3, Pose};
-use rfid_model::object::LocationPrior;
-use rfid_model::sensor::ReadRateModel;
+use rfid_model::LocationPrior;
+use rfid_model::ReadRateModel;
 use rfid_model::JointModel;
 
 /// A per-object particle filter.
@@ -209,7 +209,7 @@ impl ObjectFilter {
 
     /// Rebuilds a filter from an explicit particle cloud (used by
     /// belief decompression).
-    pub fn from_particles(particles: Vec<ObjectParticle>, stamp: u64) -> Self {
+    pub(crate) fn from_particles(particles: Vec<ObjectParticle>, stamp: u64) -> Self {
         debug_assert!(!particles.is_empty(), "object filters are never empty");
         Self {
             soa: ParticleSoa::from_aos(&particles),
@@ -244,7 +244,7 @@ impl ObjectFilter {
     }
 
     /// Epoch stamp of the last pointer refresh (checkpointing).
-    pub fn pointer_stamp(&self) -> u64 {
+    pub(crate) fn pointer_stamp(&self) -> u64 {
         self.pointer_stamp
     }
 
@@ -261,7 +261,7 @@ impl ObjectFilter {
     }
 
     /// Number of resampling events (diagnostics).
-    pub fn resample_count(&self) -> u64 {
+    pub(crate) fn resample_count(&self) -> u64 {
         self.resample_count
     }
 
@@ -287,7 +287,7 @@ impl ObjectFilter {
 
     /// Applies a reader remap after reader resampling within the same
     /// epoch (pointers stay aligned without a full refresh).
-    pub fn apply_reader_remap<R: Rng + ?Sized>(
+    pub(crate) fn apply_reader_remap<R: Rng + ?Sized>(
         &mut self,
         remap: &crate::factored::reader::ReaderRemap,
         rng: &mut R,
@@ -300,7 +300,7 @@ impl ObjectFilter {
     /// cluster head replicates the engine-RNG draw sequence centrally
     /// and ships each worker its objects' values, so remote remaps stay
     /// bit-identical to the single-process engine.
-    pub fn apply_reader_remap_with(
+    pub(crate) fn apply_reader_remap_with(
         &mut self,
         remap: &crate::factored::reader::ReaderRemap,
         mut replacement: impl FnMut() -> u32,
@@ -502,7 +502,7 @@ impl ObjectFilter {
 
     /// Posterior mean and per-axis variance under the joint weights,
     /// computed into caller-owned scratch (no allocation once warm).
-    pub fn estimate_with(
+    pub(crate) fn estimate_with(
         &self,
         reader: &ReaderFilter,
         scratch: &mut StepScratch,
@@ -513,7 +513,7 @@ impl ObjectFilter {
 
     /// Effective sample size of the (normalized) object-factor weights,
     /// computed in one streaming pass — no buffer.
-    pub fn object_ess(&self) -> f64 {
+    pub(crate) fn object_ess(&self) -> f64 {
         effective_sample_size_iter(self.soa.log_w.iter().copied())
     }
 
@@ -544,7 +544,7 @@ impl ObjectFilter {
 
     /// Normalized joint weights (object factor × reader factor), in
     /// probability space.
-    pub fn normalized_joint_weights(&self, reader: &ReaderFilter) -> Vec<f64> {
+    pub(crate) fn normalized_joint_weights(&self, reader: &ReaderFilter) -> Vec<f64> {
         let (mut joint, mut probs) = (Vec::new(), Vec::new());
         Self::fill_joint(&self.soa, reader, &mut joint, &mut probs);
         probs
@@ -552,7 +552,7 @@ impl ObjectFilter {
 
     /// The particle cloud as `(weight, location)` pairs under joint
     /// weights — the input to belief compression.
-    pub fn weighted_cloud(&self, reader: &ReaderFilter) -> Vec<(f64, Point3)> {
+    pub(crate) fn weighted_cloud(&self, reader: &ReaderFilter) -> Vec<(f64, Point3)> {
         self.normalized_joint_weights(reader)
             .into_iter()
             .zip(self.soa.iter())
@@ -565,7 +565,7 @@ impl ObjectFilter {
     /// current reader, then resets weights to uniform so "over time
     /// weighting and resampling will favor the particles close to the
     /// object's true location".
-    pub fn respawn_half<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
+    pub(crate) fn respawn_half<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
         &mut self,
         reader: &ReaderFilter,
         tables: &ReaderTables,
@@ -611,7 +611,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rfid_geom::{Aabb, Vec3};
-    use rfid_model::object::BoxPrior;
+    use rfid_model::BoxPrior;
     use rfid_model::{JointModel, ModelParams};
 
     fn model() -> JointModel {

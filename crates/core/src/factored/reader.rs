@@ -18,7 +18,7 @@ use crate::particle::{
 };
 use rand::Rng;
 use rfid_geom::{Point3, Pose, Vec3};
-use rfid_model::sensor::ReadRateModel;
+use rfid_model::ReadRateModel;
 use rfid_model::JointModel;
 
 /// The result of a reader resampling step: for each *old* particle
@@ -208,7 +208,7 @@ impl ReaderFilter {
     }
 
     /// Number of resampling events so far.
-    pub fn resample_count(&self) -> u64 {
+    pub(crate) fn resample_count(&self) -> u64 {
         self.resample_count
     }
 
@@ -353,7 +353,7 @@ impl ReaderFilter {
     /// build serves every pointer refresh, cone initialization, respawn,
     /// decompression and object step of the epoch, with one `exp` and
     /// one `sin`/`cos` per reader particle.
-    pub fn tables_into(&self, out: &mut ReaderTables) {
+    pub(crate) fn tables_into(&self, out: &mut ReaderTables) {
         let n = self.particles.len();
         out.cdf.clear();
         out.cdf.reserve(n);

@@ -25,22 +25,33 @@
 //! `process_batch` API and applies the output policy of §II-A
 //! ([`output`]).
 
-pub mod basic;
-pub mod compression;
-pub mod config;
+mod basic;
+mod compression;
+mod config;
 pub mod engine;
-pub mod error;
-pub mod exec;
-pub mod factored;
-pub mod output;
-pub mod particle;
-pub mod spatial_hook;
+mod error;
+mod exec;
+mod factored;
+mod output;
+mod particle;
+mod spatial_hook;
 
 pub use basic::BasicParticleFilter;
 pub use config::{
     CompressionPolicy, FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
     MAX_INIT_RANGE, RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
 };
-pub use engine::checkpoint::{self, CheckpointError};
 pub use engine::{EngineStats, InferenceEngine};
 pub use error::ConfigError;
+// test-support surface: the step's parts, named by this crate's
+// integration tests and `bench_step` (and by `rfid_cluster::proto` for
+// the resample directive's payload)
+pub use compression::CompressedBelief;
+pub use exec::StepScratch;
+pub use factored::{
+    sample_cone, sample_cone_in_prior, ObjectFilter, ReaderFilter, ReaderRemap, ReaderTables,
+    StepOutcome,
+};
+pub use particle::{
+    log_normalize, log_normalize_exp, ObjectParticle, ParticleSoa, ReaderParticle,
+};

@@ -25,7 +25,7 @@ struct ScopeState {
 
 /// The event-emission policy.
 #[derive(Debug, Clone)]
-pub struct OutputPolicy {
+pub(crate) struct OutputPolicy {
     report_delay: u64,
     /// A read after this many silent epochs starts a new scan pass.
     pass_gap: u64,
@@ -36,7 +36,7 @@ impl OutputPolicy {
     /// Creates the policy: events are due `report_delay` epochs after
     /// scope entry; a read after `pass_gap` silent epochs counts as a
     /// new pass (and allows re-reporting).
-    pub fn new(report_delay: u64, pass_gap: u64) -> Self {
+    pub(crate) fn new(report_delay: u64, pass_gap: u64) -> Self {
         Self {
             report_delay,
             pass_gap,
@@ -46,7 +46,7 @@ impl OutputPolicy {
 
     /// Records that `tag` was read at `epoch`. Returns true when this
     /// read started a new pass (useful for diagnostics).
-    pub fn on_read(&mut self, tag: TagId, epoch: Epoch) -> bool {
+    pub(crate) fn on_read(&mut self, tag: TagId, epoch: Epoch) -> bool {
         match self.states.get_mut(&tag) {
             Some(s) => {
                 let new_pass = epoch.since(s.last_read) > self.pass_gap;
@@ -74,7 +74,7 @@ impl OutputPolicy {
     /// Objects whose report is due at `epoch` (entered scope exactly
     /// `report_delay` epochs ago, not yet reported this pass). Marks
     /// them reported.
-    pub fn due(&mut self, epoch: Epoch) -> Vec<TagId> {
+    pub(crate) fn due(&mut self, epoch: Epoch) -> Vec<TagId> {
         let mut out = Vec::new();
         self.due_into(epoch, &mut out);
         out
@@ -82,7 +82,7 @@ impl OutputPolicy {
 
     /// [`OutputPolicy::due`] into a caller-owned buffer (cleared first),
     /// sorted by tag.
-    pub fn due_into(&mut self, epoch: Epoch, out: &mut Vec<TagId>) {
+    pub(crate) fn due_into(&mut self, epoch: Epoch, out: &mut Vec<TagId>) {
         out.clear();
         for (tag, s) in self.states.iter_mut() {
             if !s.reported && epoch.since(s.entered) >= self.report_delay {
@@ -95,7 +95,7 @@ impl OutputPolicy {
 
     /// Objects still unreported (end-of-trace flush). Marks them
     /// reported.
-    pub fn flush(&mut self) -> Vec<TagId> {
+    pub(crate) fn flush(&mut self) -> Vec<TagId> {
         let mut out = Vec::new();
         self.flush_into(&mut out);
         out
@@ -103,7 +103,7 @@ impl OutputPolicy {
 
     /// [`OutputPolicy::flush`] into a caller-owned buffer (cleared
     /// first), sorted by tag.
-    pub fn flush_into(&mut self, out: &mut Vec<TagId>) {
+    pub(crate) fn flush_into(&mut self, out: &mut Vec<TagId>) {
         out.clear();
         for (tag, s) in self.states.iter_mut() {
             if !s.reported {
@@ -114,14 +114,9 @@ impl OutputPolicy {
         out.sort_unstable();
     }
 
-    /// Number of objects ever seen.
-    pub fn num_objects(&self) -> usize {
-        self.states.len()
-    }
-
     /// Checkpoint view of the per-object scope states as
     /// `(tag, entered, last_read, reported)` rows, sorted by tag.
-    pub fn snapshot_states(&self) -> Vec<(TagId, Epoch, Epoch, bool)> {
+    pub(crate) fn snapshot_states(&self) -> Vec<(TagId, Epoch, Epoch, bool)> {
         let mut rows: Vec<_> = self
             .states
             .iter()
@@ -133,7 +128,7 @@ impl OutputPolicy {
 
     /// Replaces the per-object scope states with checkpointed rows
     /// (the inverse of [`snapshot_states`](Self::snapshot_states)).
-    pub fn restore_states<I>(&mut self, rows: I)
+    pub(crate) fn restore_states<I>(&mut self, rows: I)
     where
         I: IntoIterator<Item = (TagId, Epoch, Epoch, bool)>,
     {
@@ -149,11 +144,6 @@ impl OutputPolicy {
             );
         }
     }
-
-    /// Epoch at which `tag` last entered scope.
-    pub fn entered_at(&self, tag: TagId) -> Option<Epoch> {
-        self.states.get(&tag).map(|s| s.entered)
-    }
 }
 
 #[cfg(test)]
@@ -164,8 +154,10 @@ mod tests {
     fn first_read_enters_scope() {
         let mut p = OutputPolicy::new(60, 120);
         assert!(p.on_read(TagId(1), Epoch(5)));
-        assert_eq!(p.entered_at(TagId(1)), Some(Epoch(5)));
-        assert_eq!(p.num_objects(), 1);
+        assert_eq!(
+            p.snapshot_states(),
+            vec![(TagId(1), Epoch(5), Epoch(5), false)]
+        );
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> 
 /// `exp(2w)` — so the result is bit-identical to
 /// [`effective_sample_size_probs`] over the exponentiated weights,
 /// the form the object step applies to its probability buffer.
-pub fn effective_sample_size(log_w: &[f64]) -> f64 {
+pub(crate) fn effective_sample_size(log_w: &[f64]) -> f64 {
     debug_assert!(
         log_w.is_empty() || {
             let total: f64 = log_w.iter().map(|w| w.exp()).sum();
@@ -139,7 +139,7 @@ pub fn effective_sample_size(log_w: &[f64]) -> f64 {
 /// multiply-add reduction the hot path runs against its reusable
 /// probability buffer. Same normalization contract, same result bits
 /// as the log-space version over the corresponding log weights.
-pub fn effective_sample_size_probs(probs: &[f64]) -> f64 {
+pub(crate) fn effective_sample_size_probs(probs: &[f64]) -> f64 {
     debug_assert!(
         probs.is_empty() || (probs.iter().sum::<f64>() - 1.0).abs() < 1e-6,
         "effective_sample_size_probs requires normalized weights"
@@ -154,7 +154,7 @@ pub fn effective_sample_size_probs(probs: &[f64]) -> f64 {
 
 /// Systematic resampling: draws `n` ancestor indices from the
 /// categorical distribution given by normalized log weights.
-pub fn systematic_resample<R: Rng + ?Sized>(log_w: &[f64], n: usize, rng: &mut R) -> Vec<u32> {
+pub(crate) fn systematic_resample<R: Rng + ?Sized>(log_w: &[f64], n: usize, rng: &mut R) -> Vec<u32> {
     debug_assert!(!log_w.is_empty());
     let mut out = Vec::with_capacity(n);
     let step = 1.0 / n as f64;
@@ -181,7 +181,7 @@ pub fn systematic_resample<R: Rng + ?Sized>(log_w: &[f64], n: usize, rng: &mut R
 /// (`ObjectFilter::object_ess`) pinned by the golden traces, so its
 /// bit pattern must not change with the hot path's `exp(w)²`
 /// restructuring (the two differ by at most an ulp per term).
-pub fn effective_sample_size_iter<I: Iterator<Item = f64> + Clone>(log_w: I) -> f64 {
+pub(crate) fn effective_sample_size_iter<I: Iterator<Item = f64> + Clone>(log_w: I) -> f64 {
     debug_assert!(
         {
             let mut probe = log_w.clone().map(f64::exp).peekable();
@@ -201,7 +201,7 @@ pub fn effective_sample_size_iter<I: Iterator<Item = f64> + Clone>(log_w: I) -> 
 /// arithmetic (including the total-depletion uniform reset) applied
 /// directly to a particle array instead of a collected buffer. The one
 /// implementation both filters' hot paths normalize through.
-pub fn log_normalize_by<T>(
+pub(crate) fn log_normalize_by<T>(
     items: &mut [T],
     get: impl Fn(&T) -> f64,
     mut set: impl FnMut(&mut T, f64),
@@ -231,7 +231,7 @@ pub fn log_normalize_by<T>(
 /// sequence `i` repeated `counts[i]` times) — but fills a caller-owned
 /// buffer instead of allocating, which combined with
 /// [`reorder_by_counts`] makes resampling allocation-free.
-pub fn systematic_resample_counts<R: Rng + ?Sized>(
+pub(crate) fn systematic_resample_counts<R: Rng + ?Sized>(
     probs: &[f64],
     n: usize,
     counts: &mut Vec<u32>,
@@ -252,40 +252,6 @@ pub fn systematic_resample_counts<R: Rng + ?Sized>(
         counts[i] += 1;
         u += step;
     }
-}
-
-/// Reorders `items` in place into the resampled sequence described by
-/// `counts` (each survivor `i` repeated `counts[i]` times, in index
-/// order) — the exact sequence [`systematic_resample`]'s ancestry
-/// vector produces, without the second allocation.
-///
-/// Two passes: survivors are first compacted to the front (the write
-/// cursor never passes the read cursor), then expanded from the back.
-/// The back-expansion is safe because survivors each contribute at
-/// least one copy, so survivor `r`'s output block starts at an index
-/// `>= r` and never clobbers a survivor that is still to be read.
-/// `counts` is clobbered by the compaction.
-pub fn reorder_by_counts<T: Copy>(items: &mut [T], counts: &mut [u32]) {
-    let n = items.len();
-    debug_assert_eq!(counts.len(), n);
-    debug_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), n);
-    let mut survivors = 0usize;
-    for i in 0..n {
-        if counts[i] > 0 {
-            items[survivors] = items[i];
-            counts[survivors] = counts[i];
-            survivors += 1;
-        }
-    }
-    let mut write = n;
-    for r in (0..survivors).rev() {
-        let item = items[r];
-        for _ in 0..counts[r] {
-            write -= 1;
-            items[write] = item;
-        }
-    }
-    debug_assert_eq!(write, 0);
 }
 
 /// Struct-of-arrays storage for an object's particle set: parallel
@@ -329,7 +295,7 @@ impl ParticleSoa {
     }
 
     /// Columnar copy of an AoS particle vector, preserving order.
-    pub fn from_aos(particles: &[ObjectParticle]) -> Self {
+    pub(crate) fn from_aos(particles: &[ObjectParticle]) -> Self {
         let mut soa = Self::with_capacity(particles.len());
         for p in particles {
             soa.push(*p);
@@ -380,7 +346,7 @@ impl ParticleSoa {
     }
 
     /// Overwrites the location of particle `i`.
-    pub fn set_loc(&mut self, i: usize, loc: Point3) {
+    pub(crate) fn set_loc(&mut self, i: usize, loc: Point3) {
         self.xs[i] = loc.x;
         self.ys[i] = loc.y;
         self.zs[i] = loc.z;
@@ -393,7 +359,7 @@ impl ParticleSoa {
 
     /// Approximate heap footprint of the live particle data, in bytes
     /// (three coordinate columns + weight column + pointer column).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.len() * (4 * std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
     }
 
@@ -401,7 +367,7 @@ impl ParticleSoa {
     /// permutation (survivor `i` repeated `counts[i]` times, in index
     /// order) to all five columns in one two-pass sweep. `counts` is
     /// clobbered, exactly like the free function.
-    pub fn reorder_by_counts(&mut self, counts: &mut [u32]) {
+    pub(crate) fn reorder_by_counts(&mut self, counts: &mut [u32]) {
         let n = self.len();
         debug_assert_eq!(counts.len(), n);
         debug_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), n);
@@ -434,33 +400,9 @@ impl ParticleSoa {
     }
 }
 
-/// Weighted mean location of object particles (normalized log weights).
-pub fn weighted_mean_loc(particles: &[ObjectParticle]) -> Option<Point3> {
-    rfid_geom::point::weighted_mean(particles.iter().map(|p| (p.log_w.exp(), p.loc)))
-}
-
-/// Weighted per-axis variance of object particles around their mean.
-pub fn weighted_variance(particles: &[ObjectParticle], mean: &Point3) -> [f64; 3] {
-    let mut var = [0.0f64; 3];
-    let mut wsum = 0.0;
-    for p in particles {
-        let w = p.log_w.exp();
-        wsum += w;
-        var[0] += w * (p.loc.x - mean.x) * (p.loc.x - mean.x);
-        var[1] += w * (p.loc.y - mean.y) * (p.loc.y - mean.y);
-        var[2] += w * (p.loc.z - mean.z) * (p.loc.z - mean.z);
-    }
-    if wsum > 0.0 {
-        for v in var.iter_mut() {
-            *v /= wsum;
-        }
-    }
-    var
-}
-
 /// Weighted mean pose of reader particles: mean position plus circular
 /// mean heading.
-pub fn weighted_mean_pose(particles: &[ReaderParticle]) -> Option<Pose> {
+pub(crate) fn weighted_mean_pose(particles: &[ReaderParticle]) -> Option<Pose> {
     let mut wsum = 0.0;
     let (mut x, mut y, mut z) = (0.0, 0.0, 0.0);
     let (mut s, mut c) = (0.0, 0.0);
@@ -487,6 +429,41 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The generic form of [`ParticleSoa::reorder_by_counts`], the
+    /// reference the columnar one is pinned against: reorders `items` in
+    /// place into the resampled sequence described by `counts` (each survivor `i` repeated `counts[i]` times, in index
+    /// order) — the exact sequence [`systematic_resample`]'s ancestry
+    /// vector produces, without the second allocation.
+    ///
+    /// Two passes: survivors are first compacted to the front (the write
+    /// cursor never passes the read cursor), then expanded from the back.
+    /// The back-expansion is safe because survivors each contribute at
+    /// least one copy, so survivor `r`'s output block starts at an index
+    /// `>= r` and never clobbers a survivor that is still to be read.
+    /// `counts` is clobbered by the compaction.
+    fn reorder_by_counts<T: Copy>(items: &mut [T], counts: &mut [u32]) {
+        let n = items.len();
+        debug_assert_eq!(counts.len(), n);
+        debug_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), n);
+        let mut survivors = 0usize;
+        for i in 0..n {
+            if counts[i] > 0 {
+                items[survivors] = items[i];
+                counts[survivors] = counts[i];
+                survivors += 1;
+            }
+        }
+        let mut write = n;
+        for r in (0..survivors).rev() {
+            let item = items[r];
+            for _ in 0..counts[r] {
+                write -= 1;
+                items[write] = item;
+            }
+        }
+        debug_assert_eq!(write, 0);
+    }
 
     #[test]
     fn log_normalize_sums_to_one() {
@@ -711,21 +688,6 @@ mod tests {
                 assert_eq!(p.log_w.to_bits(), aos_reordered[i].log_w.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn weighted_mean_and_variance() {
-        let mk = |x: f64, w: f64| ObjectParticle {
-            loc: Point3::new(x, 0.0, 0.0),
-            reader_idx: 0,
-            log_w: w.ln(),
-        };
-        let ps = vec![mk(0.0, 0.5), mk(2.0, 0.5)];
-        let m = weighted_mean_loc(&ps).unwrap();
-        assert!((m.x - 1.0).abs() < 1e-12);
-        let v = weighted_variance(&ps, &m);
-        assert!((v[0] - 1.0).abs() < 1e-12);
-        assert_eq!(v[1], 0.0);
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! of the (overestimated) sensor range around the reader estimate, and
 //! recorded with the objects that had at least one particle inside it.
 
-use rfid_geom::{Aabb, Point3, Pose};
+use rfid_geom::{Aabb, Pose};
 use rfid_spatial::RegionIndex;
 use rfid_stream::TagId;
-use std::collections::BTreeSet;
 
 /// The bounding box of the sensing region at `pose` for a sensor of
 /// (overestimated) detection range `range`. The sensing region is a
@@ -31,86 +30,55 @@ use std::collections::BTreeSet;
 /// A free function — the box depends only on the range and the pose,
 /// so the engine computes it without consulting (or rebuilding) a
 /// [`SpatialHook`].
-pub fn sensing_box(range: f64, pose: &Pose) -> Aabb {
+pub(crate) fn sensing_box(range: f64, pose: &Pose) -> Aabb {
     let ahead = rfid_geom::angles::heading_vec(pose.phi) * (0.5 * range);
     Aabb::cube(pose.pos + ahead, 0.55 * range)
 }
 
 /// Engine-facing wrapper around the region index.
 #[derive(Debug, Clone)]
-pub struct SpatialHook {
+pub(crate) struct SpatialHook {
     index: RegionIndex<TagId>,
-    /// Half-extent of the sensing-region bounding box, feet.
-    range: f64,
 }
 
 impl SpatialHook {
-    /// Creates a hook with sensing-region half-extent `range` (use the
-    /// sensor's overestimated detection range).
-    pub fn new(range: f64) -> Self {
-        assert!(range > 0.0);
+    /// Creates an empty hook.
+    pub(crate) fn new() -> Self {
         Self {
             index: RegionIndex::new(),
-            range,
         }
     }
 
-    /// The bounding box of the sensing region at `pose` (see the free
-    /// [`sensing_box`] — this method uses the hook's stored range).
-    pub fn sensing_box(&self, pose: &Pose) -> Aabb {
-        sensing_box(self.range, pose)
-    }
-
-    /// The Case 2 candidate set for the current sensing box: objects
-    /// recorded in any overlapping past region.
-    pub fn candidates(&self, current: &Aabb) -> BTreeSet<TagId> {
-        self.index.query_objects(current)
-    }
-
-    /// [`candidates`](Self::candidates) appended into a caller-owned
-    /// buffer (unsorted, may contain duplicates across regions) — the
-    /// engine's per-epoch path, which sorts and dedups its active-set
-    /// `Vec` once instead of paying a `BTreeSet` per epoch.
-    pub fn candidates_into(&self, current: &Aabb, out: &mut Vec<TagId>) {
+    /// The Case 2 candidates for the current sensing box — objects
+    /// recorded in any overlapping past region — appended into a
+    /// caller-owned buffer (unsorted, may contain duplicates across
+    /// regions): the engine sorts and dedups its active-set `Vec` once
+    /// per epoch.
+    pub(crate) fn candidates_into(&self, current: &Aabb, out: &mut Vec<TagId>) {
         self.index.query_objects_into(current, out);
     }
 
     /// Records this epoch's sensing region with its member objects
     /// (those with at least one particle inside the box).
-    pub fn record<I: IntoIterator<Item = TagId>>(&mut self, bbox: Aabb, members: I) {
+    pub(crate) fn record<I: IntoIterator<Item = TagId>>(&mut self, bbox: Aabb, members: I) {
         self.index.insert_region(bbox, members);
     }
 
-    /// Checks which of `(tag, particle locations)` have at least one
-    /// particle inside `bbox` — the membership rule of Fig. 4(b).
-    pub fn members_of<'a>(
-        bbox: &Aabb,
-        clouds: impl Iterator<Item = (TagId, &'a [Point3])>,
-    ) -> Vec<TagId> {
-        let mut out = Vec::new();
-        for (tag, locs) in clouds {
-            if locs.iter().any(|l| bbox.contains(l)) {
-                out.push(tag);
-            }
-        }
-        out
-    }
-
     /// Number of recorded regions (diagnostics).
-    pub fn num_regions(&self) -> usize {
+    pub(crate) fn num_regions(&self) -> usize {
         self.index.num_regions()
     }
 
     /// The bounding box of recorded region `id` (region ids are dense:
     /// `0..num_regions()`, in insertion order) — checkpointing.
-    pub fn region_box(&self, id: u64) -> Aabb {
+    pub(crate) fn region_box(&self, id: u64) -> Aabb {
         self.index.region_box(id)
     }
 
     /// The member set of recorded region `id` — checkpointing.
     /// Replaying `record(region_box(id), region_members(id))` for ids
     /// in order reproduces the hook exactly.
-    pub fn region_members(&self, id: u64) -> &[TagId] {
+    pub(crate) fn region_members(&self, id: u64) -> &[TagId] {
         self.index.region_members(id)
     }
 }
@@ -118,17 +86,25 @@ impl SpatialHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfid_geom::Point3;
 
     fn pose(x: f64, y: f64) -> Pose {
         Pose::new(Point3::new(x, y, 0.0), 0.0)
+    }
+
+    fn candidates(h: &SpatialHook, current: &Aabb) -> Vec<TagId> {
+        let mut out = Vec::new();
+        h.candidates_into(current, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     #[test]
     fn sensing_box_covers_forward_cone() {
         // heading +x: the box must cover the reader position through the
         // full range ahead, but not far behind or far beyond.
-        let h = SpatialHook::new(4.0);
-        let b = h.sensing_box(&pose(1.0, 2.0));
+        let b = sensing_box(4.0, &pose(1.0, 2.0));
         assert!(b.contains(&Point3::new(1.0, 2.0, 0.0))); // reader itself
         assert!(b.contains(&Point3::new(4.9, 2.0, 0.0))); // near max range
         assert!(!b.contains(&Point3::new(5.5, 2.0, 0.0))); // beyond range+pad
@@ -137,46 +113,31 @@ mod tests {
 
     #[test]
     fn sensing_box_follows_heading() {
-        let h = SpatialHook::new(4.0);
         let west = Pose::new(Point3::new(0.0, 0.0, 0.0), std::f64::consts::PI);
-        let b = h.sensing_box(&west);
+        let b = sensing_box(4.0, &west);
         assert!(b.contains(&Point3::new(-3.9, 0.0, 0.0)));
         assert!(!b.contains(&Point3::new(3.0, 0.0, 0.0)));
     }
 
     #[test]
     fn case2_returned_case4_skipped() {
-        let mut h = SpatialHook::new(2.0);
+        let mut h = SpatialHook::new();
         // object 1 recorded near y = 0, object 2 near y = 100
-        h.record(h.sensing_box(&pose(0.0, 0.0)), [TagId(1)]);
-        h.record(h.sensing_box(&pose(0.0, 100.0)), [TagId(2)]);
-        let current = h.sensing_box(&pose(0.0, 1.0));
-        let c = h.candidates(&current);
+        h.record(sensing_box(2.0, &pose(0.0, 0.0)), [TagId(1)]);
+        h.record(sensing_box(2.0, &pose(0.0, 100.0)), [TagId(2)]);
+        let c = candidates(&h, &sensing_box(2.0, &pose(0.0, 1.0)));
         assert!(c.contains(&TagId(1)), "case-2 object missing");
         assert!(!c.contains(&TagId(2)), "case-4 object should be skipped");
     }
 
     #[test]
-    fn members_of_requires_particle_inside() {
-        let bbox = Aabb::cube(Point3::origin(), 1.0);
-        let inside = vec![Point3::new(0.5, 0.0, 0.0), Point3::new(5.0, 0.0, 0.0)];
-        let outside = vec![Point3::new(5.0, 5.0, 0.0)];
-        let clouds = vec![
-            (TagId(1), inside.as_slice()),
-            (TagId(2), outside.as_slice()),
-        ];
-        let members = SpatialHook::members_of(&bbox, clouds.into_iter());
-        assert_eq!(members, vec![TagId(1)]);
-    }
-
-    #[test]
     fn overlapping_history_unions() {
-        let mut h = SpatialHook::new(2.0);
+        let mut h = SpatialHook::new();
         for i in 0..10u64 {
-            h.record(h.sensing_box(&pose(0.0, i as f64)), [TagId(i)]);
+            h.record(sensing_box(2.0, &pose(0.0, i as f64)), [TagId(i)]);
         }
         assert_eq!(h.num_regions(), 10);
-        let c = h.candidates(&h.sensing_box(&pose(0.0, 5.0)));
+        let c = candidates(&h, &sensing_box(2.0, &pose(0.0, 5.0)));
         // regions centered at y in [1, 9] overlap a box around y = 5
         assert!(c.len() >= 5, "got {c:?}");
         assert!(c.contains(&TagId(5)));

@@ -20,10 +20,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfid_core::exec::StepScratch;
-use rfid_core::factored::{ObjectFilter, ReaderFilter};
+use rfid_core::StepScratch;
+use rfid_core::{ObjectFilter, ReaderFilter};
 use rfid_geom::{Point3, Pose};
-use rfid_model::object::BoxPrior;
+use rfid_model::BoxPrior;
 use rfid_model::{JointModel, ModelParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

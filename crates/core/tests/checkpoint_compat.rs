@@ -27,14 +27,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfid_core::checkpoint::{config_fingerprint, peek_epoch, CheckpointError};
+use rfid_core::engine::checkpoint::{config_fingerprint, peek_epoch, CheckpointError};
 use rfid_core::engine::run_engine;
 use rfid_core::{
     FilterConfig, InferenceEngine, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
     MAX_INIT_RANGE, RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
 };
 use rfid_geom::{Aabb, Point3, Pose};
-use rfid_model::object::BoxPrior;
+use rfid_model::BoxPrior;
 use rfid_model::{JointModel, ModelParams, ReadRateModel};
 use rfid_stream::digest::{event_digest, fnv1a, FNV_OFFSET};
 use rfid_stream::{Epoch, EpochBatch, TagId};

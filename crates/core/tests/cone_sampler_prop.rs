@@ -19,9 +19,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfid_core::factored::object::{sample_cone, sample_cone_in_prior};
+use rfid_core::{sample_cone, sample_cone_in_prior};
 use rfid_geom::{Aabb, Point3, Pose};
-use rfid_model::object::{BoxPrior, LocationPrior};
+use rfid_model::{BoxPrior, LocationPrior};
 use rfid_sim::WarehouseLayout;
 
 /// A prior that leaves `support_bounds` at its default (the whole

@@ -15,11 +15,11 @@ mod reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reference::ReferenceFilter;
-use rfid_core::exec::StepScratch;
-use rfid_core::factored::{ObjectFilter, ReaderFilter};
-use rfid_core::particle::{ObjectParticle, ReaderParticle};
+use rfid_core::StepScratch;
+use rfid_core::{ObjectFilter, ReaderFilter};
+use rfid_core::{ObjectParticle, ReaderParticle};
 use rfid_geom::{Point3, Pose};
-use rfid_model::object::BoxPrior;
+use rfid_model::BoxPrior;
 use rfid_model::{JointModel, ModelParams};
 
 const NO_PRIOR: Option<&BoxPrior> = None;

@@ -15,9 +15,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rfid_core::compression::CompressedBelief;
-use rfid_core::factored::{ReaderFilter, ReaderTables};
-use rfid_core::particle::ReaderParticle;
+use rfid_core::CompressedBelief;
+use rfid_core::{ReaderFilter, ReaderTables};
+use rfid_core::ReaderParticle;
 use rfid_geom::{Point3, Pose};
 use rfid_stream::Epoch;
 
@@ -259,7 +259,7 @@ proptest! {
             })
             .collect();
         log_w[n / 2] = 0.0;
-        rfid_core::particle::log_normalize(&mut log_w);
+        rfid_core::log_normalize(&mut log_w);
         let reader = reader_with(&log_w);
         let tables = reader.tables();
         let mut fast = StdRng::seed_from_u64(seed ^ 1);

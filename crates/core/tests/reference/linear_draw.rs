@@ -4,10 +4,10 @@
 //! `reader_draw_prop.rs`; the library draws only through the tables.
 
 use rand::Rng;
-use rfid_core::factored::ReaderFilter;
+use rfid_core::ReaderFilter;
 
 /// Draws a particle index according to the reader's current weights.
-pub fn sample_index<R: Rng + ?Sized>(reader: &ReaderFilter, rng: &mut R) -> u32 {
+pub(crate) fn sample_index<R: Rng + ?Sized>(reader: &ReaderFilter, rng: &mut R) -> u32 {
     let particles = reader.particles();
     let u: f64 = rng.gen();
     let mut cum = 0.0;

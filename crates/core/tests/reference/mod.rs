@@ -15,21 +15,21 @@
 //! `#[path]` from `bench_step.rs`); the library holds one step path.
 
 use rand::Rng;
-use rfid_core::factored::{ObjectFilter, ReaderFilter};
-use rfid_core::particle::{log_normalize, ObjectParticle};
+use rfid_core::{ObjectFilter, ReaderFilter};
+use rfid_core::{log_normalize, ObjectParticle};
 use rfid_geom::Point3;
-use rfid_model::sensor::ReadRateModel;
+use rfid_model::ReadRateModel;
 use rfid_model::JointModel;
 
 /// An object's particle set, one struct per particle.
 #[derive(Debug, Clone)]
-pub struct ReferenceFilter {
-    pub particles: Vec<ObjectParticle>,
+pub(crate) struct ReferenceFilter {
+    pub(crate) particles: Vec<ObjectParticle>,
 }
 
 impl ReferenceFilter {
     /// Copies a production filter's particles.
-    pub fn from_filter(f: &ObjectFilter) -> Self {
+    pub(crate) fn from_filter(f: &ObjectFilter) -> Self {
         Self {
             particles: f.iter_particles().collect(),
         }
@@ -40,7 +40,7 @@ impl ReferenceFilter {
     /// outcome under its own reader hypothesis, renormalizes the object
     /// weights, deposits per-reader support into `reader`, and returns
     /// the joint probabilities.
-    pub fn weight<S: ReadRateModel>(
+    pub(crate) fn weight<S: ReadRateModel>(
         &mut self,
         model: &JointModel<S>,
         reader: &mut ReaderFilter,
@@ -107,7 +107,7 @@ impl ReferenceFilter {
     /// `ess_frac * n`, carrying reader pointers along with the
     /// survivors. Returns the joint probabilities of the new set, or
     /// `None` when the set was left alone.
-    pub fn maybe_resample<R: Rng + ?Sized>(
+    pub(crate) fn maybe_resample<R: Rng + ?Sized>(
         &mut self,
         reader: &ReaderFilter,
         probs: &[f64],
@@ -147,7 +147,7 @@ impl ReferenceFilter {
 
     /// Posterior mean and per-axis variance under joint probabilities
     /// aligned with the particles.
-    pub fn estimate(&self, probs: &[f64]) -> (Point3, [f64; 3]) {
+    pub(crate) fn estimate(&self, probs: &[f64]) -> (Point3, [f64; 3]) {
         let mut mean = Point3::origin();
         for (p, w) in self.particles.iter().zip(probs) {
             mean.x += w * p.loc.x;

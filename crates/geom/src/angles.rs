@@ -18,19 +18,6 @@ pub fn wrap_pi(a: f64) -> f64 {
     a
 }
 
-/// Smallest absolute difference between two angles, in `[0, pi]`.
-#[inline]
-pub fn angular_diff(a: f64, b: f64) -> f64 {
-    wrap_pi(a - b).abs()
-}
-
-/// The bearing (angle in the XY plane, measured from the +x axis) of the
-/// displacement from `from` to `to`.
-#[inline]
-pub fn bearing_xy(from: &Point3, to: &Point3) -> f64 {
-    (to.y - from.y).atan2(to.x - from.x)
-}
-
 /// The absolute angle, in `[0, pi]`, between a heading `phi` (radians,
 /// XY plane) at `reader` and the direction toward `tag`.
 ///
@@ -39,7 +26,7 @@ pub fn bearing_xy(from: &Point3, to: &Point3) -> f64 {
 /// planar; the z component contributes to distance but not to bearing,
 /// matching the paper's 2-component heading vector).
 #[inline]
-pub fn reader_tag_angle(reader: &Point3, phi: f64, tag: &Point3) -> f64 {
+pub(crate) fn reader_tag_angle(reader: &Point3, phi: f64, tag: &Point3) -> f64 {
     reader_tag_angle_trig(reader, phi.cos(), phi.sin(), tag)
 }
 
@@ -65,12 +52,6 @@ pub fn heading_vec(phi: f64) -> Vec3 {
     Vec3::new(phi.cos(), phi.sin(), 0.0)
 }
 
-/// Converts degrees to radians.
-#[inline]
-pub fn deg(d: f64) -> f64 {
-    d.to_radians()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,12 +63,6 @@ mod tests {
         assert!((wrap_pi(3.0 * PI) - PI).abs() < 1e-12);
         assert!((wrap_pi(-3.0 * PI) - PI).abs() < 1e-12);
         assert!((wrap_pi(0.5) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn angular_diff_is_shortest() {
-        assert!((angular_diff(0.1, 2.0 * PI - 0.1) - 0.2).abs() < 1e-12);
-        assert!((angular_diff(PI / 2.0, -PI / 2.0) - PI).abs() < 1e-12);
     }
 
     #[test]
@@ -125,13 +100,6 @@ mod tests {
         let tag = Point3::new(1.0, 0.0, 1.0);
         let theta = reader_tag_angle(&r, 0.0, &tag);
         assert!((theta - PI / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bearing_quadrants() {
-        let o = Point3::origin();
-        assert!((bearing_xy(&o, &Point3::new(1.0, 1.0, 0.0)) - PI / 4.0).abs() < 1e-12);
-        assert!((bearing_xy(&o, &Point3::new(-1.0, 0.0, 0.0)) - PI).abs() < 1e-12);
     }
 
     proptest! {

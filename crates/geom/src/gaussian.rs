@@ -80,13 +80,6 @@ impl DiagGaussian3 {
         Self { mean, std }
     }
 
-    /// Zero-mean isotropic noise with std `s` in x and y and 0 in z
-    /// (the planar default of the paper's simulator).
-    #[inline]
-    pub fn planar(s: f64) -> Self {
-        Self::new(Vec3::zero(), Vec3::new(s, s, 0.0))
-    }
-
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec3 {
         Vec3::new(
@@ -118,15 +111,6 @@ impl DiagGaussian3 {
             lp += -0.5 * z * z - s.ln() - 0.5 * LN_2PI;
         }
         lp
-    }
-
-    /// The covariance as a full matrix.
-    pub fn covariance(&self) -> Mat3 {
-        Mat3::diag([
-            self.std.x * self.std.x,
-            self.std.y * self.std.y,
-            self.std.z * self.std.z,
-        ])
     }
 }
 
@@ -194,11 +178,6 @@ impl Gaussian3 {
         }
     }
 
-    /// Isotropic Gaussian with variance `var` on each axis.
-    pub fn isotropic(mean: Point3, var: f64) -> Self {
-        Self::new(mean, Mat3::scale(var))
-    }
-
     /// Weighted maximum-likelihood fit (the KL-optimal Gaussian of
     /// §IV-D): sample mean and empirical covariance of a weighted point
     /// set. Weights need not be normalized. Returns `None` when the
@@ -235,12 +214,6 @@ impl Gaussian3 {
         let d = *p - self.mean;
         let q = d.dot(&self.inv.mul_vec(&d));
         -0.5 * (q + self.log_det + 3.0 * LN_2PI)
-    }
-
-    /// Mahalanobis distance squared from the mean.
-    pub fn mahalanobis_sq(&self, p: &Point3) -> f64 {
-        let d = *p - self.mean;
-        d.dot(&self.inv.mul_vec(&d))
     }
 
     /// KL divergence `KL(p_hat || self)` from a weighted empirical
@@ -320,7 +293,7 @@ mod tests {
 
     #[test]
     fn diag_planar_rejects_z_offsets() {
-        let g = DiagGaussian3::planar(0.1);
+        let g = DiagGaussian3::new(Vec3::zero(), Vec3::new(0.1, 0.1, 0.0));
         assert!(g.log_pdf(&Vec3::new(0.0, 0.0, 0.5)).is_infinite());
         assert!(g.log_pdf(&Vec3::new(0.05, -0.05, 0.0)).is_finite());
     }
@@ -404,13 +377,6 @@ mod tests {
         let gt = Gaussian3::fit_weighted(&tight).unwrap();
         let gw = Gaussian3::fit_weighted(&wide).unwrap();
         assert!(gt.cross_entropy(&tight) < gw.cross_entropy(&wide));
-    }
-
-    #[test]
-    fn mahalanobis_of_mean_is_zero() {
-        let g = Gaussian3::isotropic(Point3::new(1.0, 2.0, 3.0), 2.0);
-        assert!(g.mahalanobis_sq(&g.mean) < 1e-12);
-        assert!(g.mahalanobis_sq(&Point3::origin()) > 0.0);
     }
 
     #[test]

@@ -19,16 +19,20 @@
 //!
 //! Everything is `f64` and units are feet/radians/seconds to match the
 //! paper's evaluation.
+//!
+//! The `pub use` list below is the crate's whole surface: each type has
+//! one import path (`rfid_geom::Point3`); only the [`angles`] functions
+//! are named through their module.
 
-pub mod aabb;
+mod aabb;
 pub mod angles;
-pub mod gaussian;
-pub mod mat3;
-pub mod point;
-pub mod pose;
+mod gaussian;
+mod mat3;
+mod point;
+mod pose;
 
 pub use aabb::Aabb;
 pub use gaussian::{standard_normal, DiagGaussian3, Gaussian1, Gaussian3};
 pub use mat3::Mat3;
-pub use point::{Point3, Vec3};
+pub use point::{weighted_mean, Point3, Vec3};
 pub use pose::Pose;

@@ -16,7 +16,7 @@ pub struct Mat3 {
 impl Mat3 {
     /// Builds a matrix from rows.
     #[inline]
-    pub const fn from_rows(r0: [f64; 3], r1: [f64; 3], r2: [f64; 3]) -> Self {
+    pub(crate) const fn from_rows(r0: [f64; 3], r1: [f64; 3], r2: [f64; 3]) -> Self {
         Self { m: [r0, r1, r2] }
     }
 
@@ -34,7 +34,7 @@ impl Mat3 {
 
     /// Diagonal matrix with entries `d`.
     #[inline]
-    pub const fn diag(d: [f64; 3]) -> Self {
+    pub(crate) const fn diag(d: [f64; 3]) -> Self {
         Self::from_rows([d[0], 0.0, 0.0], [0.0, d[1], 0.0], [0.0, 0.0, d[2]])
     }
 
@@ -46,27 +46,12 @@ impl Mat3 {
 
     /// Matrix-vector product.
     #[inline]
-    pub fn mul_vec(&self, v: &Vec3) -> Vec3 {
+    pub(crate) fn mul_vec(&self, v: &Vec3) -> Vec3 {
         Vec3::new(
             self.m[0][0] * v.x + self.m[0][1] * v.y + self.m[0][2] * v.z,
             self.m[1][0] * v.x + self.m[1][1] * v.y + self.m[1][2] * v.z,
             self.m[2][0] * v.x + self.m[2][1] * v.y + self.m[2][2] * v.z,
         )
-    }
-
-    /// Matrix-matrix product.
-    pub fn mul(&self, o: &Mat3) -> Mat3 {
-        let mut r = Mat3::zero();
-        for i in 0..3 {
-            for j in 0..3 {
-                let mut s = 0.0;
-                for (k, ok) in o.m.iter().enumerate() {
-                    s += self.m[i][k] * ok[j];
-                }
-                r.m[i][j] = s;
-            }
-        }
-        r
     }
 
     /// Matrix sum.
@@ -81,7 +66,7 @@ impl Mat3 {
     }
 
     /// Scales every entry by `s`.
-    pub fn scaled(&self, s: f64) -> Mat3 {
+    pub(crate) fn scaled(&self, s: f64) -> Mat3 {
         let mut r = *self;
         for row in r.m.iter_mut() {
             for v in row.iter_mut() {
@@ -89,16 +74,6 @@ impl Mat3 {
             }
         }
         r
-    }
-
-    /// Transpose.
-    #[inline]
-    pub fn transpose(&self) -> Mat3 {
-        Mat3::from_rows(
-            [self.m[0][0], self.m[1][0], self.m[2][0]],
-            [self.m[0][1], self.m[1][1], self.m[2][1]],
-            [self.m[0][2], self.m[1][2], self.m[2][2]],
-        )
     }
 
     /// Outer product `u v^T`.
@@ -151,7 +126,7 @@ impl Mat3 {
     /// definite. Callers holding near-singular covariances should
     /// regularize with [`Mat3::regularized`] first.
     #[allow(clippy::needless_range_loop)] // textbook index form
-    pub fn cholesky(&self) -> Option<Mat3> {
+    pub(crate) fn cholesky(&self) -> Option<Mat3> {
         let a = &self.m;
         let mut l = [[0.0f64; 3]; 3];
         for i in 0..3 {
@@ -177,7 +152,7 @@ impl Mat3 {
     /// estimated covariances positive definite (needed by belief
     /// compression when particles have collapsed to a near-plane).
     #[inline]
-    pub fn regularized(&self, eps: f64) -> Mat3 {
+    pub(crate) fn regularized(&self, eps: f64) -> Mat3 {
         let mut r = *self;
         r.m[0][0] += eps;
         r.m[1][1] += eps;
@@ -190,21 +165,6 @@ impl Mat3 {
     pub fn trace(&self) -> f64 {
         self.m[0][0] + self.m[1][1] + self.m[2][2]
     }
-
-    /// Solves `self * x = b` for symmetric positive-definite `self`
-    /// using the Cholesky factor (forward then backward substitution).
-    pub fn solve_spd(&self, b: &Vec3) -> Option<Vec3> {
-        let l = self.cholesky()?;
-        // forward: L y = b
-        let y0 = b.x / l.m[0][0];
-        let y1 = (b.y - l.m[1][0] * y0) / l.m[1][1];
-        let y2 = (b.z - l.m[2][0] * y0 - l.m[2][1] * y1) / l.m[2][2];
-        // backward: L^T x = y
-        let x2 = y2 / l.m[2][2];
-        let x1 = (y1 - l.m[2][1] * x2) / l.m[1][1];
-        let x0 = (y0 - l.m[1][0] * x1 - l.m[2][0] * x2) / l.m[0][0];
-        Some(Vec3::new(x0, x1, x2))
-    }
 }
 
 #[cfg(test)]
@@ -212,10 +172,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Matrix-matrix product (the properties below need it; the
+    /// library does not).
+    fn mul(a: &Mat3, b: &Mat3) -> Mat3 {
+        let mut r = Mat3::zero();
+        for i in 0..3 {
+            for j in 0..3 {
+                r.m[i][j] = (0..3).map(|k| a.m[i][k] * b.m[k][j]).sum();
+            }
+        }
+        r
+    }
+
+    fn transpose(a: &Mat3) -> Mat3 {
+        let mut r = Mat3::zero();
+        for i in 0..3 {
+            for j in 0..3 {
+                r.m[i][j] = a.m[j][i];
+            }
+        }
+        r
+    }
+
     fn spd_sample(a: f64, b: f64, c: f64, d: f64, e: f64, f: f64) -> Mat3 {
         // Build SPD as A^T A + I for a random A.
         let m = Mat3::from_rows([a, b, c], [d, e, f], [b, f, a + 1.0]);
-        m.transpose().mul(&m).add(&Mat3::identity())
+        mul(&transpose(&m), &m).add(&Mat3::identity())
     }
 
     #[test]
@@ -252,15 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_spd_matches_inverse() {
-        let m = spd_sample(1.0, 0.2, -0.3, 0.1, 2.0, 0.4);
-        let b = Vec3::new(1.0, -2.0, 0.5);
-        let x = m.solve_spd(&b).unwrap();
-        let r = m.mul_vec(&x);
-        assert!((r - b).norm() < 1e-9);
-    }
-
-    #[test]
     fn outer_product_rank_one() {
         let u = Vec3::new(1.0, 2.0, 3.0);
         let v = Vec3::new(4.0, 5.0, 6.0);
@@ -282,7 +255,7 @@ mod tests {
             d in -2.0..2.0f64, e in -2.0..2.0f64, f in -2.0..2.0f64) {
             let m = spd_sample(a, b, c, d, e, f);
             let l = m.cholesky().expect("SPD by construction");
-            let r = l.mul(&l.transpose());
+            let r = mul(&l, &transpose(&l));
             for i in 0..3 {
                 for j in 0..3 {
                     prop_assert!((r.m[i][j] - m.m[i][j]).abs() < 1e-6,
@@ -297,7 +270,7 @@ mod tests {
             d in -2.0..2.0f64, e in -2.0..2.0f64, f in -2.0..2.0f64) {
             let m = spd_sample(a, b, c, d, e, f);
             let inv = m.inverse().expect("SPD is invertible");
-            let p = m.mul(&inv);
+            let p = mul(&m, &inv);
             for i in 0..3 {
                 for j in 0..3 {
                     let expect = if i == j { 1.0 } else { 0.0 };
@@ -312,19 +285,9 @@ mod tests {
             d in -2.0..2.0f64, e in -2.0..2.0f64, f in -2.0..2.0f64) {
             let m1 = spd_sample(a, b, c, d, e, f);
             let m2 = spd_sample(f, e, d, c, b, a);
-            let lhs = m1.mul(&m2).det();
+            let lhs = mul(&m1, &m2).det();
             let rhs = m1.det() * m2.det();
             prop_assert!((lhs - rhs).abs() / rhs.abs().max(1.0) < 1e-6);
-        }
-
-        #[test]
-        fn prop_solve_spd_residual(
-            a in -2.0..2.0f64, b in -2.0..2.0f64, c in -2.0..2.0f64,
-            bx in -5.0..5.0f64, by in -5.0..5.0f64, bz in -5.0..5.0f64) {
-            let m = spd_sample(a, b, c, 0.3, 1.1, -0.7);
-            let rhs = Vec3::new(bx, by, bz);
-            let x = m.solve_spd(&rhs).unwrap();
-            prop_assert!((m.mul_vec(&x) - rhs).norm() < 1e-6);
         }
     }
 }

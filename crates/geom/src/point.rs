@@ -53,17 +53,6 @@ impl Point3 {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Component-wise linear interpolation: `self` when `t == 0`, `other`
-    /// when `t == 1`.
-    #[inline]
-    pub fn lerp(&self, other: &Point3, t: f64) -> Point3 {
-        Point3::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-            self.z + (other.z - self.z) * t,
-        )
-    }
-
     /// Returns the displacement vector from the origin to this point.
     #[inline]
     pub fn to_vec(self) -> Vec3 {
@@ -98,7 +87,7 @@ impl Vec3 {
 
     /// Squared Euclidean norm.
     #[inline]
-    pub fn norm_sq(&self) -> f64 {
+    pub(crate) fn norm_sq(&self) -> f64 {
         self.x * self.x + self.y * self.y + self.z * self.z
     }
 
@@ -278,18 +267,6 @@ mod tests {
         let b = Point3::new(3.0, 4.0, 100.0);
         assert!((a.dist_xy(&b) - 5.0).abs() < 1e-12);
         assert!(a.dist(&b) > 100.0);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Point3::new(1.0, 1.0, 1.0);
-        let b = Point3::new(2.0, 3.0, 4.0);
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        let mid = a.lerp(&b, 0.5);
-        assert!((mid.x - 1.5).abs() < 1e-12);
-        assert!((mid.y - 2.0).abs() < 1e-12);
-        assert!((mid.z - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -39,14 +39,14 @@ impl Pose {
 
     /// Distance from the reader to a tag (3-D, feet). The `d_ti` of Eq. 1.
     #[inline]
-    pub fn dist_to(&self, tag: &Point3) -> f64 {
+    pub(crate) fn dist_to(&self, tag: &Point3) -> f64 {
         self.pos.dist(tag)
     }
 
     /// Absolute angle between the reader heading and the direction to a
     /// tag, in `[0, pi]`. The `theta_ti` of Eq. 1.
     #[inline]
-    pub fn angle_to(&self, tag: &Point3) -> f64 {
+    pub(crate) fn angle_to(&self, tag: &Point3) -> f64 {
         reader_tag_angle(&self.pos, self.phi, tag)
     }
 

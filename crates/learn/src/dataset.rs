@@ -16,7 +16,7 @@ pub struct SensorRow {
 
 impl SensorRow {
     /// Builds a row from reader pose and tag location.
-    pub fn from_geometry(reader: &Pose, tag: &Point3, read: bool, weight: f64) -> Self {
+    pub(crate) fn from_geometry(reader: &Pose, tag: &Point3, read: bool, weight: f64) -> Self {
         let (d, th) = reader.range_bearing(tag);
         Self {
             features: SensorParams::features(d, th),

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_core::{FilterConfig, InferenceEngine};
 use rfid_geom::{Point3, Vec3};
-use rfid_model::object::LocationPrior;
+use rfid_model::LocationPrior;
 use rfid_model::{JointModel, ModelParams};
 use rfid_stream::{EpochBatch, TagId};
 use std::collections::BTreeSet;
@@ -280,7 +280,7 @@ pub fn calibrate<P: LocationPrior + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_model::sensor::{ConeSensor, LogisticSensorModel, ReadRateModel};
+    use rfid_model::{ConeSensor, LogisticSensorModel, ReadRateModel};
     use rfid_sim::scenario;
 
     /// Mean |p_learned - p_true| over the cone's operating region.

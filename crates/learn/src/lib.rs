@@ -20,11 +20,11 @@
 //! recover sensor models close to the ground truth (Fig. 5(b)), and the
 //! quality degrades gracefully as known tags are removed (Fig. 5(e)).
 
-pub mod dataset;
-pub mod em;
-pub mod logistic;
-pub mod motion_fit;
+mod dataset;
+mod em;
+mod logistic;
+mod motion_fit;
 
 pub use dataset::SensorRow;
 pub use em::{calibrate, EmConfig, EmResult};
-pub use logistic::{fit_logistic, fit_logistic_signed};
+pub use logistic::{fit_logistic, FitReport};

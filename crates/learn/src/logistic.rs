@@ -8,7 +8,7 @@
 //! no angle variation).
 
 use crate::dataset::SensorRow;
-use rfid_model::sensor::sigmoid;
+use rfid_model::sigmoid;
 use rfid_model::SensorParams;
 
 /// Result of a logistic fit.
@@ -60,7 +60,7 @@ fn solve5(mut a: [[f64; 5]; 5], mut b: [f64; 5]) -> Option<[f64; 5]> {
 }
 
 /// Weighted negative log-likelihood of the rows under `w`.
-pub fn nll(rows: &[SensorRow], params: &SensorParams) -> f64 {
+pub(crate) fn nll(rows: &[SensorRow], params: &SensorParams) -> f64 {
     let w = params.as_flat();
     let mut total = 0.0;
     for r in rows {
@@ -174,7 +174,7 @@ fn l2(w: &[f64; 5]) -> f64 {
 /// reads at 50+ feet. Projected gradient descent from the projected
 /// IRLS solution enforces the physical prior.
 #[allow(clippy::needless_range_loop)] // textbook index form
-pub fn fit_logistic_signed(
+pub(crate) fn fit_logistic_signed(
     rows: &[SensorRow],
     init: SensorParams,
     ridge: f64,
@@ -255,7 +255,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rfid_model::sensor::{LogisticSensorModel, ReadRateModel};
+    use rfid_model::{LogisticSensorModel, ReadRateModel};
 
     /// Synthesizes rows from known coefficients over a (d, θ) grid.
     fn synthesize(truth: &SensorParams, n_per_cell: usize, seed: u64) -> Vec<SensorRow> {

@@ -12,7 +12,7 @@
 //!   the per-axis variance of those residuals.
 
 use rfid_geom::{Point3, Vec3};
-use rfid_model::params::{MotionParams, SensingParams};
+use rfid_model::{MotionParams, SensingParams};
 
 /// Per-axis mean of a vector sample.
 fn mean(vs: &[Vec3]) -> Vec3 {
@@ -46,7 +46,7 @@ fn std(vs: &[Vec3], m: &Vec3) -> Vec3 {
 /// length as `estimated.len() - 1`, entries `None` when no report
 /// arrived). `floor` lower-bounds the stds so the filter never
 /// degenerates to zero proposal noise.
-pub fn fit_motion(
+pub(crate) fn fit_motion(
     estimated: &[Point3],
     odometry: &[Option<Vec3>],
     heading_std: f64,
@@ -79,7 +79,7 @@ pub fn fit_motion(
 /// Estimates location-sensing parameters from `reported − estimated`
 /// residuals. `floor` lower-bounds the stds (a zero sensing std would
 /// make the filter trust reports absolutely).
-pub fn fit_sensing(residuals: &[Vec3], heading_std: f64, floor: f64) -> SensingParams {
+pub(crate) fn fit_sensing(residuals: &[Vec3], heading_std: f64, floor: f64) -> SensingParams {
     let mu = mean(residuals);
     let sigma = std(residuals, &mu);
     SensingParams {

@@ -30,16 +30,18 @@
 //! [`dbn::JointModel`] bundles the components and exposes the local
 //! conditional log-densities the particle filter weights with.
 
-pub mod dbn;
-pub mod motion;
-pub mod object;
-pub mod params;
-pub mod sensing;
-pub mod sensor;
+mod dbn;
+mod motion;
+mod object;
+mod params;
+mod sensing;
+mod sensor;
 
 pub use dbn::JointModel;
 pub use motion::MotionModel;
-pub use object::{LocationPrior, ObjectLocationModel};
-pub use params::{ModelParams, SensorParams};
+pub use object::{BoxPrior, LocationPrior, MultiBoxPrior, ObjectLocationModel};
+pub use params::{MotionParams, ModelParams, ObjectParams, SensingParams, SensorParams};
 pub use sensing::LocationSensingModel;
-pub use sensor::{ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor};
+pub use sensor::{
+    sigmoid, ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor,
+};

@@ -194,25 +194,6 @@ impl ObjectLocationModel {
             *prev
         }
     }
-
-    /// Density of the transition kernel. The kernel is a mixture of a
-    /// point mass at `prev` (weight `1-α`) and the uniform prior
-    /// (weight `α`); for the mixture's continuous part the density is
-    /// `α * prior.pdf(next)`, and staying exactly in place has
-    /// probability mass `1 - α` (returned when `next == prev` within
-    /// 1e-12 ft).
-    pub fn transition_density<P: LocationPrior + ?Sized>(
-        &self,
-        prev: &Point3,
-        next: &Point3,
-        prior: &P,
-    ) -> f64 {
-        if prev.dist(next) < 1e-12 {
-            (1.0 - self.params.alpha) + self.params.alpha * prior.pdf(next)
-        } else {
-            self.params.alpha * prior.pdf(next)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,22 +291,5 @@ mod tests {
         assert_eq!(p.pdf(&inside_a), p.pdf(&inside_b));
         assert_eq!(p.pdf(&outside), 0.0);
         assert!(p.bounds().contains(&outside)); // bounds is the hull
-    }
-
-    #[test]
-    fn transition_density_mixture() {
-        let m = ObjectLocationModel::new(ObjectParams { alpha: 0.2 });
-        let p = prior();
-        let here = Point3::new(5.0, 2.0, 0.0);
-        let there = Point3::new(1.0, 1.0, 0.0);
-        let stay = m.transition_density(&here, &here, &p);
-        let go = m.transition_density(&here, &there, &p);
-        assert!((stay - (0.8 + 0.2 / 40.0)).abs() < 1e-12);
-        assert!((go - 0.2 / 40.0).abs() < 1e-12);
-        // moving outside the legal space is impossible
-        assert_eq!(
-            m.transition_density(&here, &Point3::new(-5.0, 0.0, 0.0), &p),
-            0.0
-        );
     }
 }

@@ -36,7 +36,7 @@ impl SensorParams {
 
     /// The linear predictor `u(d, θ)` before the sigmoid.
     #[inline]
-    pub fn linear_predictor(&self, d: f64, theta: f64) -> f64 {
+    pub(crate) fn linear_predictor(&self, d: f64, theta: f64) -> f64 {
         self.a[0]
             + self.a[1] * d
             + self.a[2] * d * d

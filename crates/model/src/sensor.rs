@@ -24,7 +24,7 @@ pub fn sigmoid(x: f64) -> f64 {
 
 /// `ln(sigmoid(x))`, stable for large negative `x`.
 #[inline]
-pub fn log_sigmoid(x: f64) -> f64 {
+pub(crate) fn log_sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         -(-x).exp().ln_1p()
     } else {
@@ -137,13 +137,13 @@ impl LogisticSensorModel {
 
     /// Log probability of a read at `(d, θ)`.
     #[inline]
-    pub fn log_p_read_dt(&self, d: f64, theta: f64) -> f64 {
+    pub(crate) fn log_p_read_dt(&self, d: f64, theta: f64) -> f64 {
         log_sigmoid(self.params.linear_predictor(d, theta))
     }
 
     /// Log probability of a miss at `(d, θ)`.
     #[inline]
-    pub fn log_p_miss_dt(&self, d: f64, theta: f64) -> f64 {
+    pub(crate) fn log_p_miss_dt(&self, d: f64, theta: f64) -> f64 {
         log_sigmoid(-self.params.linear_predictor(d, theta))
     }
 }
@@ -236,11 +236,6 @@ impl ConeSensor {
     /// Read rate inside the major detection range.
     pub fn rr_major(&self) -> f64 {
         self.rr_major
-    }
-
-    /// Maximum detection distance, feet.
-    pub fn max_range(&self) -> f64 {
-        self.max_range
     }
 }
 

@@ -47,13 +47,13 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// The bucket a value lands in: 0 for 0, else `64 - leading_zeros`
 /// (clamped), so bucket `i >= 1` covers `[2^(i-1), 2^i - 1]`.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
 /// Inclusive upper bound of bucket `i` (`u64::MAX` for the last).
 #[inline]
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     if i >= HISTOGRAM_BUCKETS - 1 {
         u64::MAX
     } else {
@@ -67,7 +67,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A counter not attached to any registry (tests, placeholders).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Self(Arc::new(AtomicU64::new(0)))
     }
 
@@ -93,7 +93,7 @@ pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// A gauge not attached to any registry (tests, placeholders).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Self(Arc::new(AtomicU64::new(0)))
     }
 
@@ -136,7 +136,7 @@ pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
     /// A histogram not attached to any registry (tests, placeholders).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Self(Arc::new(HistogramCore::new()))
     }
 
@@ -565,7 +565,7 @@ pub struct TraceLog {
 
 impl TraceLog {
     /// Entries retained before the ring overwrites the oldest.
-    pub const CAPACITY: usize = 256;
+    pub(crate) const CAPACITY: usize = 256;
 
     pub fn new() -> Self {
         Self {

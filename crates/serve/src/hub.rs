@@ -270,7 +270,7 @@ impl SubscriptionHandle {
 
     /// Cancels the subscription: no further frames are queued and the
     /// hub forgets it on its next commit.
-    pub fn cancel(&self) {
+    pub(crate) fn cancel(&self) {
         let mut q = crate::lock::mutex_recover(self.queue.lock());
         q.closed = true;
         q.frames.clear();

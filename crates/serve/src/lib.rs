@@ -38,22 +38,22 @@
 //! [`SnapshotSink`]: rfid_stream::pipeline::sinks::SnapshotSink
 //! [`LocationChangeSink`]: rfid_stream::pipeline::sinks::LocationChangeSink
 
-pub mod hub;
+mod hub;
 pub(crate) mod lock;
-pub mod log;
-pub mod query;
-pub mod resilient;
-pub mod server;
+mod log;
+mod query;
+mod resilient;
+mod server;
 pub mod store;
 
-pub use hub::{HubConfig, SubscriptionHandle, SubscriptionHub};
+pub use hub::{HubConfig, HubSink, SubscriptionHandle, SubscriptionHub};
 pub use log::{DurableStore, LogError, LogRecord, Recovery, SegmentLog, WriteFault};
 pub use query::{
-    answer, ErrorCode, Frame, Query, QueryResponse, Request, RequestKind, SubscriptionFilter,
-    TelemetryCmd, WireError, PROTOCOL_VERSION,
+    answer, ErrorCode, Frame, Query, QueryResponse, SubscriptionFilter, TelemetryCmd, WireError,
+    PROTOCOL_VERSION,
 };
 pub use resilient::{ReconnectPolicy, ResilientClient};
 pub use server::{
-    serve, serve_with, ClientBuilder, QueryClient, ServerConfig, ServerHandle, MIN_PROTOCOL_VERSION,
+    read_frame, serve, serve_with, write_frame, ClientBuilder, QueryClient, ServerConfig,
+    ServerHandle,
 };
-pub use store::{EventStore, LocationRow, StoreConfig, StoreError, StoreStats, StoredEvent};

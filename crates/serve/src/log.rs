@@ -520,11 +520,6 @@ impl SegmentLog {
         self.sealed.len() + usize::from(self.tail.is_some())
     }
 
-    /// Number of archived segment files.
-    pub fn archived_segments(&self) -> usize {
-        self.archived.len()
-    }
-
     /// Arms a crash fault (see [`WriteFault`]). Fault-injection
     /// harnesses only — the armed process WILL abort.
     pub fn arm_fault(&mut self, fault: WriteFault) {
@@ -672,7 +667,7 @@ impl SegmentLog {
     /// Moves sealed segments whose range ends at or before `horizon`
     /// into `archive/` — the durable mirror of the store's retention
     /// compaction. Archived data stays replayable; nothing is deleted.
-    pub fn archive_up_to(&mut self, horizon: u64) -> Result<(), LogError> {
+    pub(crate) fn archive_up_to(&mut self, horizon: u64) -> Result<(), LogError> {
         let mut moved = false;
         let mut keep = Vec::with_capacity(self.sealed.len());
         for seg in std::mem::take(&mut self.sealed) {
@@ -1130,7 +1125,10 @@ mod tests {
         feed(&mut d, 40);
         d.finish().unwrap();
         assert!(d.store().stats().events_compacted > 0);
-        assert!(d.log.archived_segments() > 0, "files moved, not deleted");
+        assert!(
+            fs::read_dir(dir.join(ARCHIVE_DIR)).unwrap().count() > 0,
+            "files moved, not deleted"
+        );
         let want = stored_rows(d.store());
         let horizon = d.store().retention_horizon();
         let snap_at_horizon = d.store().snapshot_at(Epoch(horizon)).unwrap();

@@ -141,7 +141,7 @@ impl ErrorCode {
     }
 
     /// Parses a wire token.
-    pub fn from_token(token: &str) -> Option<ErrorCode> {
+    pub(crate) fn from_token(token: &str) -> Option<ErrorCode> {
         Some(match token {
             "BAD_REQUEST" => ErrorCode::BadRequest,
             "UNKNOWN_VERB" => ErrorCode::UnknownVerb,
@@ -178,7 +178,7 @@ impl WireError {
     }
 
     /// A `BAD_REQUEST` error.
-    pub fn bad_request(message: impl Into<String>) -> Self {
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
         Self::new(ErrorCode::BadRequest, message)
     }
 
@@ -293,7 +293,7 @@ impl SubscriptionFilter {
 /// the id, which is what lets pull responses and push frames share one
 /// connection.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Client-chosen; echoed on the response (and on every `PUSH` of a
     /// subscription this request created).
     pub id: u64,
@@ -302,7 +302,7 @@ pub struct Request {
 
 /// The operations a v2 request can carry.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RequestKind {
+pub(crate) enum RequestKind {
     /// A pull query, answered with one `OK`/`ERR` frame.
     Query(Query),
     /// Registers a push subscription under this request's id.
@@ -326,7 +326,7 @@ pub enum TelemetryCmd {
 
 impl RequestKind {
     /// The wire verb, for per-verb latency accounting.
-    pub fn verb(&self) -> &'static str {
+    pub(crate) fn verb(&self) -> &'static str {
         match self {
             RequestKind::Query(Query::CurrentLocation(_)) => "CURRENT",
             RequestKind::Query(Query::Trail { .. }) => "TRAIL",
@@ -446,7 +446,7 @@ impl Query {
 impl RequestKind {
     /// The line after the id (a query, `SUBSCRIBE ...`, or
     /// `UNSUBSCRIBE ...`).
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         match self {
             RequestKind::Query(q) => q.encode(),
             RequestKind::Subscribe(f) => format!("SUBSCRIBE {}", f.encode()),
@@ -457,7 +457,7 @@ impl RequestKind {
     }
 
     /// Parses the line after the id.
-    pub fn parse(line: &str) -> Result<RequestKind, WireError> {
+    pub(crate) fn parse(line: &str) -> Result<RequestKind, WireError> {
         let mut parts = line.split_ascii_whitespace();
         let op = parts
             .next()
@@ -521,14 +521,14 @@ impl RequestKind {
 
 impl Request {
     /// The v2 request line: `id SP kind`.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         format!("{} {}", self.id, self.kind.encode())
     }
 
     /// Parses a v2 request line. On failure, the error carries the
     /// request id when one could be read (0 otherwise) so the server
     /// can still address its `ERR` frame.
-    pub fn parse(line: &str) -> Result<Request, (u64, WireError)> {
+    pub(crate) fn parse(line: &str) -> Result<Request, (u64, WireError)> {
         let trimmed = line.trim_start();
         let (head, rest) = trimmed.split_once(' ').unwrap_or((trimmed, ""));
         let id = head

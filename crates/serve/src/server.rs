@@ -52,10 +52,10 @@ use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame's payload (a request line or a
 /// response document). Guards the server against garbage prefixes.
-pub const MAX_FRAME_BYTES: u32 = 4 << 20;
+pub(crate) const MAX_FRAME_BYTES: u32 = 4 << 20;
 
 /// Oldest protocol version the server still speaks.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
+pub(crate) const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// How often the accept loop re-checks the stop flag while no
 /// connection is pending.

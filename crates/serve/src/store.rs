@@ -421,7 +421,7 @@ impl EventStore {
     /// at `since`. Exact even when `since` predates the retention
     /// horizon: compacted snapshots preserve each event's arrival
     /// stamp, so the filter never guesses.
-    pub fn snapshot_delta(&self, at: Epoch, since: Epoch) -> Result<Vec<LocationRow>, StoreError> {
+    pub(crate) fn snapshot_delta(&self, at: Epoch, since: Epoch) -> Result<Vec<LocationRow>, StoreError> {
         Ok(self
             .snapshot_events(at)?
             .into_iter()
@@ -560,7 +560,7 @@ impl EventStore {
     /// Snapshot rows at `epoch` whose XY location falls inside the
     /// axis-aligned region `[x0, x1] × [y0, y1]` — "what is in this
     /// shelf region", historically.
-    pub fn containment_at(
+    pub(crate) fn containment_at(
         &self,
         x0: f64,
         y0: f64,

@@ -36,7 +36,7 @@ fn seeded_store() -> EventStore {
     store
 }
 
-fn rows(resp: QueryResponse) -> Vec<rfid_serve::LocationRow> {
+fn rows(resp: QueryResponse) -> Vec<rfid_serve::store::LocationRow> {
     match resp {
         QueryResponse::Rows(r) => r,
         QueryResponse::Error(e) => panic!("unexpected error response: {e}"),
@@ -161,7 +161,7 @@ fn concurrent_clients_and_writer() {
 
 #[test]
 fn slow_client_splitting_a_frame_does_not_desync_the_protocol() {
-    use rfid_serve::server::{read_frame, write_frame};
+    use rfid_serve::{read_frame, write_frame};
     use std::io::Write;
     use std::net::TcpStream;
 

@@ -10,7 +10,7 @@
 //! for lines only this test can produce.
 
 use rfid_geom::Point3;
-use rfid_serve::server::{serve_with, ServerConfig};
+use rfid_serve::{serve_with, ServerConfig};
 use rfid_serve::store::{EventStore, StoreConfig};
 use rfid_serve::{Query, QueryClient, SubscriptionFilter, SubscriptionHub, TelemetryCmd};
 use rfid_stream::{Epoch, EventSink, LocationEvent, TagId};

@@ -15,8 +15,8 @@ use crate::trajectory::Trajectory;
 use crate::truth::GroundTruth;
 use rand::Rng;
 use rfid_geom::{standard_normal, Point3, Pose, Vec3};
-use rfid_model::sensor::ReadRateModel;
-use rfid_stream::sync::synchronize_traces;
+use rfid_model::ReadRateModel;
+use rfid_stream::synchronize_traces;
 use rfid_stream::{Epoch, EpochBatch, ReaderLocationReport, RfidReading, TagId};
 
 /// A scheduled object relocation (the Fig. 5(h) experiment moves "a
@@ -36,7 +36,7 @@ pub struct MovementEvent {
 /// truth records a tombstone (so post-departure events score as
 /// phantoms).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnEvent {
+pub(crate) struct ChurnEvent {
     /// Epoch at which the change takes effect.
     pub epoch: Epoch,
     pub tag: TagId,
@@ -45,7 +45,7 @@ pub struct ChurnEvent {
 
 /// What a [`ChurnEvent`] does.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChurnKind {
+pub(crate) enum ChurnKind {
     /// The tag appears at this location (relocates it if already
     /// present).
     Arrive(Point3),
@@ -181,7 +181,7 @@ impl<S: ReadRateModel> TraceGenerator<S> {
     /// `churn` arrivals join the world (and the ground truth) at their
     /// epoch, departures leave a truth tombstone and stop being read.
     #[allow(clippy::too_many_arguments)] // flat generator knobs, mirrors `generate`
-    pub fn generate_with_churn<R: Rng + ?Sized>(
+    pub(crate) fn generate_with_churn<R: Rng + ?Sized>(
         &self,
         layout: &WarehouseLayout,
         trajectory: &Trajectory,
@@ -259,8 +259,7 @@ impl<S: ReadRateModel> TraceGenerator<S> {
 /// One generated epoch: the averaged-out report plus this epoch's raw
 /// readings (borrowed from the simulator's reusable buffer).
 #[derive(Debug)]
-pub struct EpochOutput<'a> {
-    pub epoch: Epoch,
+pub(crate) struct EpochOutput<'a> {
     pub report: ReaderLocationReport,
     pub readings: &'a [RfidReading],
 }
@@ -270,7 +269,7 @@ pub struct EpochOutput<'a> {
 /// numbers in exactly the order [`TraceGenerator::generate`] does, so
 /// streamed and materialized traces are identical for the same seed.
 #[derive(Debug)]
-pub struct EpochSim<S: ReadRateModel, R: Rng> {
+pub(crate) struct EpochSim<S: ReadRateModel, R: Rng> {
     gen: TraceGenerator<S>,
     steps: Vec<crate::trajectory::Step>,
     object_locs: Vec<(TagId, Point3)>,
@@ -294,7 +293,7 @@ pub struct EpochSim<S: ReadRateModel, R: Rng> {
 
 impl<S: ReadRateModel, R: Rng> EpochSim<S, R> {
     /// Sets up the simulation (this draws the read seed from `rng`).
-    pub fn new(
+    pub(crate) fn new(
         gen: TraceGenerator<S>,
         trajectory: &Trajectory,
         objects: &[(TagId, Point3)],
@@ -337,7 +336,7 @@ impl<S: ReadRateModel, R: Rng> EpochSim<S, R> {
 
     /// Attaches scheduled population churn (sorted by epoch). Must be
     /// called before the first [`EpochSim::next_epoch`].
-    pub fn with_churn(mut self, churn: &[ChurnEvent]) -> Self {
+    pub(crate) fn with_churn(mut self, churn: &[ChurnEvent]) -> Self {
         debug_assert_eq!(self.t, 0, "churn must be attached before simulation starts");
         self.churn = churn.to_vec();
         self.churn.sort_by_key(|c| c.epoch);
@@ -359,23 +358,23 @@ impl<S: ReadRateModel, R: Rng> EpochSim<S, R> {
 
     /// Ground truth accumulated so far (complete once the simulation is
     /// exhausted).
-    pub fn truth(&self) -> &GroundTruth {
+    pub(crate) fn truth(&self) -> &GroundTruth {
         &self.truth
     }
 
     /// Consumes the simulator, returning the accumulated ground truth.
-    pub fn into_truth(self) -> GroundTruth {
+    pub(crate) fn into_truth(self) -> GroundTruth {
         self.truth
     }
 
     /// The epoch length of the generated streams, in seconds.
-    pub fn epoch_len(&self) -> f64 {
+    pub(crate) fn epoch_len(&self) -> f64 {
         self.gen.epoch_len
     }
 
     /// Generates the next epoch, or `None` when the trajectory is
     /// exhausted.
-    pub fn next_epoch(&mut self) -> Option<EpochOutput<'_>> {
+    pub(crate) fn next_epoch(&mut self) -> Option<EpochOutput<'_>> {
         if self.t > self.steps.len() {
             return None;
         }
@@ -479,7 +478,6 @@ impl<S: ReadRateModel, R: Rng> EpochSim<S, R> {
         }
 
         Some(EpochOutput {
-            epoch,
             report,
             readings: &self.readings_buf,
         })
@@ -491,7 +489,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rfid_model::sensor::ConeSensor;
+    use rfid_model::ConeSensor;
 
     type Placements = Vec<(TagId, Point3)>;
 

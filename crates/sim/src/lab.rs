@@ -22,18 +22,18 @@ use crate::trajectory::Trajectory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Aabb, Point3, Vec3};
-use rfid_model::object::MultiBoxPrior;
-use rfid_model::sensor::SphericalSensor;
+use rfid_model::MultiBoxPrior;
+use rfid_model::SphericalSensor;
 use rfid_stream::TagId;
 
 /// Tags per shelf row (80 total across the two rows).
-pub const TAGS_PER_ROW: usize = 40;
+pub(crate) const TAGS_PER_ROW: usize = 40;
 /// Tag spacing: four inches, in feet.
-pub const TAG_SPACING: f64 = 4.0 / 12.0;
+pub(crate) const TAG_SPACING: f64 = 4.0 / 12.0;
 /// Reference (known-position) tags per shelf.
-pub const REFERENCE_TAGS_PER_ROW: usize = 5;
+pub(crate) const REFERENCE_TAGS_PER_ROW: usize = 5;
 /// Distance from the robot aisle to each shelf row, feet.
-pub const ROW_STANDOFF: f64 = 1.5;
+pub(crate) const ROW_STANDOFF: f64 = 1.5;
 
 /// The lab world: two parallel rows of tags and the scan plan.
 #[derive(Debug, Clone)]

@@ -10,12 +10,12 @@
 
 use rand::Rng;
 use rfid_geom::{Aabb, Point3};
-use rfid_model::object::LocationPrior;
+use rfid_model::LocationPrior;
 use rfid_stream::TagId;
 
 /// Tag ids at or above this value denote shelf (reference) tags;
 /// object tags count up from zero.
-pub const SHELF_TAG_BASE: u64 = 1_000_000;
+pub(crate) const SHELF_TAG_BASE: u64 = 1_000_000;
 
 /// One shelf: a box of storage space whose front face carries the tags.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,11 +164,6 @@ impl WarehouseLayout {
         self.total_length
     }
 
-    /// Aisle-to-face distance.
-    pub fn standoff(&self) -> f64 {
-        self.standoff
-    }
-
     /// Common tag height.
     pub fn tag_z(&self) -> f64 {
         self.tag_z
@@ -176,7 +171,7 @@ impl WarehouseLayout {
 
     /// Evenly spaced object locations along the shelf faces: object `i`
     /// of `n` sits at the face, at `y = (i + 0.5) * total_len / n`.
-    pub fn object_slots(&self, n: usize) -> Vec<Point3> {
+    pub(crate) fn object_slots(&self, n: usize) -> Vec<Point3> {
         let len = self.total_length();
         let y0 = self.shelves[0].bbox.min.y;
         (0..n)
@@ -193,7 +188,7 @@ impl WarehouseLayout {
     /// `per_shelf` evenly spaced object locations on each shelf face.
     /// Unlike [`WarehouseLayout::object_slots`] this respects gaps
     /// between shelves (rooms), so no slot lands in an aisle stretch.
-    pub fn object_slots_per_shelf(&self, per_shelf: usize) -> Vec<Point3> {
+    pub(crate) fn object_slots_per_shelf(&self, per_shelf: usize) -> Vec<Point3> {
         let mut out = Vec::with_capacity(per_shelf * self.shelves.len());
         for s in &self.shelves {
             let y0 = s.bbox.min.y;
@@ -227,12 +222,6 @@ impl WarehouseLayout {
         out
     }
 }
-
-/// The warehouse layout *is* the "uniform across all shelves" prior of
-/// the object location model: sampling picks a shelf with probability
-/// proportional to its face length, then a uniform position on the face.
-/// A type alias keeps call sites readable.
-pub type ShelfSpace = WarehouseLayout;
 
 impl LocationPrior for WarehouseLayout {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Point3 {
@@ -306,7 +295,7 @@ mod tests {
         let w = WarehouseLayout::linear(3, 8.0, 0.5, 2.0, 0.0);
         assert_eq!(w.shelves().len(), 3);
         assert!((w.total_length() - 24.0).abs() < 1e-12);
-        assert_eq!(w.standoff(), 2.0);
+        assert_eq!(w.standoff, 2.0);
         // consecutive: shelf i starts where i-1 ends
         assert!((w.shelves()[1].bbox.min.y - 8.0).abs() < 1e-12);
     }

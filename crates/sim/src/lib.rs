@@ -23,18 +23,19 @@
 //!   the paper.
 //! * [`lab`] — the simulated §V-C deployment.
 
-pub mod generator;
-pub mod lab;
-pub mod layout;
-pub mod noise;
+mod generator;
+mod lab;
+mod layout;
+mod noise;
 pub mod scenario;
-pub mod source;
-pub mod trajectory;
-pub mod truth;
+mod source;
+mod trajectory;
+mod truth;
 
-pub use generator::{ChurnEvent, ChurnKind, EpochSim, MovementEvent, SimTrace, TraceGenerator};
-pub use layout::{ShelfSpace, WarehouseLayout};
+pub use generator::{MovementEvent, SimTrace, TraceGenerator};
+pub use lab::LabDeployment;
+pub use layout::{Shelf, WarehouseLayout};
 pub use noise::{DeadReckoning, ReportNoise};
 pub use source::{EpochStreamSource, TraceStream};
-pub use trajectory::Trajectory;
+pub use trajectory::{Step, Trajectory};
 pub use truth::GroundTruth;

@@ -33,7 +33,7 @@ impl DeadReckoning {
     /// The simulated lab robot: drifts toward ~0.9 ft of error over
     /// the full two-row scan (~27 ft of travel), matching the paper's
     /// "error in reported location up to 1 foot".
-    pub fn lab_default() -> Self {
+    pub(crate) fn lab_default() -> Self {
         Self {
             slip: 0.015,
             side_drift_per_ft: 0.02,
@@ -57,7 +57,7 @@ pub enum ReportNoise {
 
 /// Stateful reporter: feed true poses epoch by epoch, get reported poses.
 #[derive(Debug, Clone)]
-pub struct Reporter {
+pub(crate) struct Reporter {
     noise: ReportNoise,
     /// Accumulated odometry error (dead-reckoning regime only).
     acc_error: Vec3,
@@ -66,7 +66,7 @@ pub struct Reporter {
 
 impl Reporter {
     /// Creates a reporter for the given noise regime.
-    pub fn new(noise: ReportNoise) -> Self {
+    pub(crate) fn new(noise: ReportNoise) -> Self {
         Self {
             noise,
             acc_error: Vec3::zero(),
@@ -75,7 +75,7 @@ impl Reporter {
     }
 
     /// Produces the reported pose for this epoch's true pose.
-    pub fn report<R: Rng + ?Sized>(&mut self, truth: &Pose, rng: &mut R) -> Pose {
+    pub(crate) fn report<R: Rng + ?Sized>(&mut self, truth: &Pose, rng: &mut R) -> Pose {
         let reported = match &self.noise {
             ReportNoise::None => *truth,
             ReportNoise::Gaussian { mu, sigma } => {
@@ -114,11 +114,6 @@ impl Reporter {
         };
         self.last_true = Some(*truth);
         reported
-    }
-
-    /// Current accumulated odometry error (dead-reckoning regime).
-    pub fn accumulated_error(&self) -> Vec3 {
-        self.acc_error
     }
 }
 
@@ -204,6 +199,6 @@ mod tests {
         for _ in 0..50 {
             rep.report(&truth, &mut rng);
         }
-        assert!(rep.accumulated_error().norm() < 1e-12);
+        assert!(rep.acc_error.norm() < 1e-12);
     }
 }

@@ -13,7 +13,7 @@ use crate::trajectory::Trajectory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Point3, Vec3};
-use rfid_model::sensor::ConeSensor;
+use rfid_model::ConeSensor;
 use rfid_stream::{Epoch, TagId};
 
 /// A scenario bundles the generated trace with the layout that produced
@@ -25,7 +25,7 @@ pub struct Scenario {
 }
 
 /// Default object spacing on the shelf face, feet.
-pub const OBJECT_SPACING: f64 = 0.5;
+pub(crate) const OBJECT_SPACING: f64 = 0.5;
 
 fn objects_on(layout: &WarehouseLayout, n: usize) -> Vec<(TagId, Point3)> {
     layout

@@ -15,8 +15,8 @@
 use crate::generator::EpochSim;
 use crate::truth::GroundTruth;
 use rand::Rng;
-use rfid_model::sensor::ReadRateModel;
-use rfid_stream::pipeline::StreamItem;
+use rfid_model::ReadRateModel;
+use rfid_stream::StreamItem;
 use rfid_stream::{ReaderLocationReport, RfidReading};
 use std::collections::VecDeque;
 
@@ -92,7 +92,7 @@ pub struct EpochStreamSource<S: ReadRateModel, R: Rng> {
 
 impl<S: ReadRateModel, R: Rng> EpochStreamSource<S, R> {
     /// Wraps a simulator positioned at its first epoch.
-    pub fn new(sim: EpochSim<S, R>) -> Self {
+    pub(crate) fn new(sim: EpochSim<S, R>) -> Self {
         Self {
             sim,
             queue: VecDeque::new(),
@@ -108,11 +108,6 @@ impl<S: ReadRateModel, R: Rng> EpochStreamSource<S, R> {
     /// scoring the pipeline's events after the run.
     pub fn truth(&self) -> &GroundTruth {
         self.sim.truth()
-    }
-
-    /// Consumes the source, returning the accumulated ground truth.
-    pub fn into_truth(self) -> GroundTruth {
-        self.sim.into_truth()
     }
 }
 
@@ -142,7 +137,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rfid_geom::Point3;
-    use rfid_model::sensor::ConeSensor;
+    use rfid_model::ConeSensor;
     use rfid_stream::TagId;
 
     type Placements = Vec<(TagId, Point3)>;

@@ -35,7 +35,7 @@ impl Trajectory {
 
     /// Number of epochs (the start pose is epoch 0; steps produce epochs
     /// `1..=len`).
-    pub fn num_steps(&self) -> usize {
+    pub(crate) fn num_steps(&self) -> usize {
         self.steps.len()
     }
 
@@ -47,7 +47,7 @@ impl Trajectory {
     /// A single pass down the aisle: start at `(0, 0)` facing `+x`
     /// (toward the shelves), advance `speed` feet per epoch along `+y`
     /// until `length` feet are covered.
-    pub fn linear_scan(length: f64, speed: f64) -> Self {
+    pub(crate) fn linear_scan(length: f64, speed: f64) -> Self {
         assert!(speed > 0.0 && length > 0.0);
         let n = (length / speed).ceil() as usize;
         let steps = vec![
@@ -63,7 +63,7 @@ impl Trajectory {
     /// `rounds` passes over the aisle, reversing direction at each end
     /// (down, back, down, ...), still facing the shelves the whole time.
     /// The scalability experiments use two rounds.
-    pub fn rounds_scan(length: f64, speed: f64, rounds: usize) -> Self {
+    pub(crate) fn rounds_scan(length: f64, speed: f64, rounds: usize) -> Self {
         assert!(rounds >= 1);
         let n = (length / speed).ceil() as usize;
         let mut steps = Vec::with_capacity(n * rounds);
@@ -82,7 +82,7 @@ impl Trajectory {
     /// The lab pattern of §V-C: scan up one row of tags facing `+x`,
     /// turn around (180° over `turn_epochs` epochs while advancing to
     /// the second aisle side), then scan back down facing `-x`.
-    pub fn lab_two_rows(row_length: f64, speed: f64, turn_epochs: usize) -> Self {
+    pub(crate) fn lab_two_rows(row_length: f64, speed: f64, turn_epochs: usize) -> Self {
         let n = (row_length / speed).ceil() as usize;
         let mut steps = Vec::new();
         for _ in 0..n {
@@ -107,45 +107,28 @@ impl Trajectory {
         }
         Self::new(Point3::origin(), 0.0, steps)
     }
-
-    /// Cumulative intended poses, one per epoch (`num_steps() + 1`
-    /// entries including the start).
-    pub fn intended_poses(&self) -> Vec<(Point3, f64)> {
-        let mut out = Vec::with_capacity(self.steps.len() + 1);
-        let mut pos = self.start_pos;
-        let mut phi = self.start_phi;
-        out.push((pos, phi));
-        for s in &self.steps {
-            pos += s.delta;
-            phi = rfid_geom::angles::wrap_pi(phi + s.dphi);
-            out.push((pos, phi));
-        }
-        out
-    }
-
-    /// The average per-epoch displacement over the whole plan — the `Δ`
-    /// a motion model would see on this trace.
-    pub fn mean_delta(&self) -> Vec3 {
-        if self.steps.is_empty() {
-            return Vec3::zero();
-        }
-        let mut s = Vec3::zero();
-        for st in &self.steps {
-            s += st.delta;
-        }
-        s / self.steps.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Cumulative intended poses, one per epoch (`num_steps() + 1`
+    /// entries including the start).
+    fn intended_poses(t: &Trajectory) -> Vec<(Point3, f64)> {
+        let mut out = vec![(t.start_pos, t.start_phi)];
+        for s in &t.steps {
+            let (pos, phi) = *out.last().unwrap();
+            out.push((pos + s.delta, rfid_geom::angles::wrap_pi(phi + s.dphi)));
+        }
+        out
+    }
+
     #[test]
     fn linear_scan_covers_length() {
         let t = Trajectory::linear_scan(10.0, 0.1);
         assert_eq!(t.num_steps(), 100);
-        let poses = t.intended_poses();
+        let poses = intended_poses(&t);
         assert_eq!(poses.len(), 101);
         assert!((poses.last().unwrap().0.y - 10.0).abs() < 1e-9);
         assert_eq!(poses[0].1, 0.0);
@@ -154,7 +137,7 @@ mod tests {
     #[test]
     fn rounds_scan_returns_to_start() {
         let t = Trajectory::rounds_scan(10.0, 0.1, 2);
-        let poses = t.intended_poses();
+        let poses = intended_poses(&t);
         assert!((poses.last().unwrap().0.y - 0.0).abs() < 1e-9);
         assert_eq!(t.num_steps(), 200);
     }
@@ -162,25 +145,11 @@ mod tests {
     #[test]
     fn lab_two_rows_turns_around() {
         let t = Trajectory::lab_two_rows(13.0, 0.1, 5);
-        let poses = t.intended_poses();
+        let poses = intended_poses(&t);
         // after the turn, heading is pi (facing -x)
         let mid = 130 + 5;
         assert!((poses[mid].1.abs() - std::f64::consts::PI).abs() < 1e-9);
         // ends back near y = 0
         assert!(poses.last().unwrap().0.y.abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_delta_of_linear_scan() {
-        let t = Trajectory::linear_scan(10.0, 0.1);
-        let d = t.mean_delta();
-        assert!((d.y - 0.1).abs() < 1e-12);
-        assert_eq!(d.x, 0.0);
-    }
-
-    #[test]
-    fn mean_delta_of_rounds_cancels() {
-        let t = Trajectory::rounds_scan(10.0, 0.1, 2);
-        assert!(t.mean_delta().norm() < 1e-12);
     }
 }

@@ -48,7 +48,7 @@ impl GroundTruth {
 
     /// Records the true reader pose of an epoch (must be pushed in
     /// epoch order).
-    pub fn push_reader(&mut self, epoch: Epoch, pose: Pose) {
+    pub(crate) fn push_reader(&mut self, epoch: Epoch, pose: Pose) {
         debug_assert!(self.reader.last().is_none_or(|(e, _)| *e < epoch));
         self.reader.push((epoch, pose));
     }

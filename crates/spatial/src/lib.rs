@@ -17,8 +17,8 @@
 //!   current sensing region returns the union of object sets over all
 //!   overlapping past regions.
 
-pub mod region_index;
-pub mod rtree;
+mod region_index;
+mod rtree;
 
 pub use region_index::RegionIndex;
 pub use rtree::RTree;

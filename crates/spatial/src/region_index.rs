@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use std::hash::Hash;
 
 /// Identifier for a recorded sensing region.
-pub type RegionId = u64;
+pub(crate) type RegionId = u64;
 
 /// Index from past sensing regions to the objects seen (or believed)
 /// there. `K` is the object-id type (kept generic so this substrate does
@@ -72,15 +72,6 @@ impl<K: Copy + Ord + Hash> RegionIndex<K> {
         id
     }
 
-    /// Adds an object to an already-recorded region (used when a
-    /// particle respawn lands inside an old region).
-    pub fn add_member(&mut self, region: RegionId, object: K) {
-        let set = &mut self.members[region as usize];
-        if let Err(pos) = set.binary_search(&object) {
-            set.insert(pos, object);
-        }
-    }
-
     /// All objects recorded in any region whose box intersects `query` —
     /// the Case 2 candidate set for the current sensing region.
     pub fn query_objects(&self, query: &Aabb) -> BTreeSet<K> {
@@ -102,13 +93,6 @@ impl<K: Copy + Ord + Hash> RegionIndex<K> {
         self.tree.for_each_intersecting(query, &mut |_, id| {
             out.extend_from_slice(&self.members[*id as usize]);
         });
-    }
-
-    /// Ids of regions intersecting `query` (diagnostics / tests).
-    pub fn query_regions(&self, query: &Aabb) -> Vec<RegionId> {
-        let mut ids: Vec<RegionId> = self.tree.query(query).into_iter().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// The bounding box of a recorded region.
@@ -173,27 +157,6 @@ mod tests {
         }
         let got = idx.query_objects(&cube(500.0, 0.0, 1.5));
         assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![50]);
-    }
-
-    #[test]
-    fn add_member_keeps_sorted_unique() {
-        let mut idx = RegionIndex::new();
-        let id = idx.insert_region(cube(0.0, 0.0, 1.0), vec![5u32]);
-        idx.add_member(id, 3);
-        idx.add_member(id, 5); // duplicate ignored
-        idx.add_member(id, 7);
-        assert_eq!(idx.region_members(id), &[3, 5, 7]);
-        let got = idx.query_objects(&cube(0.0, 0.0, 0.1));
-        assert_eq!(got.len(), 3);
-    }
-
-    #[test]
-    fn query_regions_reports_ids_in_order() {
-        let mut idx: RegionIndex<u32> = RegionIndex::new();
-        let a = idx.insert_region(cube(0.0, 0.0, 1.0), vec![]);
-        let _b = idx.insert_region(cube(50.0, 0.0, 1.0), vec![]);
-        let c = idx.insert_region(cube(0.5, 0.5, 1.0), vec![]);
-        assert_eq!(idx.query_regions(&cube(0.0, 0.0, 2.0)), vec![a, c]);
     }
 
     #[test]

@@ -91,12 +91,6 @@ impl<T> RTree<T> {
         self.len == 0
     }
 
-    /// Height of the tree (1 for a single leaf root). Exposed for tests
-    /// and diagnostics.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.root = Node::Leaf {
@@ -123,7 +117,7 @@ impl<T> RTree<T> {
     }
 
     /// Calls `f` for every entry whose box intersects `query`.
-    pub fn for_each_intersecting<'a, F>(&'a self, query: &Aabb, f: &mut F)
+    pub(crate) fn for_each_intersecting<'a, F>(&'a self, query: &Aabb, f: &mut F)
     where
         F: FnMut(&'a Aabb, &'a T),
     {
@@ -137,36 +131,10 @@ impl<T> RTree<T> {
         out
     }
 
-    /// Visits every entry in the tree (tests, stats).
-    pub fn for_each<'a, F>(&'a self, f: &mut F)
-    where
-        F: FnMut(&'a Aabb, &'a T),
-    {
-        walk_rec(&self.root, f);
-    }
-
     /// The minimum bounding rectangle of the whole tree
     /// ([`Aabb::empty`] when empty).
     pub fn bounds(&self) -> Aabb {
         self.root.mbr()
-    }
-}
-
-fn walk_rec<'a, T, F>(node: &'a Node<T>, f: &mut F)
-where
-    F: FnMut(&'a Aabb, &'a T),
-{
-    match node {
-        Node::Leaf { entries } => {
-            for (a, v) in entries {
-                f(a, v);
-            }
-        }
-        Node::Inner { children } => {
-            for (_, c) in children {
-                walk_rec(c, f);
-            }
-        }
     }
 }
 
@@ -341,7 +309,7 @@ mod tests {
         let t: RTree<u32> = RTree::new();
         assert!(t.is_empty());
         assert!(t.query(&cube(0.0, 0.0, 100.0)).is_empty());
-        assert_eq!(t.height(), 1);
+        assert_eq!(t.height, 1);
     }
 
     #[test]
@@ -360,7 +328,7 @@ mod tests {
             t.insert(cube(i as f64, 0.0, 0.4), i);
         }
         assert_eq!(t.len(), 50);
-        assert!(t.height() > 1, "tree should have split");
+        assert!(t.height > 1, "tree should have split");
         // every entry individually findable
         for i in 0..50u32 {
             let hits = t.query(&cube(i as f64, 0.0, 0.01));
@@ -398,7 +366,7 @@ mod tests {
         }
         t.clear();
         assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
+        assert_eq!(t.height, 1);
         assert!(t.query(&cube(0.0, 0.0, 100.0)).is_empty());
     }
 
@@ -484,9 +452,8 @@ mod tests {
             for i in 0..n as u32 {
                 t.insert(cube(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0), 0.5), i);
             }
-            let mut count = 0usize;
-            t.for_each(&mut |_, _| count += 1);
-            prop_assert_eq!(count, n);
+            // every entry lies under the root's bounds
+            prop_assert_eq!(t.query(&t.bounds()).len(), n);
             prop_assert_eq!(t.len(), n);
         }
     }

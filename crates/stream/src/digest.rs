@@ -9,7 +9,7 @@
 //!
 //! [`fnv1a`] is the workspace's one FNV-1a: the WAL's record checksum
 //! (`rfid_serve::log`) and the checkpoint's payload checksum and config
-//! fingerprint (`rfid_core::checkpoint`) call it too.
+//! fingerprint (`rfid_core::engine::checkpoint`) call it too.
 
 use crate::LocationEvent;
 

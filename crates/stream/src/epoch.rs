@@ -27,11 +27,6 @@ impl Epoch {
         }
     }
 
-    /// The wall-clock start of this epoch.
-    pub fn start_seconds(&self, epoch_len: f64) -> f64 {
-        self.0 as f64 * epoch_len
-    }
-
     /// The next epoch.
     #[inline]
     pub fn next(&self) -> Epoch {
@@ -104,8 +99,7 @@ mod tests {
 
     #[test]
     fn roundtrip_start() {
-        let e = Epoch::from_seconds(7.3, 1.0);
-        assert_eq!(e.start_seconds(1.0), 7.0);
+        assert_eq!(Epoch::from_seconds(7.3, 1.0), Epoch(7));
     }
 
     #[test]

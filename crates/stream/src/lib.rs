@@ -21,17 +21,23 @@
 //! `ReadingSource` → [`StreamSynchronizer`] → `InferenceStage` →
 //! composable `EventSink`s — with measured, bounded buffering
 //! (`PipelineStats`).
+//!
+//! One import path per item: the stream vocabulary (epochs, readings,
+//! events, batches, the pipeline's traits and driver) is the `pub use`
+//! list below; sinks, operators, queries, the wire codec and the digest
+//! are named through their modules ([`pipeline::sinks`], [`operators`],
+//! [`queries`], [`wire`], [`digest`]).
 
 pub mod digest;
-pub mod epoch;
-pub mod event;
+mod epoch;
+mod event;
 pub mod operators;
 pub mod pipeline;
 pub mod queries;
-pub mod sync;
+mod sync;
 pub mod wire;
 
 pub use epoch::Epoch;
 pub use event::{EventStats, LocationEvent, ReaderLocationReport, RfidReading, TagId};
 pub use pipeline::{EventSink, InferenceStage, Pipeline, PipelineStats, ReadingSource, StreamItem};
-pub use sync::{EpochBatch, StreamSynchronizer};
+pub use sync::{synchronize_traces, EpochBatch, StreamSynchronizer};

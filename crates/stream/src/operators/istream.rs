@@ -47,7 +47,7 @@ impl<K: Eq + Hash + Clone, V: PartialEq + Clone> ChangeDetector<K, V> {
     /// returning true suppresses the emission *and keeps the previous
     /// value* as the reference, so drift accumulates until it crosses
     /// the threshold once.
-    pub fn push_with<F>(&mut self, key: K, value: V, same: F) -> Option<V>
+    pub(crate) fn push_with<F>(&mut self, key: K, value: V, same: F) -> Option<V>
     where
         F: Fn(&V, &V) -> bool,
     {
@@ -66,7 +66,7 @@ impl<K: Eq + Hash + Clone, V: PartialEq + Clone> ChangeDetector<K, V> {
     }
 
     /// Number of partitions seen.
-    pub fn num_partitions(&self) -> usize {
+    pub(crate) fn num_partitions(&self) -> usize {
         self.last.len()
     }
 }

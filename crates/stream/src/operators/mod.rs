@@ -12,12 +12,13 @@
 //!   each evaluation instant)
 //! * `Group By ... Having sum(...) > c` — [`groupby`] helpers.
 
-pub mod groupby;
-pub mod istream;
-pub mod rstream;
-pub mod window;
+mod groupby;
+mod istream;
+mod rstream;
+mod window;
 
 pub use groupby::{group_sum, having};
 pub use istream::ChangeDetector;
-pub use rstream::Rstream;
-pub use window::{PartitionedRowWindow, RangeWindow};
+pub(crate) use rstream::Rstream;
+pub(crate) use window::PartitionedRowWindow;
+pub use window::RangeWindow;

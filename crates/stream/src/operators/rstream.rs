@@ -8,13 +8,13 @@
 
 /// Streams snapshots of a derived relation.
 #[derive(Debug, Clone, Default)]
-pub struct Rstream<T> {
+pub(crate) struct Rstream<T> {
     emissions: Vec<(f64, Vec<T>)>,
 }
 
 impl<T> Rstream<T> {
     /// Creates an empty Rstream log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             emissions: Vec::new(),
         }
@@ -22,23 +22,13 @@ impl<T> Rstream<T> {
 
     /// Emits the relation contents computed at `time`. Empty relations
     /// are recorded too (an instant can legitimately produce nothing).
-    pub fn emit(&mut self, time: f64, relation: Vec<T>) {
+    pub(crate) fn emit(&mut self, time: f64, relation: Vec<T>) {
         self.emissions.push((time, relation));
     }
 
     /// All emissions so far, in order.
-    pub fn emissions(&self) -> &[(f64, Vec<T>)] {
+    pub(crate) fn emissions(&self) -> &[(f64, Vec<T>)] {
         &self.emissions
-    }
-
-    /// Tuples of the latest emission.
-    pub fn latest(&self) -> Option<&(f64, Vec<T>)> {
-        self.emissions.last()
-    }
-
-    /// Total tuples streamed across all instants.
-    pub fn total_tuples(&self) -> usize {
-        self.emissions.iter().map(|(_, r)| r.len()).sum()
     }
 }
 
@@ -53,7 +43,6 @@ mod tests {
         r.emit(2.0, vec![]);
         r.emit(3.0, vec!["b", "c"]);
         assert_eq!(r.emissions().len(), 3);
-        assert_eq!(r.latest().unwrap().0, 3.0);
-        assert_eq!(r.total_tuples(), 3);
+        assert_eq!(r.emissions()[2], (3.0, vec!["b", "c"]));
     }
 }

@@ -6,14 +6,14 @@ use std::hash::Hash;
 /// `S [Partition By key Row n]`: for each partition key, the window
 /// holds the `n` most recent tuples.
 #[derive(Debug, Clone)]
-pub struct PartitionedRowWindow<K: Eq + Hash + Clone, V> {
+pub(crate) struct PartitionedRowWindow<K: Eq + Hash + Clone, V> {
     n: usize,
     rows: HashMap<K, VecDeque<V>>,
 }
 
 impl<K: Eq + Hash + Clone, V> PartitionedRowWindow<K, V> {
     /// Creates a window keeping `n >= 1` rows per partition.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n >= 1, "row window must keep at least one row");
         Self {
             n,
@@ -23,7 +23,7 @@ impl<K: Eq + Hash + Clone, V> PartitionedRowWindow<K, V> {
 
     /// Inserts a tuple into its partition; returns the tuple evicted to
     /// make room, if any.
-    pub fn push(&mut self, key: K, value: V) -> Option<V> {
+    pub(crate) fn push(&mut self, key: K, value: V) -> Option<V> {
         let q = self.rows.entry(key).or_default();
         q.push_back(value);
         if q.len() > self.n {
@@ -34,22 +34,22 @@ impl<K: Eq + Hash + Clone, V> PartitionedRowWindow<K, V> {
     }
 
     /// The rows currently held for `key`, oldest first.
-    pub fn partition<'a>(&'a self, key: &K) -> impl Iterator<Item = &'a V> {
+    pub(crate) fn partition<'a>(&'a self, key: &K) -> impl Iterator<Item = &'a V> {
         self.rows.get(key).into_iter().flat_map(|q| q.iter())
     }
 
     /// The most recent row for `key`.
-    pub fn latest(&self, key: &K) -> Option<&V> {
+    pub(crate) fn latest(&self, key: &K) -> Option<&V> {
         self.rows.get(key).and_then(|q| q.back())
     }
 
     /// Number of non-empty partitions.
-    pub fn num_partitions(&self) -> usize {
+    pub(crate) fn num_partitions(&self) -> usize {
         self.rows.len()
     }
 
     /// Iterates over `(key, newest_row)` pairs.
-    pub fn iter_latest(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub(crate) fn iter_latest(&self) -> impl Iterator<Item = (&K, &V)> {
         self.rows
             .iter()
             .filter_map(|(k, q)| q.back().map(|v| (k, v)))

@@ -226,7 +226,7 @@ impl<Stage: InferenceStage, Sink: EventSink> Pipeline<Stage, Sink> {
 
     /// Creates a pipeline around a custom-configured synchronizer
     /// (e.g. a different skew bound, or pure min-watermark semantics).
-    pub fn with_synchronizer(sync: StreamSynchronizer, stage: Stage, sink: Sink) -> Self {
+    pub(crate) fn with_synchronizer(sync: StreamSynchronizer, stage: Stage, sink: Sink) -> Self {
         Self {
             sync,
             stage,

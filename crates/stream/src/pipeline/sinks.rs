@@ -24,17 +24,6 @@ use crate::queries::{FireCodeQuery, LocationChangeQuery, SquareFtArea};
 use rfid_geom::Point3;
 use std::sync::{Arc, RwLock};
 
-/// Wraps a closure as an event sink (the blanket impl a plain `FnMut`
-/// cannot have without conflicting with other sink impls).
-#[derive(Debug, Clone)]
-pub struct FnSink<F: FnMut(&LocationEvent)>(pub F);
-
-impl<F: FnMut(&LocationEvent)> EventSink for FnSink<F> {
-    fn on_event(&mut self, event: &LocationEvent) {
-        (self.0)(event);
-    }
-}
-
 /// `EventStream [Partition By tag_id Row n]` as a sink: keeps the `n`
 /// most recent `(epoch, location)` rows per tag.
 #[derive(Debug, Clone)]
@@ -144,7 +133,7 @@ impl EventSink for SnapshotSink {
 /// takes the write lock per delivery, readers (e.g. a TCP query
 /// server) take read locks between deliveries. The adapter is the
 /// bridge between live ingestion and the serving layer —
-/// `rfid_serve::EventStore` implements [`EventSink`] exactly so it can
+/// `rfid_serve::store::EventStore` implements [`EventSink`] exactly so it can
 /// sit behind this.
 #[derive(Debug)]
 pub struct StoreSink<S> {
@@ -222,14 +211,6 @@ impl LocationChangeSink {
         &self.updates
     }
 
-    /// Takes every update fired since the last drain, in stream order
-    /// — the consumption API for fan-out layers (e.g. `rfid_serve`'s
-    /// subscription hub) that forward fired changes instead of
-    /// accumulating them.
-    pub fn drain_updates(&mut self) -> Vec<LocationUpdate> {
-        std::mem::take(&mut self.updates)
-    }
-
     /// The underlying query (last locations, tag count).
     pub fn query(&self) -> &LocationChangeQuery {
         &self.query
@@ -249,7 +230,7 @@ impl EventSink for LocationChangeSink {
 }
 
 /// One fire-code violation: `(time, area, total pounds)`.
-pub type FireCodeViolation = (f64, SquareFtArea, f64);
+pub(crate) type FireCodeViolation = (f64, SquareFtArea, f64);
 
 /// Query 2 (windowed weight-per-square-foot) as a sink: feeds every
 /// event into the window and evaluates the query once per completed
@@ -398,12 +379,6 @@ mod tests {
         assert_eq!(s.updates().len(), 2);
         assert_eq!(s.updates()[1].epoch, Epoch(2));
         assert_eq!(s.query().num_tags(), 1);
-        // draining empties the log but keeps the query state: the next
-        // jitter is still suppressed against the drained location
-        assert_eq!(s.drain_updates().len(), 2);
-        assert!(s.updates().is_empty());
-        s.on_event(&event(3, 1, 0.0, 1.04));
-        assert!(s.drain_updates().is_empty(), "jitter after drain");
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl LocationChangeQuery {
             .map(|loc| (event.tag, loc))
     }
 
-    /// The last reported location of a tag, if any.
-    pub fn last_location(&self, tag: TagId) -> Option<Point3> {
-        self.detector.last(&tag).copied()
-    }
-
     /// Number of distinct tags reported so far.
     pub fn num_tags(&self) -> usize {
         self.detector.num_partitions()
@@ -161,7 +156,6 @@ mod tests {
         assert!(q.push(&event(1, 0.05, 0.0)).is_none()); // jitter suppressed
         assert!(q.push(&event(1, 0.5, 0.0)).is_some()); // real move
         assert_eq!(q.num_tags(), 1);
-        assert_eq!(q.last_location(TagId(1)).unwrap().x, 0.5);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl StreamSynchronizer {
     /// Under watermark semantics this is bounded by the stream skew in
     /// epochs, independent of how long the streams run — the pipeline
     /// records its high-water mark as the bounded-memory evidence.
-    pub fn pending_epochs(&self) -> usize {
+    pub(crate) fn pending_epochs(&self) -> usize {
         self.pending.len()
     }
 
@@ -181,7 +181,7 @@ impl StreamSynchronizer {
     /// `out` (does not clear it) — unlike the policy-layer `*_into`
     /// methods, ready batches accumulate across calls until the caller
     /// consumes them.
-    pub fn drain_ready_into(&mut self, out: &mut Vec<EpochBatch>) {
+    pub(crate) fn drain_ready_into(&mut self, out: &mut Vec<EpochBatch>) {
         let watermark = self.reading_watermark.min(self.report_watermark);
         let mut ready_below = Epoch::from_seconds(watermark, self.epoch_len).0;
         if let Some(skew) = self.max_skew_epochs {

@@ -19,7 +19,7 @@
 //!    with the [`LocationEvent`] codec and the per-epoch event frames
 //!    of [`WireEventSink`] / [`decode_event_frame`] on top of it.
 //!
-//! Engine checkpoints (`rfid_core::checkpoint`) and WAL records
+//! Engine checkpoints (`rfid_core::engine::checkpoint`) and WAL records
 //! (`rfid_serve::log`) are written and read with the same `put_*` /
 //! [`PayloadReader`] calls inside their own envelopes, so every binary
 //! format in the workspace answers a hostile element count the same
@@ -69,7 +69,7 @@ impl OversizedFrame {
     }
 
     /// Wraps into the [`io::Error`] that [`read_frame`] returns.
-    pub fn into_io(self) -> io::Error {
+    pub(crate) fn into_io(self) -> io::Error {
         io::Error::new(io::ErrorKind::InvalidData, self)
     }
 }

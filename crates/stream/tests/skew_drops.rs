@@ -6,7 +6,7 @@
 //! and in `PipelineStats` — never silent.
 
 use rfid_geom::{Point3, Pose};
-use rfid_stream::pipeline::StreamItem;
+use rfid_stream::StreamItem;
 use rfid_stream::{
     Epoch, EpochBatch, LocationEvent, Pipeline, ReaderLocationReport, RfidReading,
     StreamSynchronizer, TagId,

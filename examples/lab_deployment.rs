@@ -9,9 +9,9 @@
 
 use rfid_repro::baselines::{Smurf, SmurfConfig, UniformBaseline};
 use rfid_repro::prelude::*;
-use rfid_repro::sim::lab::LabDeployment;
+use rfid_repro::sim::LabDeployment;
 use rfid_repro::sim::SimTrace;
-use rfid_repro::stream::pipeline::InferenceStage;
+use rfid_repro::stream::InferenceStage;
 use rfid_repro::stream::Pipeline;
 
 fn mean_xy_error(events: &[LocationEvent], truth: &rfid_repro::sim::GroundTruth) -> f64 {

@@ -6,8 +6,8 @@
 use rfid_bench::runner::{
     run_baseline_uniform, run_engine_variant_opts, EngineVariant, InferenceSensor, RunOpts,
 };
-use rfid_bench::{score_scenario, EventScoreConfig};
-use rfid_model::sensor::ConeSensor;
+use rfid_bench::metrics::{score_scenario, EventScoreConfig};
+use rfid_model::ConeSensor;
 use rfid_model::ModelParams;
 use rfid_repro::sim::scenario;
 use rfid_stream::LocationEvent;

@@ -5,7 +5,7 @@
 use rfid_repro::baselines::{Smurf, SmurfConfig, UniformBaseline};
 use rfid_repro::core::engine::run_engine;
 use rfid_repro::prelude::*;
-use rfid_repro::sim::lab::LabDeployment;
+use rfid_repro::sim::LabDeployment;
 use rfid_repro::stream::Epoch;
 
 fn mean_err(events: &[LocationEvent], truth: &rfid_repro::sim::GroundTruth) -> f64 {

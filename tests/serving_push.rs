@@ -30,7 +30,7 @@ fn key_of_update(u: &LocationUpdate) -> RowKey {
     )
 }
 
-fn key_of_row(r: &rfid_serve::LocationRow) -> RowKey {
+fn key_of_row(r: &rfid_serve::store::LocationRow) -> RowKey {
     (
         r.tag.0,
         r.epoch.0,

@@ -6,7 +6,7 @@ use rfid_repro::core::engine::run_engine;
 use rfid_repro::prelude::*;
 use rfid_repro::sim::scenario;
 use rfid_repro::stream::queries::{FireCodeQuery, LocationChangeQuery, SquareFtArea};
-use rfid_repro::stream::sync::synchronize_traces;
+use rfid_repro::stream::synchronize_traces;
 
 #[test]
 fn location_change_query_fires_once_per_stationary_object() {
