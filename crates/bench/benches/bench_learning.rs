@@ -6,8 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_learn::{calibrate, fit_logistic, EmConfig, SensorRow};
-use rfid_model::{LogisticSensorModel, ReadRateModel};
-use rfid_model::{ModelParams, SensorParams};
+use rfid_model::{LogisticSensorModel, ModelParams, ReadRateModel, SensorParams};
 use rfid_sim::scenario;
 
 fn rows(n: usize, seed: u64) -> Vec<SensorRow> {

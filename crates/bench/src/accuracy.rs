@@ -14,8 +14,7 @@ use crate::runner::{
     InferenceSensor, RunOpts,
 };
 use rfid_geom::Aabb;
-use rfid_model::ConeSensor;
-use rfid_model::ModelParams;
+use rfid_model::{ConeSensor, ModelParams};
 use rfid_sim::scenario::{self, Scenario};
 
 /// Engine and scoring knobs of one matrix run.

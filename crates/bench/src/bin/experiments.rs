@@ -11,19 +11,18 @@
 //! cargo run -p rfid-bench --release --bin experiments -- <cmd> [--quick]
 //! ```
 
+use rfid_bench::metrics::ErrorStats;
 use rfid_bench::report::{f2, f3, Report, Table};
 use rfid_bench::runner::{
     run_baseline_smurf, run_baseline_uniform, run_engine_variant, run_motion_off, EngineVariant,
     InferenceSensor,
 };
-use rfid_bench::metrics::ErrorStats;
 use rfid_learn::{calibrate, EmConfig};
-use rfid_model::LocationPrior;
-use rfid_model::{ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor};
-use rfid_model::{ModelParams, SensorParams};
-use rfid_sim::LabDeployment;
-use rfid_sim::scenario;
-use rfid_sim::GroundTruth;
+use rfid_model::{
+    ConeSensor, LocationPrior, LogisticSensorModel, ModelParams, ReadRateModel, SensorParams,
+    SphericalSensor,
+};
+use rfid_sim::{scenario, GroundTruth, LabDeployment};
 use rfid_stream::LocationEvent;
 use std::process::ExitCode;
 

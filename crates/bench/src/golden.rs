@@ -24,7 +24,7 @@ pub(crate) const DIGEST_HEAD_EVENTS: usize = 8;
 pub use rfid_stream::digest::event_digest;
 
 /// Renders the committed digest-file content for one scenario:
-/// header, whole-stream hash, and the first [`DIGEST_HEAD_EVENTS`]
+/// header, whole-stream hash, and the first eight (`DIGEST_HEAD_EVENTS`)
 /// events with their float payloads as raw bits (display rounding must
 /// never mask a drift).
 pub fn render_digest(scenario: &str, config: &str, events: &[LocationEvent]) -> String {

@@ -5,9 +5,7 @@ use crate::metrics::ErrorStats;
 use rfid_baselines::{Smurf, SmurfConfig, UniformBaseline};
 use rfid_core::{BasicParticleFilter, FilterConfig, InferenceEngine, ReaderMode};
 use rfid_geom::Aabb;
-use rfid_model::LocationPrior;
-use rfid_model::{ConeSensor, ReadRateModel};
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{ConeSensor, JointModel, LocationPrior, ModelParams, ReadRateModel};
 use rfid_sim::scenario::Scenario;
 use rfid_stream::{Epoch, EpochBatch, InferenceStage, LocationEvent};
 use std::time::{Duration, Instant};

@@ -14,8 +14,7 @@
 //! byte-boundary cut).
 
 use rfid_core::engine::cluster::{EpochPlan, ResampleDirective, TaskReport};
-use rfid_core::ReaderRemap;
-use rfid_core::ReaderParticle;
+use rfid_core::{ReaderParticle, ReaderRemap};
 use rfid_obs::{HistogramSnapshot, Snapshot, Value, HISTOGRAM_BUCKETS};
 use rfid_stream::wire::{
     self, put_f64, put_pose, put_str, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,

@@ -5,8 +5,7 @@
 
 use rfid_core::engine::run_engine;
 use rfid_core::{FilterConfig, InferenceEngine};
-use rfid_model::ConeSensor;
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{ConeSensor, JointModel, ModelParams};
 use rfid_sim::scenario::{self, Scenario};
 use rfid_sim::WarehouseLayout;
 use rfid_stream::LocationEvent;

@@ -19,14 +19,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reference::ReferenceFilter;
-use rfid_core::CompressedBelief;
-use rfid_core::StepScratch;
-use rfid_core::{ObjectFilter, ReaderFilter, ReaderTables};
-use rfid_core::log_normalize_exp;
+use rfid_core::{
+    log_normalize_exp, CompressedBelief, ObjectFilter, ReaderFilter, ReaderTables, StepScratch,
+};
 use rfid_geom::{Point3, Pose};
-use rfid_model::{BoxPrior, LocationPrior};
-use rfid_model::{ConeSensor, ReadRateModel};
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{BoxPrior, ConeSensor, JointModel, LocationPrior, ModelParams, ReadRateModel};
 use rfid_sim::WarehouseLayout;
 use rfid_stream::Epoch;
 

@@ -18,9 +18,7 @@ use crate::particle::{effective_sample_size, log_normalize, systematic_resample}
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Point3, Pose, Vec3};
-use rfid_model::LocationPrior;
-use rfid_model::ReadRateModel;
-use rfid_model::JointModel;
+use rfid_model::{JointModel, LocationPrior, ReadRateModel};
 use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -291,9 +289,7 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
     }
 }
 
-impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage
-    for BasicParticleFilter<P, S>
-{
+impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage for BasicParticleFilter<P, S> {
     fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
         out.extend(self.process_batch(batch));
     }
@@ -307,8 +303,7 @@ impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage
 mod tests {
     use super::*;
     use rfid_geom::Aabb;
-    use rfid_model::BoxPrior;
-    use rfid_model::ModelParams;
+    use rfid_model::{BoxPrior, ModelParams};
 
     fn prior() -> BoxPrior {
         BoxPrior::new(Aabb::new(

@@ -22,7 +22,7 @@
 //! steady state**:
 //!
 //! * every buffer the per-object step needs lives in reusable scratch
-//!   owned by the engine ([`crate::exec`]);
+//!   owned by the engine ([`crate::StepScratch`]);
 //! * [`ObjectFilter::step_fused`] computes the joint probabilities
 //!   once per step (one `exp` per particle) and resamples in place;
 //! * each object's step draws from its own RNG stream seeded from
@@ -52,9 +52,7 @@ use crate::spatial_hook::{sensing_box, SpatialHook};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Point3, Pose};
-use rfid_model::LocationPrior;
-use rfid_model::ReadRateModel;
-use rfid_model::JointModel;
+use rfid_model::{JointModel, LocationPrior, ReadRateModel};
 use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -560,9 +558,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         // saturates: an idle period that cannot elapse (`u64::MAX`,
         // what `CompressionPolicy::disabled` carries) is never due.
         if self.config.compression.enabled {
-            let due = epoch
-                .0
-                .saturating_add(self.config.compression.idle_epochs);
+            let due = epoch.0.saturating_add(self.config.compression.idle_epochs);
             for i in 0..self.steps.len() {
                 let StepTask { tag, read } = self.steps[i];
                 if !read {
@@ -943,9 +939,7 @@ pub fn run_engine<P: LocationPrior, S: ReadRateModel>(
     events
 }
 
-impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage
-    for InferenceEngine<P, S>
-{
+impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage for InferenceEngine<P, S> {
     fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
         InferenceEngine::process_batch_into(self, batch, out);
     }
@@ -959,8 +953,7 @@ impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage
 mod tests {
     use super::*;
     use rfid_geom::Aabb;
-    use rfid_model::BoxPrior;
-    use rfid_model::{JointModel, ModelParams};
+    use rfid_model::{BoxPrior, JointModel, ModelParams};
     use rfid_stream::EpochBatch;
 
     fn prior() -> BoxPrior {

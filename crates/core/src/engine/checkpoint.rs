@@ -49,8 +49,7 @@ use crate::particle::{ObjectParticle, ReaderParticle};
 use crate::spatial_hook::SpatialHook;
 use rand::rngs::StdRng;
 use rfid_geom::{Aabb, Gaussian3, Mat3};
-use rfid_model::LocationPrior;
-use rfid_model::ReadRateModel;
+use rfid_model::{LocationPrior, ReadRateModel};
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
 use rfid_stream::wire::{
     put_f64, put_point, put_pose, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,
@@ -564,8 +563,7 @@ mod tests {
     use crate::config::FilterConfig;
     use crate::engine::run_engine;
     use rfid_geom::{Point3, Pose};
-    use rfid_model::BoxPrior;
-    use rfid_model::{JointModel, ModelParams};
+    use rfid_model::{BoxPrior, JointModel, ModelParams};
     use rfid_stream::{EpochBatch, LocationEvent};
 
     fn prior() -> BoxPrior {

@@ -21,9 +21,7 @@ use crate::particle::{
 };
 use rand::Rng;
 use rfid_geom::{Aabb, Point3, Pose};
-use rfid_model::LocationPrior;
-use rfid_model::ReadRateModel;
-use rfid_model::JointModel;
+use rfid_model::{JointModel, LocationPrior, ReadRateModel};
 
 /// A per-object particle filter.
 ///
@@ -220,8 +218,7 @@ impl ObjectFilter {
 
     /// Rebuilds a filter from checkpointed parts, preserving the
     /// pointer stamp and resample counter exactly — unlike
-    /// [`from_particles`](Self::from_particles), which is a fresh
-    /// start for decompression.
+    /// decompression, which is a fresh start.
     pub fn from_parts(particles: Vec<ObjectParticle>, pointer_stamp: u64, resamples: u64) -> Self {
         debug_assert!(!particles.is_empty(), "object filters are never empty");
         Self {
@@ -375,7 +372,7 @@ impl ObjectFilter {
     /// implementation of the same arithmetic.
     ///
     /// `tables` must have been built from `reader` in its current state
-    /// ([`ReaderFilter::tables_into`]). Reader support is *staged* into
+    /// ([`ReaderFilter::tables`]). Reader support is *staged* into
     /// `support` (a zeroed, `reader.len()`-sized slice) rather than
     /// deposited into the reader directly, so the caller merges it —
     /// locally, or in global tag order across cluster workers.
@@ -611,8 +608,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rfid_geom::{Aabb, Vec3};
-    use rfid_model::BoxPrior;
-    use rfid_model::{JointModel, ModelParams};
+    use rfid_model::{BoxPrior, JointModel, ModelParams};
 
     fn model() -> JointModel {
         JointModel::new(ModelParams::default_warehouse())

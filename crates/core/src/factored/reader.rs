@@ -18,8 +18,7 @@ use crate::particle::{
 };
 use rand::Rng;
 use rfid_geom::{Point3, Pose, Vec3};
-use rfid_model::ReadRateModel;
-use rfid_model::JointModel;
+use rfid_model::{JointModel, ReadRateModel};
 
 /// The result of a reader resampling step: for each *old* particle
 /// index, the index of its first surviving copy (if any). Object
@@ -59,7 +58,7 @@ impl ReaderRemap {
 }
 
 /// Per-epoch read-only tables derived from a [`ReaderFilter`], one
-/// entry per reader particle (see [`ReaderFilter::tables_into`]). Valid
+/// entry per reader particle (see [`ReaderFilter::tables`]). Valid
 /// until the reader's weights or poses change.
 #[derive(Debug, Clone, Default)]
 pub struct ReaderTables {
@@ -376,8 +375,8 @@ impl ReaderFilter {
         out.build_guide();
     }
 
-    /// [`tables_into`](Self::tables_into) into a fresh allocation, for
-    /// callers outside the engine's per-epoch loop.
+    /// The tables in a fresh allocation, for callers outside the
+    /// engine's per-epoch loop (which reuses one set of buffers).
     pub fn tables(&self) -> ReaderTables {
         let mut out = ReaderTables::default();
         self.tables_into(&mut out);

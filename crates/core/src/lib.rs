@@ -6,24 +6,30 @@
 //! inference strategies are provided, matching the four curves of the
 //! scalability study (Fig. 5(i)/(j)):
 //!
-//! * [`basic::BasicParticleFilter`] — textbook (unfactorized) particle
+//! * [`BasicParticleFilter`] — textbook (unfactorized) particle
 //!   filtering over the joint state of the reader and *all* objects.
 //!   Needs a number of particles exponential-ish in the object count;
 //!   kept as the baseline.
-//! * [`factored`] — **particle factorization** (§IV-B): reader particles
+//! * [`ObjectFilter`] / [`ReaderFilter`] — **particle factorization** (§IV-B): reader particles
 //!   and per-object particles with factored weights (Eq. 5), combined
 //!   through pointers from object particles to reader particles.
-//! * [`spatial_hook`] — **spatial indexing** (§IV-C): a region index over
+//! * **spatial indexing** (§IV-C): a region index over
 //!   past sensing areas restricts each epoch's work to objects read now
 //!   (Case 1) or read before near the current location (Case 2).
-//! * [`compression`] — **belief compression** (§IV-D): per-object
+//! * [`CompressedBelief`] — **belief compression** (§IV-D): per-object
 //!   particle clouds that have stabilized are collapsed into 3-D
 //!   Gaussians and re-expanded with far fewer particles when the object
 //!   is encountered again (selective Boyen–Koller).
 //!
-//! [`engine::InferenceEngine`] wires everything together behind one
-//! `process_batch` API and applies the output policy of §II-A
-//! ([`output`]).
+//! [`InferenceEngine`] wires everything together behind one
+//! `process_batch` API and applies the output policy of §II-A.
+//!
+//! Public is what another crate, a test, a bench or the benchmark
+//! names, and each item has one import path: the engine, its
+//! configuration ([`FilterConfig`] and the constants the paper fixes)
+//! and the step's parts are the `pub use` list below; the batch driver,
+//! checkpoints and the cluster split are named through [`engine`]
+//! (`engine::run_engine`, `engine::checkpoint`, `engine::cluster`).
 
 mod basic;
 mod compression;
@@ -52,6 +58,4 @@ pub use factored::{
     sample_cone, sample_cone_in_prior, ObjectFilter, ReaderFilter, ReaderRemap, ReaderTables,
     StepOutcome,
 };
-pub use particle::{
-    log_normalize, log_normalize_exp, ObjectParticle, ParticleSoa, ReaderParticle,
-};
+pub use particle::{log_normalize, log_normalize_exp, ObjectParticle, ParticleSoa, ReaderParticle};

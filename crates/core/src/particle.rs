@@ -154,7 +154,11 @@ pub(crate) fn effective_sample_size_probs(probs: &[f64]) -> f64 {
 
 /// Systematic resampling: draws `n` ancestor indices from the
 /// categorical distribution given by normalized log weights.
-pub(crate) fn systematic_resample<R: Rng + ?Sized>(log_w: &[f64], n: usize, rng: &mut R) -> Vec<u32> {
+pub(crate) fn systematic_resample<R: Rng + ?Sized>(
+    log_w: &[f64],
+    n: usize,
+    rng: &mut R,
+) -> Vec<u32> {
     debug_assert!(!log_w.is_empty());
     let mut out = Vec::with_capacity(n);
     let step = 1.0 / n as f64;
@@ -230,7 +234,7 @@ pub(crate) fn log_normalize_by<T>(
 /// [`systematic_resample`] (whose ancestry vector is the non-decreasing
 /// sequence `i` repeated `counts[i]` times) — but fills a caller-owned
 /// buffer instead of allocating, which combined with
-/// [`reorder_by_counts`] makes resampling allocation-free.
+/// [`ParticleSoa::reorder_by_counts`] makes resampling allocation-free.
 pub(crate) fn systematic_resample_counts<R: Rng + ?Sized>(
     probs: &[f64],
     n: usize,
@@ -265,9 +269,9 @@ pub(crate) fn systematic_resample_counts<R: Rng + ?Sized>(
 /// columnar layout keeps each loop on contiguous `f64` slices. The
 /// logical particle sequence is unchanged — `get`/`iter` reconstruct
 /// [`ObjectParticle`] values bit-identical to the AoS representation,
-/// and [`reorder_by_counts`](ParticleSoa::reorder_by_counts) applies
-/// the exact permutation of the free-function [`reorder_by_counts`]
-/// to every column.
+/// and the in-place resampling reorder applies one permutation to
+/// every column (pinned against a generic AoS reorder in this module's
+/// tests).
 #[derive(Debug, Clone, Default)]
 pub struct ParticleSoa {
     /// Particle x coordinates.

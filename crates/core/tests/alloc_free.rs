@@ -20,11 +20,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfid_core::StepScratch;
-use rfid_core::{ObjectFilter, ReaderFilter};
+use rfid_core::{ObjectFilter, ReaderFilter, StepScratch};
 use rfid_geom::{Point3, Pose};
-use rfid_model::BoxPrior;
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{BoxPrior, JointModel, ModelParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -34,8 +34,7 @@ use rfid_core::{
     MAX_INIT_RANGE, RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
 };
 use rfid_geom::{Aabb, Point3, Pose};
-use rfid_model::BoxPrior;
-use rfid_model::{JointModel, ModelParams, ReadRateModel};
+use rfid_model::{BoxPrior, JointModel, ModelParams, ReadRateModel};
 use rfid_stream::digest::{event_digest, fnv1a, FNV_OFFSET};
 use rfid_stream::{Epoch, EpochBatch, TagId};
 

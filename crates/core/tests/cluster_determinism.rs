@@ -12,8 +12,7 @@
 use rfid_core::engine::cluster::{ClusterHead, ClusterWorker, EpochPlan, ResampleDirective};
 use rfid_core::engine::run_engine;
 use rfid_core::{FilterConfig, InferenceEngine, ReaderMode};
-use rfid_model::ConeSensor;
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{ConeSensor, JointModel, ModelParams};
 use rfid_sim::scenario;
 use rfid_stream::wire::merge_events_by_tag;
 use rfid_stream::{Epoch, LocationEvent};

@@ -11,8 +11,7 @@
 
 use rfid_core::engine::run_engine;
 use rfid_core::{FilterConfig, InferenceEngine};
-use rfid_model::ConeSensor;
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{ConeSensor, JointModel, ModelParams};
 use rfid_sim::scenario::{self, Scenario};
 use rfid_stream::pipeline::DEFAULT_MAX_SKEW_EPOCHS;
 use rfid_stream::{LocationEvent, Pipeline, PipelineStats};

@@ -15,12 +15,9 @@ mod reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reference::ReferenceFilter;
-use rfid_core::StepScratch;
-use rfid_core::{ObjectFilter, ReaderFilter};
-use rfid_core::{ObjectParticle, ReaderParticle};
+use rfid_core::{ObjectFilter, ObjectParticle, ReaderFilter, ReaderParticle, StepScratch};
 use rfid_geom::{Point3, Pose};
-use rfid_model::BoxPrior;
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{BoxPrior, JointModel, ModelParams};
 
 const NO_PRIOR: Option<&BoxPrior> = None;
 

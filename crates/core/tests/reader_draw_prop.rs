@@ -15,9 +15,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rfid_core::CompressedBelief;
-use rfid_core::{ReaderFilter, ReaderTables};
-use rfid_core::ReaderParticle;
+use rfid_core::{CompressedBelief, ReaderFilter, ReaderParticle, ReaderTables};
 use rfid_geom::{Point3, Pose};
 use rfid_stream::Epoch;
 

@@ -15,11 +15,9 @@
 //! `#[path]` from `bench_step.rs`); the library holds one step path.
 
 use rand::Rng;
-use rfid_core::{ObjectFilter, ReaderFilter};
-use rfid_core::{log_normalize, ObjectParticle};
+use rfid_core::{log_normalize, ObjectFilter, ObjectParticle, ReaderFilter};
 use rfid_geom::Point3;
-use rfid_model::ReadRateModel;
-use rfid_model::JointModel;
+use rfid_model::{JointModel, ReadRateModel};
 
 /// An object's particle set, one struct per particle.
 #[derive(Debug, Clone)]

@@ -30,9 +30,10 @@ pub(crate) fn reader_tag_angle(reader: &Point3, phi: f64, tag: &Point3) -> f64 {
     reader_tag_angle_trig(reader, phi.cos(), phi.sin(), tag)
 }
 
-/// [`reader_tag_angle`] with the heading's cosine and sine already
-/// computed — the pair is loop-invariant per reader particle, so hot
-/// loops hoist it once per pose instead of paying `sin`/`cos` per
+/// The angle between the reader's heading and the direction to the
+/// tag, with the heading's cosine and sine already computed — the pair
+/// is loop-invariant per reader particle, so hot loops hoist it once
+/// per pose instead of paying `sin`/`cos` per
 /// object particle. Identical arithmetic (and therefore identical
 /// bits) to the plain form.
 #[inline]

@@ -20,8 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_core::{FilterConfig, InferenceEngine};
 use rfid_geom::{Point3, Vec3};
-use rfid_model::LocationPrior;
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{JointModel, LocationPrior, ModelParams};
 use rfid_stream::{EpochBatch, TagId};
 use std::collections::BTreeSet;
 

@@ -12,11 +12,10 @@
 //!   reader poses and object locations, and convert them into weighted
 //!   training rows.
 //! * **M-step** — refit the logistic sensor coefficients by weighted
-//!   logistic regression ([`logistic`], IRLS), and re-estimate the
-//!   motion and location-sensing Gaussians by weighted moments
-//!   ([`motion_fit`]).
+//!   logistic regression ([`fit_logistic`], IRLS), and re-estimate the
+//!   motion and location-sensing Gaussians by weighted moments.
 //!
-//! [`em::calibrate`] runs the loop; a few iterations on a 20-tag trace
+//! [`calibrate`] runs the loop; a few iterations on a 20-tag trace
 //! recover sensor models close to the ground truth (Fig. 5(b)), and the
 //! quality degrades gracefully as known tags are removed (Fig. 5(e)).
 

@@ -8,8 +8,7 @@
 //! no angle variation).
 
 use crate::dataset::SensorRow;
-use rfid_model::sigmoid;
-use rfid_model::SensorParams;
+use rfid_model::{sigmoid, SensorParams};
 
 /// Result of a logistic fit.
 #[derive(Debug, Clone, Copy)]

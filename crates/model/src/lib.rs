@@ -13,21 +13,22 @@
 //!
 //! The four components are:
 //!
-//! * [`sensor`] — the parametric RFID **sensor model** `p(Ô | d, θ)`
+//! * [`LogisticSensorModel`] — the parametric RFID **sensor model** `p(Ô | d, θ)`
 //!   (Eq. 1): logistic regression in distance and angle, the same model
 //!   for object tags and shelf tags. Ground-truth generative sensor
-//!   shapes used by the simulator (cone, spherical) also live here so
-//!   learned models can be compared against them.
-//! * [`motion`] — the **reader motion model**
+//!   shapes used by the simulator ([`ConeSensor`], [`SphericalSensor`])
+//!   implement the same [`ReadRateModel`] so learned models can be
+//!   compared against them.
+//! * [`MotionModel`] — the **reader motion model**
 //!   `R_t = R_{t-1} + Δ + ε`, `ε ~ N(0, Σ_m)`.
-//! * [`sensing`] — the **reader location sensing model**
+//! * [`LocationSensingModel`] — the **reader location sensing model**
 //!   `R̂_t = R_t + η`, `η ~ N(µ_s, Σ_s)` (dead-reckoning drift).
-//! * [`object`] — the **object location model**: stationary objects that
+//! * [`ObjectLocationModel`] — the **object location model**: stationary objects that
 //!   move with probability `α` per epoch to a uniform location over the
-//!   shelf space (the [`object::LocationPrior`] abstraction).
+//!   shelf space (the [`LocationPrior`] abstraction).
 //!
-//! [`params::ModelParams`] aggregates every learnable parameter;
-//! [`dbn::JointModel`] bundles the components and exposes the local
+//! [`ModelParams`] aggregates every learnable parameter;
+//! [`JointModel`] bundles the components and exposes the local
 //! conditional log-densities the particle filter weights with.
 
 mod dbn;
@@ -40,8 +41,6 @@ mod sensor;
 pub use dbn::JointModel;
 pub use motion::MotionModel;
 pub use object::{BoxPrior, LocationPrior, MultiBoxPrior, ObjectLocationModel};
-pub use params::{MotionParams, ModelParams, ObjectParams, SensingParams, SensorParams};
+pub use params::{ModelParams, MotionParams, ObjectParams, SensingParams, SensorParams};
 pub use sensing::LocationSensingModel;
-pub use sensor::{
-    sigmoid, ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor,
-};
+pub use sensor::{sigmoid, ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor};

@@ -155,8 +155,9 @@ impl SubscriptionHub {
 
     /// Registers a subscription under `id` (in the wire protocol: the
     /// id of the `SUBSCRIBE` request). The handle is the consumption
-    /// side; dropping it without [`SubscriptionHandle::cancel`] leaks
-    /// the registration until the hub prunes it on a later commit.
+    /// side; the server cancels it when its connection closes, and a
+    /// handle dropped without that leaves the registration until the
+    /// hub prunes it on a later commit.
     pub fn subscribe(&self, id: u64, filter: SubscriptionFilter) -> SubscriptionHandle {
         let queue = Arc::new(Mutex::new(SubQueue {
             frames: VecDeque::with_capacity(self.cfg.queue_frames),

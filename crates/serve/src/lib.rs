@@ -14,16 +14,21 @@
 //! * [`store::EventStore`] — a segmented in-memory log of the event
 //!   stream with a per-epoch snapshot index, configurable retention +
 //!   compaction, per-tag trail lookup, and epoch-delta snapshots;
-//! * [`query`] — the query kinds, the versioned length-prefixed text
-//!   wire protocol (v1 bare queries, v2 `HELLO`-negotiated request-id
-//!   envelopes with `SUBSCRIBE` push frames), and typed
-//!   [`query::WireError`] codes;
-//! * [`hub::SubscriptionHub`] — fan-out of committed location changes
+//! * [`Query`] / [`Frame`] — the query kinds, the versioned
+//!   length-prefixed text wire protocol (v1 bare queries, v2
+//!   `HELLO`-negotiated request-id envelopes with `SUBSCRIBE` push
+//!   frames), and typed [`WireError`] codes;
+//! * [`SubscriptionHub`] — fan-out of committed location changes
 //!   into bounded per-subscription queues (slow subscribers lag, they
 //!   never buffer unboundedly);
-//! * [`server`] — a `std::net` non-blocking sharded worker-pool query
-//!   server plus the blocking builder-configured
-//!   [`server::QueryClient`].
+//! * [`serve_with`] — a `std::net` non-blocking sharded worker-pool
+//!   query server plus the blocking builder-configured
+//!   [`QueryClient`];
+//! * [`DurableStore`] / [`SegmentLog`] — the write-ahead log under the
+//!   store, and [`ResilientClient`], the reconnecting subscriber.
+//!
+//! One import path per item: the store's types are named through
+//! [`store`]; everything else is the `pub use` list below.
 //!
 //! The contract that keeps serving honest: with the default store
 //! configuration, `Trail` and `SnapshotAt` answers are **bit-identical**

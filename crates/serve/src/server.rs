@@ -69,7 +69,10 @@ const IDLE_SPINS: u32 = 64;
 /// server.
 const IDLE_SLEEP: Duration = Duration::from_micros(100);
 
-/// Server knobs.
+/// Server knobs. The fields are public, so [`serve_with`] re-checks the
+/// bounds the `with_*` builders assert and refuses a config outside
+/// them. How long an idle worker spins and sleeps is not a knob
+/// (`IDLE_SPINS`, `IDLE_SLEEP`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker threads sharing the connections (>= 1).

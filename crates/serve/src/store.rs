@@ -421,7 +421,11 @@ impl EventStore {
     /// at `since`. Exact even when `since` predates the retention
     /// horizon: compacted snapshots preserve each event's arrival
     /// stamp, so the filter never guesses.
-    pub(crate) fn snapshot_delta(&self, at: Epoch, since: Epoch) -> Result<Vec<LocationRow>, StoreError> {
+    pub(crate) fn snapshot_delta(
+        &self,
+        at: Epoch,
+        since: Epoch,
+    ) -> Result<Vec<LocationRow>, StoreError> {
         Ok(self
             .snapshot_events(at)?
             .into_iter()

@@ -7,9 +7,11 @@
 //! `rfid_stream::wire`; this file checks the server glue.
 
 use rfid_geom::Point3;
-use rfid_serve::{read_frame, write_frame};
 use rfid_serve::store::{EventStore, StoreConfig};
-use rfid_serve::{serve, serve_with, HubConfig, Query, QueryClient, ServerConfig, SubscriptionHub};
+use rfid_serve::{
+    read_frame, serve, serve_with, write_frame, HubConfig, Query, QueryClient, ServerConfig,
+    SubscriptionHub,
+};
 use rfid_stream::{Epoch, LocationEvent, TagId};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};

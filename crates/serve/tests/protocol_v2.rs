@@ -4,8 +4,8 @@
 //! subscriber lag, and shutdown under load.
 
 use rfid_geom::Point3;
-use rfid_serve::{read_frame, write_frame};
 use rfid_serve::store::{EventStore, StoreConfig};
+use rfid_serve::{read_frame, write_frame};
 use rfid_serve::{
     serve, serve_with, Frame, HubConfig, Query, QueryClient, ServerConfig, SubscriptionFilter,
     SubscriptionHub, PROTOCOL_VERSION,

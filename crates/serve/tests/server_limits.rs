@@ -4,10 +4,11 @@
 //! hang — and closing an admitted connection frees its slot for the
 //! next client.
 
-use rfid_serve::{ErrorCode, Frame};
-use rfid_serve::{read_frame, serve_with, QueryClient, ServerConfig};
 use rfid_serve::store::EventStore;
-use rfid_serve::{Query, QueryResponse, SubscriptionHub};
+use rfid_serve::{
+    read_frame, serve_with, ErrorCode, Frame, Query, QueryClient, QueryResponse, ServerConfig,
+    SubscriptionHub,
+};
 use rfid_stream::Epoch;
 use std::net::TcpStream;
 use std::sync::{Arc, RwLock};

@@ -10,8 +10,7 @@
 //! default that the pin tests rely on.
 
 use rfid_core::{FilterConfig, InferenceEngine};
-use rfid_model::ConeSensor;
-use rfid_model::{JointModel, ModelParams};
+use rfid_model::{ConeSensor, JointModel, ModelParams};
 use rfid_serve::store::{EventStore, StoreConfig};
 use rfid_sim::scenario;
 use rfid_stream::pipeline::sinks::StoreSink;

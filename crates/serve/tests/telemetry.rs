@@ -10,9 +10,10 @@
 //! for lines only this test can produce.
 
 use rfid_geom::Point3;
-use rfid_serve::{serve_with, ServerConfig};
 use rfid_serve::store::{EventStore, StoreConfig};
-use rfid_serve::{Query, QueryClient, SubscriptionFilter, SubscriptionHub, TelemetryCmd};
+use rfid_serve::{
+    serve_with, Query, QueryClient, ServerConfig, SubscriptionFilter, SubscriptionHub, TelemetryCmd,
+};
 use rfid_stream::{Epoch, EventSink, LocationEvent, TagId};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};

@@ -16,8 +16,9 @@ use crate::truth::GroundTruth;
 use rand::Rng;
 use rfid_geom::{standard_normal, Point3, Pose, Vec3};
 use rfid_model::ReadRateModel;
-use rfid_stream::synchronize_traces;
-use rfid_stream::{Epoch, EpochBatch, ReaderLocationReport, RfidReading, TagId};
+use rfid_stream::{
+    synchronize_traces, Epoch, EpochBatch, ReaderLocationReport, RfidReading, TagId,
+};
 
 /// A scheduled object relocation (the Fig. 5(h) experiment moves "a
 /// case of objects" after a time interval).
@@ -154,7 +155,7 @@ impl<S: ReadRateModel> TraceGenerator<S> {
 
     /// Runs the generative process to completion, materializing the
     /// whole trace. Incremental alternative:
-    /// [`TraceGenerator::stream`] / [`EpochSim`].
+    /// [`TraceGenerator::stream`].
     ///
     /// * `layout` supplies shelf geometry (used only for bookkeeping
     ///   here; the tag positions passed in are authoritative),

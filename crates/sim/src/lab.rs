@@ -22,8 +22,7 @@ use crate::trajectory::Trajectory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Aabb, Point3, Vec3};
-use rfid_model::MultiBoxPrior;
-use rfid_model::SphericalSensor;
+use rfid_model::{MultiBoxPrior, SphericalSensor};
 use rfid_stream::TagId;
 
 /// Tags per shelf row (80 total across the two rows).

@@ -206,7 +206,7 @@ impl WarehouseLayout {
 
     /// `per_shelf` evenly spaced reference (shelf) tags on each shelf
     /// face, with their assigned [`TagId`]s starting at
-    /// [`SHELF_TAG_BASE`].
+    /// 1,000,000 (`SHELF_TAG_BASE`).
     pub fn shelf_tags(&self, per_shelf: usize) -> Vec<(TagId, Point3)> {
         let mut out = Vec::new();
         let mut id = SHELF_TAG_BASE;

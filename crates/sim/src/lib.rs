@@ -4,24 +4,25 @@
 //! (b) a physical lab rig (§V-C: two shelves of EPC Gen2 tags scanned by
 //! a ThingMagic reader on an iRobot Create). This crate reproduces both
 //! as controlled generative processes. Per DESIGN.md §5, the lab rig is
-//! hardware we do not have, so [`lab`] *simulates* its statistically
+//! hardware we do not have, so [`LabDeployment`] *simulates* its statistically
 //! relevant properties: dead-reckoning drift, a spherical antenna
 //! pattern, timeout-dependent read rates, 4-inch tag spacing, and five
 //! reference tags per shelf.
 //!
-//! Modules:
-//! * [`layout`] — shelf geometry, tag placement, the uniform-over-shelves
-//!   location prior.
-//! * [`trajectory`] — per-epoch intended motion of the reader.
-//! * [`noise`] — reader location reporting noise, including an
+//! The surface (the `pub use` list below is all of it, one import path
+//! per item; only [`scenario`] is named through its module):
+//! * [`WarehouseLayout`] — shelf geometry, tag placement, the
+//!   uniform-over-shelves location prior.
+//! * [`Trajectory`] — per-epoch intended motion of the reader.
+//! * [`ReportNoise`] — reader location reporting noise, including an
 //!   accumulating dead-reckoning model for the lab.
-//! * [`truth`] — ground-truth object locations and reader poses per
-//!   epoch, for error measurement.
-//! * [`generator`] — turns (layout, trajectory, sensor, noise) into the
-//!   two raw streams plus ground truth.
+//! * [`GroundTruth`] — ground-truth object locations and reader poses
+//!   per epoch, for error measurement.
+//! * [`TraceGenerator`] — turns (layout, trajectory, sensor, noise) into
+//!   the two raw streams plus ground truth ([`SimTrace`]).
 //! * [`scenario`] — canned configurations matching each experiment of
 //!   the paper.
-//! * [`lab`] — the simulated §V-C deployment.
+//! * [`LabDeployment`] — the simulated §V-C deployment.
 
 mod generator;
 mod lab;

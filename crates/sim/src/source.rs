@@ -16,8 +16,7 @@ use crate::generator::EpochSim;
 use crate::truth::GroundTruth;
 use rand::Rng;
 use rfid_model::ReadRateModel;
-use rfid_stream::StreamItem;
-use rfid_stream::{ReaderLocationReport, RfidReading};
+use rfid_stream::{ReaderLocationReport, RfidReading, StreamItem};
 use std::collections::VecDeque;
 
 /// The two raw streams of a [`crate::generator::SimTrace`], merged in
@@ -80,7 +79,7 @@ impl Iterator for TraceStream<'_> {
     }
 }
 
-/// A live generative source: pulls epochs out of an [`EpochSim`] as the
+/// A live generative source: generates epochs one at a time as the
 /// pipeline consumes items. Within an epoch the report (stamped at the
 /// epoch start) precedes the readings (stamped mid-epoch), so the
 /// merged order matches [`TraceStream`] over a materialized trace.

@@ -3,14 +3,17 @@
 //! Just enough of CQL (Arasu et al.) to run the paper's two example
 //! queries against the cleaned event stream:
 //!
-//! * `[Partition By k Row n]` — [`window::PartitionedRowWindow`]
-//! * `[Range d seconds]` / `[Now]` — [`window::RangeWindow`]
+//! * `[Partition By k Row n]` — a partitioned row window (crate-private;
+//!   reached through `pipeline::sinks::TrailSink`)
+//! * `[Range d seconds]` / `[Now]` — [`RangeWindow`]
 //! * `Istream(...)` over a partitioned row window —
-//!   [`istream::ChangeDetector`] (emits only when the newest tuple of a
+//!   [`ChangeDetector`] (emits only when the newest tuple of a
 //!   partition differs from the previous one)
-//! * `Rstream(...)` — [`rstream::Rstream`] (emits the full relation at
-//!   each evaluation instant)
-//! * `Group By ... Having sum(...) > c` — [`groupby`] helpers.
+//! * `Rstream(...)` — the full relation at each evaluation instant
+//!   (crate-private; reached through `pipeline::sinks::SnapshotSink`)
+//! * `Group By ... Having sum(...) > c` — [`group_sum`] / [`having`].
+//!
+//! The `pub use` list below is the module's surface.
 
 mod groupby;
 mod istream;

@@ -2,8 +2,7 @@
 //! example queries, so they compose directly onto the pipeline's event
 //! stream instead of being driven by hand-written loops.
 //!
-//! * [`FnSink`] — any closure over events (printing, custom logs);
-//! * [`TrailSink`] — `[Partition By tag Row n]` ([`PartitionedRowWindow`]);
+//! * [`TrailSink`] — `[Partition By tag Row n]`;
 //! * [`SnapshotSink`] — `Rstream` of the latest-location relation;
 //! * [`LocationChangeSink`] — query 1, `Istream` over a row-1 partition
 //!   ([`LocationChangeQuery`]);

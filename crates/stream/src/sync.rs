@@ -209,8 +209,7 @@ impl StreamSynchronizer {
     }
 
     /// [`StreamSynchronizer::flush`] into a caller-owned buffer.
-    /// **Appends** to `out` (does not clear it), like
-    /// [`StreamSynchronizer::drain_ready_into`].
+    /// **Appends** to `out` (does not clear it).
     pub fn flush_into(&mut self, out: &mut Vec<EpochBatch>) {
         let pending = std::mem::take(&mut self.pending);
         for (e, p) in pending {

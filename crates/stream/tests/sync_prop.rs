@@ -12,8 +12,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_geom::{Point3, Pose};
-use rfid_stream::synchronize_traces;
-use rfid_stream::{EpochBatch, ReaderLocationReport, RfidReading, StreamSynchronizer, TagId};
+use rfid_stream::{
+    synchronize_traces, EpochBatch, ReaderLocationReport, RfidReading, StreamSynchronizer, TagId,
+};
 
 /// One generated epoch of raw data, already time-sorted internally.
 struct EpochData {

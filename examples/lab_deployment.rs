@@ -9,10 +9,8 @@
 
 use rfid_repro::baselines::{Smurf, SmurfConfig, UniformBaseline};
 use rfid_repro::prelude::*;
-use rfid_repro::sim::LabDeployment;
-use rfid_repro::sim::SimTrace;
-use rfid_repro::stream::InferenceStage;
-use rfid_repro::stream::Pipeline;
+use rfid_repro::sim::{LabDeployment, SimTrace};
+use rfid_repro::stream::{InferenceStage, Pipeline};
 
 fn mean_xy_error(events: &[LocationEvent], truth: &rfid_repro::sim::GroundTruth) -> f64 {
     let mut sum = 0.0;

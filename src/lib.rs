@@ -62,9 +62,10 @@ pub mod prelude {
     pub use rfid_core::{CompressionPolicy, FilterConfig, InferenceEngine, ReaderMode};
     pub use rfid_geom::{Aabb, Point3, Pose, Vec3};
     pub use rfid_learn::{calibrate, EmConfig};
-    pub use rfid_model::LocationPrior;
-    pub use rfid_model::{ConeSensor, LogisticSensorModel, ReadRateModel};
-    pub use rfid_model::{JointModel, ModelParams, SensorParams};
+    pub use rfid_model::{
+        ConeSensor, JointModel, LocationPrior, LogisticSensorModel, ModelParams, ReadRateModel,
+        SensorParams,
+    };
     pub use rfid_sim::{GroundTruth, SimTrace, TraceGenerator, Trajectory, WarehouseLayout};
     pub use rfid_stream::{
         Epoch, EpochBatch, EventSink, InferenceStage, LocationEvent, Pipeline, PipelineStats,

@@ -3,12 +3,11 @@
 //! event stream is reproducible bit for bit is pinned next to the other
 //! determinism checks, in `crates/core/tests/determinism.rs`.)
 
+use rfid_bench::metrics::{score_scenario, EventScoreConfig};
 use rfid_bench::runner::{
     run_baseline_uniform, run_engine_variant_opts, EngineVariant, InferenceSensor, RunOpts,
 };
-use rfid_bench::metrics::{score_scenario, EventScoreConfig};
-use rfid_model::ConeSensor;
-use rfid_model::ModelParams;
+use rfid_model::{ConeSensor, ModelParams};
 use rfid_repro::sim::scenario;
 use rfid_stream::LocationEvent;
 
