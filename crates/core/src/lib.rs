@@ -10,9 +10,10 @@
 //!   filtering over the joint state of the reader and *all* objects.
 //!   Needs a number of particles exponential-ish in the object count;
 //!   kept as the baseline.
-//! * [`ObjectFilter`] / [`ReaderFilter`] — **particle factorization** (§IV-B): reader particles
-//!   and per-object particles with factored weights (Eq. 5), combined
-//!   through pointers from object particles to reader particles.
+//! * [`ObjectFilter`] / [`ReaderFilter`] — **particle factorization**
+//!   (§IV-B): reader particles and per-object particles with factored
+//!   weights (Eq. 5), combined through pointers from object particles
+//!   to reader particles.
 //! * **spatial indexing** (§IV-C): a region index over
 //!   past sensing areas restricts each epoch's work to objects read now
 //!   (Case 1) or read before near the current location (Case 2).

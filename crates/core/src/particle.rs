@@ -436,9 +436,10 @@ mod tests {
 
     /// The generic form of [`ParticleSoa::reorder_by_counts`], the
     /// reference the columnar one is pinned against: reorders `items` in
-    /// place into the resampled sequence described by `counts` (each survivor `i` repeated `counts[i]` times, in index
-    /// order) — the exact sequence [`systematic_resample`]'s ancestry
-    /// vector produces, without the second allocation.
+    /// place into the resampled sequence described by `counts` (each
+    /// survivor `i` repeated `counts[i]` times, in index order) — the
+    /// exact sequence [`systematic_resample`]'s ancestry vector
+    /// produces, without the second allocation.
     ///
     /// Two passes: survivors are first compacted to the front (the write
     /// cursor never passes the read cursor), then expanded from the back.
