@@ -13,6 +13,7 @@ use rfid_core::engine::run_engine;
 use rfid_core::{FilterConfig, InferenceEngine};
 use rfid_model::{ConeSensor, JointModel, ModelParams};
 use rfid_sim::scenario::{self, Scenario};
+use rfid_stream::digest::event_digest;
 use rfid_stream::pipeline::DEFAULT_MAX_SKEW_EPOCHS;
 use rfid_stream::{LocationEvent, Pipeline, PipelineStats};
 
@@ -144,4 +145,53 @@ fn reruns_with_same_seed_are_reproducible() {
     for (name, sc) in scenarios() {
         assert_identical(&run_batch(&sc, cfg), &run_batch(&sc, cfg), name);
     }
+}
+
+/// The full variant (index + compression) at a size tier-1 can afford,
+/// for the two literal pins below.
+fn pinned_full() -> FilterConfig {
+    let mut cfg = FilterConfig::full_default();
+    cfg.particles_per_object = 120;
+    cfg.reader_particles = 40;
+    cfg.report_delay_epochs = 40;
+    cfg
+}
+
+// Two literal digests written at the commit before the out-of-reach
+// test for Case-2 misses landed (PR 24). That test acts only where the
+// sensor reports a hard edge *and* the spatial index is on, so an
+// engine missing either must not notice it — nor any later change to
+// how the index decides: these two streams are pinned by value, not
+// against a second run of the same code.
+
+#[test]
+fn a_sensor_without_a_hard_edge_keeps_its_digest() {
+    let sc = scenario::scalability_trace(60, 4242);
+    let model = JointModel::new(ModelParams::default_warehouse());
+    let mut engine = InferenceEngine::new(
+        model,
+        sc.layout.clone(),
+        sc.trace.shelf_tags.clone(),
+        pinned_full(),
+    )
+    .expect("valid config");
+    let events = run_engine(&mut engine, &sc.trace.epoch_batches());
+    assert_eq!(
+        (events.len(), event_digest(&events)),
+        (78, 0xc33dbd93fb9d43d3),
+        "the logistic-sensor engine's stream moved"
+    );
+}
+
+#[test]
+fn an_engine_without_the_index_keeps_its_digest() {
+    let sc = scenario::scalability_trace(60, 4242);
+    let mut cfg = pinned_full();
+    cfg.use_spatial_index = false;
+    let events = run_batch(&sc, cfg);
+    assert_eq!(
+        (events.len(), event_digest(&events)),
+        (78, 0x48e3011a0b797341),
+        "the index-off cone-sensor engine's stream moved"
+    );
 }
