@@ -227,6 +227,14 @@ fn bench_epoch_components(c: &mut Criterion) {
         });
     }
     {
+        // what a resampling step pays to keep the filter's cached XY
+        // extent equal to its columns
+        let f = warehouse(1000);
+        g.bench_function("xy_bounds/1000", |b| {
+            b.iter(|| black_box(f.filter.soa()).xy_bounds())
+        });
+    }
+    {
         let mut f = logistic(200);
         g.bench_function("predict/200", |b| {
             b.iter(|| {

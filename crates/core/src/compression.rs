@@ -150,7 +150,12 @@ mod tests {
         let c1 = CompressedBelief::compress(&cloud, Epoch(0)).unwrap();
         let reader = ReaderFilter::new(10, Pose::identity());
         let f = c1.decompress(50, &reader.tables(), 0, &mut rng);
-        let cloud2 = f.weighted_cloud(&reader);
+        let mut cloud2 = Vec::new();
+        f.weighted_cloud_into(
+            &reader,
+            &mut crate::exec::StepScratch::default(),
+            &mut cloud2,
+        );
         let c2 = CompressedBelief::compress(&cloud2, Epoch(1)).unwrap();
         assert!(c1.gaussian.mean.dist(&c2.gaussian.mean) < 0.1);
     }

@@ -267,6 +267,8 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     steps: Vec<StepTask>,
     /// Step buffers (joint probabilities, resample counts).
     scratch: StepScratch,
+    /// The compression sweep's weighted cloud.
+    cloud: Vec<(f64, Point3)>,
     /// The current step's staged reader support: one dense
     /// `reader.len()`-sized row, merged into the reader filter after
     /// each step.
@@ -325,6 +327,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             due: Vec::new(),
             steps: Vec::new(),
             scratch: StepScratch::default(),
+            cloud: Vec::new(),
             staged_support: Vec::new(),
             reader_tables: ReaderTables::default(),
             support_tee: None,
@@ -583,7 +586,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     ..
                 }) = self.objects.get(tag)
                 {
-                    if f.iter_particles().any(|p| sensing_box.contains(&p.loc)) {
+                    if f.any_particle_in(&sensing_box) {
                         self.members.push(*tag);
                     }
                 }
@@ -785,9 +788,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 // been silent for at least a full idle period
                 debug_assert!(epoch.since(state.last_read) >= self.config.compression.idle_epochs);
                 if let Belief::Active(f) = &state.belief {
-                    let cloud = f.weighted_cloud(reader);
+                    f.weighted_cloud_into(reader, &mut self.scratch, &mut self.cloud);
                     let mut compressed = false;
-                    if let Some(c) = CompressedBelief::compress(&cloud, epoch) {
+                    if let Some(c) = CompressedBelief::compress(&self.cloud, epoch) {
                         if c.loss <= self.config.compression.max_cross_entropy {
                             state.last_estimate = c.estimate();
                             state.belief = Belief::Compressed(c);

@@ -17,7 +17,7 @@ use crate::exec::StepScratch;
 use crate::factored::reader::{ReaderFilter, ReaderTables};
 use crate::particle::{
     effective_sample_size_iter, effective_sample_size_probs, log_normalize, log_normalize_exp,
-    systematic_resample_counts, ObjectParticle, ParticleSoa,
+    systematic_resample_counts, ObjectParticle, ParticleSoa, XyBounds,
 };
 use rand::Rng;
 use rfid_geom::{Aabb, Point3, Pose};
@@ -35,6 +35,14 @@ use rfid_model::{JointModel, LocationPrior, ReadRateModel};
 #[derive(Debug, Clone)]
 pub struct ObjectFilter {
     soa: ParticleSoa,
+    /// XY extent of the location columns, recomputed by every method
+    /// that changes them (the constructors, `predict`, `respawn_half`,
+    /// a resampling step) and never serialized: always
+    /// `soa.xy_bounds()`, so a restored filter and the uninterrupted
+    /// one hold the same value. Cached because the engine consults it
+    /// per candidate per epoch, and scanning the columns there costs as
+    /// much as the steps it saves.
+    bounds: XyBounds,
     /// Epoch stamp of the last pointer refresh (engine-managed).
     pointer_stamp: u64,
     resample_count: u64,
@@ -198,10 +206,15 @@ impl ObjectFilter {
                 log_w: uniform,
             });
         }
+        Self::from_soa(soa, stamp, 0)
+    }
+
+    fn from_soa(soa: ParticleSoa, pointer_stamp: u64, resample_count: u64) -> Self {
         Self {
+            bounds: soa.xy_bounds(),
             soa,
-            pointer_stamp: stamp,
-            resample_count: 0,
+            pointer_stamp,
+            resample_count,
         }
     }
 
@@ -209,11 +222,7 @@ impl ObjectFilter {
     /// belief decompression).
     pub(crate) fn from_particles(particles: Vec<ObjectParticle>, stamp: u64) -> Self {
         debug_assert!(!particles.is_empty(), "object filters are never empty");
-        Self {
-            soa: ParticleSoa::from_aos(&particles),
-            pointer_stamp: stamp,
-            resample_count: 0,
-        }
+        Self::from_soa(ParticleSoa::from_aos(&particles), stamp, 0)
     }
 
     /// Rebuilds a filter from checkpointed parts, preserving the
@@ -221,11 +230,7 @@ impl ObjectFilter {
     /// decompression, which is a fresh start.
     pub fn from_parts(particles: Vec<ObjectParticle>, pointer_stamp: u64, resamples: u64) -> Self {
         debug_assert!(!particles.is_empty(), "object filters are never empty");
-        Self {
-            soa: ParticleSoa::from_aos(&particles),
-            pointer_stamp,
-            resample_count: resamples,
-        }
+        Self::from_soa(ParticleSoa::from_aos(&particles), pointer_stamp, resamples)
     }
 
     /// The particle columns (struct-of-arrays layout).
@@ -238,6 +243,29 @@ impl ObjectFilter {
     /// whole `ObjectParticle` values.
     pub fn iter_particles(&self) -> impl Iterator<Item = ObjectParticle> + '_ {
         self.soa.iter()
+    }
+
+    /// XY extent of the particle locations (cached; see the field).
+    pub fn xy_bounds(&self) -> &XyBounds {
+        &self.bounds
+    }
+
+    /// Whether any particle lies inside `region` (boundary included,
+    /// as [`Aabb::contains`]). A cloud whose XY extent misses the
+    /// region is answered from the cached bounds; the rest scan the
+    /// coordinate columns.
+    pub(crate) fn any_particle_in(&self, region: &Aabb) -> bool {
+        let b = &self.bounds;
+        // NaN bounds fail all four tests and take the scan
+        if b.max[0] < region.min.x
+            || b.min[0] > region.max.x
+            || b.max[1] < region.min.y
+            || b.min[1] > region.max.y
+        {
+            return false;
+        }
+        let (xs, ys, zs) = (&self.soa.xs, &self.soa.ys, &self.soa.zs);
+        (0..xs.len()).any(|i| region.contains(&Point3::new(xs[i], ys[i], zs[i])))
     }
 
     /// Epoch stamp of the last pointer refresh (checkpointing).
@@ -342,6 +370,7 @@ impl ObjectFilter {
             let next = model.object.sample_next(&loc, prior, rng);
             self.soa.set_loc(i, next);
         }
+        self.bounds = self.soa.xy_bounds();
     }
 
     /// The object step of the hot path: weight → (maybe) resample →
@@ -417,6 +446,8 @@ impl ObjectFilter {
                 *w = uniform;
             }
             self.resample_count += 1;
+            // survivors only: the extent may have shrunk
+            self.bounds = self.soa.xy_bounds();
             // uniform object weights: the joint is the reader factor alone
             scratch.probs.clear();
             scratch.probs.extend(
@@ -548,13 +579,24 @@ impl ObjectFilter {
     }
 
     /// The particle cloud as `(weight, location)` pairs under joint
-    /// weights — the input to belief compression.
-    pub(crate) fn weighted_cloud(&self, reader: &ReaderFilter) -> Vec<(f64, Point3)> {
-        self.normalized_joint_weights(reader)
-            .into_iter()
-            .zip(self.soa.iter())
-            .map(|(w, p)| (w, p.loc))
-            .collect()
+    /// weights — the input to belief compression — built into
+    /// caller-owned buffers (`out` is cleared first; no allocation once
+    /// they are warm).
+    pub fn weighted_cloud_into(
+        &self,
+        reader: &ReaderFilter,
+        scratch: &mut StepScratch,
+        out: &mut Vec<(f64, Point3)>,
+    ) {
+        Self::fill_joint(&self.soa, reader, &mut scratch.joint, &mut scratch.probs);
+        out.clear();
+        out.extend(
+            scratch
+                .probs
+                .iter()
+                .zip(self.soa.iter())
+                .map(|(&w, p)| (w, p.loc)),
+        );
     }
 
     /// §IV-A re-detection handling: keeps the better half of the
@@ -596,6 +638,7 @@ impl ObjectFilter {
         for &i in order.iter().skip(n / 2) {
             self.soa.log_w[i] = uniform;
         }
+        self.bounds = self.soa.xy_bounds();
     }
 }
 
@@ -790,6 +833,59 @@ mod tests {
             .filter(|p| p.loc.x.abs() < 1.0 && p.loc.y < 0.6)
             .count();
         assert_eq!(near_origin, 50);
+    }
+
+    #[test]
+    fn bounds_follow_the_columns_through_every_mutation() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let m = model();
+        let mut reader = reader_at(Pose::identity(), 10);
+        let mut f = init(&reader, 6.0, 1.0, 300, &mut rng);
+        assert_eq!(*f.xy_bounds(), f.soa().xy_bounds());
+        f.predict(&m, &prior(), true, &mut rng);
+        assert_eq!(*f.xy_bounds(), f.soa().xy_bounds());
+        let far = reader_at(Pose::new(Point3::new(50.0, 50.0, 0.0), 0.0), 10);
+        f.respawn_half(&far, &far.tables(), 4.0, 0.6, NO_PRIOR, &mut rng);
+        assert_eq!(*f.xy_bounds(), f.soa().xy_bounds());
+        assert!(f.xy_bounds().max[0] > 40.0, "half the cloud moved");
+        // a resampling step keeps survivors only
+        assert!(step(&mut f, &m, &mut reader, true, 1.0, &mut rng).resampled);
+        assert_eq!(*f.xy_bounds(), f.soa().xy_bounds());
+        let again = ObjectFilter::from_parts(f.iter_particles().collect(), 3, 1);
+        assert_eq!(again.xy_bounds(), f.xy_bounds(), "a restored filter agrees");
+    }
+
+    #[test]
+    fn any_particle_in_equals_the_particle_scan() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let reader = reader_at(Pose::identity(), 10);
+        let f = init(&reader, 4.0, 0.6, 200, &mut rng);
+        let b = *f.xy_bounds();
+        let boxed = |x0: f64, y0: f64, x1: f64, y1: f64| {
+            Aabb::new(Point3::new(x0, y0, -1.0), Point3::new(x1, y1, 1.0))
+        };
+        let regions = [
+            boxed(-9.0, -9.0, 9.0, 9.0),
+            boxed(b.max[0] + 0.1, -9.0, b.max[0] + 1.0, 9.0),
+            // touching the extent exactly: the boundary counts
+            boxed(b.max[0], -9.0, b.max[0] + 1.0, 9.0),
+            boxed(-9.0, b.min[1] - 1.0, 9.0, b.min[1]),
+            // overlapping the extent's corner, where the cone is empty
+            boxed(b.min[0], b.max[1] - 1e-3, b.min[0] + 1e-3, b.max[1]),
+            // right XY, wrong height
+            Aabb::new(Point3::new(-9.0, -9.0, 5.0), Point3::new(9.0, 9.0, 6.0)),
+        ];
+        for r in &regions {
+            let scan = f.iter_particles().any(|p| r.contains(&p.loc));
+            assert_eq!(f.any_particle_in(r), scan, "{r:?}");
+        }
+        // a NaN coordinate poisons the bounds; the scan still answers
+        let mut particles: Vec<ObjectParticle> = f.iter_particles().collect();
+        particles[7].loc.x = f64::NAN;
+        let g = ObjectFilter::from_particles(particles, 0);
+        assert!(g.xy_bounds().min[0].is_nan() && g.xy_bounds().max[1].is_nan());
+        assert!(g.any_particle_in(&regions[0]));
+        assert!(!g.any_particle_in(&regions[1]));
     }
 
     #[test]

@@ -59,4 +59,6 @@ pub use factored::{
     sample_cone, sample_cone_in_prior, ObjectFilter, ReaderFilter, ReaderRemap, ReaderTables,
     StepOutcome,
 };
-pub use particle::{log_normalize, log_normalize_exp, ObjectParticle, ParticleSoa, ReaderParticle};
+pub use particle::{
+    log_normalize, log_normalize_exp, ObjectParticle, ParticleSoa, ReaderParticle, XyBounds,
+};

@@ -258,6 +258,15 @@ pub(crate) fn systematic_resample_counts<R: Rng + ?Sized>(
     }
 }
 
+/// The XY extent of a particle cloud (see [`ParticleSoa::xy_bounds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct XyBounds {
+    /// Smallest `[x, y]`.
+    pub min: [f64; 2],
+    /// Largest `[x, y]`.
+    pub max: [f64; 2],
+}
+
 /// Struct-of-arrays storage for an object's particle set: parallel
 /// coordinate, pointer, and weight columns instead of a
 /// `Vec<ObjectParticle>`.
@@ -359,6 +368,27 @@ impl ParticleSoa {
     /// Iterates the particles as [`ObjectParticle`] values, in order.
     pub fn iter(&self) -> impl Iterator<Item = ObjectParticle> + '_ {
         (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The XY extent of the location columns — a pure function of
+    /// them, so a filter rebuilt from a checkpoint holds the bounds the
+    /// uninterrupted one does. A NaN or infinite coordinate anywhere
+    /// makes all four bounds NaN (`f64::min`/`max` would skip it), and
+    /// a NaN bound fails every comparison made against it: whoever
+    /// asks "is the cloud clear of this region?" is told no.
+    pub fn xy_bounds(&self) -> XyBounds {
+        let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
+        // x·0 is 0 for a finite x and NaN otherwise
+        let mut poison = 0.0;
+        for (&x, &y) in self.xs.iter().zip(&self.ys) {
+            lo = [lo[0].min(x), lo[1].min(y)];
+            hi = [hi[0].max(x), hi[1].max(y)];
+            poison += x * 0.0 + y * 0.0;
+        }
+        XyBounds {
+            min: [lo[0] + poison, lo[1] + poison],
+            max: [hi[0] + poison, hi[1] + poison],
+        }
     }
 
     /// Approximate heap footprint of the live particle data, in bytes

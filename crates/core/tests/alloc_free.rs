@@ -2,7 +2,10 @@
 //! performs **zero heap allocations** for an active, non-resampling
 //! object: a counting global allocator brackets the hot path
 //! (pointer refresh → predict → fused weight/estimate) after a warm-up
-//! step has grown the scratch buffers.
+//! step has grown the scratch buffers. The last measured epoch also
+//! fires a belief compression the way the engine's sweep does — the
+//! weighted cloud built into caller-owned buffers, the Gaussian fitted
+//! and its loss computed — which must not allocate either.
 //!
 //! The bracket also covers the observability layer: every metric kind
 //! (counter add, gauge high-water, histogram record) and the
@@ -20,9 +23,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfid_core::{ObjectFilter, ReaderFilter, StepScratch};
+use rfid_core::{CompressedBelief, ObjectFilter, ReaderFilter, StepScratch};
 use rfid_geom::{Point3, Pose};
 use rfid_model::{BoxPrior, JointModel, ModelParams};
+use rfid_stream::Epoch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -87,6 +91,9 @@ fn steady_state_object_step_allocates_nothing() {
         &mut support,
         &mut rng,
     );
+    // ... and one cloud build sizes the compression sweep's buffers
+    let mut cloud = Vec::new();
+    filter.weighted_cloud_into(&reader, &mut scratch, &mut cloud);
 
     // measured steady state: pointer refresh + predict + fused step
     // over several epochs. ess_frac = 0.0 never resamples (the
@@ -126,6 +133,13 @@ fn steady_state_object_step_allocates_nothing() {
             step_stamp_hw.record_max(stamp);
             step_us.record(stamp);
             assert_eq!(rfid_obs::trace().slow_epoch_us(), 0);
+            // the epoch in which the compression sweep reaches this
+            // object
+            if stamp % 100 == 11 {
+                filter.weighted_cloud_into(&reader, &mut scratch, &mut cloud);
+                let c = CompressedBelief::compress(&cloud, Epoch(stamp)).expect("weighted cloud");
+                assert!(c.loss.is_finite());
+            }
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         best = best.min(after - before);
