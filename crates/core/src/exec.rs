@@ -35,8 +35,9 @@ use rand::SeedableRng;
 #[derive(Debug, Default, Clone)]
 pub struct StepScratch {
     /// Normalized joint (object × reader) log weights — written only
-    /// by the log-space joint pass (first-sighting estimates and the
-    /// step's underflow fallback), never by an ordinary step.
+    /// by the log-space joint pass (first-sighting estimates, the
+    /// compression sweep's weighted cloud and the step's underflow
+    /// fallback), never by an ordinary step.
     pub joint: Vec<f64>,
     /// The step's one probability buffer: first `exp(log_w − max)` from
     /// the object-weight normalization, then — multiplied by the reader

@@ -264,8 +264,7 @@ impl ObjectFilter {
         {
             return false;
         }
-        let (xs, ys, zs) = (&self.soa.xs, &self.soa.ys, &self.soa.zs);
-        (0..xs.len()).any(|i| region.contains(&Point3::new(xs[i], ys[i], zs[i])))
+        (0..self.soa.len()).any(|i| region.contains(&self.soa.loc(i)))
     }
 
     /// Epoch stamp of the last pointer refresh (checkpointing).

@@ -258,13 +258,66 @@ pub(crate) fn systematic_resample_counts<R: Rng + ?Sized>(
     }
 }
 
-/// The XY extent of a particle cloud (see [`ParticleSoa::xy_bounds`]).
+/// The XY extent of a particle cloud — an object's
+/// ([`ParticleSoa::xy_bounds`]) or the reader's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct XyBounds {
     /// Smallest `[x, y]`.
     pub min: [f64; 2],
     /// Largest `[x, y]`.
     pub max: [f64; 2],
+}
+
+impl XyBounds {
+    /// The extent of the points `(xs[i], ys[i])`. A NaN or infinite
+    /// coordinate anywhere makes all four bounds NaN (`f64::min`/`max`
+    /// would skip it), and a NaN bound fails every comparison made
+    /// against it: whoever asks "is the cloud clear of this region?" is
+    /// told no.
+    pub(crate) fn of(xs: &[f64], ys: &[f64]) -> Self {
+        let ([x0, x1], [y0, y1]) = (column_extent(xs), column_extent(ys));
+        // one poisoned axis poisons the other
+        let poison = (x0 + y0) * 0.0;
+        Self {
+            min: [x0 + poison, y0 + poison],
+            max: [x1 + poison, y1 + poison],
+        }
+    }
+}
+
+/// `[min, max]` of a column, both NaN when an entry is NaN or infinite.
+/// Four running minima and maxima side by side: one of each would
+/// wait out the latency of `min`/`max` a thousand times in a row
+/// (`step_components/xy_bounds/1000`: 2.1 µs that way, 1.0 µs this
+/// way).
+fn column_extent(col: &[f64]) -> [f64; 2] {
+    const LANES: usize = 4;
+    let (mut lo, mut hi) = ([f64::INFINITY; LANES], [f64::NEG_INFINITY; LANES]);
+    let mut finite = true;
+    let mut take = |l: usize, v: f64| {
+        // a comparison, not `f64::min`: one instruction, and a NaN is
+        // skipped either way (`finite` is what notices it)
+        lo[l] = if v < lo[l] { v } else { lo[l] };
+        hi[l] = if v > hi[l] { v } else { hi[l] };
+        finite &= v.abs() < f64::INFINITY;
+    };
+    let chunks = col.chunks_exact(LANES);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (l, &v) in chunk.iter().enumerate() {
+            take(l, v);
+        }
+    }
+    for (l, &v) in rest.iter().enumerate() {
+        take(l, v);
+    }
+    if !finite {
+        return [f64::NAN; 2];
+    }
+    [
+        lo.into_iter().fold(f64::INFINITY, f64::min),
+        hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    ]
 }
 
 /// Struct-of-arrays storage for an object's particle set: parallel
@@ -372,23 +425,9 @@ impl ParticleSoa {
 
     /// The XY extent of the location columns — a pure function of
     /// them, so a filter rebuilt from a checkpoint holds the bounds the
-    /// uninterrupted one does. A NaN or infinite coordinate anywhere
-    /// makes all four bounds NaN (`f64::min`/`max` would skip it), and
-    /// a NaN bound fails every comparison made against it: whoever
-    /// asks "is the cloud clear of this region?" is told no.
+    /// uninterrupted one does.
     pub fn xy_bounds(&self) -> XyBounds {
-        let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
-        // x·0 is 0 for a finite x and NaN otherwise
-        let mut poison = 0.0;
-        for (&x, &y) in self.xs.iter().zip(&self.ys) {
-            lo = [lo[0].min(x), lo[1].min(y)];
-            hi = [hi[0].max(x), hi[1].max(y)];
-            poison += x * 0.0 + y * 0.0;
-        }
-        XyBounds {
-            min: [lo[0] + poison, lo[1] + poison],
-            max: [hi[0] + poison, hi[1] + poison],
-        }
+        XyBounds::of(&self.xs, &self.ys)
     }
 
     /// Approximate heap footprint of the live particle data, in bytes
@@ -463,6 +502,35 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn xy_bounds_are_the_plain_extent_and_poisoned_by_one_bad_entry() {
+        // every length around the lane width, the extremes in every slot
+        for n in 1..=13usize {
+            for (at_min, at_max) in [(0, n - 1), (n - 1, 0), (n / 2, n / 3)] {
+                let mut xs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+                let ys: Vec<f64> = xs.iter().map(|x| 500.0 - x).collect();
+                xs[at_max] = 7.5;
+                xs[at_min] = -3.25;
+                let b = XyBounds::of(&xs, &ys);
+                let plain = |c: &[f64]| {
+                    c.iter()
+                        .fold([f64::INFINITY, f64::NEG_INFINITY], |[lo, hi], &v| {
+                            [lo.min(v), hi.max(v)]
+                        })
+                };
+                assert_eq!([b.min[0], b.max[0]], plain(&xs), "n = {n}");
+                assert_eq!([b.min[1], b.max[1]], plain(&ys), "n = {n}");
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut poisoned = ys.clone();
+                    poisoned[n - 1] = bad;
+                    let b = XyBounds::of(&xs, &poisoned);
+                    let all = [b.min[0], b.min[1], b.max[0], b.max[1]];
+                    assert!(all.iter().all(|v| v.is_nan()), "n = {n}, {bad}: {b:?}");
+                }
+            }
+        }
+    }
 
     /// The generic form of [`ParticleSoa::reorder_by_counts`], the
     /// reference the columnar one is pinned against: reorders `items` in
