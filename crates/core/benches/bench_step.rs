@@ -5,7 +5,8 @@
 //! surrounding per-epoch components (`refresh_pointers`, `predict`,
 //! first-sighting `init_from_cone`, the `log_normalize_exp` pass on the
 //! two kinds of weight column, one belief compression and
-//! decompression) so a profile of the engine's infer and emit stages
+//! decompression, the index's out-of-reach test and the extent scan
+//! behind it) so a profile of the engine's infer and emit stages
 //! can be cross-checked against isolated numbers.
 //!
 //! Two fixtures: the logistic sensor over a box prior, and the
@@ -20,7 +21,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reference::ReferenceFilter;
 use rfid_core::{
-    log_normalize_exp, CompressedBelief, ObjectFilter, ReaderFilter, ReaderTables, StepScratch,
+    log_normalize_exp, CompressedBelief, ObjectFilter, Reach, ReaderFilter, ReaderTables,
+    StepScratch,
 };
 use rfid_geom::{Point3, Pose};
 use rfid_model::{BoxPrior, ConeSensor, JointModel, LocationPrior, ModelParams, ReadRateModel};
@@ -227,9 +229,17 @@ fn bench_epoch_components(c: &mut Criterion) {
         });
     }
     {
-        // what a resampling step pays to keep the filter's cached XY
-        // extent equal to its columns
+        // the index's out-of-reach decision for one candidate (the
+        // per-epoch `Reach::new` is outside the loop, as in the engine:
+        // the cost must not depend on either particle count), and what
+        // a resampling step pays to keep the extent it reads equal to
+        // the filter's columns
         let f = warehouse(1000);
+        let edge = f.model.sensor.hard_edge().expect("the cone has an edge");
+        let reach = Reach::new(&f.tables, edge);
+        g.bench_function("reach_test", |b| {
+            b.iter(|| black_box(&reach).cannot_see(black_box(f.filter.xy_bounds())))
+        });
         g.bench_function("xy_bounds/1000", |b| {
             b.iter(|| black_box(f.filter.soa()).xy_bounds())
         });

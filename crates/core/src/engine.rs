@@ -7,9 +7,11 @@
 //!    readings into shelf evidence and object reads, then update the
 //!    reader filter;
 //! 2. **inference** (`InferenceEngine::infer`): build the sorted
-//!    active set (Cases 1–2 via the spatial index) — the step queue —
-//!    run the per-object updates, schedule compression checks, and
-//!    record the sensing region;
+//!    active set — Case 1, the objects read; Case 2, the objects the
+//!    spatial index recorded nearby *and* some reader particle can see
+//!    ([`crate::Reach`]: exact, so only for a sensor with a hard edge)
+//!    — which is the step queue; run the per-object updates, schedule
+//!    compression checks, and record the sensing region;
 //! 3. **emission** (`InferenceEngine::emit`): collect due events
 //!    from the output policy, resample the reader, and run the
 //!    compression sweep.
@@ -48,7 +50,7 @@ use crate::error::ConfigError;
 use crate::exec::{self, StepScratch};
 use crate::factored::{ObjectFilter, ReaderFilter, ReaderTables};
 use crate::output::OutputPolicy;
-use crate::spatial_hook::{sensing_box, SpatialHook};
+use crate::spatial_hook::{sensing_box, Reach, SpatialHook};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Point3, Pose};
@@ -123,6 +125,11 @@ struct EngineMetrics {
     decompressions: rfid_obs::Counter,
     half_respawns: rfid_obs::Counter,
     full_reinits: rfid_obs::Counter,
+    /// Case-2 candidates the pre-pass dropped because no reader
+    /// particle could see them. Not an [`EngineStats`] field (the
+    /// checkpoint carries that struct): [`InferenceEngine::infer`] is
+    /// its one write site.
+    out_of_reach: rfid_obs::Counter,
     ingest_us: rfid_obs::Histogram,
     infer_us: rfid_obs::Histogram,
     emit_us: rfid_obs::Histogram,
@@ -143,6 +150,7 @@ impl EngineMetrics {
             decompressions: r.counter("engine_decompressions_total"),
             half_respawns: r.counter("engine_half_respawns_total"),
             full_reinits: r.counter("engine_full_reinits_total"),
+            out_of_reach: r.counter("engine_out_of_reach_total"),
             ingest_us: r.histogram("engine_ingest_us"),
             infer_us: r.histogram("engine_infer_us"),
             emit_us: r.histogram("engine_emit_us"),
@@ -525,29 +533,65 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.active.sort_unstable();
         self.active.dedup();
 
-        // --- pre-pass: output policy, compressed-miss skip -----------
+        // one build serves the reach test below and every pointer
+        // refresh / init / respawn / step this epoch — the reader is
+        // frozen while objects step
+        if !self.active.is_empty() {
+            let reader = self.reader.as_ref().expect("reader initialized");
+            reader.tables_into(&mut self.reader_tables);
+        }
+        // Case 2 has two halves: recorded nearby (the candidates), and
+        // within some reader particle's reach. The second is decidable
+        // only for a sensor with a hard edge, and lives with the index:
+        // without it every object is stepped, as the paper's
+        // un-enhanced filter does.
+        let reach = match (&self.hook, self.model.sensor.hard_edge()) {
+            (Some(_), Some(edge)) if !self.active.is_empty() => {
+                Some(Reach::new(&self.reader_tables, edge))
+            }
+            _ => None,
+        };
+
+        // --- pre-pass: output policy, the misses nobody steps --------
         self.steps.clear();
+        let mut kept = 0;
         for i in 0..self.active.len() {
             let tag = self.active[i];
             let read = self.object_read.binary_search(&tag).is_ok();
+            let mut step = true;
             if read {
                 self.policy.on_read(tag, epoch);
-            } else if matches!(
-                self.objects.get(&tag),
-                Some(ObjectState {
-                    belief: Belief::Compressed(_),
-                    ..
-                })
-            ) {
-                // "when a compressed object has its tag read again, we
-                // ... decompress" (§IV-D): a compressed Case-2 object
-                // stays compressed — a miss carries almost no
-                // information about a belief that already stabilized,
-                // and decompressing for it would thrash.
-                continue;
+            } else {
+                match self.objects.get(&tag).map(|s| &s.belief) {
+                    // "when a compressed object has its tag read again,
+                    // we ... decompress" (§IV-D): a compressed Case-2
+                    // object stays compressed — a miss carries almost
+                    // no information about a belief that already
+                    // stabilized, and decompressing for it would thrash.
+                    Some(Belief::Compressed(_)) => step = false,
+                    // a miss no reader particle could have turned into
+                    // a read adds exactly 0.0 to every log weight: the
+                    // object leaves the active set itself, so that the
+                    // remap loops (here and in the cluster worker) and
+                    // the recorded region see what was stepped
+                    Some(Belief::Active(f))
+                        if reach.is_some_and(|r| r.cannot_see(f.xy_bounds())) =>
+                    {
+                        continue;
+                    }
+                    _ => {}
+                }
             }
-            self.steps.push(StepTask { tag, read });
+            self.active[kept] = tag;
+            kept += 1;
+            if step {
+                self.steps.push(StepTask { tag, read });
+            }
         }
+        self.metrics
+            .out_of_reach
+            .add((self.active.len() - kept) as u64);
+        self.active.truncate(kept);
 
         // --- per-object updates ---------------------------------------
         self.run_steps(epoch, stamp, reader_est.pos);
@@ -722,9 +766,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
         self.stats.object_updates += self.steps.len() as u64;
         let reader = self.reader.as_mut().expect("reader initialized");
-        // one build serves every pointer refresh / init / respawn /
-        // step this epoch — the reader is frozen while objects step
-        reader.tables_into(&mut self.reader_tables);
         let ctx = StepCtx {
             model: &self.model,
             prior: &self.prior,
@@ -1087,6 +1128,41 @@ mod tests {
         );
         // and estimates stay in the same neighborhood
         assert!(est_plain.dist_xy(&est_indexed) < 2.0);
+    }
+
+    #[test]
+    fn a_passed_object_is_a_candidate_the_cone_engine_does_not_step() {
+        // the reader faces +x and walks up the aisle past an object at
+        // (2, 3): read while it is in the cone, then a Case-2 candidate
+        // for as long as the sensing box overlaps a recorded region.
+        // The logistic sensor can always have read it; the cone sensor
+        // cannot once every particle is behind the wedge's edge.
+        fn updates_after_passing<S: ReadRateModel>(sensor: S) -> (u64, u64) {
+            let model = JointModel::with_sensor(sensor, ModelParams::default_warehouse());
+            let mut cfg = FilterConfig::indexed_default();
+            cfg.particles_per_object = 200;
+            cfg.reader_particles = 30;
+            let mut e = InferenceEngine::new(model, prior(), vec![], cfg).unwrap();
+            let mut at_passing = 0;
+            for t in 0..80u64 {
+                let y = t as f64 * 0.1;
+                let tags: &[u64] = if (y - 3.0).abs() < 0.5 { &[7] } else { &[] };
+                e.process_batch(&batch(t, y, tags));
+                // 2 ft of standoff × tan 30° = 1.15 ft past the object,
+                // plus the cloud's own extent
+                if t == 55 {
+                    at_passing = e.stats().object_updates;
+                }
+            }
+            (at_passing, e.stats().object_updates)
+        }
+        let (before, after) = updates_after_passing(rfid_model::ConeSensor::paper_default());
+        assert!(before > 0);
+        assert_eq!(before, after, "stepped an object no particle could see");
+        let logistic =
+            rfid_model::LogisticSensorModel::new(ModelParams::default_warehouse().sensor);
+        let (before, after) = updates_after_passing(logistic);
+        assert!(after > before, "the object was no longer a candidate");
     }
 
     #[test]

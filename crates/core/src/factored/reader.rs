@@ -14,7 +14,7 @@
 
 use crate::particle::{
     effective_sample_size_iter, log_normalize, log_normalize_by, systematic_resample,
-    weighted_mean_pose, ReaderParticle,
+    weighted_mean_pose, ReaderParticle, XyBounds,
 };
 use rand::Rng;
 use rfid_geom::{Point3, Pose, Vec3};
@@ -76,6 +76,60 @@ pub struct ReaderTables {
     /// Heading `[cos φ, sin φ]`, hoisted out of the object weight
     /// passes.
     pub trig: Vec<[f64; 2]>,
+    /// Particle positions as `x` and `y` columns, for the envelope.
+    xy: [Vec<f64>; 2],
+    /// Where the cloud is and which way it faces, whatever the
+    /// weights — what the spatial index's reach test
+    /// ([`crate::Reach`]) holds an object's extent against.
+    pub(crate) envelope: ReaderEnvelope,
+}
+
+/// The reader cloud's envelope: every particle's position lies in
+/// `bounds`, and every particle's heading within `heading_spread` of
+/// `heading`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReaderEnvelope {
+    /// XY extent of the particle positions.
+    pub(crate) bounds: XyBounds,
+    /// Unit vector of the mean heading.
+    pub(crate) heading: [f64; 2],
+    /// Largest angle (radians) between a particle's heading and the
+    /// mean; NaN when the headings have no mean (they cancel, or one
+    /// of them is NaN).
+    pub(crate) heading_spread: f64,
+}
+
+impl Default for ReaderEnvelope {
+    /// The envelope of no particles: an empty box, no heading.
+    fn default() -> Self {
+        Self::of([&[], &[]], &[])
+    }
+}
+
+impl ReaderEnvelope {
+    /// The envelope of particles at `(xs[i], ys[i])` whose heading
+    /// trig is `trig[i]`.
+    fn of([xs, ys]: [&[f64]; 2], trig: &[[f64; 2]]) -> Self {
+        let sum = trig
+            .iter()
+            .fold([0.0f64; 2], |sum, [c, s]| [sum[0] + c, sum[1] + s]);
+        let norm = sum[0].hypot(sum[1]);
+        let heading = [sum[0] / norm, sum[1] / norm];
+        // the smallest cosine is the largest angle
+        let cos_spread = trig
+            .iter()
+            .map(|[c, s]| c * heading[0] + s * heading[1])
+            .fold(1.0, f64::min);
+        Self {
+            bounds: XyBounds::of(xs, ys),
+            heading,
+            heading_spread: if norm > 0.0 && norm.is_finite() {
+                cos_spread.clamp(-1.0, 1.0).acos()
+            } else {
+                f64::NAN
+            },
+        }
+    }
 }
 
 /// Guide buckets per reader particle (rounded up to a power of two).
@@ -373,6 +427,12 @@ impl ReaderFilter {
                 .map(|p| [p.pose.phi.cos(), p.pose.phi.sin()]),
         );
         out.build_guide();
+        let [xs, ys] = &mut out.xy;
+        xs.clear();
+        xs.extend(self.particles.iter().map(|p| p.pose.pos.x));
+        ys.clear();
+        ys.extend(self.particles.iter().map(|p| p.pose.pos.y));
+        out.envelope = ReaderEnvelope::of([xs, ys], &out.trig);
     }
 
     /// The tables in a fresh allocation, for callers outside the

@@ -62,3 +62,4 @@ pub use factored::{
 pub use particle::{
     log_normalize, log_normalize_exp, ObjectParticle, ParticleSoa, ReaderParticle, XyBounds,
 };
+pub use spatial_hook::Reach;

@@ -91,6 +91,19 @@ pub trait ReadRateModel: Send + Sync {
         self.log_likelihood_dt(d, th, read)
     }
 
+    /// The sensor's hard edge, for a model that has one:
+    /// `Some((range, half_angle))` promises that the read probability
+    /// is **exactly** zero for a tag farther than `range` (feet) from
+    /// the reader, and for one whose bearing exceeds `half_angle`
+    /// (radians) — so that a miss there has log likelihood exactly
+    /// `0.0` and carries no information. `None` (the default) promises
+    /// nothing, and is the answer of any model whose read rate merely
+    /// gets small: the engine skips work on the strength of this
+    /// answer, and "close to zero" is not a reason to.
+    fn hard_edge(&self) -> Option<(f64, f64)> {
+        None
+    }
+
     /// An overestimate of the detection range: the largest distance (at
     /// the most favorable angle) at which the read probability still
     /// exceeds `floor`. Used to size sensing-region bounding boxes and
@@ -240,6 +253,15 @@ impl ConeSensor {
 }
 
 impl ReadRateModel for ConeSensor {
+    /// Beyond `max_range`, or outside the minor range's outer edge,
+    /// [`p_read_dt`](Self::p_read_dt) returns the literal `0.0`.
+    fn hard_edge(&self) -> Option<(f64, f64)> {
+        Some((
+            self.max_range,
+            self.major_half_angle + self.minor_extra_angle,
+        ))
+    }
+
     fn p_read_dt(&self, d: f64, theta: f64) -> f64 {
         if d > self.max_range {
             return 0.0;
@@ -428,6 +450,23 @@ mod tests {
         assert_eq!(c.p_read_dt(2.0, 40f64.to_radians()), 0.0);
         // beyond range: zero even head-on
         assert_eq!(c.p_read_dt(5.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn only_the_cone_reports_a_hard_edge_and_misses_past_it_weigh_nothing() {
+        let lm = LogisticSensorModel::new(SensorParams::default_cone_like());
+        assert_eq!(lm.hard_edge(), None);
+        assert_eq!(SphericalSensor::for_timeout_ms(500).hard_edge(), None);
+        let c = ConeSensor::with_rr_major(0.8);
+        let (range, half) = c.hard_edge().expect("the cone has one");
+        assert_eq!((range, half), (4.0, 30f64.to_radians()));
+        let pose = Pose::new(Point3::new(1.0, 1.0, 0.0), 0.4);
+        for (d, th) in [(range + 1e-9, 0.0), (1.0, half + 1e-9), (9.0, 2.0)] {
+            let tag = Point3::new(1.0 + d * (0.4 + th).cos(), 1.0 + d * (0.4 + th).sin(), 0.0);
+            assert_eq!(c.p_read(&pose, &tag), 0.0, "d={d} th={th}");
+            let ll = c.log_likelihood(&pose, &tag, false);
+            assert_eq!(ll.to_bits(), 0f64.to_bits(), "d={d} th={th}");
+        }
     }
 
     #[test]

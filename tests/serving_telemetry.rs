@@ -72,6 +72,8 @@ fn telemetry_scrape_exposes_every_layer() {
         "engine_epochs_total",
         "engine_half_respawns_total",
         "engine_full_reinits_total",
+        // registry-only: Case-2 candidates dropped as out of reach
+        "engine_out_of_reach_total",
         // pipeline: stage counters + buffer high-water gauges
         "pipeline_epochs_total",
         "pipeline_readings_total",
