@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reference::ReferenceFilter;
 use rfid_core::{ObjectFilter, ObjectParticle, ReaderFilter, ReaderParticle, StepScratch};
-use rfid_geom::{Point3, Pose};
-use rfid_model::{BoxPrior, JointModel, ModelParams};
+use rfid_geom::{Point3, Pose, Vec3};
+use rfid_model::{BoxPrior, ConeSensor, JointModel, ModelParams, ReadRateModel};
 
 const NO_PRIOR: Option<&BoxPrior> = None;
 
@@ -60,7 +60,8 @@ fn assert_particles_identical(a: &ReferenceFilter, b: &ObjectFilter, epoch: usiz
 /// `epochs` steps under a read/miss schedule, asserting bit-identical
 /// outcomes at every step. Returns the resample count and the last
 /// step's staged support row.
-fn drive_pair(
+fn drive_pair<S: ReadRateModel>(
+    m: &JointModel<S>,
     start: ObjectFilter,
     reader: ReaderFilter,
     ess_frac: f64,
@@ -68,7 +69,6 @@ fn drive_pair(
     epochs: usize,
     seed: u64,
 ) -> (u64, Vec<f64>) {
-    let m = JointModel::new(ModelParams::default_warehouse());
     let mut reader_ref = reader.clone();
     let mut reader_fused = reader;
     let mut reference = ReferenceFilter::from_filter(&start);
@@ -90,7 +90,7 @@ fn drive_pair(
         let read = read_at(epoch);
 
         // --- reference: three calls, fresh buffers --------------------
-        let probs = reference.weight(&m, &mut reader_ref, read);
+        let probs = reference.weight(m, &mut reader_ref, read);
         // the support row the weighted set implies, slot by slot in
         // particle order (the reference deposits the same addends
         // straight into its reader's running totals)
@@ -104,7 +104,7 @@ fn drive_pair(
         // --- production: one pass -------------------------------------
         support.fill(0.0);
         let out = fused.step_fused(
-            &m,
+            m,
             &reader_fused,
             &tables,
             read,
@@ -182,7 +182,8 @@ fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) ->
         NO_PRIOR,
         &mut init_rng,
     );
-    drive_pair(start, reader, ess_frac, read_at, epochs, seed).0
+    let m = JointModel::new(ModelParams::default_warehouse());
+    drive_pair(&m, start, reader, ess_frac, read_at, epochs, seed).0
 }
 
 #[test]
@@ -205,6 +206,98 @@ fn fused_step_equals_seed_path_resample_always() {
     // maximal exercise of the in-place reorder path
     let resamples = drive(1.0, |e| e % 2 == 0, 20, 13);
     assert_eq!(resamples, 20);
+}
+
+// --- the cone sensor: the model every benchmark workload runs ---------
+//
+// The drives above weight with the logistic sensor, whose likelihood is
+// one smooth expression. The paper's cone (Fig. 5(a)) is piecewise:
+// beyond range, inside the major cone, in the minor band, outside the
+// outer edge — and the step's cost and its `exp` shortcuts depend on
+// which region each particle falls in. These drives spread the reader
+// cloud so the pointed-to poses differ and every region is populated.
+
+/// A reader cloud whose poses are spread: every particle starts at one
+/// pose and is predicted five times with 0.3 ft of position noise and
+/// 0.2 rad of heading noise per step.
+fn spread_reader(n: usize, seed: u64) -> ReaderFilter {
+    let mut params = ModelParams::default_warehouse();
+    params.motion.sigma = Vec3::new(0.3, 0.3, 0.0);
+    params.motion.heading_std = 0.2;
+    let noisy = JointModel::new(params);
+    let mut reader = ReaderFilter::new(n, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1));
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..5 {
+        reader.predict(&noisy, Some(Vec3::zero()), Some(0.1), &mut rng);
+    }
+    reader
+}
+
+/// How many particles of `f` sit beyond range, in the major cone, in
+/// the minor band and outside the outer edge of the paper's cone, each
+/// seen from the reader particle it points at.
+fn cone_regions(f: &ObjectFilter, reader: &ReaderFilter) -> [usize; 4] {
+    let mut regions = [0usize; 4];
+    for p in f.iter_particles() {
+        let (d, th) = reader.pose_of(p.reader_idx).range_bearing(&p.loc);
+        let region = if d > 4.0 {
+            0
+        } else if th <= 15f64.to_radians() {
+            1
+        } else if th <= 30f64.to_radians() {
+            2
+        } else {
+            3
+        };
+        regions[region] += 1;
+    }
+    regions
+}
+
+/// [`drive_pair`] with the cone sensor, from a cone-initialized set
+/// (5 ft, 0.6 rad: wider and longer than the sensor) pointing into a
+/// spread reader cloud.
+fn drive_cone(sensor: ConeSensor, read_at: fn(usize) -> bool, seed: u64) -> u64 {
+    let reader = spread_reader(40, seed);
+    let mut init_rng = StdRng::seed_from_u64(seed);
+    let start = ObjectFilter::init_from_cone(
+        &reader,
+        &reader.tables(),
+        5.0,
+        0.6,
+        400,
+        0,
+        NO_PRIOR,
+        &mut init_rng,
+    );
+    let regions = cone_regions(&start, &reader);
+    assert!(
+        regions.iter().all(|&k| k >= 10),
+        "every sensor region populated: {regions:?}"
+    );
+    let m = JointModel::with_sensor(sensor, ModelParams::default_warehouse());
+    drive_pair(&m, start, reader, 0.5, read_at, 25, seed).0
+}
+
+#[test]
+fn fused_step_equals_reference_with_cone_sensor_on_read_heavy_trace() {
+    let resamples = drive_cone(ConeSensor::paper_default(), |e| e % 3 != 2, 31);
+    assert!(
+        resamples >= 1,
+        "trace should exercise the resampling branch"
+    );
+}
+
+#[test]
+fn fused_step_equals_reference_with_cone_sensor_on_miss_heavy_trace() {
+    drive_cone(ConeSensor::paper_default(), |e| e % 5 == 0, 32);
+}
+
+#[test]
+fn fused_step_equals_reference_with_cone_sensor_below_full_read_rate() {
+    // RR_major < 1: the major cone's constants are finite on both
+    // outcomes, so neither a read nor a miss kills a particle there
+    drive_cone(ConeSensor::with_rr_major(0.7), |e| e % 2 == 0, 33);
 }
 
 #[test]
@@ -288,6 +381,7 @@ fn assert_distribution(row: &[f64], what: &str) {
 fn drive_edge_case(what: &str, start: &ObjectFilter, reader: &ReaderFilter) {
     for ess_frac in [0.0, 1.0] {
         let (resamples, row) = drive_pair(
+            &JointModel::new(ModelParams::default_warehouse()),
             start.clone(),
             reader.clone(),
             ess_frac,
@@ -386,7 +480,8 @@ fn edge_step_after_a_resample_matches() {
     // object weights and duplicated particles
     let start = fan(80, 10, |i| if i % 16 == 0 { -1.0 } else { -40.0 });
     let reader = reader_with(10, |j| ((j + 1) as f64 / 55.0).ln());
-    let (resamples, row) = drive_pair(start, reader, 0.5, |_| true, 6, 29);
+    let m = JointModel::new(ModelParams::default_warehouse());
+    let (resamples, row) = drive_pair(&m, start, reader, 0.5, |_| true, 6, 29);
     assert!(resamples >= 1, "the peaked set must resample");
     assert_distribution(&row, "post-resample");
 }
