@@ -9,9 +9,11 @@
 //! behind it) so a profile of the engine's infer and emit stages
 //! can be cross-checked against isolated numbers.
 //!
-//! Two fixtures: the logistic sensor over a box prior, and the
+//! Three fixtures: the logistic sensor over a box prior, the
 //! benchmark's operating point — `ConeSensor` over a `WarehouseLayout`
-//! with the reader in the aisle facing the shelf.
+//! with the reader in the aisle facing the shelf — and the same point
+//! with the reader cloud spread, so the cone's regions interleave
+//! across the particles.
 
 #[path = "../tests/reference/mod.rs"]
 mod reference;
@@ -24,7 +26,7 @@ use rfid_core::{
     log_normalize_exp, CompressedBelief, ObjectFilter, Reach, ReaderFilter, ReaderTables,
     StepScratch,
 };
-use rfid_geom::{Point3, Pose};
+use rfid_geom::{Point3, Pose, Vec3};
 use rfid_model::{BoxPrior, ConeSensor, JointModel, LocationPrior, ModelParams, ReadRateModel};
 use rfid_sim::WarehouseLayout;
 use rfid_stream::Epoch;
@@ -50,10 +52,9 @@ struct Fixture<S: ReadRateModel, P: LocationPrior> {
 fn fixture<S: ReadRateModel, P: LocationPrior>(
     model: JointModel<S>,
     prior: P,
-    pose: Pose,
+    reader: ReaderFilter,
     n: usize,
 ) -> Fixture<S, P> {
-    let reader = ReaderFilter::new(READER_PARTICLES, pose);
     let tables = reader.tables();
     let mut rng = StdRng::seed_from_u64(42);
     let filter = ObjectFilter::init_from_cone(
@@ -86,7 +87,7 @@ fn logistic(n: usize) -> Fixture<rfid_model::LogisticSensorModel, BoxPrior> {
             Point3::new(-20.0, -20.0, 0.0),
             Point3::new(20.0, 20.0, 0.0),
         )),
-        Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1),
+        ReaderFilter::new(READER_PARTICLES, Pose::new(Point3::new(0.0, 0.5, 0.0), 0.1)),
         n,
     )
 }
@@ -94,15 +95,49 @@ fn logistic(n: usize) -> Fixture<rfid_model::LogisticSensorModel, BoxPrior> {
 /// The benchmark's operating point: paper cone sensor, shelves with
 /// faces at x = 2 ft, reader mid-aisle facing them.
 fn warehouse(n: usize) -> Fixture<ConeSensor, WarehouseLayout> {
+    warehouse_with(ReaderFilter::new(READER_PARTICLES, AISLE), n)
+}
+
+/// Mid-aisle, facing the shelf faces at x = 2 ft.
+const AISLE: Pose = Pose {
+    pos: Point3 {
+        x: 0.0,
+        y: 500.0,
+        z: 0.0,
+    },
+    phi: 0.0,
+};
+
+fn warehouse_with(reader: ReaderFilter, n: usize) -> Fixture<ConeSensor, WarehouseLayout> {
     fixture(
         JointModel::with_sensor(
             ConeSensor::paper_default(),
             ModelParams::default_warehouse(),
         ),
         WarehouseLayout::for_objects(2000, 0.5),
-        Pose::new(Point3::new(0.0, 500.0, 0.0), 0.0),
+        reader,
         n,
     )
+}
+
+/// [`warehouse`] with the reader cloud spread: five predicts with
+/// 0.2 ft of position noise and 0.1 rad of heading noise each. The
+/// particles of `warehouse` all point at one cloned pose, so whether a
+/// particle's likelihood is a constant or the exact line hardly changes
+/// from one particle to the next; here the pointed-to poses differ and
+/// the sensor regions interleave, as they do in a tracked reader's
+/// cloud.
+fn warehouse_spread(n: usize) -> Fixture<ConeSensor, WarehouseLayout> {
+    let mut params = ModelParams::default_warehouse();
+    params.motion.sigma = Vec3::new(0.2, 0.2, 0.0);
+    params.motion.heading_std = 0.1;
+    let noisy = JointModel::new(params);
+    let mut reader = ReaderFilter::new(READER_PARTICLES, AISLE);
+    let mut rng = StdRng::seed_from_u64(43);
+    for _ in 0..5 {
+        reader.predict(&noisy, Some(Vec3::zero()), Some(AISLE.phi), &mut rng);
+    }
+    warehouse_with(reader, n)
 }
 
 /// Fused SoA single-pass step (weight + resample decision + estimate),
@@ -140,6 +175,7 @@ fn fused_rows<S: ReadRateModel, P: LocationPrior>(
 fn bench_fused(c: &mut Criterion) {
     fused_rows(c, "step_fused_soa", logistic);
     fused_rows(c, "step_fused_soa_warehouse", warehouse);
+    fused_rows(c, "step_fused_soa_warehouse_spread", warehouse_spread);
 }
 
 /// The naive AoS reference: the same arithmetic in three calls with
@@ -210,11 +246,11 @@ fn bench_epoch_components(c: &mut Criterion) {
         ("dense", dense_column(1000)),
     ] {
         let mut work = column.clone();
-        let mut exps = Vec::new();
+        let (mut exps, mut pending) = (Vec::new(), Vec::new());
         g.bench_function(format!("log_normalize_exp/1000/{name}"), |b| {
             b.iter(|| {
                 work.copy_from_slice(&column);
-                log_normalize_exp(&mut work, &mut exps)
+                log_normalize_exp(&mut work, &mut exps, &mut pending)
             })
         });
     }

@@ -16,9 +16,10 @@
 //!    `tag % N` across processes and still emit the single-process
 //!    event stream bit for bit.
 //! 2. **Scratch buffers** ([`StepScratch`]): the joint-probability
-//!    buffer and the resampling-count buffer are owned by the engine
-//!    and reused across objects and epochs, so the steady-state step
-//!    path performs no heap allocation.
+//!    buffer, the resampling-count buffer and the weight pass's
+//!    increment and compaction buffers are owned by the engine and
+//!    reused across objects and epochs, so the steady-state step path
+//!    performs no heap allocation.
 //!
 //! More cores are spent one level up, on cluster workers (one engine
 //! per `tag % N` partition; 1.28× with two workers on the benchmark's
@@ -47,6 +48,15 @@ pub struct StepScratch {
     pub probs: Vec<f64>,
     /// Systematic-resampling replication counts.
     pub counts: Vec<u32>,
+    /// The weight pass's per-particle log-likelihood increments.
+    pub(crate) incr: Vec<f64>,
+    /// Indices compacted by a classifying pass: the particles whose
+    /// increment the weight pass computes exactly, then the weights
+    /// whose `exp` the normalization pays.
+    pub(crate) pending: Vec<u32>,
+    /// `[d, cos θ]` of each particle the weight pass deferred, aligned
+    /// with `pending`.
+    pub(crate) dc: Vec<[f64; 2]>,
 }
 
 /// Mixes `(master_seed, tag, epoch)` into a single seed word with a

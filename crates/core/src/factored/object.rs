@@ -377,12 +377,13 @@ impl ObjectFilter {
     /// supplied by the caller and **zero heap allocations** once
     /// `scratch` has warmed up.
     ///
-    /// At most one `exp` per particle per step. The weight pass is a
-    /// linear sweep over the particle columns (reader heading trig from
-    /// `tables`). Normalizing the
+    /// At most one `exp` per particle per step. The weight pass
+    /// ([`accumulate_weights`](Self::accumulate_weights)) classifies
+    /// every particle and pays the sensor's exact line only on the
+    /// compacted list of those that need it. Normalizing the
     /// object weights exponentiates `log_w − max` once
-    /// ([`log_normalize_exp`], which skips the call where the result is
-    /// exactly 1 or 0); those values times the reader weights
+    /// ([`log_normalize_exp`], which calls `exp` only on the compacted
+    /// list of results that are not exactly 1 or 0); those values times the reader weights
     /// `tables.probs`, divided by their sum, are the joint
     /// probabilities of Eq. 5's expansion, shared by the support
     /// staging, the ESS decision, the resampler and the moment
@@ -421,8 +422,12 @@ impl ObjectFilter {
         let n = self.soa.len();
 
         // -- weight (w_ti of Eq. 5), normalize in place, keep the exps --
-        self.accumulate_weights(model, reader, &tables.trig, read);
-        log_normalize_exp(&mut self.soa.log_w, &mut scratch.probs);
+        self.accumulate_weights(&model.sensor, reader, tables, read, scratch);
+        log_normalize_exp(
+            &mut self.soa.log_w,
+            &mut scratch.probs,
+            &mut scratch.pending,
+        );
 
         // -- joint probabilities: object factor × reader factor ---------
         for (p, &r) in scratch.probs.iter_mut().zip(&self.soa.reader_idx) {
@@ -482,25 +487,52 @@ impl ObjectFilter {
         }
     }
 
-    /// The weight pass: one sequential sweep over the coordinate,
-    /// pointer and weight columns, each particle's increment identical
-    /// to the naive
-    /// `log_w += object_log_weight(pose_of(reader_idx), loc, read)`
-    /// with the reader heading's cosine and sine read from the
-    /// per-epoch table instead of recomputed.
-    fn accumulate_weights<S: ReadRateModel>(
+    /// The weight pass: adds to every particle's log weight the sensor
+    /// log likelihood of the reading outcome, seen from the reader
+    /// particle it points at (heading trig from `tables`). Each
+    /// increment has the bits of
+    /// `sensor.log_likelihood_pose(pose_of(reader_idx), …, loc, read)`
+    /// and is added with the same `+=`, in index order.
+    ///
+    /// Three passes, because under a piecewise sensor the expensive
+    /// particles sit in unpredictable order among cheap ones. The first
+    /// classifies every particle ([`ReadRateModel::classify_pose`]),
+    /// writes its constant and appends the index of each particle the
+    /// classifier defers — unconditionally at the list's end, which
+    /// then grows by `exact as usize` — so no branch depends on the
+    /// answer. The second computes the exact line over that list only;
+    /// the third adds the increments. A model that never defers leaves
+    /// the list empty.
+    pub fn accumulate_weights<S: ReadRateModel>(
         &mut self,
-        model: &JointModel<S>,
+        sensor: &S,
         reader: &ReaderFilter,
-        trig: &[[f64; 2]],
+        tables: &ReaderTables,
         read: bool,
+        scratch: &mut StepScratch,
     ) {
-        for i in 0..self.soa.len() {
-            let r = self.soa.reader_idx[i];
-            let pose = reader.pose_of(r);
-            let [cph, sph] = trig[r as usize];
+        let n = self.soa.len();
+        let StepScratch {
+            incr, pending, dc, ..
+        } = scratch;
+        incr.resize(n, 0.0);
+        pending.resize(n, 0);
+        dc.resize(n, [0.0; 2]);
+        let mut m = 0;
+        for (i, (inc, &r)) in incr.iter_mut().zip(&self.soa.reader_idx).enumerate() {
+            let [cph, sph] = tables.trig[r as usize];
             let loc = self.soa.loc(i);
-            self.soa.log_w[i] += model.object_log_weight_pose(&pose.pos, cph, sph, &loc, read);
+            let k = sensor.classify_pose(&reader.pose_of(r).pos, cph, sph, &loc, read);
+            *inc = k.value;
+            pending[m] = i as u32;
+            dc[m] = [k.d, k.c];
+            m += usize::from(k.exact);
+        }
+        for (&i, &[d, c]) in pending[..m].iter().zip(&dc[..m]) {
+            incr[i as usize] = sensor.log_likelihood_dt(d, c.acos(), read);
+        }
+        for (w, &x) in self.soa.log_w.iter_mut().zip(incr.iter()) {
+            *w += x;
         }
     }
 

@@ -60,35 +60,41 @@ pub fn log_normalize(log_w: &mut [f64]) -> Option<f64> {
 /// A weight at the maximum and a dead one skip the `exp` call: IEEE 754
 /// fixes `exp(±0) = 1` and `exp(−inf) = +0` exactly, so the shortcut
 /// returns what the call would. A piecewise-constant sensor (the cone
-/// model) leaves most of a column at one of the two.
-pub fn log_normalize_exp(log_w: &mut [f64], exps: &mut Vec<f64>) -> Option<f64> {
-    exps.clear();
+/// model) leaves most of a column at one of the two, in no predictable
+/// order, so the column is classified first — `1.0` or `0.0` written,
+/// every other index (a finite difference, a NaN) appended to
+/// `pending` without a branch on which — and `exp` then runs over
+/// that list alone. `pending` is scratch; its contents on return mean
+/// nothing.
+pub fn log_normalize_exp(
+    log_w: &mut [f64],
+    exps: &mut Vec<f64>,
+    pending: &mut Vec<u32>,
+) -> Option<f64> {
+    let n = log_w.len();
     let max = log_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if !max.is_finite() {
-        let u = -(log_w.len() as f64).ln();
+        let u = -(n as f64).ln();
         for w in log_w.iter_mut() {
             *w = u;
         }
-        exps.resize(log_w.len(), 1.0);
+        exps.clear();
+        exps.resize(n, 1.0);
         return None;
     }
-    exps.extend(log_w.iter().map(|w| {
-        // d lies in [−inf, 0] or is NaN; the sign test goes first so a
-        // column with one maximum and no dead weight pays one
-        // predictable branch per entry
+    exps.resize(n, 0.0);
+    pending.resize(n, 0);
+    let mut m = 0;
+    for (i, (&w, e)) in log_w.iter().zip(exps.iter_mut()).enumerate() {
+        // d lies in [−inf, 0] or is NaN
         let d = w - max;
-        if d < 0.0 {
-            if d == f64::NEG_INFINITY {
-                0.0
-            } else {
-                d.exp()
-            }
-        } else if d == 0.0 {
-            1.0
-        } else {
-            d.exp()
-        }
-    }));
+        *e = if d == 0.0 { 1.0 } else { 0.0 };
+        pending[m] = i as u32;
+        m += usize::from(d != 0.0 && d != f64::NEG_INFINITY);
+    }
+    for &i in &pending[..m] {
+        exps[i as usize] = (log_w[i as usize] - max).exp();
+    }
     let sum: f64 = exps.iter().sum();
     let log_z = max + sum.ln();
     for w in log_w.iter_mut() {
@@ -605,7 +611,7 @@ mod tests {
             let raw = w.clone();
             let mut plain = w.clone();
             let mut exps = Vec::new();
-            let z = log_normalize_exp(&mut w, &mut exps).unwrap();
+            let z = log_normalize_exp(&mut w, &mut exps, &mut Vec::new()).unwrap();
             assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
             let max = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             for i in 0..w.len() {
@@ -631,7 +637,7 @@ mod tests {
             let mut w = raw.to_vec();
             let mut plain = raw.to_vec();
             let mut exps = Vec::new();
-            let z = log_normalize_exp(&mut w, &mut exps).unwrap();
+            let z = log_normalize_exp(&mut w, &mut exps, &mut Vec::new()).unwrap();
             assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
             let max = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             for i in 0..raw.len() {
@@ -643,10 +649,41 @@ mod tests {
                 );
             }
         }
+        // mixed columns, the classify pass's whole input space in random
+        // order: at the maximum (±0 after subtracting it), dead, finite,
+        // NaN; one pair of buffers across every length, so an entry a
+        // longer column left behind would show
+        let (mut exps, mut pending) = (Vec::new(), Vec::new());
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 1 + (seed as usize * 37) % 90;
+            let top = -rng.gen::<f64>() * 5.0;
+            let raw: Vec<f64> = (0..n)
+                .map(|i| match (i == n / 2, rng.gen_range(0..5u8)) {
+                    (true, _) | (_, 0) => top,
+                    (_, 1) => f64::NEG_INFINITY,
+                    (_, 2) if seed % 4 == 0 => f64::NAN,
+                    _ => top - rng.gen::<f64>() * 50.0,
+                })
+                .collect();
+            let mut w = raw.clone();
+            let mut plain = raw.clone();
+            let z = log_normalize_exp(&mut w, &mut exps, &mut pending).unwrap();
+            assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
+            assert_eq!(exps.len(), n);
+            for i in 0..n {
+                assert_eq!(w[i].to_bits(), plain[i].to_bits(), "seed {seed} weight {i}");
+                assert_eq!(
+                    exps[i].to_bits(),
+                    (raw[i] - top).exp().to_bits(),
+                    "seed {seed} exp {i}"
+                );
+            }
+        }
         // total depletion: uniform weights, equal exponentials
         let mut w = vec![f64::NEG_INFINITY; 4];
         let mut exps = vec![9.0];
-        assert!(log_normalize_exp(&mut w, &mut exps).is_none());
+        assert!(log_normalize_exp(&mut w, &mut exps, &mut Vec::new()).is_none());
         assert_eq!(exps, vec![1.0; 4]);
         assert!(w.iter().all(|x| (x.exp() - 0.25).abs() < 1e-12));
     }

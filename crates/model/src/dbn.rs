@@ -92,22 +92,6 @@ impl<S: ReadRateModel> JointModel<S> {
     pub fn object_log_weight(&self, reader: &Pose, object: &Point3, read: bool) -> f64 {
         self.sensor.log_likelihood(reader, object, read)
     }
-
-    /// [`object_log_weight`](Self::object_log_weight) with the reader
-    /// heading's cosine/sine hoisted (see
-    /// [`ReadRateModel::log_likelihood_pose`]); bit-identical.
-    #[inline]
-    pub fn object_log_weight_pose(
-        &self,
-        pos: &Point3,
-        cos_phi: f64,
-        sin_phi: f64,
-        object: &Point3,
-        read: bool,
-    ) -> f64 {
-        self.sensor
-            .log_likelihood_pose(pos, cos_phi, sin_phi, object, read)
-    }
 }
 
 #[cfg(test)]

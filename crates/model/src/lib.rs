@@ -43,4 +43,6 @@ pub use motion::MotionModel;
 pub use object::{BoxPrior, LocationPrior, MultiBoxPrior, ObjectLocationModel};
 pub use params::{ModelParams, MotionParams, ObjectParams, SensingParams, SensorParams};
 pub use sensing::LocationSensingModel;
-pub use sensor::{sigmoid, ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor};
+pub use sensor::{
+    sigmoid, Classified, ConeSensor, LogisticSensorModel, ReadRateModel, SphericalSensor,
+};

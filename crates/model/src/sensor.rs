@@ -6,6 +6,15 @@
 //! logistic model is the one the system *infers with*; the cone and
 //! spherical models are what the *world does* in the simulator and the
 //! simulated lab deployment (Fig. 5(a) and 5(d)).
+//!
+//! A piecewise model answers most (reader pose, tag) pairs with a
+//! constant and a few with an exact `acos` + `ln` line. It says which
+//! in one place, [`ReadRateModel::classify_pose`], without branching on
+//! the answer; the scalar [`ReadRateModel::log_likelihood_pose`] and the
+//! object step's weight pass (classify every particle, then pay the
+//! exact line on the compacted list of those that need it) both call
+//! it, so the thresholds and the margin around them have one write
+//! site.
 
 use crate::params::SensorParams;
 use rfid_geom::{Point3, Pose};
@@ -29,6 +38,35 @@ pub(crate) fn log_sigmoid(x: f64) -> f64 {
         -(-x).exp().ln_1p()
     } else {
         x - x.exp().ln_1p()
+    }
+}
+
+/// What [`ReadRateModel::classify_pose`] says about one (reader pose,
+/// tag) pair: the log likelihood itself, or that it is the exact line
+/// `log_likelihood_dt(d, c.acos(), read)` over the pair's distance `d`
+/// and bearing cosine `c`, not yet computed.
+#[derive(Debug, Clone, Copy)]
+pub struct Classified {
+    /// The log likelihood; meaningless when `exact` is set.
+    pub value: f64,
+    /// Whether the answer is the exact line over `d` and `c`.
+    pub exact: bool,
+    /// Reader-to-tag distance (feet), when `exact` is set.
+    pub d: f64,
+    /// Cosine of the bearing, clamped to `[-1, 1]`, when `exact` is set.
+    pub c: f64,
+}
+
+impl Classified {
+    /// A pair whose log likelihood is already known.
+    #[inline]
+    pub fn value(value: f64) -> Self {
+        Self {
+            value,
+            exact: false,
+            d: 0.0,
+            c: 0.0,
+        }
     }
 }
 
@@ -89,6 +127,27 @@ pub trait ReadRateModel: Send + Sync {
         let d = pos.dist(tag);
         let th = rfid_geom::angles::reader_tag_angle_trig(pos, cos_phi, sin_phi, tag);
         self.log_likelihood_dt(d, th, read)
+    }
+
+    /// [`log_likelihood_pose`](Self::log_likelihood_pose) in two
+    /// halves, for a weight pass over many pairs that wants to pay for
+    /// the expensive ones on their own: the [`Classified`] answer is
+    /// either the log likelihood or a deferral to
+    /// `log_likelihood_dt(d, c.acos(), read)`, and completing it that
+    /// way gives `log_likelihood_pose`'s bits. An override is meant to
+    /// be cheap and free of branches on the pair (the caller classifies
+    /// a whole column before computing anything). The default never
+    /// defers: it is `log_likelihood_pose` itself.
+    #[inline]
+    fn classify_pose(
+        &self,
+        pos: &Point3,
+        cos_phi: f64,
+        sin_phi: f64,
+        tag: &Point3,
+        read: bool,
+    ) -> Classified {
+        Classified::value(self.log_likelihood_pose(pos, cos_phi, sin_phi, tag, read))
     }
 
     /// The sensor's hard edge, for a model that has one:
@@ -277,20 +336,8 @@ impl ReadRateModel for ConeSensor {
         }
     }
 
-    /// Hot-path override: classifies the bearing in cosine space so the
-    /// common regions (inside the major cone, fully outside) cost no
-    /// `acos` and no `ln` — their log likelihoods are constants. Only
-    /// the minor band, and a vanishing margin strip around the two
-    /// boundaries, fall back to the exact `acos` path.
-    ///
-    /// Bit-exactness: for `θ` strictly inside a region, `cos θ`
-    /// compared against the cached `cos(boundary)` decides identically
-    /// to `acos(cos θ)` compared against the boundary angle — the two
-    /// can only disagree within a few ulps of the boundary, and
-    /// `MARGIN` (1e-9 in cosine space, ~10⁶× the true rounding window)
-    /// routes that strip to the fallback, which computes the identical
-    /// `acos`-based answer. The constants are the same `ln` the generic
-    /// path would take of the same piecewise-constant probability.
+    /// The scalar form of [`classify_pose`](Self::classify_pose): the
+    /// constant it picks, or the exact line it defers to.
     fn log_likelihood_pose(
         &self,
         pos: &Point3,
@@ -299,33 +346,67 @@ impl ReadRateModel for ConeSensor {
         tag: &Point3,
         read: bool,
     ) -> f64 {
+        let k = self.classify_pose(pos, cos_phi, sin_phi, tag, read);
+        if k.exact {
+            self.log_likelihood_dt(k.d, k.c.acos(), read)
+        } else {
+            k.value
+        }
+    }
+
+    /// Classifies the bearing in cosine space, so the common regions
+    /// (beyond range, inside the major cone, outside the outer edge)
+    /// cost no `acos` and no `ln` — their log likelihoods are
+    /// constants. Only the minor band, and a vanishing margin strip
+    /// around its two edges, defer to the exact `acos` line. The
+    /// constant is chosen by selects, not branches: which region a
+    /// particle falls in changes from one particle to the next.
+    ///
+    /// Bit-exactness: for `θ` strictly inside a region, `cos θ`
+    /// compared against the cached `cos(boundary)` decides identically
+    /// to `acos(cos θ)` compared against the boundary angle — the two
+    /// can only disagree within a few ulps of the boundary, and
+    /// `MARGIN` (1e-9 in cosine space, ~10⁶× the true rounding window)
+    /// defers that strip to the exact line, which computes the
+    /// `acos`-based answer of the generic path. The constants are the
+    /// same `ln` the generic path would take of the same
+    /// piecewise-constant probability. A NaN distance or cosine fails
+    /// every comparison and defers, as the generic path would compute
+    /// it.
+    #[inline]
+    fn classify_pose(
+        &self,
+        pos: &Point3,
+        cos_phi: f64,
+        sin_phi: f64,
+        tag: &Point3,
+        read: bool,
+    ) -> Classified {
         const MARGIN: f64 = 1e-9;
         let delta = *tag - *pos;
         let d = delta.norm();
-        if d > self.max_range {
-            // p = 0: ln(0) = -inf on a read, ln(1 - 0) = 0 on a miss
-            return if read { f64::NEG_INFINITY } else { 0.0 };
-        }
-        // `d` is NaN-free here only if the inputs are; a NaN falls
-        // through every comparison below into the exact fallback,
-        // matching the generic path bit for bit.
+        // head-on by convention (θ = 0) when the tag sits on the reader
         let c = if d < 1e-12 {
-            1.0 // head-on by convention (θ = 0)
+            1.0
         } else {
             ((delta.x * cos_phi + delta.y * sin_phi) / d).clamp(-1.0, 1.0)
         };
-        if c >= self.cos_major + MARGIN {
-            return if read {
-                self.ln_read_major
-            } else {
-                self.ln_miss_major
-            };
+        let beyond = d > self.max_range;
+        let major = c >= self.cos_major + MARGIN;
+        let outside = c <= self.cos_outer - MARGIN;
+        // p = 0 beyond range and outside: ln(0) = -inf on a read,
+        // ln(1 - 0) = 0 on a miss
+        let (zero, inside) = if read {
+            (f64::NEG_INFINITY, self.ln_read_major)
+        } else {
+            (0.0, self.ln_miss_major)
+        };
+        Classified {
+            value: if major & !beyond { inside } else { zero },
+            exact: !(beyond | major | outside),
+            d,
+            c,
         }
-        if c <= self.cos_outer - MARGIN {
-            return if read { f64::NEG_INFINITY } else { 0.0 };
-        }
-        // minor band or boundary strip: exact path
-        self.log_likelihood_dt(d, c.acos(), read)
     }
 }
 
