@@ -51,12 +51,15 @@ pub struct StepScratch {
     /// The weight pass's per-particle log-likelihood increments.
     pub(crate) incr: Vec<f64>,
     /// Indices compacted by a classifying pass: the particles whose
-    /// increment the weight pass computes exactly, then the weights
-    /// whose `exp` the normalization pays.
+    /// increment the weight pass computes exactly (their verdicts first,
+    /// compacted in place), then the weights whose `exp` the
+    /// normalization pays.
     pub(crate) pending: Vec<u32>,
-    /// `[d, cos θ]` of each particle the weight pass deferred, aligned
-    /// with `pending`.
-    pub(crate) dc: Vec<[f64; 2]>,
+    /// The weight pass's columns, one entry per particle: the pointed-to
+    /// reader particle's position (`x`, `y`, `z`) and heading trig
+    /// (`cos φ`, `sin φ`), then the classifier's distance and bearing
+    /// cosine.
+    pub(crate) cols: [Vec<f64>; 7],
 }
 
 /// Mixes `(master_seed, tag, epoch)` into a single seed word with a

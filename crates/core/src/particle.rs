@@ -4,6 +4,12 @@
 //! sensing likelihoods multiply many small numbers) and are normalized
 //! with log-sum-exp. Resampling is *systematic* (one uniform draw, `n`
 //! evenly spaced pointers), the standard low-variance scheme.
+//!
+//! The object step's normalization ([`log_normalize_exp`]) classifies
+//! before it computes: entries whose exponential IEEE 754 fixes exactly
+//! (`exp(0) = 1`, `exp(−inf) = 0`) are written by a branch-free pass
+//! that compacts the others into a list, and `exp` runs over that list
+//! alone — the same shape as the weight pass in front of it.
 
 use rand::Rng;
 use rfid_geom::{Point3, Pose};

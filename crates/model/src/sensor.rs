@@ -135,9 +135,10 @@ pub trait ReadRateModel: Send + Sync {
     /// either the log likelihood or a deferral to
     /// `log_likelihood_dt(d, c.acos(), read)`, and completing it that
     /// way gives `log_likelihood_pose`'s bits. An override is meant to
-    /// be cheap and free of branches on the pair (the caller classifies
-    /// a whole column before computing anything). The default never
-    /// defers: it is `log_likelihood_pose` itself.
+    /// be cheap straight-line code, free of branches on the pair: the
+    /// caller classifies a whole column before computing anything, and
+    /// a column of such calls compiles to vector instructions. The
+    /// default never defers: it is `log_likelihood_pose` itself.
     #[inline]
     fn classify_pose(
         &self,
@@ -148,6 +149,14 @@ pub trait ReadRateModel: Send + Sync {
         read: bool,
     ) -> Classified {
         Classified::value(self.log_likelihood_pose(pos, cos_phi, sin_phi, tag, read))
+    }
+
+    /// Whether [`classify_pose`](Self::classify_pose) can defer. A
+    /// column caller classifies first only for a model that can; one
+    /// that cannot (the default) is weighed a
+    /// [`log_likelihood_pose`](Self::log_likelihood_pose) call per pair.
+    fn defers(&self) -> bool {
+        false
     }
 
     /// The sensor's hard edge, for a model that has one:
@@ -336,6 +345,11 @@ impl ReadRateModel for ConeSensor {
         }
     }
 
+    /// The minor band and the margin strips defer.
+    fn defers(&self) -> bool {
+        true
+    }
+
     /// The scalar form of [`classify_pose`](Self::classify_pose): the
     /// constant it picks, or the exact line it defers to.
     fn log_likelihood_pose(
@@ -385,12 +399,11 @@ impl ReadRateModel for ConeSensor {
         const MARGIN: f64 = 1e-9;
         let delta = *tag - *pos;
         let d = delta.norm();
+        // divided for every pair, then selected: a branch here would
+        // keep a column of classifications from compiling to vector code
+        let q = ((delta.x * cos_phi + delta.y * sin_phi) / d).clamp(-1.0, 1.0);
         // head-on by convention (θ = 0) when the tag sits on the reader
-        let c = if d < 1e-12 {
-            1.0
-        } else {
-            ((delta.x * cos_phi + delta.y * sin_phi) / d).clamp(-1.0, 1.0)
-        };
+        let c = if d < 1e-12 { 1.0 } else { q };
         let beyond = d > self.max_range;
         let major = c >= self.cos_major + MARGIN;
         let outside = c <= self.cos_outer - MARGIN;
