@@ -13,6 +13,10 @@
 //! against pre-registered handles — instrumentation must stay atomic
 //! operations only, never an allocation.
 //!
+//! Both sensor shapes are bracketed: the logistic model, weighed one
+//! call per particle, and the paper's cone, whose weight pass gathers,
+//! classifies and compacts through the scratch's columns.
+//!
 //! This file contains exactly one `#[test]` so no concurrent test can
 //! disturb the allocation counter.
 
@@ -25,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_core::{CompressedBelief, ObjectFilter, ReaderFilter, StepScratch};
 use rfid_geom::{Point3, Pose};
-use rfid_model::{BoxPrior, JointModel, ModelParams};
+use rfid_model::{BoxPrior, ConeSensor, JointModel, ModelParams};
 use rfid_stream::Epoch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,6 +72,12 @@ fn steady_state_object_step_allocates_nothing() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut filter =
         ObjectFilter::init_from_cone(&reader, &tables, 4.0, 0.6, 500, 0, Some(&prior), &mut rng);
+    let cone = JointModel::with_sensor(
+        ConeSensor::paper_default(),
+        ModelParams::default_warehouse(),
+    );
+    let mut cone_filter =
+        ObjectFilter::init_from_cone(&reader, &tables, 5.0, 0.6, 500, 0, Some(&prior), &mut rng);
     let mut scratch = StepScratch::default();
     let mut support = vec![0.0f64; reader.len()];
 
@@ -87,6 +97,16 @@ fn steady_state_object_step_allocates_nothing() {
         &tables,
         true,
         1.0, // force one resample so scratch.counts is sized
+        &mut scratch,
+        &mut support,
+        &mut rng,
+    );
+    cone_filter.step_fused(
+        &cone,
+        &reader,
+        &tables,
+        true,
+        0.0,
         &mut scratch,
         &mut support,
         &mut rng,
@@ -127,6 +147,18 @@ fn steady_state_object_step_allocates_nothing() {
             );
             assert!(!out.resampled);
             assert!(out.estimate.0.x.is_finite());
+            support.fill(0.0);
+            let out = cone_filter.step_fused(
+                &cone,
+                &reader,
+                &tables,
+                read,
+                0.0,
+                &mut scratch,
+                &mut support,
+                &mut rng,
+            );
+            assert!(!out.resampled);
             // the full instrumentation surface, inside the bracket:
             // every record path and the engine's slow-epoch gate
             steps_total.inc();
