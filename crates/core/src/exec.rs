@@ -17,9 +17,9 @@
 //!    event stream bit for bit.
 //! 2. **Scratch buffers** ([`StepScratch`]): the joint-probability
 //!    buffer, the resampling-count buffer and the weight pass's
-//!    increment and compaction buffers are owned by the engine and
-//!    reused across objects and epochs, so the steady-state step path
-//!    performs no heap allocation.
+//!    columns and compaction list are owned by the engine and reused
+//!    across objects and epochs, so the steady-state step path performs
+//!    no heap allocation.
 //!
 //! More cores are spent one level up, on cluster workers (one engine
 //! per `tag % N` partition; 1.28× with two workers on the benchmark's

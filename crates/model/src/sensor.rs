@@ -57,19 +57,6 @@ pub struct Classified {
     pub c: f64,
 }
 
-impl Classified {
-    /// A pair whose log likelihood is already known.
-    #[inline]
-    pub fn value(value: f64) -> Self {
-        Self {
-            value,
-            exact: false,
-            d: 0.0,
-            c: 0.0,
-        }
-    }
-}
-
 /// Anything that yields a read probability for a (reader pose, tag) pair.
 // `Send + Sync` supertraits: sensor models are immutable model data,
 // and the engine that owns one is moved onto pipeline, server and
@@ -148,7 +135,12 @@ pub trait ReadRateModel: Send + Sync {
         tag: &Point3,
         read: bool,
     ) -> Classified {
-        Classified::value(self.log_likelihood_pose(pos, cos_phi, sin_phi, tag, read))
+        Classified {
+            value: self.log_likelihood_pose(pos, cos_phi, sin_phi, tag, read),
+            exact: false,
+            d: 0.0,
+            c: 0.0,
+        }
     }
 
     /// Whether [`classify_pose`](Self::classify_pose) can defer. A
