@@ -518,10 +518,9 @@ impl ObjectFilter {
     /// 4. compute the *exact line* over that list only;
     /// 5. *add* the increments.
     ///
-    /// A model that never defers ([`ReadRateModel::defers`]) has
-    /// nothing to classify and is weighed one call per particle; the
-    /// five passes would cost it 7–8 % of a step
-    /// (`step_fused_soa/1000`, the logistic sensor).
+    /// A model that keeps [`ReadRateModel::classify_pose`]'s default
+    /// never defers: its classify pass is the whole computation and the
+    /// list stays empty.
     pub fn accumulate_weights<S: ReadRateModel>(
         &mut self,
         sensor: &S,
@@ -531,16 +530,6 @@ impl ObjectFilter {
         scratch: &mut StepScratch,
     ) {
         let n = self.soa.len();
-        if !sensor.defers() {
-            for i in 0..n {
-                let r = self.soa.reader_idx[i];
-                let [cph, sph] = tables.trig[r as usize];
-                let loc = self.soa.loc(i);
-                self.soa.log_w[i] +=
-                    sensor.log_likelihood_pose(&reader.pose_of(r).pos, cph, sph, &loc, read);
-            }
-            return;
-        }
         let StepScratch {
             incr,
             pending,

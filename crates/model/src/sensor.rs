@@ -143,14 +143,6 @@ pub trait ReadRateModel: Send + Sync {
         }
     }
 
-    /// Whether [`classify_pose`](Self::classify_pose) can defer. A
-    /// column caller classifies first only for a model that can; one
-    /// that cannot (the default) is weighed a
-    /// [`log_likelihood_pose`](Self::log_likelihood_pose) call per pair.
-    fn defers(&self) -> bool {
-        false
-    }
-
     /// The sensor's hard edge, for a model that has one:
     /// `Some((range, half_angle))` promises that the read probability
     /// is **exactly** zero for a tag farther than `range` (feet) from
@@ -337,13 +329,11 @@ impl ReadRateModel for ConeSensor {
         }
     }
 
-    /// The minor band and the margin strips defer.
-    fn defers(&self) -> bool {
-        true
-    }
-
     /// The scalar form of [`classify_pose`](Self::classify_pose): the
-    /// constant it picks, or the exact line it defers to.
+    /// constant it picks, or the exact line it defers to. A pair beyond
+    /// range returns before the classifier's bearing division — the
+    /// reader update weighs every shelf tag this way, most of them out
+    /// of range; the classifier picks the same constant there.
     fn log_likelihood_pose(
         &self,
         pos: &Point3,
@@ -352,6 +342,9 @@ impl ReadRateModel for ConeSensor {
         tag: &Point3,
         read: bool,
     ) -> f64 {
+        if (*tag - *pos).norm() > self.max_range {
+            return if read { f64::NEG_INFINITY } else { 0.0 };
+        }
         let k = self.classify_pose(pos, cos_phi, sin_phi, tag, read);
         if k.exact {
             self.log_likelihood_dt(k.d, k.c.acos(), read)
