@@ -10,8 +10,7 @@
 
 use crate::metrics::{score_scenario, EventScoreConfig, ScenarioScore};
 use crate::runner::{
-    run_baseline_smurf, run_baseline_uniform, run_engine_variant_opts, EngineVariant,
-    InferenceSensor, RunOpts,
+    run_baseline_smurf, run_baseline_uniform, run_engine_variant, EngineVariant, InferenceSensor,
 };
 use rfid_geom::Aabb;
 use rfid_model::{ConeSensor, ModelParams};
@@ -107,14 +106,15 @@ pub(crate) fn score_entry(entry: &LibraryEntry, cfg: &AccuracyConfig) -> Vec<Acc
     let batches = sc.trace.epoch_batches();
     let shelves: Vec<Aabb> = sc.layout.shelves().iter().map(|s| s.bbox).collect();
 
-    let engine = run_engine_variant_opts(
+    let engine = run_engine_variant(
         &batches,
         &sc.layout,
         &sc.trace.shelf_tags,
         EngineVariant::Full,
         InferenceSensor::TrueCone(ConeSensor::with_rr_major(entry.rr_major)),
         ModelParams::default_warehouse(),
-        RunOpts::new(cfg.particles_per_object, cfg.report_delay),
+        cfg.particles_per_object,
+        cfg.report_delay,
     );
     let smurf = run_baseline_smurf(
         &batches,

@@ -51,13 +51,9 @@ subcommands:\n\
 \x20                        (--json writes BENCH_accuracy.json;\n\
 \x20                        --scenario <name> runs one scenario;\n\
 \x20                        --list enumerates the library)\n\
-\x20 recovery               crash-recovery timings: kill each canonical\n\
-\x20                        scenario mid-trace, recover, resume to digest\n\
-\x20                        equality; exits 1 on a digest mismatch\n\
-\x20                        (--json writes BENCH_recovery.json)\n\
-\x20 report                 render the committed BENCH_accuracy.json and\n\
-\x20                        BENCH_recovery.json as markdown tables (for\n\
-\x20                        EXPERIMENTS.md); exits 1 when one is unreadable\n\
+\x20 report                 render the committed BENCH_accuracy.json as a\n\
+\x20                        markdown table (for EXPERIMENTS.md); exits 1\n\
+\x20                        when it is unreadable\n\
 \x20 ablation-init          initialization-cone overestimate sweep\n\
 \x20 ablation-particles     particles-per-object accuracy/cost frontier\n\
 \x20 ablation-resample      resampling-threshold policy sweep\n\
@@ -123,7 +119,6 @@ fn main() -> ExitCode {
         }
         "fig6b-lab-table" => fig6b_lab_table(opts),
         "accuracy" => passed = accuracy(opts, json, scenario_filter.as_deref(), list),
-        "recovery" => passed = recovery(opts, json),
         "report" => passed = report(),
         "ablation-init" => ablation_init(opts),
         "ablation-particles" => ablation_particles(opts),
@@ -802,186 +797,38 @@ fn accuracy(opts: Opts, json: bool, scenario_filter: Option<&str>, list: bool) -
 }
 
 // ---------------------------------------------------------------------
-// Recovery: crash-recovery timings on the canonical scenarios
+// Report: the committed BENCH_accuracy.json trajectory as markdown
 // ---------------------------------------------------------------------
 
-/// Kills each canonical scenario's durable run mid-trace (in-process),
-/// recovers it, and reports what recovery cost and that the resumed
-/// event stream is bit-identical to an uninterrupted run. With
-/// `--json`, seeds `BENCH_recovery.json` — the durability trajectory
-/// next to accuracy. Returns whether every digest matched.
-fn recovery(opts: Opts, json: bool) -> bool {
-    use rfid_bench::fault::FaultPlan;
-    use rfid_bench::recovery::{
-        canonical_scenario, reference_digest, resume, run_fresh, DurableRunOpts,
-    };
+/// Columns of the accuracy table as `(header, key, decimals)`.
+const ACCURACY_COLUMNS: [(&str, &str, usize); 11] = [
+    ("scenario", "scenario", 0),
+    ("system", "system", 0),
+    ("events", "events", 0),
+    ("precision", "precision", 3),
+    ("recall", "recall", 3),
+    ("F1", "f1", 3),
+    ("mean XY (ft)", "mean_xy_ft", 2),
+    ("containment", "containment", 3),
+    ("moves det.", "moves_detected", 0),
+    ("moves total", "moves_total", 0),
+    ("delay (ep)", "mean_change_delay_epochs", 2),
+];
 
-    let mut r = Report::new(
-        "recovery",
-        "Crash recovery: kill mid-trace, recover from checkpoint + log, resume to digest equality",
-    );
-    let scenarios: &[&str] = if opts.quick {
-        &["tiny", "small_warehouse"]
-    } else {
-        &["small_warehouse", "low_read_rate", "moving_object"]
-    };
-
-    struct Row {
-        scenario: String,
-        epochs: u64,
-        crash_epoch: u64,
-        checkpoint_every: u64,
-        resumed_from: Option<u64>,
-        replayed_events: usize,
-        recover_ms: f64,
-        resume_ms: f64,
-        full_ms: f64,
-        digest_match: bool,
-    }
-    let mut rows: Vec<Row> = Vec::new();
-
-    for name in scenarios {
-        let (sc, cfg) = canonical_scenario(name).expect("canonical scenario");
-        let golden = reference_digest(&sc, &cfg);
-        let last = sc
-            .trace
-            .epoch_batches()
-            .last()
-            .expect("non-empty trace")
-            .epoch
-            .0;
-        let run_opts = DurableRunOpts {
-            // several checkpoints per trace regardless of its length
-            checkpoint_every: (last / 8).max(1),
-            ..DurableRunOpts::default()
-        };
-        let base =
-            std::env::temp_dir().join(format!("rfid-recovery-bench-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-
-        // the uninterrupted durable run: the wall-clock baseline
-        let full = run_fresh(&sc, &cfg, &base.join("full"), &run_opts, None).expect("full run");
-
-        // the kill-and-restart cycle
-        let crash_epoch = last / 2;
-        let dir = base.join("crash");
-        let crashed = run_fresh(
-            &sc,
-            &cfg,
-            &dir,
-            &run_opts,
-            Some(FaultPlan::KillAtEpoch(crash_epoch)),
-        )
-        .expect("crashed run");
-        assert!(!crashed.completed, "kill epoch must be inside the trace");
-        let rec = resume(&sc, &cfg, &dir, &run_opts, None).expect("recovery");
-
-        let digest_match = rec.run.completed && rec.run.digest == golden && full.digest == golden;
-        eprintln!(
-            "  [{name}] crash at {crash_epoch}/{last}: recovered in {:.1} ms \
-             (from {:?}, {} events replayed), resumed in {:.1} ms — digest {}",
-            rec.recover_elapsed.as_secs_f64() * 1e3,
-            rec.resumed_from,
-            rec.replayed_events,
-            rec.run.drive_elapsed.as_secs_f64() * 1e3,
-            if digest_match { "MATCH" } else { "MISMATCH" },
-        );
-        rows.push(Row {
-            scenario: name.to_string(),
-            epochs: last + 1,
-            crash_epoch,
-            checkpoint_every: run_opts.checkpoint_every,
-            resumed_from: rec.resumed_from,
-            replayed_events: rec.replayed_events,
-            recover_ms: rec.recover_elapsed.as_secs_f64() * 1e3,
-            resume_ms: rec.run.drive_elapsed.as_secs_f64() * 1e3,
-            full_ms: full.drive_elapsed.as_secs_f64() * 1e3,
-            digest_match,
-        });
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    let mut t = Table::new(vec![
-        "scenario",
-        "epochs",
-        "crash epoch",
-        "ckpt every",
-        "resumed from",
-        "replayed events",
-        "recover (ms)",
-        "resume (ms)",
-        "full run (ms)",
-        "digest",
-    ]);
-    for row in &rows {
-        t.row(vec![
-            row.scenario.clone(),
-            row.epochs.to_string(),
-            row.crash_epoch.to_string(),
-            row.checkpoint_every.to_string(),
-            row.resumed_from
-                .map_or_else(|| "-".to_string(), |e| e.to_string()),
-            row.replayed_events.to_string(),
-            f2(row.recover_ms),
-            f2(row.resume_ms),
-            f2(row.full_ms),
-            if row.digest_match {
-                "match"
-            } else {
-                "MISMATCH"
-            }
-            .to_string(),
-        ]);
-    }
-    r.table(&t);
-    r.line("# recover = segment-log open + truncation + replay + checkpoint load;");
-    r.line("# resume = re-processing the batches after the checkpoint. Digest 'match'");
-    r.line("# asserts the recovered event stream is bit-identical to an uninterrupted");
-    r.line("# run (the determinism contract is what makes replay-from-checkpoint safe).");
-    r.finish();
-
-    if json {
-        let mut s = String::from("{\n  \"crash\": \"kill at last_epoch/2, in-process\",\n");
-        s.push_str("  \"rows\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"epochs\": {}, \"crash_epoch\": {}, \
-                 \"checkpoint_every\": {}, \"resumed_from\": {}, \"replayed_events\": {}, \
-                 \"recover_ms\": {:.3}, \"resume_ms\": {:.3}, \"full_ms\": {:.3}, \
-                 \"digest_match\": {}}}{}\n",
-                row.scenario,
-                row.epochs,
-                row.crash_epoch,
-                row.checkpoint_every,
-                row.resumed_from
-                    .map_or_else(|| "null".to_string(), |e| e.to_string()),
-                row.replayed_events,
-                row.recover_ms,
-                row.resume_ms,
-                row.full_ms,
-                row.digest_match,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        std::fs::write("BENCH_recovery.json", &s).expect("write BENCH_recovery.json");
-        eprintln!("  wrote BENCH_recovery.json");
-    }
-    rows.iter().all(|row| row.digest_match)
-}
-
-// ---------------------------------------------------------------------
-// Report: the committed BENCH_*.json trajectories as markdown
-// ---------------------------------------------------------------------
-
-/// Renders a `rows` array of a parsed BENCH document as a markdown
-/// table using `(header, key, decimals)` column specs.
-fn md_table_from(doc: &rfid_bench::json::Json, spec: &[(&str, &str, usize)]) -> Option<Table> {
+/// Renders the `rows` array of a parsed BENCH document as a markdown
+/// table using the accuracy column specs.
+fn md_table_from(doc: &rfid_bench::json::Json) -> Option<Table> {
     let rows = doc.get("rows")?.as_arr()?;
-    let mut t = Table::new(spec.iter().map(|(h, _, _)| h.to_string()).collect());
+    let mut t = Table::new(
+        ACCURACY_COLUMNS
+            .iter()
+            .map(|(h, _, _)| h.to_string())
+            .collect(),
+    );
     for row in rows {
         t.row(
-            spec.iter()
+            ACCURACY_COLUMNS
+                .iter()
                 .map(|(_, key, decimals)| {
                     row.get(key)
                         .map(|v| v.cell(*decimals))
@@ -993,66 +840,28 @@ fn md_table_from(doc: &rfid_bench::json::Json, spec: &[(&str, &str, usize)]) -> 
     Some(t)
 }
 
-/// Renders the committed `BENCH_accuracy.json` and `BENCH_recovery.json`
-/// as markdown tables — the single source for the tables pasted into
-/// EXPERIMENTS.md. Returns whether both rendered.
+/// Renders the committed `BENCH_accuracy.json` as a markdown table —
+/// the single source for the table pasted into EXPERIMENTS.md. Returns
+/// whether it rendered.
 fn report() -> bool {
     use rfid_bench::json::Json;
 
+    const PATH: &str = "BENCH_accuracy.json";
     let mut r = Report::new("report", "Committed benchmark trajectories (markdown)");
-    let mut rendered_all = true;
-    let mut render = |path: &str, title: &str, spec: &[(&str, &str, usize)]| {
-        let table = std::fs::read_to_string(path)
-            .map_err(|e| format!("not found ({e})"))
-            .and_then(|text| Json::parse(&text).map_err(|e| format!("failed to parse: {e}")))
-            .and_then(|doc| md_table_from(&doc, spec).ok_or_else(|| "has no rows array".into()));
-        match table {
-            Ok(t) => {
-                r.line(&format!("### {title} (`{path}`)\n"));
-                r.line(&t.render_markdown());
-            }
-            Err(why) => {
-                rendered_all = false;
-                r.line(&format!("### {title}\n\n`{path}` {why}.\n"));
-            }
+    let table = std::fs::read_to_string(PATH)
+        .map_err(|e| format!("not found ({e})"))
+        .and_then(|text| Json::parse(&text).map_err(|e| format!("failed to parse: {e}")))
+        .and_then(|doc| md_table_from(&doc).ok_or_else(|| "has no rows array".into()));
+    let rendered = table.is_ok();
+    match table {
+        Ok(t) => {
+            r.line(&format!("### Accuracy (`{PATH}`)\n"));
+            r.line(&t.render_markdown());
         }
-    };
-
-    render(
-        "BENCH_accuracy.json",
-        "Accuracy",
-        &[
-            ("scenario", "scenario", 0),
-            ("system", "system", 0),
-            ("events", "events", 0),
-            ("precision", "precision", 3),
-            ("recall", "recall", 3),
-            ("F1", "f1", 3),
-            ("mean XY (ft)", "mean_xy_ft", 2),
-            ("containment", "containment", 3),
-            ("moves det.", "moves_detected", 0),
-            ("moves total", "moves_total", 0),
-            ("delay (ep)", "mean_change_delay_epochs", 2),
-        ],
-    );
-    render(
-        "BENCH_recovery.json",
-        "Recovery",
-        &[
-            ("scenario", "scenario", 0),
-            ("epochs", "epochs", 0),
-            ("crash epoch", "crash_epoch", 0),
-            ("ckpt every", "checkpoint_every", 0),
-            ("resumed from", "resumed_from", 0),
-            ("replayed events", "replayed_events", 0),
-            ("recover (ms)", "recover_ms", 2),
-            ("resume (ms)", "resume_ms", 2),
-            ("full run (ms)", "full_ms", 2),
-            ("digest match", "digest_match", 0),
-        ],
-    );
+        Err(why) => r.line(&format!("### Accuracy\n\n`{PATH}` {why}.\n")),
+    }
     r.finish();
-    rendered_all
+    rendered
 }
 
 // ---------------------------------------------------------------------

@@ -12,12 +12,13 @@
 //!   SMURF, uniform) over a scenario and collects events, wall-clock
 //!   cost, and memory.
 //! * [`recovery`] / [`fault`] — the durable run, its kill-and-resume
-//!   cycle and the fault plans behind `experiments -- recovery`, the
-//!   `recovery_harness` binary and the benchmark's `durable_patrol`.
+//!   cycle and the fault plans behind the `recovery_harness` binary, the
+//!   recovery test suites and the benchmark's `durable_patrol` (which is
+//!   where recovery is timed).
 //! * [`report`] — plain-text tables written to stdout and to
 //!   `results/<experiment>.txt`.
 //! * [`json`] — a minimal JSON reader so `experiments -- report` can
-//!   render the committed `BENCH_*.json` files as markdown tables.
+//!   render the committed `BENCH_accuracy.json` as a markdown table.
 //!
 //! Speed is measured by the `benchmark/` package (`BENCHMARK.json`),
 //! not here.

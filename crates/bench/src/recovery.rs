@@ -102,7 +102,7 @@ pub struct DurableRunOpts {
     /// `true`: epoch-triggered fault plans `std::process::abort()` at
     /// the crash point (the child-harness behavior). `false`: the run
     /// returns with [`RunOutcome::completed`] = `false` instead, for
-    /// in-process crash sweeps. Byte-triggered plans always abort —
+    /// in-process crash tests. Byte-triggered plans always abort —
     /// they fire inside the log layer itself.
     pub abort_on_fault: bool,
 }
@@ -417,6 +417,29 @@ mod tests {
         assert_eq!(resumed.last_durable_epoch, Some(38));
         assert_eq!(resumed.run.digest, golden);
         let _ = std::fs::remove_dir_all(&dir);
+
+        // the canonical scenarios: killed half-way, several checkpoints
+        // per trace regardless of its length
+        for name in ["small_warehouse", "low_read_rate", "moving_object"] {
+            let (sc, cfg) = canonical_scenario(name).unwrap();
+            let last = sc.trace.epoch_batches().last().unwrap().epoch.0;
+            let opts = DurableRunOpts {
+                checkpoint_every: (last / 8).max(1),
+                ..DurableRunOpts::default()
+            };
+            let dir = temp_dir(name);
+            let plan = Some(FaultPlan::KillAtEpoch(last / 2));
+            let out = run_fresh(&sc, &cfg, &dir, &opts, plan).unwrap();
+            assert!(
+                !out.completed,
+                "{name}: kill epoch must be inside the trace"
+            );
+            let resumed = resume(&sc, &cfg, &dir, &opts, None).unwrap();
+            assert!(resumed.run.completed, "{name}");
+            assert!(resumed.resumed_from.is_some(), "{name}: no checkpoint used");
+            assert_eq!(resumed.run.digest, reference_digest(&sc, &cfg), "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

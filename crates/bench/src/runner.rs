@@ -102,22 +102,6 @@ fn drive<S: InferenceStage>(stage: &mut S, batches: &[EpochBatch]) -> RunOutput 
     }
 }
 
-/// Engine knobs shared by every variant run.
-#[derive(Debug, Clone, Copy)]
-pub struct RunOpts {
-    pub particles_per_object: usize,
-    pub report_delay: u64,
-}
-
-impl RunOpts {
-    pub fn new(particles_per_object: usize, report_delay: u64) -> Self {
-        Self {
-            particles_per_object,
-            report_delay,
-        }
-    }
-}
-
 /// Runs an engine variant with a given sensor choice over prepared
 /// batches. `params` supplies the motion/sensing/object components.
 #[allow(clippy::too_many_arguments)] // flat experiment knobs
@@ -131,47 +115,16 @@ pub fn run_engine_variant<P: LocationPrior + Clone>(
     particles_per_object: usize,
     report_delay: u64,
 ) -> RunOutput {
-    run_engine_variant_opts(
-        batches,
-        prior,
-        shelf_tags,
-        variant,
-        sensor,
-        params,
-        RunOpts::new(particles_per_object, report_delay),
-    )
-}
-
-/// The engine configuration a variant runs with under the given
-/// options.
-fn variant_config(variant: EngineVariant, opts: RunOpts) -> FilterConfig {
-    let mut cfg = match variant {
-        EngineVariant::Unfactored { .. } | EngineVariant::Factored => {
-            FilterConfig::factored_default()
+    let (mut cfg, joint_particles) = match variant {
+        EngineVariant::Unfactored { particles } => {
+            (FilterConfig::factored_default(), Some(particles))
         }
-        EngineVariant::FactoredIndexed => FilterConfig::indexed_default(),
-        EngineVariant::Full => FilterConfig::full_default(),
+        EngineVariant::Factored => (FilterConfig::factored_default(), None),
+        EngineVariant::FactoredIndexed => (FilterConfig::indexed_default(), None),
+        EngineVariant::Full => (FilterConfig::full_default(), None),
     };
-    cfg.particles_per_object = opts.particles_per_object;
-    cfg.report_delay_epochs = opts.report_delay;
-    cfg
-}
-
-/// [`run_engine_variant`] with the full option set.
-pub fn run_engine_variant_opts<P: LocationPrior + Clone>(
-    batches: &[EpochBatch],
-    prior: &P,
-    shelf_tags: &[(rfid_stream::TagId, rfid_geom::Point3)],
-    variant: EngineVariant,
-    sensor: InferenceSensor,
-    params: ModelParams,
-    opts: RunOpts,
-) -> RunOutput {
-    let cfg = variant_config(variant, opts);
-    let joint_particles = match variant {
-        EngineVariant::Unfactored { particles } => Some(particles),
-        _ => None,
-    };
+    cfg.particles_per_object = particles_per_object;
+    cfg.report_delay_epochs = report_delay;
     run_config(
         batches,
         prior,

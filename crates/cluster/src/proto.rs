@@ -33,10 +33,9 @@ pub(crate) const MSG_REPORTS: u8 = 0x12;
 pub(crate) const MSG_RESAMPLE: u8 = 0x13;
 /// Router → worker: end of trace; finalize and shut down.
 pub(crate) const MSG_FINISH: u8 = 0x14;
-/// Worker → router: a registry snapshot, piggybacked after each
-/// REPORTS frame (and once more after FINISH, covering the final
-/// resample and flush). The router keeps the latest snapshot per
-/// worker and merges them into the cluster-wide view.
+/// Worker → router: the worker's registry snapshot, sent once after
+/// FINISH (covering the final resample and flush). The router merges
+/// the workers' snapshots into the cluster-wide view.
 pub(crate) const MSG_METRICS: u8 = 0x15;
 
 /// Writes one message frame (kind byte + body).

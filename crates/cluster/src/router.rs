@@ -18,7 +18,7 @@ pub struct RouterSummary {
     /// Cluster-wide object steps (merged from the workers' reports).
     pub object_updates: u64,
     pub reader_resamples: u64,
-    /// The cluster-wide registry view: every worker's final snapshot
+    /// The cluster-wide registry view: every worker's FINISH snapshot
     /// merged in metric-name order (counters and histogram buckets
     /// add, gauges max — the worker partitions are disjoint, so the
     /// sums are exact cluster totals). The head's own registry is not
@@ -69,8 +69,6 @@ pub fn run_router(
     let mut conns = accept_workers(listener, num_workers)?;
     let mut head = ClusterHead::new(engine, num_workers);
     let mut last_epoch = Epoch(0);
-    let mut worker_metrics: Vec<rfid_obs::Snapshot> =
-        vec![rfid_obs::Snapshot::default(); num_workers];
     for batch in batches {
         last_epoch = batch.epoch;
         let plan = head.begin_epoch(batch);
@@ -78,7 +76,7 @@ pub fn run_router(
             proto::write_msg(&mut conn.w, &proto::encode_plan(&plan, i))?;
         }
         let mut reports: Vec<Vec<TaskReport>> = Vec::with_capacity(num_workers);
-        for (i, conn) in conns.iter_mut().enumerate() {
+        for conn in conns.iter_mut() {
             let payload = proto::expect_msg(&mut conn.r, proto::MSG_REPORTS)?;
             let (epoch, list) = proto::decode_reports(&payload).map_err(io::Error::from)?;
             if epoch != batch.epoch {
@@ -91,18 +89,6 @@ pub fn run_router(
                 ));
             }
             reports.push(list);
-            let payload = proto::expect_msg(&mut conn.r, proto::MSG_METRICS)?;
-            let (epoch, snap) = proto::decode_metrics(&payload).map_err(io::Error::from)?;
-            if epoch != batch.epoch {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "metrics for epoch {} while in epoch {}",
-                        epoch.0, batch.epoch.0
-                    ),
-                ));
-            }
-            worker_metrics[i] = snap;
         }
         let directive = head.finish_epoch(&reports);
         if directive.is_some() != plan.will_resample {
@@ -121,12 +107,13 @@ pub fn run_router(
         proto::write_msg(&mut conn.w, &proto::encode_finish(last_epoch))?;
         conn.w.flush()?;
     }
-    // a worker acknowledges FINISH with one final metrics snapshot
+    // a worker acknowledges FINISH with its one metrics snapshot
     // (covering its finalize flush), then closes its connection
-    for (i, conn) in conns.iter_mut().enumerate() {
+    let mut metrics = rfid_obs::Snapshot::default();
+    for conn in conns.iter_mut() {
         let payload = proto::expect_msg(&mut conn.r, proto::MSG_METRICS)?;
         let (_, snap) = proto::decode_metrics(&payload).map_err(io::Error::from)?;
-        worker_metrics[i] = snap;
+        metrics.merge(&snap);
         let mut sink = [0u8; 64];
         loop {
             match conn.r.read(&mut sink) {
@@ -141,11 +128,6 @@ pub fn run_router(
                 Err(e) => return Err(e),
             }
         }
-    }
-    head.observe_metrics();
-    let mut metrics = rfid_obs::Snapshot::default();
-    for snap in &worker_metrics {
-        metrics.merge(snap);
     }
     let stats = head.stats();
     Ok(RouterSummary {

@@ -1,7 +1,8 @@
 //! The worker process: a [`ClusterWorker`] over one `tag % N` object
 //! partition, fed plans by the router and streaming its due events to
 //! the coordinator (one `EVENTS` frame per epoch — the frame itself is
-//! the epoch barrier, even when empty).
+//! the epoch barrier, even when empty). Its registry snapshot ships
+//! to the router once, after FINISH.
 
 use crate::proto;
 use crate::scenario::Engine;
@@ -53,11 +54,6 @@ pub fn run_worker(
                     return Err(io::Error::new(e.kind(), e.to_string()));
                 }
                 proto::write_msg(&mut rw, &proto::encode_reports(plan.epoch, &reports))?;
-                // piggyback this process's registry snapshot on the
-                // epoch barrier (engine stage timers, step counters)
-                worker.observe_metrics();
-                let snap = rfid_obs::global().snapshot();
-                proto::write_msg(&mut rw, &proto::encode_metrics(plan.epoch, &snap))?;
                 let directive = if plan.will_resample {
                     let payload = proto::expect_msg(&mut rr, proto::MSG_RESAMPLE)?;
                     Some(proto::decode_resample(&payload).map_err(io::Error::from)?)
@@ -65,6 +61,9 @@ pub fn run_worker(
                     None
                 };
                 worker.apply_resample(plan.epoch, directive.as_ref());
+                // one stage-timer sample per epoch; the registry itself
+                // ships once, after FINISH
+                worker.observe_metrics();
             }
             Some(proto::MSG_FINISH) => {
                 let last_epoch = proto::decode_finish(&payload).map_err(io::Error::from)?;
@@ -77,8 +76,8 @@ pub fn run_worker(
                 if let Some(e) = events_out.io_error() {
                     return Err(io::Error::new(e.kind(), e.to_string()));
                 }
-                // one final snapshot so the cluster view includes the
-                // last epoch's resample and the finalize flush
+                // this process's registry snapshot (engine stage
+                // timers, step counters), finalize flush included
                 worker.observe_metrics();
                 let snap = rfid_obs::global().snapshot();
                 proto::write_msg(&mut rw, &proto::encode_metrics(last_epoch, &snap))?;

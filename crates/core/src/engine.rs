@@ -468,7 +468,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// Mirrors any [`EngineStats`] progress since the last
     /// observation onto the global metrics registry. The batch and
     /// finalize paths call this themselves; callers that mutate stats
-    /// through other paths (the cluster roles) invoke it once per
+    /// through other paths (the cluster worker) invoke it once per
     /// epoch.
     pub fn observe_metrics(&mut self) {
         self.metrics.observe(&self.stats);

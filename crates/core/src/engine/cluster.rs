@@ -219,12 +219,6 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
     pub fn stats(&self) -> &EngineStats {
         self.engine.stats()
     }
-
-    /// Mirrors the head engine's stats progress onto the global
-    /// metrics registry (see [`InferenceEngine::observe_metrics`]).
-    pub fn observe_metrics(&mut self) {
-        self.engine.observe_metrics();
-    }
 }
 
 /// One worker's slice of the cluster: a full engine that owns the
@@ -272,7 +266,9 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
         e.object_read.sort_unstable();
         e.object_read.dedup();
         e.support_tee = Some(Vec::new());
+        let t0 = std::time::Instant::now();
         e.infer(epoch, &plan.reader_est);
+        e.stats.infer_us += t0.elapsed().as_micros() as u64;
         let rows = e.support_tee.take().unwrap_or_default();
         let mut reports = Vec::with_capacity(rows.len());
         for (tag, support) in rows {
@@ -300,8 +296,10 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
         }
         // due events, exactly as the single-process emit stage (events
         // precede the resample there, so they are final already)
+        let t0 = std::time::Instant::now();
         e.policy.due_into(epoch, &mut e.due);
         e.emit_due_events(epoch, events);
+        e.stats.emit_us += t0.elapsed().as_micros() as u64;
         reports
     }
 
@@ -309,7 +307,11 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
     /// `directive` must be `Some` exactly when the plan announced
     /// `will_resample`. Applies the remap with the head's draws, swaps
     /// in the post-resample reader, then runs the compression sweep.
+    /// Timed into `emit_us` with the epoch's due events: together they
+    /// are the single-process emit stage. (`ingest_us` stays 0 — the
+    /// head runs the reader update.)
     pub fn apply_resample(&mut self, epoch: Epoch, directive: Option<&ResampleDirective>) {
+        let t0 = std::time::Instant::now();
         let e = &mut self.engine;
         if let Some(d) = directive {
             e.stats.reader_resamples += 1;
@@ -339,6 +341,7 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
             e.reader = Some(ReaderFilter::from_parts(d.reader.clone(), vec![0.0; nr], 0));
         }
         e.run_compression_sweep(epoch);
+        e.stats.emit_us += t0.elapsed().as_micros() as u64;
     }
 
     /// Flushes pending reports at end of trace (tag-sorted, like every

@@ -11,7 +11,7 @@
 
 use rfid_core::engine::cluster::{ClusterHead, ClusterWorker, EpochPlan, ResampleDirective};
 use rfid_core::engine::run_engine;
-use rfid_core::{FilterConfig, InferenceEngine, ReaderMode};
+use rfid_core::{EngineStats, FilterConfig, InferenceEngine, ReaderMode};
 use rfid_model::{ConeSensor, JointModel, ModelParams};
 use rfid_sim::scenario;
 use rfid_stream::wire::merge_events_by_tag;
@@ -30,12 +30,12 @@ fn engine_for(
 }
 
 /// Drives the full head/worker exchange over the trace and returns the
-/// coordinator-merged event stream.
+/// coordinator-merged event stream and each worker's statistics.
 fn run_cluster(
     sc: &scenario::Scenario,
     cfg: FilterConfig,
     num_workers: usize,
-) -> Vec<LocationEvent> {
+) -> (Vec<LocationEvent>, Vec<EngineStats>) {
     let batches = sc.trace.epoch_batches();
     let mut head = ClusterHead::new(engine_for(sc, cfg), num_workers);
     let mut workers: Vec<ClusterWorker<rfid_sim::WarehouseLayout, ConeSensor>> = (0..num_workers)
@@ -74,7 +74,7 @@ fn run_cluster(
         })
         .collect();
     merge_events_by_tag(&finals, &mut merged);
-    merged
+    (merged, workers.iter().map(|w| *w.stats()).collect())
 }
 
 fn assert_identical(a: &[LocationEvent], b: &[LocationEvent], label: &str) {
@@ -140,8 +140,20 @@ fn cluster_matches_single_process_for_every_worker_count() {
     );
     assert!(!expected.is_empty(), "the scenario must emit events");
     for n in [1usize, 2, 4] {
-        let got = run_cluster(&sc, cfg, n);
+        let (got, worker_stats) = run_cluster(&sc, cfg, n);
         assert_identical(&expected, &got, &format!("{n} workers"));
+        if n != 2 {
+            continue;
+        }
+        // the partitions add up to the single-process work, and every
+        // worker times the stages it runs
+        let total = reference.stats();
+        let sum = |f: fn(&EngineStats) -> u64| worker_stats.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.object_updates), total.object_updates);
+        assert_eq!(sum(|s| s.events_emitted), total.events_emitted);
+        for (i, s) in worker_stats.iter().enumerate() {
+            assert!(s.infer_us > 0, "worker {i} reports no infer time");
+        }
     }
 }
 
@@ -155,7 +167,7 @@ fn cluster_matches_in_trust_reports_mode() {
     let mut reference = engine_for(&sc, cfg);
     let expected = run_engine(&mut reference, &batches);
     for n in [1usize, 3] {
-        let got = run_cluster(&sc, cfg, n);
+        let (got, _) = run_cluster(&sc, cfg, n);
         assert_identical(&expected, &got, &format!("trust-reports {n} workers"));
     }
 }

@@ -154,8 +154,7 @@ impl<S: ReadRateModel> TraceGenerator<S> {
     }
 
     /// Runs the generative process to completion, materializing the
-    /// whole trace. Incremental alternative:
-    /// [`TraceGenerator::stream`].
+    /// whole trace ([`SimTrace::stream`] replays it item by item).
     ///
     /// * `layout` supplies shelf geometry (used only for bookkeeping
     ///   here; the tag positions passed in are authoritative),
@@ -230,31 +229,6 @@ impl<S: ReadRateModel> TraceGenerator<S> {
             epoch_len,
         }
     }
-
-    /// The generative process as an incremental
-    /// [`rfid_stream::ReadingSource`]: raw items are produced epoch by
-    /// epoch on demand — no whole-trace `Vec` is ever built. Ground
-    /// truth accumulates inside the source for post-run scoring.
-    pub fn stream<R: Rng>(
-        &self,
-        trajectory: &Trajectory,
-        objects: &[(TagId, Point3)],
-        shelf_tags: &[(TagId, Point3)],
-        movements: &[MovementEvent],
-        rng: R,
-    ) -> crate::source::EpochStreamSource<S, R>
-    where
-        S: Clone,
-    {
-        crate::source::EpochStreamSource::new(EpochSim::new(
-            self.clone(),
-            trajectory,
-            objects,
-            shelf_tags,
-            movements,
-            rng,
-        ))
-    }
 }
 
 /// One generated epoch: the averaged-out report plus this epoch's raw
@@ -265,10 +239,9 @@ pub(crate) struct EpochOutput<'a> {
     pub readings: &'a [RfidReading],
 }
 
-/// The generative process, one epoch at a time. Owns every input it
-/// needs, so it can back a long-lived streaming source; draws random
-/// numbers in exactly the order [`TraceGenerator::generate`] does, so
-/// streamed and materialized traces are identical for the same seed.
+/// The generative process, one epoch at a time: the loop
+/// [`TraceGenerator::generate_with_churn`] drives to materialize a
+/// trace, reusing one readings buffer across epochs.
 #[derive(Debug)]
 pub(crate) struct EpochSim<S: ReadRateModel, R: Rng> {
     gen: TraceGenerator<S>,
@@ -366,11 +339,6 @@ impl<S: ReadRateModel, R: Rng> EpochSim<S, R> {
     /// Consumes the simulator, returning the accumulated ground truth.
     pub(crate) fn into_truth(self) -> GroundTruth {
         self.truth
-    }
-
-    /// The epoch length of the generated streams, in seconds.
-    pub(crate) fn epoch_len(&self) -> f64 {
-        self.gen.epoch_len
     }
 
     /// Generates the next epoch, or `None` when the trajectory is

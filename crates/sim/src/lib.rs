@@ -37,6 +37,6 @@ pub use generator::{MovementEvent, SimTrace, TraceGenerator};
 pub use lab::LabDeployment;
 pub use layout::{Shelf, WarehouseLayout};
 pub use noise::{DeadReckoning, ReportNoise};
-pub use source::{EpochStreamSource, TraceStream};
+pub use source::TraceStream;
 pub use trajectory::{Step, Trajectory};
 pub use truth::GroundTruth;

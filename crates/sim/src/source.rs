@@ -1,23 +1,12 @@
-//! Incremental [`rfid_stream::ReadingSource`]s over simulated traces.
+//! Incremental [`rfid_stream::ReadingSource`] over a simulated trace.
 //!
-//! Two ways to feed the streaming pipeline:
-//!
-//! * [`TraceStream`] — borrows an already-generated [`crate::SimTrace`] and
-//!   merges its two raw streams in time order, one item per pull;
-//! * [`EpochStreamSource`] — wraps an [`EpochSim`] so the trace is
-//!   *generated on demand*, epoch by epoch: nothing is materialized
-//!   beyond the current epoch's items, no matter how long the run.
-//!
-//! Both yield [`StreamItem`]s, so they plug into
-//! [`rfid_stream::Pipeline`] directly (every `Iterator<Item =
-//! StreamItem>` is a `ReadingSource`).
+//! [`TraceStream`] borrows an already-generated [`crate::SimTrace`] and
+//! merges its two raw streams in time order, one item per pull. It
+//! yields [`StreamItem`]s, so it plugs into [`rfid_stream::Pipeline`]
+//! directly (every `Iterator<Item = StreamItem>` is a
+//! `ReadingSource`).
 
-use crate::generator::EpochSim;
-use crate::truth::GroundTruth;
-use rand::Rng;
-use rfid_model::ReadRateModel;
 use rfid_stream::{ReaderLocationReport, RfidReading, StreamItem};
-use std::collections::VecDeque;
 
 /// The two raw streams of a [`crate::generator::SimTrace`], merged in
 /// time order. Ties go to the reading, matching the push order of
@@ -79,54 +68,6 @@ impl Iterator for TraceStream<'_> {
     }
 }
 
-/// A live generative source: generates epochs one at a time as the
-/// pipeline consumes items. Within an epoch the report (stamped at the
-/// epoch start) precedes the readings (stamped mid-epoch), so the
-/// merged order matches [`TraceStream`] over a materialized trace.
-#[derive(Debug)]
-pub struct EpochStreamSource<S: ReadRateModel, R: Rng> {
-    sim: EpochSim<S, R>,
-    queue: VecDeque<StreamItem>,
-}
-
-impl<S: ReadRateModel, R: Rng> EpochStreamSource<S, R> {
-    /// Wraps a simulator positioned at its first epoch.
-    pub(crate) fn new(sim: EpochSim<S, R>) -> Self {
-        Self {
-            sim,
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// The epoch length of the generated streams, in seconds.
-    pub fn epoch_len(&self) -> f64 {
-        self.sim.epoch_len()
-    }
-
-    /// Ground truth generated so far (complete after exhaustion) — for
-    /// scoring the pipeline's events after the run.
-    pub fn truth(&self) -> &GroundTruth {
-        self.sim.truth()
-    }
-}
-
-impl<S: ReadRateModel, R: Rng> Iterator for EpochStreamSource<S, R> {
-    type Item = StreamItem;
-
-    fn next(&mut self) -> Option<StreamItem> {
-        loop {
-            if let Some(item) = self.queue.pop_front() {
-                return Some(item);
-            }
-            let out = self.sim.next_epoch()?;
-            self.queue.push_back(StreamItem::Report(out.report));
-            for r in out.readings {
-                self.queue.push_back(StreamItem::Reading(*r));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,32 +112,5 @@ mod tests {
             assert!(t >= last, "out of order: {t} after {last}");
             last = t;
         }
-    }
-
-    #[test]
-    fn live_source_reproduces_the_materialized_trace() {
-        // same seed: the streamed items must be exactly the merged
-        // materialized trace, and the truth must match
-        let (layout, traj, objects, shelves) = setup();
-        let gen = TraceGenerator::new(ConeSensor::paper_default());
-        let mut rng = StdRng::seed_from_u64(13);
-        let trace = gen.generate(&layout, &traj, &objects, &shelves, &[], &mut rng);
-        let live = gen.stream(&traj, &objects, &shelves, &[], StdRng::seed_from_u64(13));
-        let live_items: Vec<StreamItem> = live.collect();
-        let merged: Vec<StreamItem> = trace.stream().collect();
-        assert_eq!(live_items.len(), merged.len());
-        for (a, b) in live_items.iter().zip(&merged) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn live_source_accumulates_truth() {
-        let (_, traj, objects, shelves) = setup();
-        let gen = TraceGenerator::new(ConeSensor::paper_default());
-        let mut live = gen.stream(&traj, &objects, &shelves, &[], StdRng::seed_from_u64(14));
-        while live.next().is_some() {}
-        assert_eq!(live.truth().num_epochs(), traj.num_steps() + 1);
-        assert_eq!(live.truth().num_objects(), 10);
     }
 }

@@ -5,7 +5,7 @@
 
 use rfid_bench::metrics::{score_scenario, EventScoreConfig};
 use rfid_bench::runner::{
-    run_baseline_uniform, run_engine_variant_opts, EngineVariant, InferenceSensor, RunOpts,
+    run_baseline_uniform, run_engine_variant, EngineVariant, InferenceSensor,
 };
 use rfid_model::{ConeSensor, ModelParams};
 use rfid_repro::sim::scenario;
@@ -13,14 +13,15 @@ use rfid_stream::LocationEvent;
 
 fn run_churn() -> (scenario::Scenario, Vec<LocationEvent>) {
     let sc = scenario::tag_churn_trace(4004);
-    let out = run_engine_variant_opts(
+    let out = run_engine_variant(
         &sc.trace.epoch_batches(),
         &sc.layout,
         &sc.trace.shelf_tags,
         EngineVariant::Full,
         InferenceSensor::TrueCone(ConeSensor::paper_default()),
         ModelParams::default_warehouse(),
-        RunOpts::new(150, 30),
+        150,
+        30,
     );
     (sc, out.events)
 }
@@ -64,14 +65,15 @@ fn engine_beats_uniform_on_event_f1_under_churn() {
 #[test]
 fn scorer_handles_conveyor_change_detection_end_to_end() {
     let sc = scenario::conveyor_trace(4004);
-    let out = run_engine_variant_opts(
+    let out = run_engine_variant(
         &sc.trace.epoch_batches(),
         &sc.layout,
         &sc.trace.shelf_tags,
         EngineVariant::Full,
         InferenceSensor::TrueCone(ConeSensor::paper_default()),
         ModelParams::default_warehouse(),
-        RunOpts::new(150, 30),
+        150,
+        30,
     );
     let s = score_scenario(&out.events, &sc, &EventScoreConfig::default());
     assert!(s.change.moves_total > 50, "moves {}", s.change.moves_total);
