@@ -12,21 +12,29 @@
 use rfid_core::engine::cluster::{ClusterHead, ClusterWorker, EpochPlan, ResampleDirective};
 use rfid_core::engine::run_engine;
 use rfid_core::{EngineStats, FilterConfig, InferenceEngine, ReaderMode};
-use rfid_model::{ConeSensor, JointModel, ModelParams};
-use rfid_sim::scenario;
+use rfid_model::{ConeSensor, JointModel, ModelParams, ReadRateModel};
+use rfid_sim::{scenario, WarehouseLayout};
 use rfid_stream::wire::merge_events_by_tag;
 use rfid_stream::{Epoch, LocationEvent};
+
+fn engine_with<S: ReadRateModel>(
+    sc: &scenario::Scenario,
+    cfg: FilterConfig,
+    model: JointModel<S>,
+) -> InferenceEngine<WarehouseLayout, S> {
+    InferenceEngine::new(model, sc.layout.clone(), sc.trace.shelf_tags.clone(), cfg)
+        .expect("valid config")
+}
 
 fn engine_for(
     sc: &scenario::Scenario,
     cfg: FilterConfig,
-) -> InferenceEngine<rfid_sim::WarehouseLayout, ConeSensor> {
+) -> InferenceEngine<WarehouseLayout, ConeSensor> {
     let model = JointModel::with_sensor(
         ConeSensor::paper_default(),
         ModelParams::default_warehouse(),
     );
-    InferenceEngine::new(model, sc.layout.clone(), sc.trace.shelf_tags.clone(), cfg)
-        .expect("valid config")
+    engine_with(sc, cfg, model)
 }
 
 /// Drives the full head/worker exchange over the trace and returns the
@@ -36,10 +44,20 @@ fn run_cluster(
     cfg: FilterConfig,
     num_workers: usize,
 ) -> (Vec<LocationEvent>, Vec<EngineStats>) {
+    run_cluster_with(sc, || engine_for(sc, cfg), num_workers)
+}
+
+/// [`run_cluster`] over engines from `build`: the head and every worker
+/// get a fresh one.
+fn run_cluster_with<S: ReadRateModel>(
+    sc: &scenario::Scenario,
+    build: impl Fn() -> InferenceEngine<WarehouseLayout, S>,
+    num_workers: usize,
+) -> (Vec<LocationEvent>, Vec<EngineStats>) {
     let batches = sc.trace.epoch_batches();
-    let mut head = ClusterHead::new(engine_for(sc, cfg), num_workers);
-    let mut workers: Vec<ClusterWorker<rfid_sim::WarehouseLayout, ConeSensor>> = (0..num_workers)
-        .map(|_| ClusterWorker::new(engine_for(sc, cfg)))
+    let mut head = ClusterHead::new(build(), num_workers);
+    let mut workers: Vec<ClusterWorker<WarehouseLayout, S>> = (0..num_workers)
+        .map(|_| ClusterWorker::new(build()))
         .collect();
     let mut merged = Vec::new();
     let mut last_epoch = Epoch(0);
@@ -170,4 +188,49 @@ fn cluster_matches_in_trust_reports_mode() {
         let (got, _) = run_cluster(&sc, cfg, n);
         assert_identical(&expected, &got, &format!("trust-reports {n} workers"));
     }
+}
+
+/// The merged stream of engines from `build` equals `run_engine`'s for
+/// N = 1, 2, 3, and the trace exercises the resample exchange.
+fn assert_cluster_matches<S: ReadRateModel>(
+    sc: &scenario::Scenario,
+    build: impl Fn() -> InferenceEngine<WarehouseLayout, S>,
+    label: &str,
+) {
+    let mut reference = build();
+    let expected = run_engine(&mut reference, &sc.trace.epoch_batches());
+    assert!(
+        reference.stats().reader_resamples >= 1,
+        "{label}: the scenario must exercise the resample/remap exchange"
+    );
+    assert!(
+        !expected.is_empty(),
+        "{label}: the scenario must emit events"
+    );
+    for n in [1usize, 2, 3] {
+        let (got, _) = run_cluster_with(sc, &build, n);
+        assert_identical(&expected, &got, &format!("{label}, {n} workers"));
+    }
+}
+
+#[test]
+fn cluster_matches_without_index_or_compression() {
+    // no index: a worker steps every object it owns, every epoch, and
+    // none is ever compressed
+    let sc = scenario::small_trace(8, 4, 7);
+    let mut cfg = FilterConfig::factored_default();
+    cfg.particles_per_object = 120;
+    cfg.reader_particles = 40;
+    cfg.report_delay_epochs = 20;
+    assert_cluster_matches(&sc, || engine_for(&sc, cfg), "factored");
+}
+
+#[test]
+fn cluster_matches_with_the_logistic_sensor() {
+    // no hard edge: the index finds candidates, and none is skipped as
+    // out of reach
+    let sc = scenario::small_trace(8, 4, 31);
+    let cfg = full_cfg();
+    let build = || engine_with(&sc, cfg, JointModel::new(ModelParams::default_warehouse()));
+    assert_cluster_matches(&sc, build, "logistic");
 }
