@@ -22,7 +22,7 @@ use crate::common::{nearest_shelf, sample_range_shelf, LocationAccumulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Aabb, Pose};
-use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
+use rfid_stream::{Epoch, EpochBatch, EventStats, InferenceStage, LocationEvent, TagId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// SMURF tuning knobs.
@@ -116,11 +116,14 @@ impl Smurf {
             ignored: ignored.into_iter().collect(),
         }
     }
+}
 
-    /// Processes one epoch batch; returns location events for tags that
-    /// left scope this epoch.
-    pub fn process_batch(&mut self, batch: &EpochBatch) -> Vec<LocationEvent> {
+impl InferenceStage for Smurf {
+    /// Processes one epoch batch; appends location events for tags that
+    /// left scope this epoch, sorted by tag.
+    fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
         let epoch = batch.epoch;
+        let before = out.len();
         let read_now: BTreeSet<TagId> = batch
             .readings
             .iter()
@@ -133,7 +136,6 @@ impl Smurf {
         }
 
         let reported = batch.reader_report;
-        let mut events = Vec::new();
         for (tag, state) in self.tags.iter_mut() {
             let read = read_now.contains(tag);
             if read {
@@ -198,7 +200,7 @@ impl Smurf {
                 // left scope: average the samples into an event
                 state.in_scope = false;
                 if let Some(mean) = state.acc.mean() {
-                    events.push(
+                    out.push(
                         LocationEvent::new(epoch, *tag, mean).with_stats(EventStats {
                             var: [0.0; 3],
                             support: state.acc.len() as f64,
@@ -208,19 +210,18 @@ impl Smurf {
                 state.acc.clear();
             }
         }
-        events.sort_by_key(|e| e.tag);
-        events
+        out[before..].sort_by_key(|e| e.tag);
     }
 
     /// Flushes tags still in scope at end of trace.
-    pub fn finalize(&mut self, epoch: Epoch) -> Vec<LocationEvent> {
-        let mut events = Vec::new();
+    fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>) {
+        let before = out.len();
         for (tag, state) in self.tags.iter_mut() {
             if state.in_scope {
                 state.in_scope = false;
                 if let Some(mean) = state.acc.mean() {
-                    events.push(
-                        LocationEvent::new(epoch, *tag, mean).with_stats(EventStats {
+                    out.push(
+                        LocationEvent::new(last_epoch, *tag, mean).with_stats(EventStats {
                             var: [0.0; 3],
                             support: state.acc.len() as f64,
                         }),
@@ -229,18 +230,7 @@ impl Smurf {
                 state.acc.clear();
             }
         }
-        events.sort_by_key(|e| e.tag);
-        events
-    }
-}
-
-impl rfid_stream::InferenceStage for Smurf {
-    fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
-        out.extend(self.process_batch(batch));
-    }
-
-    fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>) {
-        out.extend(self.finalize(last_epoch));
+        out[before..].sort_by_key(|e| e.tag);
     }
 }
 

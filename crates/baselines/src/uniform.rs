@@ -14,7 +14,7 @@ use crate::common::{nearest_shelf, sample_range_shelf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_geom::{Aabb, Point3};
-use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
+use rfid_stream::{Epoch, EpochBatch, EventStats, InferenceStage, LocationEvent, TagId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The uniform-sampling baseline.
@@ -48,11 +48,18 @@ impl UniformBaseline {
         }
     }
 
-    /// Processes one epoch batch; returns events for tags that left
-    /// scope.
-    pub fn process_batch(&mut self, batch: &EpochBatch) -> Vec<LocationEvent> {
+    /// Number of tags seen.
+    pub fn num_tags(&self) -> usize {
+        self.tags.len()
+    }
+}
+
+impl InferenceStage for UniformBaseline {
+    /// Processes one epoch batch; appends events for tags that left
+    /// scope, sorted by tag.
+    fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
         let epoch = batch.epoch;
-        let mut events = Vec::new();
+        let before = out.len();
         if let Some(rep) = batch.reader_report {
             for tag in &batch.readings {
                 if self.ignored.contains(tag) {
@@ -77,7 +84,7 @@ impl UniformBaseline {
         for (tag, (sample, count, last_read, in_scope)) in self.tags.iter_mut() {
             if *in_scope && epoch.since(*last_read) > self.scope_gap {
                 *in_scope = false;
-                events.push(
+                out.push(
                     LocationEvent::new(epoch, *tag, *sample).with_stats(EventStats {
                         var: [0.0; 3],
                         support: *count as f64,
@@ -86,18 +93,17 @@ impl UniformBaseline {
                 *count = 0;
             }
         }
-        events.sort_by_key(|e| e.tag);
-        events
+        out[before..].sort_by_key(|e| e.tag);
     }
 
     /// Flushes all pending tags.
-    pub fn finalize(&mut self, epoch: Epoch) -> Vec<LocationEvent> {
-        let mut events = Vec::new();
+    fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>) {
+        let before = out.len();
         for (tag, (sample, count, _, in_scope)) in self.tags.iter_mut() {
             if *in_scope {
                 *in_scope = false;
-                events.push(
-                    LocationEvent::new(epoch, *tag, *sample).with_stats(EventStats {
+                out.push(
+                    LocationEvent::new(last_epoch, *tag, *sample).with_stats(EventStats {
                         var: [0.0; 3],
                         support: *count as f64,
                     }),
@@ -105,23 +111,7 @@ impl UniformBaseline {
                 *count = 0;
             }
         }
-        events.sort_by_key(|e| e.tag);
-        events
-    }
-
-    /// Number of tags seen.
-    pub fn num_tags(&self) -> usize {
-        self.tags.len()
-    }
-}
-
-impl rfid_stream::InferenceStage for UniformBaseline {
-    fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
-        out.extend(self.process_batch(batch));
-    }
-
-    fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>) {
-        out.extend(self.finalize(last_epoch));
+        out[before..].sort_by_key(|e| e.tag);
     }
 }
 

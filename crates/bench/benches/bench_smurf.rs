@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rfid_baselines::{Smurf, SmurfConfig, UniformBaseline};
 use rfid_geom::{Aabb, Point3};
 use rfid_sim::scenario;
+use rfid_stream::InferenceStage;
 
 fn bench_smurf(c: &mut Criterion) {
     let sc = scenario::small_trace(16, 4, 123);

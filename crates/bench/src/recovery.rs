@@ -40,7 +40,7 @@ use rfid_serve::store::{EventStore, StoreConfig};
 use rfid_serve::{DurableStore, LogError, Recovery, SegmentLog};
 use rfid_sim::scenario::Scenario;
 use rfid_sim::WarehouseLayout;
-use rfid_stream::{Epoch, EpochBatch, LocationEvent};
+use rfid_stream::{Epoch, EpochBatch, InferenceStage, LocationEvent};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 

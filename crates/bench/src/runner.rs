@@ -3,11 +3,12 @@
 
 use crate::metrics::ErrorStats;
 use rfid_baselines::{Smurf, SmurfConfig, UniformBaseline};
+use rfid_core::engine::run_engine;
 use rfid_core::{BasicParticleFilter, FilterConfig, InferenceEngine, ReaderMode};
 use rfid_geom::Aabb;
 use rfid_model::{ConeSensor, JointModel, LocationPrior, ModelParams, ReadRateModel};
 use rfid_sim::scenario::Scenario;
-use rfid_stream::{Epoch, EpochBatch, InferenceStage, LocationEvent};
+use rfid_stream::{EpochBatch, InferenceStage, LocationEvent};
 use std::time::{Duration, Instant};
 
 /// Which inference configuration to run (the four curves of
@@ -88,12 +89,7 @@ impl RunOutput {
 /// for the caller to fill in.
 fn drive<S: InferenceStage>(stage: &mut S, batches: &[EpochBatch]) -> RunOutput {
     let start = Instant::now();
-    let mut events = Vec::new();
-    for b in batches {
-        stage.process_batch_into(b, &mut events);
-    }
-    let last = batches.last().map(|b| b.epoch).unwrap_or(Epoch(0));
-    stage.finalize_into(last, &mut events);
+    let events = run_engine(stage, batches);
     RunOutput {
         events,
         elapsed: start.elapsed(),

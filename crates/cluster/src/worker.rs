@@ -60,10 +60,9 @@ pub fn run_worker(
                 } else {
                     None
                 };
+                // publishes the epoch: one stage-timer sample; the
+                // registry itself ships once, after FINISH
                 worker.apply_resample(plan.epoch, directive.as_ref());
-                // one stage-timer sample per epoch; the registry itself
-                // ships once, after FINISH
-                worker.observe_metrics();
             }
             Some(proto::MSG_FINISH) => {
                 let last_epoch = proto::decode_finish(&payload).map_err(io::Error::from)?;
@@ -78,7 +77,6 @@ pub fn run_worker(
                 }
                 // this process's registry snapshot (engine stage
                 // timers, step counters), finalize flush included
-                worker.observe_metrics();
                 let snap = rfid_obs::global().snapshot();
                 proto::write_msg(&mut rw, &proto::encode_metrics(last_epoch, &snap))?;
                 rw.flush()?;

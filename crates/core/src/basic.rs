@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfid_geom::{Point3, Pose, Vec3};
 use rfid_model::{JointModel, LocationPrior, ReadRateModel};
-use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
+use rfid_stream::{Epoch, EpochBatch, EventStats, InferenceStage, LocationEvent, TagId};
 use std::collections::{BTreeSet, HashMap};
 
 #[derive(Debug, Clone)]
@@ -132,8 +132,18 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
         Pose::new(pos.to_point(), s.atan2(c))
     }
 
+    /// The due event of `tag`, carrying the joint particle count as its
+    /// support.
+    fn event(&self, epoch: Epoch, tag: TagId) -> Option<LocationEvent> {
+        let (loc, var) = self.object_estimate(tag)?;
+        let support = self.particles.len() as f64;
+        Some(LocationEvent::new(epoch, tag, loc).with_stats(EventStats { var, support }))
+    }
+}
+
+impl<P: LocationPrior, S: ReadRateModel> InferenceStage for BasicParticleFilter<P, S> {
     /// Processes one epoch batch.
-    pub fn process_batch(&mut self, batch: &EpochBatch) -> Vec<LocationEvent> {
+    fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
         let epoch = batch.epoch;
         let report = batch.reader_report;
 
@@ -262,40 +272,16 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
         }
 
         // ---- events ---------------------------------------------------
-        let mut events = Vec::new();
         for tag in self.policy.due(epoch) {
-            if let Some((loc, var)) = self.object_estimate(tag) {
-                events.push(LocationEvent::new(epoch, tag, loc).with_stats(EventStats {
-                    var,
-                    support: self.particles.len() as f64,
-                }));
-            }
+            out.extend(self.event(epoch, tag));
         }
-        events
     }
 
     /// Flushes pending reports at end of trace.
-    pub fn finalize(&mut self, epoch: Epoch) -> Vec<LocationEvent> {
-        let mut events = Vec::new();
-        for tag in self.policy.flush() {
-            if let Some((loc, var)) = self.object_estimate(tag) {
-                events.push(LocationEvent::new(epoch, tag, loc).with_stats(EventStats {
-                    var,
-                    support: self.particles.len() as f64,
-                }));
-            }
-        }
-        events
-    }
-}
-
-impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage for BasicParticleFilter<P, S> {
-    fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
-        out.extend(self.process_batch(batch));
-    }
-
     fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>) {
-        out.extend(self.finalize(last_epoch));
+        for tag in self.policy.flush() {
+            out.extend(self.event(last_epoch, tag));
+        }
     }
 }
 

@@ -1,20 +1,28 @@
 //! The inference engine: raw epoch batches in, location events out.
 //!
-//! [`InferenceEngine::process_batch`] runs one epoch of §IV's filter in
-//! three explicit stages:
+//! The engine's [`InferenceStage::process_batch_into`] runs one epoch
+//! of §IV's filter as the composition of crate-private stage methods,
+//! timed as three stages:
 //!
 //! 1. **ingestion** (`InferenceEngine::ingest`): split the epoch's
-//!    readings into shelf evidence and object reads, then update the
-//!    reader filter;
+//!    readings into shelf evidence and object reads
+//!    (`split_readings`), then update the reader filter;
 //! 2. **inference** (`InferenceEngine::infer`): build the sorted
 //!    active set — Case 1, the objects read; Case 2, the objects the
 //!    spatial index recorded nearby *and* some reader particle can see
 //!    ([`crate::Reach`]: exact, so only for a sensor with a hard edge)
 //!    — which is the step queue; run the per-object updates, schedule
 //!    compression checks, and record the sensing region;
-//! 3. **emission** (`InferenceEngine::emit`): collect due events
-//!    from the output policy, resample the reader, and run the
-//!    compression sweep.
+//! 3. **emission**: emit the due events from the output policy
+//!    (`emit_due`), resample the reader (`resample_reader`), re-point
+//!    the active objects' dead ancestor pointers with a caller-supplied
+//!    draw (`remap_active`; here the engine RNG), and run the
+//!    compression sweep;
+//!
+//! and then publishes the epoch (`publish`: stage times into
+//! [`EngineStats`], the registry mirror, the slow-epoch trace). A
+//! [`cluster`] head and its workers call these same methods; they add
+//! only the routing, the shipped rows and the head's draw replay.
 //!
 //! # Execution model
 //!
@@ -48,15 +56,16 @@ use crate::config::{
 };
 use crate::error::ConfigError;
 use crate::exec::{self, StepScratch};
-use crate::factored::{ObjectFilter, ReaderFilter, ReaderTables};
+use crate::factored::{ObjectFilter, ReaderFilter, ReaderRemap, ReaderTables};
 use crate::output::OutputPolicy;
 use crate::spatial_hook::{sensing_box, Reach, SpatialHook};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rfid_geom::{Point3, Pose};
 use rfid_model::{JointModel, LocationPrior, ReadRateModel};
-use rfid_stream::{Epoch, EpochBatch, EventStats, LocationEvent, TagId};
+use rfid_stream::{Epoch, EpochBatch, EventStats, InferenceStage, LocationEvent, TagId};
 use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 /// One object's belief representation.
 // Compressed is the larger variant but keeps dormant objects heap-free;
@@ -211,6 +220,15 @@ struct StepTask {
     read: bool,
 }
 
+/// The three timed stages of an epoch, in order; each indexes
+/// `InferenceEngine::epoch_us`.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Ingest,
+    Infer,
+    Emit,
+}
+
 /// The read-only environment one object step runs against.
 struct StepCtx<'a, P, S> {
     model: &'a JointModel<S>,
@@ -249,8 +267,9 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     stats: EngineStats,
     /// Registry handles mirroring [`EngineStats`] (see
     /// [`EngineMetrics`]); one delta baseline per engine instance, so
-    /// every stats mutation path (batch, cluster head, cluster
-    /// worker) records each increment exactly once.
+    /// each increment is recorded exactly once, whichever caller
+    /// publishes (the engine itself, or a cluster worker). A cluster
+    /// head never publishes.
     metrics: EngineMetrics,
     /// Overestimated sensor range used for initialization cones,
     /// sensing boxes, and re-detection thresholds.
@@ -290,6 +309,9 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     /// to the head, which merges them in global tag order across all
     /// workers (see [`cluster`]).
     support_tee: Option<Vec<(TagId, Vec<f64>)>>,
+    /// Microseconds per [`Stage`] of the epoch in progress, moved into
+    /// [`EngineStats`] when the epoch is published.
+    epoch_us: [u64; 3],
 }
 
 impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
@@ -339,6 +361,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             staged_support: Vec::new(),
             reader_tables: ReaderTables::default(),
             support_tee: None,
+            epoch_us: [0; 3],
             config,
         })
     }
@@ -409,82 +432,18 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         total
     }
 
-    /// Processes one synchronized epoch batch and returns the events
-    /// due this epoch.
-    pub fn process_batch(&mut self, batch: &EpochBatch) -> Vec<LocationEvent> {
-        let mut events = Vec::new();
-        self.process_batch_into(batch, &mut events);
-        events
-    }
-
-    /// [`InferenceEngine::process_batch`] appending into a caller-owned
-    /// buffer — the pipeline entry point (one reused buffer, no
-    /// per-epoch allocation).
-    pub fn process_batch_into(&mut self, batch: &EpochBatch, events: &mut Vec<LocationEvent>) {
-        let epoch = batch.epoch;
-        self.stats.epochs += 1;
-        self.stats.readings += batch.readings.len() as u64;
-        let t0 = std::time::Instant::now();
-        let reader_est = self.ingest(batch);
-        let t1 = std::time::Instant::now();
-        self.infer(epoch, &reader_est);
-        let t2 = std::time::Instant::now();
-        self.emit(epoch, events);
-        let ingest_us = (t1 - t0).as_micros() as u64;
-        let infer_us = (t2 - t1).as_micros() as u64;
-        let emit_us = t2.elapsed().as_micros() as u64;
-        self.stats.ingest_us += ingest_us;
-        self.stats.infer_us += infer_us;
-        self.stats.emit_us += emit_us;
-        self.metrics.observe(&self.stats);
-        let slow = rfid_obs::trace().slow_epoch_us();
-        if slow > 0 {
-            let total = ingest_us + infer_us + emit_us;
-            if total >= slow {
-                let mut entry = rfid_obs::TraceEntry::new("slow_epoch", total);
-                entry.what = "ingest/infer/emit";
-                entry.epoch = epoch.0;
-                entry.detail = [ingest_us, infer_us, emit_us];
-                rfid_obs::trace().record(entry);
-            }
-        }
-    }
-
-    /// Flushes pending reports at end of trace.
-    pub fn finalize(&mut self, epoch: Epoch) -> Vec<LocationEvent> {
-        let mut events = Vec::new();
-        self.finalize_into(epoch, &mut events);
-        events
-    }
-
-    /// [`InferenceEngine::finalize`] appending into a caller-owned
-    /// buffer.
-    pub fn finalize_into(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
-        self.policy.flush_into(&mut self.due);
-        self.emit_due_events(epoch, events);
-        self.metrics.observe(&self.stats);
-    }
-
-    /// Mirrors any [`EngineStats`] progress since the last
-    /// observation onto the global metrics registry. The batch and
-    /// finalize paths call this themselves; callers that mutate stats
-    /// through other paths (the cluster worker) invoke it once per
-    /// epoch.
-    pub fn observe_metrics(&mut self) {
-        self.metrics.observe(&self.stats);
-    }
-
     // ------------------------------------------------------------------
     // stage 1: ingestion
     // ------------------------------------------------------------------
 
-    /// Splits the epoch's readings into shelf evidence and object
-    /// reads, then updates the reader filter. Returns the posterior
-    /// reader estimate the rest of the epoch runs against.
-    fn ingest(&mut self, batch: &EpochBatch) -> Pose {
+    /// Counts the epoch and its readings, and splits the readings into
+    /// sorted, deduplicated shelf reads and object reads.
+    fn split_readings(&mut self, readings: &[TagId]) {
+        self.stats.epochs += 1;
+        self.stats.readings += readings.len() as u64;
         self.shelf_read.clear();
         self.object_read.clear();
-        for tag in &batch.readings {
+        for tag in readings {
             if self.shelf_ids.contains(tag) {
                 self.shelf_read.push(*tag);
             } else {
@@ -495,7 +454,13 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.shelf_read.dedup();
         self.object_read.sort_unstable();
         self.object_read.dedup();
+    }
 
+    /// Splits the epoch's readings, then updates the reader filter with
+    /// the report and the shelf reads. Returns the posterior reader
+    /// estimate the rest of the epoch runs against.
+    fn ingest(&mut self, batch: &EpochBatch) -> Pose {
+        self.split_readings(&batch.readings);
         self.update_reader(batch.reader_report.as_ref());
         self.reader
             .as_ref()
@@ -645,41 +610,45 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     // stage 3: emission
     // ------------------------------------------------------------------
 
-    /// Emits due events, resamples the reader, and runs the compression
-    /// sweep.
-    fn emit(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
-        // --- emit due events -----------------------------------------
+    /// Emits the events the output policy has due this epoch. They
+    /// precede the reader resample, so they are final here.
+    fn emit_due(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
         self.policy.due_into(epoch, &mut self.due);
         self.emit_due_events(epoch, events);
+    }
 
-        // --- instrumented reader resampling --------------------------
-        if self.config.reader_mode == ReaderMode::Filter {
-            let remap = self
-                .reader
-                .as_mut()
-                .expect("reader exists")
-                .maybe_resample(self.config.resample_ess_frac, &mut self.rng);
-            if let Some(remap) = remap {
-                self.stats.reader_resamples += 1;
-                // realign pointers of the objects touched this epoch in
-                // tag order (the remap draws consume the engine
-                // RNG stream, so the order is part of the determinism
-                // contract); untouched objects refresh on activation
-                for i in 0..self.active.len() {
-                    let tag = self.active[i];
-                    if let Some(ObjectState {
-                        belief: Belief::Active(f),
-                        ..
-                    }) = self.objects.get_mut(&tag)
-                    {
-                        f.apply_reader_remap(&remap, &mut self.rng);
-                    }
-                }
+    /// The instrumented reader resample (filter mode only): returns the
+    /// remap when the ESS test fired. Draws from the engine RNG.
+    fn resample_reader(&mut self) -> Option<ReaderRemap> {
+        if self.config.reader_mode != ReaderMode::Filter {
+            return None;
+        }
+        let remap = self
+            .reader
+            .as_mut()
+            .expect("reader exists")
+            .maybe_resample(self.config.resample_ess_frac, &mut self.rng)?;
+        self.stats.reader_resamples += 1;
+        Some(remap)
+    }
+
+    /// Realigns the reader pointers of the objects stepped this epoch
+    /// after a reader resample, in tag order; untouched objects refresh
+    /// on activation. `draw` supplies each dead pointer's replacement,
+    /// in particle order, and is handed the engine RNG: one process
+    /// draws [`replacement_draw`] from it, a cluster worker returns the
+    /// head's replayed values. Either way the order is part of the
+    /// determinism contract.
+    fn remap_active(&mut self, remap: &ReaderRemap, mut draw: impl FnMut(&mut StdRng) -> u32) {
+        for tag in &self.active {
+            if let Some(ObjectState {
+                belief: Belief::Active(f),
+                ..
+            }) = self.objects.get_mut(tag)
+            {
+                f.apply_reader_remap_with(remap, || draw(&mut self.rng));
             }
         }
-
-        // --- compression sweep ---------------------------------------
-        self.run_compression_sweep(epoch);
     }
 
     /// Turns the staged `due` list into events, in tag order, and
@@ -692,6 +661,41 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             }
         }
         self.stats.events_emitted += (events.len() - before) as u64;
+    }
+
+    // ------------------------------------------------------------------
+    // stage timing and publication
+    // ------------------------------------------------------------------
+
+    /// Runs `stage` and adds its wall time to the epoch in progress.
+    fn timed<R>(&mut self, stage: Stage, run: impl FnOnce(&mut Self) -> R) -> R {
+        let start = Instant::now();
+        let out = run(self);
+        self.epoch_us[stage as usize] += start.elapsed().as_micros() as u64;
+        out
+    }
+
+    /// Publishes the epoch: moves its stage times into
+    /// [`EngineStats`], mirrors the stats onto the registry, and records
+    /// the epoch in the slow-span ring when it crossed the threshold.
+    fn publish(&mut self, epoch: Epoch) {
+        let us = std::mem::take(&mut self.epoch_us);
+        let [ingest_us, infer_us, emit_us] = us;
+        self.stats.ingest_us += ingest_us;
+        self.stats.infer_us += infer_us;
+        self.stats.emit_us += emit_us;
+        self.metrics.observe(&self.stats);
+        let slow = rfid_obs::trace().slow_epoch_us();
+        if slow > 0 {
+            let total = ingest_us + infer_us + emit_us;
+            if total >= slow {
+                let mut entry = rfid_obs::TraceEntry::new("slow_epoch", total);
+                entry.what = "ingest/infer/emit";
+                entry.epoch = epoch.0;
+                entry.detail = us;
+                rfid_obs::trace().record(entry);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -965,31 +969,53 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     (delta, created)
 }
 
-/// Convenience driver: runs the engine over a full batch sequence and
+/// The engine-RNG draw that re-points one dead reader-ancestor pointer
+/// after a reader resample. The single-process engine draws it inside
+/// [`InferenceEngine::remap_active`]; a cluster head replays it for its
+/// workers' objects.
+fn replacement_draw(rng: &mut StdRng, remap: &ReaderRemap) -> u32 {
+    rng.gen_range(0..remap.num_new())
+}
+
+/// Convenience driver: runs a stage over a full batch sequence and
 /// returns every emitted event (including the final flush). This is
-/// the *legacy batch path*, kept as the reference the streaming
+/// the *batch path*, kept as the reference the streaming
 /// [`rfid_stream::Pipeline`] is pinned against
 /// (`crates/core/tests/determinism.rs`).
-pub fn run_engine<P: LocationPrior, S: ReadRateModel>(
-    engine: &mut InferenceEngine<P, S>,
+pub fn run_engine<St: InferenceStage>(
+    stage: &mut St,
     batches: &[EpochBatch],
 ) -> Vec<LocationEvent> {
     let mut events = Vec::new();
     for b in batches {
-        engine.process_batch_into(b, &mut events);
+        stage.process_batch_into(b, &mut events);
     }
     let last = batches.last().map(|b| b.epoch).unwrap_or(Epoch(0));
-    engine.finalize_into(last, &mut events);
+    stage.finalize_into(last, &mut events);
     events
 }
 
-impl<P: LocationPrior, S: ReadRateModel> rfid_stream::InferenceStage for InferenceEngine<P, S> {
-    fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>) {
-        InferenceEngine::process_batch_into(self, batch, out);
+impl<P: LocationPrior, S: ReadRateModel> InferenceStage for InferenceEngine<P, S> {
+    /// One epoch: exactly the composition of the stage methods, timed
+    /// as ingest, infer and emit, then the publication.
+    fn process_batch_into(&mut self, batch: &EpochBatch, events: &mut Vec<LocationEvent>) {
+        let epoch = batch.epoch;
+        let reader_est = self.timed(Stage::Ingest, |e| e.ingest(batch));
+        self.timed(Stage::Infer, |e| e.infer(epoch, &reader_est));
+        self.timed(Stage::Emit, |e| {
+            e.emit_due(epoch, events);
+            if let Some(remap) = e.resample_reader() {
+                e.remap_active(&remap, |rng| replacement_draw(rng, &remap));
+            }
+            e.run_compression_sweep(epoch);
+        });
+        self.publish(epoch);
     }
 
-    fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>) {
-        InferenceEngine::finalize_into(self, last_epoch, out);
+    fn finalize_into(&mut self, last_epoch: Epoch, events: &mut Vec<LocationEvent>) {
+        self.policy.flush_into(&mut self.due);
+        self.emit_due_events(last_epoch, events);
+        self.metrics.observe(&self.stats);
     }
 }
 

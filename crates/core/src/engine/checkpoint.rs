@@ -564,7 +564,7 @@ mod tests {
     use crate::engine::run_engine;
     use rfid_geom::{Point3, Pose};
     use rfid_model::{BoxPrior, JointModel, ModelParams};
-    use rfid_stream::{EpochBatch, LocationEvent};
+    use rfid_stream::{EpochBatch, InferenceStage, LocationEvent};
 
     fn prior() -> BoxPrior {
         BoxPrior::new(Aabb::new(

@@ -15,39 +15,44 @@
 //! 2. the reader **resample** consumes one engine-RNG uniform, and its
 //!    target distribution mixes the merged support into the weights;
 //! 3. after a resample, each active object's dead ancestor pointers are
-//!    re-drawn from the engine RNG, one `gen_range` per dead pointer,
-//!    in global tag order.
+//!    re-drawn from the engine RNG, one draw per dead pointer, in
+//!    global tag order.
 //!
 //! The split that preserves all three: a [`ClusterHead`] owns the
 //! reader and the engine RNG, and the workers own disjoint `tag % N`
-//! slices of the objects. Per epoch:
+//! slices of the objects. Neither re-implements a stage: both call the
+//! engine's own stage methods (see the [`super`] module docs), and add
+//! only what a cluster needs — routing the object readings by
+//! `tag % N`, teeing support rows and ancestor histograms out of the
+//! workers, and the head's replay of the remap draws. Per epoch:
 //!
-//! * [`ClusterHead::begin_epoch`] runs the reference reader update on a
-//!   *stripped* batch (shelf readings + report only — object readings
-//!   are partitioned out to their owners), so the head's engine-RNG
-//!   stream is exactly the single-process one. It broadcasts an
-//!   [`EpochPlan`]: the post-weight reader particles, the posterior
-//!   estimate, whether a resample *will* fire (the reader's weights are
-//!   frozen between ingest and the resample decision, so the ESS test
-//!   is decidable up front), and each worker's readings.
+//! * [`ClusterHead::begin_epoch`] runs the engine's ingest stage on the
+//!   batch. Its reader update reads only the shelf tags and the report,
+//!   so the head's engine-RNG stream is exactly the single-process one.
+//!   It routes the object reads to their `tag % num_workers` owners and
+//!   broadcasts an [`EpochPlan`]: the post-weight reader particles, the
+//!   posterior estimate, whether a resample *will* fire (the reader's
+//!   weights are frozen between ingest and the resample decision, so
+//!   the ESS test is decidable up front), and each worker's readings.
+//!   The head never runs infer: it tracks no object.
 //! * each [`ClusterWorker::process_epoch`] installs the reader
-//!   snapshot, steps its own objects (object steps draw only from
-//!   per-`(seed, tag, epoch)` task streams, so location does not
-//!   matter), emits its due events, and returns one [`TaskReport`] per
-//!   stepped object: the staged support row, plus — on will-resample
-//!   epochs — a histogram of the object's reader-ancestor pointers.
+//!   snapshot, splits its readings, runs the infer stage over its own
+//!   objects (object steps draw only from per-`(seed, tag, epoch)` task
+//!   streams, so location does not matter) and the due-event emission,
+//!   and returns one [`TaskReport`] per stepped object: the staged
+//!   support row, plus — on will-resample epochs — a histogram of the
+//!   object's reader-ancestor pointers.
 //! * [`ClusterHead::finish_epoch`] k-way-merges the reports by tag
 //!   (workers own disjoint residue classes, so the merged order is the
 //!   single-process step order), merges the support rows, and runs the
-//!   reference resample on its own RNG. When the resample fires it
-//!   replays the remap draw sequence — the histograms give each
+//!   engine's reader-resample stage on its own RNG. When the resample
+//!   fires it replays the remap draw sequence — the histograms give each
 //!   object's dead-pointer count without shipping the particles — and
 //!   returns a [`ResampleDirective`] carrying the remap, the
 //!   post-resample reader, and each object's replacement draws.
-//! * [`ClusterWorker::apply_resample`] applies the remap with the
-//!   supplied draws (in particle order, exactly as
-//!   `ObjectFilter::apply_reader_remap` would have drawn them), swaps
-//!   in the post-resample reader, and runs the compression sweep.
+//! * [`ClusterWorker::apply_resample`] runs the engine's remap stage
+//!   with the supplied draws as its draw, swaps in the post-resample
+//!   reader, runs the compression sweep, and publishes the epoch.
 //!
 //! The event stream of an epoch is the tag-ordered concatenation of
 //! the workers' due events; a coordinator reconstructs the global
@@ -58,9 +63,7 @@
 //! tested in-process.
 
 use super::*;
-use crate::factored::ReaderRemap;
 use crate::particle::ReaderParticle;
-use rand::Rng;
 
 /// Everything a worker needs to run one epoch, broadcast by the head.
 #[derive(Debug, Clone)]
@@ -76,7 +79,8 @@ pub struct EpochPlan {
     pub will_resample: bool,
     /// Post-weight reader particles of this epoch.
     pub reader: Vec<ReaderParticle>,
-    /// Object readings partitioned by owner (`tag % num_workers`).
+    /// Object reads partitioned by owner (`tag % num_workers`), each
+    /// sorted and deduplicated.
     pub readings: Vec<Vec<TagId>>,
 }
 
@@ -103,14 +107,12 @@ pub struct ResampleDirective {
     pub draws: Vec<(TagId, Vec<u32>)>,
 }
 
-/// The cluster's reader-owning half: a full engine fed stripped
-/// batches, so it never tracks objects but replays the single-process
-/// reader update and RNG stream exactly.
+/// The cluster's reader-owning half: a full engine that runs the
+/// ingest and reader-resample stages only, so it never tracks objects
+/// but replays the single-process reader update and RNG stream exactly.
 pub struct ClusterHead<P: LocationPrior, S: ReadRateModel = rfid_model::LogisticSensorModel> {
     engine: InferenceEngine<P, S>,
     num_workers: usize,
-    /// Reused stripped-batch buffer.
-    stripped: EpochBatch,
 }
 
 impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
@@ -121,39 +123,22 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
         Self {
             engine,
             num_workers,
-            stripped: EpochBatch {
-                epoch: Epoch(0),
-                readings: Vec::new(),
-                reader_report: None,
-            },
         }
     }
 
-    /// Runs the reader update for one epoch and returns the broadcast
-    /// plan. Object readings never enter the head's engine; they are
-    /// routed to their `tag % num_workers` owner in the plan.
+    /// Runs the ingest stage for one epoch and returns the broadcast
+    /// plan, with the object reads routed to their `tag % num_workers`
+    /// owner.
     pub fn begin_epoch(&mut self, batch: &EpochBatch) -> EpochPlan {
         let e = &mut self.engine;
-        e.stats.epochs += 1;
-        e.stats.readings += batch.readings.len() as u64;
+        let reader_est = e.ingest(batch);
         let mut readings = vec![Vec::new(); self.num_workers];
-        self.stripped.epoch = batch.epoch;
-        self.stripped.reader_report = batch.reader_report;
-        self.stripped.readings.clear();
-        for tag in &batch.readings {
-            if e.shelf_ids.contains(tag) {
-                self.stripped.readings.push(*tag);
-            } else {
-                readings[(tag.0 % self.num_workers as u64) as usize].push(*tag);
-            }
+        for tag in &e.object_read {
+            readings[(tag.0 % self.num_workers as u64) as usize].push(*tag);
         }
-        let reader_est = e.ingest(&self.stripped);
-        // a no-object infer: records an empty sensing region, but
-        // steps nothing
-        e.infer(batch.epoch, &reader_est);
         let reader = e.reader.as_ref().expect("reader initialized");
         let will_resample = e.config.reader_mode == ReaderMode::Filter
-            && reader.ess() < e.config.resample_ess_frac * reader.len() as f64;
+            && reader.resample_due(e.config.resample_ess_frac);
         EpochPlan {
             epoch: batch.epoch,
             reader_est,
@@ -164,9 +149,9 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
     }
 
     /// Merges the workers' support rows in global tag order and runs
-    /// the reference resample decision. `reports` holds one list per
-    /// worker, each sorted by tag (the worker's step order). Returns
-    /// the directive iff the plan announced `will_resample`.
+    /// the reader-resample stage. `reports` holds one list per worker,
+    /// each sorted by tag (the worker's step order). Returns the
+    /// directive iff the plan announced `will_resample`.
     pub fn finish_epoch(&mut self, reports: &[Vec<TaskReport>]) -> Option<ResampleDirective> {
         let e = &mut self.engine;
         // k-way merge by tag: residue classes are disjoint, so this is
@@ -174,38 +159,29 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
         let mut order: Vec<&TaskReport> = Vec::with_capacity(reports.iter().map(Vec::len).sum());
         rfid_stream::wire::merge_by_tag(reports, |t| t.tag, |t| order.push(t));
         e.stats.object_updates += order.len() as u64;
-        {
-            let reader = e.reader.as_mut().expect("reader initialized");
-            for t in &order {
-                reader.merge_support(&t.support);
-            }
-        }
-        if e.config.reader_mode != ReaderMode::Filter {
-            return None;
-        }
-        let remap = e
-            .reader
-            .as_mut()
-            .expect("reader initialized")
-            .maybe_resample(e.config.resample_ess_frac, &mut e.rng)?;
-        e.stats.reader_resamples += 1;
-        // replay the single-process remap draw sequence: one gen_range
-        // per dead ancestor pointer, objects in global tag order
-        let mut draws = Vec::with_capacity(order.len());
+        let reader = e.reader.as_mut().expect("reader initialized");
         for t in &order {
-            let dead: usize = t
-                .reader_hist
-                .iter()
-                .enumerate()
-                .filter(|(r, _)| remap.map(*r as u32).is_none())
-                .map(|(_, c)| *c as usize)
-                .sum();
-            let mut vals = Vec::with_capacity(dead);
-            for _ in 0..dead {
-                vals.push(e.rng.gen_range(0..remap.num_new()));
-            }
-            draws.push((t.tag, vals));
+            reader.merge_support(&t.support);
         }
+        let remap = e.resample_reader()?;
+        // replay the single-process remap draws: one per dead ancestor
+        // pointer, objects in global tag order
+        let draws = order
+            .iter()
+            .map(|t| {
+                let dead: usize = t
+                    .reader_hist
+                    .iter()
+                    .enumerate()
+                    .filter(|(r, _)| remap.map(*r as u32).is_none())
+                    .map(|(_, c)| *c as usize)
+                    .sum();
+                let vals = (0..dead)
+                    .map(|_| replacement_draw(&mut e.rng, &remap))
+                    .collect();
+                (t.tag, vals)
+            })
+            .collect();
         let reader = e.reader.as_ref().expect("reader initialized");
         Some(ResampleDirective {
             remap,
@@ -228,6 +204,16 @@ pub struct ClusterWorker<P: LocationPrior, S: ReadRateModel = rfid_model::Logist
     engine: InferenceEngine<P, S>,
 }
 
+/// Installs reader particles shipped by the head. Their support starts
+/// at zero: the head merges the support rows.
+fn install_reader<P: LocationPrior, S: ReadRateModel>(
+    e: &mut InferenceEngine<P, S>,
+    particles: &[ReaderParticle],
+) {
+    let support = vec![0.0; particles.len()];
+    e.reader = Some(ReaderFilter::from_parts(particles.to_vec(), support, 0));
+}
+
 impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
     /// Wraps an engine built with the *same* configuration (seed
     /// included) as the single-process reference. The worker's own
@@ -248,100 +234,74 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
         events: &mut Vec<LocationEvent>,
     ) -> Vec<TaskReport> {
         let e = &mut self.engine;
-        let epoch = plan.epoch;
-        let readings = &plan.readings[index];
-        e.stats.epochs += 1;
-        e.stats.readings += readings.len() as u64;
-        let nr = plan.reader.len();
-        e.reader = Some(ReaderFilter::from_parts(
-            plan.reader.clone(),
-            vec![0.0; nr],
-            0,
-        ));
-        // ingest, minus the reader update the head already ran: the
-        // plan's readings are all objects this worker owns
-        e.shelf_read.clear();
-        e.object_read.clear();
-        e.object_read.extend_from_slice(readings);
-        e.object_read.sort_unstable();
-        e.object_read.dedup();
+        install_reader(e, &plan.reader);
+        // the plan's readings are all objects this worker owns; the
+        // head ran the reader update
+        e.split_readings(&plan.readings[index]);
         e.support_tee = Some(Vec::new());
-        let t0 = std::time::Instant::now();
-        e.infer(epoch, &plan.reader_est);
-        e.stats.infer_us += t0.elapsed().as_micros() as u64;
+        e.timed(Stage::Infer, |e| e.infer(plan.epoch, &plan.reader_est));
         let rows = e.support_tee.take().unwrap_or_default();
-        let mut reports = Vec::with_capacity(rows.len());
-        for (tag, support) in rows {
-            let reader_hist = if plan.will_resample {
-                let mut hist = vec![0u32; nr];
-                let Some(ObjectState {
-                    belief: Belief::Active(f),
-                    ..
-                }) = e.objects.get(&tag)
-                else {
-                    unreachable!("a stepped object ends the epoch active");
-                };
-                for &r in &f.soa().reader_idx {
-                    hist[r as usize] += 1;
+        let nr = plan.reader.len();
+        let reports = rows
+            .into_iter()
+            .map(|(tag, support)| {
+                let mut reader_hist = Vec::new();
+                if plan.will_resample {
+                    let Some(ObjectState {
+                        belief: Belief::Active(f),
+                        ..
+                    }) = e.objects.get(&tag)
+                    else {
+                        unreachable!("a stepped object ends the epoch active");
+                    };
+                    reader_hist.resize(nr, 0u32);
+                    for &r in &f.soa().reader_idx {
+                        reader_hist[r as usize] += 1;
+                    }
                 }
-                hist
-            } else {
-                Vec::new()
-            };
-            reports.push(TaskReport {
-                tag,
-                support,
-                reader_hist,
-            });
-        }
-        // due events, exactly as the single-process emit stage (events
-        // precede the resample there, so they are final already)
-        let t0 = std::time::Instant::now();
-        e.policy.due_into(epoch, &mut e.due);
-        e.emit_due_events(epoch, events);
-        e.stats.emit_us += t0.elapsed().as_micros() as u64;
+                TaskReport {
+                    tag,
+                    support,
+                    reader_hist,
+                }
+            })
+            .collect();
+        e.timed(Stage::Emit, |e| e.emit_due(plan.epoch, events));
         reports
     }
 
     /// Completes the epoch after the head's resample decision:
     /// `directive` must be `Some` exactly when the plan announced
-    /// `will_resample`. Applies the remap with the head's draws, swaps
-    /// in the post-resample reader, then runs the compression sweep.
-    /// Timed into `emit_us` with the epoch's due events: together they
-    /// are the single-process emit stage. (`ingest_us` stays 0 — the
-    /// head runs the reader update.)
+    /// `will_resample`. Runs the remap stage with the head's draws,
+    /// swaps in the post-resample reader, runs the compression sweep,
+    /// and publishes the epoch. The work here and the due events are
+    /// timed together as the emit stage; the ingest stage stays at 0
+    /// (the head runs the reader update).
     pub fn apply_resample(&mut self, epoch: Epoch, directive: Option<&ResampleDirective>) {
-        let t0 = std::time::Instant::now();
         let e = &mut self.engine;
-        if let Some(d) = directive {
-            e.stats.reader_resamples += 1;
-            let by_tag: std::collections::HashMap<TagId, &[u32]> = d
-                .draws
-                .iter()
-                .map(|(tag, vals)| (*tag, vals.as_slice()))
-                .collect();
-            for i in 0..e.active.len() {
-                let tag = e.active[i];
-                if let Some(ObjectState {
-                    belief: Belief::Active(f),
-                    ..
-                }) = e.objects.get_mut(&tag)
-                {
-                    let vals = by_tag.get(&tag).copied().unwrap_or(&[]);
-                    let mut next = vals.iter();
-                    f.apply_reader_remap_with(&d.remap, || {
-                        *next
-                            .next()
-                            .expect("one replacement draw per dead ancestor pointer")
-                    });
-                    debug_assert!(next.next().is_none(), "unconsumed replacement draws");
-                }
+        e.timed(Stage::Emit, |e| {
+            if let Some(d) = directive {
+                e.stats.reader_resamples += 1;
+                // the directive lists every stepped object in global tag
+                // order; this worker's are the ones in its active set,
+                // and they take their draws in that same order
+                let mine: Vec<u32> = d
+                    .draws
+                    .iter()
+                    .filter(|(tag, _)| e.active.binary_search(tag).is_ok())
+                    .flat_map(|(_, vals)| vals.iter().copied())
+                    .collect();
+                let mut next = mine.into_iter();
+                e.remap_active(&d.remap, |_| {
+                    next.next()
+                        .expect("one replacement draw per dead ancestor pointer")
+                });
+                debug_assert!(next.next().is_none(), "unconsumed replacement draws");
+                install_reader(e, &d.reader);
             }
-            let nr = d.reader.len();
-            e.reader = Some(ReaderFilter::from_parts(d.reader.clone(), vec![0.0; nr], 0));
-        }
-        e.run_compression_sweep(epoch);
-        e.stats.emit_us += t0.elapsed().as_micros() as u64;
+            e.run_compression_sweep(epoch);
+        });
+        e.publish(epoch);
     }
 
     /// Flushes pending reports at end of trace (tag-sorted, like every
@@ -356,8 +316,89 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
     }
 
     /// Mirrors the worker engine's stats progress onto the global
-    /// metrics registry (see [`InferenceEngine::observe_metrics`]).
+    /// metrics registry. [`ClusterWorker::apply_resample`] and
+    /// [`ClusterWorker::finalize_into`] publish on their own; this is
+    /// for a caller that reads the registry mid-epoch.
     pub fn observe_metrics(&mut self) {
-        self.engine.observe_metrics();
+        self.engine.metrics.observe(&self.engine.stats);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfid_model::{ConeSensor, ModelParams};
+    use rfid_sim::{scenario, WarehouseLayout};
+
+    fn engine(sc: &scenario::Scenario) -> InferenceEngine<WarehouseLayout, ConeSensor> {
+        let model = JointModel::with_sensor(
+            ConeSensor::paper_default(),
+            ModelParams::default_warehouse(),
+        );
+        let mut cfg = FilterConfig::full_default();
+        cfg.particles_per_object = 120;
+        cfg.reader_particles = 40;
+        cfg.report_delay_epochs = 20;
+        InferenceEngine::new(model, sc.layout.clone(), sc.trace.shelf_tags.clone(), cfg)
+            .expect("valid config")
+    }
+
+    #[test]
+    fn workers_hold_the_single_process_pointers_after_every_epoch() {
+        // the next step re-draws every pointer, so a wrong remap draw
+        // shows in the event stream only through a same-epoch
+        // compression: compare the pointers themselves
+        let sc = scenario::small_trace(10, 4, 2024);
+        let mut reference = engine(&sc);
+        let mut head = ClusterHead::new(engine(&sc), 2);
+        let mut workers = [
+            ClusterWorker::new(engine(&sc)),
+            ClusterWorker::new(engine(&sc)),
+        ];
+        let mut remapped = 0;
+        for batch in &sc.trace.epoch_batches() {
+            reference.process_batch(batch);
+            let plan = head.begin_epoch(batch);
+            let reports: Vec<_> = workers
+                .iter_mut()
+                .enumerate()
+                .map(|(i, w)| w.process_epoch(&plan, i, &mut Vec::new()))
+                .collect();
+            let directive = head.finish_epoch(&reports);
+            if let Some(d) = &directive {
+                remapped += d.draws.iter().filter(|(_, v)| !v.is_empty()).count();
+            }
+            for w in &mut workers {
+                w.apply_resample(batch.epoch, directive.as_ref());
+            }
+            for tag in reference.tracked_objects() {
+                let worker = &workers[(tag.0 % 2) as usize].engine;
+                assert_eq!(
+                    worker.object_particles(tag).map(|s| &s.reader_idx),
+                    reference.object_particles(tag).map(|s| &s.reader_idx),
+                    "{tag:?} at epoch {}",
+                    batch.epoch.0
+                );
+            }
+        }
+        assert!(remapped > 0, "no object had a dead ancestor pointer");
+    }
+
+    #[test]
+    fn the_head_records_no_sensing_region() {
+        // the head tracks no object, so it has no region to record
+        let sc = scenario::small_trace(6, 4, 5);
+        let mut head = ClusterHead::new(engine(&sc), 2);
+        let batches = sc.trace.epoch_batches();
+        for batch in &batches {
+            let plan = head.begin_epoch(batch);
+            let reports = vec![Vec::new(); 2];
+            let directive = head.finish_epoch(&reports);
+            assert_eq!(directive.is_some(), plan.will_resample);
+        }
+        assert!(batches.len() > 10, "the trace must span epochs");
+        assert_eq!(head.stats().epochs, batches.len() as u64);
+        let hook = head.engine.hook.as_ref().expect("the index is on");
+        assert_eq!(hook.num_regions(), 0);
     }
 }

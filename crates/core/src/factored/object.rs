@@ -319,20 +319,11 @@ impl ObjectFilter {
     }
 
     /// Applies a reader remap after reader resampling within the same
-    /// epoch (pointers stay aligned without a full refresh).
-    pub(crate) fn apply_reader_remap<R: Rng + ?Sized>(
-        &mut self,
-        remap: &crate::factored::reader::ReaderRemap,
-        rng: &mut R,
-    ) {
-        self.apply_reader_remap_with(remap, || rng.gen_range(0..remap.num_new()));
-    }
-
-    /// [`ObjectFilter::apply_reader_remap`] with the dead-ancestor
-    /// replacement draws supplied by the caller, in particle order. A
-    /// cluster head replicates the engine-RNG draw sequence centrally
-    /// and ships each worker its objects' values, so remote remaps stay
-    /// bit-identical to the single-process engine.
+    /// epoch (pointers stay aligned without a full refresh). A pointer
+    /// whose ancestor died takes `replacement()`, called in particle
+    /// order: the single-process engine draws it from its RNG, and a
+    /// cluster worker returns the values its head drew from the same
+    /// stream, so remote remaps stay bit-identical.
     pub(crate) fn apply_reader_remap_with(
         &mut self,
         remap: &crate::factored::reader::ReaderRemap,
@@ -1017,7 +1008,7 @@ mod tests {
         }
         reader.particles[3].log_w = 0.0;
         let remap = reader.maybe_resample(0.5, &mut rng).expect("resample");
-        f.apply_reader_remap(&remap, &mut rng);
+        f.apply_reader_remap_with(&remap, || rng.gen_range(0..remap.num_new()));
         for p in f.iter_particles() {
             assert!(p.reader_idx < remap.num_new());
         }

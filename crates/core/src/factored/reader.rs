@@ -342,6 +342,15 @@ impl ReaderFilter {
         effective_sample_size_iter(self.particles.iter().map(|p| p.log_w))
     }
 
+    /// Whether [`maybe_resample`](Self::maybe_resample) resamples at
+    /// `ess_frac`: unless the ESS is still at least `ess_frac * n`.
+    /// Fixed once the weights are, so a cluster head can announce the
+    /// decision before its workers step.
+    pub(crate) fn resample_due(&self, ess_frac: f64) -> bool {
+        let keep = self.ess() >= ess_frac * self.particles.len() as f64;
+        !keep
+    }
+
     /// Resamples when the ESS has dropped below `ess_frac * n`,
     /// blending the reader weights with accumulated object support.
     /// Returns the remap when resampling occurred.
@@ -351,7 +360,7 @@ impl ReaderFilter {
         rng: &mut R,
     ) -> Option<ReaderRemap> {
         let n = self.particles.len();
-        if self.ess() >= ess_frac * n as f64 {
+        if !self.resample_due(ess_frac) {
             // decay support between resamples so stale evidence fades
             for s in &mut self.support {
                 *s *= 0.5;

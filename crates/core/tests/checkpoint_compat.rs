@@ -36,7 +36,7 @@ use rfid_core::{
 use rfid_geom::{Aabb, Point3, Pose};
 use rfid_model::{BoxPrior, JointModel, ModelParams, ReadRateModel};
 use rfid_stream::digest::{event_digest, fnv1a, FNV_OFFSET};
-use rfid_stream::{Epoch, EpochBatch, TagId};
+use rfid_stream::{Epoch, EpochBatch, InferenceStage, TagId};
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/pr13_four_partitions.ckpt");
 const EPOCHS: u64 = 100;

@@ -28,7 +28,7 @@ use rfid_core::{
 use rfid_geom::{Point3, Pose};
 use rfid_model::{ConeSensor, JointModel, ModelParams, ReadRateModel};
 use rfid_sim::scenario;
-use rfid_stream::Epoch;
+use rfid_stream::{Epoch, InferenceStage};
 use std::f64::consts::PI;
 
 fn reader_of(poses: &[Pose]) -> ReaderFilter {

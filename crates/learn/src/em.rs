@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use rfid_core::{FilterConfig, InferenceEngine};
 use rfid_geom::{Point3, Vec3};
 use rfid_model::{JointModel, LocationPrior, ModelParams};
-use rfid_stream::{EpochBatch, TagId};
+use rfid_stream::{EpochBatch, InferenceStage, TagId};
 use std::collections::BTreeSet;
 
 /// Calibration configuration.

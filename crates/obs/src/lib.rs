@@ -29,10 +29,10 @@
 //! ## Process-global surfaces
 //!
 //! [`global()`] is the process-wide registry every component records
-//! into; a server scrapes it live via the `TELEMETRY` verb, cluster
-//! workers snapshot it once per epoch and piggyback the snapshot on
-//! their report frames, and benchmarks diff it around a run to embed
-//! per-run metric deltas in their JSON output. [`trace()`] is the
+//! into; a server scrapes it live via the `TELEMETRY` verb, and a
+//! cluster worker ships one snapshot of it to the router after FINISH
+//! (`MSG_METRICS`), where the workers' snapshots are merged into one
+//! cluster-wide view. [`trace()`] is the
 //! process-wide [`TraceLog`]: a fixed-capacity ring of
 //! [`TraceEntry`]s recorded by threshold-gated call sites (slow
 //! epochs, slow queries), dumpable via `TELEMETRY TRACE`.

@@ -67,6 +67,20 @@ pub trait InferenceStage {
     fn process_batch_into(&mut self, batch: &EpochBatch, out: &mut Vec<LocationEvent>);
     /// Flushes pending reports at end of stream.
     fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>);
+
+    /// [`InferenceStage::process_batch_into`] into a fresh `Vec`.
+    fn process_batch(&mut self, batch: &EpochBatch) -> Vec<LocationEvent> {
+        let mut out = Vec::new();
+        self.process_batch_into(batch, &mut out);
+        out
+    }
+
+    /// [`InferenceStage::finalize_into`] into a fresh `Vec`.
+    fn finalize(&mut self, last_epoch: Epoch) -> Vec<LocationEvent> {
+        let mut out = Vec::new();
+        self.finalize_into(last_epoch, &mut out);
+        out
+    }
 }
 
 /// A consumer of the cleaned event stream. All methods but
