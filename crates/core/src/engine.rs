@@ -19,8 +19,9 @@
 //!    draw (`remap_active`; here the engine RNG), and run the
 //!    compression sweep;
 //!
-//! and then publishes the epoch (`publish`: stage times into
-//! [`EngineStats`], the registry mirror, the slow-epoch trace). A
+//! and then publishes the epoch (`publish`: the epoch count and stage
+//! times into [`EngineStats`], the registry mirror, the slow-epoch
+//! trace). A
 //! [`cluster`] head and its workers call these same methods; they add
 //! only the routing, the shipped rows and the head's draw replay.
 //!
@@ -436,10 +437,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     // stage 1: ingestion
     // ------------------------------------------------------------------
 
-    /// Counts the epoch and its readings, and splits the readings into
-    /// sorted, deduplicated shelf reads and object reads.
+    /// Counts the readings and splits them into sorted, deduplicated
+    /// shelf reads and object reads.
     fn split_readings(&mut self, readings: &[TagId]) {
-        self.stats.epochs += 1;
         self.stats.readings += readings.len() as u64;
         self.shelf_read.clear();
         self.object_read.clear();
@@ -675,10 +675,13 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         out
     }
 
-    /// Publishes the epoch: moves its stage times into
-    /// [`EngineStats`], mirrors the stats onto the registry, and records
-    /// the epoch in the slow-span ring when it crossed the threshold.
+    /// Publishes the epoch: counts it, moves its stage times into
+    /// [`EngineStats`], mirrors the stats onto the registry (one stage
+    /// histogram sample per epoch, whoever else observes in between),
+    /// and records the epoch in the slow-span ring when it crossed the
+    /// threshold.
     fn publish(&mut self, epoch: Epoch) {
+        self.stats.epochs += 1;
         let us = std::mem::take(&mut self.epoch_us);
         let [ingest_us, infer_us, emit_us] = us;
         self.stats.ingest_us += ingest_us;

@@ -132,6 +132,8 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
     pub fn begin_epoch(&mut self, batch: &EpochBatch) -> EpochPlan {
         let e = &mut self.engine;
         let reader_est = e.ingest(batch);
+        // the head never publishes: it counts its epochs itself
+        e.stats.epochs += 1;
         let mut readings = vec![Vec::new(); self.num_workers];
         for tag in &e.object_read {
             readings[(tag.0 % self.num_workers as u64) as usize].push(*tag);
