@@ -168,22 +168,21 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
         let remap = e.resample_reader()?;
         // replay the single-process remap draws: one per dead ancestor
         // pointer, objects in global tag order
-        let draws = order
-            .iter()
-            .map(|t| {
-                let dead: usize = t
-                    .reader_hist
-                    .iter()
-                    .enumerate()
-                    .filter(|(r, _)| remap.map(*r as u32).is_none())
-                    .map(|(_, c)| *c as usize)
-                    .sum();
-                let vals = (0..dead)
-                    .map(|_| replacement_draw(&mut e.rng, &remap))
-                    .collect();
-                (t.tag, vals)
-            })
-            .collect();
+        let mut draws = Vec::with_capacity(order.len());
+        for t in &order {
+            let dead: usize = t
+                .reader_hist
+                .iter()
+                .enumerate()
+                .filter(|(r, _)| remap.map(*r as u32).is_none())
+                .map(|(_, c)| *c as usize)
+                .sum();
+            let mut vals = Vec::with_capacity(dead);
+            for _ in 0..dead {
+                vals.push(replacement_draw(&mut e.rng, &remap));
+            }
+            draws.push((t.tag, vals));
+        }
         let reader = e.reader.as_ref().expect("reader initialized");
         Some(ResampleDirective {
             remap,
@@ -244,30 +243,30 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterWorker<P, S> {
         e.timed(Stage::Infer, |e| e.infer(plan.epoch, &plan.reader_est));
         let rows = e.support_tee.take().unwrap_or_default();
         let nr = plan.reader.len();
-        let reports = rows
-            .into_iter()
-            .map(|(tag, support)| {
-                let mut reader_hist = Vec::new();
-                if plan.will_resample {
-                    let Some(ObjectState {
-                        belief: Belief::Active(f),
-                        ..
-                    }) = e.objects.get(&tag)
-                    else {
-                        unreachable!("a stepped object ends the epoch active");
-                    };
-                    reader_hist.resize(nr, 0u32);
-                    for &r in &f.soa().reader_idx {
-                        reader_hist[r as usize] += 1;
-                    }
+        let mut reports = Vec::with_capacity(rows.len());
+        for (tag, support) in rows {
+            let reader_hist = if plan.will_resample {
+                let mut hist = vec![0u32; nr];
+                let Some(ObjectState {
+                    belief: Belief::Active(f),
+                    ..
+                }) = e.objects.get(&tag)
+                else {
+                    unreachable!("a stepped object ends the epoch active");
+                };
+                for &r in &f.soa().reader_idx {
+                    hist[r as usize] += 1;
                 }
-                TaskReport {
-                    tag,
-                    support,
-                    reader_hist,
-                }
-            })
-            .collect();
+                hist
+            } else {
+                Vec::new()
+            };
+            reports.push(TaskReport {
+                tag,
+                support,
+                reader_hist,
+            });
+        }
         e.timed(Stage::Emit, |e| e.emit_due(plan.epoch, events));
         reports
     }
