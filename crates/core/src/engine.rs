@@ -980,8 +980,8 @@ fn replacement_draw(rng: &mut StdRng, remap: &ReaderRemap) -> u32 {
     rng.gen_range(0..remap.num_new())
 }
 
-/// Convenience driver: runs a stage over a full batch sequence and
-/// returns every emitted event (including the final flush). This is
+/// Runs a stage over a full batch sequence and returns every emitted
+/// event (including the final flush). This is
 /// the *batch path*, kept as the reference the streaming
 /// [`rfid_stream::Pipeline`] is pinned against
 /// (`crates/core/tests/determinism.rs`).
