@@ -1,59 +1,67 @@
-//! What does one spatial-index operation (§IV-C) cost as the tree
-//! grows? Times R*-tree query and insert at two sizes and the region
-//! index probe an epoch pays — the only timing of `rfid-spatial` on its
-//! own (`benchmark/` has no metric for the index alone).
+//! What does the sensing-region index (§IV-C) cost per epoch once a
+//! patrol has filled it? Records one region per epoch along 20 passes of
+//! one aisle — the cube the engine records, 4.4 ft on a side, half a foot
+//! apart, about five objects each — then times the probe an epoch pays
+//! (`query_objects_into`, mid-aisle) and the record it appends
+//! (`insert_region`). The only timing of `rfid-spatial` on its own
+//! (`benchmark/` has no metric for the index alone).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rfid_geom::{Aabb, Point3};
-use rfid_spatial::{RTree, RegionIndex};
+use rfid_spatial::RegionIndex;
 use rfid_stream::TagId;
 
-fn build_tree(n: usize, seed: u64) -> RTree<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = RTree::new();
-    for i in 0..n as u32 {
-        let c = Point3::new(
-            rng.gen_range(-500.0..500.0),
-            rng.gen_range(-500.0..500.0),
-            0.0,
-        );
-        t.insert(Aabb::cube(c, rng.gen_range(1.0..6.0)), i);
+/// Aisle length in feet; one object per foot.
+const AISLE_FT: f64 = 100.0;
+/// Passes along the aisle.
+const PASSES: usize = 20;
+/// Reader advance per epoch, in feet.
+const STEP_FT: f64 = 0.5;
+/// Half the edge of the recorded sensing cube.
+const HALF_EDGE_FT: f64 = 2.2;
+
+/// The sensing cube at aisle position `y`.
+fn sensing_cube(y: f64) -> Aabb {
+    Aabb::cube(Point3::new(0.0, y, 0.0), HALF_EDGE_FT)
+}
+
+/// An index holding every region of `PASSES` passes: one per epoch,
+/// members the objects within the cube.
+fn patrolled() -> RegionIndex<TagId> {
+    let mut idx = RegionIndex::new();
+    let epochs = (AISLE_FT / STEP_FT) as usize;
+    for _ in 0..PASSES {
+        for e in 0..epochs {
+            let y = e as f64 * STEP_FT;
+            let lo = (y - HALF_EDGE_FT).max(0.0).ceil() as u64;
+            let hi = (y + HALF_EDGE_FT).min(AISLE_FT) as u64;
+            idx.insert_region(sensing_cube(y), (lo..=hi).map(TagId));
+        }
     }
-    t
+    idx
 }
 
 fn bench_spatial(c: &mut Criterion) {
     let mut g = c.benchmark_group("spatial");
-    for &n in &[1_000usize, 10_000] {
-        let tree = build_tree(n, 7);
-        g.bench_function(format!("rtree_query_{n}"), |b| {
-            let q = Aabb::cube(Point3::new(0.0, 0.0, 0.0), 8.0);
-            b.iter(|| tree.query(black_box(&q)).len())
-        });
-        g.bench_function(format!("rtree_insert_{n}_th"), |b| {
-            // amortized insert into a tree of size n
-            b.iter_batched(
-                || build_tree(n, 8),
-                |mut t| {
-                    t.insert(Aabb::cube(Point3::new(1.0, 1.0, 0.0), 2.0), 0);
-                    t
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    // the region index probe that runs once per epoch
-    let mut idx: RegionIndex<TagId> = RegionIndex::new();
-    let mut rng = StdRng::seed_from_u64(9);
-    for i in 0..5_000u64 {
-        let c = Point3::new(0.0, rng.gen_range(0.0..2500.0), 0.0);
-        idx.insert_region(Aabb::cube(c, 3.0), [TagId(i), TagId(i + 1)]);
-    }
-    g.bench_function("region_index_probe_5000", |b| {
-        let q = Aabb::cube(Point3::new(0.0, 1250.0, 0.0), 3.0);
-        b.iter(|| idx.query_objects(black_box(&q)).len())
+    let idx = patrolled();
+    let q = sensing_cube(AISLE_FT / 2.0);
+    g.bench_function("region_index_probe_patrol", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            out.clear();
+            idx.query_objects_into(black_box(&q), &mut out);
+            out.len()
+        })
+    });
+    g.bench_function("region_index_record_patrol", |b| {
+        b.iter_batched(
+            || idx.clone(),
+            |mut idx| {
+                idx.insert_region(black_box(q), (48..=52).map(TagId));
+                idx
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 }

@@ -59,11 +59,12 @@ use crate::error::ConfigError;
 use crate::exec::{self, StepScratch};
 use crate::factored::{ObjectFilter, ReaderFilter, ReaderRemap, ReaderTables};
 use crate::output::OutputPolicy;
-use crate::spatial_hook::{sensing_box, Reach, SpatialHook};
+use crate::spatial_hook::{sensing_box, Reach};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_geom::{Point3, Pose};
 use rfid_model::{JointModel, LocationPrior, ReadRateModel};
+use rfid_spatial::RegionIndex;
 use rfid_stream::{Epoch, EpochBatch, EventStats, InferenceStage, LocationEvent, TagId};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -263,7 +264,10 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     /// Compression schedule: epoch -> objects to check (at most one
     /// live entry per tag; see `ObjectState::compression_due`).
     cooldown: BTreeMap<u64, Vec<TagId>>,
-    hook: Option<SpatialHook>,
+    /// The sensing-region index (§IV-C), when `use_spatial_index` is
+    /// on: each epoch's sensing box with the objects that had a
+    /// particle in it.
+    index: Option<RegionIndex<TagId>>,
     rng: StdRng,
     stats: EngineStats,
     /// Registry handles mirroring [`EngineStats`] (see
@@ -329,7 +333,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let range_over = (model.sensor.detection_range(0.02) * config.init_range_overestimate)
             .min(MAX_INIT_RANGE);
         let shelf_ids = shelf_tags.iter().map(|(t, _)| *t).collect();
-        let hook = config.use_spatial_index.then(SpatialHook::new);
+        let index = config.use_spatial_index.then(RegionIndex::new);
         let policy = OutputPolicy::new(
             config.report_delay_epochs,
             config.report_delay_epochs.saturating_mul(2),
@@ -343,7 +347,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             objects: HashMap::new(),
             policy,
             cooldown: BTreeMap::new(),
-            hook,
+            index,
             rng: StdRng::seed_from_u64(config.seed),
             stats: EngineStats::default(),
             metrics: EngineMetrics::registered(),
@@ -418,7 +422,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     }
 
     /// Rough memory footprint of the belief state, in bytes. Tracks the
-    /// paper's claim that compression keeps memory small.
+    /// paper's claim that compression keeps memory small. It excludes
+    /// the sensing-region index, which gains one region every epoch and
+    /// never drops one.
     pub fn memory_bytes(&self) -> usize {
         let mut total = 0usize;
         for s in self.objects.values() {
@@ -481,11 +487,11 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         // --- active set (Cases 1 and 2), in tag order ----------------
         self.active.clear();
         self.active.extend_from_slice(&self.object_read);
-        match &self.hook {
-            Some(hook) => {
+        match &self.index {
+            Some(index) => {
                 self.candidates.clear();
-                hook.candidates_into(&sensing_box, &mut self.candidates);
-                // hook candidates may be stale; only keep known objects
+                index.query_objects_into(&sensing_box, &mut self.candidates);
+                // candidates may be stale; only keep known objects
                 for tag in &self.candidates {
                     if self.objects.contains_key(tag) {
                         self.active.push(*tag);
@@ -510,7 +516,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         // only for a sensor with a hard edge, and lives with the index:
         // without it every object is stepped, as the paper's
         // un-enhanced filter does.
-        let reach = match (&self.hook, self.model.sensor.hard_edge()) {
+        let reach = match (&self.index, self.model.sensor.hard_edge()) {
             (Some(_), Some(edge)) if !self.active.is_empty() => {
                 Some(Reach::new(&self.reader_tables, edge))
             }
@@ -587,7 +593,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
 
         // --- record the sensing region -------------------------------
-        if self.hook.is_some() {
+        if self.index.is_some() {
             self.members.clear();
             for tag in &self.active {
                 if let Some(ObjectState {
@@ -600,8 +606,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     }
                 }
             }
-            if let Some(hook) = self.hook.as_mut() {
-                hook.record(sensing_box, self.members.drain(..));
+            if let Some(index) = self.index.as_mut() {
+                index.insert_region(sensing_box, self.members.drain(..));
             }
         }
     }

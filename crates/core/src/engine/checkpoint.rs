@@ -46,10 +46,10 @@ use crate::config::{
 };
 use crate::factored::{ObjectFilter, ReaderFilter};
 use crate::particle::{ObjectParticle, ReaderParticle};
-use crate::spatial_hook::SpatialHook;
 use rand::rngs::StdRng;
 use rfid_geom::{Aabb, Gaussian3, Mat3};
 use rfid_model::{LocationPrior, ReadRateModel};
+use rfid_spatial::RegionIndex;
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
 use rfid_stream::wire::{
     put_f64, put_point, put_pose, put_u32, put_u64, put_u8, PayloadReader, WireFormatError,
@@ -290,17 +290,17 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
 
         // spatial index: regions in insertion order
-        match &self.hook {
+        match &self.index {
             None => put_u8(&mut p, 0),
-            Some(hook) => {
+            Some(index) => {
                 put_u8(&mut p, 1);
-                let n = hook.num_regions() as u64;
+                let n = index.num_regions() as u64;
                 put_u64(&mut p, n);
                 for id in 0..n {
-                    let bbox = hook.region_box(id);
+                    let bbox = index.region_box(id);
                     put_point(&mut p, &bbox.min);
                     put_point(&mut p, &bbox.max);
-                    let members = hook.region_members(id);
+                    let members = index.region_members(id);
                     put_u64(&mut p, members.len() as u64);
                     for m in members {
                         put_u64(&mut p, m.0);
@@ -497,10 +497,10 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
 
         // spatial index
-        self.hook = match d.u8()? {
+        self.index = match d.u8()? {
             0 => None,
             1 => {
-                let mut hook = SpatialHook::new();
+                let mut index = RegionIndex::new();
                 let n_regions = d.count_u64()?;
                 let mut members = Vec::new();
                 for _ in 0..n_regions {
@@ -511,14 +511,14 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     for _ in 0..n_members {
                         members.push(TagId(d.u64()?));
                     }
-                    hook.record(Aabb::new(min, max), members.iter().copied());
+                    index.insert_region(Aabb::new(min, max), members.iter().copied());
                 }
-                Some(hook)
+                Some(index)
             }
             _ => return Err(CheckpointError::Corrupt("bad hook flag")),
         };
         d.finish()?;
-        if self.hook.is_some() != self.config.use_spatial_index {
+        if self.index.is_some() != self.config.use_spatial_index {
             return Err(CheckpointError::Corrupt(
                 "hook presence disagrees with config",
             ));

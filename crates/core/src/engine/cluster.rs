@@ -399,7 +399,7 @@ mod tests {
         }
         assert!(batches.len() > 10, "the trace must span epochs");
         assert_eq!(head.stats().epochs, batches.len() as u64);
-        let hook = head.engine.hook.as_ref().expect("the index is on");
-        assert_eq!(hook.num_regions(), 0);
+        let index = head.engine.index.as_ref().expect("the index is on");
+        assert_eq!(index.num_regions(), 0);
     }
 }

@@ -14,11 +14,12 @@
 //! Cases 3 (never read here) and 4 (far away and silent) are skipped —
 //! the far-miss likelihood is rounded to one, "a good approximation".
 //!
-//! [`SpatialHook`] wraps the [`RegionIndex`] with the bounding-box
-//! construction: each epoch's sensing region is approximated by a cube
-//! of the (overestimated) sensor range around the reader estimate, and
-//! recorded with the objects that were stepped this epoch and had at
-//! least one particle inside it.
+//! The engine holds the [`RegionIndex`](rfid_spatial::RegionIndex)
+//! itself. Each epoch's sensing region is approximated by
+//! [`sensing_box`], a cube of the (overestimated) sensor range around
+//! the reader estimate: the engine probes the index with it for the
+//! "recorded nearby" candidates, then records it with the objects that
+//! were stepped this epoch and had at least one particle inside it.
 //!
 //! The box is generous — it is what *finds* candidates — and with a
 //! hard-edged sensor most of what it finds is a miss that cannot
@@ -37,8 +38,6 @@
 use crate::factored::ReaderTables;
 use crate::particle::XyBounds;
 use rfid_geom::{Aabb, Pose};
-use rfid_spatial::RegionIndex;
-use rfid_stream::TagId;
 use std::f64::consts::FRAC_PI_2;
 
 /// The bounding box of the sensing region at `pose` for a sensor of
@@ -47,10 +46,6 @@ use std::f64::consts::FRAC_PI_2;
 /// reader along its heading, with a half-extent just over half the
 /// range (10% pad for the cone's lateral spread and minor-range reads
 /// slightly behind the boresight plane).
-///
-/// A free function — the box depends only on the range and the pose,
-/// so the engine computes it without consulting (or rebuilding) a
-/// [`SpatialHook`].
 pub(crate) fn sensing_box(range: f64, pose: &Pose) -> Aabb {
     let ahead = rfid_geom::angles::heading_vec(pose.phi) * (0.5 * range);
     Aabb::cube(pose.pos + ahead, 0.55 * range)
@@ -157,66 +152,20 @@ impl Reach {
     }
 }
 
-/// Engine-facing wrapper around the region index.
-#[derive(Debug, Clone)]
-pub(crate) struct SpatialHook {
-    index: RegionIndex<TagId>,
-}
-
-impl SpatialHook {
-    /// Creates an empty hook.
-    pub(crate) fn new() -> Self {
-        Self {
-            index: RegionIndex::new(),
-        }
-    }
-
-    /// The Case 2 candidates for the current sensing box — objects
-    /// recorded in any overlapping past region — appended into a
-    /// caller-owned buffer (unsorted, may contain duplicates across
-    /// regions): the engine sorts and dedups its active-set `Vec` once
-    /// per epoch.
-    pub(crate) fn candidates_into(&self, current: &Aabb, out: &mut Vec<TagId>) {
-        self.index.query_objects_into(current, out);
-    }
-
-    /// Records this epoch's sensing region with its member objects
-    /// (those with at least one particle inside the box).
-    pub(crate) fn record<I: IntoIterator<Item = TagId>>(&mut self, bbox: Aabb, members: I) {
-        self.index.insert_region(bbox, members);
-    }
-
-    /// Number of recorded regions (diagnostics).
-    pub(crate) fn num_regions(&self) -> usize {
-        self.index.num_regions()
-    }
-
-    /// The bounding box of recorded region `id` (region ids are dense:
-    /// `0..num_regions()`, in insertion order) — checkpointing.
-    pub(crate) fn region_box(&self, id: u64) -> Aabb {
-        self.index.region_box(id)
-    }
-
-    /// The member set of recorded region `id` — checkpointing.
-    /// Replaying `record(region_box(id), region_members(id))` for ids
-    /// in order reproduces the hook exactly.
-    pub(crate) fn region_members(&self, id: u64) -> &[TagId] {
-        self.index.region_members(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rfid_geom::Point3;
+    use rfid_spatial::RegionIndex;
+    use rfid_stream::TagId;
 
     fn pose(x: f64, y: f64) -> Pose {
         Pose::new(Point3::new(x, y, 0.0), 0.0)
     }
 
-    fn candidates(h: &SpatialHook, current: &Aabb) -> Vec<TagId> {
+    fn candidates(h: &RegionIndex<TagId>, current: &Aabb) -> Vec<TagId> {
         let mut out = Vec::new();
-        h.candidates_into(current, &mut out);
+        h.query_objects_into(current, &mut out);
         out.sort_unstable();
         out.dedup();
         out
@@ -243,10 +192,10 @@ mod tests {
 
     #[test]
     fn case2_returned_case4_skipped() {
-        let mut h = SpatialHook::new();
+        let mut h = RegionIndex::new();
         // object 1 recorded near y = 0, object 2 near y = 100
-        h.record(sensing_box(2.0, &pose(0.0, 0.0)), [TagId(1)]);
-        h.record(sensing_box(2.0, &pose(0.0, 100.0)), [TagId(2)]);
+        h.insert_region(sensing_box(2.0, &pose(0.0, 0.0)), [TagId(1)]);
+        h.insert_region(sensing_box(2.0, &pose(0.0, 100.0)), [TagId(2)]);
         let c = candidates(&h, &sensing_box(2.0, &pose(0.0, 1.0)));
         assert!(c.contains(&TagId(1)), "case-2 object missing");
         assert!(!c.contains(&TagId(2)), "case-4 object should be skipped");
@@ -254,9 +203,9 @@ mod tests {
 
     #[test]
     fn overlapping_history_unions() {
-        let mut h = SpatialHook::new();
+        let mut h = RegionIndex::new();
         for i in 0..10u64 {
-            h.record(sensing_box(2.0, &pose(0.0, i as f64)), [TagId(i)]);
+            h.insert_region(sensing_box(2.0, &pose(0.0, i as f64)), [TagId(i)]);
         }
         assert_eq!(h.num_regions(), 10);
         let c = candidates(&h, &sensing_box(2.0, &pose(0.0, 5.0)));

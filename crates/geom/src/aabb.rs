@@ -1,9 +1,9 @@
 //! Axis-aligned bounding boxes.
 //!
 //! The spatial-indexing enhancement (§IV-C of the paper) approximates each
-//! epoch's sensing region by its bounding box and inserts those boxes into
-//! a simplified R*-tree. This module provides the box arithmetic the tree
-//! needs: union, intersection tests, area/margin, and enlargement metrics.
+//! epoch's sensing region by its bounding box and records those boxes in
+//! a region index. This module provides the box arithmetic that needs:
+//! construction, union, and intersection and containment tests.
 
 use crate::point::Point3;
 
@@ -108,21 +108,6 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    /// True when `other` lies entirely inside this box.
-    #[inline]
-    pub fn contains_box(&self, other: &Aabb) -> bool {
-        self.contains(&other.min) && self.contains(&other.max)
-    }
-
-    /// Volume of the box (`0` for empty or degenerate boxes).
-    #[inline]
-    pub fn volume(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (self.max.x - self.min.x) * (self.max.y - self.min.y) * (self.max.z - self.min.z)
-    }
-
     /// Area of the XY footprint (useful because the warehouse is
     /// effectively planar).
     #[inline]
@@ -133,23 +118,6 @@ impl Aabb {
         (self.max.x - self.min.x) * (self.max.y - self.min.y)
     }
 
-    /// Sum of the edge lengths — the "margin" criterion used by the
-    /// R*-tree split heuristic.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (self.max.x - self.min.x) + (self.max.y - self.min.y) + (self.max.z - self.min.z)
-    }
-
-    /// How much the volume grows when this box is enlarged to include
-    /// `other` — the R*-tree `ChooseSubtree` criterion.
-    #[inline]
-    pub fn enlargement(&self, other: &Aabb) -> f64 {
-        self.union(other).volume() - self.volume()
-    }
-
     /// Geometric center of the box.
     #[inline]
     pub fn center(&self) -> Point3 {
@@ -158,15 +126,6 @@ impl Aabb {
             (self.min.y + self.max.y) * 0.5,
             (self.min.z + self.max.z) * 0.5,
         )
-    }
-
-    /// Volume of the intersection with `other` (0 when disjoint).
-    #[inline]
-    pub fn intersection_volume(&self, other: &Aabb) -> f64 {
-        let dx = (self.max.x.min(other.max.x) - self.min.x.max(other.min.x)).max(0.0);
-        let dy = (self.max.y.min(other.max.y) - self.min.y.max(other.min.y)).max(0.0);
-        let dz = (self.max.z.min(other.max.z) - self.min.z.max(other.min.z)).max(0.0);
-        dx * dy * dz
     }
 }
 
@@ -184,8 +143,9 @@ mod tests {
         let a = b(0.0, 0.0, 1.0, 1.0);
         let c = b(2.0, 2.0, 3.0, 3.0);
         let u = a.union(&c);
-        assert!(u.contains_box(&a));
-        assert!(u.contains_box(&c));
+        for corner in [a.min, a.max, c.min, c.max] {
+            assert!(u.contains(&corner));
+        }
     }
 
     #[test]
@@ -195,7 +155,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.union(&a), a);
         assert_eq!(a.union(&e), a);
-        assert_eq!(e.volume(), 0.0);
     }
 
     #[test]
@@ -210,23 +169,15 @@ mod tests {
         let a = b(0.0, 0.0, 1.0, 1.0);
         let c = b(1.5, 0.0, 2.0, 1.0);
         assert!(!a.intersects(&c));
-        assert_eq!(a.intersection_volume(&c), 0.0);
     }
 
     #[test]
     fn cube_geometry() {
         let c = Aabb::cube(Point3::new(1.0, 1.0, 1.0), 0.5);
-        assert!((c.volume() - 1.0).abs() < 1e-12);
-        assert!((c.margin() - 3.0).abs() < 1e-12);
+        assert_eq!(c.min, Point3::new(0.5, 0.5, 0.5));
+        assert_eq!(c.max, Point3::new(1.5, 1.5, 1.5));
+        assert!((c.area_xy() - 1.0).abs() < 1e-12);
         assert_eq!(c.center(), Point3::new(1.0, 1.0, 1.0));
-    }
-
-    #[test]
-    fn enlargement_zero_for_contained() {
-        let a = b(0.0, 0.0, 10.0, 10.0);
-        let c = b(1.0, 1.0, 2.0, 2.0);
-        assert!(a.enlargement(&c).abs() < 1e-12);
-        assert!(c.enlargement(&a) > 0.0);
     }
 
     #[test]
@@ -235,14 +186,6 @@ mod tests {
         a.extend(Point3::new(2.0, -1.0, 3.0));
         assert!(a.contains(&Point3::new(1.0, -0.5, 2.0)));
         assert!(!a.contains(&Point3::new(3.0, 0.0, 0.0)));
-    }
-
-    #[test]
-    fn intersection_volume_of_overlap() {
-        let a = b(0.0, 0.0, 2.0, 2.0);
-        let c = b(1.0, 1.0, 3.0, 3.0);
-        // overlap is 1x1 in XY and z in [0,1] => volume 1
-        assert!((a.intersection_volume(&c) - 1.0).abs() < 1e-12);
     }
 
     proptest! {
@@ -255,19 +198,6 @@ mod tests {
             let a = b(ax, ay, bx, by);
             let c = b(cx, cy, dx, dy);
             prop_assert_eq!(a.union(&c), c.union(&a));
-        }
-
-        #[test]
-        fn prop_union_volume_superadditive(
-            ax in -10.0..0.0f64, ay in -10.0..0.0f64,
-            bx in 0.0..10.0f64, by in 0.0..10.0f64,
-            cx in -10.0..0.0f64, cy in -10.0..0.0f64,
-            dx in 0.0..10.0f64, dy in 0.0..10.0f64) {
-            let a = b(ax, ay, bx, by);
-            let c = b(cx, cy, dx, dy);
-            let u = a.union(&c);
-            prop_assert!(u.volume() + 1e-9 >= a.volume());
-            prop_assert!(u.volume() + 1e-9 >= c.volume());
         }
 
         #[test]
@@ -285,7 +215,6 @@ mod tests {
             let a = b(ax, -1.0, bx, 1.0);
             let c = b(cx, -1.0, cx + w, 1.0);
             prop_assert_eq!(a.intersects(&c), c.intersects(&a));
-            prop_assert!((a.intersection_volume(&c) - c.intersection_volume(&a)).abs() < 1e-9);
         }
     }
 }

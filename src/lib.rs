@@ -12,7 +12,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`geom`] | points, poses, AABBs, 3×3 linear algebra, Gaussians |
-//! | [`spatial`] | simplified R\*-tree + sensing-region index (§IV-C) |
+//! | [`spatial`] | sensing-region index over an exact uniform grid (§IV-C) |
 //! | [`model`] | the probabilistic data-generation model (§III) |
 //! | [`stream`] | raw/clean stream types, epoch sync, CQL-like queries (§II) |
 //! | [`sim`] | warehouse & lab simulator producing noisy traces (§V-A/C) |
