@@ -491,6 +491,10 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             Some(index) => {
                 self.candidates.clear();
                 index.query_objects_into(&sensing_box, &mut self.candidates);
+                // an object recurs in every overlapping region: look
+                // each one up once
+                self.candidates.sort_unstable();
+                self.candidates.dedup();
                 // candidates may be stale; only keep known objects
                 for tag in &self.candidates {
                     if self.objects.contains_key(tag) {
