@@ -515,12 +515,12 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 }
                 Some(index)
             }
-            _ => return Err(CheckpointError::Corrupt("bad hook flag")),
+            _ => return Err(CheckpointError::Corrupt("bad index flag")),
         };
         d.finish()?;
         if self.index.is_some() != self.config.use_spatial_index {
             return Err(CheckpointError::Corrupt(
-                "hook presence disagrees with config",
+                "index presence disagrees with config",
             ));
         }
 
