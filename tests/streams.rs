@@ -108,3 +108,82 @@ fn synchronizer_feeds_engine_identically_to_batch_helper() {
     let again = synchronize_traces(readings, reports, sc.trace.epoch_len);
     assert_eq!(again.len(), batches_oneshot.len());
 }
+
+/// FNV-1a over every batch a trace synchronizes into: the batch count,
+/// then per batch the epoch, the sorted tags and the averaged report's
+/// `x`/`y`/`z`/`phi` bits (or a none-marker).
+fn batch_digest(batches: &[EpochBatch]) -> u64 {
+    use rfid_repro::stream::digest::{fnv1a, FNV_OFFSET};
+    let mut h = fnv1a(FNV_OFFSET, &(batches.len() as u64).to_le_bytes());
+    for b in batches {
+        h = fnv1a(h, &b.epoch.0.to_le_bytes());
+        h = fnv1a(h, &(b.readings.len() as u64).to_le_bytes());
+        for tag in &b.readings {
+            h = fnv1a(h, &tag.0.to_le_bytes());
+        }
+        match b.reader_report {
+            None => h = fnv1a(h, &[0u8]),
+            Some(p) => {
+                h = fnv1a(h, &[1u8]);
+                for v in [p.pos.x, p.pos.y, p.pos.z, p.phi] {
+                    h = fnv1a(h, &v.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn epoch_batches_match_their_pinned_digests() {
+    // the batches every reference run reads (goldens, accuracy rows,
+    // recovery and cluster digests, the benchmark's batch reference)
+    // must not move by a bit, whichever path synchronizes them
+    let pinned: &[(&str, u64)] = &[
+        ("churn", 0x58df_9d65_1e1c_0349),
+        ("dropout", 0x552b_31f9_dd11_b4e9),
+        ("bursty", 0x8ef2_330f_a206_397b),
+        ("dense_shelf", 0xcba6_b871_321b_61a3),
+        ("conveyor", 0x08bb_44d8_497a_5c39),
+        ("multi_room", 0x71d3_47c3_3809_5ed7),
+        ("cold_start", 0x87d5_e88c_6e0f_87a7),
+        ("silent_skew", 0x7e78_c8fe_bf00_92e3),
+        ("read_rate_100", 0x38b0_a551_0682_4320),
+        ("read_rate_80", 0x8db6_eefd_1413_e9a9),
+        ("read_rate_60", 0x0862_e2d1_e2c9_f8b6),
+        ("small_warehouse", 0xf52c_0d4a_0b31_f219),
+        ("low_read_rate", 0x74ba_2d5f_466d_54dd),
+        ("moving_object", 0x4b34_dcdb_f220_6f89),
+        ("tiny", 0x618c_fe4b_69c6_098a),
+        ("endurance_2000x1", 0xfa4f_e319_086a_ba00),
+        ("endurance_200x20", 0x05a8_2fca_bd2b_ba2d),
+        ("lab_500ms", 0x878a_f241_bb2a_ac9f),
+    ];
+    let mut traces: Vec<(String, SimTrace)> = rfid_bench::accuracy::library(false)
+        .into_iter()
+        .map(|e| (e.name.to_string(), e.scenario.trace))
+        .collect();
+    for name in ["small_warehouse", "low_read_rate", "moving_object", "tiny"] {
+        let (sc, _) = rfid_cluster::scenario::canonical_scenario(name).unwrap();
+        traces.push((name.to_string(), sc.trace));
+    }
+    traces.push((
+        "endurance_2000x1".into(),
+        scenario::endurance_trace(2000, 1, 7).trace,
+    ));
+    traces.push((
+        "endurance_200x20".into(),
+        scenario::endurance_trace(200, 20, 7).trace,
+    ));
+    traces.push((
+        "lab_500ms".into(),
+        rfid_repro::sim::LabDeployment::standard().generate(500, 7),
+    ));
+
+    let got: Vec<(String, u64)> = traces
+        .iter()
+        .map(|(name, trace)| (name.clone(), batch_digest(&trace.epoch_batches())))
+        .collect();
+    let want: Vec<(String, u64)> = pinned.iter().map(|(n, d)| (n.to_string(), *d)).collect();
+    assert_eq!(want, got, "epoch batches moved");
+}
