@@ -16,9 +16,7 @@ use crate::truth::GroundTruth;
 use rand::Rng;
 use rfid_geom::{standard_normal, Point3, Pose, Vec3};
 use rfid_model::ReadRateModel;
-use rfid_stream::{
-    synchronize_traces, Epoch, EpochBatch, ReaderLocationReport, RfidReading, TagId,
-};
+use rfid_stream::{synchronize, Epoch, EpochBatch, ReaderLocationReport, RfidReading, TagId};
 
 /// A scheduled object relocation (the Fig. 5(h) experiment moves "a
 /// case of objects" after a time interval).
@@ -74,11 +72,12 @@ pub struct SimTrace {
 
 impl SimTrace {
     /// Synchronizes the raw streams into epoch batches (what the
-    /// inference engine's *batch* API consumes). The streaming pipeline
-    /// does not need this materialized `Vec`; use
+    /// inference engine's *batch* API consumes): [`SimTrace::stream`]
+    /// through the same synchronizer the streaming pipeline runs. The
+    /// pipeline does not need this materialized `Vec`; feed it
     /// [`SimTrace::stream`] instead.
     pub fn epoch_batches(&self) -> Vec<EpochBatch> {
-        synchronize_traces(&self.readings, &self.reports, self.epoch_len)
+        synchronize(self.stream(), self.epoch_len)
     }
 
     /// The trace as an incremental [`rfid_stream::ReadingSource`]: the

@@ -9,10 +9,11 @@
 use rfid_stream::{ReaderLocationReport, RfidReading, StreamItem};
 
 /// The two raw streams of a [`crate::generator::SimTrace`], merged in
-/// time order. Ties go to the reading, matching the push order of
-/// `synchronize_traces` within an epoch (report averaging is
-/// order-sensitive only *within* the report stream, whose order is
-/// preserved).
+/// time order. Ties go to the reading, and each stream keeps its own
+/// order (report averaging is order-sensitive only *within* the report
+/// stream), so no item is ever late for the synchronizer:
+/// [`crate::generator::SimTrace::epoch_batches`] is this stream,
+/// synchronized.
 #[derive(Debug, Clone)]
 pub struct TraceStream<'a> {
     readings: &'a [RfidReading],

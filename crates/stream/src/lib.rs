@@ -40,4 +40,4 @@ pub mod wire;
 pub use epoch::Epoch;
 pub use event::{EventStats, LocationEvent, ReaderLocationReport, RfidReading, TagId};
 pub use pipeline::{EventSink, InferenceStage, Pipeline, PipelineStats, ReadingSource, StreamItem};
-pub use sync::{synchronize_traces, EpochBatch, StreamSynchronizer};
+pub use sync::{synchronize, EpochBatch, StreamSynchronizer};

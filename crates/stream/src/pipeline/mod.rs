@@ -16,8 +16,10 @@
 //! * a [`ReadingSource`] produces the interleaved raw items one at a
 //!   time — no whole-trace `Vec` is ever required;
 //! * the [`Pipeline`] pushes them through a [`StreamSynchronizer`],
-//!   draining *ready* epochs as soon as both watermarks pass them
-//!   (never [`crate::sync::synchronize_traces`]);
+//!   draining each epoch as soon as it is complete — the same
+//!   synchronizer, under the same skew bound, that [`crate::synchronize`]
+//!   drives for every batch reference, so the two differ only in the
+//!   driver;
 //! * each completed [`EpochBatch`] is handed to an [`InferenceStage`]
 //!   (the engine), whose events are routed into an [`EventSink`];
 //! * [`PipelineStats`] records the high-water marks of every internal
@@ -135,10 +137,13 @@ pub struct PipelineStats {
     /// Events delivered to the sink.
     pub events: u64,
     /// Items dropped by the synchronizer because they arrived for an
-    /// already-emitted epoch — stream skew beyond the configured bound.
-    /// Zero for every in-order source; nonzero makes data loss visible
-    /// instead of silent.
+    /// already-emitted epoch — stream skew beyond
+    /// [`DEFAULT_MAX_SKEW_EPOCHS`]. Zero for every in-order source;
+    /// nonzero makes data loss visible instead of silent.
     pub late_dropped: u64,
+    /// Items refused by the synchronizer because their time maps to no
+    /// epoch (NaN, infinite, or 2^64 epochs or more).
+    pub refused: u64,
     /// Most epochs ever buffered inside the synchronizer at once.
     pub sync_pending_high_water: usize,
     /// Most drained-but-unprocessed batches ever held at once.
@@ -161,6 +166,7 @@ struct PipelineMetrics {
     batch_readings: rfid_obs::Counter,
     events: rfid_obs::Counter,
     late_dropped: rfid_obs::Counter,
+    refused: rfid_obs::Counter,
     sync_pending_hw: rfid_obs::Gauge,
     batch_buffer_hw: rfid_obs::Gauge,
     event_buffer_hw: rfid_obs::Gauge,
@@ -177,6 +183,7 @@ impl PipelineMetrics {
             batch_readings: r.counter("pipeline_batch_readings_total"),
             events: r.counter("pipeline_events_total"),
             late_dropped: r.counter("pipeline_late_dropped_total"),
+            refused: r.counter("pipeline_refused_total"),
             sync_pending_hw: r.gauge("pipeline_sync_pending_high_water"),
             batch_buffer_hw: r.gauge("pipeline_batch_buffer_high_water"),
             event_buffer_hw: r.gauge("pipeline_event_buffer_high_water"),
@@ -195,6 +202,7 @@ impl PipelineMetrics {
         self.events.add(stats.events - last.events);
         self.late_dropped
             .add(stats.late_dropped - last.late_dropped);
+        self.refused.add(stats.refused - last.refused);
         self.sync_pending_hw
             .record_max(stats.sync_pending_high_water as u64);
         self.batch_buffer_hw
@@ -220,29 +228,17 @@ pub struct Pipeline<Stage, Sink> {
     finished: bool,
 }
 
-/// Default synchronizer skew bound (epochs). The paper's raw streams
+/// The synchronizer's skew bound (epochs). The paper's raw streams
 /// are "slightly out-of-sync" within an epoch; 4 leaves generous room
 /// while keeping the buffer O(1) even when one stream goes silent for
 /// thousands of epochs (e.g. a reader crossing a tag-free stretch).
 pub const DEFAULT_MAX_SKEW_EPOCHS: u64 = 4;
 
 impl<Stage: InferenceStage, Sink: EventSink> Pipeline<Stage, Sink> {
-    /// Creates a pipeline with the given epoch length in seconds and
-    /// the default synchronizer skew bound
-    /// ([`DEFAULT_MAX_SKEW_EPOCHS`]).
+    /// Creates a pipeline with the given epoch length in seconds.
     pub fn new(epoch_len: f64, stage: Stage, sink: Sink) -> Self {
-        Self::with_synchronizer(
-            StreamSynchronizer::new(epoch_len).with_max_skew(DEFAULT_MAX_SKEW_EPOCHS),
-            stage,
-            sink,
-        )
-    }
-
-    /// Creates a pipeline around a custom-configured synchronizer
-    /// (e.g. a different skew bound, or pure min-watermark semantics).
-    pub(crate) fn with_synchronizer(sync: StreamSynchronizer, stage: Stage, sink: Sink) -> Self {
         Self {
-            sync,
+            sync: StreamSynchronizer::new(epoch_len),
             stage,
             sink,
             stats: PipelineStats::default(),
@@ -258,20 +254,16 @@ impl<Stage: InferenceStage, Sink: EventSink> Pipeline<Stage, Sink> {
     pub fn push(&mut self, item: StreamItem) {
         debug_assert!(!self.finished, "push after finish");
         match item {
-            StreamItem::Reading(r) => {
-                self.sync.push_reading(r);
-                self.stats.readings_in += 1;
-            }
-            StreamItem::Report(r) => {
-                self.sync.push_report(r);
-                self.stats.reports_in += 1;
-            }
+            StreamItem::Reading(_) => self.stats.readings_in += 1,
+            StreamItem::Report(_) => self.stats.reports_in += 1,
         }
+        self.sync.push(item);
         self.stats.sync_pending_high_water = self
             .stats
             .sync_pending_high_water
             .max(self.sync.pending_epochs());
         self.stats.late_dropped = self.sync.late_dropped();
+        self.stats.refused = self.sync.refused();
         self.sync.drain_ready_into(&mut self.batch_buf);
         self.process_buffered();
     }

@@ -7,12 +7,14 @@
 //! readings produced in one epoch and taking average of multiple
 //! location updates in an epoch to produce a single update." (§II-A)
 //!
-//! [`StreamSynchronizer`] implements exactly that: push raw readings and
-//! location reports in any interleaving that is non-decreasing in time
-//! per stream, and pull completed [`EpochBatch`]es.
+//! [`StreamSynchronizer`] implements exactly that, one way, for the
+//! streaming pipeline and every batch reference alike: push raw
+//! readings and location reports, pull completed [`EpochBatch`]es.
+//! [`synchronize`] drains a whole time-ordered source through one.
 
 use crate::epoch::Epoch;
 use crate::event::{ReaderLocationReport, RfidReading, TagId};
+use crate::pipeline::{ReadingSource, StreamItem, DEFAULT_MAX_SKEW_EPOCHS};
 use rfid_geom::{Point3, Pose};
 use std::collections::BTreeMap;
 
@@ -58,19 +60,23 @@ impl PendingEpoch {
     }
 }
 
-/// Streaming epoch synchronizer. An epoch is considered *complete* once
-/// both input streams have advanced past its end (watermark semantics),
-/// or when [`StreamSynchronizer::flush`] is called at end of trace.
+/// Times at or past this many epochs have no `u64` epoch (2^64).
+const EPOCH_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
+/// Streaming epoch synchronizer.
 ///
-/// Pure min-watermark semantics buffer without bound while one stream
-/// goes silent (e.g. a reader crossing a tag-free stretch produces
-/// reports but no readings). [`StreamSynchronizer::with_max_skew`]
-/// bounds that: an epoch also completes once the *faster* stream has
-/// advanced more than `max_skew` epochs past it. For sources whose
-/// merged items arrive in time order (every trace source here), a skew
-/// bound never changes the emitted batches — an epoch's items all
-/// arrive before either watermark passes the epoch — it only caps the
-/// buffer at O(`max_skew`) epochs.
+/// Placement: an item at time `t` belongs to epoch `⌊t / epoch_len⌋`
+/// (finite negative times clamp to 0). An epoch is emitted once both
+/// streams' watermarks (latest time pushed) have passed its end, or
+/// once the faster one is more than [`DEFAULT_MAX_SKEW_EPOCHS`] epochs
+/// past it, so a silent stream holds few epochs open;
+/// [`StreamSynchronizer::flush`] emits the rest. An item for an emitted
+/// epoch is dropped ([`StreamSynchronizer::late_dropped`]); one whose
+/// time maps to no epoch is refused ([`StreamSynchronizer::refused`])
+/// and moves no watermark. Both are counted.
+///
+/// For time-ordered input (every trace source here) no item is late:
+/// each epoch is emitted whole, as if the trace were grouped at once.
 #[derive(Debug)]
 pub struct StreamSynchronizer {
     epoch_len: f64,
@@ -80,17 +86,16 @@ pub struct StreamSynchronizer {
     report_watermark: f64,
     /// Epochs strictly below this have been emitted.
     emitted_below: u64,
-    /// Allowed inter-stream lag in epochs (`None` = unbounded, pure
-    /// min-watermark semantics).
-    max_skew_epochs: Option<u64>,
     /// Items that arrived for an already-emitted epoch and were
     /// dropped.
     late_dropped: u64,
+    /// Items whose time maps to no epoch.
+    refused: u64,
 }
 
 impl StreamSynchronizer {
     /// Creates a synchronizer with the given epoch length in seconds
-    /// (the paper default is 1.0) and pure min-watermark semantics.
+    /// (the paper default is 1.0).
     pub fn new(epoch_len: f64) -> Self {
         assert!(epoch_len > 0.0, "epoch length must be positive");
         Self {
@@ -99,65 +104,54 @@ impl StreamSynchronizer {
             reading_watermark: 0.0,
             report_watermark: 0.0,
             emitted_below: 0,
-            max_skew_epochs: None,
             late_dropped: 0,
+            refused: 0,
         }
     }
 
-    /// Bounds the buffer: epochs more than `epochs` behind the faster
-    /// stream's watermark are emitted without waiting for the slower
-    /// stream. Items for an already-emitted epoch are dropped, so pick
-    /// a bound above the real inter-stream skew (the paper's streams
-    /// are "slightly out-of-sync" within an epoch or two).
-    pub fn with_max_skew(mut self, epochs: u64) -> Self {
-        self.max_skew_epochs = Some(epochs);
-        self
-    }
-
-    /// The configured epoch length in seconds.
-    pub fn epoch_len(&self) -> f64 {
-        self.epoch_len
-    }
-
-    /// Number of epochs currently buffered (open, not yet emitted).
-    /// Under watermark semantics this is bounded by the stream skew in
-    /// epochs, independent of how long the streams run — the pipeline
-    /// records its high-water mark as the bounded-memory evidence.
+    /// Number of epochs currently buffered (open, not yet emitted):
+    /// at most the skew bound plus one however long the streams run —
+    /// the pipeline records its high-water mark as the bounded-memory
+    /// evidence.
     pub(crate) fn pending_epochs(&self) -> usize {
         self.pending.len()
     }
 
     /// Items dropped because they arrived for an already-emitted epoch
-    /// (late data beyond the skew bound, or malformed traces). A
-    /// nonzero count means the stream skew exceeded
-    /// [`StreamSynchronizer::with_max_skew`]'s bound — data loss is
-    /// observable, never silent.
+    /// (skew beyond [`DEFAULT_MAX_SKEW_EPOCHS`], or malformed traces) —
+    /// data loss is observable, never silent.
     pub fn late_dropped(&self) -> u64 {
         self.late_dropped
     }
 
+    /// Items refused because their time maps to no epoch: a NaN or
+    /// infinite time, or one 2^64 epochs or more past zero.
+    pub fn refused(&self) -> u64 {
+        self.refused
+    }
+
+    /// Pushes one raw item of either stream.
+    pub fn push(&mut self, item: StreamItem) {
+        match item {
+            StreamItem::Reading(r) => self.push_reading(r),
+            StreamItem::Report(r) => self.push_report(r),
+        }
+    }
+
     /// Pushes one raw RFID reading.
     pub fn push_reading(&mut self, r: RfidReading) {
-        let e = Epoch::from_seconds(r.time, self.epoch_len).0;
-        if e < self.emitted_below {
-            // Late data for an already-emitted epoch is dropped (and
-            // counted); the paper's epochs are coarse enough that this
-            // only happens with malformed traces or skew beyond the
-            // configured bound.
-            self.late_dropped += 1;
+        let Some(e) = self.place(r.time) else {
             return;
-        }
+        };
         self.pending.entry(e).or_default().readings.push(r.tag);
         self.reading_watermark = self.reading_watermark.max(r.time);
     }
 
     /// Pushes one raw reader-location report.
     pub fn push_report(&mut self, r: ReaderLocationReport) {
-        let e = Epoch::from_seconds(r.time, self.epoch_len).0;
-        if e < self.emitted_below {
-            self.late_dropped += 1;
+        let Some(e) = self.place(r.time) else {
             return;
-        }
+        };
         let p = self.pending.entry(e).or_default();
         p.pos_sum.0 += r.pose.pos.x;
         p.pos_sum.1 += r.pose.pos.y;
@@ -168,7 +162,22 @@ impl StreamSynchronizer {
         self.report_watermark = self.report_watermark.max(r.time);
     }
 
-    /// Pops every epoch that both watermarks have passed, in order.
+    /// The still-open epoch an item at time `t` belongs to, or `None`
+    /// once the item is counted as refused or late.
+    fn place(&mut self, t: f64) -> Option<u64> {
+        if !(t.is_finite() && t / self.epoch_len < EPOCH_LIMIT) {
+            self.refused += 1;
+            return None;
+        }
+        let e = Epoch::from_seconds(t, self.epoch_len).0;
+        if e < self.emitted_below {
+            self.late_dropped += 1;
+            return None;
+        }
+        Some(e)
+    }
+
+    /// Pops every complete epoch, in order.
     /// Epochs with no data at all are skipped (not fabricated).
     pub fn drain_ready(&mut self) -> Vec<EpochBatch> {
         let mut out = Vec::new();
@@ -182,15 +191,13 @@ impl StreamSynchronizer {
     /// methods, ready batches accumulate across calls until the caller
     /// consumes them.
     pub(crate) fn drain_ready_into(&mut self, out: &mut Vec<EpochBatch>) {
-        let watermark = self.reading_watermark.min(self.report_watermark);
-        let mut ready_below = Epoch::from_seconds(watermark, self.epoch_len).0;
-        if let Some(skew) = self.max_skew_epochs {
-            let fast = self.reading_watermark.max(self.report_watermark);
-            let by_skew = Epoch::from_seconds(fast, self.epoch_len)
+        let slow = self.reading_watermark.min(self.report_watermark);
+        let fast = self.reading_watermark.max(self.report_watermark);
+        let ready_below = Epoch::from_seconds(slow, self.epoch_len).0.max(
+            Epoch::from_seconds(fast, self.epoch_len)
                 .0
-                .saturating_sub(skew);
-            ready_below = ready_below.max(by_skew);
-        }
+                .saturating_sub(DEFAULT_MAX_SKEW_EPOCHS),
+        );
         while let Some((&e, _)) = self.pending.iter().next() {
             if e >= ready_below {
                 break;
@@ -219,22 +226,19 @@ impl StreamSynchronizer {
     }
 }
 
-/// Convenience: synchronize two complete in-memory traces.
-pub fn synchronize_traces(
-    readings: &[RfidReading],
-    reports: &[ReaderLocationReport],
-    epoch_len: f64,
-) -> Vec<EpochBatch> {
+/// Synchronizes a whole source through a fresh [`StreamSynchronizer`]:
+/// every item is pushed and the complete epochs drained after it, then
+/// the tail is flushed. For a time-ordered source (a trace's
+/// `stream()`) nothing is late or refused, so these are the trace's
+/// epochs, whole and in order.
+pub fn synchronize(mut source: impl ReadingSource, epoch_len: f64) -> Vec<EpochBatch> {
     let mut sync = StreamSynchronizer::new(epoch_len);
-    for r in readings {
-        sync.push_reading(*r);
+    let mut out = Vec::new();
+    while let Some(item) = source.next_item() {
+        sync.push(item);
+        sync.drain_ready_into(&mut out);
     }
-    for r in reports {
-        sync.push_report(*r);
-    }
-    let mut out = sync.drain_ready();
-    out.extend(sync.flush());
-    out.sort_by_key(|b| b.epoch);
+    sync.flush_into(&mut out);
     out
 }
 
@@ -242,27 +246,33 @@ pub fn synchronize_traces(
 mod tests {
     use super::*;
 
-    fn reading(t: f64, id: u64) -> RfidReading {
-        RfidReading {
+    fn reading(t: f64, id: u64) -> StreamItem {
+        StreamItem::Reading(RfidReading {
             time: t,
             tag: TagId(id),
-        }
+        })
     }
 
-    fn report(t: f64, x: f64, y: f64) -> ReaderLocationReport {
-        ReaderLocationReport {
+    fn report(t: f64, x: f64, y: f64) -> StreamItem {
+        StreamItem::Report(ReaderLocationReport {
             time: t,
             pose: Pose::new(Point3::new(x, y, 0.0), 0.0),
-        }
+        })
+    }
+
+    fn sync_all(items: &[StreamItem]) -> Vec<EpochBatch> {
+        synchronize(items.iter().copied(), 1.0)
     }
 
     #[test]
     fn batches_group_by_epoch() {
-        let batches = synchronize_traces(
-            &[reading(0.1, 1), reading(0.7, 2), reading(1.2, 3)],
-            &[report(0.5, 0.0, 0.0), report(1.5, 0.0, 0.1)],
-            1.0,
-        );
+        let batches = sync_all(&[
+            reading(0.1, 1),
+            report(0.5, 0.0, 0.0),
+            reading(0.7, 2),
+            reading(1.2, 3),
+            report(1.5, 0.0, 0.1),
+        ]);
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].epoch, Epoch(0));
         assert_eq!(batches[0].readings, vec![TagId(1), TagId(2)]);
@@ -272,22 +282,23 @@ mod tests {
 
     #[test]
     fn duplicate_readings_deduplicated() {
-        let batches = synchronize_traces(
-            &[reading(0.1, 5), reading(0.2, 5), reading(0.3, 5)],
-            &[report(0.5, 1.0, 2.0)],
-            1.0,
-        );
+        let batches = sync_all(&[
+            reading(0.1, 5),
+            reading(0.2, 5),
+            reading(0.3, 5),
+            report(0.5, 1.0, 2.0),
+        ]);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].readings, vec![TagId(5)]);
     }
 
     #[test]
     fn multiple_reports_averaged() {
-        let batches = synchronize_traces(
-            &[reading(0.1, 1)],
-            &[report(0.2, 0.0, 0.0), report(0.8, 1.0, 2.0)],
-            1.0,
-        );
+        let batches = sync_all(&[
+            reading(0.1, 1),
+            report(0.2, 0.0, 0.0),
+            report(0.8, 1.0, 2.0),
+        ]);
         let pose = batches[0].reader_report.unwrap();
         assert!((pose.pos.x - 0.5).abs() < 1e-12);
         assert!((pose.pos.y - 1.0).abs() < 1e-12);
@@ -315,14 +326,14 @@ mod tests {
     #[test]
     fn watermark_holds_back_open_epoch() {
         let mut sync = StreamSynchronizer::new(1.0);
-        sync.push_reading(reading(0.5, 1));
-        sync.push_report(report(0.5, 0.0, 0.0));
+        sync.push(reading(0.5, 1));
+        sync.push(report(0.5, 0.0, 0.0));
         // Neither stream has passed epoch 0's end yet.
         assert!(sync.drain_ready().is_empty());
-        sync.push_reading(reading(1.1, 2));
+        sync.push(reading(1.1, 2));
         // Reading watermark passed, report watermark has not.
         assert!(sync.drain_ready().is_empty());
-        sync.push_report(report(1.1, 0.0, 0.1));
+        sync.push(report(1.1, 0.0, 0.1));
         let ready = sync.drain_ready();
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].epoch, Epoch(0));
@@ -331,15 +342,15 @@ mod tests {
     #[test]
     fn late_data_for_emitted_epoch_dropped_and_counted() {
         let mut sync = StreamSynchronizer::new(1.0);
-        sync.push_reading(reading(0.5, 1));
-        sync.push_report(report(0.5, 0.0, 0.0));
-        sync.push_reading(reading(2.1, 2));
-        sync.push_report(report(2.1, 0.0, 0.0));
+        sync.push(reading(0.5, 1));
+        sync.push(report(0.5, 0.0, 0.0));
+        sync.push(reading(2.1, 2));
+        sync.push(report(2.1, 0.0, 0.0));
         let first = sync.drain_ready();
         assert_eq!(first.len(), 1);
         assert_eq!(sync.late_dropped(), 0);
         // now a reading arrives for the already-emitted epoch 0
-        sync.push_reading(reading(0.9, 9));
+        sync.push(reading(0.9, 9));
         assert_eq!(sync.late_dropped(), 1, "the drop must be observable");
         let rest = sync.flush();
         assert!(rest.iter().all(|b| !b.readings.contains(&TagId(9))));
@@ -348,58 +359,51 @@ mod tests {
     #[test]
     fn skew_bound_emits_past_a_silent_stream() {
         // reports flow every epoch; readings go silent after epoch 0.
-        // Pure min-watermark semantics would buffer forever; the skew
-        // bound caps the buffer and emits.
-        let mut sync = StreamSynchronizer::new(1.0).with_max_skew(3);
-        sync.push_reading(reading(0.5, 1));
+        // The skew bound caps the buffer and emits.
+        let bound = DEFAULT_MAX_SKEW_EPOCHS as usize + 1;
+        let mut sync = StreamSynchronizer::new(1.0);
+        sync.push(reading(0.5, 1));
         for t in 0..10 {
-            sync.push_report(report(t as f64 + 0.1, 0.0, t as f64));
+            sync.push(report(t as f64 + 0.1, 0.0, t as f64));
             sync.drain_ready();
             assert!(
-                sync.pending_epochs() <= 4,
+                sync.pending_epochs() <= bound,
                 "buffer must stay within skew+1: {} at t={t}",
                 sync.pending_epochs()
             );
         }
         let rest = sync.flush();
         // every report-bearing epoch was eventually emitted exactly once
-        assert!(rest.len() <= 4);
+        assert!(rest.len() <= bound);
     }
 
     #[test]
     fn skew_bound_preserves_batches_for_time_ordered_input() {
-        // merged-in-time-order input: the bounded synchronizer must
-        // produce exactly the batches of the unbounded one-shot helper
-        let readings: Vec<_> = (0..20).map(|t| reading(t as f64 + 0.5, t)).collect();
-        let reports: Vec<_> = (0..20).map(|t| report(t as f64, 0.0, t as f64)).collect();
-        let expect = synchronize_traces(&readings, &reports, 1.0);
-
-        let mut sync = StreamSynchronizer::new(1.0).with_max_skew(2);
-        let mut got = Vec::new();
-        let (mut ri, mut pi) = (0usize, 0usize);
-        while ri < readings.len() || pi < reports.len() {
-            let tr = readings.get(ri).map(|r| r.time).unwrap_or(f64::INFINITY);
-            let tp = reports.get(pi).map(|r| r.time).unwrap_or(f64::INFINITY);
-            if tr <= tp {
-                sync.push_reading(readings[ri]);
-                ri += 1;
-            } else {
-                sync.push_report(reports[pi]);
-                pi += 1;
-            }
-            got.extend(sync.drain_ready());
+        // merged-in-time-order input, drained after every push: every
+        // epoch comes out whole, exactly as written down
+        let mut items = Vec::new();
+        for t in 0..20u64 {
+            items.push(report(t as f64, 0.0, t as f64));
+            items.push(reading(t as f64 + 0.5, t));
         }
-        got.extend(sync.flush());
-        assert_eq!(expect, got);
+        let expect: Vec<EpochBatch> = (0..20u64)
+            .map(|t| EpochBatch {
+                epoch: Epoch(t),
+                readings: vec![TagId(t)],
+                reader_report: Some(Pose::new(Point3::new(0.0, t as f64, 0.0), 0.0)),
+            })
+            .collect();
+        assert_eq!(expect, sync_all(&items));
     }
 
     #[test]
     fn empty_epochs_skipped() {
-        let batches = synchronize_traces(
-            &[reading(0.1, 1), reading(5.1, 2)],
-            &[report(0.1, 0.0, 0.0), report(5.1, 0.0, 0.0)],
-            1.0,
-        );
+        let batches = sync_all(&[
+            reading(0.1, 1),
+            report(0.1, 0.0, 0.0),
+            reading(5.1, 2),
+            report(5.1, 0.0, 0.0),
+        ]);
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].epoch, Epoch(0));
         assert_eq!(batches[1].epoch, Epoch(5));
@@ -407,7 +411,7 @@ mod tests {
 
     #[test]
     fn reading_only_epoch_has_no_report() {
-        let batches = synchronize_traces(&[reading(0.4, 1)], &[], 1.0);
+        let batches = sync_all(&[reading(0.4, 1)]);
         assert_eq!(batches.len(), 1);
         assert!(batches[0].reader_report.is_none());
     }

@@ -1,11 +1,14 @@
-//! Drop accounting of [`StreamSynchronizer::with_max_skew`]: the
-//! drop-free path (time-ordered sources) is pinned elsewhere
-//! (`sync_prop.rs`); these tests drive sources that are out of order
-//! *beyond* the skew bound, where drops **do** occur, and assert the
-//! losses are surfaced — nonzero `late_dropped` on the synchronizer
-//! and in `PipelineStats` — never silent.
+//! Drop accounting of [`StreamSynchronizer`]: the drop-free path
+//! (time-ordered sources) is pinned elsewhere (`sync_prop.rs`); these
+//! tests drive sources that are out of order *beyond* the skew bound
+//! ([`DEFAULT_MAX_SKEW_EPOCHS`]), where drops **do** occur, and items
+//! whose time maps to no epoch (NaN, ±∞, 2^64 epochs or more), which
+//! are refused. Both losses are surfaced — `late_dropped` and `refused`
+//! on the synchronizer and in `PipelineStats` — never silent, and a
+//! refused item moves no watermark.
 
 use rfid_geom::{Point3, Pose};
+use rfid_stream::pipeline::DEFAULT_MAX_SKEW_EPOCHS;
 use rfid_stream::StreamItem;
 use rfid_stream::{
     Epoch, EpochBatch, LocationEvent, Pipeline, ReaderLocationReport, RfidReading,
@@ -28,27 +31,28 @@ fn report(t: f64, y: f64) -> ReaderLocationReport {
 
 #[test]
 fn reports_beyond_the_skew_bound_are_dropped_and_counted() {
-    let mut sync = StreamSynchronizer::new(1.0).with_max_skew(2);
+    assert_eq!(DEFAULT_MAX_SKEW_EPOCHS, 4);
+    let mut sync = StreamSynchronizer::new(1.0);
     // the reading stream races ahead through epoch 10...
     for e in 0..=10u64 {
         sync.push_reading(reading(e as f64 + 0.5, e));
     }
-    // ...forcing epochs 0..8 out despite the absent report stream
+    // ...forcing epochs 0..6 out despite the absent report stream
     let early = sync.drain_ready();
-    assert_eq!(early.len(), 8, "skew bound must emit 10 - 2 epochs");
+    assert_eq!(early.len(), 6, "skew bound must emit 10 - 4 epochs");
     assert!(early.iter().all(|b| b.reader_report.is_none()));
     assert_eq!(sync.late_dropped(), 0, "no data has been late yet");
 
     // the lagging report stream finally delivers epochs 0..=10: the
-    // first 8 are late for already-emitted epochs and must be dropped
-    // *and counted*; the last 3 still attach to open epochs
+    // first 6 are late for already-emitted epochs and must be dropped
+    // *and counted*; the last 5 still attach to open epochs
     for e in 0..=10u64 {
         sync.push_report(report(e as f64 + 0.1, e as f64));
     }
-    assert_eq!(sync.late_dropped(), 8, "every late report is accounted");
+    assert_eq!(sync.late_dropped(), 6, "every late report is accounted");
 
     let rest = sync.flush();
-    assert_eq!(rest.len(), 3);
+    assert_eq!(rest.len(), 5);
     for b in &rest {
         assert!(
             b.reader_report.is_some(),
@@ -60,8 +64,8 @@ fn reports_beyond_the_skew_bound_are_dropped_and_counted() {
 
 #[test]
 fn late_readings_are_dropped_and_counted_too() {
-    let mut sync = StreamSynchronizer::new(1.0).with_max_skew(1);
-    for e in 0..=5u64 {
+    let mut sync = StreamSynchronizer::new(1.0);
+    for e in 0..=8u64 {
         sync.push_report(report(e as f64 + 0.1, e as f64));
     }
     let emitted = sync.drain_ready();
@@ -92,8 +96,8 @@ impl rfid_stream::InferenceStage for Echo {
 #[test]
 fn pipeline_surfaces_drop_counts_in_stats() {
     // an adversarial source: all 30 epochs of readings first, then the
-    // report stream trailing 30 epochs behind — far beyond the default
-    // skew bound of 4, so most reports arrive for emitted epochs
+    // report stream trailing 30 epochs behind — far beyond the skew
+    // bound of 4, so most reports arrive for emitted epochs
     let n = 30u64;
     let mut items: Vec<StreamItem> = (0..n)
         .map(|e| StreamItem::Reading(reading(e as f64 + 0.5, e)))
@@ -110,11 +114,115 @@ fn pipeline_surfaces_drop_counts_in_stats() {
     // exactly the reports older than the skew bound are lost (the
     // reading watermark sits at epoch n-1, so epochs below n-1-skew
     // were emitted before their report arrived)
-    assert_eq!(
-        stats.late_dropped,
-        n - 1 - rfid_stream::pipeline::DEFAULT_MAX_SKEW_EPOCHS
-    );
+    assert_eq!(stats.late_dropped, n - 1 - DEFAULT_MAX_SKEW_EPOCHS);
     // no readings were lost: every epoch still echoed its event
     assert_eq!(stats.events, n);
     assert_eq!(p.sink().len() as u64, n);
+}
+
+/// Five healthy epochs, one reading and one report each.
+fn healthy(sync: &mut StreamSynchronizer) -> Vec<EpochBatch> {
+    let mut out = Vec::new();
+    for e in 0..5u64 {
+        sync.push_report(report(e as f64 + 0.1, e as f64));
+        sync.push_reading(reading(e as f64 + 0.5, e));
+        out.extend(sync.drain_ready());
+    }
+    out.extend(sync.flush());
+    out
+}
+
+#[test]
+fn an_infinite_time_is_refused_and_moves_no_watermark() {
+    for t in [f64::INFINITY, f64::NEG_INFINITY] {
+        let mut sync = StreamSynchronizer::new(1.0);
+        sync.push_reading(reading(t, 99));
+        sync.push_report(report(t, 99.0));
+        assert!(sync.drain_ready().is_empty(), "t = {t} completed an epoch");
+        // every later healthy item still lands in its own epoch, and
+        // the end-of-stream flush neither panics nor wraps
+        let batches = healthy(&mut sync);
+        assert_eq!(sync.refused(), 2, "t = {t}");
+        assert_eq!(sync.late_dropped(), 0, "t = {t}");
+        let epochs: Vec<u64> = batches.iter().map(|b| b.epoch.0).collect();
+        assert_eq!(epochs, [0, 1, 2, 3, 4], "t = {t}");
+        for b in &batches {
+            assert_eq!(b.readings, [TagId(b.epoch.0)]);
+            assert_eq!(b.reader_report.unwrap().pos.y, b.epoch.0 as f64);
+        }
+    }
+}
+
+#[test]
+fn a_nan_time_is_refused_not_placed_in_epoch_zero() {
+    let mut sync = StreamSynchronizer::new(1.0);
+    sync.push_reading(reading(0.2, 1));
+    sync.push_reading(reading(f64::NAN, 2));
+    sync.push_report(report(f64::NAN, 7.0));
+    sync.push_report(report(0.3, 0.0));
+    let batches = sync.flush();
+    assert_eq!(sync.refused(), 2);
+    assert_eq!(sync.late_dropped(), 0);
+    assert_eq!(batches.len(), 1);
+    assert_eq!(batches[0].epoch, Epoch(0));
+    assert_eq!(batches[0].readings, [TagId(1)]);
+    assert_eq!(batches[0].reader_report.unwrap().pos.y, 0.0);
+}
+
+#[test]
+fn times_past_the_last_epoch_are_refused() {
+    // 2^64 epochs or more have no `u64` epoch; just below still places
+    let mut sync = StreamSynchronizer::new(1.0);
+    for t in [18_446_744_073_709_551_616.0, 1e300, f64::MAX] {
+        sync.push_reading(reading(t, 1));
+    }
+    assert_eq!(sync.refused(), 3);
+    // a tiny epoch length pushes a modest time past the last epoch too
+    let mut fine = StreamSynchronizer::new(1e-10);
+    fine.push_report(report(1e10, 0.0));
+    assert_eq!(fine.refused(), 1);
+
+    let last = 18_446_744_073_709_549_568.0; // 2^64 - 2^11
+    sync.push_reading(reading(last, 2));
+    assert_eq!(sync.refused(), 3, "the largest f64 below 2^64 places");
+    let batches = sync.flush();
+    assert_eq!(batches.len(), 1);
+    assert_eq!(batches[0].epoch, Epoch(last as u64));
+}
+
+#[test]
+fn finite_negative_times_still_clamp_to_epoch_zero() {
+    let mut sync = StreamSynchronizer::new(1.0);
+    sync.push_reading(reading(-3.0, 1));
+    sync.push_report(report(-1e300, 0.0));
+    let batches = sync.flush();
+    assert_eq!(sync.refused(), 0);
+    assert_eq!(batches.len(), 1);
+    assert_eq!(batches[0].epoch, Epoch(0));
+    assert_eq!(batches[0].readings, [TagId(1)]);
+}
+
+#[test]
+fn pipeline_surfaces_refusals_apart_from_late_drops() {
+    let mut items = vec![
+        StreamItem::Reading(reading(f64::INFINITY, 99)),
+        StreamItem::Report(report(f64::NAN, 0.0)),
+    ];
+    for e in 0..5u64 {
+        items.push(StreamItem::Report(report(e as f64 + 0.1, e as f64)));
+        items.push(StreamItem::Reading(reading(e as f64 + 0.5, e)));
+    }
+    let refused_before = rfid_obs::global().counter("pipeline_refused_total").get();
+    let mut p = Pipeline::new(1.0, Echo, Vec::<LocationEvent>::new());
+    let stats = p.run_to_completion(&mut items.into_iter());
+
+    assert_eq!(stats.refused, 2);
+    assert_eq!(stats.late_dropped, 0);
+    assert_eq!((stats.readings_in, stats.reports_in), (6, 6));
+    assert_eq!(stats.epochs, 5);
+    assert_eq!(stats.events, 5, "every healthy reading still echoes");
+    // the registry mirror carries the same count (no other test in
+    // this suite pushes a refused item)
+    let refused_after = rfid_obs::global().counter("pipeline_refused_total").get();
+    assert_eq!(refused_after - refused_before, 2);
 }

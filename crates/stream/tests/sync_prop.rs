@@ -2,7 +2,10 @@
 //! incrementally — readings shuffled within epochs, items held back
 //! across epoch boundaries (out-of-order between the two streams),
 //! `drain_ready` called at random points — yields *exactly* the batches
-//! of the one-shot [`synchronize_traces`] on the time-sorted trace.
+//! of the one-shot [`synchronize`] over the trace's items merged in
+//! time order. Items are held back by at most one epoch, within the
+//! skew bound, so nothing is late; this is the contract that the
+//! pipeline and every batch reference read the same synchronizer.
 //!
 //! Within-epoch report order is preserved (their averaged pose is a
 //! float sum, so reordering would change the last ulp); everything else
@@ -13,7 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfid_geom::{Point3, Pose};
 use rfid_stream::{
-    synchronize_traces, EpochBatch, ReaderLocationReport, RfidReading, StreamSynchronizer, TagId,
+    synchronize, EpochBatch, ReaderLocationReport, RfidReading, StreamItem, StreamSynchronizer,
+    TagId,
 };
 
 /// One generated epoch of raw data, already time-sorted internally.
@@ -51,6 +55,13 @@ fn generate_epochs(rng: &mut StdRng, epoch_len: f64) -> Vec<EpochData> {
         .collect()
 }
 
+fn time(item: &StreamItem) -> f64 {
+    match item {
+        StreamItem::Reading(r) => r.time,
+        StreamItem::Report(p) => p.time,
+    }
+}
+
 fn assert_batches_equal(expect: &[EpochBatch], got: &[EpochBatch]) {
     assert_eq!(expect.len(), got.len(), "batch counts differ");
     for (a, b) in expect.iter().zip(got) {
@@ -78,12 +89,16 @@ proptest! {
         let epoch_len = [0.5, 1.0, 2.0][rng.gen_range(0usize..3)];
         let epochs = generate_epochs(&mut rng, epoch_len);
 
-        // expected: the one-shot helper over the time-sorted trace
-        let all_readings: Vec<RfidReading> =
-            epochs.iter().flat_map(|e| e.readings.iter().copied()).collect();
-        let all_reports: Vec<ReaderLocationReport> =
-            epochs.iter().flat_map(|e| e.reports.iter().copied()).collect();
-        let expect = synchronize_traces(&all_readings, &all_reports, epoch_len);
+        // expected: the one-shot over the items merged in time order
+        // (a stable sort: ties go to the reading, each stream keeps its
+        // order)
+        let mut merged: Vec<StreamItem> = epochs
+            .iter()
+            .flat_map(|e| e.readings.iter().map(|r| StreamItem::Reading(*r)))
+            .chain(epochs.iter().flat_map(|e| e.reports.iter().map(|p| StreamItem::Report(*p))))
+            .collect();
+        merged.sort_by(|a, b| time(a).total_cmp(&time(b)));
+        let expect = synchronize(merged.into_iter(), epoch_len);
 
         // incremental: scramble within the safety envelope —
         //  * readings of an epoch in random order,

@@ -13,9 +13,9 @@ use rfid_serve::{
     serve_with, Frame, HubConfig, QueryClient, ServerConfig, SubscriptionFilter, SubscriptionHub,
 };
 use rfid_stream::pipeline::sinks::{LocationChangeSink, LocationUpdate, StoreSink};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A row key that compares floats by bits.
 type RowKey = (u64, u64, u64, u64, u64);
@@ -41,16 +41,22 @@ fn key_of_row(r: &rfid_serve::store::LocationRow) -> RowKey {
 }
 
 /// Collects a subscriber's frames until the stream has been quiet past
-/// the done flag.
+/// the done flag, counting the PUSH rows received into `rows`.
 fn drain_pushes(
     mut client: QueryClient,
     done: Arc<AtomicBool>,
+    rows: Arc<AtomicUsize>,
 ) -> std::thread::JoinHandle<Vec<Frame>> {
     std::thread::spawn(move || {
         let mut frames = Vec::new();
         loop {
             match client.next_push() {
-                Ok(frame) => frames.push(frame),
+                Ok(frame) => {
+                    if let Frame::Push { rows: r, .. } = &frame {
+                        rows.fetch_add(r.len(), Ordering::SeqCst);
+                    }
+                    frames.push(frame);
+                }
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -65,6 +71,60 @@ fn drain_pushes(
             }
         }
     })
+}
+
+/// How long ingestion waits for a subscriber to catch up before the
+/// test fails.
+const FEED_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Which of the change sink's updates a subscriber's filter selects.
+type Selects = Box<dyn Fn(&LocationUpdate) -> bool + Send>;
+
+/// The ground-truth change sink, holding ingestion after every
+/// completed epoch and after the final flush until each TCP subscriber
+/// has counted the PUSH rows its filter selects from the updates so
+/// far. The subscribers stay well-fed by construction, whatever the
+/// scheduler does: at most one commit is ever queued for them, so only
+/// the unpolled laggard can overflow its queue.
+struct FedChangeSink {
+    changes: LocationChangeSink,
+    subscribers: Vec<(Selects, Arc<AtomicUsize>)>,
+}
+
+impl FedChangeSink {
+    fn wait_until_fed(&self) {
+        let start = Instant::now();
+        for (i, (selects, received)) in self.subscribers.iter().enumerate() {
+            let want = self.changes.updates().iter().filter(|u| selects(u)).count();
+            loop {
+                let got = received.load(Ordering::SeqCst);
+                if got >= want {
+                    break;
+                }
+                assert!(
+                    start.elapsed() < FEED_TIMEOUT,
+                    "subscriber {i} received {got} of {want} rows within {FEED_TIMEOUT:?}"
+                );
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+    }
+}
+
+impl EventSink for FedChangeSink {
+    fn on_event(&mut self, event: &LocationEvent) {
+        self.changes.on_event(event);
+    }
+
+    fn on_epoch_complete(&mut self, epoch: Epoch) {
+        self.changes.on_epoch_complete(epoch);
+        self.wait_until_fed();
+    }
+
+    fn on_finish(&mut self) {
+        self.changes.on_finish();
+        self.wait_until_fed();
+    }
 }
 
 #[test]
@@ -85,9 +145,9 @@ fn push_frames_match_location_change_sink_bit_for_bit() {
         .expect("valid config");
 
     let store = Arc::new(RwLock::new(EventStore::new(StoreConfig::default())));
-    // 16-frame queues: TCP subscribers that read continuously never
-    // lag (workers drain every pump while inference paces commits),
-    // but the in-process laggard (never polled) must overflow
+    // 16-frame queues: TCP subscribers never lag (ingestion waits for
+    // them after every commit, see `FedChangeSink`), but the
+    // in-process laggard (never polled) must overflow
     let hub = SubscriptionHub::new(HubConfig::default().with_queue_frames(16));
     let server = serve_with(
         "127.0.0.1:0",
@@ -115,13 +175,22 @@ fn push_frames_match_location_change_sink_bit_for_bit() {
         },
         SubscriptionFilter::Tags(vec![TagId(0), TagId(3), TagId(7)]),
     ];
+    let selects: [Selects; 3] = [
+        Box::new(|_| true),
+        Box::new(move |u| u.location.y <= half_shelf),
+        Box::new(|u| [0u64, 3, 7].contains(&u.tag.0)),
+    ];
     let done = Arc::new(AtomicBool::new(false));
+    let mut subscribers = Vec::new();
     let readers: Vec<_> = filters
         .iter()
-        .map(|f| {
+        .zip(selects)
+        .map(|(f, selects)| {
             let mut client = connect();
             client.subscribe(f).expect("subscribe");
-            drain_pushes(client, Arc::clone(&done))
+            let rows = Arc::new(AtomicUsize::new(0));
+            subscribers.push((selects, Arc::clone(&rows)));
+            drain_pushes(client, Arc::clone(&done), rows)
         })
         .collect();
     // the laggard: registered but never polled during ingestion
@@ -134,17 +203,17 @@ fn push_frames_match_location_change_sink_bit_for_bit() {
         let hub_sink = hub.sink();
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            let sink = ((store_sink, hub_sink), LocationChangeSink::new(0.0));
+            let fed = FedChangeSink {
+                changes: LocationChangeSink::new(0.0),
+                subscribers,
+            };
+            // the hub publishes each commit before the fed sink waits
+            let sink = ((store_sink, hub_sink), fed);
             let mut pipeline = Pipeline::new(epoch_len, engine, sink);
-            // yield between stream items so the single-core CI box
-            // schedules the server workers between commits — the TCP
-            // subscribers must stay well-fed; only the unpolled
-            // laggard is supposed to overflow its queue
-            let stats = pipeline
-                .run_to_completion(&mut items.into_iter().inspect(|_| std::thread::yield_now()));
+            let stats = pipeline.run_to_completion(&mut items.into_iter());
             done.store(true, Ordering::SeqCst);
-            let (_engine, (_, change_sink), _) = pipeline.into_parts();
-            (change_sink, stats)
+            let (_engine, (_, fed), _) = pipeline.into_parts();
+            (fed.changes, stats)
         })
     };
 

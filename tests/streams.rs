@@ -6,7 +6,6 @@ use rfid_repro::core::engine::run_engine;
 use rfid_repro::prelude::*;
 use rfid_repro::sim::scenario;
 use rfid_repro::stream::queries::{FireCodeQuery, LocationChangeQuery, SquareFtArea};
-use rfid_repro::stream::synchronize_traces;
 
 #[test]
 fn location_change_query_fires_once_per_stationary_object() {
@@ -73,40 +72,20 @@ fn fire_code_query_counts_objects_per_square_foot() {
 
 #[test]
 fn synchronizer_feeds_engine_identically_to_batch_helper() {
-    // stream the raw trace through the incremental synchronizer and
-    // compare with the one-shot helper
+    // stream the raw trace through the incremental synchronizer, the
+    // way the pipeline drives it, and compare with the batch helper
     let sc = scenario::small_trace(6, 2, 302);
     let batches_oneshot = sc.trace.epoch_batches();
 
     let mut sync = rfid_repro::stream::StreamSynchronizer::new(sc.trace.epoch_len);
     let mut batches_inc = Vec::new();
-    let mut ri = 0;
-    let mut pi = 0;
-    let readings = &sc.trace.readings;
-    let reports = &sc.trace.reports;
-    // interleave by time
-    while ri < readings.len() || pi < reports.len() {
-        let next_reading = readings.get(ri).map(|r| r.time).unwrap_or(f64::INFINITY);
-        let next_report = reports.get(pi).map(|r| r.time).unwrap_or(f64::INFINITY);
-        if next_reading <= next_report {
-            sync.push_reading(readings[ri]);
-            ri += 1;
-        } else {
-            sync.push_report(reports[pi]);
-            pi += 1;
-        }
+    for item in sc.trace.stream() {
+        sync.push(item);
         batches_inc.extend(sync.drain_ready());
     }
     batches_inc.extend(sync.flush());
-
-    assert_eq!(batches_oneshot.len(), batches_inc.len());
-    for (a, b) in batches_oneshot.iter().zip(&batches_inc) {
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.readings, b.readings);
-    }
-    // and the helper agrees with itself
-    let again = synchronize_traces(readings, reports, sc.trace.epoch_len);
-    assert_eq!(again.len(), batches_oneshot.len());
+    assert_eq!(sync.late_dropped(), 0);
+    assert_eq!(batches_oneshot, batches_inc);
 }
 
 /// FNV-1a over every batch a trace synchronizes into: the batch count,
