@@ -110,9 +110,9 @@ impl StreamSynchronizer {
     }
 
     /// Number of epochs currently buffered (open, not yet emitted):
-    /// at most the skew bound plus one however long the streams run —
-    /// the pipeline records its high-water mark as the bounded-memory
-    /// evidence.
+    /// after a drain, at most the skew bound plus one however long the
+    /// streams run — the pipeline records its high-water mark as the
+    /// bounded-memory evidence.
     pub(crate) fn pending_epochs(&self) -> usize {
         self.pending.len()
     }
