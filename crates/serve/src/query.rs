@@ -1118,4 +1118,245 @@ mod tests {
             1
         );
     }
+
+    // The literal wire text of every frame and request the protocol
+    // speaks. A change to the row codec or a frame head must move
+    // these strings on purpose; every string also parses back to the
+    // value it came from, floats bit for bit.
+    macro_rules! e300 {
+        () => {
+            "1\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000"
+        };
+    }
+    macro_rules! min_positive {
+        () => {
+            "0.\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000000000000000\
+             000000022250738585072014"
+        };
+    }
+
+    /// `PartialEq` on `f64` equates `-0.0` and `0.0`; `Debug` prints
+    /// the shortest text that reads back to the same bits, so equal
+    /// `Debug` text is bit-for-bit equality for every non-NaN float.
+    fn assert_bits_eq<T: std::fmt::Debug + PartialEq>(got: &T, want: &T) {
+        assert_eq!(got, want);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    fn awkward_rows() -> Vec<LocationRow> {
+        vec![
+            LocationRow {
+                tag: TagId(1),
+                epoch: Epoch(3),
+                location: Point3::new(-0.0, 0.1 + 0.2, 1e-7),
+            },
+            LocationRow {
+                tag: TagId(2),
+                epoch: Epoch(4),
+                location: Point3::new(1e300, f64::MIN_POSITIVE, -1.5),
+            },
+            LocationRow {
+                tag: TagId(u64::MAX),
+                epoch: Epoch(0),
+                location: Point3::new(0.0, 2.5, -0.25),
+            },
+        ]
+    }
+
+    const AWKWARD_ROWS: &str = concat!(
+        "\n1 3 -0 0.30000000000000004 0.0000001",
+        "\n2 4 ",
+        e300!(),
+        " ",
+        min_positive!(),
+        " -1.5",
+        "\n18446744073709551615 0 0 2.5 -0.25",
+    );
+
+    #[test]
+    fn wire_text_is_pinned_byte_for_byte() {
+        let rows = awkward_rows();
+        let error = |code, message: &str| WireError::new(code, message);
+        let frames = [
+            (Frame::Hello { version: 2 }, "HELLO 2".to_string()),
+            (
+                Frame::Ok {
+                    id: 7,
+                    rows: vec![],
+                },
+                "OK 7 0".to_string(),
+            ),
+            (
+                Frame::Ok {
+                    id: 8,
+                    rows: rows.clone(),
+                },
+                format!("OK 8 3{AWKWARD_ROWS}"),
+            ),
+            (
+                Frame::Err {
+                    id: 0,
+                    error: error(ErrorCode::BadRequest, "request must start with an id"),
+                },
+                "ERR 0 BAD_REQUEST request must start with an id".to_string(),
+            ),
+            (
+                Frame::Err {
+                    id: 9,
+                    error: error(ErrorCode::UnknownVerb, "unknown request \"FROB\""),
+                },
+                "ERR 9 UNKNOWN_VERB unknown request \"FROB\"".to_string(),
+            ),
+            (
+                Frame::Err {
+                    id: 0,
+                    error: error(ErrorCode::UnsupportedVersion, "send HELLO 2 first"),
+                },
+                "ERR 0 UNSUPPORTED_VERSION send HELLO 2 first".to_string(),
+            ),
+            (
+                Frame::Err {
+                    id: 10,
+                    error: error(ErrorCode::BeyondRetention, "epoch 3 is beyond 8"),
+                },
+                "ERR 10 BEYOND_RETENTION epoch 3 is beyond 8".to_string(),
+            ),
+            (
+                Frame::Err {
+                    id: 11,
+                    error: error(ErrorCode::UnknownSubscription, "no subscription 999"),
+                },
+                "ERR 11 UNKNOWN_SUBSCRIPTION no subscription 999".to_string(),
+            ),
+            (
+                Frame::Err {
+                    id: 0,
+                    error: error(ErrorCode::Overloaded, "connection limit of 2 reached"),
+                },
+                "ERR 0 OVERLOADED connection limit of 2 reached".to_string(),
+            ),
+            (
+                Frame::Push {
+                    id: 4,
+                    epoch: 44,
+                    rows: rows.clone(),
+                },
+                format!("PUSH 4 44 3{AWKWARD_ROWS}"),
+            ),
+            (
+                Frame::Lagged {
+                    id: 4,
+                    dropped: 321,
+                },
+                "LAGGED 4 321".to_string(),
+            ),
+            (
+                Frame::Telemetry {
+                    id: 12,
+                    body: "engine_epochs_total 40\n".to_string(),
+                },
+                "TELEMETRY 12 23\nengine_epochs_total 40\n".to_string(),
+            ),
+        ];
+        for (frame, text) in &frames {
+            assert_eq!(&frame.encode(), text);
+            assert_bits_eq(&Frame::parse(text).unwrap(), frame);
+        }
+
+        let kinds = [
+            (
+                RequestKind::Query(Query::CurrentLocation(TagId(7))),
+                "1 CURRENT 7",
+            ),
+            (
+                RequestKind::Query(Query::Trail {
+                    tag: TagId(3),
+                    from: Epoch(10),
+                    to: Epoch(99),
+                }),
+                "1 TRAIL 3 10 99",
+            ),
+            (
+                RequestKind::Query(Query::SnapshotAt(Epoch(42))),
+                "1 SNAPSHOT 42",
+            ),
+            (
+                RequestKind::Query(Query::SnapshotDelta {
+                    at: Epoch(42),
+                    since: Epoch(17),
+                }),
+                "1 SNAPSHOT 42 SINCE 17",
+            ),
+            (
+                RequestKind::Query(Query::Containment {
+                    x0: -0.0,
+                    y0: 0.1 + 0.2,
+                    x1: 1e300,
+                    y1: 1e-7,
+                    epoch: Epoch(5),
+                }),
+                concat!("1 CONTAIN -0 0.30000000000000004 ", e300!(), " 0.0000001 5"),
+            ),
+            (
+                RequestKind::Subscribe(SubscriptionFilter::All),
+                "1 SUBSCRIBE ALL",
+            ),
+            (
+                RequestKind::Subscribe(SubscriptionFilter::Region {
+                    x0: f64::MIN_POSITIVE,
+                    y0: -0.0,
+                    x1: 0.1 + 0.2,
+                    y1: 2.5,
+                }),
+                concat!(
+                    "1 SUBSCRIBE REGION ",
+                    min_positive!(),
+                    " -0 0.30000000000000004 2.5"
+                ),
+            ),
+            (
+                RequestKind::Subscribe(SubscriptionFilter::Tags(vec![TagId(1), TagId(5)])),
+                "1 SUBSCRIBE TAGS 1 5",
+            ),
+            (RequestKind::Unsubscribe(3), "1 UNSUBSCRIBE 3"),
+            (
+                RequestKind::Telemetry(TelemetryCmd::Metrics),
+                "1 TELEMETRY METRICS",
+            ),
+            (
+                RequestKind::Telemetry(TelemetryCmd::Trace),
+                "1 TELEMETRY TRACE",
+            ),
+        ];
+        for (kind, text) in kinds {
+            let request = Request { id: 1, kind };
+            assert_eq!(request.encode(), text);
+            assert_bits_eq(&Request::parse(text).unwrap(), &request);
+        }
+
+        let responses = [
+            (
+                QueryResponse::Rows(rows.clone()),
+                format!("OK 3{AWKWARD_ROWS}"),
+            ),
+            (
+                QueryResponse::Error(error(ErrorCode::BeyondRetention, "epoch 3 is beyond 8")),
+                "ERR BEYOND_RETENTION epoch 3 is beyond 8".to_string(),
+            ),
+        ];
+        for (response, text) in &responses {
+            assert_eq!(&response.encode(), text);
+            assert_bits_eq(&QueryResponse::parse(text).unwrap(), response);
+        }
+    }
 }
