@@ -14,10 +14,10 @@
 //! * [`store::EventStore`] — a segmented in-memory log of the event
 //!   stream with a per-epoch snapshot index, configurable retention +
 //!   compaction, per-tag trail lookup, and epoch-delta snapshots;
-//! * [`Query`] / [`Frame`] — the query kinds, the versioned
-//!   length-prefixed text wire protocol (v1 bare queries, v2
-//!   `HELLO`-negotiated request-id envelopes with `SUBSCRIBE` push
-//!   frames), and typed [`WireError`] codes;
+//! * [`Query`] / [`Frame`] — the query kinds, the length-prefixed
+//!   text wire protocol (every connection opens with `HELLO`, then
+//!   request-id envelopes with `SUBSCRIBE` push frames and `TELEMETRY`
+//!   scrapes), and typed [`WireError`] codes;
 //! * [`SubscriptionHub`] — fan-out of committed location changes
 //!   into bounded per-subscription queues (slow subscribers lag, they
 //!   never buffer unboundedly);
@@ -25,7 +25,7 @@
 //!   query server plus the blocking builder-configured
 //!   [`QueryClient`];
 //! * [`DurableStore`] / [`SegmentLog`] — the write-ahead log under the
-//!   store, and [`ResilientClient`], the reconnecting subscriber.
+//!   store.
 //!
 //! One import path per item: the store's types are named through
 //! [`store`]; everything else is the `pub use` list below.
@@ -47,7 +47,6 @@ mod hub;
 pub(crate) mod lock;
 mod log;
 mod query;
-mod resilient;
 mod server;
 pub mod store;
 
@@ -57,7 +56,6 @@ pub use query::{
     answer, ErrorCode, Frame, Query, QueryResponse, SubscriptionFilter, TelemetryCmd, WireError,
     PROTOCOL_VERSION,
 };
-pub use resilient::{ReconnectPolicy, ResilientClient};
 pub use server::{
     read_frame, serve, serve_with, write_frame, ClientBuilder, QueryClient, ServerConfig,
     ServerHandle,

@@ -1,4 +1,4 @@
-//! The query API and its versioned wire form.
+//! The query API and its wire form.
 //!
 //! Five pull-query kinds cover the paper's serving questions — where is
 //! object X now, what trail did it take, what was the full picture at
@@ -21,52 +21,45 @@
 //! The TCP protocol is length-prefixed text: every frame is a 4-byte
 //! big-endian payload length followed by that many bytes of UTF-8 (no
 //! serde is available offline, and text keeps the protocol inspectable
-//! with three lines of any language). The framing is the stable
-//! surface shared by both protocol versions.
+//! with three lines of any language).
 //!
-//! **Version 1** (legacy, still served): each request frame is a bare
-//! query line, answered by exactly one response frame:
+//! Every connection opens with `HELLO <version>`, the version at least
+//! [`PROTOCOL_VERSION`]; the server answers `HELLO <negotiated>`, the
+//! lower of the two versions. From then on every request carries a
+//! client-chosen **request id**, every response echoes it, and
+//! server-push frames for subscriptions interleave with responses on
+//! the same connection — the id is what keeps them apart. A first
+//! frame that is not `HELLO` is answered with one
+//! `ERR 0 UNSUPPORTED_VERSION` frame and a clean close.
 //!
 //! ```text
-//! request-v1  = query
+//! hello       = "HELLO" SP version
+//! request     = id SP (query | subscribe | unsubscribe | telemetry)
 //! query       = current | trail | snapshot | contain
 //! current     = "CURRENT"  SP tag
 //! trail       = "TRAIL"    SP tag SP from-epoch SP to-epoch
 //! snapshot    = "SNAPSHOT" SP epoch ["SINCE" SP since-epoch]
 //! contain     = "CONTAIN"  SP x0 SP y0 SP x1 SP y1 SP epoch
-//! response-v1 = "OK" SP row-count *(LF row) | "ERR" SP code SP message
-//! row         = tag SP epoch SP x SP y SP z
-//! tag, epoch  = u64 decimal
-//! x0..y1      = f64 decimal (Rust round-trip formatting)
-//! ```
-//!
-//! **Version 2** (the envelope): a connection upgrades by sending
-//! `HELLO <version>` as a frame; the server answers `HELLO <negotiated>`
-//! (its highest common version) and from then on every request carries
-//! a client-chosen **request id**, every response echoes it, and
-//! server-push frames for subscriptions interleave with responses on
-//! the same connection — the id is what keeps them apart:
-//!
-//! ```text
-//! hello       = "HELLO" SP version
-//! request-v2  = id SP (query | subscribe | unsubscribe | telemetry)
 //! subscribe   = "SUBSCRIBE" SP filter
 //! filter      = "ALL" | "REGION" SP x0 SP y0 SP x1 SP y1
 //!             | "TAGS" 1*(SP tag)
 //! unsubscribe = "UNSUBSCRIBE" SP subscription-id
 //! telemetry   = "TELEMETRY" ["METRICS" / "TRACE"]
-//! frame-v2    = "HELLO" SP version
+//! frame       = "HELLO" SP version
 //!             | "OK"     SP id SP row-count *(LF row)
 //!             | "ERR"    SP id SP code SP message
 //!             | "PUSH"   SP sub-id SP arrival-epoch SP row-count *(LF row)
 //!             | "LAGGED" SP sub-id SP dropped-row-count
 //!             | "TELEMETRY" SP id SP byte-count LF body
+//! row         = tag SP epoch SP x SP y SP z
+//! tag, epoch  = u64 decimal
+//! x0..y1      = f64 decimal (Rust round-trip formatting)
 //! ```
 //!
-//! `TELEMETRY` (v2 only) scrapes the process-wide observability
-//! surface: `METRICS` (the default) returns the metrics registry in
-//! text exposition, `TRACE` the slow-epoch/slow-query ring. Both are
-//! answered without touching the store lock.
+//! `TELEMETRY` scrapes the process-wide observability surface:
+//! `METRICS` (the default) returns the metrics registry in text
+//! exposition, `TRACE` the slow-epoch/slow-query ring. Both are answered
+//! without touching the store lock.
 //!
 //! A subscription's id is the id of the `SUBSCRIBE` request that
 //! created it (`OK id 0` acknowledges it). `PUSH` frames carry the
@@ -81,8 +74,8 @@
 //!
 //! `ERR` frames carry a machine-readable [`ErrorCode`] token that
 //! round-trips the wire, mapping [`StoreError`] variants one-to-one
-//! (plus request-level codes). For compatibility, decoders accept
-//! legacy codeless `ERR <message>` frames as [`ErrorCode::Unknown`].
+//! (plus request-level codes). An `ERR` whose code token is unknown is
+//! a malformed frame (`BAD_REQUEST`), like any other.
 //!
 //! Floats are formatted with Rust's shortest round-trip `Display`, so
 //! a parsed response reproduces the server's `f64`s **bit-for-bit** —
@@ -95,7 +88,8 @@ use rfid_geom::Point3;
 use rfid_stream::pipeline::sinks::LocationUpdate;
 use rfid_stream::{Epoch, TagId};
 
-/// The newest protocol version this crate speaks.
+/// The protocol version this crate speaks; a `HELLO` below it is
+/// refused.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
@@ -109,8 +103,7 @@ pub enum ErrorCode {
     BadRequest,
     /// The request verb is not part of the protocol.
     UnknownVerb,
-    /// The operation needs a protocol version this connection does not
-    /// speak (e.g. `SUBSCRIBE` before a `HELLO` upgrade).
+    /// Any frame before `HELLO`, or a `HELLO` below 2.
     UnsupportedVersion,
     /// [`StoreError::BeyondRetention`]: the epoch precedes the
     /// retention horizon.
@@ -121,9 +114,6 @@ pub enum ErrorCode {
     /// ([`crate::server::ServerConfig::max_connections`]); retry later
     /// or against another replica.
     Overloaded,
-    /// A legacy or unrecognized code (decode side only: v1 peers sent
-    /// `ERR <message>` with no code at all).
-    Unknown,
 }
 
 impl ErrorCode {
@@ -136,7 +126,6 @@ impl ErrorCode {
             ErrorCode::BeyondRetention => "BEYOND_RETENTION",
             ErrorCode::UnknownSubscription => "UNKNOWN_SUBSCRIPTION",
             ErrorCode::Overloaded => "OVERLOADED",
-            ErrorCode::Unknown => "UNKNOWN",
         }
     }
 
@@ -149,7 +138,6 @@ impl ErrorCode {
             "BEYOND_RETENTION" => ErrorCode::BeyondRetention,
             "UNKNOWN_SUBSCRIPTION" => ErrorCode::UnknownSubscription,
             "OVERLOADED" => ErrorCode::Overloaded,
-            "UNKNOWN" => ErrorCode::Unknown,
             _ => return None,
         })
     }
@@ -182,21 +170,19 @@ impl WireError {
         Self::new(ErrorCode::BadRequest, message)
     }
 
-    /// Encodes the text after `"ERR "` (and after the id in v2).
+    /// Encodes the text after `"ERR "` (and after the id in a frame).
     pub fn encode(&self) -> String {
         format!("{} {}", self.code, self.message.replace('\n', " "))
     }
 
-    /// Decodes the text after `"ERR "`. A leading known code token is
-    /// split off; anything else (legacy codeless errors) becomes the
-    /// whole message under [`ErrorCode::Unknown`].
-    pub fn decode(text: &str) -> WireError {
-        let mut parts = text.splitn(2, ' ');
-        let head = parts.next().unwrap_or("");
-        match ErrorCode::from_token(head) {
-            Some(code) => WireError::new(code, parts.next().unwrap_or("").to_string()),
-            None => WireError::new(ErrorCode::Unknown, text.to_string()),
-        }
+    /// Decodes the text after `"ERR "`: a code token, then the message.
+    /// A text that does not lead with a known code is itself a
+    /// `BAD_REQUEST` decode error.
+    pub fn decode(text: &str) -> Result<WireError, WireError> {
+        let (head, message) = text.split_once(' ').unwrap_or((text, ""));
+        ErrorCode::from_token(head)
+            .map(|code| WireError::new(code, message))
+            .ok_or_else(|| WireError::bad_request(format!("ERR: unknown code {head:?}")))
     }
 }
 
@@ -289,7 +275,7 @@ impl SubscriptionFilter {
     }
 }
 
-/// A v2 request: a client-chosen id plus what to do. Responses echo
+/// A request: a client-chosen id plus what to do. Responses echo
 /// the id, which is what lets pull responses and push frames share one
 /// connection.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,7 +286,7 @@ pub(crate) struct Request {
     pub kind: RequestKind,
 }
 
-/// The operations a v2 request can carry.
+/// The operations a request can carry.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum RequestKind {
     /// A pull query, answered with one `OK`/`ERR` frame.
@@ -394,8 +380,7 @@ impl Query {
         }
     }
 
-    /// Parses a bare query line (a v1 request, or the payload of a v2
-    /// envelope after the id).
+    /// Parses a query line: the body of a request after its id.
     pub fn parse(line: &str) -> Result<Query, WireError> {
         let mut parts = line.split_ascii_whitespace();
         let op = parts
@@ -520,12 +505,12 @@ impl RequestKind {
 }
 
 impl Request {
-    /// The v2 request line: `id SP kind`.
+    /// The request line: `id SP kind`.
     pub(crate) fn encode(&self) -> String {
         format!("{} {}", self.id, self.kind.encode())
     }
 
-    /// Parses a v2 request line. On failure, the error carries the
+    /// Parses a request line. On failure, the error carries the
     /// request id when one could be read (0 otherwise) so the server
     /// can still address its `ERR` frame.
     pub(crate) fn parse(line: &str) -> Result<Request, (u64, WireError)> {
@@ -540,7 +525,7 @@ impl Request {
 }
 
 // ---------------------------------------------------------------------
-// row codec (shared by v1 responses and v2 frames)
+// row codec (shared by response bodies and frames)
 // ---------------------------------------------------------------------
 
 /// Appends one `tag SP epoch SP x SP y SP z` row line. `{}` on f64 is
@@ -596,11 +581,13 @@ fn decode_rows<'a>(
 }
 
 // ---------------------------------------------------------------------
-// v1 responses
+// response bodies
 // ---------------------------------------------------------------------
 
-/// The answer to a [`Query`] — the v1 response form, and the payload
-/// the v2 `OK`/`ERR` frames wrap with an id.
+/// The answer to a [`Query`]: what an `OK`/`ERR` frame carries, without
+/// the frame's id. Its text form ([`QueryResponse::encode`] /
+/// [`QueryResponse::parse`]) is that id-less body, not a dialect of its
+/// own: no connection sends it as a frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResponse {
     /// Matched rows (possibly empty), sorted as the store answers
@@ -635,7 +622,7 @@ impl QueryResponse {
         }
     }
 
-    /// The response payload (v1: no id; without the length prefix).
+    /// The id-less body text (`OK n …` or `ERR code message`).
     pub fn encode(&self) -> String {
         match self {
             QueryResponse::Rows(rows) => {
@@ -649,15 +636,14 @@ impl QueryResponse {
         }
     }
 
-    /// Parses a v1 response payload. Legacy `ERR <message>` frames
-    /// (no code token) decode as [`ErrorCode::Unknown`].
+    /// Parses an id-less body text.
     pub fn parse(payload: &str) -> Result<QueryResponse, WireError> {
         let mut lines = payload.lines();
         let head = lines
             .next()
             .ok_or_else(|| WireError::bad_request("empty response"))?;
         if let Some(rest) = head.strip_prefix("ERR ") {
-            return Ok(QueryResponse::Error(WireError::decode(rest)));
+            return WireError::decode(rest).map(QueryResponse::Error);
         }
         let n: usize = head
             .strip_prefix("OK ")
@@ -669,10 +655,10 @@ impl QueryResponse {
 }
 
 // ---------------------------------------------------------------------
-// v2 frames
+// frames
 // ---------------------------------------------------------------------
 
-/// One server→client frame of the v2 protocol.
+/// One server→client frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Handshake reply: the negotiated protocol version.
@@ -724,7 +710,7 @@ impl Frame {
         }
     }
 
-    /// Parses a v2 server frame.
+    /// Parses a server frame.
     pub fn parse(payload: &str) -> Result<Frame, WireError> {
         let mut lines = payload.lines();
         let head = lines
@@ -742,9 +728,13 @@ impl Frame {
                 .map_err(|e| WireError::bad_request(format!("{verb}: bad {name}: {e}")))
         };
         match verb {
-            "HELLO" => Ok(Frame::Hello {
-                version: u64_arg("version")? as u32,
-            }),
+            "HELLO" => {
+                let version = u64_arg("version")?;
+                let version = u32::try_from(version).map_err(|_| {
+                    WireError::bad_request(format!("HELLO: version {version} out of range"))
+                })?;
+                Ok(Frame::Hello { version })
+            }
             "OK" => {
                 let id = u64_arg("id")?;
                 let n = u64_arg("row-count")? as usize;
@@ -761,7 +751,7 @@ impl Frame {
                     .ok_or_else(|| WireError::bad_request("ERR: missing error"))?;
                 Ok(Frame::Err {
                     id,
-                    error: WireError::decode(rest),
+                    error: WireError::decode(rest)?,
                 })
             }
             "PUSH" => {
@@ -805,8 +795,7 @@ impl Frame {
 // ---------------------------------------------------------------------
 
 /// Answers a pull query against a store — the single evaluation path
-/// shared by the TCP server (both protocol versions) and in-process
-/// callers.
+/// shared by the TCP server and in-process callers.
 pub fn answer(store: &EventStore, query: &Query) -> QueryResponse {
     let result = match *query {
         Query::CurrentLocation(tag) => Ok(store.current_location(tag).into_iter().collect()),
@@ -1001,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn error_codes_round_trip_and_legacy_errors_decode() {
+    fn error_codes_round_trip() {
         let err = QueryResponse::Error(WireError::new(
             ErrorCode::BeyondRetention,
             "epoch 3 is beyond the retention horizon (oldest exact snapshot: 8)",
@@ -1010,12 +999,13 @@ mod tests {
         assert!(encoded.starts_with("ERR BEYOND_RETENTION "), "{encoded}");
         assert_eq!(QueryResponse::parse(&encoded).unwrap(), err);
 
-        // v1 peers sent codeless messages: still accepted on decode
-        let legacy = QueryResponse::parse("ERR something went wrong").unwrap();
-        assert_eq!(
-            legacy.error().map(|e| (e.code, e.message.as_str())),
-            Some((ErrorCode::Unknown, "something went wrong"))
-        );
+        // an ERR without a known code token is malformed, not a message
+        for bad in ["ERR something went wrong", "ERR UNKNOWN oops"] {
+            let got = QueryResponse::parse(bad).expect_err(bad);
+            assert_eq!(got.code, ErrorCode::BadRequest, "{bad:?}");
+        }
+        let got = Frame::parse("ERR 3 something went wrong").unwrap_err();
+        assert_eq!(got.code, ErrorCode::BadRequest);
 
         // StoreError maps one-to-one
         let mapped: WireError = StoreError::BeyondRetention {
@@ -1066,6 +1056,18 @@ mod tests {
         assert!(Frame::parse("WHAT 1 2").is_err());
         // a telemetry body truncated below its announced byte count
         assert!(Frame::parse("TELEMETRY 1 10\nshort").is_err());
+    }
+
+    #[test]
+    fn hello_versions_past_u32_are_refused_not_wrapped() {
+        assert_eq!(
+            Frame::parse("HELLO 4294967295"),
+            Ok(Frame::Hello { version: u32::MAX })
+        );
+        // 2^32 + 2 must not wrap to `HELLO 2`
+        for bad in ["HELLO 4294967296", "HELLO 4294967298"] {
+            assert_eq!(Frame::parse(bad).unwrap_err().code, ErrorCode::BadRequest);
+        }
     }
 
     #[test]

@@ -31,15 +31,24 @@
 //!
 //! Framing is the 4-byte big-endian length prefix from
 //! [`crate::query`] — one frame per request, one frame per response or
-//! push, many frames per connection. The framing is the stable
-//! surface across protocol versions.
+//! push, many frames per connection.
+//!
+//! ## Handshake
+//!
+//! A connection's first frame must be `HELLO <version>` with a version
+//! of at least [`PROTOCOL_VERSION`]; the server answers with the
+//! negotiated version. A `HELLO` below it is refused with a typed
+//! `ERR 0 UNSUPPORTED_VERSION` and the connection stays open for
+//! another try. Any other first frame draws that same single `ERR`
+//! frame and a clean close — a typed answer, never a guess at what an
+//! ungreeted peer meant.
 
 use crate::hub::{SubscriptionHandle, SubscriptionHub};
 use crate::query::{
     answer, ErrorCode, Frame, Query, QueryResponse, Request, RequestKind, SubscriptionFilter,
     TelemetryCmd, WireError, PROTOCOL_VERSION,
 };
-use crate::store::{EventStore, LocationRow};
+use crate::store::EventStore;
 use rfid_stream::wire;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -53,9 +62,6 @@ use std::time::{Duration, Instant};
 /// Upper bound on a single frame's payload (a request line or a
 /// response document). Guards the server against garbage prefixes.
 pub(crate) const MAX_FRAME_BYTES: u32 = 4 << 20;
-
-/// Oldest protocol version the server still speaks.
-pub(crate) const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// How often the accept loop re-checks the stop flag while no
 /// connection is pending.
@@ -451,8 +457,8 @@ struct Conn {
     stream: TcpStream,
     inbuf: FrameBuf,
     outbuf: VecDeque<u8>,
-    /// Negotiated protocol version (1 until a `HELLO` upgrade).
-    version: u32,
+    /// Whether the peer's `HELLO` has been accepted.
+    greeted: bool,
     subs: Vec<SubscriptionHandle>,
     closed: bool,
     /// Process-unique id (trace correlation).
@@ -471,7 +477,7 @@ impl Conn {
             stream,
             inbuf: FrameBuf::new(max_frame_len),
             outbuf: VecDeque::new(),
-            version: 1,
+            greeted: false,
             subs: Vec::new(),
             closed: false,
             id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
@@ -486,6 +492,14 @@ impl Conn {
         self.outbuf
             .extend((bytes.len() as u32).to_be_bytes().iter().copied());
         self.outbuf.extend(bytes.iter().copied());
+    }
+
+    /// Answers a fault the connection cannot recover from with one
+    /// `ERR 0` frame, flushed best-effort, and marks it closed.
+    fn refuse(&mut self, error: WireError) {
+        self.enqueue(&Frame::Err { id: 0, error }.encode());
+        let _ = self.flush();
+        self.closed = true;
     }
 
     /// Writes as much buffered output as the socket accepts.
@@ -651,6 +665,9 @@ fn pump(
             match conn.inbuf.next_frame() {
                 Ok(Some(payload)) => {
                     process_frame(conn, store, hub, cfg, metrics, &payload);
+                    if conn.closed {
+                        return Ok(true);
+                    }
                     progressed = true;
                 }
                 Ok(None) => break,
@@ -658,13 +675,7 @@ fn pump(
                     // a peer-input fault (oversized or non-UTF-8
                     // frame): tell the peer why, then close cleanly —
                     // the framing cannot be resynced after this
-                    let frame = Frame::Err {
-                        id: 0,
-                        error: WireError::bad_request(e.to_string()),
-                    };
-                    conn.enqueue(&frame.encode());
-                    let _ = conn.flush();
-                    conn.closed = true;
+                    conn.refuse(WireError::bad_request(e.to_string()));
                     return Ok(true);
                 }
             }
@@ -728,24 +739,19 @@ fn process_frame(
     metrics: &ServeMetrics,
     payload: &str,
 ) {
-    // HELLO is version-independent: it is what *sets* the version
     if let Some(rest) = payload.strip_prefix("HELLO") {
         let reply = match rest.trim().parse::<u32>() {
-            Ok(v) if v >= MIN_PROTOCOL_VERSION => {
-                let negotiated = v.min(PROTOCOL_VERSION);
-                conn.version = negotiated;
+            Ok(v) if v >= PROTOCOL_VERSION => {
+                conn.greeted = true;
                 Frame::Hello {
-                    version: negotiated,
+                    version: v.min(PROTOCOL_VERSION),
                 }
             }
             Ok(v) => Frame::Err {
                 id: 0,
                 error: WireError::new(
                     ErrorCode::UnsupportedVersion,
-                    format!(
-                        "version {v} not supported (server speaks \
-                         {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                    ),
+                    format!("version {v} not supported (server speaks {PROTOCOL_VERSION})"),
                 ),
             },
             Err(e) => Frame::Err {
@@ -756,47 +762,27 @@ fn process_frame(
         conn.enqueue(&reply.encode());
         return;
     }
-    if conn.version >= 2 {
-        let frame = match Request::parse(payload) {
-            Ok(req) => {
-                let verb = req.kind.verb();
-                let start = Instant::now();
-                let frame = process_request(conn, store, hub, req);
-                metrics.observe_request(cfg, conn.id, verb, start);
-                frame
-            }
-            Err((id, error)) => Frame::Err { id, error },
-        };
-        conn.enqueue(&frame.encode());
+    if !conn.greeted {
+        conn.refuse(WireError::new(
+            ErrorCode::UnsupportedVersion,
+            format!("the first frame must be HELLO {PROTOCOL_VERSION}"),
+        ));
         return;
     }
-    // v1: a bare query line, one codeless envelope per response
-    let response = match RequestKind::parse(payload) {
-        Ok(kind @ RequestKind::Query(_)) => {
-            let verb = kind.verb();
-            let RequestKind::Query(q) = kind else {
-                unreachable!("matched a query")
-            };
+    let frame = match Request::parse(payload) {
+        Ok(req) => {
+            let verb = req.kind.verb();
             let start = Instant::now();
-            let response = {
-                let guard = crate::lock::read_recover(store.read());
-                answer(&guard, &q)
-            };
+            let frame = process_request(conn, store, hub, req);
             metrics.observe_request(cfg, conn.id, verb, start);
-            response
+            frame
         }
-        Ok(RequestKind::Subscribe(_) | RequestKind::Unsubscribe(_) | RequestKind::Telemetry(_)) => {
-            QueryResponse::Error(WireError::new(
-                ErrorCode::UnsupportedVersion,
-                "subscriptions and telemetry need protocol version >= 2 (send HELLO 2 first)",
-            ))
-        }
-        Err(error) => QueryResponse::Error(error),
+        Err((id, error)) => Frame::Err { id, error },
     };
-    conn.enqueue(&response.encode());
+    conn.enqueue(&frame.encode());
 }
 
-/// Evaluates one parsed v2 request into its response frame.
+/// Evaluates one parsed request into its response frame.
 fn process_request(
     conn: &mut Conn,
     store: &RwLock<EventStore>,
@@ -859,7 +845,6 @@ fn process_request(
 pub struct ClientBuilder {
     addr: SocketAddr,
     timeout: Option<Duration>,
-    protocol_version: u32,
 }
 
 impl ClientBuilder {
@@ -871,18 +856,8 @@ impl ClientBuilder {
         self
     }
 
-    /// Protocol version to request (default: [`PROTOCOL_VERSION`]).
-    /// `1` skips the `HELLO` handshake entirely — the legacy wire
-    /// dialect. The server may negotiate downward; see
-    /// [`QueryClient::version`].
-    pub fn protocol_version(mut self, version: u32) -> Self {
-        assert!(version >= 1, "protocol versions start at 1");
-        self.protocol_version = version;
-        self
-    }
-
-    /// Connects and (for versions >= 2) performs the `HELLO`
-    /// handshake.
+    /// Connects and performs the `HELLO` handshake. Any reply other
+    /// than `HELLO` [`PROTOCOL_VERSION`] is [`io::ErrorKind::InvalidData`].
     pub fn establish(self) -> io::Result<QueryClient> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
@@ -890,38 +865,27 @@ impl ClientBuilder {
         stream.set_write_timeout(self.timeout)?;
         let mut client = QueryClient {
             stream,
-            version: 1,
             next_id: 1,
             inbuf: FrameBuf::new(MAX_FRAME_BYTES),
             pending_pushes: VecDeque::new(),
         };
-        if self.protocol_version >= 2 {
-            write_frame(
-                &mut client.stream,
-                &format!("HELLO {}", self.protocol_version),
-            )?;
-            match Frame::parse(&client.read_frame_buffered()?) {
-                Ok(Frame::Hello { version }) => client.version = version,
-                Ok(Frame::Err { error, .. }) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("server refused handshake: {error}"),
-                    ))
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected handshake reply: {other:?}"),
-                    ))
-                }
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        write_frame(&mut client.stream, &hello.encode())?;
+        match Frame::parse(&client.read_frame_buffered()?) {
+            Ok(reply) if reply == hello => Ok(client),
+            Ok(Frame::Err { error, .. }) => {
+                Err(invalid_data(format!("server refused handshake: {error}")))
             }
+            other => Err(invalid_data(format!(
+                "unexpected handshake reply: {other:?}"
+            ))),
         }
-        Ok(client)
     }
 }
 
-/// A blocking client speaking the framed text protocol (both
-/// versions).
+/// A blocking client speaking the framed text protocol.
 ///
 /// ```no_run
 /// # use rfid_serve::{Query, QueryClient};
@@ -936,7 +900,6 @@ impl ClientBuilder {
 #[derive(Debug)]
 pub struct QueryClient {
     stream: TcpStream,
-    version: u32,
     next_id: u64,
     inbuf: FrameBuf,
     /// Push/lag frames that arrived while waiting for a pull response.
@@ -951,13 +914,7 @@ impl QueryClient {
         ClientBuilder {
             addr,
             timeout: None,
-            protocol_version: PROTOCOL_VERSION,
         }
-    }
-
-    /// The negotiated protocol version.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Reads one frame, buffering partial progress across timeouts so
@@ -985,97 +942,38 @@ impl QueryClient {
     /// Sends one query and waits for its response; push frames that
     /// arrive in between are retained for [`QueryClient::next_push`].
     pub fn query(&mut self, query: &Query) -> io::Result<QueryResponse> {
-        if self.version < 2 {
-            write_frame(&mut self.stream, &query.encode())?;
-            let payload = self.read_frame_buffered()?;
-            return QueryResponse::parse(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-        }
-        let id = self.fresh_id();
-        let request = Request {
-            id,
-            kind: RequestKind::Query(*query),
-        };
-        write_frame(&mut self.stream, &request.encode())?;
-        match self.await_response(id)? {
-            Ok(rows) => Ok(QueryResponse::Rows(rows)),
-            Err(error) => Ok(QueryResponse::Error(error)),
+        match self.request(RequestKind::Query(*query))? {
+            Frame::Ok { rows, .. } => Ok(QueryResponse::Rows(rows)),
+            Frame::Err { error, .. } => Ok(QueryResponse::Error(error)),
+            other => Err(unexpected(&other)),
         }
     }
 
-    /// Registers a push subscription and returns its id (protocol
-    /// version >= 2 only). Frames then arrive via
-    /// [`QueryClient::next_push`].
+    /// Registers a push subscription and returns its id. Frames then
+    /// arrive via [`QueryClient::next_push`].
     pub fn subscribe(&mut self, filter: &SubscriptionFilter) -> io::Result<u64> {
-        if self.version < 2 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "subscriptions need protocol version >= 2",
-            ));
+        match self.request(RequestKind::Subscribe(filter.clone()))? {
+            Frame::Ok { id, .. } => Ok(id),
+            other => Err(refused(other)),
         }
-        let id = self.fresh_id();
-        let request = Request {
-            id,
-            kind: RequestKind::Subscribe(filter.clone()),
-        };
-        write_frame(&mut self.stream, &request.encode())?;
-        self.await_response(id)?
-            .map(|_| id)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Cancels a subscription made on this connection. Already-queued
     /// push frames may still arrive before the acknowledgement.
     pub fn unsubscribe(&mut self, subscription: u64) -> io::Result<()> {
-        let id = self.fresh_id();
-        let request = Request {
-            id,
-            kind: RequestKind::Unsubscribe(subscription),
-        };
-        write_frame(&mut self.stream, &request.encode())?;
-        self.await_response(id)?
-            .map(|_| ())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        match self.request(RequestKind::Unsubscribe(subscription))? {
+            Frame::Ok { .. } => Ok(()),
+            other => Err(refused(other)),
+        }
     }
 
-    /// Scrapes the server's observability surface (protocol version 2
-    /// and above only): the metrics registry in text exposition, or
-    /// the slow-epoch/slow-query trace ring.
+    /// Scrapes the server's observability surface: the metrics
+    /// registry in text exposition, or the slow-epoch/slow-query trace
+    /// ring.
     pub fn telemetry(&mut self, cmd: TelemetryCmd) -> io::Result<String> {
-        if self.version < 2 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "telemetry needs protocol version >= 2",
-            ));
-        }
-        let id = self.fresh_id();
-        let request = Request {
-            id,
-            kind: RequestKind::Telemetry(cmd),
-        };
-        write_frame(&mut self.stream, &request.encode())?;
-        loop {
-            let payload = self.read_frame_buffered()?;
-            match Frame::parse(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            {
-                Frame::Telemetry { id: got, body } if got == id => return Ok(body),
-                Frame::Err { id: got, error } if got == id => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        error.to_string(),
-                    ))
-                }
-                frame @ (Frame::Push { .. } | Frame::Lagged { .. }) => {
-                    self.pending_pushes.push_back(frame);
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("response for unexpected request: {other:?}"),
-                    ))
-                }
-            }
+        match self.request(RequestKind::Telemetry(cmd))? {
+            Frame::Telemetry { body, .. } => Ok(body),
+            other => Err(refused(other)),
         }
     }
 
@@ -1087,13 +985,11 @@ impl QueryClient {
             return Ok(frame);
         }
         let payload = self.read_frame_buffered()?;
-        match Frame::parse(&payload) {
-            Ok(frame @ (Frame::Push { .. } | Frame::Lagged { .. })) => Ok(frame),
-            Ok(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected a push frame, got {other:?}"),
-            )),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        match Frame::parse(&payload).map_err(invalid_data)? {
+            frame @ (Frame::Push { .. } | Frame::Lagged { .. }) => Ok(frame),
+            other => Err(invalid_data(format!(
+                "expected a push frame, got {other:?}"
+            ))),
         }
     }
 
@@ -1103,44 +999,54 @@ impl QueryClient {
         write_frame(&mut self.stream, line)?;
         loop {
             let payload = self.read_frame_buffered()?;
-            if self.version >= 2 {
-                if let Ok(Frame::Push { .. } | Frame::Lagged { .. }) = Frame::parse(&payload) {
-                    self.pending_pushes
-                        .push_back(Frame::parse(&payload).expect("just parsed"));
-                    continue;
+            match Frame::parse(&payload) {
+                Ok(frame @ (Frame::Push { .. } | Frame::Lagged { .. })) => {
+                    self.pending_pushes.push_back(frame)
                 }
+                _ => return Ok(payload),
             }
-            return Ok(payload);
         }
     }
 
-    fn fresh_id(&mut self) -> u64 {
+    /// Sends one request under a fresh id and reads frames until the
+    /// one answering it (`OK`, `ERR` or `TELEMETRY` echoing the id),
+    /// stashing push and lag frames that interleave.
+    fn request(&mut self, kind: RequestKind) -> io::Result<Frame> {
         let id = self.next_id;
         self.next_id += 1;
-        id
-    }
-
-    /// Reads frames until the response for `id`, stashing push frames
-    /// that interleave.
-    fn await_response(&mut self, id: u64) -> io::Result<Result<Vec<LocationRow>, WireError>> {
+        write_frame(&mut self.stream, &Request { id, kind }.encode())?;
         loop {
             let payload = self.read_frame_buffered()?;
-            match Frame::parse(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            {
-                Frame::Ok { id: got, rows } if got == id => return Ok(Ok(rows)),
-                Frame::Err { id: got, error } if got == id => return Ok(Err(error)),
-                frame @ (Frame::Push { .. } | Frame::Lagged { .. }) => {
-                    self.pending_pushes.push_back(frame);
+            let frame = Frame::parse(&payload).map_err(invalid_data)?;
+            match frame {
+                Frame::Ok { id: got, .. }
+                | Frame::Err { id: got, .. }
+                | Frame::Telemetry { id: got, .. }
+                    if got == id =>
+                {
+                    return Ok(frame)
                 }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("response for unexpected request: {other:?}"),
-                    ))
-                }
+                Frame::Push { .. } | Frame::Lagged { .. } => self.pending_pushes.push_back(frame),
+                other => return Err(unexpected(&other)),
             }
         }
+    }
+}
+
+fn invalid_data(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+fn unexpected(frame: &Frame) -> io::Error {
+    invalid_data(format!("response for unexpected request: {frame:?}"))
+}
+
+/// The error for a request the server answered with `ERR` (its typed
+/// error's text) or with the wrong kind of frame.
+fn refused(frame: Frame) -> io::Error {
+    match frame {
+        Frame::Err { error, .. } => invalid_data(error),
+        other => unexpected(&other),
     }
 }
 

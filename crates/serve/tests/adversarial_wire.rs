@@ -40,6 +40,13 @@ fn connect(addr: std::net::SocketAddr) -> TcpStream {
     s
 }
 
+/// Opens the conversation: `HELLO 2` out, `HELLO 2` back.
+fn greet(stream: &mut TcpStream) {
+    write_frame(stream, "HELLO 2").unwrap();
+    let reply = read_frame(stream).unwrap();
+    assert_eq!(reply.as_deref(), Some("HELLO 2"), "handshake");
+}
+
 /// Reads until EOF, asserting the connection was closed by the server.
 fn assert_closed(stream: &mut TcpStream) {
     let mut rest = Vec::new();
@@ -77,11 +84,12 @@ fn oversized_prefix_gets_typed_error_then_clean_close() {
     );
     assert_closed(&mut raw);
 
-    // an in-cap frame on a fresh connection still works
+    // in-cap frames on a fresh connection still work
     let mut ok = connect(handle.addr());
-    write_frame(&mut ok, "CURRENT 1").unwrap();
+    greet(&mut ok);
+    write_frame(&mut ok, "1 CURRENT 1").unwrap();
     let resp = read_frame(&mut ok).unwrap().expect("a reply");
-    assert!(resp.starts_with("OK "), "{resp:?}");
+    assert!(resp.starts_with("OK 1 "), "{resp:?}");
     handle.shutdown();
 }
 
@@ -91,9 +99,10 @@ fn truncation_at_every_byte_boundary_never_wedges_the_server() {
     let handle = serve("127.0.0.1:0", Arc::clone(&store)).expect("bind");
 
     let mut wire = Vec::new();
-    write_frame(&mut wire, "CURRENT 1").unwrap();
+    write_frame(&mut wire, "1 CURRENT 1").unwrap();
     for cut in 0..wire.len() {
         let mut raw = connect(handle.addr());
+        greet(&mut raw);
         raw.write_all(&wire[..cut]).unwrap();
         raw.shutdown(Shutdown::Write).unwrap();
         // the server drops the half-frame without replying or dying
@@ -126,14 +135,17 @@ fn garbage_after_valid_frame_answers_then_closes() {
 
     let mut raw = connect(handle.addr());
     let mut wire = Vec::new();
-    write_frame(&mut wire, "CURRENT 1").unwrap();
+    write_frame(&mut wire, "HELLO 2").unwrap();
+    write_frame(&mut wire, "1 CURRENT 1").unwrap();
     // 0xFFFFFFFF reads as a 4 GiB announcement — over any sane cap
     wire.extend_from_slice(&[0xFF; 32]);
     raw.write_all(&wire).unwrap();
 
-    // the valid frame is answered first…
+    // the valid frames are answered first…
+    let hello = read_frame(&mut raw).unwrap().expect("handshake reply");
+    assert_eq!(hello, "HELLO 2");
     let first = read_frame(&mut raw).unwrap().expect("query reply");
-    assert!(first.starts_with("OK "), "{first:?}");
+    assert!(first.starts_with("OK 1 "), "{first:?}");
     // …then the garbage draws the typed error and the close
     let err = read_frame(&mut raw).unwrap().expect("error reply");
     assert!(err.starts_with("ERR 0 BAD_REQUEST"), "{err:?}");
@@ -180,21 +192,23 @@ fn poisoned_store_lock_recovers_instead_of_cascading() {
     }
     assert!(store.is_poisoned(), "the store lock must be poisoned");
 
-    // v2 and v1 queries both still answer from the recovered guard
-    let mut v2 = QueryClient::connect(handle.addr())
+    // the client and a raw connection both still answer from the
+    // recovered guard
+    let mut client = QueryClient::connect(handle.addr())
         .timeout(Duration::from_secs(10))
         .establish()
-        .expect("connect v2");
-    let rows = v2
+        .expect("connect");
+    let rows = client
         .query(&Query::CurrentLocation(TagId(2)))
         .expect("query a poisoned store")
         .into_rows()
         .expect("rows");
     assert_eq!(rows.len(), 1, "data survives the poisoning");
 
-    let mut v1 = connect(handle.addr());
-    write_frame(&mut v1, "CURRENT 0").unwrap();
-    let resp = read_frame(&mut v1).unwrap().expect("v1 reply");
-    assert!(resp.starts_with("OK "), "{resp:?}");
+    let mut raw = connect(handle.addr());
+    greet(&mut raw);
+    write_frame(&mut raw, "1 CURRENT 0").unwrap();
+    let resp = read_frame(&mut raw).unwrap().expect("raw reply");
+    assert!(resp.starts_with("OK 1 "), "{resp:?}");
     handle.shutdown();
 }

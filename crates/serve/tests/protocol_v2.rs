@@ -1,16 +1,17 @@
-//! Protocol-evolution integration tests over real TCP: HELLO
-//! negotiation, typed errors that never cost the connection,
-//! interleaved push + pull frames on one connection, v1 compatibility,
-//! subscriber lag, and shutdown under load.
+//! Protocol integration tests over real TCP: HELLO negotiation, the
+//! rule that every connection opens with HELLO, typed errors that never
+//! cost the connection, interleaved push + pull frames on one
+//! connection, subscriber lag, and shutdown under load.
 
 use rfid_geom::Point3;
 use rfid_serve::store::{EventStore, StoreConfig};
 use rfid_serve::{read_frame, write_frame};
 use rfid_serve::{
     serve, serve_with, Frame, HubConfig, Query, QueryClient, ServerConfig, SubscriptionFilter,
-    SubscriptionHub, PROTOCOL_VERSION,
+    SubscriptionHub,
 };
 use rfid_stream::{Epoch, EventSink, LocationEvent, TagId};
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -45,7 +46,6 @@ fn hello_negotiates_and_rejects_with_typed_errors() {
     // raw handshakes, one connection each
     let cases: &[(&str, &str)] = &[
         ("HELLO 2", "HELLO 2"),
-        ("HELLO 1", "HELLO 1"),
         // a future client is negotiated down to what the server speaks
         ("HELLO 99", "HELLO 2"),
         ("HELLO 0", "ERR 0 UNSUPPORTED_VERSION"),
@@ -60,22 +60,49 @@ fn hello_negotiates_and_rejects_with_typed_errors() {
             "{req:?} answered {resp:?}, wanted prefix {want_prefix:?}"
         );
     }
+    handle.shutdown();
+}
 
-    // the builder surfaces the negotiated version
-    let client = QueryClient::connect(handle.addr())
-        .timeout(Duration::from_secs(10))
-        .protocol_version(PROTOCOL_VERSION + 7)
-        .establish()
-        .expect("future version negotiates down");
-    assert_eq!(client.version(), PROTOCOL_VERSION);
+fn raw_connect(addr: std::net::SocketAddr) -> TcpStream {
+    let raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw
+}
 
-    // a rejected handshake is an error at establish time
-    let refused = QueryClient::connect(handle.addr())
-        .timeout(Duration::from_secs(10))
-        .protocol_version(1)
-        .establish()
-        .expect("v1 needs no handshake");
-    assert_eq!(refused.version(), 1);
+#[test]
+fn a_first_frame_other_than_hello_gets_one_typed_err_then_eof() {
+    let store = Arc::new(RwLock::new(seeded_store(2, 4)));
+    let handle = serve("127.0.0.1:0", store).expect("bind");
+
+    // a bare query and an enveloped one, each before any HELLO
+    for first in ["CURRENT 1", "1 CURRENT 1"] {
+        let mut raw = raw_connect(handle.addr());
+        write_frame(&mut raw, first).unwrap();
+        let resp = read_frame(&mut raw).unwrap().expect("a refusal frame");
+        assert!(
+            resp.starts_with("ERR 0 UNSUPPORTED_VERSION "),
+            "{first:?} answered {resp:?}"
+        );
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest)
+            .expect("the server closes cleanly");
+        assert!(rest.is_empty(), "{first:?}: nothing follows the refusal");
+    }
+
+    // a HELLO below 2 is refused, but the connection stays open for a
+    // HELLO the server speaks
+    let mut raw = raw_connect(handle.addr());
+    write_frame(&mut raw, "HELLO 1").unwrap();
+    let resp = read_frame(&mut raw).unwrap().expect("a refusal frame");
+    assert!(
+        resp.starts_with("ERR 0 UNSUPPORTED_VERSION "),
+        "HELLO 1 answered {resp:?}"
+    );
+    write_frame(&mut raw, "HELLO 2").unwrap();
+    assert_eq!(read_frame(&mut raw).unwrap().as_deref(), Some("HELLO 2"));
+    write_frame(&mut raw, "5 CURRENT 1").unwrap();
+    let resp = read_frame(&mut raw).unwrap().expect("a query reply");
+    assert!(resp.starts_with("OK 5 1\n"), "{resp:?}");
     handle.shutdown();
 }
 
@@ -94,20 +121,6 @@ fn unknown_verb_is_a_typed_err_not_a_disconnect() {
     // the connection survives both
     let resp = client.query(&Query::SnapshotAt(Epoch(3))).unwrap();
     assert_eq!(resp.rows().map(<[_]>::len), Some(2));
-
-    // v1 (no handshake): codeless envelope, code token leads the message
-    let mut legacy = QueryClient::connect(handle.addr())
-        .timeout(Duration::from_secs(10))
-        .protocol_version(1)
-        .establish()
-        .expect("connect v1");
-    let raw = legacy.query_raw("FROB 1 2 3").unwrap();
-    assert!(raw.starts_with("ERR UNKNOWN_VERB"), "got {raw:?}");
-    // v1 connections are told how to get subscriptions
-    let raw = legacy.query_raw("SUBSCRIBE ALL").unwrap();
-    assert!(raw.starts_with("ERR UNSUPPORTED_VERSION"), "got {raw:?}");
-    let resp = legacy.query(&Query::CurrentLocation(TagId(1))).unwrap();
-    assert_eq!(resp.rows().map(<[_]>::len), Some(1));
     handle.shutdown();
 }
 

@@ -169,11 +169,13 @@ fn slow_client_splitting_a_frame_does_not_desync_the_protocol() {
     let handle = serve("127.0.0.1:0", Arc::clone(&store)).expect("bind");
     let mut raw = TcpStream::connect(handle.addr()).expect("connect");
     raw.set_nodelay(true).unwrap();
+    write_frame(&mut raw, "HELLO 2").unwrap();
+    assert_eq!(read_frame(&mut raw).unwrap().as_deref(), Some("HELLO 2"));
 
     // dribble one CURRENT request: length prefix, a pause longer than
     // the server's read-timeout poll tick, then the payload in two
     // halves — the handler must keep its partial progress across ticks
-    let payload = b"CURRENT 1";
+    let payload = b"1 CURRENT 1";
     raw.write_all(&(payload.len() as u32).to_be_bytes())
         .unwrap();
     raw.flush().unwrap();
@@ -185,12 +187,12 @@ fn slow_client_splitting_a_frame_does_not_desync_the_protocol() {
     raw.flush().unwrap();
 
     let resp = read_frame(&mut raw).unwrap().expect("a response frame");
-    assert!(resp.starts_with("OK 1"), "desynced response: {resp:?}");
+    assert!(resp.starts_with("OK 1 1\n"), "desynced response: {resp:?}");
 
     // and the connection still works for a promptly-written follow-up
-    write_frame(&mut raw, "SNAPSHOT 9").unwrap();
+    write_frame(&mut raw, "2 SNAPSHOT 9").unwrap();
     let resp = read_frame(&mut raw).unwrap().expect("second response");
-    assert!(resp.starts_with("OK 2"), "got {resp:?}");
+    assert!(resp.starts_with("OK 2 2\n"), "got {resp:?}");
     handle.shutdown();
 }
 
