@@ -27,6 +27,9 @@
 //! count before any newer frames: one notice per overflow run, in the
 //! stream position where the gap actually is.
 //!
+//! A subscription registered with a [`Waker`] (the server's) is woken
+//! after every commit that queues to it, with no hub lock held.
+//!
 //! [`EventStore`]: crate::store::EventStore
 //! [`LocationChangeQuery`]: rfid_stream::queries::LocationChangeQuery
 
@@ -37,6 +40,7 @@ use rfid_stream::queries::LocationChangeQuery;
 use rfid_stream::{Epoch, EventSink, LocationEvent};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+use std::task::Waker;
 
 /// The hub's one knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,6 +94,7 @@ struct SubQueue {
 struct SubEntry {
     filter: SubscriptionFilter,
     queue: Arc<Mutex<SubQueue>>,
+    waker: Option<Waker>,
 }
 
 /// The hub's registry handles: enqueued frames, dropped rows, and
@@ -159,6 +164,17 @@ impl SubscriptionHub {
     /// handle dropped without that leaves the registration until the
     /// hub prunes it on a later commit.
     pub fn subscribe(&self, id: u64, filter: SubscriptionFilter) -> SubscriptionHandle {
+        self.subscribe_waking(id, filter, None)
+    }
+
+    /// [`SubscriptionHub::subscribe`], woken through `waker` after
+    /// every commit that queues to the subscription.
+    pub(crate) fn subscribe_waking(
+        &self,
+        id: u64,
+        filter: SubscriptionFilter,
+        waker: Option<Waker>,
+    ) -> SubscriptionHandle {
         let queue = Arc::new(Mutex::new(SubQueue {
             frames: VecDeque::with_capacity(self.cfg.queue_frames),
             pending_lagged: 0,
@@ -168,6 +184,7 @@ impl SubscriptionHub {
         crate::lock::mutex_recover(self.shared.subs.lock()).push(SubEntry {
             filter,
             queue: Arc::clone(&queue),
+            waker,
         });
         SubscriptionHandle { id, queue }
     }
@@ -188,14 +205,14 @@ impl SubscriptionHub {
             .sum()
     }
 
-    /// Fans one committed delta out to every matching subscription and
-    /// prunes cancelled ones.
+    /// Fans one committed delta out to every matching subscription,
+    /// prunes cancelled ones, then wakes the consumers it queued to.
     fn commit(&self, epoch: u64, updates: &[LocationUpdate]) {
         if updates.is_empty() {
             return;
         }
-        let mut subs = crate::lock::mutex_recover(self.shared.subs.lock());
-        subs.retain(|sub| {
+        let mut woken = Vec::new();
+        crate::lock::mutex_recover(self.shared.subs.lock()).retain(|sub| {
             let mut q = crate::lock::mutex_recover(sub.queue.lock());
             if q.closed {
                 return false;
@@ -225,8 +242,14 @@ impl SubscriptionHub {
             }
             q.frames.push_back(PendingPush { epoch, rows });
             self.shared.metrics.delivered.inc();
+            woken.extend(sub.waker.clone());
             true
         });
+        // with no lock held: a waker takes its consumer's lock, under
+        // which the consumer polls and subscribes
+        for waker in woken {
+            waker.wake();
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! ```text
 //!           ┌─► StoreSink ─► Arc<RwLock<EventStore>> ◄─┐
 //! pipeline ─┤                                          ├─ TCP server ◄─► clients
-//!           └─► hub.sink() ─► SubscriptionHub ─────────┘   (worker pool)
-//!  (writer, live ingestion)    (per-subscription queues)
+//!           └─► hub.sink() ─► SubscriptionHub ─────────┘   (reader + writer
+//!  (writer, live ingestion)    (per-subscription queues)     per connection)
 //! ```
 //!
 //! * [`store::EventStore`] — a segmented in-memory log of the event
@@ -21,9 +21,9 @@
 //! * [`SubscriptionHub`] — fan-out of committed location changes
 //!   into bounded per-subscription queues (slow subscribers lag, they
 //!   never buffer unboundedly);
-//! * [`serve_with`] — a `std::net` non-blocking sharded worker-pool
-//!   query server plus the blocking builder-configured
-//!   [`QueryClient`];
+//! * [`serve_with`] — a `std::net` query server with one blocked
+//!   reader and writer thread per connection, plus the blocking
+//!   builder-configured [`QueryClient`];
 //! * [`DurableStore`] / [`SegmentLog`] — the write-ahead log under the
 //!   store.
 //!

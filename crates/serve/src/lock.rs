@@ -4,12 +4,13 @@
 //! one connection handler while a guard is held poisons the lock; the
 //! old `.expect(...)` acquisitions then turned *every* subsequent
 //! handler's acquisition into a panic, cascading one bad request into
-//! all worker threads dying. Recovery is sound here because every
-//! protected structure is kept consistent at each write: store and hub
-//! writes are sink-call-shaped (append a completed row set, push a
-//! completed frame) with no multi-step invariants spanning the guard,
-//! and reads never mutate. So we take the data out of a poisoned
-//! guard and keep serving.
+//! every connection's threads dying. Recovery is sound here because
+//! every protected structure is kept consistent at each write: store
+//! and hub writes are sink-call-shaped (append a completed row set,
+//! push a completed frame) with no multi-step invariants spanning the
+//! guard, a connection's outbox grows by whole frames, and reads never
+//! mutate. So we take the data out of a poisoned guard and keep
+//! serving.
 
 use std::sync::{LockResult, MutexGuard, RwLockReadGuard};
 

@@ -1,37 +1,34 @@
-//! The event-driven TCP query server and its blocking client.
+//! The TCP query server and its blocking client.
 //!
 //! ## Connection layer
 //!
-//! A **sharded, non-blocking worker pool** (std-only): one accept
-//! thread runs a non-blocking accept loop (waking on the stop flag
-//! directly — no self-connect tricks) and deals connections round-robin
-//! to `ServerConfig::workers` worker threads. Each worker owns its
-//! connections outright and multiplexes them with
-//! `TcpStream::set_nonblocking`: per iteration it flushes pending
-//! output, reads whatever bytes are available, processes every
-//! complete frame, and drains subscription queues into connections
-//! with room. Workers spin-yield briefly when idle and then sleep a
-//! short interval, so quiet servers cost ~0 CPU while busy ones never
-//! sleep.
+//! **One connection, two blocked threads** (std-only). A non-blocking
+//! accept loop (re-checking the stop flag every `ACCEPT_POLL`) gives
+//! each admitted connection a reader, blocked in `wire::read_frame`,
+//! that answers requests into the connection's outbox, and a writer,
+//! waiting on the connection's condition variable until the outbox or
+//! a subscription queue holds something, that writes with a blocking
+//! `write`. Hub commits wake the writers they queue to. Nothing polls.
 //!
-//! All query evaluation takes only **read** locks on the store, so any
-//! number of pulls proceed in parallel with each other and interleave
-//! with the single writer (the ingestion pipeline holding the same
-//! `Arc` through a `StoreSink`).
+//! Queries take only **read** locks on the store, so pulls proceed in
+//! parallel and interleave with the single writer (the ingestion
+//! pipeline's `StoreSink`). Store and hub locks are never held
+//! together; the hub wakes a writer only after releasing its own.
 //!
 //! ## Backpressure
 //!
-//! Each connection buffers outbound bytes in an outbox. When the
-//! outbox passes `ServerConfig::outbox_high_water` the worker stops
-//! reading new requests from that connection *and* stops appending
-//! push frames to it — pushes then pool in the subscription's bounded
-//! queue, whose overflow policy (drop oldest, one `LAGGED` notice per
-//! run) is the hub's. A slow subscriber costs a bounded queue, never
-//! an unbounded buffer or a desynced frame.
+//! Each connection buffers outbound bytes in an outbox. While the
+//! bytes not yet written reach `ServerConfig::outbox_high_water` the
+//! reader reads no new request from that connection *and* the writer
+//! moves no push frame into it — pushes then pool in the
+//! subscription's bounded queue, whose overflow policy (drop oldest,
+//! one `LAGGED` notice per run) is the hub's. A slow subscriber costs
+//! a bounded queue, never an unbounded buffer or a desynced frame.
 //!
 //! Framing is the 4-byte big-endian length prefix from
 //! [`crate::query`] — one frame per request, one frame per response or
-//! push, many frames per connection.
+//! push, many frames per connection. A response too large for one
+//! frame is answered with a typed `ERR BAD_REQUEST` instead.
 //!
 //! ## Handshake
 //!
@@ -44,18 +41,19 @@
 //! ungreeted peer meant.
 
 use crate::hub::{SubscriptionHandle, SubscriptionHub};
+use crate::lock::{mutex_recover, read_recover, recover};
 use crate::query::{
     answer, ErrorCode, Frame, Query, QueryResponse, Request, RequestKind, SubscriptionFilter,
     TelemetryCmd, WireError, PROTOCOL_VERSION,
 };
 use crate::store::EventStore;
-use rfid_stream::wire;
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, RwLock};
+use rfid_stream::wire::{self, OversizedFrame};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,35 +65,25 @@ pub(crate) const MAX_FRAME_BYTES: u32 = 4 << 20;
 /// connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
-/// Idle iterations a worker spin-yields before sleeping.
-const IDLE_SPINS: u32 = 64;
-
-/// How long an idle worker sleeps between polls once spinning has not
-/// produced work. Bounds worst-case added latency on an otherwise idle
-/// server.
-const IDLE_SLEEP: Duration = Duration::from_micros(100);
-
 /// Server knobs. The fields are public, so [`serve_with`] re-checks the
 /// bounds the `with_*` builders assert and refuses a config outside
-/// them. How long an idle worker spins and sleeps is not a knob
-/// (`IDLE_SPINS`, `IDLE_SLEEP`).
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads sharing the connections (>= 1).
-    pub workers: usize,
     /// Outbox size (bytes) past which a connection stops being read
     /// and stops receiving push frames until it drains.
     pub outbox_high_water: usize,
-    /// Accepted connections the server holds at once. An accept past
-    /// the bound gets a best-effort `ERR` frame with
-    /// [`ErrorCode::Overloaded`] and a clean close — never a silent
-    /// hang. `None` is unlimited.
-    pub max_connections: Option<usize>,
+    /// Connections held at once (>= 1), each costing a reader and a
+    /// writer thread. An accept past the bound, or one no thread can
+    /// be spawned for, gets a best-effort `ERR` frame with
+    /// [`ErrorCode::Overloaded`] and a clean close — never a hang.
+    pub max_connections: usize,
     /// Largest frame payload accepted from a peer, in bytes. The
     /// 4-byte length prefix is untrusted input: a frame announcing
     /// more than this is answered with a typed `ERR BAD_REQUEST` and a
     /// clean close *before* any allocation, so a corrupt or malicious
-    /// prefix can neither balloon memory nor kill the worker silently.
+    /// prefix can neither balloon memory nor kill the connection
+    /// silently.
     pub max_frame_len: u32,
     /// Requests slower than this many microseconds are recorded into
     /// the process trace ring (readable via `TELEMETRY TRACE`), with
@@ -107,12 +95,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .clamp(1, 4),
             outbox_high_water: 256 << 10,
-            max_connections: None,
+            max_connections: 256,
             max_frame_len: MAX_FRAME_BYTES,
             slow_query_us: 0,
         }
@@ -120,13 +104,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Default config with a worker count (>= 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "at least one worker");
-        self.workers = workers;
-        self
-    }
-
     /// Default config with an outbox high-water mark in bytes.
     pub fn with_outbox_high_water(mut self, bytes: usize) -> Self {
         self.outbox_high_water = bytes;
@@ -136,7 +113,7 @@ impl ServerConfig {
     /// Default config with a connection bound (>= 1).
     pub fn with_max_connections(mut self, max: usize) -> Self {
         assert!(max >= 1, "at least one connection");
-        self.max_connections = Some(max);
+        self.max_connections = max;
         self
     }
 
@@ -158,9 +135,7 @@ impl ServerConfig {
     /// The bounds the `with_*` builders assert, for a config built as
     /// a struct literal (the fields are public).
     fn check(&self) -> io::Result<()> {
-        let reason = if self.workers == 0 {
-            "workers must be >= 1"
-        } else if self.max_connections == Some(0) {
+        let reason = if self.max_connections == 0 {
             "max_connections must be >= 1"
         } else if self.max_frame_len < 16 {
             "max_frame_len must be >= 16 (a HELLO must fit)"
@@ -218,27 +193,17 @@ impl From<FrameDecodeError> for io::Error {
     }
 }
 
-/// An incremental frame decoder: bytes go in as they arrive (partial
-/// frames survive between reads — a slow peer must never desync the
-/// framing), complete frames come out.
-#[derive(Debug)]
+/// An incremental frame decoder for the client: bytes go in as they
+/// arrive (partial frames survive a read timeout — a slow server must
+/// never desync the framing), complete frames of up to
+/// `MAX_FRAME_BYTES` come out.
+#[derive(Debug, Default)]
 struct FrameBuf {
     buf: Vec<u8>,
     pos: usize,
-    /// Per-connection cap on the announced payload length
-    /// ([`ServerConfig::max_frame_len`]).
-    max: u32,
 }
 
 impl FrameBuf {
-    fn new(max: u32) -> Self {
-        Self {
-            buf: Vec::new(),
-            pos: 0,
-            max,
-        }
-    }
-
     fn extend(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
     }
@@ -254,9 +219,10 @@ impl FrameBuf {
             .try_into()
             .expect("4 bytes checked");
         let len = u32::from_be_bytes(len_bytes);
-        if len > self.max {
+        if len > MAX_FRAME_BYTES {
             // checked before the payload is buffered or allocated
-            return Err(FrameDecodeError::Oversized { len, max: self.max });
+            let max = MAX_FRAME_BYTES;
+            return Err(FrameDecodeError::Oversized { len, max });
         }
         let total = 4 + len as usize;
         if avail < total {
@@ -285,9 +251,8 @@ impl FrameBuf {
 /// process lifetime.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    hub: SubscriptionHub,
-    threads: Vec<JoinHandle<()>>,
+    server: Arc<Server>,
+    accept: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -300,17 +265,25 @@ impl ServerHandle {
     /// [`SubscriptionHub::sink`] into the ingestion pipeline next to
     /// the store's `StoreSink`.
     pub fn hub(&self) -> &SubscriptionHub {
-        &self.hub
+        &self.server.hub
     }
 
-    /// Stops the server and joins every thread. The non-blocking
-    /// accept loop and the workers observe the flag within their poll
-    /// interval — no wake-up connection needed. In-flight responses
-    /// already in an outbox are not flushed further; clients see EOF.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+    /// Stops the server and joins every thread: the accept loop sees
+    /// the flag within its poll interval, then every live connection's
+    /// socket is shut down, which wakes its blocked reader and writer.
+    /// Responses not yet written are dropped; clients see EOF.
+    pub fn shutdown(self) {
+        self.server.stop.store(true, Ordering::SeqCst);
+        let _ = self.accept.join();
+        let conns: Vec<_> = mutex_recover(self.server.conns.lock())
+            .drain()
+            .map(|(_, entry)| entry)
+            .collect();
+        for (conn, _) in &conns {
+            conn.close();
+        }
+        for (_, thread) in conns {
+            let _ = thread.join();
         }
     }
 }
@@ -330,8 +303,8 @@ pub fn serve(addr: &str, store: Arc<RwLock<EventStore>>) -> io::Result<ServerHan
 
 /// [`serve`] with an explicit hub (shared with the ingestion side)
 /// and config. A config outside the bounds the `with_*` builders
-/// assert (no worker, no connection slot, a frame cap below a HELLO)
-/// is [`io::ErrorKind::InvalidInput`] before anything is bound.
+/// assert (no connection slot, a frame cap below a HELLO) is
+/// [`io::ErrorKind::InvalidInput`] before anything is bound.
 pub fn serve_with(
     addr: &str,
     store: Arc<RwLock<EventStore>>,
@@ -341,497 +314,483 @@ pub fn serve_with(
     cfg.check()?;
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::with_capacity(cfg.workers + 1);
-    let mut senders = Vec::with_capacity(cfg.workers);
-    for w in 0..cfg.workers {
-        let (tx, rx) = mpsc::channel::<(TcpStream, ConnPermit)>();
-        senders.push(tx);
-        let store = Arc::clone(&store);
-        let hub = hub.clone();
-        let stop = Arc::clone(&stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("rfid-serve-worker-{w}"))
-                .spawn(move || worker_loop(rx, store, hub, stop, cfg))?,
-        );
-    }
-    let accept_stop = Arc::clone(&stop);
-    let max_connections = cfg.max_connections;
-    threads.insert(
-        0,
+    let addr = listener.local_addr()?;
+    let reg = rfid_obs::global();
+    let requests = VERBS.iter().map(|&verb| {
+        let name = format!("server_query_us_{}", verb.to_ascii_lowercase());
+        (verb, reg.histogram(&name))
+    });
+    let server = Arc::new(Server {
+        store,
+        hub,
+        cfg,
+        requests: requests.collect(),
+        stalls: reg.counter("server_outbox_stalls_total"),
+        stalled_us: reg.counter("server_outbox_stalled_us_total"),
+        stop: AtomicBool::new(false),
+        conns: Mutex::default(),
+    });
+    let accept = {
+        let server = Arc::clone(&server);
         std::thread::Builder::new()
             .name("rfid-serve-accept".into())
-            .spawn(move || accept_loop(listener, senders, accept_stop, max_connections))?,
-    );
+            .spawn(move || server.accept_loop(listener))?
+    };
     Ok(ServerHandle {
-        addr: local,
-        stop,
-        hub,
-        threads,
+        addr,
+        server,
+        accept,
     })
 }
 
-/// A slot in the connection count, released when the worker drops the
-/// connection.
-#[derive(Debug)]
-struct ConnPermit(Arc<AtomicUsize>);
-
-impl ConnPermit {
-    /// Takes a slot unless `max` are already held.
-    fn acquire(count: &Arc<AtomicUsize>, max: Option<usize>) -> Option<Self> {
-        let prev = count.fetch_add(1, Ordering::SeqCst);
-        if max.is_some_and(|m| prev >= m) {
-            count.fetch_sub(1, Ordering::SeqCst);
-            return None;
-        }
-        Some(Self(Arc::clone(count)))
-    }
-}
-
-impl Drop for ConnPermit {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Tells an over-limit peer why it is being closed: one best-effort
-/// `ERR` frame with [`ErrorCode::Overloaded`], then the close. The
-/// accepted socket is still blocking, so a short write timeout bounds
-/// how long a pathological peer can hold the accept loop.
-fn refuse_connection(mut stream: TcpStream, max: usize) {
+/// Tells a peer the server cannot take why it is being closed: one
+/// best-effort `ERR` frame with [`ErrorCode::Overloaded`], then the
+/// close (when the caller drops the stream). A short write timeout
+/// bounds how long a pathological peer can hold the caller.
+fn refuse_connection(mut stream: &TcpStream, reason: String) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let frame = Frame::Err {
         id: 0,
-        error: WireError::new(
-            ErrorCode::Overloaded,
-            format!("connection limit of {max} reached, try again later"),
-        ),
+        error: WireError::new(ErrorCode::Overloaded, reason),
     };
     let _ = write_frame(&mut stream, &frame.encode());
-}
-
-/// Non-blocking accept loop: deals connections round-robin to the
-/// workers, sleeping [`ACCEPT_POLL`] when none are pending so the stop
-/// flag is observed directly. Accepts past
-/// [`ServerConfig::max_connections`] are refused with a typed error.
-fn accept_loop(
-    listener: TcpListener,
-    senders: Vec<mpsc::Sender<(TcpStream, ConnPermit)>>,
-    stop: Arc<AtomicBool>,
-    max_connections: Option<usize>,
-) {
-    let count = Arc::new(AtomicUsize::new(0));
-    let mut next = 0usize;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let Some(permit) = ConnPermit::acquire(&count, max_connections) else {
-                    refuse_connection(stream, max_connections.expect("bounded"));
-                    continue;
-                };
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                // a worker that exited (only at shutdown) drops its
-                // receiver; the send error is then irrelevant
-                let _ = senders[next % senders.len()].send((stream, permit));
-                next = next.wrapping_add(1);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
 }
 
 /// Process-wide connection id counter; ids appear in slow-query trace
 /// entries so one connection's requests can be correlated.
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// One multiplexed connection owned by a worker.
+/// One connection: its socket, and the state its reader, its writer
+/// and the hub's wakes meet at.
 struct Conn {
-    stream: TcpStream,
-    inbuf: FrameBuf,
-    outbuf: VecDeque<u8>,
-    /// Whether the peer's `HELLO` has been accepted.
-    greeted: bool,
-    subs: Vec<SubscriptionHandle>,
-    closed: bool,
-    /// Process-unique id (trace correlation).
+    /// Process-unique id (trace correlation, the live-connection table).
     id: u64,
-    /// When the outbox crossed the high-water mark and stalled the
-    /// connection; `None` while draining normally.
+    stream: TcpStream,
+    state: Mutex<ConnState>,
+    /// Signalled whenever the outbox, a subscription queue or the
+    /// connection's end may have changed.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct ConnState {
+    /// Encoded frames, length prefixes included, not yet taken by the
+    /// writer.
+    outbox: Vec<u8>,
+    /// Bytes the writer took from the outbox and is writing; they
+    /// count against the high-water mark until written.
+    in_flight: usize,
+    subs: Vec<SubscriptionHandle>,
+    /// The reader is done: the writer sends what the outbox holds,
+    /// then closes.
+    draining: bool,
+    /// The connection is over: both threads stop without writing more.
+    closed: bool,
+    /// When the unwritten bytes reached the high-water mark and
+    /// stalled the connection; `None` while draining normally.
     stalled_since: Option<Instant>,
-    /// Held for the connection's lifetime; dropping it releases the
-    /// slot counted against `ServerConfig::max_connections`.
-    _permit: ConnPermit,
+}
+
+impl ConnState {
+    fn enqueue(&mut self, payload: &str) {
+        self.outbox
+            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        self.outbox.extend_from_slice(payload.as_bytes());
+    }
+
+    /// Bytes queued or being written.
+    fn pending(&self) -> usize {
+        self.outbox.len() + self.in_flight
+    }
 }
 
 impl Conn {
-    fn new(stream: TcpStream, permit: ConnPermit, max_frame_len: u32) -> Self {
-        Self {
-            stream,
-            inbuf: FrameBuf::new(max_frame_len),
-            outbuf: VecDeque::new(),
-            greeted: false,
-            subs: Vec::new(),
-            closed: false,
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
-            stalled_since: None,
-            _permit: permit,
-        }
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        mutex_recover(self.state.lock())
     }
 
-    fn enqueue(&mut self, payload: &str) {
-        let bytes = payload.as_bytes();
-        debug_assert!(bytes.len() as u64 <= MAX_FRAME_BYTES as u64);
-        self.outbuf
-            .extend((bytes.len() as u32).to_be_bytes().iter().copied());
-        self.outbuf.extend(bytes.iter().copied());
-    }
-
-    /// Answers a fault the connection cannot recover from with one
-    /// `ERR 0` frame, flushed best-effort, and marks it closed.
-    fn refuse(&mut self, error: WireError) {
-        self.enqueue(&Frame::Err { id: 0, error }.encode());
-        let _ = self.flush();
-        self.closed = true;
-    }
-
-    /// Writes as much buffered output as the socket accepts.
-    fn flush(&mut self) -> io::Result<usize> {
-        let mut written = 0usize;
-        while !self.outbuf.is_empty() {
-            let (front, _) = self.outbuf.as_slices();
-            match self.stream.write(front) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "socket accepted 0 bytes",
-                    ))
-                }
-                Ok(n) => {
-                    self.outbuf.drain(..n);
-                    written += n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(written)
+    /// Ends the connection: the socket is shut down, so both threads
+    /// stop at their next wait, read or write.
+    fn close(&self) {
+        self.lock().closed = true;
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.wake.notify_all();
     }
 }
 
-/// The server's registry handles, fetched once per worker thread:
-/// per-verb request latency histograms plus outbox stall accounting.
-struct ServeMetrics {
-    current: rfid_obs::Histogram,
-    trail: rfid_obs::Histogram,
-    snapshot: rfid_obs::Histogram,
-    contain: rfid_obs::Histogram,
-    subscribe: rfid_obs::Histogram,
-    unsubscribe: rfid_obs::Histogram,
-    telemetry: rfid_obs::Histogram,
+/// The hub's handle on a connection's writer. Weak, so a registration
+/// the hub has not pruned yet keeps no closed socket open.
+struct WriterWaker(Weak<Conn>);
+
+impl Wake for WriterWaker {
+    fn wake(self: Arc<Self>) {
+        if let Some(conn) = self.0.upgrade() {
+            // taking the lock orders the wake after any poll the writer
+            // made under it, so none is lost
+            drop(conn.lock());
+            conn.wake.notify_all();
+        }
+    }
+}
+
+/// The verbs whose request latency the server records, each into
+/// `server_query_us_<verb>`.
+const VERBS: [&str; 7] = [
+    "CURRENT",
+    "TRAIL",
+    "SNAPSHOT",
+    "CONTAIN",
+    "SUBSCRIBE",
+    "UNSUBSCRIBE",
+    "TELEMETRY",
+];
+
+/// A live connection and the thread serving it.
+type ConnEntry = (Arc<Conn>, JoinHandle<()>);
+
+/// What every thread of one server shares.
+struct Server {
+    store: Arc<RwLock<EventStore>>,
+    hub: SubscriptionHub,
+    cfg: ServerConfig,
+    /// Request latency histograms, one per verb.
+    requests: Vec<(&'static str, rfid_obs::Histogram)>,
     /// Below-to-above high-water transitions of any outbox.
     stalls: rfid_obs::Counter,
     /// Total microseconds connections spent stalled (added when a
     /// stall ends).
     stalled_us: rfid_obs::Counter,
+    stop: AtomicBool,
+    /// The live connections, counted against
+    /// [`ServerConfig::max_connections`], that shutdown closes and
+    /// joins; each removes itself once its threads are done.
+    conns: Mutex<HashMap<u64, ConnEntry>>,
 }
 
-impl ServeMetrics {
-    fn registered() -> Self {
-        let reg = rfid_obs::global();
-        Self {
-            current: reg.histogram("server_query_us_current"),
-            trail: reg.histogram("server_query_us_trail"),
-            snapshot: reg.histogram("server_query_us_snapshot"),
-            contain: reg.histogram("server_query_us_contain"),
-            subscribe: reg.histogram("server_query_us_subscribe"),
-            unsubscribe: reg.histogram("server_query_us_unsubscribe"),
-            telemetry: reg.histogram("server_query_us_telemetry"),
-            stalls: reg.counter("server_outbox_stalls_total"),
-            stalled_us: reg.counter("server_outbox_stalled_us_total"),
-        }
-    }
-
-    fn for_verb(&self, verb: &str) -> Option<&rfid_obs::Histogram> {
-        Some(match verb {
-            "CURRENT" => &self.current,
-            "TRAIL" => &self.trail,
-            "SNAPSHOT" => &self.snapshot,
-            "CONTAIN" => &self.contain,
-            "SUBSCRIBE" => &self.subscribe,
-            "UNSUBSCRIBE" => &self.unsubscribe,
-            "TELEMETRY" => &self.telemetry,
-            _ => return None,
-        })
-    }
-
+impl Server {
     /// Records one served request: its verb histogram, and a
     /// slow-query trace entry when past the configured threshold.
-    fn observe_request(
-        &self,
-        cfg: &ServerConfig,
-        conn_id: u64,
-        verb: &'static str,
-        start: Instant,
-    ) {
+    fn observe_request(&self, conn_id: u64, verb: &'static str, start: Instant) {
         let dur_us = start.elapsed().as_micros() as u64;
-        if let Some(h) = self.for_verb(verb) {
+        if let Some((_, h)) = self.requests.iter().find(|(v, _)| *v == verb) {
             h.record(dur_us);
         }
-        if cfg.slow_query_us > 0 && dur_us >= cfg.slow_query_us {
+        if self.cfg.slow_query_us > 0 && dur_us >= self.cfg.slow_query_us {
             let mut entry = rfid_obs::TraceEntry::new("slow_query", dur_us);
             entry.what = verb;
             entry.conn = conn_id;
             rfid_obs::trace().record(entry);
         }
     }
-}
 
-fn worker_loop(
-    incoming: mpsc::Receiver<(TcpStream, ConnPermit)>,
-    store: Arc<RwLock<EventStore>>,
-    hub: SubscriptionHub,
-    stop: Arc<AtomicBool>,
-    cfg: ServerConfig,
-) {
-    let metrics = ServeMetrics::registered();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 64 << 10];
-    let mut spins = 0u32;
-    while !stop.load(Ordering::SeqCst) {
-        let mut progressed = false;
-        while let Ok((stream, permit)) = incoming.try_recv() {
-            conns.push(Conn::new(stream, permit, cfg.max_frame_len));
-            progressed = true;
-        }
-        for conn in conns.iter_mut() {
-            match pump(conn, &store, &hub, &cfg, &metrics, &mut scratch) {
-                Ok(p) => progressed |= p,
-                Err(_) => conn.closed = true,
+    /// Non-blocking accept loop, sleeping [`ACCEPT_POLL`] when no
+    /// connection is pending so the stop flag is observed directly.
+    fn accept_loop(self: Arc<Self>, listener: TcpListener) {
+        while !self.stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => self.admit(stream),
+                Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
-        }
-        conns.retain_mut(|c| {
-            if c.closed {
-                for sub in &c.subs {
-                    sub.cancel();
-                }
-                false
-            } else {
-                true
-            }
-        });
-        if progressed {
-            spins = 0;
-        } else if spins < IDLE_SPINS {
-            spins += 1;
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(IDLE_SLEEP);
         }
     }
-    // shutdown: cancel subscriptions so the hub prunes them
-    for conn in &conns {
-        for sub in &conn.subs {
+
+    /// Gives an accepted connection its thread, or refuses it with a
+    /// typed error past [`ServerConfig::max_connections`].
+    fn admit(self: &Arc<Self>, stream: TcpStream) {
+        // the connection is inserted under the lock its thread takes to
+        // remove itself, so one that ends at once leaves no entry behind
+        let mut conns = mutex_recover(self.conns.lock());
+        let max = self.cfg.max_connections;
+        if conns.len() >= max {
+            drop(conns);
+            let reason = format!("connection limit of {max} reached, try again later");
+            return refuse_connection(&stream, reason);
+        }
+        let _ = stream.set_nodelay(true);
+        let conn = Arc::new(Conn {
+            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
+            stream,
+            state: Mutex::default(),
+            wake: Condvar::new(),
+        });
+        let (server, ours) = (Arc::clone(self), Arc::clone(&conn));
+        let spawned = std::thread::Builder::new()
+            .name(format!("rfid-serve-read-{}", conn.id))
+            .spawn(move || server.run(&ours));
+        match spawned {
+            Ok(thread) => {
+                conns.insert(conn.id, (conn, thread));
+            }
+            Err(_) => {
+                drop(conns);
+                refuse_connection(&conn.stream, "no thread for the connection".into());
+            }
+        }
+    }
+
+    /// One connection's life: the reader runs on this thread beside a
+    /// scoped writer, then the connection cancels its subscriptions and
+    /// leaves the table, freeing its slot.
+    fn run(&self, conn: &Arc<Conn>) {
+        std::thread::scope(|s| {
+            let writer = std::thread::Builder::new()
+                .name(format!("rfid-serve-write-{}", conn.id))
+                .spawn_scoped(s, || {
+                    self.write_loop(conn);
+                    conn.close();
+                });
+            if writer.is_err() {
+                return refuse_connection(&conn.stream, "no thread for the connection".into());
+            }
+            self.read_loop(conn);
+            conn.lock().draining = true;
+            conn.wake.notify_all();
+        });
+        for sub in conn.lock().subs.drain(..) {
             sub.cancel();
         }
+        mutex_recover(self.conns.lock()).remove(&conn.id);
     }
-}
 
-/// One service iteration of one connection: flush, read + process,
-/// drain subscriptions, flush. Returns whether any progress happened.
-fn pump(
-    conn: &mut Conn,
-    store: &RwLock<EventStore>,
-    hub: &SubscriptionHub,
-    cfg: &ServerConfig,
-    metrics: &ServeMetrics,
-    scratch: &mut [u8],
-) -> io::Result<bool> {
-    let mut progressed = conn.flush()? > 0;
-
-    // process buffered requests and read new ones, but only while the
-    // peer drains its responses — a pipelining client cannot grow the
-    // outbox past the high-water mark plus one response
-    loop {
-        while conn.outbuf.len() < cfg.outbox_high_water {
-            match conn.inbuf.next_frame() {
-                Ok(Some(payload)) => {
-                    process_frame(conn, store, hub, cfg, metrics, &payload);
-                    if conn.closed {
-                        return Ok(true);
+    /// Reads and answers frames until the peer leaves, sends a frame
+    /// the connection cannot survive, or the connection closes. Waits
+    /// while the unwritten bytes are at the high-water mark: a
+    /// pipelining client cannot grow the outbox past it plus one
+    /// response.
+    fn read_loop(&self, conn: &Arc<Conn>) {
+        let mut input = BufReader::new(&conn.stream);
+        let mut greeted = false;
+        loop {
+            let mut st = conn.lock();
+            while st.pending() >= self.cfg.outbox_high_water && !st.closed {
+                st = recover(conn.wake.wait(st));
+            }
+            if st.closed {
+                return;
+            }
+            drop(st);
+            let frame = match wire::read_frame(&mut input, self.cfg.max_frame_len) {
+                Ok(Some(bytes)) => {
+                    String::from_utf8(bytes).map_err(|e| FrameDecodeError::Encoding(e.utf8_error()))
+                }
+                Err(e) => match OversizedFrame::from_io(&e) {
+                    Some(OversizedFrame { len, max }) => {
+                        Err(FrameDecodeError::Oversized { len, max })
                     }
-                    progressed = true;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // a peer-input fault (oversized or non-UTF-8
-                    // frame): tell the peer why, then close cleanly —
-                    // the framing cannot be resynced after this
-                    conn.refuse(WireError::bad_request(e.to_string()));
-                    return Ok(true);
-                }
+                    // EOF inside a frame, a reset, or a shut-down socket
+                    None => return,
+                },
+                Ok(None) => return,
+            };
+            match frame {
+                Ok(payload) if self.process_frame(conn, &mut greeted, &payload) => {}
+                Ok(_) => return,
+                // a peer-input fault (oversized or non-UTF-8 frame):
+                // tell the peer why, then close cleanly — the framing
+                // cannot be resynced after this
+                Err(e) => return self.send(conn, &refusal(WireError::bad_request(e.to_string()))),
             }
-        }
-        if conn.outbuf.len() >= cfg.outbox_high_water {
-            break;
-        }
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                conn.closed = true;
-                return Ok(true);
-            }
-            Ok(n) => {
-                conn.inbuf.extend(&scratch[..n]);
-                progressed = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
         }
     }
 
-    // drain subscription queues into the outbox while there is room
-    let mut i = 0;
-    while i < conn.subs.len() && conn.outbuf.len() < cfg.outbox_high_water {
-        if let Some(frame) = conn.subs[i].poll() {
-            conn.enqueue(&frame.encode());
-            progressed = true;
-        } else {
-            i += 1;
+    /// Writes the outbox, refilled from the subscription queues while
+    /// below the high-water mark, waiting while both are empty; stops
+    /// when the connection closes or, once the reader is done, when
+    /// the outbox is empty.
+    fn write_loop(&self, conn: &Conn) {
+        let mut sending = Vec::new();
+        loop {
+            let mut st = conn.lock();
+            loop {
+                if st.closed {
+                    return;
+                }
+                if !st.draining {
+                    let mut i = 0;
+                    while i < st.subs.len() && st.pending() < self.cfg.outbox_high_water {
+                        match st.subs[i].poll() {
+                            Some(frame) => st.enqueue(&frame.encode()),
+                            None => i += 1,
+                        }
+                    }
+                    self.account(&mut st);
+                }
+                if !st.outbox.is_empty() {
+                    break;
+                }
+                if st.draining {
+                    return;
+                }
+                st = recover(conn.wake.wait(st));
+            }
+            std::mem::swap(&mut st.outbox, &mut sending);
+            st.in_flight = sending.len();
+            drop(st);
+            let written = (&conn.stream).write_all(&sending);
+            sending.clear();
+            let mut st = conn.lock();
+            st.in_flight = 0;
+            self.account(&mut st);
+            drop(st);
+            conn.wake.notify_all();
+            if written.is_err() {
+                return;
+            }
         }
     }
 
-    progressed |= conn.flush()? > 0;
-
-    // stall transition accounting: entering a stall (outbox at or past
-    // the high-water mark) counts once; leaving it adds the stalled
-    // duration. Both edges were previously invisible to operators.
-    let stalled = conn.outbuf.len() >= cfg.outbox_high_water;
-    match (stalled, conn.stalled_since) {
-        (true, None) => {
-            conn.stalled_since = Some(Instant::now());
-            metrics.stalls.inc();
+    /// Stall transition accounting, after the unwritten byte count
+    /// moved: reaching the high-water mark counts one stall, falling
+    /// back below it adds the stalled duration.
+    fn account(&self, st: &mut ConnState) {
+        let stalled = st.pending() >= self.cfg.outbox_high_water;
+        match (stalled, st.stalled_since) {
+            (true, None) => {
+                st.stalled_since = Some(Instant::now());
+                self.stalls.inc();
+            }
+            (false, Some(since)) => {
+                self.stalled_us.add(since.elapsed().as_micros() as u64);
+                st.stalled_since = None;
+            }
+            _ => {}
         }
-        (false, Some(since)) => {
-            metrics.stalled_us.add(since.elapsed().as_micros() as u64);
-            conn.stalled_since = None;
-        }
-        _ => {}
     }
-    Ok(progressed)
-}
 
-/// Handles one request frame, appending whatever response frames it
-/// produces to the connection's outbox.
-fn process_frame(
-    conn: &mut Conn,
-    store: &RwLock<EventStore>,
-    hub: &SubscriptionHub,
-    cfg: &ServerConfig,
-    metrics: &ServeMetrics,
-    payload: &str,
-) {
-    if let Some(rest) = payload.strip_prefix("HELLO") {
-        let reply = match rest.trim().parse::<u32>() {
-            Ok(v) if v >= PROTOCOL_VERSION => {
-                conn.greeted = true;
-                Frame::Hello {
-                    version: v.min(PROTOCOL_VERSION),
+    /// Queues one frame's text and wakes the writer.
+    fn send(&self, conn: &Conn, payload: &str) {
+        self.queue(conn, conn.lock(), payload);
+    }
+
+    fn queue(&self, conn: &Conn, mut st: MutexGuard<'_, ConnState>, payload: &str) {
+        st.enqueue(payload);
+        self.account(&mut st);
+        drop(st);
+        conn.wake.notify_all();
+    }
+
+    /// Handles one request frame, queueing whatever response it
+    /// produces; false when the connection must close after it.
+    fn process_frame(&self, conn: &Arc<Conn>, greeted: &mut bool, payload: &str) -> bool {
+        if let Some(rest) = payload.strip_prefix("HELLO") {
+            let reply = match rest.trim().parse::<u32>() {
+                Ok(v) if v >= PROTOCOL_VERSION => {
+                    *greeted = true;
+                    Frame::Hello {
+                        version: v.min(PROTOCOL_VERSION),
+                    }
+                }
+                Ok(v) => Frame::Err {
+                    id: 0,
+                    error: WireError::new(
+                        ErrorCode::UnsupportedVersion,
+                        format!("version {v} not supported (server speaks {PROTOCOL_VERSION})"),
+                    ),
+                },
+                Err(e) => Frame::Err {
+                    id: 0,
+                    error: WireError::bad_request(format!("HELLO: bad version: {e}")),
+                },
+            };
+            self.send(conn, &reply.encode());
+            return true;
+        }
+        if !*greeted {
+            let error = WireError::new(
+                ErrorCode::UnsupportedVersion,
+                format!("the first frame must be HELLO {PROTOCOL_VERSION}"),
+            );
+            self.send(conn, &refusal(error));
+            return false;
+        }
+        match Request::parse(payload) {
+            Ok(req) => {
+                let verb = req.kind.verb();
+                let start = Instant::now();
+                self.answer(conn, req);
+                self.observe_request(conn.id, verb, start);
+            }
+            Err((id, error)) => self.send(conn, &Frame::Err { id, error }.encode()),
+        }
+        true
+    }
+
+    /// Evaluates one parsed request and queues its response.
+    fn answer(&self, conn: &Arc<Conn>, req: Request) {
+        let id = req.id;
+        let frame = match req.kind {
+            RequestKind::Query(q) => {
+                let guard = read_recover(self.store.read());
+                match answer(&guard, &q) {
+                    QueryResponse::Rows(rows) => Frame::Ok { id, rows },
+                    QueryResponse::Error(error) => Frame::Err { id, error },
                 }
             }
-            Ok(v) => Frame::Err {
-                id: 0,
-                error: WireError::new(
-                    ErrorCode::UnsupportedVersion,
-                    format!("version {v} not supported (server speaks {PROTOCOL_VERSION})"),
-                ),
-            },
-            Err(e) => Frame::Err {
-                id: 0,
-                error: WireError::bad_request(format!("HELLO: bad version: {e}")),
+            // registered and acknowledged under one hold of the
+            // connection's lock, so the writer cannot drain the
+            // subscription's first PUSH ahead of its OK
+            RequestKind::Subscribe(filter) => {
+                let mut st = conn.lock();
+                let frame = if st.subs.iter().any(|s| s.id() == id) {
+                    Frame::Err {
+                        id,
+                        error: WireError::bad_request(format!(
+                            "subscription id {id} already in use"
+                        )),
+                    }
+                } else {
+                    let waker = Waker::from(Arc::new(WriterWaker(Arc::downgrade(conn))));
+                    st.subs
+                        .push(self.hub.subscribe_waking(id, filter, Some(waker)));
+                    Frame::Ok { id, rows: vec![] }
+                };
+                return self.queue(conn, st, &frame.encode());
+            }
+            RequestKind::Unsubscribe(sub_id) => {
+                let mut st = conn.lock();
+                match st.subs.iter().position(|s| s.id() == sub_id) {
+                    Some(i) => {
+                        st.subs.remove(i).cancel();
+                        Frame::Ok { id, rows: vec![] }
+                    }
+                    None => Frame::Err {
+                        id,
+                        error: WireError::new(
+                            ErrorCode::UnknownSubscription,
+                            format!("no subscription {sub_id} on this connection"),
+                        ),
+                    },
+                }
+            }
+            // answered from the process-wide registry/trace ring without
+            // ever taking the store lock — a scrape can never contend
+            // with ingestion or queries
+            RequestKind::Telemetry(cmd) => Frame::Telemetry {
+                id,
+                body: match cmd {
+                    TelemetryCmd::Metrics => rfid_obs::global().snapshot().render(),
+                    TelemetryCmd::Trace => rfid_obs::trace().render(),
+                },
             },
         };
-        conn.enqueue(&reply.encode());
-        return;
-    }
-    if !conn.greeted {
-        conn.refuse(WireError::new(
-            ErrorCode::UnsupportedVersion,
-            format!("the first frame must be HELLO {PROTOCOL_VERSION}"),
-        ));
-        return;
-    }
-    let frame = match Request::parse(payload) {
-        Ok(req) => {
-            let verb = req.kind.verb();
-            let start = Instant::now();
-            let frame = process_request(conn, store, hub, req);
-            metrics.observe_request(cfg, conn.id, verb, start);
-            frame
+        let text = frame.encode();
+        if text.len() <= MAX_FRAME_BYTES as usize {
+            return self.send(conn, &text);
         }
-        Err((id, error)) => Frame::Err { id, error },
-    };
-    conn.enqueue(&frame.encode());
+        // an answer no peer would accept: a typed refusal keeps the
+        // connection's framing intact
+        let error = WireError::bad_request(format!(
+            "response of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap",
+            text.len()
+        ));
+        self.send(conn, &Frame::Err { id, error }.encode());
+    }
 }
 
-/// Evaluates one parsed request into its response frame.
-fn process_request(
-    conn: &mut Conn,
-    store: &RwLock<EventStore>,
-    hub: &SubscriptionHub,
-    req: Request,
-) -> Frame {
-    let id = req.id;
-    match req.kind {
-        RequestKind::Query(q) => {
-            let guard = crate::lock::read_recover(store.read());
-            match answer(&guard, &q) {
-                QueryResponse::Rows(rows) => Frame::Ok { id, rows },
-                QueryResponse::Error(error) => Frame::Err { id, error },
-            }
-        }
-        RequestKind::Subscribe(filter) => {
-            if conn.subs.iter().any(|s| s.id() == id) {
-                return Frame::Err {
-                    id,
-                    error: WireError::bad_request(format!("subscription id {id} already in use")),
-                };
-            }
-            conn.subs.push(hub.subscribe(id, filter));
-            Frame::Ok { id, rows: vec![] }
-        }
-        RequestKind::Unsubscribe(sub_id) => match conn.subs.iter().position(|s| s.id() == sub_id) {
-            Some(i) => {
-                conn.subs.remove(i).cancel();
-                Frame::Ok { id, rows: vec![] }
-            }
-            None => Frame::Err {
-                id,
-                error: WireError::new(
-                    ErrorCode::UnknownSubscription,
-                    format!("no subscription {sub_id} on this connection"),
-                ),
-            },
-        },
-        // answered from the process-wide registry/trace ring without
-        // ever taking the store lock — a scrape can never contend
-        // with ingestion or queries
-        RequestKind::Telemetry(cmd) => Frame::Telemetry {
-            id,
-            body: match cmd {
-                TelemetryCmd::Metrics => rfid_obs::global().snapshot().render(),
-                TelemetryCmd::Trace => rfid_obs::trace().render(),
-            },
-        },
-    }
+/// The `ERR 0` frame that answers a fault the connection cannot
+/// recover from; the connection closes once it is written.
+fn refusal(error: WireError) -> String {
+    Frame::Err { id: 0, error }.encode()
 }
 
 // ---------------------------------------------------------------------
@@ -866,7 +825,7 @@ impl ClientBuilder {
         let mut client = QueryClient {
             stream,
             next_id: 1,
-            inbuf: FrameBuf::new(MAX_FRAME_BYTES),
+            inbuf: FrameBuf::default(),
             pending_pushes: VecDeque::new(),
         };
         let hello = Frame::Hello {
@@ -1069,7 +1028,7 @@ mod tests {
     fn oversized_frames_are_refused() {
         let mut r = io::Cursor::new((MAX_FRAME_BYTES + 1).to_be_bytes().to_vec());
         assert!(read_frame(&mut r).is_err());
-        let mut fb = FrameBuf::new(MAX_FRAME_BYTES);
+        let mut fb = FrameBuf::default();
         fb.extend(&(MAX_FRAME_BYTES + 1).to_be_bytes());
         assert!(fb.next_frame().is_err());
     }
@@ -1088,7 +1047,7 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, "CURRENT 1").unwrap();
         write_frame(&mut wire, "SNAPSHOT 9 SINCE 4").unwrap();
-        let mut fb = FrameBuf::new(MAX_FRAME_BYTES);
+        let mut fb = FrameBuf::default();
         let mut got = Vec::new();
         for b in wire {
             fb.extend(&[b]);

@@ -9,8 +9,8 @@
 use rfid_geom::Point3;
 use rfid_serve::store::{EventStore, StoreConfig};
 use rfid_serve::{
-    read_frame, serve, serve_with, write_frame, HubConfig, Query, QueryClient, ServerConfig,
-    SubscriptionHub,
+    read_frame, serve, serve_with, write_frame, ErrorCode, HubConfig, Query, QueryClient,
+    ServerConfig, SubscriptionHub,
 };
 use rfid_stream::{Epoch, LocationEvent, TagId};
 use std::io::{Read, Write};
@@ -177,7 +177,7 @@ fn poisoned_store_lock_recovers_instead_of_cascading() {
         "127.0.0.1:0",
         Arc::clone(&store),
         SubscriptionHub::new(HubConfig::default()),
-        ServerConfig::default().with_workers(1),
+        ServerConfig::default(),
     )
     .expect("bind");
 
@@ -210,5 +210,46 @@ fn poisoned_store_lock_recovers_instead_of_cascading() {
     write_frame(&mut raw, "1 CURRENT 0").unwrap();
     let resp = read_frame(&mut raw).unwrap().expect("raw reply");
     assert!(resp.starts_with("OK 1 "), "{resp:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn a_response_past_the_frame_cap_is_a_typed_err_on_a_live_connection() {
+    // 120,000 tags at full-precision coordinates: one SNAPSHOT encodes
+    // to ~7.5 MB, past the 4 MiB frame cap every peer enforces
+    let mut store = EventStore::new(StoreConfig::default());
+    for t in 0..120_000u64 {
+        let (x, y) = (t as f64 / 7.0, t as f64 / 3.0);
+        store.push(&LocationEvent::new(
+            Epoch(0),
+            TagId(t),
+            Point3::new(x, y, 0.0),
+        ));
+    }
+    store.complete_epoch(Epoch(0));
+    let store = Arc::new(RwLock::new(store));
+    let handle = serve("127.0.0.1:0", Arc::clone(&store)).expect("bind");
+    let mut client = QueryClient::connect(handle.addr())
+        .timeout(Duration::from_secs(30))
+        .establish()
+        .expect("connect");
+    let err = client
+        .query(&Query::SnapshotAt(Epoch(0)))
+        .expect("an answer, not a broken connection")
+        .error()
+        .cloned()
+        .expect("an oversized answer is an error");
+    assert_eq!(err.code, ErrorCode::BadRequest);
+    assert!(
+        err.message.contains("exceeds") && err.message.contains(&(4u32 << 20).to_string()),
+        "the error names the size and the cap: {err:?}"
+    );
+    // the same connection keeps serving
+    let rows = client
+        .query(&Query::CurrentLocation(TagId(7)))
+        .expect("query after the refusal")
+        .into_rows()
+        .expect("rows");
+    assert_eq!(rows.len(), 1);
     handle.shutdown();
 }

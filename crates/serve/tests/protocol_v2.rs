@@ -11,7 +11,7 @@ use rfid_serve::{
     SubscriptionHub,
 };
 use rfid_stream::{Epoch, EventSink, LocationEvent, TagId};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -272,9 +272,7 @@ fn lagged_subscriber_gets_counted_notice_over_tcp() {
         "127.0.0.1:0",
         Arc::clone(&store),
         hub.clone(),
-        ServerConfig::default()
-            .with_workers(1)
-            .with_outbox_high_water(4 << 10),
+        ServerConfig::default().with_outbox_high_water(4 << 10),
     )
     .expect("bind");
     let mut client = QueryClient::connect(handle.addr())
@@ -287,10 +285,10 @@ fn lagged_subscriber_gets_counted_notice_over_tcp() {
 
     // Push while the client reads nothing, one epoch at a time, until
     // the hub drops its first frame. The bounded queue overflows as
-    // soon as the server worker stops draining it: because the outbox
-    // high-water plus the kernel socket buffers are full (TCP
+    // soon as the connection's writer stops draining it: because the
+    // outbox high-water plus the kernel socket buffers are full (TCP
     // autotuning can balloon that prefix to several MB), or simply
-    // because this thread got ahead of the worker. Stopping at the
+    // because this thread got ahead of the writer. Stopping at the
     // first drop makes the outcome exact either way — one overflow run
     // of one frame; the cap (~130 MB of rows) only bounds a run that
     // never lags.
@@ -355,6 +353,38 @@ fn shutdown_joins_cleanly_under_load() {
     .expect("bind");
     let addr = handle.addr();
 
+    // three peers that leave the server blocked, not busy: an idle
+    // greeted connection, a peer stuck halfway through a frame, and a
+    // subscriber that reads nothing while more is committed than the
+    // socket buffers hold (the hub drops only once the connection has
+    // stopped draining its queue)
+    let mut idle = raw_connect(addr);
+    write_frame(&mut idle, "HELLO 2").unwrap();
+    assert_eq!(read_frame(&mut idle).unwrap().as_deref(), Some("HELLO 2"));
+    let mut half = raw_connect(addr);
+    write_frame(&mut half, "HELLO 2").unwrap();
+    assert_eq!(read_frame(&mut half).unwrap().as_deref(), Some("HELLO 2"));
+    half.write_all(&100u32.to_be_bytes()).unwrap();
+    half.write_all(b"1 SNAPSHO").unwrap();
+    let mut stuck = v2_client(addr);
+    stuck
+        .subscribe(&SubscriptionFilter::All)
+        .expect("subscribe");
+    let mut sink = hub.sink();
+    let mut epochs = 0u64;
+    while hub.dropped_rows() == 0 {
+        assert!(epochs < 20_000, "the silent subscriber never lagged");
+        for t in 0..1000u64 {
+            sink.on_event(&LocationEvent::new(
+                Epoch(16 + epochs),
+                TagId(t),
+                Point3::new(epochs as f64, t as f64, 0.0),
+            ));
+        }
+        sink.on_epoch_complete(Epoch(16 + epochs));
+        epochs += 1;
+    }
+
     // clients hammer pulls and hold subscriptions while we shut down
     let clients: Vec<_> = (0..4)
         .map(|c| {
@@ -391,6 +421,13 @@ fn shutdown_joins_cleanly_under_load() {
     for c in clients {
         c.join().expect("client thread");
     }
+    // the blocked peers were closed, not abandoned
+    for peer in [&mut idle, &mut half] {
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest).expect("EOF after shutdown");
+        assert!(rest.is_empty(), "nothing follows on shutdown: {rest:?}");
+    }
+    drop(stuck);
     // the listener is gone
     assert!(
         TcpStream::connect(addr).is_err(),

@@ -21,9 +21,7 @@ fn overflow_connections_get_a_typed_error_and_slots_recycle() {
         "127.0.0.1:0",
         Arc::clone(&store),
         SubscriptionHub::default(),
-        ServerConfig::default()
-            .with_workers(2)
-            .with_max_connections(2),
+        ServerConfig::default().with_max_connections(2),
     )
     .expect("bind");
 
@@ -58,8 +56,8 @@ fn overflow_connections_get_a_typed_error_and_slots_recycle() {
     // a handshaking client sees the refusal as a failed establish
     assert!(connect().is_err(), "over-limit establish must fail");
 
-    // dropping an admitted connection frees its slot (the worker
-    // notices the close within its poll interval)
+    // dropping an admitted connection frees its slot (once its
+    // threads have seen the close)
     drop(c1);
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut readmitted = None;
@@ -82,15 +80,10 @@ fn overflow_connections_get_a_typed_error_and_slots_recycle() {
 #[test]
 fn a_config_outside_the_builder_bounds_is_refused_before_binding() {
     // the fields are public, so a struct literal bypasses the `with_*`
-    // asserts; with no worker the accept thread used to die on the
-    // first connection (`next % senders.len()`, remainder by zero)
+    // asserts
     let hostile = [
         ServerConfig {
-            workers: 0,
-            ..ServerConfig::default()
-        },
-        ServerConfig {
-            max_connections: Some(0),
+            max_connections: 0,
             ..ServerConfig::default()
         },
         ServerConfig {
