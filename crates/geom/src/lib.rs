@@ -34,5 +34,5 @@ mod pose;
 pub use aabb::Aabb;
 pub use gaussian::{standard_normal, DiagGaussian3, Gaussian1, Gaussian3};
 pub use mat3::Mat3;
-pub use point::{weighted_mean, Point3, Vec3};
+pub use point::{Point3, Vec3};
 pub use pose::Pose;

@@ -93,33 +93,6 @@ impl Mat3 {
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     }
 
-    /// Inverse via the adjugate; `None` when `|det|` is below `1e-15`.
-    pub fn inverse(&self) -> Option<Mat3> {
-        let d = self.det();
-        if d.abs() < 1e-15 {
-            return None;
-        }
-        let m = &self.m;
-        let inv_d = 1.0 / d;
-        Some(Mat3::from_rows(
-            [
-                (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * inv_d,
-                (m[0][2] * m[2][1] - m[0][1] * m[2][2]) * inv_d,
-                (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * inv_d,
-            ],
-            [
-                (m[1][2] * m[2][0] - m[1][0] * m[2][2]) * inv_d,
-                (m[0][0] * m[2][2] - m[0][2] * m[2][0]) * inv_d,
-                (m[0][2] * m[1][0] - m[0][0] * m[1][2]) * inv_d,
-            ],
-            [
-                (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * inv_d,
-                (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv_d,
-                (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv_d,
-            ],
-        ))
-    }
-
     /// Lower-triangular Cholesky factor `L` with `L L^T = self`.
     ///
     /// Returns `None` when the matrix is not (numerically) positive
@@ -201,9 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_its_own_inverse_and_factor() {
+    fn identity_is_its_own_factor() {
         let i = Mat3::identity();
-        assert_eq!(i.inverse().unwrap(), i);
         assert_eq!(i.cholesky().unwrap(), i);
         assert!((i.det() - 1.0).abs() < 1e-12);
     }
@@ -225,12 +197,6 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let m = Mat3::diag([1.0, -1.0, 1.0]);
         assert!(m.cholesky().is_none());
-    }
-
-    #[test]
-    fn inverse_of_singular_is_none() {
-        let m = Mat3::from_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]);
-        assert!(m.inverse().is_none());
     }
 
     #[test]
@@ -260,21 +226,6 @@ mod tests {
                 for j in 0..3 {
                     prop_assert!((r.m[i][j] - m.m[i][j]).abs() < 1e-6,
                         "mismatch at ({}, {}): {} vs {}", i, j, r.m[i][j], m.m[i][j]);
-                }
-            }
-        }
-
-        #[test]
-        fn prop_inverse_roundtrip(
-            a in -2.0..2.0f64, b in -2.0..2.0f64, c in -2.0..2.0f64,
-            d in -2.0..2.0f64, e in -2.0..2.0f64, f in -2.0..2.0f64) {
-            let m = spd_sample(a, b, c, d, e, f);
-            let inv = m.inverse().expect("SPD is invertible");
-            let p = mul(&m, &inv);
-            for i in 0..3 {
-                for j in 0..3 {
-                    let expect = if i == j { 1.0 } else { 0.0 };
-                    prop_assert!((p.m[i][j] - expect).abs() < 1e-6);
                 }
             }
         }

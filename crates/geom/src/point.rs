@@ -97,16 +97,6 @@ impl Vec3 {
         self.x * other.x + self.y * other.y + self.z * other.z
     }
 
-    /// Cross product.
-    #[inline]
-    pub fn cross(&self, other: &Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-    }
-
     /// Returns the unit vector in the same direction, or `None` for the
     /// zero vector (and anything shorter than `1e-12`).
     #[inline]
@@ -225,28 +215,6 @@ impl Neg for Vec3 {
     }
 }
 
-/// Weighted centroid of `(weight, point)` pairs.
-///
-/// Returns `None` when the total weight is not strictly positive. Used to
-/// turn a weighted particle set into a location estimate (Eq. 4 in the
-/// paper reduces to this for the posterior mean).
-pub fn weighted_mean<I>(iter: I) -> Option<Point3>
-where
-    I: IntoIterator<Item = (f64, Point3)>,
-{
-    let mut wsum = 0.0;
-    let mut acc = Vec3::zero();
-    for (w, p) in iter {
-        wsum += w;
-        acc += p.to_vec() * w;
-    }
-    if wsum > 0.0 {
-        Some((acc / wsum).to_point())
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,45 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_product_orthogonality() {
-        let a = Vec3::new(1.0, 0.0, 0.0);
-        let b = Vec3::new(0.0, 1.0, 0.0);
-        assert_eq!(a.cross(&b), Vec3::new(0.0, 0.0, 1.0));
-        assert!((a.cross(&b).dot(&a)).abs() < 1e-12);
-    }
-
-    #[test]
     fn normalized_zero_vector_is_none() {
         assert!(Vec3::zero().normalized().is_none());
         let v = Vec3::new(0.0, 0.0, 2.0).normalized().unwrap();
         assert!((v.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_basic() {
-        let pts = vec![
-            (1.0, Point3::new(0.0, 0.0, 0.0)),
-            (1.0, Point3::new(2.0, 0.0, 0.0)),
-        ];
-        let m = weighted_mean(pts).unwrap();
-        assert!((m.x - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_zero_weight_is_none() {
-        let pts = vec![(0.0, Point3::new(1.0, 1.0, 1.0))];
-        assert!(weighted_mean(pts).is_none());
-        assert!(weighted_mean(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn weighted_mean_respects_weights() {
-        let pts = vec![
-            (3.0, Point3::new(0.0, 0.0, 0.0)),
-            (1.0, Point3::new(4.0, 0.0, 0.0)),
-        ];
-        let m = weighted_mean(pts).unwrap();
-        assert!((m.x - 1.0).abs() < 1e-12);
     }
 
     proptest! {
@@ -340,30 +273,6 @@ mod tests {
             let v = Vec3::new(vx, vy, vz);
             let q = (p + v) - v;
             prop_assert!(p.dist(&q) < 1e-9);
-        }
-
-        #[test]
-        fn prop_cross_orthogonal(
-            ax in -10.0..10.0f64, ay in -10.0..10.0f64, az in -10.0..10.0f64,
-            bx in -10.0..10.0f64, by in -10.0..10.0f64, bz in -10.0..10.0f64) {
-            let a = Vec3::new(ax, ay, az);
-            let b = Vec3::new(bx, by, bz);
-            let c = a.cross(&b);
-            prop_assert!(c.dot(&a).abs() < 1e-6);
-            prop_assert!(c.dot(&b).abs() < 1e-6);
-        }
-
-        #[test]
-        fn prop_weighted_mean_in_hull_1d(
-            x1 in -10.0..10.0f64, x2 in -10.0..10.0f64,
-            w1 in 0.001..10.0f64, w2 in 0.001..10.0f64) {
-            let m = weighted_mean(vec![
-                (w1, Point3::new(x1, 0.0, 0.0)),
-                (w2, Point3::new(x2, 0.0, 0.0)),
-            ]).unwrap();
-            let lo = x1.min(x2) - 1e-9;
-            let hi = x1.max(x2) + 1e-9;
-            prop_assert!(m.x >= lo && m.x <= hi);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! r_phi]`), so a pose is a [`Point3`] plus one angle.
 
 use crate::angles::{reader_tag_angle, wrap_pi};
-use crate::point::{Point3, Vec3};
+use crate::point::Point3;
 
 /// Reader pose: position in feet plus heading angle `phi` in radians.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,24 +57,6 @@ impl Pose {
         (self.dist_to(tag), self.angle_to(tag))
     }
 
-    /// Returns the pose translated by `v` (heading unchanged).
-    #[inline]
-    pub fn translated(&self, v: Vec3) -> Pose {
-        Pose {
-            pos: self.pos + v,
-            phi: self.phi,
-        }
-    }
-
-    /// Returns the pose with heading rotated by `dphi`.
-    #[inline]
-    pub fn rotated(&self, dphi: f64) -> Pose {
-        Pose {
-            pos: self.pos,
-            phi: wrap_pi(self.phi + dphi),
-        }
-    }
-
     /// True when position and heading are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -109,25 +91,10 @@ mod tests {
         assert!((th - p.angle_to(&tag)).abs() < 1e-12);
     }
 
-    #[test]
-    fn translated_moves_position_only() {
-        let p = Pose::new(Point3::origin(), 1.0);
-        let q = p.translated(Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(q.pos, Point3::new(1.0, 2.0, 3.0));
-        assert_eq!(q.phi, p.phi);
-    }
-
-    #[test]
-    fn rotated_wraps() {
-        let p = Pose::new(Point3::origin(), PI - 0.1);
-        let q = p.rotated(0.2);
-        assert!((q.phi - (-PI + 0.1)).abs() < 1e-9);
-    }
-
     proptest! {
         #[test]
         fn prop_heading_always_wrapped(phi in -100.0..100.0f64, dphi in -100.0..100.0f64) {
-            let p = Pose::new(Point3::origin(), phi).rotated(dphi);
+            let p = Pose::new(Point3::origin(), phi + dphi);
             prop_assert!(p.phi > -PI - 1e-12 && p.phi <= PI + 1e-12);
         }
 
