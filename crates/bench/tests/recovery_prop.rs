@@ -1,8 +1,9 @@
 //! Property sweep over crash points: stop a durable run at a random
 //! epoch (simulated in-process kill), optionally mangle the on-disk
-//! state the way a real crash can (torn tail bytes, missing
-//! manifest), and recovery must still replay to the **bit-identical**
-//! event stream of an uninterrupted run.
+//! state the way a real crash or a rotting disk can (torn tail bytes,
+//! missing manifest, a flipped bit in the checkpoint's epoch), and
+//! recovery must still replay to the **bit-identical** event stream of
+//! an uninterrupted run.
 //!
 //! This is the shotgun to `kill_restart.rs`'s rifle: that test aborts
 //! real child processes at a few chosen points; this one sweeps many
@@ -12,7 +13,8 @@
 use proptest::prelude::*;
 use rfid_bench::fault::FaultPlan;
 use rfid_bench::recovery::{
-    canonical_scenario, reference_digest, resume, run_fresh, DurableRunOpts, LOG_SUBDIR,
+    canonical_scenario, reference_digest, resume, run_fresh, DurableRunOpts, CHECKPOINT_FILE,
+    LOG_SUBDIR,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,12 +53,28 @@ enum Mangle {
     /// Delete the manifest (crash before the very first commit, or
     /// operator damage); open must rebuild it from the files.
     MissingManifest,
+    /// Flip this bit of the newest checkpoint's header epoch (bytes
+    /// 20..28), when there is a checkpoint; the checksum must refuse
+    /// it and recovery fall back to the rotated one or a full replay.
+    FlippedEpoch(u32),
 }
 
-fn apply(mangle: Mangle, dir: &Path) {
+/// Mangles the crashed run directory; returns the epoch a flipped
+/// checkpoint header now claims.
+fn apply(mangle: Mangle, dir: &Path) -> Option<u64> {
     let log = dir.join(LOG_SUBDIR);
     match mangle {
         Mangle::None => {}
+        Mangle::FlippedEpoch(bit) => {
+            let path = dir.join(CHECKPOINT_FILE);
+            let mut blob = std::fs::read(&path).ok()?;
+            let mut epoch = [0u8; 8];
+            epoch.copy_from_slice(&blob[20..28]);
+            let flipped = u64::from_le_bytes(epoch) ^ (1 << bit);
+            blob[20..28].copy_from_slice(&flipped.to_le_bytes());
+            std::fs::write(&path, blob).expect("rewrite checkpoint");
+            return Some(flipped);
+        }
         Mangle::TornTail(chop) => {
             // newest live segment = lexically greatest segment-*.log
             // (names are zero-padded)
@@ -83,17 +101,20 @@ fn apply(mangle: Mangle, dir: &Path) {
             std::fs::remove_file(log.join("MANIFEST")).expect("remove manifest");
         }
     }
+    None
 }
 
 /// Maps two drawn integers onto a [`Mangle`] (the vendored proptest
 /// shim has no `prop_oneof`): 0–1 → clean kill, 2–3 → torn tail of
 /// `1 + chop` bytes (up to ~40 reaches into the epoch-complete mark
-/// and often the record before it), 4 → missing manifest.
+/// and often the record before it), 4 → missing manifest, 5 → one of
+/// the epoch's four low bits flipped.
 fn pick_mangle(sel: u64, chop: u64) -> Mangle {
     match sel {
         0 | 1 => Mangle::None,
         2 | 3 => Mangle::TornTail(1 + chop),
-        _ => Mangle::MissingManifest,
+        4 => Mangle::MissingManifest,
+        _ => Mangle::FlippedEpoch((chop % 4) as u32),
     }
 }
 
@@ -108,7 +129,7 @@ proptest! {
     fn any_crash_point_recovers_bit_identically(
         crash_epoch in 0u64..=40,
         every in 5u64..25,
-        mangle_sel in 0u64..5,
+        mangle_sel in 0u64..6,
         chop in 0u64..39,
     ) {
         let mangle = pick_mangle(mangle_sel, chop);
@@ -122,7 +143,7 @@ proptest! {
             .expect("fresh run");
         prop_assert!(!out.completed, "kill epoch must be inside the trace");
 
-        apply(mangle, &dir);
+        let flipped = apply(mangle, &dir);
 
         let recovered = resume(&sc, &cfg, &dir, &opts, None).expect("recovery");
         prop_assert!(recovered.run.completed);
@@ -145,6 +166,13 @@ proptest! {
         }
         if let Mangle::MissingManifest = mangle {
             prop_assert!(recovered.log_recovery.rebuilt_manifest);
+        }
+        if flipped.is_some() {
+            prop_assert!(
+                recovered.resumed_from != flipped,
+                "resumed from the flipped epoch {:?}",
+                flipped
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,6 +9,11 @@
 //! well-behaved". If all objects were compressed this would be the
 //! Boyen–Koller algorithm; compressing selectively combines the
 //! Gaussian and particle representations.
+//!
+//! The fit is not scored. At the paper's operating point every object
+//! that leaves the reader's scope is compressed, whatever its cloud
+//! looks like, so nothing would read a measure of what the Gaussian
+//! loses.
 
 use crate::factored::ObjectFilter;
 use crate::factored::ReaderTables;
@@ -22,9 +27,6 @@ use rfid_stream::Epoch;
 pub struct CompressedBelief {
     /// The fitted Gaussian.
     pub gaussian: Gaussian3,
-    /// Compression loss: cross-entropy of the Gaussian under the cloud
-    /// it replaced (nats). Low = little information lost.
-    pub loss: f64,
     /// When the belief was compressed.
     pub compressed_at: Epoch,
 }
@@ -33,11 +35,8 @@ impl CompressedBelief {
     /// Fits the KL-optimal Gaussian to a weighted cloud. `None` when
     /// the cloud carries no weight.
     pub fn compress(cloud: &[(f64, Point3)], epoch: Epoch) -> Option<Self> {
-        let gaussian = Gaussian3::fit_weighted(cloud)?;
-        let loss = gaussian.cross_entropy(cloud);
         Some(Self {
-            gaussian,
-            loss,
+            gaussian: Gaussian3::fit_weighted(cloud)?,
             compressed_at: epoch,
         })
     }
@@ -115,17 +114,6 @@ mod tests {
     fn compress_empty_cloud_is_none() {
         assert!(CompressedBelief::compress(&[], Epoch(0)).is_none());
         assert!(CompressedBelief::compress(&[(0.0, Point3::origin())], Epoch(0)).is_none());
-    }
-
-    #[test]
-    fn tighter_cloud_compresses_with_lower_loss() {
-        let tight = tight_cloud(Point3::origin(), 100);
-        let wide: Vec<(f64, Point3)> = (0..100)
-            .map(|i| (0.01, Point3::new((i % 10) as f64, (i / 10) as f64, 0.0)))
-            .collect();
-        let ct = CompressedBelief::compress(&tight, Epoch(0)).unwrap();
-        let cw = CompressedBelief::compress(&wide, Epoch(0)).unwrap();
-        assert!(ct.loss < cw.loss);
     }
 
     #[test]

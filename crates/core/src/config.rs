@@ -1,5 +1,5 @@
-//! Filter configuration: the eleven values a figure, ablation, preset
-//! or test sets ([`FilterConfig`], three of them in
+//! Filter configuration: the ten values a figure, ablation, preset
+//! or test sets ([`FilterConfig`], two of them in
 //! [`CompressionPolicy`]), and the five the paper fixes in prose, which
 //! are constants here. A checkpoint's config fingerprint still covers
 //! the constants (at the byte offsets the fields had), so a blob
@@ -50,11 +50,6 @@ pub struct CompressionPolicy {
     /// Compress an object once its tag has been silent for this many
     /// epochs *and* it left the active (processed) set.
     pub idle_epochs: u64,
-    /// Only compress when the cross-entropy of the fitted Gaussian
-    /// under the particle cloud is below this threshold (nats); `inf`
-    /// disables the check. Low values compress only well-behaved,
-    /// tight clouds.
-    pub max_cross_entropy: f64,
 }
 
 impl CompressionPolicy {
@@ -63,7 +58,6 @@ impl CompressionPolicy {
         Self {
             enabled: false,
             idle_epochs: u64::MAX,
-            max_cross_entropy: f64::INFINITY,
         }
     }
 
@@ -74,7 +68,6 @@ impl CompressionPolicy {
         Self {
             enabled: true,
             idle_epochs: 10,
-            max_cross_entropy: f64::INFINITY,
         }
     }
 }
@@ -158,12 +151,6 @@ impl FilterConfig {
                 "init_range_overestimate must be finite and >= 1 (an overestimate)",
             ));
         }
-        // +inf is the documented "no loss check"; only NaN is meaningless
-        if self.compression.max_cross_entropy.is_nan() {
-            return Err(ConfigError::new(
-                "compression.max_cross_entropy must not be NaN",
-            ));
-        }
         Ok(())
     }
 }
@@ -208,12 +195,6 @@ mod tests {
             c.validate().is_ok()
         };
         assert!(!valid(|c, v| c.resample_ess_frac = v, f64::NAN));
-        assert!(!valid(|c, v| c.compression.max_cross_entropy = v, f64::NAN));
-        // an infinite loss threshold is the documented "always compress"
-        assert!(valid(
-            |c, v| c.compression.max_cross_entropy = v,
-            f64::INFINITY
-        ));
         for v in [f64::NAN, f64::INFINITY] {
             assert!(!valid(|c, v| c.init_range_overestimate = v, v), "{v}");
         }

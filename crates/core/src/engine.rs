@@ -86,9 +86,9 @@ struct ObjectState {
     last_read: Epoch,
     /// Epoch at which the compression sweep should next consider this
     /// object (0 = no check queued). Bumped on every *read* epoch
-    /// (Case-2 activity does not reset the clock) and on failed
-    /// compression attempts, so the cooldown queue holds at most one
-    /// live entry per tag instead of one per active epoch.
+    /// (Case-2 activity does not reset the clock), so the cooldown
+    /// queue holds at most one live entry per tag instead of one per
+    /// active epoch.
     compression_due: u64,
 }
 
@@ -395,7 +395,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// Live entries in the compression cooldown queue (diagnostics).
     /// The scheduler keeps at most one entry per tracked tag, so this
     /// is bounded by the object count no matter how long the engine
-    /// runs or how often compression attempts fail and retry.
+    /// runs.
     pub fn cooldown_entries(&self) -> usize {
         self.cooldown.values().map(Vec::len).sum()
     }
@@ -841,32 +841,20 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     continue;
                 }
                 state.compression_due = 0;
-                // compression_due is only ever last_read + idle_epochs
-                // (or a later retry), so a popped-at-due object has
-                // been silent for at least a full idle period
+                // compression_due is only ever last_read + idle_epochs,
+                // so a popped-at-due object has been silent for at
+                // least a full idle period
                 debug_assert!(epoch.since(state.last_read) >= self.config.compression.idle_epochs);
                 if let Belief::Active(f) = &state.belief {
                     f.weighted_cloud_into(reader, &mut self.scratch, &mut self.cloud);
-                    let mut compressed = false;
+                    // `None` needs a cloud without finite positive
+                    // weight, which the step's normalization never
+                    // leaves; such an object stays active until its
+                    // next read schedules it again
                     if let Some(c) = CompressedBelief::compress(&self.cloud, epoch) {
-                        if c.loss <= self.config.compression.max_cross_entropy {
-                            state.last_estimate = c.estimate();
-                            state.belief = Belief::Compressed(c);
-                            self.stats.compressions += 1;
-                            compressed = true;
-                        }
-                    }
-                    if !compressed {
-                        // the belief has not converged enough yet
-                        // (loss above threshold): retry one idle
-                        // period later — a bounded cadence keeps the
-                        // one-entry-per-tag invariant without
-                        // dropping the object forever
-                        let retry = epoch
-                            .0
-                            .saturating_add(self.config.compression.idle_epochs.max(1));
-                        state.compression_due = retry;
-                        self.cooldown.entry(retry).or_default().push(tag);
+                        state.last_estimate = c.estimate();
+                        state.belief = Belief::Compressed(c);
+                        self.stats.compressions += 1;
                     }
                 }
             }
@@ -1279,32 +1267,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_compression_retries_with_bounded_queue() {
-        // an unpassable loss threshold: every compression attempt fails,
-        // and each failure must schedule a retry while the queue stays
-        // at one entry per tag
-        let mut cfg = FilterConfig::full_default();
-        cfg.particles_per_object = 200;
-        cfg.reader_particles = 30;
-        cfg.compression.idle_epochs = 5;
-        cfg.compression.max_cross_entropy = f64::NEG_INFINITY;
-        let mut e = engine(cfg);
-        for t in 0..80u64 {
-            let y = t as f64 * 0.1;
-            let mut tags = Vec::new();
-            if (y - 1.0).abs() < 1.0 {
-                tags.push(7u64);
-            }
-            e.process_batch(&batch(t, y, &tags));
-        }
-        assert_eq!(e.stats().compressions, 0);
-        assert_eq!(e.num_compressed(), 0);
-        // retry is still scheduled — the object was not dropped from
-        // the compression schedule — and the queue has not grown
-        assert_eq!(e.cooldown_entries(), 1);
-    }
-
-    #[test]
     fn trust_reports_mode_runs_without_reader_filter() {
         let mut cfg = FilterConfig::factored_default();
         cfg.reader_mode = ReaderMode::TrustReports;
@@ -1364,7 +1326,6 @@ mod tests {
         comp_cfg.compression = crate::config::CompressionPolicy {
             enabled: true,
             idle_epochs: 3,
-            max_cross_entropy: f64::INFINITY,
         };
         let drive = |e: &mut InferenceEngine<BoxPrior>| {
             for t in 0..30u64 {

@@ -15,9 +15,17 @@
 //! A checkpoint is a single binary blob, no serde:
 //!
 //! ```text
-//! magic "RFCKPT01" | version u32 | config fingerprint u64 | epoch u64
-//! payload length u64 | payload bytes | FNV-1a(payload) u64
+//! magic "RFCKPT01" | version u32 (2) | config fingerprint u64 | epoch u64
+//! payload length u64 | payload bytes | FNV-1a(magic .. payload) u64
 //! ```
+//!
+//! The checksum covers every byte before it, header included, so a
+//! flipped epoch is refused like a flipped payload byte; [`peek_epoch`]
+//! verifies it before it answers. A reader checks the magic, the
+//! version, the fingerprint, the lengths and then the checksum, in that
+//! order. Version 1 (its checksum covered the payload only, and each
+//! compressed object carried an 8-byte fit score) is refused as
+//! [`CheckpointError::UnsupportedVersion`]; no decoder for it is kept.
 //!
 //! All integers and float bit patterns are little-endian, written and
 //! read with the workspace's one byte cursor (`rfid_stream::wire`'s
@@ -27,10 +35,10 @@
 //! blob's own reader section is refused too. The config fingerprint
 //! covers every [`FilterConfig`] field. Every list in the payload is
 //! in a canonical order (objects and policy rows by tag,
-//! cooldown entries by `(due, tag)`), so the bytes never depended on
-//! how the writing engine laid its state out: blobs written by the
-//! engines that still partitioned objects in-process load unchanged
-//! (`crates/core/tests/checkpoint_compat.rs`).
+//! cooldown entries by `(due, tag)`), so the bytes never depend on how
+//! the writing engine laid its state out
+//! (`crates/core/tests/checkpoint_compat.rs` pins a fixture byte for
+//! byte).
 //!
 //! Files are written atomically: temp file + `fsync` + rename +
 //! directory `fsync`, so a crash mid-save leaves the previous
@@ -61,7 +69,7 @@ use std::path::Path;
 /// File magic: "RFCKPT" + format generation.
 pub(crate) const MAGIC: [u8; 8] = *b"RFCKPT01";
 /// Format version inside the current magic generation.
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be read or applied.
 #[derive(Debug)]
@@ -71,7 +79,7 @@ pub enum CheckpointError {
     /// The blob is not a checkpoint, is truncated, or fails its
     /// checksum.
     Corrupt(&'static str),
-    /// The checkpoint format is newer than this build understands.
+    /// The checkpoint format is one this build does not read.
     UnsupportedVersion(u32),
     /// The checkpoint was taken under a different inference
     /// configuration (fingerprints differ).
@@ -135,7 +143,9 @@ fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     put_u8(&mut e, cfg.use_spatial_index as u8);
     put_u8(&mut e, cfg.compression.enabled as u8);
     put_u64(&mut e, cfg.compression.idle_epochs);
-    put_f64(&mut e, cfg.compression.max_cross_entropy);
+    // the removed compression-loss threshold, at the value every
+    // config carried
+    put_f64(&mut e, f64::INFINITY);
     put_u64(&mut e, DECOMPRESSED_PARTICLES as u64);
     // reserved: the byte a removed option's off-switch occupied. Kept
     // at 0 so fingerprints and `RFCKPT01` blobs stay byte-identical; a
@@ -154,9 +164,16 @@ pub fn config_fingerprint(cfg: &FilterConfig) -> u64 {
     fnv1a(FNV_OFFSET, &config_bytes(cfg))
 }
 
-/// The epoch recorded in a checkpoint blob's header (cheap peek — no
-/// payload validation beyond the magic and version).
+/// The epoch recorded in a checkpoint blob's header. Checks the frame
+/// and its checksum, not the payload's contents or the fingerprint.
 pub fn peek_epoch(bytes: &[u8]) -> Result<Epoch, CheckpointError> {
+    open_frame(bytes, None).map(|(epoch, _)| epoch)
+}
+
+/// Checks a blob's frame — magic, version, config fingerprint (against
+/// `expected`, when given), lengths, checksum, in that order — and
+/// returns its epoch and payload.
+fn open_frame(bytes: &[u8], expected: Option<u64>) -> Result<(Epoch, &[u8]), CheckpointError> {
     let mut d = PayloadReader::new(bytes);
     if d.bytes(8)? != MAGIC {
         return Err(CheckpointError::Corrupt("bad magic"));
@@ -165,8 +182,19 @@ pub fn peek_epoch(bytes: &[u8]) -> Result<Epoch, CheckpointError> {
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let _fingerprint = d.u64()?;
-    Ok(Epoch(d.u64()?))
+    let found = d.u64()?;
+    if let Some(expected) = expected.filter(|e| *e != found) {
+        return Err(CheckpointError::ConfigMismatch { expected, found });
+    }
+    let epoch = Epoch(d.u64()?);
+    let payload_len = d.count_u64()?;
+    let payload = d.bytes(payload_len)?;
+    let checksum = d.u64()?;
+    d.finish()?;
+    if fnv1a(FNV_OFFSET, &bytes[..bytes.len() - 8]) != checksum {
+        return Err(CheckpointError::Corrupt("checksum mismatch"));
+    }
+    Ok((epoch, payload))
 }
 
 impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
@@ -251,7 +279,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                             put_f64(&mut p, *v);
                         }
                     }
-                    put_f64(&mut p, c.loss);
                     put_u64(&mut p, c.compressed_at.0);
                 }
             }
@@ -317,7 +344,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         put_u64(&mut out, epoch.0);
         put_u64(&mut out, p.len() as u64);
         out.extend_from_slice(&p);
-        put_u64(&mut out, fnv1a(FNV_OFFSET, &p));
+        let checksum = fnv1a(FNV_OFFSET, &out);
+        put_u64(&mut out, checksum);
         out
     }
 
@@ -330,27 +358,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// On error the engine may be partially overwritten — rebuild it
     /// before retrying.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<Epoch, CheckpointError> {
-        let mut d = PayloadReader::new(bytes);
-        if d.bytes(8)? != MAGIC {
-            return Err(CheckpointError::Corrupt("bad magic"));
-        }
-        let version = d.u32()?;
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let found = d.u64()?;
-        let expected = self.config_fingerprint();
-        if found != expected {
-            return Err(CheckpointError::ConfigMismatch { expected, found });
-        }
-        let epoch = Epoch(d.u64()?);
-        let payload_len = d.count_u64()?;
-        let payload = d.bytes(payload_len)?;
-        let checksum = d.u64()?;
-        d.finish()?;
-        if fnv1a(FNV_OFFSET, payload) != checksum {
-            return Err(CheckpointError::Corrupt("payload checksum mismatch"));
-        }
+        let (epoch, payload) = open_frame(bytes, Some(self.config_fingerprint()))?;
         let mut d = PayloadReader::new(payload);
 
         // engine RNG
@@ -444,13 +452,11 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                             *v = d.f64()?;
                         }
                     }
-                    let loss = d.f64()?;
                     let compressed_at = Epoch(d.u64()?);
                     Belief::Compressed(CompressedBelief {
-                        // Gaussian3::new re-derives the Cholesky/inverse
-                        // caches deterministically from (mean, cov)
+                        // Gaussian3::new re-derives the Cholesky factor
+                        // deterministically from (mean, cov)
                         gaussian: Gaussian3::new(mean, Mat3 { m }),
-                        loss,
                         compressed_at,
                     })
                 }
@@ -691,21 +697,14 @@ mod tests {
             );
         }
         // every single-bit flip is refused — magic, version, fingerprint
-        // and payload length field by field, the payload and its
-        // checksum by the checksum — with the one exception RFCKPT01
-        // has: the header's epoch sits outside the payload checksum, so
-        // a flipped epoch restores `Ok` at a wrong epoch
-        const UNCHECKSUMMED_EPOCH: std::ops::Range<usize> = 20..28;
+        // and payload length field by field, the epoch, the payload and
+        // the checksum by the checksum — by the restore and the peek
         for at in 0..blob.len() {
             for bit in 0..8 {
                 blob[at] ^= 1 << bit;
                 let got = engine(small).restore_bytes(&blob);
-                if UNCHECKSUMMED_EPOCH.contains(&at) {
-                    let shift = 8 * (at - UNCHECKSUMMED_EPOCH.start) + bit;
-                    assert_eq!(got.unwrap(), Epoch(9 ^ (1 << shift)));
-                } else {
-                    assert!(got.is_err(), "bit {bit} of byte {at} flipped and restored");
-                }
+                assert!(got.is_err(), "bit {bit} of byte {at} flipped and restored");
+                assert!(peek_epoch(&blob).is_err(), "bit {bit} of byte {at} peeked");
                 blob[at] ^= 1 << bit;
             }
         }
@@ -755,7 +754,7 @@ mod tests {
             let mut patched = blob.clone();
             patched[pointer..pointer + 4].copy_from_slice(&value.to_le_bytes());
             let end = patched.len() - 8;
-            let checksum = fnv1a(FNV_OFFSET, &patched[header..end]);
+            let checksum = fnv1a(FNV_OFFSET, &patched[..end]);
             patched[end..].copy_from_slice(&checksum.to_le_bytes());
             engine(config).restore_bytes(&patched)
         };

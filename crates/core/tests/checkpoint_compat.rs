@@ -1,18 +1,13 @@
-//! Checkpoints written before the engine lost its in-process object
-//! partition still load: `RFCKPT01` stores every list in a canonical
-//! order, so the bytes never depended on how the writer laid out its
-//! state.
+//! The checkpoint format is pinned by literal bytes, not round trips.
 //!
-//! `fixtures/pr13_four_partitions.ckpt` (7,809 bytes: 5 objects, 3 of
-//! them compressed, 2 cooldown entries, the spatial index) was written
-//! at commit 6771bac (PR 13) by an engine whose `FilterConfig` set the
-//! since-removed partition count to 4 — every partition populated —
-//! with this file's `cfg()`, `engine()` and `batches()`:
+//! `fixtures/pr34_v2.ckpt` (5 objects, 3 of them compressed, 2
+//! cooldown entries, the spatial index) is a version-2 blob: the
+//! checksum covers the header, and a compressed object stores its
+//! Gaussian and compression epoch only. It was written by this file's
+//! `cfg()`, `engine()` and `batches()`:
 //!
 //! ```ignore
-//! let mut partitioned = cfg();
-//! // ... set the partition-count field `FilterConfig` had then to 4
-//! let mut first = engine(partitioned);
+//! let mut first = engine(cfg());
 //! let mut events = Vec::new();
 //! for b in &batches()[..CUT] {
 //!     first.process_batch_into(b, &mut events);
@@ -20,10 +15,16 @@
 //! std::fs::write(path, first.checkpoint_bytes(Epoch(CUT as u64 - 1))).unwrap();
 //! ```
 //!
-//! (EXPERIMENTS.md "PR 14" has the snippet verbatim.) A change to the
-//! inference arithmetic that re-blesses the goldens invalidates the
-//! fixture's second half too: regenerate it from the commit before
-//! that change, the same way.
+//! Every list in the payload is in a canonical order, so the bytes do
+//! not depend on how the writing engine laid its state out. A change to
+//! the inference arithmetic that re-blesses the goldens invalidates the
+//! fixture's second half too: regenerate it from the commit before that
+//! change, the same way.
+//!
+//! `fixtures/pr13_four_partitions.ckpt` (7,809 bytes) is a version-1
+//! blob of the same cut and config, written by an engine that still
+//! partitioned its objects. This build refuses it as
+//! `UnsupportedVersion(1)`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +39,8 @@ use rfid_model::{BoxPrior, JointModel, ModelParams, ReadRateModel};
 use rfid_stream::digest::{event_digest, fnv1a, FNV_OFFSET};
 use rfid_stream::{Epoch, EpochBatch, InferenceStage, TagId};
 
-const FIXTURE: &[u8] = include_bytes!("fixtures/pr13_four_partitions.ckpt");
+const FIXTURE: &[u8] = include_bytes!("fixtures/pr34_v2.ckpt");
+const V1_FIXTURE: &[u8] = include_bytes!("fixtures/pr13_four_partitions.ckpt");
 const EPOCHS: u64 = 100;
 /// Batches the fixture's writer had processed.
 const CUT: usize = 40;
@@ -107,7 +109,7 @@ fn parent_written_checkpoint_restores_and_finishes_on_the_uninterrupted_digest()
     for b in &all[..CUT] {
         first.process_batch_into(b, &mut events);
     }
-    // the engine writes today the bytes the partitioned engine wrote
+    // the engine writes today the bytes the fixture holds
     let at = Epoch(CUT as u64 - 1);
     assert_eq!(peek_epoch(FIXTURE).unwrap(), at);
     assert!(first.checkpoint_bytes(at) == FIXTURE, "checkpoint bytes");
@@ -175,7 +177,9 @@ fn fingerprint_at(c: &FilterConfig, respawn_distance: f64, table: Option<(f64, f
     b.push(c.use_spatial_index as u8);
     b.push(c.compression.enabled as u8);
     b.extend(c.compression.idle_epochs.to_le_bytes());
-    b.extend(c.compression.max_cross_entropy.to_bits().to_le_bytes());
+    // the removed compression-loss threshold, at the value every
+    // config carried
+    b.extend(f64::INFINITY.to_bits().to_le_bytes());
     b.extend((DECOMPRESSED_PARTICLES as u64).to_le_bytes());
     b.push(table.is_some() as u8);
     if let Some((d_step, theta_step)) = table {
@@ -217,5 +221,17 @@ fn checkpoint_written_with_another_respawn_distance_is_refused() {
     assert!(matches!(
         engine(cfg()).restore_bytes(&blob),
         Err(CheckpointError::ConfigMismatch { found, .. }) if found == other
+    ));
+}
+
+#[test]
+fn version_1_checkpoint_is_refused() {
+    assert!(matches!(
+        peek_epoch(V1_FIXTURE),
+        Err(CheckpointError::UnsupportedVersion(1))
+    ));
+    assert!(matches!(
+        engine(cfg()).restore_bytes(V1_FIXTURE),
+        Err(CheckpointError::UnsupportedVersion(1))
     ));
 }

@@ -6,8 +6,7 @@
 //! * reader **location-sensing noise** `eta ~ N(mu_s, Sigma_s)`,
 //! * **belief compression** (§IV-D): a stabilized particle cloud is
 //!   collapsed into a full-covariance 3-D Gaussian, which requires the
-//!   weighted empirical mean/covariance, sampling (decompression), exact
-//!   log-density, and the KL divergence from the particle set.
+//!   weighted empirical mean/covariance and sampling (decompression).
 //!
 //! Sampling uses Box-Muller on top of any [`rand::Rng`], so the workspace
 //! needs no `rand_distr` dependency.
@@ -114,17 +113,15 @@ impl DiagGaussian3 {
     }
 }
 
-/// A full-covariance 3-D Gaussian, used by belief compression.
+/// A full-covariance 3-D Gaussian, used by belief compression: fitted
+/// to a particle cloud, sampled through its Cholesky factor when the
+/// belief is decompressed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian3 {
     pub mean: Point3,
     pub cov: Mat3,
     /// Cached Cholesky factor of `cov` (lower triangular).
     chol: Mat3,
-    /// Cached inverse of `cov`.
-    inv: Mat3,
-    /// Cached `log det cov`.
-    log_det: f64,
 }
 
 impl Gaussian3 {
@@ -146,35 +143,10 @@ impl Gaussian3 {
             );
             c = cov.regularized(ridge);
         };
-        // Invert via the Cholesky factor: solving L L^T x = e_i is stable
-        // even for the tiny ridge covariances produced by degenerate
-        // particle clouds (where the raw determinant underflows the
-        // adjugate path's threshold).
-        let inv = {
-            let solve = |b: Vec3| -> Vec3 {
-                // forward: L y = b
-                let l = &chol.m;
-                let y0 = b.x / l[0][0];
-                let y1 = (b.y - l[1][0] * y0) / l[1][1];
-                let y2 = (b.z - l[2][0] * y0 - l[2][1] * y1) / l[2][2];
-                // backward: L^T x = y
-                let x2 = y2 / l[2][2];
-                let x1 = (y1 - l[2][1] * x2) / l[1][1];
-                let x0 = (y0 - l[1][0] * x1 - l[2][0] * x2) / l[0][0];
-                Vec3::new(x0, x1, x2)
-            };
-            let c0 = solve(Vec3::new(1.0, 0.0, 0.0));
-            let c1 = solve(Vec3::new(0.0, 1.0, 0.0));
-            let c2 = solve(Vec3::new(0.0, 0.0, 1.0));
-            Mat3::from_rows([c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z])
-        };
-        let log_det = 2.0 * (chol.m[0][0].ln() + chol.m[1][1].ln() + chol.m[2][2].ln());
         Self {
             mean,
             cov: cov_final,
             chol,
-            inv,
-            log_det,
         }
     }
 
@@ -207,34 +179,6 @@ impl Gaussian3 {
             standard_normal(rng),
         );
         self.mean + self.chol.mul_vec(&z)
-    }
-
-    /// Log density at `p`.
-    pub fn log_pdf(&self, p: &Point3) -> f64 {
-        let d = *p - self.mean;
-        let q = d.dot(&self.inv.mul_vec(&d));
-        -0.5 * (q + self.log_det + 3.0 * LN_2PI)
-    }
-
-    /// KL divergence `KL(p_hat || self)` from a weighted empirical
-    /// distribution (a particle set) to this Gaussian, up to the
-    /// entropy term of `p_hat` (which is a constant for the selection
-    /// problem in §IV-D): the *cross-entropy* `-E_{p_hat}[log q]`.
-    ///
-    /// Belief compression ranks objects by this quantity evaluated at
-    /// their own fitted Gaussian, which measures how much is lost by
-    /// compressing — small values mean the cloud is already
-    /// Gaussian-shaped and tight.
-    pub fn cross_entropy(&self, points: &[(f64, Point3)]) -> f64 {
-        let wsum: f64 = points.iter().map(|(w, _)| *w).sum();
-        if wsum <= 0.0 {
-            return f64::INFINITY;
-        }
-        let mut s = 0.0;
-        for (w, p) in points {
-            s -= (*w / wsum) * self.log_pdf(p);
-        }
-        s
     }
 }
 
@@ -299,19 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian3_log_pdf_matches_diag() {
-        // Full-covariance with a diagonal matrix must agree with the
-        // product of univariate densities.
-        let g3 = Gaussian3::new(Point3::new(1.0, 2.0, 3.0), Mat3::diag([0.25, 1.0, 4.0]));
-        let gx = Gaussian1::new(1.0, 0.5);
-        let gy = Gaussian1::new(2.0, 1.0);
-        let gz = Gaussian1::new(3.0, 2.0);
-        let p = Point3::new(1.3, 1.5, 4.0);
-        let expect = gx.log_pdf(p.x) + gy.log_pdf(p.y) + gz.log_pdf(p.z);
-        assert!((g3.log_pdf(&p) - expect).abs() < 1e-9);
-    }
-
-    #[test]
     fn gaussian3_sampling_respects_covariance() {
         let mut r = rng();
         let cov = Mat3::from_rows([1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 0.01]);
@@ -364,19 +295,6 @@ mod tests {
         let pts = vec![(0.0, Point3::origin())];
         assert!(Gaussian3::fit_weighted(&pts).is_none());
         assert!(Gaussian3::fit_weighted(&[]).is_none());
-    }
-
-    #[test]
-    fn cross_entropy_smaller_for_tighter_cloud() {
-        let tight: Vec<(f64, Point3)> = (0..100)
-            .map(|i| (1.0, Point3::new((i % 10) as f64 * 0.001, 0.0, 0.0)))
-            .collect();
-        let wide: Vec<(f64, Point3)> = (0..100)
-            .map(|i| (1.0, Point3::new((i % 10) as f64 * 1.0, 0.0, 0.0)))
-            .collect();
-        let gt = Gaussian3::fit_weighted(&tight).unwrap();
-        let gw = Gaussian3::fit_weighted(&wide).unwrap();
-        assert!(gt.cross_entropy(&tight) < gw.cross_entropy(&wide));
     }
 
     #[test]

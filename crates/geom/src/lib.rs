@@ -13,8 +13,9 @@
 //! * [`Mat3`]: symmetric-positive-definite friendly 3x3 matrices with
 //!   Cholesky factorization, used for Gaussian covariances.
 //! * [`Gaussian1`], [`Gaussian3`], [`DiagGaussian3`]: the noise models of
-//!   the paper (reader motion, reader location sensing, compressed object
-//!   beliefs) with exact log-density evaluation and sampling.
+//!   the paper (reader motion, reader location sensing) with exact
+//!   log-density evaluation and sampling, and the compressed object
+//!   belief (fitted to a particle cloud and sampled).
 //! * [`angles`]: utilities for working with headings and bearings.
 //!
 //! Everything is `f64` and units are feet/radians/seconds to match the

@@ -1,9 +1,9 @@
 //! 3x3 matrices with the factorizations Gaussian models need.
 //!
 //! Covariance matrices in this system are 3x3 symmetric positive
-//! (semi-)definite; sampling needs a Cholesky factor and density
-//! evaluation needs `Sigma^{-1}` and `log det Sigma`. A hand-rolled type
-//! keeps the workspace dependency-free and the hot paths branch-light.
+//! (semi-)definite, and sampling from them needs a Cholesky factor;
+//! nothing inverts one. A hand-rolled type keeps the workspace
+//! dependency-free and the hot paths branch-light.
 
 use crate::point::Vec3;
 
