@@ -23,8 +23,7 @@
 //! flipped epoch is refused like a flipped payload byte; [`peek_epoch`]
 //! verifies it before it answers. A reader checks the magic, the
 //! version, the fingerprint, the lengths and then the checksum, in that
-//! order. Version 1 (its checksum covered the payload only, and each
-//! compressed object carried an 8-byte fit score) is refused as
+//! order. Any other version, 1 included, is refused as
 //! [`CheckpointError::UnsupportedVersion`]; no decoder for it is kept.
 //!
 //! All integers and float bit patterns are little-endian, written and
@@ -143,8 +142,8 @@ fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     put_u8(&mut e, cfg.use_spatial_index as u8);
     put_u8(&mut e, cfg.compression.enabled as u8);
     put_u64(&mut e, cfg.compression.idle_epochs);
-    // the removed compression-loss threshold, at the value every
-    // config carried
+    // reserved: a removed option's offset, at the value every config
+    // gave it, so fingerprints do not move
     put_f64(&mut e, f64::INFINITY);
     put_u64(&mut e, DECOMPRESSED_PARTICLES as u64);
     // reserved: the byte a removed option's off-switch occupied. Kept

@@ -8,7 +8,7 @@
 //! crate and the cluster binaries share one definition.
 //!
 //! [`fnv1a`] is the workspace's one FNV-1a: the WAL's record checksum
-//! (`rfid_serve::log`) and the checkpoint's payload checksum and config
+//! (`rfid_serve::log`) and the checkpoint's checksum and config
 //! fingerprint (`rfid_core::engine::checkpoint`) call it too.
 
 use crate::LocationEvent;
