@@ -65,7 +65,9 @@
 //! created it (`OK id 0` acknowledges it). `PUSH` frames carry the
 //! arrival epoch whose completion committed the delta; their rows are
 //! location *changes* ([`LocationChangeSink`] semantics — one row per
-//! tag whose location moved). A subscriber that falls behind gets its
+//! tag whose location moved). One arrival epoch's delta may span
+//! consecutive `PUSH` frames of that epoch, rows in order, when it is
+//! too large for one frame. A subscriber that falls behind gets its
 //! oldest pending frames dropped (bounded queues, never unbounded
 //! buffering) and exactly one `LAGGED` frame per overflow run counting
 //! the dropped rows.

@@ -28,7 +28,9 @@
 //! Framing is the 4-byte big-endian length prefix from
 //! [`crate::query`] — one frame per request, one frame per response or
 //! push, many frames per connection. A response too large for one
-//! frame is answered with a typed `ERR BAD_REQUEST` instead.
+//! frame is answered with a typed `ERR BAD_REQUEST` instead; a push
+//! delta too large for one frame goes out as consecutive `PUSH` frames
+//! of the same arrival epoch.
 //!
 //! ## Handshake
 //!
@@ -398,6 +400,31 @@ impl ConnState {
         self.outbox.extend_from_slice(payload.as_bytes());
     }
 
+    /// Queues a frame polled from a subscription. A `PUSH` past the
+    /// frame cap goes out as consecutive `PUSH` frames of the same
+    /// subscription and arrival epoch, rows in order, each under the
+    /// cap: one call, under one hold of the lock, so nothing
+    /// interleaves.
+    fn enqueue_push(&mut self, frame: Frame) {
+        let text = frame.encode();
+        match frame {
+            Frame::Push {
+                id,
+                epoch,
+                mut rows,
+            } if text.len() > MAX_FRAME_BYTES as usize && rows.len() > 1 => {
+                let tail = rows.split_off(rows.len() / 2);
+                self.enqueue_push(Frame::Push { id, epoch, rows });
+                self.enqueue_push(Frame::Push {
+                    id,
+                    epoch,
+                    rows: tail,
+                });
+            }
+            _ => self.enqueue(&text),
+        }
+    }
+
     /// Bytes queued or being written.
     fn pending(&self) -> usize {
         self.outbox.len() + self.in_flight
@@ -609,7 +636,7 @@ impl Server {
                     let mut i = 0;
                     while i < st.subs.len() && st.pending() < self.cfg.outbox_high_water {
                         match st.subs[i].poll() {
-                            Some(frame) => st.enqueue(&frame.encode()),
+                            Some(frame) => st.enqueue_push(frame),
                             None => i += 1,
                         }
                     }

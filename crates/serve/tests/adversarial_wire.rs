@@ -9,10 +9,10 @@
 use rfid_geom::Point3;
 use rfid_serve::store::{EventStore, StoreConfig};
 use rfid_serve::{
-    read_frame, serve, serve_with, write_frame, ErrorCode, HubConfig, Query, QueryClient,
-    ServerConfig, SubscriptionHub,
+    read_frame, serve, serve_with, write_frame, ErrorCode, Frame, HubConfig, Query, QueryClient,
+    ServerConfig, SubscriptionFilter, SubscriptionHub,
 };
-use rfid_stream::{Epoch, LocationEvent, TagId};
+use rfid_stream::{Epoch, EventSink, LocationEvent, TagId};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, RwLock};
@@ -248,6 +248,78 @@ fn a_response_past_the_frame_cap_is_a_typed_err_on_a_live_connection() {
     let rows = client
         .query(&Query::CurrentLocation(TagId(7)))
         .expect("query after the refusal")
+        .into_rows()
+        .expect("rows");
+    assert_eq!(rows.len(), 1);
+    handle.shutdown();
+}
+
+#[test]
+fn a_push_past_the_frame_cap_arrives_in_frames_on_a_live_connection() {
+    // the over-cap SNAPSHOT's 120,000 tags, committed as one epoch's
+    // delta: one PUSH would encode to ~7.5 MB, past the 4 MiB cap
+    let events: Vec<LocationEvent> = (0..120_000u64)
+        .map(|t| {
+            let (x, y) = (t as f64 / 7.0, t as f64 / 3.0);
+            LocationEvent::new(Epoch(0), TagId(t), Point3::new(x, y, 0.0))
+        })
+        .collect();
+    let mut store = EventStore::new(StoreConfig::default());
+    for e in &events {
+        store.push(e);
+    }
+    store.complete_epoch(Epoch(0));
+    let handle = serve("127.0.0.1:0", Arc::new(RwLock::new(store))).expect("bind");
+    let mut client = QueryClient::connect(handle.addr())
+        .timeout(Duration::from_secs(30))
+        .establish()
+        .expect("connect");
+    let sub = client
+        .subscribe(&SubscriptionFilter::All)
+        .expect("subscribe");
+
+    let mut sink = handle.hub().sink();
+    for e in &events {
+        sink.on_event(e);
+    }
+    sink.on_epoch_complete(Epoch(0));
+
+    let mut rows = Vec::new();
+    let mut frames = 0;
+    while rows.len() < events.len() {
+        match client.next_push().expect("a PUSH frame the client accepts") {
+            Frame::Push {
+                id,
+                epoch,
+                rows: got,
+            } => {
+                assert_eq!(
+                    (id, epoch),
+                    (sub, 0),
+                    "every frame carries the delta's epoch"
+                );
+                assert!(!got.is_empty(), "no empty PUSH frames");
+                rows.extend(got);
+                frames += 1;
+            }
+            other => panic!("a split is not a drop: {other:?}"),
+        }
+    }
+    assert!(frames > 1, "the delta spans consecutive frames");
+    let want: Vec<_> = events
+        .iter()
+        .map(|e| (e.tag, e.epoch, e.location))
+        .collect();
+    let got: Vec<_> = rows.iter().map(|r| (r.tag, r.epoch, r.location)).collect();
+    assert!(
+        got == want,
+        "the frames' rows, concatenated, are the committed delta"
+    );
+    assert_eq!(handle.hub().dropped_rows(), 0);
+    // the same connection keeps serving
+    let rows = client
+        .query(&Query::CurrentLocation(TagId(7)))
+        .expect("query after the split delta")
         .into_rows()
         .expect("rows");
     assert_eq!(rows.len(), 1);
