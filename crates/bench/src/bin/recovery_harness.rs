@@ -83,7 +83,6 @@ fn main() -> ExitCode {
             let opts = DurableRunOpts {
                 checkpoint_every,
                 abort_on_fault: true,
-                ..DurableRunOpts::default()
             };
             match run(&sc, &cfg, &dir, &opts, plan) {
                 Ok(()) => ExitCode::SUCCESS,

@@ -20,7 +20,6 @@
 //!   log/                rfid_serve segment log
 //!     MANIFEST
 //!     segment-*.log
-//!     archive/          (only with a retention window)
 //! ```
 //!
 //! Checkpoint protocol: every `checkpoint_every` epochs the log is
@@ -95,10 +94,6 @@ pub struct DurableRunOpts {
     /// Checkpoint cadence in epochs (a checkpoint lands at every epoch
     /// that is a positive multiple of this).
     pub checkpoint_every: u64,
-    /// Event-store configuration. Digest equality against an
-    /// uninterrupted run requires unbounded retention (the default) —
-    /// a retention window archives events out of the digest.
-    pub store: StoreConfig,
     /// `true`: epoch-triggered fault plans `std::process::abort()` at
     /// the crash point (the child-harness behavior). `false`: the run
     /// returns with [`RunOutcome::completed`] = `false` instead, for
@@ -111,7 +106,6 @@ impl Default for DurableRunOpts {
     fn default() -> Self {
         DurableRunOpts {
             checkpoint_every: 25,
-            store: StoreConfig::default(),
             abort_on_fault: false,
         }
     }
@@ -190,7 +184,7 @@ pub fn run_fresh(
     plan: Option<FaultPlan>,
 ) -> Result<RunOutcome, HarnessError> {
     std::fs::create_dir_all(dir)?;
-    let mut durable = DurableStore::open(&log_dir(dir), opts.store)?;
+    let mut durable = DurableStore::open(&log_dir(dir), StoreConfig::default())?;
     let mut engine = build_engine(sc, cfg);
     drive(&mut engine, sc, None, &mut durable, dir, opts, plan)
 }
@@ -210,7 +204,7 @@ pub fn resume(
 
     // 1. Open the log (this alone repairs torn tails and rebuilds a
     //    missing manifest) and learn the last durable epoch.
-    let mut log = SegmentLog::open(&log_dir(dir), opts.store.segment_epochs)?;
+    let mut log = SegmentLog::open(&log_dir(dir), StoreConfig::default().segment_epochs)?;
     let last_durable = log.last_completed();
     let log_recovery = log.recovery();
 
@@ -251,7 +245,7 @@ pub fn resume(
 
     // 4. Rebuild the store by replay and the engine from the
     //    checkpoint.
-    let mut durable = DurableStore::open(&log_dir(dir), opts.store)?;
+    let mut durable = DurableStore::open(&log_dir(dir), StoreConfig::default())?;
     let replayed_events = durable.store().events().count();
     let mut engine = build_engine(sc, cfg);
     if let Some((epoch, path)) = &pick {

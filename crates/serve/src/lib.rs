@@ -11,9 +11,9 @@
 //!  (writer, live ingestion)    (per-subscription queues)     per connection)
 //! ```
 //!
-//! * [`store::EventStore`] — a segmented in-memory log of the event
-//!   stream with a per-epoch snapshot index, configurable retention +
-//!   compaction, per-tag trail lookup, and epoch-delta snapshots;
+//! * [`store::EventStore`] — a segmented in-memory log of the whole
+//!   event stream with a per-epoch snapshot index, per-tag trail
+//!   lookup, and epoch-delta snapshots;
 //! * [`Query`] / [`Frame`] — the query kinds, the length-prefixed
 //!   text wire protocol (every connection opens with `HELLO`, then
 //!   request-id envelopes with `SUBSCRIBE` push frames and `TELEMETRY`

@@ -6,9 +6,8 @@
 //! A log directory holds:
 //!
 //! ```text
-//! MANIFEST                    committed segment boundaries (atomic)
-//! segment-<start>.log         live segments (zero-padded start epoch)
-//! archive/segment-<start>.log segments compacted out of the store
+//! MANIFEST             committed segment boundaries (atomic)
+//! segment-<start>.log  segments (zero-padded start epoch)
 //! ```
 //!
 //! Each segment file is an append-only run of records framed as
@@ -38,15 +37,10 @@
 //! files (ordering by their start epoch) and re-commits the manifest.
 //! A crash mid-record leaves a torn tail; open truncates the tail file
 //! back to its last whole record. A missing manifest is rebuilt from
-//! the segment files themselves.
-//!
-//! ## Archival, not loss
-//!
-//! When the in-memory store's retention compaction drops a sealed
-//! segment, [`DurableStore`] moves the matching file into `archive/`
-//! instead of deleting it — the live store stays bounded while the
-//! full history remains on disk (and is replayed at open to rebuild
-//! the compacted snapshot base exactly).
+//! the segment files themselves. A manifest line the log does not know
+//! (such as the `archived` line of a log whose store compacted) is
+//! [`LogError::Corrupt`]: the log never opens with part of its history
+//! missing.
 
 use crate::store::{ArrivalClock, EventStore, StoreConfig};
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
@@ -59,7 +53,6 @@ use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 const MANIFEST: &str = "MANIFEST";
-const ARCHIVE_DIR: &str = "archive";
 const MANIFEST_MAGIC: &str = "RFLOG 1";
 
 const KIND_EVENT: u8 = 0x01;
@@ -284,7 +277,6 @@ pub struct SegmentLog {
     dir: PathBuf,
     width: u64,
     sealed: Vec<SegFile>,
-    archived: Vec<SegFile>,
     tail: Option<Tail>,
     /// The store's arrival clock, rebuilt from the records at open.
     clock: ArrivalClock,
@@ -302,12 +294,10 @@ impl SegmentLog {
     pub fn open(dir: &Path, width: u64) -> Result<Self, LogError> {
         assert!(width >= 1, "segment width must be >= 1 epoch");
         fs::create_dir_all(dir)?;
-        fs::create_dir_all(dir.join(ARCHIVE_DIR))?;
         let mut log = Self {
             dir: dir.to_path_buf(),
             width,
             sealed: Vec::new(),
-            archived: Vec::new(),
             tail: None,
             clock: ArrivalClock::default(),
             finished: false,
@@ -317,7 +307,7 @@ impl SegmentLog {
         };
         let committed = log.read_manifest()?;
         log.adopt_files(committed)?;
-        // replay the retained records to rebuild the clock
+        // replay the records to rebuild the clock
         let mut clock = ArrivalClock::default();
         let mut finished = false;
         log.replay(|record| {
@@ -367,7 +357,7 @@ impl SegmentLog {
                         )));
                     }
                 }
-                Some("sealed") | Some("archived") => {
+                Some("sealed") => {
                     let mut num = || -> Result<u64, LogError> {
                         parts
                             .next()
@@ -388,7 +378,7 @@ impl SegmentLog {
     }
 
     /// Scans the directory, validating every segment file against the
-    /// committed list and classifying it sealed / tail / archived.
+    /// committed list and classifying it sealed or tail.
     fn adopt_files(&mut self, committed: Option<Vec<(u64, u64)>>) -> Result<(), LogError> {
         let rebuilt = committed.is_none();
         let committed = committed.unwrap_or_default();
@@ -400,31 +390,11 @@ impl SegmentLog {
             }
         }
         live.sort_unstable();
-        let mut archived: Vec<u64> = Vec::new();
-        for entry in fs::read_dir(self.dir.join(ARCHIVE_DIR))? {
-            let entry = entry?;
-            if let Some(start) = parse_segment_start(&entry.file_name().to_string_lossy()) {
-                archived.push(start);
-            }
-        }
-        archived.sort_unstable();
-        for start in archived {
-            self.archived.push(SegFile {
-                start,
-                end: start + (self.width - 1),
-                path: self.dir.join(ARCHIVE_DIR).join(segment_file_name(start)),
-            });
-        }
         // a committed file must exist and decode in full
         let committed_starts: Vec<u64> = committed.iter().map(|(s, _)| *s).collect();
         for &(start, end) in &committed {
             let path = self.dir.join(segment_file_name(start));
             if !path.exists() {
-                // compaction may have archived it after the manifest
-                // was last written; accept the archive copy
-                if self.archived.iter().any(|a| a.start == start) {
-                    continue;
-                }
                 return Err(LogError::Corrupt(format!(
                     "manifest lists segment {start} but no file exists"
                 )));
@@ -515,7 +485,7 @@ impl SegmentLog {
         self.finished
     }
 
-    /// Number of live (unarchived) sealed segments plus the tail.
+    /// Number of sealed segments plus the tail.
     pub fn live_segments(&self) -> usize {
         self.sealed.len() + usize::from(self.tail.is_some())
     }
@@ -583,9 +553,6 @@ impl SegmentLog {
         for s in &self.sealed {
             text.push_str(&format!("sealed {} {}\n", s.start, s.end));
         }
-        for s in &self.archived {
-            text.push_str(&format!("archived {} {}\n", s.start, s.end));
-        }
         atomic_write(&self.dir.join(MANIFEST), text.as_bytes())?;
         Ok(())
     }
@@ -625,15 +592,12 @@ impl SegmentLog {
         Ok(())
     }
 
-    /// Replays every retained record — archived segments first, then
-    /// live ones, in epoch order — through `visit`.
+    /// Replays every record, segment by segment in epoch order,
+    /// through `visit`.
     pub fn replay(
         &self,
         mut visit: impl FnMut(LogRecord) -> Result<(), LogError>,
     ) -> Result<(), LogError> {
-        let mut files: Vec<&SegFile> = self.archived.iter().collect();
-        files.extend(self.sealed.iter());
-        files.sort_by_key(|s| s.start);
         let mut buf = Vec::new();
         let mut replay_file = |seg: &SegFile, buf: &mut Vec<u8>| -> Result<(), LogError> {
             buf.clear();
@@ -655,42 +619,11 @@ impl SegmentLog {
                 }
             }
         };
-        for seg in files {
+        for seg in &self.sealed {
             replay_file(seg, &mut buf)?;
         }
         if let Some(tail) = &self.tail {
             replay_file(&tail.seg, &mut buf)?;
-        }
-        Ok(())
-    }
-
-    /// Moves sealed segments whose range ends at or before `horizon`
-    /// into `archive/` — the durable mirror of the store's retention
-    /// compaction. Archived data stays replayable; nothing is deleted.
-    pub(crate) fn archive_up_to(&mut self, horizon: u64) -> Result<(), LogError> {
-        let mut moved = false;
-        let mut keep = Vec::with_capacity(self.sealed.len());
-        for seg in std::mem::take(&mut self.sealed) {
-            if seg.end <= horizon {
-                let dest = self
-                    .dir
-                    .join(ARCHIVE_DIR)
-                    .join(segment_file_name(seg.start));
-                fs::rename(&seg.path, &dest)?;
-                self.archived.push(SegFile {
-                    start: seg.start,
-                    end: seg.end,
-                    path: dest,
-                });
-                moved = true;
-            } else {
-                keep.push(seg);
-            }
-        }
-        self.sealed = keep;
-        if moved {
-            self.archived.sort_by_key(|s| s.start);
-            self.commit_manifest()?;
         }
         Ok(())
     }
@@ -754,8 +687,8 @@ impl SegmentLog {
 
 /// An [`EventStore`] whose sink calls are journaled to a
 /// [`SegmentLog`] before being applied — open it again after a crash
-/// and the store state (arrival stamps, sequence numbers, compacted
-/// base and all) is rebuilt exactly by replay.
+/// and the store state (arrival stamps and sequence numbers included)
+/// is rebuilt exactly by replay.
 #[derive(Debug)]
 pub struct DurableStore {
     store: EventStore,
@@ -779,9 +712,7 @@ impl DurableStore {
             }
             Ok(())
         })?;
-        let mut durable = Self { store, log };
-        durable.archive_compacted()?;
-        Ok(durable)
+        Ok(Self { store, log })
     }
 
     /// The in-memory store (all queries go through it).
@@ -806,32 +737,23 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Journals and applies an epoch completion; archives any segment
-    /// files the store's compaction just dropped.
+    /// Journals and applies an epoch completion.
     pub fn complete_epoch(&mut self, epoch: Epoch) -> Result<(), LogError> {
         self.log.complete_epoch(epoch)?;
         self.store.complete_epoch(epoch);
-        self.archive_compacted()
+        Ok(())
     }
 
     /// Journals and applies end-of-stream.
     pub fn finish(&mut self) -> Result<(), LogError> {
         self.log.finish()?;
         self.store.finish();
-        self.archive_compacted()
+        Ok(())
     }
 
     /// Durability barrier: fsync the log tail.
     pub fn sync(&mut self) -> io::Result<()> {
         self.log.sync()
-    }
-
-    fn archive_compacted(&mut self) -> Result<(), LogError> {
-        let horizon = self.store.retention_horizon();
-        if horizon > 0 {
-            self.log.archive_up_to(horizon)?;
-        }
-        Ok(())
     }
 }
 
@@ -1116,33 +1038,21 @@ mod tests {
     }
 
     #[test]
-    fn retention_archives_instead_of_deleting() {
-        let dir = temp_dir("archive");
-        let cfg = StoreConfig::default()
-            .with_segment_epochs(4)
-            .with_retention(8);
+    fn a_manifest_with_an_archived_line_is_refused() {
+        let dir = temp_dir("archived");
+        let cfg = StoreConfig::default().with_segment_epochs(4);
         let mut d = DurableStore::open(&dir, cfg).unwrap();
-        feed(&mut d, 40);
-        d.finish().unwrap();
-        assert!(d.store().stats().events_compacted > 0);
-        assert!(
-            fs::read_dir(dir.join(ARCHIVE_DIR)).unwrap().count() > 0,
-            "files moved, not deleted"
-        );
-        let want = stored_rows(d.store());
-        let horizon = d.store().retention_horizon();
-        let snap_at_horizon = d.store().snapshot_at(Epoch(horizon)).unwrap();
+        feed(&mut d, 17);
         drop(d);
+        // the line a compacting store wrote for a segment it moved out
+        let mut manifest = fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        manifest.push_str("archived 0 3\n");
+        fs::write(dir.join(MANIFEST), manifest).unwrap();
 
-        // reopen: archived segments replay too, so the compacted base
-        // (and with it snapshot-at-horizon) is rebuilt exactly
-        let d2 = DurableStore::open(&dir, cfg).unwrap();
-        assert_eq!(stored_rows(d2.store()), want);
-        assert_eq!(d2.store().retention_horizon(), horizon);
-        assert_eq!(
-            d2.store().snapshot_at(Epoch(horizon)).unwrap(),
-            snap_at_horizon
-        );
+        match DurableStore::open(&dir, cfg) {
+            Err(LogError::Corrupt(what)) => assert!(what.contains("archived"), "{what}"),
+            other => panic!("opened a log with part of its history missing: {other:?}"),
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,7 +6,7 @@
 //! what is inside this shelf region — plus a push kind:
 //!
 //! * [`Query::CurrentLocation`] — latest known location of one tag;
-//! * [`Query::Trail`] — a tag's retained events over an epoch range;
+//! * [`Query::Trail`] — a tag's events over an epoch range;
 //! * [`Query::SnapshotAt`] — the latest-location relation as known
 //!   when an epoch completed;
 //! * [`Query::SnapshotDelta`] — the same relation restricted to rows
@@ -75,9 +75,9 @@
 //! ## Error codes
 //!
 //! `ERR` frames carry a machine-readable [`ErrorCode`] token that
-//! round-trips the wire, mapping [`StoreError`] variants one-to-one
-//! (plus request-level codes). An `ERR` whose code token is unknown is
-//! a malformed frame (`BAD_REQUEST`), like any other.
+//! round-trips the wire. Every code is request-level: the store answers
+//! every query it is asked. An `ERR` whose code token is unknown is a
+//! malformed frame (`BAD_REQUEST`), like any other.
 //!
 //! Floats are formatted with Rust's shortest round-trip `Display`, so
 //! a parsed response reproduces the server's `f64`s **bit-for-bit** —
@@ -85,7 +85,7 @@
 //!
 //! [`LocationChangeSink`]: rfid_stream::pipeline::sinks::LocationChangeSink
 
-use crate::store::{EventStore, LocationRow, StoreError};
+use crate::store::{EventStore, LocationRow};
 use rfid_geom::Point3;
 use rfid_stream::pipeline::sinks::LocationUpdate;
 use rfid_stream::{Epoch, TagId};
@@ -107,9 +107,6 @@ pub enum ErrorCode {
     UnknownVerb,
     /// Any frame before `HELLO`, or a `HELLO` below 2.
     UnsupportedVersion,
-    /// [`StoreError::BeyondRetention`]: the epoch precedes the
-    /// retention horizon.
-    BeyondRetention,
     /// `UNSUBSCRIBE` named a subscription this connection does not own.
     UnknownSubscription,
     /// The server is at its connection limit
@@ -125,7 +122,6 @@ impl ErrorCode {
             ErrorCode::BadRequest => "BAD_REQUEST",
             ErrorCode::UnknownVerb => "UNKNOWN_VERB",
             ErrorCode::UnsupportedVersion => "UNSUPPORTED_VERSION",
-            ErrorCode::BeyondRetention => "BEYOND_RETENTION",
             ErrorCode::UnknownSubscription => "UNKNOWN_SUBSCRIPTION",
             ErrorCode::Overloaded => "OVERLOADED",
         }
@@ -137,7 +133,6 @@ impl ErrorCode {
             "BAD_REQUEST" => ErrorCode::BadRequest,
             "UNKNOWN_VERB" => ErrorCode::UnknownVerb,
             "UNSUPPORTED_VERSION" => ErrorCode::UnsupportedVersion,
-            "BEYOND_RETENTION" => ErrorCode::BeyondRetention,
             "UNKNOWN_SUBSCRIPTION" => ErrorCode::UnknownSubscription,
             "OVERLOADED" => ErrorCode::Overloaded,
             _ => return None,
@@ -196,16 +191,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<StoreError> for WireError {
-    fn from(e: StoreError) -> Self {
-        match e {
-            StoreError::BeyondRetention { .. } => {
-                WireError::new(ErrorCode::BeyondRetention, e.to_string())
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // queries, subscriptions, request envelopes
 // ---------------------------------------------------------------------
@@ -215,7 +200,7 @@ impl From<StoreError> for WireError {
 pub enum Query {
     /// Latest known location of a tag (0 or 1 row).
     CurrentLocation(TagId),
-    /// A tag's retained events with event epoch in `[from, to]`.
+    /// A tag's events with event epoch in `[from, to]`.
     Trail { tag: TagId, from: Epoch, to: Epoch },
     /// The latest-location relation as known when `epoch` completed.
     SnapshotAt(Epoch),
@@ -595,7 +580,8 @@ pub enum QueryResponse {
     /// Matched rows (possibly empty), sorted as the store answers
     /// them: snapshot/containment by tag, trail in arrival order.
     Rows(Vec<LocationRow>),
-    /// The query could not be answered.
+    /// The request was refused (a frame's `ERR`; [`answer`] never
+    /// returns it).
     Error(WireError),
 }
 
@@ -797,20 +783,20 @@ impl Frame {
 // ---------------------------------------------------------------------
 
 /// Answers a pull query against a store — the single evaluation path
-/// shared by the TCP server and in-process callers.
+/// shared by the TCP server and in-process callers. Always
+/// [`QueryResponse::Rows`].
 pub fn answer(store: &EventStore, query: &Query) -> QueryResponse {
-    let result = match *query {
-        Query::CurrentLocation(tag) => Ok(store.current_location(tag).into_iter().collect()),
-        Query::Trail { tag, from, to } => store.trail(tag, from, to).map(|events| {
-            events
-                .into_iter()
-                .map(|s| LocationRow {
-                    tag: s.event.tag,
-                    epoch: s.event.epoch,
-                    location: s.event.location,
-                })
-                .collect()
-        }),
+    QueryResponse::Rows(match *query {
+        Query::CurrentLocation(tag) => store.current_location(tag).into_iter().collect(),
+        Query::Trail { tag, from, to } => store
+            .trail(tag, from, to)
+            .into_iter()
+            .map(|s| LocationRow {
+                tag: s.event.tag,
+                epoch: s.event.epoch,
+                location: s.event.location,
+            })
+            .collect(),
         Query::SnapshotAt(epoch) => store.snapshot_at(epoch),
         Query::SnapshotDelta { at, since } => store.snapshot_delta(at, since),
         Query::Containment {
@@ -820,11 +806,7 @@ pub fn answer(store: &EventStore, query: &Query) -> QueryResponse {
             y1,
             epoch,
         } => store.containment_at(x0, y0, x1, y1, epoch),
-    };
-    match result {
-        Ok(rows) => QueryResponse::Rows(rows),
-        Err(e) => QueryResponse::Error(e.into()),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -993,29 +975,31 @@ mod tests {
 
     #[test]
     fn error_codes_round_trip() {
-        let err = QueryResponse::Error(WireError::new(
-            ErrorCode::BeyondRetention,
-            "epoch 3 is beyond the retention horizon (oldest exact snapshot: 8)",
-        ));
-        let encoded = err.encode();
-        assert!(encoded.starts_with("ERR BEYOND_RETENTION "), "{encoded}");
-        assert_eq!(QueryResponse::parse(&encoded).unwrap(), err);
+        for code in [
+            ErrorCode::BadRequest,
+            ErrorCode::UnknownVerb,
+            ErrorCode::UnsupportedVersion,
+            ErrorCode::UnknownSubscription,
+            ErrorCode::Overloaded,
+        ] {
+            let err = QueryResponse::Error(WireError::new(code, "what went wrong"));
+            let encoded = err.encode();
+            assert!(encoded.starts_with(&format!("ERR {code} ")), "{encoded}");
+            assert_eq!(QueryResponse::parse(&encoded).unwrap(), err);
+        }
 
-        // an ERR without a known code token is malformed, not a message
-        for bad in ["ERR something went wrong", "ERR UNKNOWN oops"] {
+        // an ERR without a known code token is malformed, not a message;
+        // a retired token is as unknown as any other
+        for bad in [
+            "ERR something went wrong",
+            "ERR UNKNOWN oops",
+            "ERR BEYOND_RETENTION epoch 3 is beyond 8",
+        ] {
             let got = QueryResponse::parse(bad).expect_err(bad);
             assert_eq!(got.code, ErrorCode::BadRequest, "{bad:?}");
         }
         let got = Frame::parse("ERR 3 something went wrong").unwrap_err();
         assert_eq!(got.code, ErrorCode::BadRequest);
-
-        // StoreError maps one-to-one
-        let mapped: WireError = StoreError::BeyondRetention {
-            requested: 3,
-            horizon: 8,
-        }
-        .into();
-        assert_eq!(mapped.code, ErrorCode::BeyondRetention);
     }
 
     #[test]
@@ -1230,13 +1214,6 @@ mod tests {
             ),
             (
                 Frame::Err {
-                    id: 10,
-                    error: error(ErrorCode::BeyondRetention, "epoch 3 is beyond 8"),
-                },
-                "ERR 10 BEYOND_RETENTION epoch 3 is beyond 8".to_string(),
-            ),
-            (
-                Frame::Err {
                     id: 11,
                     error: error(ErrorCode::UnknownSubscription, "no subscription 999"),
                 },
@@ -1354,8 +1331,8 @@ mod tests {
                 format!("OK 3{AWKWARD_ROWS}"),
             ),
             (
-                QueryResponse::Error(error(ErrorCode::BeyondRetention, "epoch 3 is beyond 8")),
-                "ERR BEYOND_RETENTION epoch 3 is beyond 8".to_string(),
+                QueryResponse::Error(error(ErrorCode::BadRequest, "CURRENT: missing tag")),
+                "ERR BAD_REQUEST CURRENT: missing tag".to_string(),
             ),
         ];
         for (response, text) in &responses {

@@ -125,39 +125,6 @@ fn unknown_verb_is_a_typed_err_not_a_disconnect() {
 }
 
 #[test]
-fn typed_errors_round_trip_store_failures() {
-    // a store with bounded retention refuses pre-horizon snapshots
-    let mut store = EventStore::new(
-        StoreConfig::default()
-            .with_segment_epochs(4)
-            .with_retention(8),
-    );
-    for e in 0..40u64 {
-        store.push(&LocationEvent::new(
-            Epoch(e),
-            TagId(1),
-            Point3::new(1.0, 1.0, 0.0),
-        ));
-        store.complete_epoch(Epoch(e));
-    }
-    let horizon = store.retention_horizon();
-    assert!(horizon > 0);
-    let handle = serve("127.0.0.1:0", Arc::new(RwLock::new(store))).expect("bind");
-    let mut client = v2_client(handle.addr());
-    let resp = client
-        .query(&Query::SnapshotAt(Epoch(horizon - 1)))
-        .unwrap();
-    let err = resp.error().expect("beyond retention must be an error");
-    assert_eq!(err.code, rfid_serve::ErrorCode::BeyondRetention);
-    assert!(
-        err.message.contains("retention"),
-        "message: {}",
-        err.message
-    );
-    handle.shutdown();
-}
-
-#[test]
 fn push_and_pull_interleave_on_one_connection() {
     let store = Arc::new(RwLock::new(seeded_store(4, 4)));
     let hub = SubscriptionHub::new(HubConfig::default());

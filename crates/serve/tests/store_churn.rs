@@ -5,7 +5,7 @@
 //! The contract: with a finite `snapshot_staleness`, a departed tag
 //! must drop out of `SnapshotAt` for epochs sufficiently far past its
 //! last event, while staying **fully answerable** via `Trail` (and
-//! `CurrentLocation`) within retention. Without staleness, the store
+//! `CurrentLocation`). Without staleness, the store
 //! reports last-known-location forever — the `SnapshotSink`-identical
 //! default that the pin tests rely on.
 
@@ -55,14 +55,14 @@ fn departed_tags_age_out_of_snapshots_but_keep_their_trails() {
         let last_event: Vec<u64> = DEPARTED
             .iter()
             .map(|&tag| {
-                let trail = probe.trail(tag, Epoch(0), Epoch(u64::MAX)).unwrap();
+                let trail = probe.trail(tag, Epoch(0), Epoch(u64::MAX));
                 assert!(!trail.is_empty(), "{tag} must have pre-departure events");
                 trail.last().unwrap().event.epoch.0
             })
             .collect();
         let full_trails: Vec<usize> = DEPARTED
             .iter()
-            .map(|&tag| probe.trail(tag, Epoch(0), Epoch(u64::MAX)).unwrap().len())
+            .map(|&tag| probe.trail(tag, Epoch(0), Epoch(u64::MAX)).len())
             .collect();
         (final_epoch, last_event, full_trails)
     };
@@ -74,22 +74,18 @@ fn departed_tags_age_out_of_snapshots_but_keep_their_trails() {
     );
     let staleness = (gap / 2).max(1);
 
-    // pass 2: same trace, staleness configured, retention covering the
-    // whole trace (so "within retention" is the full history here)
+    // pass 2: same trace, staleness configured
     let store = ingest_churn(
         StoreConfig::default()
             .with_segment_epochs(32)
-            .with_snapshot_staleness(staleness)
-            .with_retention(final_epoch + 64),
+            .with_snapshot_staleness(staleness),
     );
     let store = store.read().unwrap();
-    assert_eq!(store.stats().events_compacted, 0, "retention covers all");
 
     for (i, &tag) in DEPARTED.iter().enumerate() {
         // while its events are fresh, the tag is in the snapshot…
         let fresh: Vec<TagId> = store
             .snapshot_at(Epoch(last_event[i]))
-            .unwrap()
             .iter()
             .map(|r| r.tag)
             .collect();
@@ -97,7 +93,6 @@ fn departed_tags_age_out_of_snapshots_but_keep_their_trails() {
         // …for later epochs it has dropped out…
         let late: Vec<TagId> = store
             .snapshot_at(Epoch(final_epoch))
-            .unwrap()
             .iter()
             .map(|r| r.tag)
             .collect();
@@ -106,8 +101,8 @@ fn departed_tags_age_out_of_snapshots_but_keep_their_trails() {
             "{tag} departed at epoch {} but still in the epoch-{final_epoch} snapshot",
             last_event[i]
         );
-        // …while its full trail stays answerable within retention
-        let trail = store.trail(tag, Epoch(0), Epoch(u64::MAX)).unwrap();
+        // …while its full trail stays answerable
+        let trail = store.trail(tag, Epoch(0), Epoch(u64::MAX));
         assert_eq!(trail.len(), full_trails[i], "{tag} trail truncated");
         assert_eq!(trail.last().unwrap().event.epoch.0, last_event[i]);
         // and CurrentLocation still reports the last known fix
@@ -117,7 +112,7 @@ fn departed_tags_age_out_of_snapshots_but_keep_their_trails() {
 
     // live tags (the engine keeps reporting them) stay in the final
     // snapshot — staleness must not age out the whole relation
-    let late = store.snapshot_at(Epoch(final_epoch)).unwrap();
+    let late = store.snapshot_at(Epoch(final_epoch));
     assert!(
         !late.is_empty(),
         "live tags must survive the staleness filter"
