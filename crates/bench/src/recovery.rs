@@ -164,7 +164,7 @@ pub fn reference_digest(sc: &Scenario, cfg: &FilterConfig) -> u64 {
     event_digest(&run_engine(&mut engine, &sc.trace.epoch_batches()))
 }
 
-/// Digest over a store's retained events in sequence order.
+/// Digest over a store's events in sequence order.
 pub fn store_digest(store: &EventStore) -> u64 {
     let events: Vec<LocationEvent> = store.events().map(|s| s.event).collect();
     event_digest(&events)
