@@ -502,7 +502,10 @@ impl SegmentLog {
             self.seal_tail()?;
         }
         if self.tail.is_none() {
-            let start = (slot / self.width) * self.width;
+            // a repeated completion can land in a span already sealed:
+            // it opens the next file rather than reopen a sealed one
+            let after_sealed = self.sealed.last().map_or(0, |s| s.end + 1);
+            let start = ((slot / self.width) * self.width).max(after_sealed);
             let path = self.dir.join(segment_file_name(start));
             let file = OpenOptions::new().create(true).append(true).open(&path)?;
             self.tail = Some(Tail {
