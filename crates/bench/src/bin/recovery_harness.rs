@@ -11,8 +11,8 @@
 //! `run` starts fresh when `<dir>` holds no log and otherwise recovers
 //! and resumes — so repeating the same command after a crash *is* the
 //! restart. On completion it prints one parseable line per fact (a
-//! restart that repaired the log adds `truncated-bytes <n>`,
-//! `adopted-segments <n>` or `rebuilt-manifest` before the digest):
+//! restart that truncated a torn log tail adds `truncated-bytes <n>`
+//! before the digest):
 //!
 //! ```text
 //! resumed-from <epoch|none>
@@ -130,12 +130,6 @@ fn run(
         println!("replayed-events {replayed_events}");
         if log_recovery.truncated_bytes > 0 {
             println!("truncated-bytes {}", log_recovery.truncated_bytes);
-        }
-        if log_recovery.adopted_segments > 0 {
-            println!("adopted-segments {}", log_recovery.adopted_segments);
-        }
-        if log_recovery.rebuilt_manifest {
-            println!("rebuilt-manifest");
         }
         println!("digest {:016x}", run.digest);
     }

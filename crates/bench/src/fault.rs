@@ -8,15 +8,16 @@
 //! | encoding   | meaning                                                        |
 //! |------------|----------------------------------------------------------------|
 //! | `kill:E`   | abort right after epoch `E` is durably complete                |
-//! | `bytes:N`  | abort before the log write that would cross byte `N`           |
-//! | `torn:N`   | write a *partial* record across byte `N`, then abort           |
+//! | `bytes:N`  | abort before the log write that would cross record byte `N`    |
+//! | `torn:N`   | write a *partial* record across record byte `N`, then abort    |
 //! | `ckpt:E`   | crash mid-checkpoint-rotation at epoch `E` (old checkpoint     |
 //! |            | already demoted, new one never written)                        |
 //!
 //! `kill` and `ckpt` are driven by the run loop in
 //! [`crate::recovery`]; `bytes` and `torn` arm a
-//! [`rfid_serve::WriteFault`] inside the segment log itself, so the
-//! abort happens in the middle of the durability layer's own I/O.
+//! [`rfid_serve::WriteFault`] inside the write-ahead log itself, so the
+//! abort happens in the middle of the durability layer's own I/O. Record
+//! bytes count every record this process has written to the log.
 
 use std::fmt;
 use std::str::FromStr;
@@ -27,10 +28,10 @@ pub enum FaultPlan {
     /// Abort immediately after `complete_epoch(E)` + fsync. The log is
     /// consistent and ends exactly at `E`; recovery must lose nothing.
     KillAtEpoch(u64),
-    /// Abort before the record write whose bytes would cross offset
-    /// `N` within the current segment file (clean record boundary).
+    /// Abort before the record write that would take the record bytes
+    /// this process has written past `N` (clean record boundary).
     KillAfterBytes(u64),
-    /// Write a partial record across offset `N`, fsync the garbage,
+    /// Write a partial record across record byte `N`, fsync the garbage,
     /// then abort — the classic torn tail recovery must truncate.
     TornWrite(u64),
     /// At checkpoint epoch `E`: demote `engine.ckpt` to
@@ -41,7 +42,7 @@ pub enum FaultPlan {
 }
 
 impl FaultPlan {
-    /// The [`rfid_serve::WriteFault`] to arm on the segment log, if
+    /// The [`rfid_serve::WriteFault`] to arm on the log, if
     /// this plan is byte-triggered.
     pub(crate) fn write_fault(&self) -> Option<rfid_serve::WriteFault> {
         match self {

@@ -17,9 +17,8 @@
 //! <dir>/
 //!   engine.ckpt         newest engine checkpoint (atomic rename)
 //!   engine.prev.ckpt    the one before it (rotation fallback)
-//!   log/                rfid_serve segment log
-//!     MANIFEST
-//!     segment-*.log
+//!   log/                rfid_serve write-ahead log
+//!     wal.log
 //! ```
 //!
 //! Checkpoint protocol: every `checkpoint_every` epochs the log is
@@ -136,8 +135,7 @@ pub struct ResumeOutcome {
     pub resumed_from: Option<u64>,
     /// Last epoch the log durably held at recovery time.
     pub last_durable_epoch: Option<u64>,
-    /// What the segment log had to repair on open (torn tails,
-    /// adopted segments, rebuilt manifest).
+    /// What the log had to repair on open (a torn tail).
     pub log_recovery: Recovery,
     /// Events rebuilt into the store by log replay.
     pub replayed_events: usize,
@@ -202,8 +200,8 @@ pub fn resume(
 ) -> Result<ResumeOutcome, HarnessError> {
     let t0 = Instant::now();
 
-    // 1. Open the log (this alone repairs torn tails and rebuilds a
-    //    missing manifest) and learn the last durable epoch.
+    // 1. Open the log (this alone truncates a torn tail) and learn the
+    //    last durable epoch.
     let mut log = SegmentLog::open(&log_dir(dir), StoreConfig::default().segment_epochs)?;
     let last_durable = log.last_completed();
     let log_recovery = log.recovery();

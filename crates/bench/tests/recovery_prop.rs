@@ -1,7 +1,7 @@
 //! Property sweep over crash points: stop a durable run at a random
 //! epoch (simulated in-process kill), optionally mangle the on-disk
 //! state the way a real crash or a rotting disk can (torn tail bytes,
-//! missing manifest, a flipped bit in the checkpoint's epoch), and
+//! a deleted log, a flipped bit in the checkpoint's epoch), and
 //! recovery must still replay to the **bit-identical** event stream of
 //! an uninterrupted run.
 //!
@@ -47,12 +47,12 @@ fn tiny_golden() -> u64 {
 enum Mangle {
     /// Nothing — the clean-kill case.
     None,
-    /// Chop this many bytes off the newest live segment file (a torn
-    /// final write the durability layer never acknowledged).
+    /// Chop this many bytes off the log (a torn final write the
+    /// durability layer never acknowledged).
     TornTail(u64),
-    /// Delete the manifest (crash before the very first commit, or
-    /// operator damage); open must rebuild it from the files.
-    MissingManifest,
+    /// Delete the log file (operator damage): no checkpoint is covered
+    /// any more, so recovery must re-run from the first batch.
+    LogDeleted,
     /// Flip this bit of the newest checkpoint's header epoch (bytes
     /// 20..28), when there is a checkpoint; the checksum must refuse
     /// it and recovery fall back to the rotated one or a full replay.
@@ -62,7 +62,7 @@ enum Mangle {
 /// Mangles the crashed run directory; returns the epoch a flipped
 /// checkpoint header now claims.
 fn apply(mangle: Mangle, dir: &Path) -> Option<u64> {
-    let log = dir.join(LOG_SUBDIR);
+    let wal = dir.join(LOG_SUBDIR).join("wal.log");
     match mangle {
         Mangle::None => {}
         Mangle::FlippedEpoch(bit) => {
@@ -76,29 +76,16 @@ fn apply(mangle: Mangle, dir: &Path) -> Option<u64> {
             return Some(flipped);
         }
         Mangle::TornTail(chop) => {
-            // newest live segment = lexically greatest segment-*.log
-            // (names are zero-padded)
-            let newest = std::fs::read_dir(&log)
-                .expect("log dir")
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("segment-") && n.ends_with(".log"))
-                })
-                .max()
-                .expect("at least one segment file");
-            let len = std::fs::metadata(&newest).expect("stat").len();
+            let len = std::fs::metadata(&wal).expect("stat").len();
             let keep = len.saturating_sub(chop).max(1);
             let f = std::fs::OpenOptions::new()
                 .write(true)
-                .open(&newest)
-                .expect("open segment");
+                .open(&wal)
+                .expect("open the log");
             f.set_len(keep).expect("chop tail");
         }
-        Mangle::MissingManifest => {
-            std::fs::remove_file(log.join("MANIFEST")).expect("remove manifest");
+        Mangle::LogDeleted => {
+            std::fs::remove_file(&wal).expect("remove the log");
         }
     }
     None
@@ -107,13 +94,13 @@ fn apply(mangle: Mangle, dir: &Path) -> Option<u64> {
 /// Maps two drawn integers onto a [`Mangle`] (the vendored proptest
 /// shim has no `prop_oneof`): 0–1 → clean kill, 2–3 → torn tail of
 /// `1 + chop` bytes (up to ~40 reaches into the epoch-complete mark
-/// and often the record before it), 4 → missing manifest, 5 → one of
+/// and often the record before it), 4 → deleted log, 5 → one of
 /// the epoch's four low bits flipped.
 fn pick_mangle(sel: u64, chop: u64) -> Mangle {
     match sel {
         0 | 1 => Mangle::None,
         2 | 3 => Mangle::TornTail(1 + chop),
-        4 => Mangle::MissingManifest,
+        4 => Mangle::LogDeleted,
         _ => Mangle::FlippedEpoch((chop % 4) as u32),
     }
 }
@@ -164,8 +151,8 @@ proptest! {
                 "torn bytes neither truncated nor outrun by a fresh replay"
             );
         }
-        if let Mangle::MissingManifest = mangle {
-            prop_assert!(recovered.log_recovery.rebuilt_manifest);
+        if let Mangle::LogDeleted = mangle {
+            prop_assert_eq!(recovered.resumed_from, None);
         }
         if flipped.is_some() {
             prop_assert!(

@@ -25,7 +25,8 @@
 //!   reader and writer thread per connection, plus the blocking
 //!   builder-configured [`QueryClient`];
 //! * [`DurableStore`] / [`SegmentLog`] — the write-ahead log under the
-//!   store.
+//!   store: one append-only file, `wal.log`, fsynced every
+//!   `segment_epochs` epochs of arrivals and at every `sync()`.
 //!
 //! One import path per item: the store's types are named through
 //! [`store`]; everything else is the `pub use` list below.
@@ -51,7 +52,7 @@ mod server;
 pub mod store;
 
 pub use hub::{HubConfig, HubSink, SubscriptionHandle, SubscriptionHub};
-pub use log::{DurableStore, LogError, LogRecord, Recovery, SegmentLog, WriteFault};
+pub use log::{DurableStore, LogError, Recovery, SegmentLog, WriteFault};
 pub use query::{
     answer, ErrorCode, Frame, Query, QueryResponse, SubscriptionFilter, TelemetryCmd, WireError,
     PROTOCOL_VERSION,

@@ -148,12 +148,6 @@ impl Default for StoreMetrics {
 pub(crate) struct ArrivalClock(Option<u64>);
 
 impl ArrivalClock {
-    /// A clock whose highest completed epoch is `epoch` (the log's
-    /// truncation cut).
-    pub(crate) fn completed_at(epoch: u64) -> Self {
-        Self(Some(epoch))
-    }
-
     /// The arrival epoch the next delivered event is stamped with.
     pub(crate) fn next(&self) -> u64 {
         match self.0 {
