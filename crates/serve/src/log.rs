@@ -373,7 +373,7 @@ impl SegmentLog {
         })
     }
 
-    /// What open had to repair (all zeroes after a clean shutdown).
+    /// What open had to repair (nothing after a clean shutdown).
     pub fn recovery(&self) -> Recovery {
         self.recovery
     }
