@@ -11,9 +11,9 @@
 //!  (writer, live ingestion)    (per-subscription queues)     per connection)
 //! ```
 //!
-//! * [`store::EventStore`] — a segmented in-memory log of the whole
-//!   event stream with a per-epoch snapshot index, per-tag trail
-//!   lookup, and epoch-delta snapshots;
+//! * [`store::EventStore`] — an in-memory log of the whole event
+//!   stream in arrival order with a per-tag index: point-in-time
+//!   snapshots, per-tag trail lookup, and epoch-delta snapshots;
 //! * [`Query`] / [`Frame`] — the query kinds, the length-prefixed
 //!   text wire protocol (every connection opens with `HELLO`, then
 //!   request-id envelopes with `SUBSCRIBE` push frames and `TELEMETRY`
@@ -26,7 +26,8 @@
 //!   builder-configured [`QueryClient`];
 //! * [`DurableStore`] / [`SegmentLog`] — the write-ahead log under the
 //!   store: one append-only file, `wal.log`, fsynced every
-//!   `segment_epochs` epochs of arrivals and at every `sync()`.
+//!   [`store::StoreConfig::segment_epochs`] epochs of arrivals and at
+//!   every `sync()`.
 //!
 //! One import path per item: the store's types are named through
 //! [`store`]; everything else is the `pub use` list below.

@@ -320,7 +320,8 @@ pub struct SegmentLog {
 impl SegmentLog {
     /// Opens (or creates) the log in `dir`, fsyncing every `width`
     /// epochs of arrivals, and truncates a torn tail (see the module
-    /// docs).
+    /// docs). A zero `width` is [`LogError::Io`] with
+    /// [`io::ErrorKind::InvalidInput`], before `dir` is touched.
     pub fn open(dir: &Path, width: u64) -> Result<Self, LogError> {
         Self::open_replaying(dir, width, |_| {})
     }
@@ -332,7 +333,12 @@ impl SegmentLog {
         width: u64,
         mut visit: impl FnMut(LogRecord),
     ) -> Result<Self, LogError> {
-        assert!(width >= 1, "segment width must be >= 1 epoch");
+        if width == 0 {
+            return Err(LogError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the log's fsync width must be >= 1 epoch",
+            )));
+        }
         fs::create_dir_all(dir)?;
         for entry in fs::read_dir(dir)? {
             let name = entry?.file_name();
@@ -487,8 +493,9 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Opens (or creates) a durable store in `dir`. The log's fsync
-    /// width is the store's `segment_epochs`; existing records are
-    /// replayed into the fresh store.
+    /// width is the store's `segment_epochs` (0 is refused as
+    /// [`SegmentLog::open`] refuses it); existing records are replayed
+    /// into the fresh store.
     pub fn open(dir: &Path, cfg: StoreConfig) -> Result<Self, LogError> {
         let mut store = EventStore::new(cfg);
         let log = SegmentLog::open_replaying(dir, cfg.segment_epochs, |record| match record {
@@ -865,6 +872,23 @@ mod tests {
             assert!(!wal(&dir).exists());
             fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn a_zero_width_is_refused() {
+        let dir = temp_dir("zero-width");
+        let invalid = |r: Result<(), LogError>| match r {
+            Err(LogError::Io(e)) => e.kind() == io::ErrorKind::InvalidInput,
+            _ => false,
+        };
+        assert!(invalid(SegmentLog::open(&dir, 0).map(drop)));
+        let cfg = StoreConfig {
+            segment_epochs: 0,
+            ..StoreConfig::default()
+        };
+        assert!(invalid(DurableStore::open(&dir, cfg).map(drop)));
+        // refused before the directory is created
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The embedded event store: a segmented, per-tag-indexed in-memory
-//! log of the pipeline's cleaned event stream, answering historical
-//! trail and point-in-time snapshot queries.
+//! The embedded event store: a per-tag-indexed in-memory log of the
+//! pipeline's cleaned event stream, answering historical trail and
+//! point-in-time snapshot queries.
 //!
 //! ## Time model
 //!
@@ -18,14 +18,12 @@
 //!
 //! ## Layout
 //!
-//! Events land in fixed-width **segments** of `segment_epochs` arrival
-//! epochs. Each segment keeps its events in arrival order plus a
-//! per-tag index; a segment is sealed when arrivals pass its end, at
-//! which point it records the cumulative latest-location-per-tag
-//! relation as of its last epoch — the **snapshot index**. A snapshot
-//! query binary-searches the sealed segments (O(log segments)), takes
-//! the preceding cumulative snapshot, and replays at most one
-//! segment's events, instead of walking the whole history.
+//! Events are kept in one vector in arrival order (arrival epochs never
+//! decrease along it), plus a per-tag index of each tag's positions in
+//! ascending order. A snapshot at `E` binary-searches the vector for
+//! the first event that arrived after `E` and takes, for each tag, its
+//! last position before that cut: O(tags · log events). A trail walks
+//! the tag's own positions; a current location is the tag's last one.
 //!
 //! The store keeps every event it is given, so every query is
 //! answerable and none can fail; its memory grows with the stream.
@@ -37,15 +35,15 @@ use rfid_obs::{Counter, Gauge};
 use rfid_stream::{Epoch, EventSink, LocationEvent, TagId};
 use std::collections::BTreeMap;
 
-/// Store knobs. The defaults (64-epoch segments, unlimited snapshot
-/// staleness) make every query bit-identical to the in-process sinks;
-/// serving deployments make churned tags age out of snapshots with
+/// Store knobs. The default (unlimited snapshot staleness) makes every
+/// query bit-identical to the in-process sinks; serving deployments
+/// make churned tags age out of snapshots with
 /// [`StoreConfig::snapshot_staleness`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreConfig {
-    /// Arrival-epoch width of one segment (>= 1). Smaller segments
-    /// mean finer-grained snapshot indexing, at one cumulative
-    /// relation clone per segment.
+    /// The fsync cadence of a `DurableStore`'s log: one fsync per this
+    /// many arrival epochs (>= 1; 0 is refused at open). The in-memory
+    /// store does not read it.
     pub segment_epochs: u64,
     /// A tag appears in `SnapshotAt(e)` only if its latest event (as
     /// of `e`) has an event epoch within this many epochs of `e`.
@@ -68,7 +66,7 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
-    /// Default config with a segment width (>= 1).
+    /// Default config with a log fsync width (>= 1).
     pub fn with_segment_epochs(mut self, width: u64) -> Self {
         assert!(width >= 1, "segment width must be >= 1 epoch");
         self.segment_epochs = width;
@@ -112,7 +110,8 @@ pub struct StoreStats {
     /// Always 0: the store drops no event. Kept for the callers that
     /// read it.
     pub events_compacted: u64,
-    /// Segments, the open tail included.
+    /// Always 0: the store has no segments. Kept for the callers that
+    /// read it.
     pub segments: usize,
     /// Distinct tags ever seen.
     pub tags: usize,
@@ -125,7 +124,6 @@ pub struct StoreStats {
 #[derive(Debug, Clone)]
 struct StoreMetrics {
     events: Counter,
-    segments: Gauge,
     tags: Gauge,
 }
 
@@ -134,16 +132,15 @@ impl Default for StoreMetrics {
         let reg = rfid_obs::global();
         Self {
             events: reg.counter("store_events_total"),
-            segments: reg.gauge("store_segments"),
             tags: reg.gauge("store_tags"),
         }
     }
 }
 
 /// The arrival clock shared by the store, the hub's sink and the
-/// segment log: an event is stamped with the epoch that was open when
-/// it was delivered, so a `PUSH` epoch names a store state and replaying
-/// the log re-derives every stamp.
+/// write-ahead log: an event is stamped with the epoch that was open
+/// when it was delivered, so a `PUSH` epoch names a store state and
+/// replaying the log re-derives every stamp.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ArrivalClock(Option<u64>);
 
@@ -172,53 +169,18 @@ impl ArrivalClock {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Segment {
-    /// First arrival epoch covered (inclusive), aligned to the width.
-    start: u64,
-    /// Last arrival epoch covered (inclusive).
-    end: u64,
-    /// Events in arrival order.
-    events: Vec<StoredEvent>,
-    /// Per-tag index into `events` (positions are ascending, so a
-    /// tag's history inside one segment stays in arrival order).
-    by_tag: BTreeMap<TagId, Vec<u32>>,
-    /// Cumulative latest-event-per-tag relation as of `end`; present
-    /// once the segment is sealed.
-    snapshot: Option<BTreeMap<TagId, StoredEvent>>,
-}
-
-impl Segment {
-    fn new(start: u64, width: u64) -> Self {
-        Self {
-            start,
-            end: start + (width - 1),
-            events: Vec::new(),
-            by_tag: BTreeMap::new(),
-            snapshot: None,
-        }
-    }
-
-    fn push(&mut self, stored: StoredEvent) {
-        debug_assert!(stored.arrival >= self.start && stored.arrival <= self.end);
-        let idx = self.events.len() as u32;
-        self.by_tag.entry(stored.event.tag).or_default().push(idx);
-        self.events.push(stored);
-    }
-}
-
 /// The embedded event store (see the module docs). Feed it from a
 /// pipeline via `rfid_stream::pipeline::sinks::StoreSink`, or push
 /// events directly through its [`EventSink`] impl.
 #[derive(Debug, Clone, Default)]
 pub struct EventStore {
-    cfg: StoreConfig,
-    /// Closed + open segments, ascending by `start`. The back segment
-    /// is the open tail (unsealed).
-    segments: Vec<Segment>,
-    /// Latest event per tag over the whole stream.
-    current: BTreeMap<TagId, StoredEvent>,
-    next_seq: u64,
+    /// [`StoreConfig::snapshot_staleness`].
+    staleness: Option<u64>,
+    /// Every event in arrival order; `seq` is the position, and arrival
+    /// epochs never decrease along it.
+    events: Vec<StoredEvent>,
+    /// Each tag's positions in `events`, ascending.
+    by_tag: BTreeMap<TagId, Vec<usize>>,
     clock: ArrivalClock,
     finished: bool,
     metrics: StoreMetrics,
@@ -227,16 +189,10 @@ pub struct EventStore {
 impl EventStore {
     /// An empty store.
     pub fn new(cfg: StoreConfig) -> Self {
-        assert!(cfg.segment_epochs >= 1, "segment width must be >= 1");
         Self {
-            cfg,
+            staleness: cfg.snapshot_staleness,
             ..Self::default()
         }
-    }
-
-    /// The configuration the store was built with.
-    pub fn config(&self) -> &StoreConfig {
-        &self.cfg
     }
 
     /// Highest epoch the store has completed (0 before the first).
@@ -252,10 +208,10 @@ impl EventStore {
     /// Store counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            events_live: self.segments.iter().map(|s| s.events.len() as u64).sum(),
+            events_live: self.events.len() as u64,
             events_compacted: 0,
-            segments: self.segments.len(),
-            tags: self.current.len(),
+            segments: 0,
+            tags: self.by_tag.len(),
         }
     }
 
@@ -263,56 +219,31 @@ impl EventStore {
     /// the event as stored — its assigned sequence number and arrival
     /// stamp — so durability layers can mirror the stamping exactly.
     pub fn push(&mut self, event: &LocationEvent) -> StoredEvent {
-        let arrival = self.clock.next();
         let stored = StoredEvent {
-            seq: self.next_seq,
-            arrival,
+            seq: self.events.len() as u64,
+            arrival: self.clock.next(),
             event: *event,
         };
-        self.next_seq += 1;
-        let width = self.cfg.segment_epochs;
-        let needs_new = match self.segments.last() {
-            Some(tail) => arrival > tail.end,
-            None => true,
-        };
-        if needs_new {
-            self.seal_tail();
-            let start = (arrival / width) * width;
-            self.segments.push(Segment::new(start, width));
-        }
-        self.segments
-            .last_mut()
-            .expect("tail segment exists")
-            .push(stored);
-        self.current.insert(event.tag, stored);
+        self.by_tag
+            .entry(event.tag)
+            .or_default()
+            .push(self.events.len());
+        self.events.push(stored);
         self.metrics.events.inc();
         stored
     }
 
     /// Marks epoch `epoch` complete (the
     /// [`EventSink::on_epoch_complete`] body): advances the arrival
-    /// clock and seals the tail segment once arrivals pass it.
+    /// clock.
     pub fn complete_epoch(&mut self, epoch: Epoch) {
-        let e = self.clock.complete(epoch);
-        if self.segments.last().is_some_and(|tail| e >= tail.end) {
-            self.seal_tail();
-        }
-        self.metrics.segments.set(self.segments.len() as u64);
-        self.metrics.tags.set(self.current.len() as u64);
+        self.clock.complete(epoch);
+        self.metrics.tags.set(self.by_tag.len() as u64);
     }
 
     /// Marks end of stream.
     pub fn finish(&mut self) {
         self.finished = true;
-        self.seal_tail();
-    }
-
-    fn seal_tail(&mut self) {
-        if let Some(tail) = self.segments.last_mut() {
-            if tail.snapshot.is_none() {
-                tail.snapshot = Some(self.current.clone());
-            }
-        }
     }
 
     /// The latest-location relation as the system knew it when `epoch`
@@ -341,85 +272,49 @@ impl EventStore {
     /// The stored events backing the snapshot relation at `epoch`
     /// (staleness applied), sorted by tag.
     fn snapshot_events(&self, epoch: Epoch) -> Vec<StoredEvent> {
-        let e = epoch.0;
-        // the last segment whose range starts at or before e
-        let idx = self.segments.partition_point(|s| s.start <= e);
-        if idx == 0 {
-            // before the first segment: the empty pre-stream relation
-            return Vec::new();
-        }
-        let seg = &self.segments[idx - 1];
-        if e >= seg.end {
-            if let Some(snap) = &seg.snapshot {
-                return self.relation_events(snap, e);
-            }
-            // open tail and e at/past its end: everything so far
-            return self.relation_events(&self.current, e);
-        }
-        // inside `seg`: previous cumulative state + this segment's
-        // arrivals up to e
-        let mut state: BTreeMap<TagId, StoredEvent> = match idx {
-            1 => BTreeMap::new(),
-            _ => self.segments[idx - 2]
-                .snapshot
-                .clone()
-                .expect("non-tail segments are sealed"),
-        };
-        for stored in &seg.events {
-            if stored.arrival > e {
-                break;
-            }
-            state.insert(stored.event.tag, *stored);
-        }
-        self.relation_events(&state, e)
-    }
-
-    fn relation_events(&self, state: &BTreeMap<TagId, StoredEvent>, at: u64) -> Vec<StoredEvent> {
+        // the first event that arrived after `epoch` completed
+        let cut = self.events.partition_point(|s| s.arrival <= epoch.0);
         // clamp the staleness reference so querying far past the end
         // of data does not age every tag out
-        let at = at.min(self.clock.next());
-        state
+        let at = epoch.0.min(self.clock.next());
+        self.by_tag
             .values()
+            .filter_map(|positions| {
+                let before = positions.partition_point(|&p| p < cut);
+                before.checked_sub(1).map(|i| self.events[positions[i]])
+            })
             .filter(|s| {
-                self.cfg
-                    .snapshot_staleness
+                self.staleness
                     .is_none_or(|k| s.event.epoch.0.saturating_add(k) >= at)
             })
-            .copied()
             .collect()
     }
 
     /// Every event of `tag` whose **event epoch** lies in `[from, to]`,
     /// in arrival order — the historical twin of `TrailSink`.
     pub fn trail(&self, tag: TagId, from: Epoch, to: Epoch) -> Vec<StoredEvent> {
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            if let Some(idxs) = seg.by_tag.get(&tag) {
-                for &i in idxs {
-                    let stored = seg.events[i as usize];
-                    if stored.event.epoch >= from && stored.event.epoch <= to {
-                        out.push(stored);
-                    }
-                }
-            }
-        }
-        out
+        self.positions(tag)
+            .iter()
+            .map(|&p| self.events[p])
+            .filter(|s| (from..=to).contains(&s.event.epoch))
+            .collect()
     }
 
     /// Every event in arrival/sequence order — the durability layer's
     /// view for digest checks and re-export.
     pub fn events(&self) -> impl Iterator<Item = &StoredEvent> + '_ {
-        self.segments.iter().flat_map(|s| s.events.iter())
+        self.events.iter()
     }
 
     /// The last known location of `tag` (regardless of staleness —
     /// the caller sees the backing epoch and judges freshness).
     pub fn current_location(&self, tag: TagId) -> Option<LocationRow> {
-        self.current.get(&tag).map(|s| LocationRow {
-            tag: s.event.tag,
-            epoch: s.event.epoch,
-            location: s.event.location,
-        })
+        let &last = self.positions(tag).last()?;
+        Some(row_of(self.events[last]))
+    }
+
+    fn positions(&self, tag: TagId) -> &[usize] {
+        self.by_tag.get(&tag).map_or(&[], Vec::as_slice)
     }
 
     /// Snapshot rows at `epoch` whose XY location falls inside the
@@ -486,7 +381,7 @@ mod tests {
 
     #[test]
     fn snapshot_tracks_history_point_in_time() {
-        let mut store = EventStore::new(StoreConfig::default().with_segment_epochs(4));
+        let mut store = EventStore::new(StoreConfig::default());
         feed(&mut store, 20);
         let rows = store.snapshot_at(Epoch(7));
         assert_eq!(rows.len(), 2);
@@ -510,7 +405,7 @@ mod tests {
 
     #[test]
     fn snapshot_uses_arrival_not_event_epoch() {
-        let mut store = EventStore::new(StoreConfig::default().with_segment_epochs(4));
+        let mut store = EventStore::new(StoreConfig::default());
         store.push(&ev(0, 1, 1.0));
         store.complete_epoch(Epoch(0));
         // a delayed report: event epoch 0, delivered during epoch 9
@@ -528,7 +423,7 @@ mod tests {
 
     #[test]
     fn trail_filters_by_event_epoch_range() {
-        let mut store = EventStore::new(StoreConfig::default().with_segment_epochs(4));
+        let mut store = EventStore::new(StoreConfig::default());
         feed(&mut store, 20);
         let t = store.trail(TagId(2), Epoch(4), Epoch(9));
         let epochs: Vec<u64> = t.iter().map(|s| s.event.epoch.0).collect();
@@ -547,9 +442,7 @@ mod tests {
 
     #[test]
     fn staleness_drops_silent_tags_from_snapshots() {
-        let cfg = StoreConfig::default()
-            .with_segment_epochs(4)
-            .with_snapshot_staleness(3);
+        let cfg = StoreConfig::default().with_snapshot_staleness(3);
         let mut store = EventStore::new(cfg);
         // tag 2 departs after epoch 5; tag 1 keeps reporting
         for e in 0..20u64 {
@@ -573,7 +466,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta_returns_only_newer_arrivals() {
-        let mut store = EventStore::new(StoreConfig::default().with_segment_epochs(4));
+        let mut store = EventStore::new(StoreConfig::default());
         feed(&mut store, 20);
         // between epochs 7 and 11: tag 1 re-reported (epoch 11), tag 2
         // re-reported (epoch 10) — both arrive after 7
@@ -617,5 +510,10 @@ mod tests {
         assert_eq!(store.snapshot_at(Epoch(1)).len(), 2);
         assert_eq!(store.current_location(TagId(2)).unwrap().location.x, 2.0);
         assert!(store.is_finished());
+        // an event pushed after `finish` is in the post-stream relation
+        // too, as `current_location` already reports it
+        store.push(&ev(0, 3, 3.0));
+        assert_eq!(store.snapshot_at(Epoch(1)).len(), 3);
+        assert_eq!(store.snapshot_at(Epoch(100)).len(), 3);
     }
 }

@@ -2,15 +2,16 @@
 //! one `Vec`, stamped by the store's arrival rule, and every query
 //! answered by a linear scan. Random schedules of `push`,
 //! `complete_epoch` (repeated and non-increasing epochs included) and
-//! `finish` run through both, over segment widths {1, 2, 3, 64} and
-//! snapshot staleness off or 0..=8; all five query kinds are asked at
-//! epochs before the first completion, inside the open tail, on segment
-//! boundaries, past the end and at `u64::MAX`, and every answer must be
+//! `finish` run through both, over log widths {1, 2, 3, 64} (which the
+//! in-memory store does not read) and snapshot staleness off or 0..=8;
+//! all five query kinds are asked at epochs before the first
+//! completion, at the open arrival epoch, around multiples of the
+//! width, past the end and at `u64::MAX`, and every answer must be
 //! equal bit for bit.
 //!
 //! `store_pin_sinks` pins the store to the in-process sinks on the
-//! default config; this suite pins the segment index and the staleness
-//! filter, which the sinks do not have.
+//! default config; this suite pins the snapshot cut, the per-tag index
+//! and the staleness filter, which the sinks do not have.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rfid_geom::Point3;

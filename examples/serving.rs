@@ -59,13 +59,11 @@ fn main() {
         .expect("valid configuration");
 
     // the shared store: the pipeline writes it, the server reads it.
-    // 32-epoch segments; snapshots age a tag out 60 epochs after its
-    // last event (the churn semantics — departed objects leave the
-    // relation but keep their trail)
+    // Snapshots age a tag out 60 epochs after its last event (the churn
+    // semantics — departed objects leave the relation but keep their
+    // trail)
     let store = Arc::new(RwLock::new(EventStore::new(
-        StoreConfig::default()
-            .with_segment_epochs(32)
-            .with_snapshot_staleness(60),
+        StoreConfig::default().with_snapshot_staleness(60),
     )));
     let hub = SubscriptionHub::new(HubConfig::default());
     let server = serve_with(
@@ -148,8 +146,8 @@ fn main() {
         let s = store.read().unwrap();
         let st = s.stats();
         println!(
-            "\ningested {} events over {} epochs into {} segment(s), {} tag(s)",
-            stats.events, stats.epochs, st.segments, st.tags
+            "\ningested {} events over {} epochs, {} tag(s)",
+            stats.events, stats.epochs, st.tags
         );
     }
     let (push_frames, push_rows) = watcher.join().expect("watcher thread");

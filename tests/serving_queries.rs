@@ -27,11 +27,8 @@ fn store_answers_match_sinks_under_concurrent_ingestion() {
     let engine = InferenceEngine::new(model, sc.layout.clone(), sc.trace.shelf_tags.clone(), cfg)
         .expect("valid config");
 
-    let store = Arc::new(RwLock::new(EventStore::new(
-        // default (sink-identical) semantics, small segments so the
-        // snapshot index and sealing actually engage on this trace
-        StoreConfig::default().with_segment_epochs(16),
-    )));
+    // default (sink-identical) semantics
+    let store = Arc::new(RwLock::new(EventStore::new(StoreConfig::default())));
     let store_sink = StoreSink::new(Arc::clone(&store));
     let done = Arc::new(AtomicBool::new(false));
 

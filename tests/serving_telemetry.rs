@@ -80,7 +80,6 @@ fn telemetry_scrape_exposes_every_layer() {
         "pipeline_sync_pending_high_water",
         // store / hub / server
         "store_events_total",
-        "store_segments",
         "hub_delivered_total",
         "hub_lagged_total",
         "server_query_us_current",
