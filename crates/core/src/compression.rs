@@ -2,13 +2,21 @@
 //!
 //! A stabilized object belief — a particle cloud that has settled into
 //! a small region — is replaced by the KL-optimal Gaussian (weighted
-//! sample mean and empirical covariance; 9 numbers instead of ~1000
-//! particles). When the object is encountered again, the Gaussian is
-//! *decompressed* by drawing a small number of particles (10 in the
-//! paper), "because the compressed representation tends to be
-//! well-behaved". If all objects were compressed this would be the
-//! Boyen–Koller algorithm; compressing selectively combines the
-//! Gaussian and particle representations.
+//! sample mean and empirical covariance: the 3 numbers of the mean and
+//! the 6 of the symmetric covariance instead of ~1000 particles). When
+//! the object is encountered again, the Gaussian is *decompressed* by
+//! drawing a small number of particles (10 in the paper), "because the
+//! compressed representation tends to be well-behaved". If all objects
+//! were compressed this would be the Boyen–Koller algorithm;
+//! compressing selectively combines the Gaussian and particle
+//! representations.
+//!
+//! A [`CompressedBelief`] holds those nine numbers and the epoch, 80
+//! bytes, and nothing derived from them: the Cholesky factor the draws
+//! need is computed again, on the stack, at decompression. The stored
+//! covariance is the ridge-regularized matrix that factored when the
+//! cloud was fitted, so it factors again as stored and every draw keeps
+//! its bits.
 //!
 //! The fit is not scored. At the paper's operating point every object
 //! that leaves the reader's scope is compressed, whatever its cloud
@@ -19,39 +27,63 @@ use crate::factored::ObjectFilter;
 use crate::factored::ReaderTables;
 use crate::particle::ObjectParticle;
 use rand::Rng;
-use rfid_geom::{Gaussian3, Point3};
+use rfid_geom::{Gaussian3, Mat3, Point3};
 use rfid_stream::Epoch;
 
-/// A compressed object belief.
+/// A compressed object belief: a Gaussian's mean and covariance.
 #[derive(Debug, Clone)]
 pub struct CompressedBelief {
-    /// The fitted Gaussian.
-    pub gaussian: Gaussian3,
+    /// The mean of the fitted Gaussian.
+    pub mean: Point3,
+    /// The lower triangle of the fitted, regularized covariance, row by
+    /// row: `[c00, c10, c11, c20, c21, c22]`. The matrix is symmetric,
+    /// and these are the only entries its Cholesky factorization
+    /// reads. It factors as stored: [`CompressedBelief::compress`] and
+    /// a checkpoint restore never leave one that does not.
+    pub cov: [f64; 6],
     /// When the belief was compressed.
     pub compressed_at: Epoch,
 }
 
 impl CompressedBelief {
     /// Fits the KL-optimal Gaussian to a weighted cloud. `None` when
-    /// the cloud carries no weight.
+    /// the cloud carries no weight or no ridge makes its covariance
+    /// factor ([`Gaussian3::fit_weighted`]).
     pub fn compress(cloud: &[(f64, Point3)], epoch: Epoch) -> Option<Self> {
-        Some(Self {
-            gaussian: Gaussian3::fit_weighted(cloud)?,
-            compressed_at: epoch,
-        })
+        let g = Gaussian3::fit_weighted(cloud)?;
+        Some(Self::from_matrix(g.mean, &g.cov, epoch))
+    }
+
+    /// Keeps the lower triangle of `cov`.
+    pub(crate) fn from_matrix(mean: Point3, cov: &Mat3, compressed_at: Epoch) -> Self {
+        let m = &cov.m;
+        Self {
+            mean,
+            cov: [m[0][0], m[1][0], m[1][1], m[2][0], m[2][1], m[2][2]],
+            compressed_at,
+        }
+    }
+
+    /// The covariance as a full matrix, mirrored from the stored lower
+    /// triangle.
+    pub(crate) fn cov_matrix(&self) -> Mat3 {
+        let [c00, c10, c11, c20, c21, c22] = self.cov;
+        Mat3 {
+            m: [[c00, c10, c20], [c10, c11, c21], [c20, c21, c22]],
+        }
+    }
+
+    /// The Gaussian, its Cholesky factor derived again. Panics when the
+    /// covariance does not factor, which no belief this crate builds
+    /// holds.
+    pub fn gaussian(&self) -> Gaussian3 {
+        Gaussian3::new(self.mean, self.cov_matrix()).expect("a stored covariance factors")
     }
 
     /// The location estimate of the compressed belief (the Gaussian
     /// mean) with its per-axis variances.
     pub fn estimate(&self) -> (Point3, [f64; 3]) {
-        (
-            self.gaussian.mean,
-            [
-                self.gaussian.cov.m[0][0],
-                self.gaussian.cov.m[1][1],
-                self.gaussian.cov.m[2][2],
-            ],
-        )
+        (self.mean, [self.cov[0], self.cov[2], self.cov[5]])
     }
 
     /// Decompression: draws `n` particles from the Gaussian with
@@ -65,10 +97,11 @@ impl CompressedBelief {
         rng: &mut R,
     ) -> ObjectFilter {
         assert!(n >= 1);
+        let gaussian = self.gaussian();
         let uniform = -(n as f64).ln();
         let particles: Vec<ObjectParticle> = (0..n)
             .map(|_| ObjectParticle {
-                loc: self.gaussian.sample(rng),
+                loc: gaussian.sample(rng),
                 reader_idx: tables.sample_index(rng),
                 log_w: uniform,
             })
@@ -103,7 +136,7 @@ mod tests {
         let center = Point3::new(3.0, 4.0, 0.0);
         let cloud = tight_cloud(center, 100);
         let c = CompressedBelief::compress(&cloud, Epoch(7)).unwrap();
-        assert!(c.gaussian.mean.dist(&center) < 0.05);
+        assert!(c.mean.dist(&center) < 0.05);
         assert_eq!(c.compressed_at, Epoch(7));
         let (est, var) = c.estimate();
         assert!(est.dist(&center) < 0.05);
@@ -145,6 +178,6 @@ mod tests {
             &mut cloud2,
         );
         let c2 = CompressedBelief::compress(&cloud2, Epoch(1)).unwrap();
-        assert!(c1.gaussian.mean.dist(&c2.gaussian.mean) < 0.1);
+        assert!(c1.mean.dist(&c2.mean) < 0.1);
     }
 }

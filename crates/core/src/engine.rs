@@ -69,13 +69,13 @@ use rfid_stream::{Epoch, EpochBatch, EventStats, InferenceStage, LocationEvent, 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
-/// One object's belief representation.
-// Compressed is the larger variant but keeps dormant objects heap-free;
-// Active dominates during tracking and already owns a particle Vec.
-#[allow(clippy::large_enum_variant)]
+/// One object's belief representation. A dormant object's compressed
+/// belief sits in the object map itself, so it sets the size of every
+/// map entry; an active filter owns its particle columns on the heap
+/// anyway and is boxed, one pointer wide.
 #[derive(Debug, Clone)]
 enum Belief {
-    Active(ObjectFilter),
+    Active(Box<ObjectFilter>),
     Compressed(CompressedBelief),
 }
 
@@ -422,8 +422,12 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     }
 
     /// Rough memory footprint of the belief state, in bytes. Tracks the
-    /// paper's claim that compression keeps memory small. It excludes
-    /// the sensing-region index, which gains one region every epoch and
+    /// paper's claim that compression keeps memory small: an active
+    /// object counts its particle columns, a compressed one
+    /// `size_of::<CompressedBelief>()` (80 bytes: the mean, the
+    /// covariance's lower triangle and the epoch), and the reader its
+    /// particles. It excludes the object map's own entries and the
+    /// sensing-region index, which gains one region every epoch and
     /// never drops one.
     pub fn memory_bytes(&self) -> usize {
         let mut total = 0usize;
@@ -849,8 +853,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     f.weighted_cloud_into(reader, &mut self.scratch, &mut self.cloud);
                     // `None` needs a cloud without finite positive
                     // weight, which the step's normalization never
-                    // leaves; such an object stays active until its
-                    // next read schedules it again
+                    // leaves, or a covariance no ridge factors; such an
+                    // object stays active until its next read
+                    // schedules it again
                     if let Some(c) = CompressedBelief::compress(&self.cloud, epoch) {
                         state.last_estimate = c.estimate();
                         state.belief = Belief::Compressed(c);
@@ -898,7 +903,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             );
             created.insert(ObjectState {
                 last_estimate: f.estimate_with(reader, scratch),
-                belief: Belief::Active(f),
+                belief: Belief::Active(Box::new(f)),
                 last_read: ctx.epoch,
                 compression_due: 0,
             })
@@ -913,11 +918,12 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             &mut rng,
         );
         delta.decompressed = true;
-        state.belief = Belief::Active(f);
+        state.belief = Belief::Active(Box::new(f));
     }
     let Belief::Active(f) = &mut state.belief else {
         unreachable!("belief made active above")
     };
+    let f: &mut ObjectFilter = f;
     f.refresh_pointers(ctx.reader_tables, ctx.stamp, &mut rng);
     f.predict(ctx.model, ctx.prior, read, &mut rng);
 
@@ -1348,5 +1354,14 @@ mod tests {
             ec.memory_bytes(),
             ea.memory_bytes()
         );
+    }
+
+    /// The compressed belief sets the size of an object-map entry; an
+    /// unboxed active filter would make every entry larger again.
+    #[test]
+    fn an_object_map_entry_is_sized_by_the_compressed_belief() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Belief>(), 88);
+        assert_eq!(size_of::<(TagId, ObjectState)>(), 160);
     }
 }

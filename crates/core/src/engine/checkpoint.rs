@@ -39,6 +39,18 @@
 //! (`crates/core/tests/checkpoint_compat.rs` pins a fixture byte for
 //! byte).
 //!
+//! A compressed object is written as its mean and the nine entries of
+//! its covariance, row by row, mirrored from the six of the lower
+//! triangle it keeps in memory. A covariance the engine fitted is
+//! exactly symmetric (`Mat3::outer` products commute), so these are
+//! the bytes the full matrix always gave. A restore refuses, as
+//! [`CheckpointError::Corrupt`], a covariance with a non-finite entry,
+//! one whose upper triangle differs from its lower in any bit (the
+//! packed form cannot hold it) and one that does not factor as
+//! written: compression keeps the regularized matrix that factored, so
+//! the restored belief derives the same Cholesky factor, and no restore
+//! adds a ridge.
+//!
 //! Files are written atomically: temp file + `fsync` + rename +
 //! directory `fsync`, so a crash mid-save leaves the previous
 //! checkpoint intact.
@@ -54,7 +66,7 @@ use crate::config::{
 use crate::factored::{ObjectFilter, ReaderFilter};
 use crate::particle::{ObjectParticle, ReaderParticle};
 use rand::rngs::StdRng;
-use rfid_geom::{Aabb, Gaussian3, Mat3};
+use rfid_geom::{Aabb, Mat3};
 use rfid_model::{LocationPrior, ReadRateModel};
 use rfid_spatial::RegionIndex;
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
@@ -272,8 +284,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 }
                 Belief::Compressed(c) => {
                     put_u8(&mut p, 1);
-                    put_point(&mut p, &c.gaussian.mean);
-                    for row in &c.gaussian.cov.m {
+                    put_point(&mut p, &c.mean);
+                    for row in &c.cov_matrix().m {
                         for v in row {
                             put_f64(&mut p, *v);
                         }
@@ -441,7 +453,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     }
                     let stamp = d.u64()?;
                     let resamples = d.u64()?;
-                    Belief::Active(ObjectFilter::from_parts(particles, stamp, resamples))
+                    Belief::Active(Box::new(ObjectFilter::from_parts(
+                        particles, stamp, resamples,
+                    )))
                 }
                 1 => {
                     let mean = d.point()?;
@@ -452,12 +466,17 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                         }
                     }
                     let compressed_at = Epoch(d.u64()?);
-                    Belief::Compressed(CompressedBelief {
-                        // Gaussian3::new re-derives the Cholesky factor
-                        // deterministically from (mean, cov)
-                        gaussian: Gaussian3::new(mean, Mat3 { m }),
-                        compressed_at,
-                    })
+                    if m.iter().flatten().any(|v| !v.is_finite()) {
+                        return Err(CheckpointError::Corrupt("non-finite covariance"));
+                    }
+                    if (0..3).any(|i| (0..i).any(|j| m[i][j].to_bits() != m[j][i].to_bits())) {
+                        return Err(CheckpointError::Corrupt("asymmetric covariance"));
+                    }
+                    let cov = Mat3 { m };
+                    if cov.cholesky().is_none() {
+                        return Err(CheckpointError::Corrupt("covariance does not factor"));
+                    }
+                    Belief::Compressed(CompressedBelief::from_matrix(mean, &cov, compressed_at))
                 }
                 _ => return Err(CheckpointError::Corrupt("bad belief kind")),
             };
@@ -763,6 +782,64 @@ mod tests {
                 with_pointer(bad),
                 Err(CheckpointError::Corrupt("reader pointer out of range"))
             ));
+        }
+    }
+
+    /// A blob someone wrote: valid checksum, one compressed object's
+    /// covariance replaced by one decompression could not factor, or
+    /// one the stored lower triangle could not hold.
+    #[test]
+    fn a_hostile_compressed_covariance_is_refused() {
+        let config = cfg();
+        let mut e = engine(config);
+        for b in &batches(70) {
+            e.process_batch(b);
+        }
+        let c = e
+            .objects
+            .values()
+            .find_map(|s| match &s.belief {
+                Belief::Compressed(c) => Some(c.clone()),
+                Belief::Active(_) => None,
+            })
+            .expect("a compressed object");
+        let blob = e.checkpoint_bytes(Epoch(69));
+        // the belief's mean, its nine covariance entries row by row,
+        // then its compression epoch
+        let mut mean = Vec::new();
+        put_point(&mut mean, &c.mean);
+        let cov_at = blob.windows(24).position(|w| w == mean).expect("mean") + 24;
+        assert_eq!(
+            blob[cov_at + 72..cov_at + 80],
+            c.compressed_at.0.to_le_bytes()
+        );
+
+        type Edit = fn(&mut [[f64; 3]; 3]);
+        let with_cov = |edit: Edit| {
+            let mut m = c.cov_matrix().m;
+            edit(&mut m);
+            let mut patched = blob.clone();
+            for (k, v) in m.iter().flatten().enumerate() {
+                patched[cov_at + 8 * k..cov_at + 8 * k + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            let end = patched.len() - 8;
+            let checksum = fnv1a(FNV_OFFSET, &patched[..end]);
+            patched[end..].copy_from_slice(&checksum.to_le_bytes());
+            engine(config).restore_bytes(&patched)
+        };
+        assert_eq!(with_cov(|_| {}).unwrap(), Epoch(69));
+        let hostile: [(Edit, &str); 5] = [
+            (|m| m[0][0] = -5.0, "covariance does not factor"),
+            (|m| m[1][1] = f64::NAN, "non-finite covariance"),
+            (|m| m[2][2] = f64::INFINITY, "non-finite covariance"),
+            (|m| m[1][0] += 1e-3, "asymmetric covariance"),
+            (|m| m[0][2] = -m[0][2], "asymmetric covariance"),
+        ];
+        for (edit, why) in hostile {
+            match with_cov(edit) {
+                Err(CheckpointError::Corrupt(what)) => assert_eq!(what, why),
+                other => panic!("{why}: restored as {other:?}"),
+            }
         }
     }
 

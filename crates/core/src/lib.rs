@@ -19,8 +19,9 @@
 //!   (Case 1) or read before near the current location (Case 2).
 //! * [`CompressedBelief`] — **belief compression** (§IV-D): per-object
 //!   particle clouds that have stabilized are collapsed into 3-D
-//!   Gaussians and re-expanded with far fewer particles when the object
-//!   is encountered again (selective Boyen–Koller).
+//!   Gaussians — nine numbers, a mean and a covariance's lower
+//!   triangle, 80 bytes — and re-expanded with far fewer particles when
+//!   the object is encountered again (selective Boyen–Koller).
 //!
 //! [`InferenceEngine`] wires everything together behind one
 //! `process_batch` API and applies the output policy of §II-A.

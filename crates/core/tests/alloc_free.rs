@@ -170,7 +170,7 @@ fn steady_state_object_step_allocates_nothing() {
             if stamp % 100 == 11 {
                 filter.weighted_cloud_into(&reader, &mut scratch, &mut cloud);
                 let c = CompressedBelief::compress(&cloud, Epoch(stamp)).expect("weighted cloud");
-                assert!(c.gaussian.mean.is_finite());
+                assert!(c.mean.is_finite());
             }
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);

@@ -297,7 +297,7 @@ fn decompress_picks_the_indices_of_the_linear_scan() {
                 let f = belief.decompress(10, &reader.tables(), 3, &mut fast);
                 assert_eq!(f.len(), 10);
                 for (i, p) in f.iter_particles().enumerate() {
-                    let loc = belief.gaussian.sample(&mut linear);
+                    let loc = belief.gaussian().sample(&mut linear);
                     let idx = linear_draw::sample_index(&reader, &mut linear);
                     let ctx = format!("{n_reader} readers {shape}: seed {seed} particle {i}");
                     assert_eq!(p.reader_idx, idx, "{ctx}");

@@ -128,32 +128,30 @@ impl Gaussian3 {
     /// Builds a Gaussian from mean and covariance; the covariance is
     /// ridge-regularized until it admits a Cholesky factorization, so
     /// degenerate particle clouds (all mass on a line or plane) still
-    /// compress to a usable distribution.
-    pub fn new(mean: Point3, cov: Mat3) -> Self {
+    /// compress to a usable distribution. `cov` keeps the matrix that
+    /// factored: built again from it, the Gaussian takes no ridge and
+    /// has the same factor. `None` when no ridge below 1.0 makes the
+    /// covariance factor (a negative variance, say).
+    pub fn new(mean: Point3, cov: Mat3) -> Option<Self> {
         let mut c = cov;
         let mut ridge = 0.0;
-        let (chol, cov_final) = loop {
-            if let Some(l) = c.cholesky() {
-                break (l, c);
+        loop {
+            if let Some(chol) = c.cholesky() {
+                return Some(Self { mean, cov: c, chol });
             }
             ridge = if ridge == 0.0 { 1e-9 } else { ridge * 10.0 };
-            assert!(
-                ridge < 1.0,
-                "covariance cannot be regularized into PD: {cov:?}"
-            );
+            if ridge >= 1.0 {
+                return None;
+            }
             c = cov.regularized(ridge);
-        };
-        Self {
-            mean,
-            cov: cov_final,
-            chol,
         }
     }
 
     /// Weighted maximum-likelihood fit (the KL-optimal Gaussian of
     /// §IV-D): sample mean and empirical covariance of a weighted point
     /// set. Weights need not be normalized. Returns `None` when the
-    /// total weight is not strictly positive.
+    /// total weight is not strictly positive or finite, and when the
+    /// covariance cannot be regularized ([`Gaussian3::new`]).
     pub fn fit_weighted(points: &[(f64, Point3)]) -> Option<Self> {
         let wsum: f64 = points.iter().map(|(w, _)| *w).sum();
         if wsum <= 0.0 || !wsum.is_finite() {
@@ -168,7 +166,7 @@ impl Gaussian3 {
             let d = p.to_vec() - mean;
             cov = cov.add(&Mat3::outer(&d, &d).scaled(*w / wsum));
         }
-        Some(Self::new(mean.to_point(), cov))
+        Self::new(mean.to_point(), cov)
     }
 
     /// Draws one sample: `mean + L z` with `z ~ N(0, I)`.
@@ -246,7 +244,7 @@ mod tests {
     fn gaussian3_sampling_respects_covariance() {
         let mut r = rng();
         let cov = Mat3::from_rows([1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 0.01]);
-        let g = Gaussian3::new(Point3::origin(), cov);
+        let g = Gaussian3::new(Point3::origin(), cov).unwrap();
         let n = 30_000;
         let mut sxy = 0.0;
         let mut sx = 0.0;
@@ -291,6 +289,24 @@ mod tests {
     }
 
     #[test]
+    fn new_keeps_the_matrix_that_factored() {
+        // a rank-one covariance takes a ridge; built again from the
+        // kept matrix it takes none and factors to the same bits
+        let u = Vec3::new(1.0, 2.0, 0.5);
+        let g = Gaussian3::new(Point3::origin(), Mat3::outer(&u, &u)).unwrap();
+        assert_ne!(g.cov, Mat3::outer(&u, &u));
+        let again = Gaussian3::new(g.mean, g.cov).unwrap();
+        assert_eq!(again.cov, g.cov);
+        assert_eq!(again.chol, g.chol);
+    }
+
+    #[test]
+    fn new_refuses_a_covariance_no_ridge_factors() {
+        let cov = Mat3::from_rows([-5.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]);
+        assert!(Gaussian3::new(Point3::origin(), cov).is_none());
+    }
+
+    #[test]
     fn fit_weighted_zero_weight_is_none() {
         let pts = vec![(0.0, Point3::origin())];
         assert!(Gaussian3::fit_weighted(&pts).is_none());
@@ -304,7 +320,8 @@ mod tests {
         let src = Gaussian3::new(
             Point3::new(5.0, -3.0, 1.0),
             Mat3::from_rows([0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.05]),
-        );
+        )
+        .unwrap();
         let cloud: Vec<(f64, Point3)> = (0..5000).map(|_| (1.0, src.sample(&mut r))).collect();
         let fit = Gaussian3::fit_weighted(&cloud).unwrap();
         assert!(fit.mean.dist(&src.mean) < 0.05);

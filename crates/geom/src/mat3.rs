@@ -95,11 +95,12 @@ impl Mat3 {
 
     /// Lower-triangular Cholesky factor `L` with `L L^T = self`.
     ///
-    /// Returns `None` when the matrix is not (numerically) positive
-    /// definite. Callers holding near-singular covariances should
-    /// regularize with [`Mat3::regularized`] first.
+    /// Reads only the lower triangle (the diagonal and below). Returns
+    /// `None` when the matrix is not (numerically) positive definite;
+    /// `Gaussian3::new` ridge-regularizes a near-singular covariance
+    /// until it factors.
     #[allow(clippy::needless_range_loop)] // textbook index form
-    pub(crate) fn cholesky(&self) -> Option<Mat3> {
+    pub fn cholesky(&self) -> Option<Mat3> {
         let a = &self.m;
         let mut l = [[0.0f64; 3]; 3];
         for i in 0..3 {

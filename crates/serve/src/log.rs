@@ -54,7 +54,10 @@
 //!   epoch), or from none, and re-drives, so its digest is still exact.
 //!
 //! A directory in the segmented layout of earlier versions (a
-//! `MANIFEST` or any `segment-*.log`) is refused as `Corrupt`.
+//! `MANIFEST` or any `segment-*.log`) is refused as `Corrupt`, and so
+//! is a whole record completing epoch `u64::MAX`: no arrival epoch
+//! follows that one, so [`SegmentLog::complete_epoch`] never writes it
+//! and only a crafted log holds it.
 
 use crate::store::{ArrivalClock, EventStore, StoreConfig};
 use rfid_stream::digest::{fnv1a, FNV_OFFSET};
@@ -240,11 +243,20 @@ fn scan_record(buf: &[u8], pos: usize) -> Scan {
 /// Passes every record of `buf` to `visit` in order, with the offset
 /// just past it, and returns where the valid data ends; damage followed
 /// by a whole record anywhere after it is [`LogError::Corrupt`] (the
-/// module docs' crash rule).
+/// module docs' crash rule), and so is a completion of epoch
+/// `u64::MAX`, which [`SegmentLog::complete_epoch`] never writes.
 fn scan_log(buf: &[u8], mut visit: impl FnMut(LogRecord, usize)) -> Result<usize, LogError> {
     let mut pos = 0;
     loop {
         match scan_record(buf, pos) {
+            Scan::Record {
+                record: LogRecord::EpochComplete(Epoch(u64::MAX)),
+                ..
+            } => {
+                return Err(LogError::Corrupt(format!(
+                    "completion of epoch u64::MAX at byte {pos}"
+                )));
+            }
             Scan::Record { record, next } => {
                 visit(record, next);
                 pos = next;
@@ -288,7 +300,7 @@ impl Position {
         };
         let before = self.span_end.is_some_and(|end| slot > end);
         if before || self.span_end.is_none() {
-            self.span_end = Some(slot / width * width + (width - 1));
+            self.span_end = Some((slot / width * width).saturating_add(width - 1));
             self.spans += 1;
         }
         let after = match record {
@@ -435,7 +447,16 @@ impl SegmentLog {
     }
 
     /// Journals an epoch completion, fsyncing when it closes its span.
+    /// A completion of epoch `u64::MAX`, after which no arrival epoch
+    /// is left, is [`LogError::Io`] with
+    /// [`io::ErrorKind::InvalidInput`], and nothing is written.
     pub fn complete_epoch(&mut self, epoch: Epoch) -> Result<(), LogError> {
+        if epoch.0 == u64::MAX {
+            return Err(LogError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "epoch u64::MAX cannot be completed",
+            )));
+        }
         self.append(&LogRecord::EpochComplete(epoch))
     }
 
@@ -889,6 +910,45 @@ mod tests {
         assert!(invalid(DurableStore::open(&dir, cfg).map(drop)));
         // refused before the directory is created
         assert!(!dir.exists());
+    }
+
+    #[test]
+    fn a_completion_of_u64_max_is_refused() {
+        let dir = temp_dir("epoch-max");
+        let cfg = StoreConfig::default().with_segment_epochs(3);
+        let mut d = DurableStore::open(&dir, cfg).unwrap();
+        feed(&mut d, 4);
+        match d.complete_epoch(Epoch(u64::MAX)) {
+            Err(LogError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            other => panic!("completed u64::MAX: {other:?}"),
+        }
+        assert_eq!(d.store().latest_epoch(), 3);
+        // the last arrival epoch there is: its span ends at u64::MAX
+        d.complete_epoch(Epoch(u64::MAX - 1)).unwrap();
+        d.push(&ev(u64::MAX - 1, 1, 9.0)).unwrap();
+        d.finish().unwrap();
+        let rows = stored_rows(d.store());
+        assert_eq!(rows.last().unwrap().1, u64::MAX);
+        drop(d);
+        let reopened = DurableStore::open(&dir, cfg).unwrap();
+        assert_eq!(stored_rows(reopened.store()), rows);
+        drop(reopened);
+
+        // a checksummed EPOCH_COMPLETE(u64::MAX), even as the last
+        // record, is refused rather than truncated as a torn tail
+        let mut record = Vec::new();
+        encode_record(&LogRecord::EpochComplete(Epoch(u64::MAX)), &mut record);
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        file.write_all(&record).unwrap();
+        drop(file);
+        assert!(matches!(
+            DurableStore::open(&dir, cfg),
+            Err(LogError::Corrupt(_))
+        ));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -149,8 +149,10 @@ impl ArrivalClock {
     pub(crate) fn next(&self) -> u64 {
         match self.0 {
             // between completions of E-1 and E, deliveries belong to E;
-            // after the final completion, flush deliveries get last + 1
-            Some(e) => e + 1,
+            // after the final completion, flush deliveries get last + 1,
+            // and after a completion of u64::MAX they stay at u64::MAX,
+            // so arrival epochs never decrease
+            Some(e) => e.saturating_add(1),
             None => 0,
         }
     }
@@ -515,5 +517,26 @@ mod tests {
         store.push(&ev(0, 3, 3.0));
         assert_eq!(store.snapshot_at(Epoch(1)).len(), 3);
         assert_eq!(store.snapshot_at(Epoch(100)).len(), 3);
+    }
+
+    #[test]
+    fn deliveries_after_a_completion_of_u64_max_stay_at_u64_max() {
+        let mut store = EventStore::new(StoreConfig::default().with_snapshot_staleness(2));
+        store.push(&ev(0, 1, 1.0));
+        store.complete_epoch(Epoch(u64::MAX - 1));
+        assert_eq!(store.push(&ev(u64::MAX - 1, 2, 2.0)).arrival, u64::MAX);
+        store.complete_epoch(Epoch(u64::MAX));
+        assert_eq!(store.latest_epoch(), u64::MAX);
+        assert_eq!(store.push(&ev(u64::MAX, 3, 3.0)).arrival, u64::MAX);
+        assert_eq!(store.push(&ev(u64::MAX, 1, 4.0)).arrival, u64::MAX);
+        // arrival order holds, so the cut at u64::MAX sees every event
+        // and the stale first sighting of tag 1 has been replaced
+        let arrivals: Vec<u64> = store.events().map(|s| s.arrival).collect();
+        assert_eq!(arrivals, [0, u64::MAX, u64::MAX, u64::MAX]);
+        let rows = store.snapshot_at(Epoch(u64::MAX));
+        let tags: Vec<u64> = rows.iter().map(|r| r.tag.0).collect();
+        assert_eq!(tags, [1, 2, 3]);
+        assert_eq!(rows[0].location.x, 4.0);
+        assert_eq!(store.snapshot_at(Epoch(u64::MAX - 2)).len(), 0);
     }
 }

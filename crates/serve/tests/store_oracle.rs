@@ -1,9 +1,10 @@
 //! The event store against a naive model: every delivered event kept in
 //! one `Vec`, stamped by the store's arrival rule, and every query
 //! answered by a linear scan. Random schedules of `push`,
-//! `complete_epoch` (repeated and non-increasing epochs included) and
-//! `finish` run through both, over log widths {1, 2, 3, 64} (which the
-//! in-memory store does not read) and snapshot staleness off or 0..=8;
+//! `complete_epoch` (repeated and non-increasing epochs and `u64::MAX`
+//! included) and `finish` run through both, over log widths
+//! {1, 2, 3, 64} (which the in-memory store does not read) and snapshot
+//! staleness off or 0..=8;
 //! all five query kinds are asked at epochs before the first
 //! completion, at the open arrival epoch, around multiples of the
 //! width, past the end and at `u64::MAX`, and every answer must be
@@ -33,7 +34,7 @@ struct Model {
 
 impl Model {
     fn push(&mut self, event: LocationEvent) {
-        let arrival = self.last.map_or(0, |e| e + 1);
+        let arrival = self.next_arrival();
         let seq = self.rows.len() as u64;
         self.rows.push(StoredEvent {
             seq,
@@ -46,6 +47,13 @@ impl Model {
         self.last = Some(self.last.map_or(epoch, |l| l.max(epoch)));
     }
 
+    /// The arrival epoch of the next delivery: 0 before the first
+    /// completion, then the highest completed epoch + 1, which stays at
+    /// `u64::MAX` once that epoch completed.
+    fn next_arrival(&self) -> u64 {
+        self.last.map_or(0, |e| e.saturating_add(1))
+    }
+
     /// Latest event per tag that arrived by `at`, sorted by tag, under
     /// the staleness filter clamped to the next arrival epoch.
     fn snapshot(&self, at: u64) -> Vec<StoredEvent> {
@@ -53,7 +61,7 @@ impl Model {
         for r in self.rows.iter().filter(|r| r.arrival <= at) {
             latest.insert(r.event.tag, *r);
         }
-        let clamp = at.min(self.last.map_or(0, |e| e + 1));
+        let clamp = at.min(self.next_arrival());
         let fresh = |r: &StoredEvent| {
             (self.staleness).is_none_or(|k| r.event.epoch.0.saturating_add(k) >= clamp)
         };
@@ -126,7 +134,7 @@ fn coordinate(rng: &mut StdRng) -> f64 {
 /// one near `u64::MAX`.
 fn event(rng: &mut StdRng, arrival: u64) -> LocationEvent {
     let epoch = match rng.gen_range(0..10) {
-        0 => rng.gen_range(0..=arrival + 2),
+        0 => rng.gen_range(0..=arrival.saturating_add(2)),
         1 => u64::MAX - rng.gen_range(0..3),
         _ => arrival.saturating_sub(rng.gen_range(0..4)),
     };
@@ -136,16 +144,17 @@ fn event(rng: &mut StdRng, arrival: u64) -> LocationEvent {
 }
 
 /// The next epoch to complete: mostly the next one, sometimes a repeat,
-/// an older epoch, or a jump.
+/// an older epoch, a jump, or `u64::MAX`, the last epoch there is.
 fn next_completion(rng: &mut StdRng, last: Option<u64>) -> u64 {
     let Some(last) = last else {
         return rng.gen_range(0..3);
     };
-    match rng.gen_range(0..10) {
+    match rng.gen_range(0..11) {
         0 => last,
         1 => rng.gen_range(0..=last),
-        2 => last + rng.gen_range(2..20),
-        _ => last + 1,
+        2 => last.saturating_add(rng.gen_range(2..20)),
+        3 => u64::MAX,
+        _ => last.saturating_add(1),
     }
 }
 
@@ -163,16 +172,25 @@ fn check(
     });
 
     // the next arrival epoch: the open tail, or the flush after finish
-    let next = model.last.map_or(0, |e| e + 1);
+    let next = model.next_arrival();
     let mut epochs: Vec<u64> = (0..=next.min(24) + 2).collect();
-    epochs.extend([next.saturating_sub(1), next, next + 1, next + 100]);
+    epochs.extend([
+        next.saturating_sub(1),
+        next,
+        next.saturating_add(1),
+        next.saturating_add(100),
+    ]);
     epochs.extend([u64::MAX - 1, u64::MAX]);
     for _ in 0..6 {
         // the epochs around a segment boundary
-        let start = rng.gen_range(0..=next + width) / width * width;
-        epochs.extend([start.saturating_sub(1), start, start + width - 1]);
+        let start = rng.gen_range(0..=next.saturating_add(width)) / width * width;
+        epochs.extend([
+            start.saturating_sub(1),
+            start,
+            start.saturating_add(width - 1),
+        ]);
     }
-    epochs.extend((0..6).map(|_| rng.gen_range(0..=next + 2)));
+    epochs.extend((0..6).map(|_| rng.gen_range(0..=next.saturating_add(2))));
     epochs.sort_unstable();
     epochs.dedup();
 
@@ -248,7 +266,7 @@ fn run_case(case: u64) {
     for _ in 0..ops {
         match rng.gen_range(0..20) {
             0..=11 => {
-                let ev = event(&mut rng, model.last.map_or(0, |e| e + 1));
+                let ev = event(&mut rng, model.next_arrival());
                 log.push(format!(
                     "push({}, {}, {:?})",
                     ev.epoch.0, ev.tag.0, ev.location
