@@ -259,7 +259,9 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceStage for BasicParticleFilter<
         // ---- resample -------------------------------------------------
         let n = self.particles.len();
         if effective_sample_size(&w) < self.config.resample_ess_frac * n as f64 {
-            let ancestry = systematic_resample(&w, n, &mut self.rng);
+            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
+            let mut ancestry = Vec::with_capacity(n);
+            systematic_resample(&probs, n, &mut ancestry, &mut self.rng);
             let uniform = -(n as f64).ln();
             let old = std::mem::take(&mut self.particles);
             self.particles = ancestry

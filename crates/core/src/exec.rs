@@ -16,7 +16,7 @@
 //!    `tag % N` across processes and still emit the single-process
 //!    event stream bit for bit.
 //! 2. **Scratch buffers** ([`StepScratch`]): the joint-probability
-//!    buffer, the resampling-count buffer and the weight pass's
+//!    buffer, the resampler's ancestor list and the weight pass's
 //!    columns and compaction list are owned by the engine and reused
 //!    across objects and epochs, so the steady-state step path performs
 //!    no heap allocation.
@@ -46,14 +46,16 @@ pub struct StepScratch {
     /// by the support staging, the ESS decision, the resampler and the
     /// moment estimate.
     pub probs: Vec<f64>,
-    /// Systematic-resampling replication counts.
-    pub counts: Vec<u32>,
-    /// The weight pass's per-particle log-likelihood increments.
+    /// The resampler's ancestor of every slot, ascending.
+    pub(crate) ancestors: Vec<u32>,
+    /// The weight pass's per-particle log-likelihood increments; a
+    /// resample then gathers each coordinate column through it.
     pub(crate) incr: Vec<f64>,
     /// Indices compacted by a classifying pass: the particles whose
     /// increment the weight pass computes exactly (their verdicts first,
     /// compacted in place), then the weights whose `exp` the
-    /// normalization pays.
+    /// normalization pays; a resample then gathers the pointer column
+    /// through it.
     pub(crate) pending: Vec<u32>,
     /// The weight pass's columns, one entry per particle: the pointed-to
     /// reader particle's position (`x`, `y`, `z`) and heading trig

@@ -26,7 +26,7 @@ use crate::exec::StepScratch;
 use crate::factored::reader::{ReaderFilter, ReaderTables};
 use crate::particle::{
     effective_sample_size_iter, effective_sample_size_probs, log_normalize, log_normalize_exp,
-    systematic_resample_counts, ObjectParticle, ParticleSoa, XyBounds,
+    systematic_resample, ObjectParticle, ParticleSoa, XyBounds,
 };
 use rand::Rng;
 use rfid_geom::{Aabb, Point3, Pose};
@@ -443,12 +443,13 @@ impl ObjectFilter {
         // -- resample on low joint ESS, in place -----------------------
         let resampled = effective_sample_size_probs(&scratch.probs) < ess_frac * n as f64;
         if resampled {
-            systematic_resample_counts(&scratch.probs, n, &mut scratch.counts, rng);
-            self.soa.reorder_by_counts(&mut scratch.counts);
-            let uniform = -(n as f64).ln();
-            for w in &mut self.soa.log_w {
-                *w = uniform;
-            }
+            systematic_resample(&scratch.probs, n, &mut scratch.ancestors, rng);
+            self.soa.gather(
+                &scratch.ancestors,
+                -(n as f64).ln(),
+                &mut scratch.incr,
+                &mut scratch.pending,
+            );
             self.resample_count += 1;
             // survivors only: the extent may have shrunk
             self.bounds = self.soa.xy_bounds();

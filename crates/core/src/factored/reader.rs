@@ -379,7 +379,11 @@ impl ReaderFilter {
             self.particles.iter().map(|p| p.log_w).collect()
         };
         log_normalize(&mut dist);
-        let ancestry = systematic_resample(&dist, n, rng);
+        for w in &mut dist {
+            *w = w.exp();
+        }
+        let mut ancestry = Vec::with_capacity(n);
+        systematic_resample(&dist, n, &mut ancestry, rng);
 
         let mut first_descendant = vec![None; n];
         let mut new_particles = Vec::with_capacity(n);

@@ -164,30 +164,34 @@ pub(crate) fn effective_sample_size_probs(probs: &[f64]) -> f64 {
     }
 }
 
-/// Systematic resampling: draws `n` ancestor indices from the
-/// categorical distribution given by normalized log weights.
+/// Systematic resampling: writes into `ancestors` (cleared first) the
+/// `n` ancestor indices drawn from the categorical distribution given
+/// by normalized probability-space weights — one uniform draw, `n`
+/// evenly spaced pointers, so the indices come out ascending. The
+/// caller owns the buffer: the object step's is scratch and allocates
+/// nothing once warm. For `probs[i] == log_w[i].exp()` the ancestors
+/// are those of the same loop run over log weights, exponentiating as
+/// it scans.
 pub(crate) fn systematic_resample<R: Rng + ?Sized>(
-    log_w: &[f64],
+    probs: &[f64],
     n: usize,
+    ancestors: &mut Vec<u32>,
     rng: &mut R,
-) -> Vec<u32> {
-    debug_assert!(!log_w.is_empty());
-    let mut out = Vec::with_capacity(n);
+) {
+    debug_assert!(!probs.is_empty());
+    ancestors.clear();
     let step = 1.0 / n as f64;
     let mut u = rng.gen::<f64>() * step;
     let mut cum = 0.0;
     let mut i = 0usize;
-    let mut w_i = log_w[0].exp();
     for _ in 0..n {
-        while cum + w_i < u && i + 1 < log_w.len() {
-            cum += w_i;
+        while cum + probs[i] < u && i + 1 < probs.len() {
+            cum += probs[i];
             i += 1;
-            w_i = log_w[i].exp();
         }
-        out.push(i as u32);
+        ancestors.push(i as u32);
         u += step;
     }
-    out
 }
 
 /// Streaming variant of [`effective_sample_size`] over an iterator of
@@ -235,38 +239,6 @@ pub(crate) fn log_normalize_by<T>(
     for it in items.iter_mut() {
         let w = get(it) - log_z;
         set(it, w);
-    }
-}
-
-/// Systematic resampling into per-source replication counts: after the
-/// call, `counts[i]` is the number of times particle `i` appears in the
-/// resampled set. Takes the weights in probability space (the hot path
-/// has them exponentiated already); for `probs[i] == log_w[i].exp()` it
-/// consumes exactly one RNG draw and selects the same ancestors as
-/// [`systematic_resample`] (whose ancestry vector is the non-decreasing
-/// sequence `i` repeated `counts[i]` times) — but fills a caller-owned
-/// buffer instead of allocating, which combined with
-/// [`ParticleSoa::reorder_by_counts`] makes resampling allocation-free.
-pub(crate) fn systematic_resample_counts<R: Rng + ?Sized>(
-    probs: &[f64],
-    n: usize,
-    counts: &mut Vec<u32>,
-    rng: &mut R,
-) {
-    debug_assert!(!probs.is_empty());
-    counts.clear();
-    counts.resize(probs.len(), 0);
-    let step = 1.0 / n as f64;
-    let mut u = rng.gen::<f64>() * step;
-    let mut cum = 0.0;
-    let mut i = 0usize;
-    for _ in 0..n {
-        while cum + probs[i] < u && i + 1 < probs.len() {
-            cum += probs[i];
-            i += 1;
-        }
-        counts[i] += 1;
-        u += step;
     }
 }
 
@@ -343,9 +315,8 @@ fn column_extent(col: &[f64]) -> [f64; 2] {
 /// columnar layout keeps each loop on contiguous `f64` slices. The
 /// logical particle sequence is unchanged — `get`/`iter` reconstruct
 /// [`ObjectParticle`] values bit-identical to the AoS representation,
-/// and the in-place resampling reorder applies one permutation to
-/// every column (pinned against a generic AoS reorder in this module's
-/// tests).
+/// and the resampling gather applies one ancestor list to every
+/// column (pinned against the AoS gather in this module's tests).
 #[derive(Debug, Clone, Default)]
 pub struct ParticleSoa {
     /// Particle x coordinates.
@@ -448,41 +419,32 @@ impl ParticleSoa {
         self.len() * (4 * std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
     }
 
-    /// Columnar [`reorder_by_counts`]: applies the identical resampled
-    /// permutation (survivor `i` repeated `counts[i]` times, in index
-    /// order) to all five columns in one two-pass sweep. `counts` is
-    /// clobbered, exactly like the free function.
-    pub(crate) fn reorder_by_counts(&mut self, counts: &mut [u32]) {
-        let n = self.len();
-        debug_assert_eq!(counts.len(), n);
-        debug_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), n);
-        let mut survivors = 0usize;
-        for i in 0..n {
-            if counts[i] > 0 {
-                self.xs[survivors] = self.xs[i];
-                self.ys[survivors] = self.ys[i];
-                self.zs[survivors] = self.zs[i];
-                self.reader_idx[survivors] = self.reader_idx[i];
-                self.log_w[survivors] = self.log_w[i];
-                counts[survivors] = counts[i];
-                survivors += 1;
-            }
+    /// Replaces the set by the particles `ancestors` names, in that
+    /// order — the resampled set — with every weight set to `log_w`.
+    /// Each location and pointer column is gathered into `spare` /
+    /// `spare_idx` and copied back, so the columns keep their buffers
+    /// and nothing allocates once the spares are warm.
+    pub(crate) fn gather(
+        &mut self,
+        ancestors: &[u32],
+        log_w: f64,
+        spare: &mut Vec<f64>,
+        spare_idx: &mut Vec<u32>,
+    ) {
+        debug_assert_eq!(ancestors.len(), self.len());
+        for col in [&mut self.xs, &mut self.ys, &mut self.zs] {
+            gather_column(col, ancestors, spare);
         }
-        let mut write = n;
-        for r in (0..survivors).rev() {
-            let (x, y, z) = (self.xs[r], self.ys[r], self.zs[r]);
-            let (ri, w) = (self.reader_idx[r], self.log_w[r]);
-            for _ in 0..counts[r] {
-                write -= 1;
-                self.xs[write] = x;
-                self.ys[write] = y;
-                self.zs[write] = z;
-                self.reader_idx[write] = ri;
-                self.log_w[write] = w;
-            }
-        }
-        debug_assert_eq!(write, 0);
+        gather_column(&mut self.reader_idx, ancestors, spare_idx);
+        self.log_w.fill(log_w);
     }
+}
+
+/// `col[i] = old col[ancestors[i]]`, through `spare`.
+fn gather_column<T: Copy>(col: &mut [T], ancestors: &[u32], spare: &mut Vec<T>) {
+    spare.clear();
+    spare.extend(ancestors.iter().map(|&a| col[a as usize]));
+    col.copy_from_slice(spare);
 }
 
 /// Weighted mean pose of reader particles: mean position plus circular
@@ -542,42 +504,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The generic form of [`ParticleSoa::reorder_by_counts`], the
-    /// reference the columnar one is pinned against: reorders `items` in
-    /// place into the resampled sequence described by `counts` (each
-    /// survivor `i` repeated `counts[i]` times, in index order) — the
-    /// exact sequence [`systematic_resample`]'s ancestry vector
-    /// produces, without the second allocation.
-    ///
-    /// Two passes: survivors are first compacted to the front (the write
-    /// cursor never passes the read cursor), then expanded from the back.
-    /// The back-expansion is safe because survivors each contribute at
-    /// least one copy, so survivor `r`'s output block starts at an index
-    /// `>= r` and never clobbers a survivor that is still to be read.
-    /// `counts` is clobbered by the compaction.
-    fn reorder_by_counts<T: Copy>(items: &mut [T], counts: &mut [u32]) {
-        let n = items.len();
-        debug_assert_eq!(counts.len(), n);
-        debug_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), n);
-        let mut survivors = 0usize;
-        for i in 0..n {
-            if counts[i] > 0 {
-                items[survivors] = items[i];
-                counts[survivors] = counts[i];
-                survivors += 1;
-            }
-        }
-        let mut write = n;
-        for r in (0..survivors).rev() {
-            let item = items[r];
-            for _ in 0..counts[r] {
-                write -= 1;
-                items[write] = item;
-            }
-        }
-        debug_assert_eq!(write, 0);
     }
 
     #[test]
@@ -712,7 +638,9 @@ mod tests {
         let mut w = vec![(0.7f64).ln(), (0.2f64).ln(), (0.1f64).ln()];
         log_normalize(&mut w).unwrap();
         let n = 10_000;
-        let idx = systematic_resample(&w, n, &mut rng);
+        let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
+        let mut idx = Vec::new();
+        systematic_resample(&probs, n, &mut idx, &mut rng);
         let c0 = idx.iter().filter(|&&i| i == 0).count() as f64 / n as f64;
         let c1 = idx.iter().filter(|&&i| i == 1).count() as f64 / n as f64;
         assert!((c0 - 0.7).abs() < 0.02, "c0 {c0}");
@@ -724,58 +652,93 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut w = vec![f64::NEG_INFINITY, 0.0, f64::NEG_INFINITY];
         log_normalize(&mut w).unwrap();
-        let idx = systematic_resample(&w, 100, &mut rng);
+        let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
+        let mut idx = Vec::new();
+        systematic_resample(&probs, 100, &mut idx, &mut rng);
         assert!(idx.iter().all(|&i| i == 1));
     }
 
-    #[test]
-    fn counts_match_ancestry_and_reorder_matches_gather() {
-        // the counts + in-place-reorder pair must reproduce exactly the
-        // sequence the allocating ancestry path produces, from the same
-        // RNG draw
-        for seed in 0..20u64 {
-            let mut w: Vec<f64> = (0..17).map(|i| (-(i as f64) * 0.3).exp().ln()).collect();
-            log_normalize(&mut w).unwrap();
-            let n = w.len();
-            let ancestry = systematic_resample(&w, n, &mut StdRng::seed_from_u64(seed));
-            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
-            let mut counts = Vec::new();
-            systematic_resample_counts(&probs, n, &mut counts, &mut StdRng::seed_from_u64(seed));
-            // ancestry is non-decreasing and is the histogram expansion
-            let expanded: Vec<u32> = counts
-                .iter()
-                .enumerate()
-                .flat_map(|(i, &c)| std::iter::repeat_n(i as u32, c as usize))
-                .collect();
-            assert_eq!(ancestry, expanded, "seed {seed}");
-            // in-place reorder equals the gather the old path performed
-            let mut items: Vec<u64> = (0..n as u64).map(|i| i * 100).collect();
-            let gathered: Vec<u64> = ancestry.iter().map(|&a| items[a as usize]).collect();
-            reorder_by_counts(&mut items, &mut counts);
-            assert_eq!(items, gathered, "seed {seed}");
+    /// The resampler as it was written over log weights, exponentiating
+    /// each weight as the scan reaches it — the form the reader and the
+    /// basic filter resampled with.
+    fn log_space_resample(log_w: &[f64], n: usize, rng: &mut StdRng) -> Vec<u32> {
+        let mut out = Vec::with_capacity(n);
+        let step = 1.0 / n as f64;
+        let mut u = rng.gen::<f64>() * step;
+        let mut cum = 0.0;
+        let mut i = 0usize;
+        let mut w_i = log_w[0].exp();
+        for _ in 0..n {
+            while cum + w_i < u && i + 1 < log_w.len() {
+                cum += w_i;
+                i += 1;
+                w_i = log_w[i].exp();
+            }
+            out.push(i as u32);
+            u += step;
         }
+        out
+    }
+
+    #[test]
+    fn ancestors_match_the_log_space_resampler() {
+        // the same ancestors from the same RNG draw, ascending, and the
+        // RNG left in the same state; one buffer across every call
+        let mut ancestors = Vec::new();
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let len = 1 + (seed as usize * 7) % 40;
+            let mut w: Vec<f64> = (0..len).map(|_| rng.gen::<f64>().ln() * 6.0).collect();
+            if seed % 3 == 0 && len > 1 {
+                w[len / 2] = f64::NEG_INFINITY;
+            }
+            log_normalize(&mut w).unwrap();
+            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
+            for n in [len, 2 * len + 1] {
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let plain = log_space_resample(&w, n, &mut a);
+                systematic_resample(&probs, n, &mut ancestors, &mut b);
+                assert_eq!(ancestors, plain, "seed {seed} n {n}");
+                assert!(ancestors.windows(2).all(|p| p[0] <= p[1]));
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "seed {seed} n {n}");
+            }
+        }
+    }
+
+    /// Particles `0..n` with distinct fields, so a gather shows where
+    /// every column entry came from.
+    fn numbered(n: usize) -> ParticleSoa {
+        ParticleSoa::from_aos(
+            &(0..n)
+                .map(|i| ObjectParticle {
+                    loc: Point3::new(i as f64, 100.0 + i as f64, -(i as f64)),
+                    reader_idx: 7 * i as u32,
+                    log_w: -0.5 * i as f64,
+                })
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
     fn reorder_handles_point_mass_and_identity() {
-        // all mass on the last source
-        let mut items = vec![10, 20, 30, 40];
-        let mut counts = vec![0u32, 0, 0, 4];
-        reorder_by_counts(&mut items, &mut counts);
-        assert_eq!(items, vec![40, 40, 40, 40]);
-        // identity counts leave items untouched
-        let mut items = vec![1, 2, 3];
-        let mut counts = vec![1u32, 1, 1];
-        reorder_by_counts(&mut items, &mut counts);
-        assert_eq!(items, vec![1, 2, 3]);
-        // the adversarial shape for naive one-pass copies: a middle
-        // survivor whose block lands on a later survivor's slot
-        let mut items = vec![0, 1, 2, 3];
-        let mut counts = vec![0u32, 3, 1, 0];
-        reorder_by_counts(&mut items, &mut counts);
-        assert_eq!(items, vec![1, 1, 1, 2]);
+        let (mut spare, mut spare_idx) = (Vec::new(), Vec::new());
+        let xs = |soa: &ParticleSoa| soa.xs.clone();
+        // all mass on the last particle
+        let mut soa = numbered(4);
+        soa.gather(&[3, 3, 3, 3], -1.0, &mut spare, &mut spare_idx);
+        assert_eq!(xs(&soa), vec![3.0; 4]);
+        assert_eq!(soa.reader_idx, vec![21; 4]);
+        assert_eq!(soa.log_w, vec![-1.0; 4]);
+        // identity ancestors leave the particles in place
+        let mut soa = numbered(3);
+        soa.gather(&[0, 1, 2], -1.0, &mut spare, &mut spare_idx);
+        assert_eq!(xs(&soa), vec![0.0, 1.0, 2.0]);
+        // a middle survivor whose copies land on a later survivor's slot
+        let mut soa = numbered(4);
+        soa.gather(&[1, 1, 1, 2], -1.0, &mut spare, &mut spare_idx);
+        assert_eq!(xs(&soa), vec![1.0, 1.0, 1.0, 2.0]);
+        assert_eq!(soa.zs, vec![-1.0, -1.0, -1.0, -2.0]);
     }
-
     #[test]
     fn ess_probs_matches_log_space_bitwise() {
         for seed in 0..10u64 {
@@ -810,28 +773,27 @@ mod tests {
                 assert_eq!(p.log_w.to_bits(), aos[i].log_w.to_bits());
             }
 
-            // the columnar reorder must equal the generic AoS reorder
+            // the columnar gather must equal the AoS gather
             let mut w: Vec<f64> = aos.iter().map(|p| p.log_w).collect();
             log_normalize(&mut w).unwrap();
             let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
-            let mut counts = Vec::new();
-            systematic_resample_counts(
+            let mut ancestors = Vec::new();
+            systematic_resample(
                 &probs,
                 n,
-                &mut counts,
+                &mut ancestors,
                 &mut StdRng::seed_from_u64(n as u64),
             );
-            let mut counts_soa = counts.clone();
-            let mut aos_reordered = aos.clone();
-            reorder_by_counts(&mut aos_reordered, &mut counts);
-            let mut soa_reordered = soa.clone();
-            soa_reordered.reorder_by_counts(&mut counts_soa);
-            for (i, p) in soa_reordered.iter().enumerate() {
-                assert_eq!(p.loc.x.to_bits(), aos_reordered[i].loc.x.to_bits());
-                assert_eq!(p.loc.y.to_bits(), aos_reordered[i].loc.y.to_bits());
-                assert_eq!(p.loc.z.to_bits(), aos_reordered[i].loc.z.to_bits());
-                assert_eq!(p.reader_idx, aos_reordered[i].reader_idx);
-                assert_eq!(p.log_w.to_bits(), aos_reordered[i].log_w.to_bits());
+            let aos_gathered: Vec<ObjectParticle> =
+                ancestors.iter().map(|&a| aos[a as usize]).collect();
+            let mut soa_gathered = soa.clone();
+            soa_gathered.gather(&ancestors, -2.5, &mut Vec::new(), &mut Vec::new());
+            for (i, p) in soa_gathered.iter().enumerate() {
+                assert_eq!(p.loc.x.to_bits(), aos_gathered[i].loc.x.to_bits());
+                assert_eq!(p.loc.y.to_bits(), aos_gathered[i].loc.y.to_bits());
+                assert_eq!(p.loc.z.to_bits(), aos_gathered[i].loc.z.to_bits());
+                assert_eq!(p.reader_idx, aos_gathered[i].reader_idx);
+                assert_eq!(p.log_w, -2.5);
             }
         }
     }

@@ -88,15 +88,15 @@ fn steady_state_object_step_allocates_nothing() {
     let step_stamp_hw = reg.gauge("alloc_free_stamp_high_water");
     let step_us = reg.histogram("alloc_free_step_us");
 
-    // warm-up: grows the probs/counts buffers to the particle count (a
-    // resampling step warms the counts buffer too)
+    // warm-up: grows the probs buffer to the particle count (a
+    // resampling step warms the ancestor list and the gather spares too)
     filter.refresh_pointers(&tables, 1, &mut rng);
     filter.step_fused(
         &model,
         &reader,
         &tables,
         true,
-        1.0, // force one resample so scratch.counts is sized
+        1.0, // force one resample so the resampler's buffers are sized
         &mut scratch,
         &mut support,
         &mut rng,
