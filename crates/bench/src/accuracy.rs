@@ -8,7 +8,7 @@
 //! ordering — the factored filter beats SMURF beats uniform — must
 //! hold as *event-level F1*, not just mean feet of error.
 
-use crate::metrics::{score_scenario, EventScoreConfig, ScenarioScore};
+use crate::metrics::{score_scenario, BeliefKind, EventScoreConfig, ScenarioScore, Uncertainty};
 use crate::runner::{
     run_baseline_smurf, run_baseline_uniform, run_engine_variant, EngineVariant, InferenceSensor,
 };
@@ -129,14 +129,26 @@ pub(crate) fn score_entry(entry: &LibraryEntry, cfg: &AccuracyConfig) -> Vec<Acc
         &sc.trace.shelf_tags,
         21,
     );
-    [("engine", engine), ("smurf", smurf), ("uniform", uniform)]
-        .into_iter()
-        .map(|(system, out)| AccuracyRow {
-            scenario: entry.name,
-            system,
-            score: score_scenario(&out.events, sc, &cfg.score),
-        })
-        .collect()
+    let mut rows: Vec<AccuracyRow> = [
+        ("engine", &engine),
+        ("smurf", &smurf),
+        ("uniform", &uniform),
+    ]
+    .into_iter()
+    .map(|(system, out)| AccuracyRow {
+        scenario: entry.name,
+        system,
+        score: score_scenario(&out.events, sc, &cfg.score),
+    })
+    .collect();
+    // only the engine's events say which belief they came from
+    rows[0].score.uncertainty = Uncertainty::score(
+        &engine.events,
+        &sc.trace.truth,
+        &cfg.score,
+        Some(BeliefKind::of),
+    );
+    rows
 }
 
 /// The scenario names of the library (`--list`, filter validation).
@@ -203,7 +215,7 @@ pub fn to_json(rows: &[AccuracyRow], cfg: &AccuracyConfig) -> String {
              \"truth_tags\": {}, \"precision\": {}, \"recall\": {}, \"f1\": {}, \
              \"matched\": {}, \"mislocated\": {}, \"phantom\": {}, \"missed_tags\": {}, \
              \"mean_xy_ft\": {}, \"max_xy_ft\": {}, \"containment\": {}, \
-             \"moves_total\": {}, \"moves_detected\": {}, \"mean_change_delay_epochs\": {}}}{}\n",
+             \"moves_total\": {}, \"moves_detected\": {}, \"mean_change_delay_epochs\": {}{}}}{}\n",
             r.scenario,
             r.system,
             e.events,
@@ -221,10 +233,33 @@ pub fn to_json(rows: &[AccuracyRow], cfg: &AccuracyConfig) -> String {
             c.moves_total,
             c.moves_detected,
             jnum(c.mean_delay_epochs),
+            uncertainty_members(&r.score.uncertainty),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     s.push_str("  ]\n}\n");
+    s
+}
+
+/// The calibration members of one row, after the event scores (so the
+/// members before them keep their bytes): the unsplit summary, then
+/// the active and the compressed beliefs' (`null` for a baseline).
+fn uncertainty_members(u: &Uncertainty) -> String {
+    let mut s = String::new();
+    for (suffix, c) in [
+        ("", &u.all),
+        ("_active", &u.active),
+        ("_compressed", &u.compressed),
+    ] {
+        s.push_str(&format!(
+            ", \"calibrated_events{suffix}\": {}, \"coverage{suffix}\": {}, \
+             \"err_sigma_p50{suffix}\": {}, \"err_sigma_p90{suffix}\": {}",
+            c.n,
+            jnum(c.coverage),
+            jnum(c.err_sigma_p50),
+            jnum(c.err_sigma_p90),
+        ));
+    }
     s
 }
 

@@ -2,7 +2,8 @@
 //! and event-level accuracy ([`EventScore`] and friends — the paper's
 //! real claim is inference *quality*, so the repo scores precision,
 //! recall, F1, change-detection delay, and shelf containment, not just
-//! mean feet of error).
+//! mean feet of error), and whether the uncertainty each event
+//! publishes covers its error ([`Uncertainty`]).
 
 use rfid_sim::scenario::Scenario;
 use rfid_sim::{GroundTruth, WarehouseLayout};
@@ -292,6 +293,126 @@ pub(crate) fn containment_accuracy(
     correct as f64 / n as f64
 }
 
+// ---------------------------------------------------------------------
+// Uncertainty: does the published spread cover the error?
+// ---------------------------------------------------------------------
+
+/// How the uncertainty a group of matched events publishes
+/// ([`EventStats`](rfid_stream::EventStats)) compares with their
+/// actual error. `σ` is the larger XY standard deviation, half of
+/// [`confidence_radius_xy`](rfid_stream::EventStats::confidence_radius_xy).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Calibration {
+    /// Matched events carrying statistics.
+    pub n: usize,
+    /// Share of them whose truth lies inside `confidence_radius_xy()`
+    /// (boundary included); `NaN` when `n` is 0.
+    pub coverage: f64,
+    /// Median of `XY error / σ` (nearest rank; `+inf` for a non-zero
+    /// error under `σ = 0`); `NaN` when `n` is 0.
+    pub err_sigma_p50: f64,
+    /// 90th percentile of `XY error / σ`, nearest rank.
+    pub err_sigma_p90: f64,
+}
+
+impl Calibration {
+    /// Summarizes `(error, σ)` pairs.
+    fn of(pairs: &[(f64, f64)]) -> Self {
+        let n = pairs.len();
+        if n == 0 {
+            return Self {
+                n,
+                coverage: f64::NAN,
+                err_sigma_p50: f64::NAN,
+                err_sigma_p90: f64::NAN,
+            };
+        }
+        let covered = pairs.iter().filter(|&&(err, sd)| err <= 2.0 * sd).count();
+        let mut ratios: Vec<f64> = pairs
+            .iter()
+            .map(|&(err, sd)| if err == 0.0 { 0.0 } else { err / sd })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let rank = |p: f64| ratios[((p * n as f64).ceil() as usize).clamp(1, n) - 1];
+        Self {
+            n,
+            coverage: covered as f64 / n as f64,
+            err_sigma_p50: rank(0.5),
+            err_sigma_p90: rank(0.9),
+        }
+    }
+}
+
+/// The belief an engine event was emitted from. The engine publishes a
+/// compressed belief's `support` as [`rfid_core::DECOMPRESSED_PARTICLES`]
+/// and an active one's as its particles' effective sample size, which
+/// is not an integer in practice; that is how a consumer of the event
+/// stream tells them apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BeliefKind {
+    Active,
+    Compressed,
+}
+
+impl BeliefKind {
+    /// The kind an engine event's statistics say it was emitted from.
+    pub fn of(stats: &rfid_stream::EventStats) -> Self {
+        if stats.support == rfid_core::DECOMPRESSED_PARTICLES as f64 {
+            Self::Compressed
+        } else {
+            Self::Active
+        }
+    }
+}
+
+/// [`Calibration`] of a stream's matched events, and — for an engine
+/// stream, whose events say which belief they came from — of each
+/// belief kind's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Uncertainty {
+    /// Every matched event carrying statistics.
+    pub all: Calibration,
+    /// Those emitted from an active particle cloud (`n` = 0 unsplit).
+    pub active: Calibration,
+    /// Those emitted from a compressed Gaussian (`n` = 0 unsplit).
+    pub compressed: Calibration,
+}
+
+impl Uncertainty {
+    /// Scores the matched events (within the match radius of the truth
+    /// at their epoch) that carry statistics; `kind` splits them by
+    /// [`BeliefKind`] when given.
+    pub fn score(
+        events: &[LocationEvent],
+        truth: &GroundTruth,
+        cfg: &EventScoreConfig,
+        kind: Option<fn(&rfid_stream::EventStats) -> BeliefKind>,
+    ) -> Self {
+        let (mut all, mut active, mut compressed) = (Vec::new(), Vec::new(), Vec::new());
+        for e in events {
+            let (Some(t), Some(stats)) = (truth.object_at(e.tag, e.epoch), e.stats) else {
+                continue;
+            };
+            let err = e.location.dist_xy(&t);
+            if err > cfg.match_radius_xy {
+                continue;
+            }
+            let pair = (err, 0.5 * stats.confidence_radius_xy());
+            all.push(pair);
+            match kind.map(|k| k(&stats)) {
+                Some(BeliefKind::Active) => active.push(pair),
+                Some(BeliefKind::Compressed) => compressed.push(pair),
+                None => {}
+            }
+        }
+        Self {
+            all: Calibration::of(&all),
+            active: Calibration::of(&active),
+            compressed: Calibration::of(&compressed),
+        }
+    }
+}
+
 /// The full per-scenario accuracy summary: event-level scores,
 /// continuous location error, change-detection delay, and shelf
 /// containment — one row of the accuracy matrix.
@@ -302,6 +423,8 @@ pub struct ScenarioScore {
     pub change: ChangeDetection,
     /// Correct-shelf fraction (`NaN` when nothing was attributable).
     pub containment: f64,
+    /// The published spread against the error, unsplit.
+    pub uncertainty: Uncertainty,
 }
 
 /// Scores one system's event stream against a scenario.
@@ -315,6 +438,7 @@ pub fn score_scenario(
         error: ErrorStats::score(events, &sc.trace.truth),
         change: ChangeDetection::score(events, &sc.trace.truth, cfg),
         containment: containment_accuracy(events, &sc.trace.truth, &sc.layout),
+        uncertainty: Uncertainty::score(events, &sc.trace.truth, cfg, None),
     }
 }
 
@@ -328,6 +452,57 @@ mod tests {
         let mut g = GroundTruth::new();
         g.set_object(TagId(tag), Epoch(0), loc);
         g
+    }
+
+    fn ev_var(epoch: u64, tag: u64, x: f64, y: f64, var: f64, support: f64) -> LocationEvent {
+        ev(epoch, tag, x, y).with_stats(rfid_stream::EventStats {
+            var: [var, var, 0.0],
+            support,
+        })
+    }
+
+    #[test]
+    fn uncertainty_counts_coverage_and_ranks_err_over_sigma() {
+        let g = truth_with(1, Point3::new(0.0, 0.0, 0.0));
+        let compressed = rfid_core::DECOMPRESSED_PARTICLES as f64;
+        let events = vec![
+            // σ = 0.5: errors 0.3 and 1.0 (boundary: covered) → 0.6, 2.0
+            ev_var(1, 1, 0.3, 0.0, 0.25, 312.7),
+            ev_var(2, 1, 0.0, 1.0, 0.25, 312.7),
+            // σ = 0.1, error 0.5 → 5.0, outside; compressed
+            ev_var(3, 1, 0.5, 0.0, 0.01, compressed),
+            // beyond the match radius, no statistics, unknown tag: skipped
+            ev_var(4, 1, 3.0, 0.0, 9.0, 312.7),
+            ev(5, 1, 0.0, 0.0),
+            ev_var(6, 9, 0.0, 0.0, 1.0, 312.7),
+        ];
+        let u = Uncertainty::score(
+            &events,
+            &g,
+            &EventScoreConfig::default(),
+            Some(BeliefKind::of),
+        );
+        assert_eq!(u.all.n, 3);
+        assert!((u.all.coverage - 2.0 / 3.0).abs() < 1e-12);
+        assert!((u.all.err_sigma_p50 - 2.0).abs() < 1e-12);
+        assert!((u.all.err_sigma_p90 - 5.0).abs() < 1e-12);
+        assert_eq!((u.active.n, u.compressed.n), (2, 1));
+        assert_eq!(u.active.coverage, 1.0);
+        assert!((u.active.err_sigma_p50 - 0.6).abs() < 1e-12);
+        assert_eq!(u.compressed.coverage, 0.0);
+        // unsplit: the kinds stay empty
+        let u = Uncertainty::score(&events, &g, &EventScoreConfig::default(), None);
+        assert_eq!((u.active.n, u.compressed.n), (0, 0));
+        assert!(u.active.coverage.is_nan());
+        // a zero spread covers only an exact hit
+        let exact = [
+            ev_var(1, 1, 0.0, 0.0, 0.0, 3.0),
+            ev_var(2, 1, 0.2, 0.0, 0.0, 3.0),
+        ];
+        let u = Uncertainty::score(&exact, &g, &EventScoreConfig::default(), None);
+        assert_eq!(u.all.coverage, 0.5);
+        assert_eq!(u.all.err_sigma_p50, 0.0);
+        assert_eq!(u.all.err_sigma_p90, f64::INFINITY);
     }
 
     #[test]

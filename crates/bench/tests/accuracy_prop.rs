@@ -5,15 +5,20 @@
 //!    leaves every score unchanged;
 //! 2. scoring the ground truth against itself yields F1 = 1.0 exactly;
 //! 3. adding spurious events (phantom tags, absent epochs, or
-//!    locations beyond the match radius) can never raise precision.
+//!    locations beyond the match radius) can never raise precision;
+//!
+//! and of the uncertainty scorer ([`rfid_bench::metrics::Uncertainty`]):
+//!
+//! 4. inflating every published variance never lowers coverage;
+//! 5. an event centred on the truth is covered, whatever its spread.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfid_bench::metrics::{ChangeDetection, EventScore, EventScoreConfig};
+use rfid_bench::metrics::{BeliefKind, ChangeDetection, EventScore, EventScoreConfig, Uncertainty};
 use rfid_geom::Point3;
 use rfid_sim::GroundTruth;
-use rfid_stream::{Epoch, LocationEvent, TagId};
+use rfid_stream::{Epoch, EventStats, LocationEvent, TagId};
 
 const MAX_EPOCH: u64 = 200;
 
@@ -162,4 +167,91 @@ proptest! {
         // and recall never drops from adding events
         prop_assert!(spoiled_score.recall >= base.recall);
     }
+
+    #[test]
+    fn inflating_every_variance_never_lowers_coverage(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let truth = random_truth(&mut rng);
+        let events = random_events(&mut rng, &truth);
+        let events = with_random_stats(&mut rng, events);
+        let factor = 1.0 + rng.gen_range(0.0..10.0);
+        let inflated: Vec<LocationEvent> = events
+            .iter()
+            .map(|e| {
+                let mut e = *e;
+                if let Some(s) = e.stats.as_mut() {
+                    for v in &mut s.var {
+                        *v *= factor;
+                    }
+                }
+                e
+            })
+            .collect();
+        let cfg = EventScoreConfig::default();
+        let kind = Some(BeliefKind::of as fn(&EventStats) -> BeliefKind);
+        let base = Uncertainty::score(&events, &truth, &cfg, kind);
+        let wider = Uncertainty::score(&inflated, &truth, &cfg, kind);
+        for (b, w) in [
+            (base.all, wider.all),
+            (base.active, wider.active),
+            (base.compressed, wider.compressed),
+        ] {
+            prop_assert_eq!(b.n, w.n);
+            if b.n > 0 {
+                prop_assert!(
+                    w.coverage >= b.coverage,
+                    "coverage fell: {} -> {} (x{factor})",
+                    b.coverage,
+                    w.coverage
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_event_centred_on_the_truth_is_covered(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let truth = random_truth(&mut rng);
+        let events = random_events(&mut rng, &truth);
+        let events: Vec<LocationEvent> = with_random_stats(&mut rng, events)
+            .into_iter()
+            .filter_map(|e| {
+                let t = truth.object_at(e.tag, e.epoch)?;
+                Some(LocationEvent { location: t, ..e })
+            })
+            .collect();
+        let u = Uncertainty::score(&events, &truth, &EventScoreConfig::default(), None);
+        prop_assert_eq!(u.all.n, events.len());
+        if !events.is_empty() {
+            prop_assert_eq!(u.all.coverage, 1.0);
+            prop_assert_eq!(u.all.err_sigma_p90, 0.0);
+        }
+    }
+}
+
+/// Attaches statistics to every event: a spread from zero to a few
+/// feet, on either axis, and now and then the engine's compressed
+/// support.
+fn with_random_stats(rng: &mut StdRng, events: Vec<LocationEvent>) -> Vec<LocationEvent> {
+    events
+        .into_iter()
+        .map(|e| {
+            let var = |rng: &mut StdRng| {
+                if rng.gen_bool(0.1) {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..4.0)
+                }
+            };
+            let support = if rng.gen_bool(0.3) {
+                rfid_core::DECOMPRESSED_PARTICLES as f64
+            } else {
+                rng.gen_range(1.0..400.0)
+            };
+            e.with_stats(EventStats {
+                var: [var(rng), var(rng), var(rng)],
+                support,
+            })
+        })
+        .collect()
 }
