@@ -65,6 +65,7 @@ fn fixture<S: ReadRateModel, P: LocationPrior>(
         n,
         0,
         Some(&prior),
+        &mut StepScratch::default(),
         &mut rng,
     );
     Fixture {
@@ -319,6 +320,7 @@ fn bench_epoch_components(c: &mut Criterion) {
                     1000,
                     0,
                     Some(&f.prior),
+                    &mut f.scratch,
                     &mut f.rng,
                 )
                 .len()

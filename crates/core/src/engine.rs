@@ -886,6 +886,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     let k = ctx.config.particles_per_object;
 
     let mut created: Option<ObjectState> = None;
+    let fresh = state.is_none();
     let state: &mut ObjectState = match state {
         Some(s) => s,
         None => {
@@ -899,10 +900,12 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
                 k,
                 ctx.stamp,
                 Some(ctx.prior),
+                scratch,
                 &mut rng,
             );
             created.insert(ObjectState {
-                last_estimate: f.estimate_with(reader, scratch),
+                // a placeholder: this step's estimate replaces it
+                last_estimate: (ctx.reader_pos, [0.0; 3]),
                 belief: Belief::Active(Box::new(f)),
                 last_read: ctx.epoch,
                 compression_due: 0,
@@ -928,8 +931,9 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
     f.predict(ctx.model, ctx.prior, read, &mut rng);
 
     // §IV-A re-detection handling: compare the current estimate with
-    // the location the reading implies (the reader's vicinity).
-    if read {
+    // the location the reading implies (the reader's vicinity). A new
+    // object has no previous estimate: its cloud was just drawn there.
+    if read && !fresh {
         let est = state.last_estimate.0;
         let gap = est.dist_xy(&ctx.reader_pos);
         if gap > ctx.range_over + RESPAWN_DISTANCE {
@@ -943,6 +947,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
                 k,
                 ctx.stamp,
                 Some(ctx.prior),
+                scratch,
                 &mut rng,
             );
             delta.full_reinit = true;
@@ -954,10 +959,13 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
                 ctx.range_over,
                 INIT_CONE_HALF_ANGLE,
                 Some(ctx.prior),
+                scratch,
                 &mut rng,
             );
             delta.half_respawn = true;
         }
+    }
+    if read {
         state.last_read = ctx.epoch;
     }
 

@@ -16,8 +16,9 @@
 //!    `tag % N` across processes and still emit the single-process
 //!    event stream bit for bit.
 //! 2. **Scratch buffers** ([`StepScratch`]): the joint-probability
-//!    buffer, the resampler's ancestor list and the weight pass's
-//!    columns and compaction list are owned by the engine and reused
+//!    buffer, the resampler's ancestor list, the weight pass's
+//!    columns and compaction list and the cone sampler's boxes are
+//!    owned by the engine and reused
 //!    across objects and epochs, so the steady-state step path performs
 //!    no heap allocation.
 //!
@@ -36,8 +37,8 @@ use rand::SeedableRng;
 #[derive(Debug, Default, Clone)]
 pub struct StepScratch {
     /// Normalized joint (object × reader) log weights — written only
-    /// by the log-space joint pass (first-sighting estimates, the
-    /// compression sweep's weighted cloud and the step's underflow
+    /// by the log-space joint pass (the compression sweep's weighted
+    /// cloud, a half respawn's ranking and the step's underflow
     /// fallback), never by an ordinary step.
     pub joint: Vec<f64>,
     /// The step's one probability buffer: first `exp(log_w − max)` from
@@ -62,6 +63,9 @@ pub struct StepScratch {
     /// (`cos φ`, `sin φ`), then the classifier's distance and bearing
     /// cosine.
     pub(crate) cols: [Vec<f64>; 7],
+    /// Cone initialization's legal box per reader particle, built the
+    /// first time a particle is drawn (`None` until then).
+    pub(crate) cone_boxes: Vec<Option<[f64; 4]>>,
 }
 
 /// Mixes `(master_seed, tag, epoch)` into a single seed word with a

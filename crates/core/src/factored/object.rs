@@ -89,9 +89,9 @@ pub fn sample_cone<R: Rng + ?Sized>(
 
 /// Draws a cone sample restricted to the legal object space when a
 /// prior is supplied (§V: "shelf information helps restrict the area
-/// for location sampling"): rejection-samples the cone against the
-/// prior, falling back to the raw cone point when the intersection is
-/// too small to hit.
+/// for location sampling"): uniform over the cone ∩ the legal space,
+/// falling back to the raw cone point when the intersection is empty
+/// or too small to hit.
 pub fn sample_cone_in_prior<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
     pose: &Pose,
     range: f64,
@@ -99,28 +99,30 @@ pub fn sample_cone_in_prior<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
     prior: Option<&P>,
     rng: &mut R,
 ) -> Point3 {
-    ConeSampler::new(range, half_angle, prior).sample(pose, rng)
+    let cone = ConeSampler::new(range, half_angle, prior);
+    let trig = [pose.phi.cos(), pose.phi.sin()];
+    cone.sample(pose, trig, &cone.legal_box(&pose.pos, trig), rng)
 }
 
 /// The one cone sampler behind [`sample_cone_in_prior`], cone
-/// initialization and respawn: [`sample_cone`], rejection-sampled
-/// against the prior for up to [`REJECTION_TRIES`] candidates.
+/// initialization and respawn: uniform over the cone ∩ the prior's
+/// legal space, by rejection from a box (Devroye 1986, §II.3).
 ///
-/// The prior's [`support_bounds`](LocationPrior::support_bounds) is
-/// hoisted at construction (once per init/respawn, not per candidate)
-/// and a candidate whose `x` falls outside it is rejected before its
-/// `sin`, its `y` and the prior lookup are paid for — in a warehouse
-/// the legal band is a thin strip of the cone, so most candidates go
-/// that way, and most of those are far enough outside that
-/// [`cos_bounds`] decides without the `cos` either. Early rejection
-/// only skips work whose outcome the box already decides: every
-/// candidate costs the same two RNG draws and an accepted point comes
-/// from the same expressions as [`sample_cone`], so the sampler returns
-/// the same bits and leaves the RNG in the same state as the plain
-/// rejection loop (`tests/cone_sampler_prop.rs`).
+/// The box ([`legal_box`](Self::legal_box)) bounds the sector clipped
+/// to the x-slab of the prior's
+/// [`support_bounds`](LocationPrior::support_bounds), intersected with
+/// its y range; in a warehouse that is the strip of shelf the reader
+/// faces, so about one candidate in five misses. A candidate is two
+/// uniform draws in the box, kept when it lies in the sector (distance
+/// and bearing) and the prior [`contains`](LocationPrior::contains)
+/// it. After [`REJECTION_TRIES`] misses — or at once when the box is
+/// empty: the reader faces away from the slab, or stands outside the
+/// support's z band — the raw [`sample_cone`] point is kept.
 struct ConeSampler<'a, P: ?Sized> {
     range: f64,
     half_angle: f64,
+    /// `[cos h, sin h]` of the half angle `h`.
+    half_trig: [f64; 2],
     prior: Option<(&'a P, Aabb)>,
 }
 
@@ -128,61 +130,125 @@ struct ConeSampler<'a, P: ?Sized> {
 /// cone point.
 const REJECTION_TRIES: usize = 30;
 
-/// Margin of the bound test in [`ConeSampler::sample`], relative to the
-/// magnitudes that enter a candidate's `x`. The computed `x` and the
-/// computed bounds are each within a few ulps (1e-15 relative) of their
-/// real values; a candidate closer than this to a face takes the exact
-/// line, so rounding cannot flip a decision.
-const BOUND_SLACK: f64 = 1e-9;
-
-/// `(lo, hi, scale)` with `lo ≤ cos a ≤ hi` for every real `a` (the
-/// alternating Taylor bounds `1 − a²/2` and `1 − a²/2 + a⁴/24`) and
-/// `scale = 1 + a²/2 + a⁴/24`, the magnitude their rounding error grows
-/// with. Tight for the headings a reader facing its shelf produces
-/// (`|a|` under 1: within 1.4e-3); loose — and then useless, never
-/// wrong — as `|a|` grows.
-fn cos_bounds(a: f64) -> (f64, f64, f64) {
-    let half = 0.5 * a * a;
-    let quart = half * half * (1.0 / 6.0);
-    (1.0 - half, 1.0 - half + quart, 1.0 + half + quart)
-}
-
 impl<'a, P: LocationPrior + ?Sized> ConeSampler<'a, P> {
     fn new(range: f64, half_angle: f64, prior: Option<&'a P>) -> Self {
         Self {
             range,
             half_angle,
+            half_trig: [half_angle.cos(), half_angle.sin()],
             prior: prior.map(|p| (p, p.support_bounds())),
         }
     }
 
-    fn sample<R: Rng + ?Sized>(&self, pose: &Pose, rng: &mut R) -> Point3 {
-        let Some((prior, bounds)) = &self.prior else {
-            return sample_cone(pose, self.range, self.half_angle, rng);
+    /// `[x0, x1, y0, y1]` bounding the cone at `pos` heading `[cos φ,
+    /// sin φ]` within the support (empty: `x0 > x1` or `y0 > y1`). The
+    /// extremes of the sector clipped to the x-slab lie among its apex,
+    /// its arc ends, where the rays and the arc cross the slab's faces,
+    /// and the arc's axis-direction points; the box is padded far above
+    /// rounding, so it always covers the exact region.
+    fn legal_box(&self, pos: &Point3, [c, s]: [f64; 2]) -> [f64; 4] {
+        let Some((_, sup)) = &self.prior else {
+            return [1.0, 0.0, 1.0, 0.0];
         };
-        for _ in 0..REJECTION_TRIES {
-            let d = self.range * rng.gen::<f64>().sqrt();
-            let ang = pose.phi + self.half_angle * (2.0 * rng.gen::<f64>() - 1.0);
-            // conservative bound first: d ≥ 0, so x lies between the
-            // two products; only a candidate within the slack of a face
-            // pays for the exact line below
-            let (lo, hi, scale) = cos_bounds(ang);
-            let slack = BOUND_SLACK * (pose.pos.x.abs() + d * scale);
-            if pose.pos.x + d * hi + slack < bounds.min.x
-                || pose.pos.x + d * lo - slack > bounds.max.x
-            {
-                continue;
+        if !(sup.min.z <= pos.z && pos.z <= sup.max.z) {
+            return [1.0, 0.0, 1.0, 0.0];
+        }
+        let (r, [ch, sh]) = (self.range, self.half_trig);
+        // every test below gives way by `pad`: a candidate that rounding
+        // puts just outside still counts, so the box only grows
+        let pad = 1e-9 * (pos.x.abs() + pos.y.abs() + r);
+        let in_cone = |dx: f64, dy: f64| dx * c + dy * s + pad >= (dx * dx + dy * dy).sqrt() * ch;
+        let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
+        let mut take = |x: f64, y: f64| {
+            if sup.min.x - pad <= x && x <= sup.max.x + pad {
+                (lo[0], hi[0]) = (lo[0].min(x), hi[0].max(x));
+                (lo[1], hi[1]) = (lo[1].min(y), hi[1].max(y));
             }
-            let x = pose.pos.x + d * ang.cos();
-            if x < bounds.min.x || x > bounds.max.x {
-                continue;
+        };
+        take(pos.x, pos.y);
+        // the two rays, at φ ∓ h by angle addition
+        for (ca, sa) in [
+            (c * ch + s * sh, s * ch - c * sh),
+            (c * ch - s * sh, s * ch + c * sh),
+        ] {
+            take(pos.x + r * ca, pos.y + r * sa);
+            for face in [sup.min.x, sup.max.x] {
+                let t = (face - pos.x) / ca;
+                if (-pad..=r + pad).contains(&t) {
+                    take(face, pos.y + t * sa);
+                }
             }
-            let cand = Point3::new(x, pose.pos.y + d * ang.sin(), pose.pos.z);
-            if prior.contains(&cand) {
-                return cand;
+        }
+        for face in [sup.min.x, sup.max.x] {
+            let dx = face - pos.x;
+            let dy = (r * r - dx * dx).max(0.0).sqrt();
+            for dy in [dy, -dy] {
+                if dx.abs() <= r + pad && in_cone(dx, dy) {
+                    take(face, pos.y + dy);
+                }
+            }
+        }
+        for (ex, ey) in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)] {
+            if in_cone(ex, ey) {
+                take(pos.x + r * ex, pos.y + r * ey);
+            }
+        }
+        [
+            (lo[0] - pad).max(sup.min.x),
+            (hi[0] + pad).min(sup.max.x),
+            (lo[1] - pad).max(sup.min.y),
+            (hi[1] + pad).min(sup.max.y),
+        ]
+    }
+
+    fn sample<R: Rng + ?Sized>(
+        &self,
+        pose: &Pose,
+        [c, s]: [f64; 2],
+        &[x0, x1, y0, y1]: &[f64; 4],
+        rng: &mut R,
+    ) -> Point3 {
+        if let Some((prior, _)) = &self.prior {
+            if x0 <= x1 && y0 <= y1 {
+                let p = pose.pos;
+                for _ in 0..REJECTION_TRIES {
+                    let x = x0 + (x1 - x0) * rng.gen::<f64>();
+                    let y = y0 + (y1 - y0) * rng.gen::<f64>();
+                    let (dx, dy) = (x - p.x, y - p.y);
+                    let d2 = dx * dx + dy * dy;
+                    let cand = Point3::new(x, y, p.z);
+                    if d2 <= self.range * self.range
+                        && dx * c + dy * s >= d2.sqrt() * self.half_trig[0]
+                        && prior.contains(&cand)
+                    {
+                        return cand;
+                    }
+                }
             }
         }
         sample_cone(pose, self.range, self.half_angle, rng)
+    }
+
+    /// `scratch`'s box cache, one empty slot per reader particle.
+    fn fresh_boxes(scratch: &mut StepScratch, n: usize) -> &mut [Option<[f64; 4]>] {
+        scratch.cone_boxes.clear();
+        scratch.cone_boxes.resize(n, None);
+        &mut scratch.cone_boxes
+    }
+
+    /// A cone point at reader particle `j`, its box built on first use
+    /// into `boxes` ([`fresh_boxes`](Self::fresh_boxes)).
+    fn sample_at<R: Rng + ?Sized>(
+        &self,
+        reader: &ReaderFilter,
+        tables: &ReaderTables,
+        j: u32,
+        boxes: &mut [Option<[f64; 4]>],
+        rng: &mut R,
+    ) -> Point3 {
+        let (pose, trig) = (reader.pose_of(j), tables.trig[j as usize]);
+        let bx = boxes[j as usize].get_or_insert_with(|| self.legal_box(&pose.pos, trig));
+        self.sample(pose, trig, bx, rng)
     }
 }
 
@@ -191,7 +257,8 @@ impl ObjectFilter {
     /// cones at reader particles (reader particle drawn per-object
     /// particle, proportionally to reader weights), restricted to the
     /// legal object space when `prior` is supplied. `tables` must have
-    /// been built from `reader` in its current state.
+    /// been built from `reader` in its current state; `scratch` holds
+    /// the cone's box per reader particle drawn.
     #[allow(clippy::too_many_arguments)] // the cone, the reader and its tables
     pub fn init_from_cone<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
         reader: &ReaderFilter,
@@ -201,16 +268,18 @@ impl ObjectFilter {
         n: usize,
         stamp: u64,
         prior: Option<&P>,
+        scratch: &mut StepScratch,
         rng: &mut R,
     ) -> Self {
         debug_assert!(n >= 1, "object filters are never empty");
         let uniform = -(n as f64).ln();
         let cone = ConeSampler::new(range, half_angle, prior);
+        let boxes = ConeSampler::<P>::fresh_boxes(scratch, reader.len());
         let mut soa = ParticleSoa::with_capacity(n);
         for _ in 0..n {
             let j = tables.sample_index(rng);
             soa.push(ObjectParticle {
-                loc: cone.sample(reader.pose_of(j), rng),
+                loc: cone.sample_at(reader, tables, j, boxes, rng),
                 reader_idx: j,
                 log_w: uniform,
             });
@@ -598,6 +667,7 @@ impl ObjectFilter {
 
     /// Posterior mean and per-axis variance under the joint weights,
     /// computed into caller-owned scratch (no allocation once warm).
+    #[cfg(test)]
     pub(crate) fn estimate_with(
         &self,
         reader: &ReaderFilter,
@@ -617,7 +687,7 @@ impl ObjectFilter {
     /// log-space route: log weights added, normalized with log-sum-exp
     /// into `joint`, exponentiated into `probs`. Two `exp` passes, but
     /// no product can underflow — the route of everything off the
-    /// per-step path ([`estimate_with`](Self::estimate_with),
+    /// per-step path ([`weighted_cloud_into`](Self::weighted_cloud_into),
     /// [`normalized_joint_weights`](Self::normalized_joint_weights))
     /// and the step's fallback.
     fn fill_joint(
@@ -672,6 +742,7 @@ impl ObjectFilter {
     /// current reader, then resets weights to uniform so "over time
     /// weighting and resampling will favor the particles close to the
     /// object's true location".
+    #[allow(clippy::too_many_arguments)] // the cone, the reader and its tables
     pub(crate) fn respawn_half<P: LocationPrior + ?Sized, R: Rng + ?Sized>(
         &mut self,
         reader: &ReaderFilter,
@@ -679,6 +750,7 @@ impl ObjectFilter {
         range: f64,
         half_angle: f64,
         prior: Option<&P>,
+        scratch: &mut StepScratch,
         rng: &mut R,
     ) {
         let n = self.soa.len();
@@ -692,12 +764,13 @@ impl ObjectFilter {
         });
         let uniform = -(n as f64).ln();
         let cone = ConeSampler::new(range, half_angle, prior);
+        let boxes = ConeSampler::<P>::fresh_boxes(scratch, reader.len());
         for &i in order.iter().take(n / 2) {
             let j = tables.sample_index(rng);
             self.soa.set(
                 i,
                 ObjectParticle {
-                    loc: cone.sample(reader.pose_of(j), rng),
+                    loc: cone.sample_at(reader, tables, j, boxes, rng),
                     reader_idx: j,
                     log_w: uniform,
                 },
@@ -752,6 +825,7 @@ mod tests {
             n,
             0,
             NO_PRIOR,
+            &mut StepScratch::default(),
             rng,
         )
     }
@@ -888,7 +962,15 @@ mod tests {
             })
             .collect();
         let mut f = ObjectFilter::from_particles(particles, 0);
-        f.respawn_half(&reader, &reader.tables(), 4.0, 0.6, NO_PRIOR, &mut rng);
+        f.respawn_half(
+            &reader,
+            &reader.tables(),
+            4.0,
+            0.6,
+            NO_PRIOR,
+            &mut StepScratch::default(),
+            &mut rng,
+        );
         // half the particles moved near the (distant) reader
         let near_reader = f
             .iter_particles()
@@ -913,7 +995,15 @@ mod tests {
         f.predict(&m, &prior(), true, &mut rng);
         assert_eq!(*f.xy_bounds(), f.soa().xy_bounds());
         let far = reader_at(Pose::new(Point3::new(50.0, 50.0, 0.0), 0.0), 10);
-        f.respawn_half(&far, &far.tables(), 4.0, 0.6, NO_PRIOR, &mut rng);
+        f.respawn_half(
+            &far,
+            &far.tables(),
+            4.0,
+            0.6,
+            NO_PRIOR,
+            &mut StepScratch::default(),
+            &mut rng,
+        );
         assert_eq!(*f.xy_bounds(), f.soa().xy_bounds());
         assert!(f.xy_bounds().max[0] > 40.0, "half the cloud moved");
         // a resampling step keeps survivors only

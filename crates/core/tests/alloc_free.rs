@@ -70,15 +70,33 @@ fn steady_state_object_step_allocates_nothing() {
     // buffers
     let tables = reader.tables();
     let mut rng = StdRng::seed_from_u64(99);
-    let mut filter =
-        ObjectFilter::init_from_cone(&reader, &tables, 4.0, 0.6, 500, 0, Some(&prior), &mut rng);
+    let mut scratch = StepScratch::default();
+    let mut filter = ObjectFilter::init_from_cone(
+        &reader,
+        &tables,
+        4.0,
+        0.6,
+        500,
+        0,
+        Some(&prior),
+        &mut scratch,
+        &mut rng,
+    );
     let cone = JointModel::with_sensor(
         ConeSensor::paper_default(),
         ModelParams::default_warehouse(),
     );
-    let mut cone_filter =
-        ObjectFilter::init_from_cone(&reader, &tables, 5.0, 0.6, 500, 0, Some(&prior), &mut rng);
-    let mut scratch = StepScratch::default();
+    let mut cone_filter = ObjectFilter::init_from_cone(
+        &reader,
+        &tables,
+        5.0,
+        0.6,
+        500,
+        0,
+        Some(&prior),
+        &mut scratch,
+        &mut rng,
+    );
     let mut support = vec![0.0f64; reader.len()];
 
     // metric handles registered before measurement (registration

@@ -16,10 +16,11 @@
 //! ```
 //!
 //! Every list in the payload is in a canonical order, so the bytes do
-//! not depend on how the writing engine laid its state out. A change to
-//! the inference arithmetic that re-blesses the goldens invalidates the
-//! fixture's second half too: regenerate it from the commit before that
-//! change, the same way.
+//! not depend on how the writing engine laid its state out. The
+//! fixture's engine state predates the box cone sampler, which
+//! re-blessed the goldens: today's engine restores it, writes it back
+//! byte for byte and finishes it on a literal digest, and its own
+//! checkpoint at the same cut finishes on the uninterrupted stream.
 //!
 //! `fixtures/pr13_four_partitions.ckpt` (7,809 bytes) is a version-1
 //! blob of the same cut and config, written by an engine that still
@@ -102,34 +103,50 @@ fn parent_written_checkpoint_restores_and_finishes_on_the_uninterrupted_digest()
     let expect = run_engine(&mut uninterrupted, &all);
     assert_eq!(uninterrupted.stats().decompressions, 4);
 
-    // the events the writer had already emitted, then the restored
-    // engine's: together they must be the uninterrupted stream
+    // the events today's engine had emitted at the cut, then those of
+    // an engine restored from its checkpoint: together they must be the
+    // uninterrupted stream
     let mut events = Vec::new();
     let mut first = engine(cfg());
     for b in &all[..CUT] {
         first.process_batch_into(b, &mut events);
     }
-    // the engine writes today the bytes the fixture holds
     let at = Epoch(CUT as u64 - 1);
-    assert_eq!(peek_epoch(FIXTURE).unwrap(), at);
-    assert!(first.checkpoint_bytes(at) == FIXTURE, "checkpoint bytes");
-
     let mut resumed = engine(cfg());
-    assert_eq!(resumed.restore_bytes(FIXTURE).unwrap(), at);
-    assert_eq!(resumed.tracked_objects().count(), 5);
-    assert_eq!(resumed.num_compressed(), 3);
-    assert_eq!(resumed.cooldown_entries(), 2);
+    assert_eq!(
+        resumed.restore_bytes(&first.checkpoint_bytes(at)).unwrap(),
+        at
+    );
     for b in &all[CUT..] {
         resumed.process_batch_into(b, &mut events);
     }
     resumed.finalize_into(Epoch(EPOCHS - 1), &mut events);
-    assert_eq!(events.len(), 9);
     assert_eq!(event_digest(&events), event_digest(&expect));
     // the restored counters carry on from the writer's
     let (a, b) = (resumed.stats(), uninterrupted.stats());
     assert_eq!(
         (a.epochs, a.object_updates, a.compressions, a.decompressions),
         (b.epochs, b.object_updates, b.compressions, b.decompressions)
+    );
+
+    // the fixture's engine state came from the sampler before the box:
+    // it restores, a restored engine writes it back byte for byte, and
+    // today's engine finishes it on the stream pinned here
+    assert_eq!(peek_epoch(FIXTURE).unwrap(), at);
+    let mut parent = engine(cfg());
+    assert_eq!(parent.restore_bytes(FIXTURE).unwrap(), at);
+    assert!(parent.checkpoint_bytes(at) == FIXTURE, "checkpoint bytes");
+    assert_eq!(parent.tracked_objects().count(), 5);
+    assert_eq!(parent.num_compressed(), 3);
+    assert_eq!(parent.cooldown_entries(), 2);
+    let mut tail = Vec::new();
+    for b in &all[CUT..] {
+        parent.process_batch_into(b, &mut tail);
+    }
+    parent.finalize_into(Epoch(EPOCHS - 1), &mut tail);
+    assert_eq!(
+        (tail.len(), event_digest(&tail)),
+        (6, 0xf316_5618_b442_a66e)
     );
 }
 

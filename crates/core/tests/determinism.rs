@@ -158,7 +158,8 @@ fn pinned_full() -> FilterConfig {
 }
 
 // Two literal digests written at the commit before the out-of-reach
-// test for Case-2 misses landed (PR 24). That test acts only where the
+// test for Case-2 misses landed (PR 24), re-blessed once since, when
+// cone initialization moved to the box sampler. That test acts only where the
 // sensor reports a hard edge *and* the spatial index is on, so an
 // engine missing either must not notice it — nor any later change to
 // how the index decides: these two streams are pinned by value, not
@@ -178,7 +179,7 @@ fn a_sensor_without_a_hard_edge_keeps_its_digest() {
     let events = run_engine(&mut engine, &sc.trace.epoch_batches());
     assert_eq!(
         (events.len(), event_digest(&events)),
-        (78, 0xc33dbd93fb9d43d3),
+        (78, 0xd96b6cc352d4a0fd),
         "the logistic-sensor engine's stream moved"
     );
 }
@@ -191,7 +192,7 @@ fn an_engine_without_the_index_keeps_its_digest() {
     let events = run_batch(&sc, cfg);
     assert_eq!(
         (events.len(), event_digest(&events)),
-        (78, 0x48e3011a0b797341),
+        (78, 0x746809a564cdb89d),
         "the index-off cone-sensor engine's stream moved"
     );
 }

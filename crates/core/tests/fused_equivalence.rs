@@ -180,6 +180,7 @@ fn drive(ess_frac: f64, read_at: fn(usize) -> bool, epochs: usize, seed: u64) ->
         120,
         0,
         NO_PRIOR,
+        &mut StepScratch::default(),
         &mut init_rng,
     );
     let m = JointModel::new(ModelParams::default_warehouse());
@@ -268,6 +269,7 @@ fn drive_cone(sensor: ConeSensor, read_at: fn(usize) -> bool, seed: u64) -> u64 
         400,
         0,
         NO_PRIOR,
+        &mut StepScratch::default(),
         &mut init_rng,
     );
     let regions = cone_regions(&start, &reader);
@@ -315,6 +317,7 @@ fn fused_support_mass_matches_seed_deposits() {
         200,
         0,
         NO_PRIOR,
+        &mut StepScratch::default(),
         &mut rng,
     );
     let mut scratch = StepScratch::default();
