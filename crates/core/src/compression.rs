@@ -158,7 +158,15 @@ mod tests {
         let reader = ReaderFilter::new(10, Pose::identity());
         let f = c.decompress(10, &reader.tables(), 3, &mut rng);
         assert_eq!(f.len(), 10);
-        let (est, _) = f.estimate_with(&reader, &mut crate::exec::StepScratch::default());
+        let mut cloud = Vec::new();
+        f.weighted_cloud_into(
+            &reader,
+            &mut crate::exec::StepScratch::default(),
+            &mut cloud,
+        );
+        let est = cloud.iter().fold(Point3::origin(), |m, &(w, p)| {
+            m + (p - Point3::origin()) * w
+        });
         assert!(est.dist(&center) < 0.2, "decompressed estimate {est:?}");
     }
 

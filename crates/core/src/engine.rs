@@ -932,7 +932,8 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
 
     // §IV-A re-detection handling: compare the current estimate with
     // the location the reading implies (the reader's vicinity). A new
-    // object has no previous estimate: its cloud was just drawn there.
+    // object has no previous estimate (and its `last_read` is set): its
+    // cloud was just drawn there.
     if read && !fresh {
         let est = state.last_estimate.0;
         let gap = est.dist_xy(&ctx.reader_pos);
@@ -964,8 +965,6 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             );
             delta.half_respawn = true;
         }
-    }
-    if read {
         state.last_read = ctx.epoch;
     }
 

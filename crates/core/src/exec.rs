@@ -38,8 +38,8 @@ use rand::SeedableRng;
 pub struct StepScratch {
     /// Normalized joint (object × reader) log weights — written only
     /// by the log-space joint pass (the compression sweep's weighted
-    /// cloud, a half respawn's ranking and the step's underflow
-    /// fallback), never by an ordinary step.
+    /// cloud and the step's underflow fallback), never by an ordinary
+    /// step.
     pub joint: Vec<f64>,
     /// The step's one probability buffer: first `exp(log_w − max)` from
     /// the object-weight normalization, then — multiplied by the reader

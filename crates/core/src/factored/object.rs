@@ -147,12 +147,10 @@ impl<'a, P: LocationPrior + ?Sized> ConeSampler<'a, P> {
     /// and the arc's axis-direction points; the box is padded far above
     /// rounding, so it always covers the exact region.
     fn legal_box(&self, pos: &Point3, [c, s]: [f64; 2]) -> [f64; 4] {
-        let Some((_, sup)) = &self.prior else {
+        let in_band = |(_, sup): &&(_, Aabb)| sup.min.z <= pos.z && pos.z <= sup.max.z;
+        let Some((_, sup)) = self.prior.as_ref().filter(in_band) else {
             return [1.0, 0.0, 1.0, 0.0];
         };
-        if !(sup.min.z <= pos.z && pos.z <= sup.max.z) {
-            return [1.0, 0.0, 1.0, 0.0];
-        }
         let (r, [ch, sh]) = (self.range, self.half_trig);
         // every test below gives way by `pad`: a candidate that rounding
         // puts just outside still counts, so the box only grows
@@ -208,21 +206,18 @@ impl<'a, P: LocationPrior + ?Sized> ConeSampler<'a, P> {
         &[x0, x1, y0, y1]: &[f64; 4],
         rng: &mut R,
     ) -> Point3 {
-        if let Some((prior, _)) = &self.prior {
-            if x0 <= x1 && y0 <= y1 {
-                let p = pose.pos;
-                for _ in 0..REJECTION_TRIES {
-                    let x = x0 + (x1 - x0) * rng.gen::<f64>();
-                    let y = y0 + (y1 - y0) * rng.gen::<f64>();
-                    let (dx, dy) = (x - p.x, y - p.y);
-                    let d2 = dx * dx + dy * dy;
-                    let cand = Point3::new(x, y, p.z);
-                    if d2 <= self.range * self.range
-                        && dx * c + dy * s >= d2.sqrt() * self.half_trig[0]
-                        && prior.contains(&cand)
-                    {
-                        return cand;
-                    }
+        if let Some((prior, _)) = self.prior.filter(|_| x0 <= x1 && y0 <= y1) {
+            for _ in 0..REJECTION_TRIES {
+                let x = x0 + (x1 - x0) * rng.gen::<f64>();
+                let y = y0 + (y1 - y0) * rng.gen::<f64>();
+                let (dx, dy) = (x - pose.pos.x, y - pose.pos.y);
+                let d2 = dx * dx + dy * dy;
+                let cand = Point3::new(x, y, pose.pos.z);
+                if d2 <= self.range * self.range
+                    && dx * c + dy * s >= d2.sqrt() * self.half_trig[0]
+                    && prior.contains(&cand)
+                {
+                    return cand;
                 }
             }
         }
@@ -665,18 +660,6 @@ impl ObjectFilter {
         (mean, var)
     }
 
-    /// Posterior mean and per-axis variance under the joint weights,
-    /// computed into caller-owned scratch (no allocation once warm).
-    #[cfg(test)]
-    pub(crate) fn estimate_with(
-        &self,
-        reader: &ReaderFilter,
-        scratch: &mut StepScratch,
-    ) -> (Point3, [f64; 3]) {
-        Self::fill_joint(&self.soa, reader, &mut scratch.joint, &mut scratch.probs);
-        Self::moments(&self.soa, &scratch.probs)
-    }
-
     /// Effective sample size of the (normalized) object-factor weights,
     /// computed in one streaming pass — no buffer.
     pub(crate) fn object_ess(&self) -> f64 {
@@ -913,7 +896,11 @@ mod tests {
         let m = model();
         let mut reader = reader_at(Pose::identity(), 20);
         let mut f = init(&reader, 6.0, 1.0, 2000, &mut rng);
-        let (before, _) = f.estimate_with(&reader, &mut StepScratch::default());
+        let mut cloud = Vec::new();
+        f.weighted_cloud_into(&reader, &mut StepScratch::default(), &mut cloud);
+        let before = cloud.iter().fold(Point3::origin(), |m, &(w, p)| {
+            m + (p - Point3::origin()) * w
+        });
         let mut after = before;
         for _ in 0..5 {
             (after, _) = step(&mut f, &m, &mut reader, false, 0.0, &mut rng).estimate;

@@ -35,9 +35,9 @@ pub trait LocationPrior: Send + Sync {
     fn bounds(&self) -> Aabb;
 
     /// A box that every legal location lies in: `contains(p)` implies
-    /// `support_bounds().contains(p)`. Rejection samplers test a
-    /// candidate's first coordinate against it before paying for the
-    /// rest of the candidate and for [`pdf`](Self::pdf). Unlike
+    /// `support_bounds().contains(p)`. The cone sampler draws its
+    /// candidates inside it, so no candidate outside it pays for
+    /// [`pdf`](Self::pdf). Unlike
     /// [`bounds`](Self::bounds) it must cover any tolerance band
     /// `contains` accepts; the default is the whole space, which can
     /// never be wrong.
