@@ -158,12 +158,13 @@ fn pinned_full() -> FilterConfig {
 }
 
 // Two literal digests written at the commit before the out-of-reach
-// test for Case-2 misses landed (PR 24), re-blessed once since, when
-// cone initialization moved to the box sampler. That test acts only where the
+// test for Case-2 misses landed (PR 24). That test acts only where the
 // sensor reports a hard edge *and* the spatial index is on, so an
 // engine missing either must not notice it — nor any later change to
 // how the index decides: these two streams are pinned by value, not
 // against a second run of the same code.
+// Both were re-blessed once, when cone initialization moved to the
+// box sampler.
 
 #[test]
 fn a_sensor_without_a_hard_edge_keeps_its_digest() {
