@@ -22,6 +22,12 @@
 //! byte for byte and finishes it on a literal digest, and its own
 //! checkpoint at the same cut finishes on the uninterrupted stream.
 //!
+//! `fixtures/pr47_stale_cooldown.ckpt` is the same engine's version-2
+//! blob at cut 42 (checkpoint epoch 41), written while the engine kept
+//! a separate compression queue: both of its cooldown entries are keyed
+//! at the epoch they were queued, before their objects' due epochs.
+//! Today's engine restores it and finishes on the uninterrupted stream.
+//!
 //! `fixtures/pr13_four_partitions.ckpt` (7,809 bytes) is a version-1
 //! blob of the same cut and config, written by an engine that still
 //! partitioned its objects. This build refuses it as
@@ -42,6 +48,7 @@ use rfid_stream::{Epoch, EpochBatch, InferenceStage, TagId};
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/pr34_v2.ckpt");
 const V1_FIXTURE: &[u8] = include_bytes!("fixtures/pr13_four_partitions.ckpt");
+const STALE_FIXTURE: &[u8] = include_bytes!("fixtures/pr47_stale_cooldown.ckpt");
 const EPOCHS: u64 = 100;
 /// Batches the fixture's writer had processed.
 const CUT: usize = 40;
@@ -251,4 +258,27 @@ fn version_1_checkpoint_is_refused() {
         engine(cfg()).restore_bytes(V1_FIXTURE),
         Err(CheckpointError::UnsupportedVersion(1))
     ));
+}
+
+#[test]
+fn a_checkpoint_with_stale_cooldown_keys_finishes_on_the_uninterrupted_digest() {
+    const STALE_CUT: usize = 42;
+    let all = batches();
+    let expect = run_engine(&mut engine(cfg()), &all);
+
+    let mut events = Vec::new();
+    let mut first = engine(cfg());
+    for b in &all[..STALE_CUT] {
+        first.process_batch_into(b, &mut events);
+    }
+    let at = Epoch(STALE_CUT as u64 - 1);
+    assert_eq!(peek_epoch(STALE_FIXTURE).unwrap(), at);
+    let mut resumed = engine(cfg());
+    assert_eq!(resumed.restore_bytes(STALE_FIXTURE).unwrap(), at);
+    assert_eq!(resumed.cooldown_entries(), 2);
+    for b in &all[STALE_CUT..] {
+        resumed.process_batch_into(b, &mut events);
+    }
+    resumed.finalize_into(Epoch(EPOCHS - 1), &mut events);
+    assert_eq!(event_digest(&events), event_digest(&expect));
 }
