@@ -54,10 +54,7 @@ subcommands:\n\
 \x20 report                 render the committed BENCH_accuracy.json as a\n\
 \x20                        markdown table (for EXPERIMENTS.md); exits 1\n\
 \x20                        when it is unreadable\n\
-\x20 ablation-init          initialization-cone overestimate sweep\n\
-\x20 ablation-particles     particles-per-object accuracy/cost frontier\n\
-\x20 ablation-resample      resampling-threshold policy sweep\n\
-\x20 all                    run every figure and ablation\n\
+\x20 all                    run every figure\n\
 \n\
 flags: --quick  (smaller sweeps for a smoke pass)\n\
 \n\
@@ -120,9 +117,6 @@ fn main() -> ExitCode {
         "fig6b-lab-table" => fig6b_lab_table(opts),
         "accuracy" => passed = accuracy(opts, json, scenario_filter.as_deref(), list),
         "report" => passed = report(),
-        "ablation-init" => ablation_init(opts),
-        "ablation-particles" => ablation_particles(opts),
-        "ablation-resample" => ablation_resample(opts),
         "all" => {
             fig5a_sensor_models(opts);
             fig5d_lab_sensor(opts);
@@ -132,9 +126,6 @@ fn main() -> ExitCode {
             fig5h_moving_objects(opts);
             fig5ij_scalability(opts);
             fig6b_lab_table(opts);
-            ablation_init(opts);
-            ablation_particles(opts);
-            ablation_resample(opts);
         }
         "help" => eprintln!("{HELP}"),
         _ => {
@@ -973,130 +964,5 @@ fn fig6b_lab_table(opts: Opts) {
     r.line("# paper: ours 0.39-0.54 ft; SMURF 1.3-1.7x ours on the small shelf and");
     r.line("# >2.7x on the large shelf (it cannot correct dead-reckoning drift,");
     r.line("# and its x error is pinned at half the shelf depth).");
-    r.finish();
-}
-
-// ---------------------------------------------------------------------
-// Ablations
-// ---------------------------------------------------------------------
-
-fn ablation_init(opts: Opts) {
-    let mut r = Report::new(
-        "ablation_init",
-        "Ablation: initialization-cone range overestimate (sensor-model-based init)",
-    );
-    let particles = if opts.quick { 300 } else { 800 };
-    let sc = scenario::small_trace(12, 4, 888);
-    let batches = sc.trace.epoch_batches();
-    let mut t = Table::new(vec!["range factor", "error XY (ft)"]);
-    for &factor in &[1.0f64, 1.25, 1.75, 2.5] {
-        let mut cfg = rfid_core::FilterConfig::factored_default();
-        cfg.particles_per_object = particles;
-        cfg.init_range_overestimate = factor;
-        cfg.report_delay_epochs = default_report_delay();
-        let model = rfid_model::JointModel::with_sensor(
-            ConeSensor::paper_default(),
-            ModelParams::default_warehouse(),
-        );
-        let mut engine = rfid_core::InferenceEngine::new(
-            model,
-            sc.layout.clone(),
-            sc.trace.shelf_tags.clone(),
-            cfg,
-        )
-        .expect("valid");
-        let events = rfid_core::engine::run_engine(&mut engine, &batches);
-        t.row(vec![
-            f2(factor),
-            f2(score(&events, &sc.trace.truth).mean_xy),
-        ]);
-    }
-    r.table(&t);
-    r.line("# the paper chooses the cone as 'an overestimate of the true range';");
-    r.line("# too tight misses the true location, too wide wastes particles.");
-    r.finish();
-}
-
-fn ablation_particles(opts: Opts) {
-    let mut r = Report::new(
-        "ablation_particles",
-        "Ablation: particles per object — accuracy/cost frontier",
-    );
-    let sc = scenario::small_trace(12, 4, 999);
-    let batches = sc.trace.epoch_batches();
-    let counts: &[usize] = if opts.quick {
-        &[10, 100, 1000]
-    } else {
-        &[10, 50, 100, 300, 1000, 3000]
-    };
-    let mut t = Table::new(vec!["particles/object", "error XY (ft)", "ms/reading"]);
-    for &k in counts {
-        let out = run_engine_variant(
-            &batches,
-            &sc.layout,
-            &sc.trace.shelf_tags,
-            EngineVariant::Factored,
-            InferenceSensor::TrueCone(ConeSensor::paper_default()),
-            ModelParams::default_warehouse(),
-            k,
-            default_report_delay(),
-        );
-        t.row(vec![
-            k.to_string(),
-            f2(score(&out.events, &sc.trace.truth).mean_xy),
-            f3(out.ms_per_reading()),
-        ]);
-    }
-    r.table(&t);
-    r.line("# diminishing accuracy returns past ~1000 particles/object (the");
-    r.line("# paper's operating point), while cost keeps growing linearly.");
-    r.finish();
-}
-
-fn ablation_resample(opts: Opts) {
-    let mut r = Report::new(
-        "ablation_resample",
-        "Ablation: resampling threshold (maintained factored weights vs resample-always)",
-    );
-    let particles = if opts.quick { 300 } else { 800 };
-    let sc = scenario::small_trace(12, 4, 1111);
-    let batches = sc.trace.epoch_batches();
-    let mut t = Table::new(vec![
-        "ESS threshold",
-        "error XY (ft)",
-        "object resamples",
-        "ms/reading",
-    ]);
-    for &frac in &[0.1f64, 0.3, 0.5, 0.9, 1.0] {
-        let mut cfg = rfid_core::FilterConfig::factored_default();
-        cfg.particles_per_object = particles;
-        cfg.resample_ess_frac = frac;
-        cfg.report_delay_epochs = default_report_delay();
-        let model = rfid_model::JointModel::with_sensor(
-            ConeSensor::paper_default(),
-            ModelParams::default_warehouse(),
-        );
-        let mut engine = rfid_core::InferenceEngine::new(
-            model,
-            sc.layout.clone(),
-            sc.trace.shelf_tags.clone(),
-            cfg,
-        )
-        .expect("valid");
-        let start = std::time::Instant::now();
-        let events = rfid_core::engine::run_engine(&mut engine, &batches);
-        let elapsed = start.elapsed();
-        let readings: usize = batches.iter().map(|b| b.readings.len()).sum();
-        t.row(vec![
-            f2(frac),
-            f2(score(&events, &sc.trace.truth).mean_xy),
-            engine.stats().object_resamples.to_string(),
-            f3(elapsed.as_secs_f64() * 1e3 / readings as f64),
-        ]);
-    }
-    r.table(&t);
-    r.line("# threshold 1.0 resamples every step (the Ng et al. scheme the paper");
-    r.line("# contrasts with); maintained factored weights resample far less often");
-    r.line("# at equal or better accuracy.");
     r.finish();
 }

@@ -10,7 +10,9 @@
 //! scalability study (Fig. 5(i)/(j)); the paper could not push it past
 //! 20 objects.
 
-use crate::config::{FilterConfig, INIT_CONE_HALF_ANGLE, MAX_INIT_RANGE};
+use crate::config::{
+    FilterConfig, INIT_CONE_HALF_ANGLE, INIT_RANGE_OVERESTIMATE, MAX_INIT_RANGE, RESAMPLE_ESS_FRAC,
+};
 use crate::error::ConfigError;
 use crate::factored::sample_cone_in_prior;
 use crate::output::OutputPolicy;
@@ -35,7 +37,6 @@ pub struct BasicParticleFilter<P: LocationPrior, S: ReadRateModel = rfid_model::
 {
     model: JointModel<S>,
     prior: P,
-    config: FilterConfig,
     shelf_tags: Vec<(TagId, Point3)>,
     shelf_ids: BTreeSet<TagId>,
     particles: Vec<JointParticle>,
@@ -64,8 +65,8 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
         if num_particles == 0 {
             return Err(ConfigError::new("num_particles must be >= 1"));
         }
-        let range_over = (model.sensor.detection_range(0.02) * config.init_range_overestimate)
-            .min(MAX_INIT_RANGE);
+        let range_over =
+            (model.sensor.detection_range(0.02) * INIT_RANGE_OVERESTIMATE).min(MAX_INIT_RANGE);
         let shelf_ids = shelf_tags.iter().map(|(t, _)| *t).collect();
         let uniform = -(num_particles as f64).ln();
         Ok(Self {
@@ -83,15 +84,11 @@ impl<P: LocationPrior, S: ReadRateModel> BasicParticleFilter<P, S> {
             ],
             tags: Vec::new(),
             index_of: HashMap::new(),
-            policy: OutputPolicy::new(
-                config.report_delay_epochs,
-                config.report_delay_epochs.saturating_mul(2),
-            ),
+            policy: OutputPolicy::new(config.report_delay_epochs),
             rng: StdRng::seed_from_u64(config.seed),
             range_over,
             last_report: None,
             initialized: false,
-            config,
         })
     }
 
@@ -258,7 +255,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceStage for BasicParticleFilter<
 
         // ---- resample -------------------------------------------------
         let n = self.particles.len();
-        if effective_sample_size(&w) < self.config.resample_ess_frac * n as f64 {
+        if effective_sample_size(&w) < RESAMPLE_ESS_FRAC * n as f64 {
             let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
             let mut ancestry = Vec::with_capacity(n);
             systematic_resample(&probs, n, &mut ancestry, &mut self.rng);
@@ -281,7 +278,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceStage for BasicParticleFilter<
 
     /// Flushes pending reports at end of trace.
     fn finalize_into(&mut self, last_epoch: Epoch, out: &mut Vec<LocationEvent>) {
-        for tag in self.policy.flush() {
+        for tag in self.policy.flush(last_epoch) {
             out.extend(self.event(last_epoch, tag));
         }
     }

@@ -25,7 +25,7 @@
 
 use crate::factored::ObjectFilter;
 use crate::factored::ReaderTables;
-use crate::particle::ObjectParticle;
+use crate::particle::{ObjectParticle, ParticleSoa};
 use rand::Rng;
 use rfid_geom::{Gaussian3, Mat3, Point3};
 use rfid_stream::Epoch;
@@ -88,7 +88,8 @@ impl CompressedBelief {
 
     /// Decompression: draws `n` particles from the Gaussian with
     /// uniform weights, pointing at reader particles sampled by weight
-    /// through the reader's per-epoch `tables`.
+    /// through the reader's per-epoch `tables`. Each particle draws its
+    /// location, then its reader index, straight into the columns.
     pub fn decompress<R: Rng + ?Sized>(
         &self,
         n: usize,
@@ -99,14 +100,16 @@ impl CompressedBelief {
         assert!(n >= 1);
         let gaussian = self.gaussian();
         let uniform = -(n as f64).ln();
-        let particles: Vec<ObjectParticle> = (0..n)
-            .map(|_| ObjectParticle {
-                loc: gaussian.sample(rng),
+        let mut soa = ParticleSoa::with_capacity(n);
+        for _ in 0..n {
+            let loc = gaussian.sample(rng);
+            soa.push(ObjectParticle {
+                loc,
                 reader_idx: tables.sample_index(rng),
                 log_w: uniform,
-            })
-            .collect();
-        ObjectFilter::from_particles(particles, stamp)
+            });
+        }
+        ObjectFilter::from_soa(soa, stamp, 0)
     }
 }
 

@@ -1,18 +1,25 @@
-//! Filter configuration: the ten values a figure, ablation, preset
-//! or test sets ([`FilterConfig`], two of them in
-//! [`CompressionPolicy`]), and the five the paper fixes in prose, which
-//! are constants here. A checkpoint's config fingerprint still covers
+//! Filter configuration: the eight values a figure, preset or test sets
+//! ([`FilterConfig`], two of them in [`CompressionPolicy`]), and the
+//! seven the paper fixes in prose or nothing sets, which are constants
+//! here. A checkpoint's config fingerprint still covers
 //! the constants (at the byte offsets the fields had), so a blob
 //! written by a build with another value is refused, not mis-decoded.
 
 use crate::error::ConfigError;
 
+/// Resample a particle set when its effective sample size falls below
+/// this fraction of the set size.
+pub const RESAMPLE_ESS_FRAC: f64 = 0.5;
+/// Multiplier on the sensor detection range when initializing
+/// particles in a cone at the reader ("chosen to be an overestimate of
+/// the true range", §IV-A).
+pub const INIT_RANGE_OVERESTIMATE: f64 = 1.25;
 /// Half-angle (radians) of the particle-initialization cone, 35°.
 /// Like the range, it overestimates the sensor's angular width (§IV-A:
 /// the paper's cone is 15° major + 15° minor half-angle; this adds 5°).
 pub const INIT_CONE_HALF_ANGLE: f64 = 35.0 * (std::f64::consts::PI / 180.0);
 /// Hard cap on the initialization range in feet, applied after
-/// [`FilterConfig::init_range_overestimate`] (§IV-A). Learned sensor
+/// [`INIT_RANGE_OVERESTIMATE`] (§IV-A). Learned sensor
 /// models on geometries that cannot identify distance decay (tags all
 /// at one standoff) can report enormous detection ranges; the cap keeps
 /// the initialization cone physical.
@@ -79,13 +86,6 @@ pub struct FilterConfig {
     pub particles_per_object: usize,
     /// Reader particles.
     pub reader_particles: usize,
-    /// Resample a particle set when its effective sample size falls
-    /// below this fraction of the set size.
-    pub resample_ess_frac: f64,
-    /// Multiplier on the sensor detection range when initializing
-    /// particles in a cone at the reader ("chosen to be an overestimate
-    /// of the true range").
-    pub init_range_overestimate: f64,
     /// Reader handling mode.
     pub reader_mode: ReaderMode,
     /// Use the spatial index to restrict per-epoch work (§IV-C).
@@ -107,8 +107,6 @@ impl FilterConfig {
         Self {
             particles_per_object: 1000,
             reader_particles: 100,
-            resample_ess_frac: 0.5,
-            init_range_overestimate: 1.25,
             reader_mode: ReaderMode::Filter,
             use_spatial_index: false,
             compression: CompressionPolicy::disabled(),
@@ -142,15 +140,6 @@ impl FilterConfig {
         if self.reader_particles == 0 {
             return Err(ConfigError::new("reader_particles must be >= 1"));
         }
-        if !(0.0..=1.0).contains(&self.resample_ess_frac) {
-            return Err(ConfigError::new("resample_ess_frac must lie in [0, 1]"));
-        }
-        // negated comparisons: NaN fails every one of them
-        if !(self.init_range_overestimate >= 1.0 && self.init_range_overestimate.is_finite()) {
-            return Err(ConfigError::new(
-                "init_range_overestimate must be finite and >= 1 (an overestimate)",
-            ));
-        }
         Ok(())
     }
 }
@@ -180,23 +169,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = FilterConfig::factored_default();
-        c.resample_ess_frac = 1.5;
+        c.reader_particles = 0;
         assert!(c.validate().is_err());
-
-        let mut c = FilterConfig::factored_default();
-        c.init_range_overestimate = 0.5;
-        assert!(c.validate().is_err());
-
-        // NaN compares false with everything, so `x < bound` checks let
-        // it through; every f64 field must reject it explicitly
-        let valid = |edit: fn(&mut FilterConfig, f64), v: f64| {
-            let mut c = FilterConfig::full_default();
-            edit(&mut c, v);
-            c.validate().is_ok()
-        };
-        assert!(!valid(|c, v| c.resample_ess_frac = v, f64::NAN));
-        for v in [f64::NAN, f64::INFINITY] {
-            assert!(!valid(|c, v| c.init_range_overestimate = v, v), "{v}");
-        }
     }
 }

@@ -11,9 +11,9 @@
 //!    active set — Case 1, the objects read; Case 2, the objects the
 //!    spatial index recorded nearby *and* some reader particle can see
 //!    ([`crate::Reach`]: exact, so only for a sensor with a hard edge)
-//!    — which is the step queue; run the per-object updates, schedule
-//!    compression checks, and record the sensing region;
-//! 3. **emission**: emit the due events from the output policy
+//!    — which is the step queue; run the per-object updates, and
+//!    record the sensing region;
+//! 3. **emission**: emit the events the output policy has due
 //!    (`emit_due`), resample the reader (`resample_reader`), re-point
 //!    the active objects' dead ancestor pointers with a caller-supplied
 //!    draw (`remap_active`; here the engine RNG), and run the
@@ -28,9 +28,12 @@
 //! # Execution model
 //!
 //! The engine owns one object map and steps the epoch's objects one
-//! after another on the calling thread, in **tag order**. There is one
-//! path and no execution option; the hot path is **allocation-free in
-//! steady state**:
+//! after another on the calling thread, in **tag order**. An object's
+//! record holds everything the engine schedules for it: its belief,
+//! its output-policy scope and its compression due epoch. The emit
+//! stage, the end-of-trace flush and the compression sweep are each one
+//! pass over the map. There is one path and no execution option; the
+//! hot path is **allocation-free in steady state**:
 //!
 //! * every buffer the per-object step needs lives in reusable scratch
 //!   owned by the engine ([`crate::StepScratch`]);
@@ -52,13 +55,14 @@ pub mod cluster;
 
 use crate::compression::CompressedBelief;
 use crate::config::{
-    FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE, MAX_INIT_RANGE,
-    RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+    FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
+    INIT_RANGE_OVERESTIMATE, MAX_INIT_RANGE, RESAMPLE_ESS_FRAC, RESPAWN_DISTANCE,
+    SMALL_MOVE_DISTANCE,
 };
 use crate::error::ConfigError;
 use crate::exec::{self, StepScratch};
 use crate::factored::{ObjectFilter, ReaderFilter, ReaderRemap, ReaderTables};
-use crate::output::OutputPolicy;
+use crate::output::Scope;
 use crate::spatial_hook::{sensing_box, Reach};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,7 +70,7 @@ use rfid_geom::{Point3, Pose};
 use rfid_model::{JointModel, LocationPrior, ReadRateModel};
 use rfid_spatial::RegionIndex;
 use rfid_stream::{Epoch, EpochBatch, EventStats, InferenceStage, LocationEvent, TagId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// One object's belief representation. A dormant object's compressed
@@ -83,12 +87,11 @@ enum Belief {
 struct ObjectState {
     belief: Belief,
     last_estimate: (Point3, [f64; 3]),
-    last_read: Epoch,
-    /// Epoch at which the compression sweep should next consider this
-    /// object (0 = no check queued). Bumped on every *read* epoch
-    /// (Case-2 activity does not reset the clock), so the cooldown
-    /// queue holds at most one live entry per tag instead of one per
-    /// active epoch.
+    /// The output policy's schedule for this object (§II-A).
+    scope: Scope,
+    /// Epoch at which the compression sweep compresses this object
+    /// (0 = no check scheduled): `idle_epochs` after its last *read*,
+    /// set by every read (Case-2 activity does not reset the clock).
     compression_due: u64,
 }
 
@@ -259,11 +262,6 @@ pub struct InferenceEngine<P: LocationPrior, S: ReadRateModel = rfid_model::Logi
     shelf_ids: std::collections::BTreeSet<TagId>,
     reader: Option<ReaderFilter>,
     objects: HashMap<TagId, ObjectState>,
-    /// Emission policy for the tracked objects.
-    policy: OutputPolicy,
-    /// Compression schedule: epoch -> objects to check (at most one
-    /// live entry per tag; see `ObjectState::compression_due`).
-    cooldown: BTreeMap<u64, Vec<TagId>>,
     /// The sensing-region index (§IV-C), when `use_spatial_index` is
     /// on: each epoch's sensing box with the objects that had a
     /// particle in it.
@@ -330,14 +328,10 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         config: FilterConfig,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let range_over = (model.sensor.detection_range(0.02) * config.init_range_overestimate)
-            .min(MAX_INIT_RANGE);
+        let range_over =
+            (model.sensor.detection_range(0.02) * INIT_RANGE_OVERESTIMATE).min(MAX_INIT_RANGE);
         let shelf_ids = shelf_tags.iter().map(|(t, _)| *t).collect();
         let index = config.use_spatial_index.then(RegionIndex::new);
-        let policy = OutputPolicy::new(
-            config.report_delay_epochs,
-            config.report_delay_epochs.saturating_mul(2),
-        );
         Ok(Self {
             model,
             prior,
@@ -345,8 +339,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             shelf_tags,
             reader: None,
             objects: HashMap::new(),
-            policy,
-            cooldown: BTreeMap::new(),
             index,
             rng: StdRng::seed_from_u64(config.seed),
             stats: EngineStats::default(),
@@ -392,12 +384,13 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         self.objects.keys().copied()
     }
 
-    /// Live entries in the compression cooldown queue (diagnostics).
-    /// The scheduler keeps at most one entry per tracked tag, so this
-    /// is bounded by the object count no matter how long the engine
-    /// runs.
+    /// Objects with a compression check scheduled (diagnostics): at
+    /// most one per tracked tag, however long the engine runs.
     pub fn cooldown_entries(&self) -> usize {
-        self.cooldown.values().map(Vec::len).sum()
+        self.objects
+            .values()
+            .filter(|s| s.compression_due != 0)
+            .count()
     }
 
     /// Number of objects currently in compressed representation.
@@ -482,8 +475,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     // stage 2: inference
     // ------------------------------------------------------------------
 
-    /// Builds the active set, runs the per-object updates, schedules
-    /// compression checks, and records the sensing region.
+    /// Builds the active set, runs the per-object updates and records
+    /// the sensing region.
     fn infer(&mut self, epoch: Epoch, reader_est: &Pose) {
         let stamp = epoch.0;
         let sensing_box = sensing_box(self.range_over, reader_est);
@@ -531,16 +524,14 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             _ => None,
         };
 
-        // --- pre-pass: output policy, the misses nobody steps --------
+        // --- pre-pass: the misses nobody steps -----------------------
         self.steps.clear();
         let mut kept = 0;
         for i in 0..self.active.len() {
             let tag = self.active[i];
             let read = self.object_read.binary_search(&tag).is_ok();
             let mut step = true;
-            if read {
-                self.policy.on_read(tag, epoch);
-            } else {
+            if !read {
                 match self.objects.get(&tag).map(|s| &s.belief) {
                     // "when a compressed object has its tag read again,
                     // we ... decompress" (§IV-D): a compressed Case-2
@@ -575,31 +566,6 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         // --- per-object updates ---------------------------------------
         self.run_steps(epoch, stamp, reader_est.pos);
 
-        // --- compression scheduling (one live entry per tag) ---------
-        // An object becomes a compression candidate `idle_epochs` after
-        // its last *read* (continued Case-2 processing does not reset
-        // the clock — a silent object compresses even while the reader
-        // keeps passing it). A read epoch bumps the tag's authoritative
-        // due epoch; the queue holds one live entry per tag. The sum
-        // saturates: an idle period that cannot elapse (`u64::MAX`,
-        // what `CompressionPolicy::disabled` carries) is never due.
-        if self.config.compression.enabled {
-            let due = epoch.0.saturating_add(self.config.compression.idle_epochs);
-            for i in 0..self.steps.len() {
-                let StepTask { tag, read } = self.steps[i];
-                if !read {
-                    continue;
-                }
-                let Some(state) = self.objects.get_mut(&tag) else {
-                    continue;
-                };
-                if state.compression_due == 0 {
-                    self.cooldown.entry(due).or_default().push(tag);
-                }
-                state.compression_due = due;
-            }
-        }
-
         // --- record the sensing region -------------------------------
         if self.index.is_some() {
             self.members.clear();
@@ -627,8 +593,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
     /// Emits the events the output policy has due this epoch. They
     /// precede the reader resample, so they are final here.
     fn emit_due(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
-        self.policy.due_into(epoch, &mut self.due);
-        self.emit_due_events(epoch, events);
+        self.emit_due_events(epoch, self.config.report_delay_epochs, events);
     }
 
     /// The instrumented reader resample (filter mode only): returns the
@@ -641,7 +606,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             .reader
             .as_mut()
             .expect("reader exists")
-            .maybe_resample(self.config.resample_ess_frac, &mut self.rng)?;
+            .maybe_resample(RESAMPLE_ESS_FRAC, &mut self.rng)?;
         self.stats.reader_resamples += 1;
         Some(remap)
     }
@@ -665,16 +630,26 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
     }
 
-    /// Turns the staged `due` list into events, in tag order, and
-    /// counts them.
-    fn emit_due_events(&mut self, epoch: Epoch, events: &mut Vec<LocationEvent>) {
-        let before = events.len();
-        for tag in &self.due {
-            if let Some(s) = self.objects.get(tag) {
-                events.push(self.make_event(epoch, *tag, s));
+    /// Emits, in tag order, an event for every object whose scope
+    /// `Scope::take_due` finds due at `epoch` after `report_delay`
+    /// epochs (0 flushes every unreported pass), and counts them.
+    fn emit_due_events(
+        &mut self,
+        epoch: Epoch,
+        report_delay: u64,
+        events: &mut Vec<LocationEvent>,
+    ) {
+        self.due.clear();
+        for (tag, s) in self.objects.iter_mut() {
+            if s.scope.take_due(epoch, report_delay) {
+                self.due.push(*tag);
             }
         }
-        self.stats.events_emitted += (events.len() - before) as u64;
+        self.due.sort_unstable();
+        for tag in &self.due {
+            events.push(self.make_event(epoch, *tag, &self.objects[tag]));
+        }
+        self.stats.events_emitted += self.due.len() as u64;
     }
 
     // ------------------------------------------------------------------
@@ -826,41 +801,34 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         }
     }
 
+    /// Compresses every object whose check is due (`0 < due ≤ epoch`).
+    /// Each decision depends only on the object's own belief and the
+    /// frozen reader, so the map's order does not matter.
     fn run_compression_sweep(&mut self, epoch: Epoch) {
         if !self.config.compression.enabled {
             return;
         }
         let reader = self.reader.as_ref().expect("reader initialized");
-        while let Some((&e, _)) = self.cooldown.range(..=epoch.0).next() {
-            let tags = self.cooldown.remove(&e).unwrap_or_default();
-            for tag in tags {
-                let Some(state) = self.objects.get_mut(&tag) else {
-                    continue;
-                };
-                if state.compression_due > e {
-                    // activity after this entry was queued pushed the
-                    // check out; re-queue at the authoritative epoch
-                    let due = state.compression_due;
-                    self.cooldown.entry(due).or_default().push(tag);
-                    continue;
-                }
-                state.compression_due = 0;
-                // compression_due is only ever last_read + idle_epochs,
-                // so a popped-at-due object has been silent for at
-                // least a full idle period
-                debug_assert!(epoch.since(state.last_read) >= self.config.compression.idle_epochs);
-                if let Belief::Active(f) = &state.belief {
-                    f.weighted_cloud_into(reader, &mut self.scratch, &mut self.cloud);
-                    // `None` needs a cloud without finite positive
-                    // weight, which the step's normalization never
-                    // leaves, or a covariance no ridge factors; such an
-                    // object stays active until its next read
-                    // schedules it again
-                    if let Some(c) = CompressedBelief::compress(&self.cloud, epoch) {
-                        state.last_estimate = c.estimate();
-                        state.belief = Belief::Compressed(c);
-                        self.stats.compressions += 1;
-                    }
+        for state in self.objects.values_mut() {
+            if state.compression_due == 0 || state.compression_due > epoch.0 {
+                continue;
+            }
+            state.compression_due = 0;
+            // compression_due is only ever last_read + idle_epochs, so
+            // a due object has been silent for a full idle period
+            debug_assert!(
+                epoch.since(state.scope.last_read) >= self.config.compression.idle_epochs
+            );
+            if let Belief::Active(f) = &state.belief {
+                f.weighted_cloud_into(reader, &mut self.scratch, &mut self.cloud);
+                // `None` needs a cloud without finite positive weight,
+                // which the step's normalization never leaves, or a
+                // covariance no ridge factors; such an object stays
+                // active until its next read schedules it again
+                if let Some(c) = CompressedBelief::compress(&self.cloud, epoch) {
+                    state.last_estimate = c.estimate();
+                    state.belief = Belief::Compressed(c);
+                    self.stats.compressions += 1;
                 }
             }
         }
@@ -907,11 +875,27 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
                 // a placeholder: this step's estimate replaces it
                 last_estimate: (ctx.reader_pos, [0.0; 3]),
                 belief: Belief::Active(Box::new(f)),
-                last_read: ctx.epoch,
+                scope: Scope::first_read(ctx.epoch),
                 compression_due: 0,
             })
         }
     };
+    if read {
+        if !fresh {
+            state
+                .scope
+                .on_read(ctx.epoch, ctx.config.report_delay_epochs);
+        }
+        // the sum saturates: an idle period that cannot elapse
+        // (`u64::MAX`, what `CompressionPolicy::disabled` carries) is
+        // never due
+        if ctx.config.compression.enabled {
+            state.compression_due = ctx
+                .epoch
+                .0
+                .saturating_add(ctx.config.compression.idle_epochs);
+        }
+    }
 
     if let Belief::Compressed(c) = &state.belief {
         let f = c.decompress(
@@ -932,8 +916,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
 
     // §IV-A re-detection handling: compare the current estimate with
     // the location the reading implies (the reader's vicinity). A new
-    // object has no previous estimate (and its `last_read` is set): its
-    // cloud was just drawn there.
+    // object has no previous estimate: its cloud was just drawn there.
     if read && !fresh {
         let est = state.last_estimate.0;
         let gap = est.dist_xy(&ctx.reader_pos);
@@ -965,7 +948,6 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
             );
             delta.half_respawn = true;
         }
-        state.last_read = ctx.epoch;
     }
 
     let outcome = f.step_fused(
@@ -973,7 +955,7 @@ fn step_one<P: LocationPrior, S: ReadRateModel>(
         reader,
         ctx.reader_tables,
         read,
-        ctx.config.resample_ess_frac,
+        RESAMPLE_ESS_FRAC,
         scratch,
         support,
         &mut rng,
@@ -1027,8 +1009,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceStage for InferenceEngine<P, S
     }
 
     fn finalize_into(&mut self, last_epoch: Epoch, events: &mut Vec<LocationEvent>) {
-        self.policy.flush_into(&mut self.due);
-        self.emit_due_events(last_epoch, events);
+        self.emit_due_events(last_epoch, 0, events);
         self.metrics.observe(&self.stats);
     }
 }
@@ -1364,11 +1345,14 @@ mod tests {
     }
 
     /// The compressed belief sets the size of an object-map entry; an
-    /// unboxed active filter would make every entry larger again.
+    /// unboxed active filter would make every entry larger again. The
+    /// entry also holds the object's output-policy scope (24 bytes, in
+    /// place of the 8 of a bare last-read epoch), which no separate
+    /// per-tag map repeats.
     #[test]
     fn an_object_map_entry_is_sized_by_the_compressed_belief() {
         use std::mem::size_of;
         assert_eq!(size_of::<Belief>(), 88);
-        assert_eq!(size_of::<(TagId, ObjectState)>(), 160);
+        assert_eq!(size_of::<(TagId, ObjectState)>(), 176);
     }
 }

@@ -4,9 +4,9 @@
 //! `(seed, tag, epoch)` RNG stream; all cross-object effects merge in
 //! tag order) means the engine's observable behaviour is a pure
 //! function of its state at an epoch boundary. This module serializes
-//! that state — per-object particle sets, the reader filter, the output
-//! policy, the compression cooldown, the spatial index, the engine RNG —
-//! so that a restored engine resumed at epoch `E+1` emits an event
+//! that state — the object map (each object's belief, output-policy
+//! scope and compression due epoch), the reader filter, the spatial
+//! index, the engine RNG — so that a restored engine resumed at epoch `E+1` emits an event
 //! stream **bit-identical** to the uninterrupted run (pinned by the
 //! golden digests and the kill-and-restart suite).
 //!
@@ -39,6 +39,20 @@
 //! (`crates/core/tests/checkpoint_compat.rs` pins a fixture byte for
 //! byte).
 //!
+//! Two sections are derived from the object rows. The output-policy
+//! section holds one `(tag, entered, last_read, reported)` row per
+//! object, and the cooldown section one `(due, tag)` entry per object
+//! with a compression check scheduled, keyed at its due epoch. A
+//! restore checks both against the object rows and refuses, as
+//! [`CheckpointError::Corrupt`], a scope row for a tag with no object,
+//! an object with no scope row, a scope row whose `last_read` differs
+//! from its object's, a cooldown entry for an object with no check
+//! scheduled, a tag listed twice, a scheduled object with no entry,
+//! and a key past its object's due epoch. A key before it is accepted:
+//! an engine that kept a separate compression queue wrote the epoch it
+//! queued the check at, and the object's due epoch is what a restored
+//! engine keeps and writes back.
+//!
 //! A compressed object is written as its mean and the nine entries of
 //! its covariance, row by row, mirrored from the six of the lower
 //! triangle it keeps in memory. A covariance the engine fitted is
@@ -60,10 +74,12 @@
 use super::{Belief, InferenceEngine, ObjectState};
 use crate::compression::CompressedBelief;
 use crate::config::{
-    FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE, MAX_INIT_RANGE,
-    RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+    FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
+    INIT_RANGE_OVERESTIMATE, MAX_INIT_RANGE, RESAMPLE_ESS_FRAC, RESPAWN_DISTANCE,
+    SMALL_MOVE_DISTANCE,
 };
 use crate::factored::{ObjectFilter, ReaderFilter};
+use crate::output::Scope;
 use crate::particle::{ObjectParticle, ReaderParticle};
 use rand::rngs::StdRng;
 use rfid_geom::{Aabb, Mat3};
@@ -140,8 +156,8 @@ fn config_bytes(cfg: &FilterConfig) -> Vec<u8> {
     let mut e = Vec::new();
     put_u64(&mut e, cfg.particles_per_object as u64);
     put_u64(&mut e, cfg.reader_particles as u64);
-    put_f64(&mut e, cfg.resample_ess_frac);
-    put_f64(&mut e, cfg.init_range_overestimate);
+    put_f64(&mut e, RESAMPLE_ESS_FRAC);
+    put_f64(&mut e, INIT_RANGE_OVERESTIMATE);
     put_f64(&mut e, INIT_CONE_HALF_ANGLE);
     put_f64(&mut e, MAX_INIT_RANGE);
     put_f64(&mut e, RESPAWN_DISTANCE);
@@ -268,7 +284,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
         let mut states: Vec<(&TagId, &ObjectState)> = self.objects.iter().collect();
         states.sort_unstable_by_key(|(tag, _)| **tag);
         put_u64(&mut p, states.len() as u64);
-        for (tag, state) in states {
+        for (tag, state) in &states {
             put_u64(&mut p, tag.0);
             match &state.belief {
                 Belief::Active(f) => {
@@ -298,28 +314,27 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             for v in var {
                 put_f64(&mut p, v);
             }
-            put_u64(&mut p, state.last_read.0);
+            put_u64(&mut p, state.scope.last_read.0);
             put_u64(&mut p, state.compression_due);
         }
 
-        // output-policy scope states, sorted by tag
-        let rows = self.policy.snapshot_states();
-        put_u64(&mut p, rows.len() as u64);
-        for (tag, entered, last_read, reported) in &rows {
+        // output-policy scope rows, derived from the objects, by tag
+        put_u64(&mut p, states.len() as u64);
+        for (tag, state) in &states {
+            let s = state.scope;
             put_u64(&mut p, tag.0);
-            put_u64(&mut p, entered.0);
-            put_u64(&mut p, last_read.0);
-            put_u8(&mut p, *reported as u8);
+            put_u64(&mut p, s.entered.0);
+            put_u64(&mut p, s.last_read.0);
+            put_u8(&mut p, s.reported as u8);
         }
 
-        // compression cooldown entries, sorted by (due epoch, tag).
-        // Per-tag sweep decisions are order-independent (each depends
-        // only on the tag's own belief and the frozen reader), so the
-        // canonical order restores an equivalent schedule.
-        let mut cooldown: Vec<(u64, TagId)> = Vec::new();
-        for (due, tags) in &self.cooldown {
-            cooldown.extend(tags.iter().map(|t| (*due, *t)));
-        }
+        // compression cooldown entries, derived from the objects'
+        // scheduled checks, sorted by (due epoch, tag)
+        let mut cooldown: Vec<(u64, TagId)> = states
+            .iter()
+            .filter(|(_, s)| s.compression_due != 0)
+            .map(|(tag, s)| (s.compression_due, **tag))
+            .collect();
         cooldown.sort_unstable();
         put_u64(&mut p, cooldown.len() as u64);
         for (due, tag) in &cooldown {
@@ -484,20 +499,21 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
             let var = [d.f64()?, d.f64()?, d.f64()?];
             let last_read = Epoch(d.u64()?);
             let compression_due = d.u64()?;
-            self.objects.insert(
-                tag,
-                ObjectState {
-                    belief,
-                    last_estimate: (loc, var),
-                    last_read,
-                    compression_due,
-                },
-            );
+            let state = ObjectState {
+                belief,
+                last_estimate: (loc, var),
+                // the scope row below supplies `entered` and `reported`
+                scope: Scope::first_read(last_read),
+                compression_due,
+            };
+            if self.objects.insert(tag, state).is_some() {
+                return Err(CheckpointError::Corrupt("object listed twice"));
+            }
         }
 
-        // output-policy scope states
+        // output-policy scope rows: one per object, in tag order
         let n_rows = d.count_u64()?;
-        let mut rows = Vec::with_capacity(n_rows);
+        let mut previous = None;
         for _ in 0..n_rows {
             let tag = TagId(d.u64()?);
             let entered = Epoch(d.u64()?);
@@ -507,17 +523,58 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                 1 => true,
                 _ => return Err(CheckpointError::Corrupt("bad reported flag")),
             };
-            rows.push((tag, entered, last_read, reported));
+            if previous >= Some(tag) {
+                return Err(CheckpointError::Corrupt("scope rows out of tag order"));
+            }
+            previous = Some(tag);
+            let Some(state) = self.objects.get_mut(&tag) else {
+                return Err(CheckpointError::Corrupt(
+                    "scope row for a tag with no object",
+                ));
+            };
+            if state.scope.last_read != last_read {
+                return Err(CheckpointError::Corrupt(
+                    "scope row disagrees with its object",
+                ));
+            }
+            state.scope = Scope {
+                entered,
+                last_read,
+                reported,
+            };
         }
-        self.policy.restore_states(rows);
+        if n_rows != self.objects.len() {
+            return Err(CheckpointError::Corrupt("object without a scope row"));
+        }
 
-        // compression cooldown
-        self.cooldown.clear();
+        // compression cooldown: one entry per object with a check
+        // scheduled, keyed at or before its due epoch
         let n_cooldown = d.count_u64()?;
+        let mut listed = Vec::with_capacity(n_cooldown);
         for _ in 0..n_cooldown {
-            let due = d.u64()?;
+            let key = d.u64()?;
             let tag = TagId(d.u64()?);
-            self.cooldown.entry(due).or_default().push(tag);
+            let due = self.objects.get(&tag).map_or(0, |s| s.compression_due);
+            if due == 0 {
+                return Err(CheckpointError::Corrupt(
+                    "cooldown entry for an object with no check scheduled",
+                ));
+            }
+            if key > due {
+                return Err(CheckpointError::Corrupt(
+                    "cooldown entry past its object's due epoch",
+                ));
+            }
+            listed.push(tag);
+        }
+        listed.sort_unstable();
+        if listed.windows(2).any(|w| w[0] == w[1]) {
+            return Err(CheckpointError::Corrupt("tag listed twice in the cooldown"));
+        }
+        if listed.len() != self.cooldown_entries() {
+            return Err(CheckpointError::Corrupt(
+                "scheduled object without a cooldown entry",
+            ));
         }
 
         // spatial index
@@ -839,6 +896,116 @@ mod tests {
             match with_cov(edit) {
                 Err(CheckpointError::Corrupt(what)) => assert_eq!(what, why),
                 other => panic!("{why}: restored as {other:?}"),
+            }
+        }
+    }
+
+    /// A blob someone wrote: valid checksum, but a scope row or a
+    /// cooldown entry that disagrees with the object rows, which carry
+    /// each object's last read and due epoch.
+    #[test]
+    fn rows_that_disagree_with_their_objects_are_refused() {
+        let config = cfg();
+        let mut e = engine(config);
+        for b in &batches(40) {
+            e.process_batch(b);
+        }
+        let blob = e.checkpoint_bytes(Epoch(39));
+        let mut tags: Vec<TagId> = e.objects.keys().copied().collect();
+        tags.sort_unstable();
+        let due = |tag: &TagId| e.objects[tag].compression_due;
+        let idle = *tags.iter().find(|t| due(t) == 0).expect("an idle object");
+        let (key, tag) = tags
+            .iter()
+            .filter(|t| due(t) != 0)
+            .map(|t| (due(t), *t))
+            .min()
+            .expect("a scheduled object");
+
+        // header | rng | last report | reader section | stats | objects
+        let n = config.reader_particles;
+        let mut scopes = 36 + 32 + (1 + 32) + (1 + 8 + n * (32 + 8) + n * 8 + 8) + 80 + 8;
+        for s in e.objects.values() {
+            scopes += 8 + 1 + 48 + 16;
+            scopes += match &s.belief {
+                Belief::Active(f) => 8 + f.len() * 36 + 16,
+                Belief::Compressed(_) => 24 + 72 + 8,
+            };
+        }
+        let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        assert_eq!(u64_at(scopes), tags.len() as u64);
+        let row = |i: usize| scopes + 8 + 25 * i;
+        assert_eq!(u64_at(row(0)), tags[0].0);
+        let cooldown = row(tags.len());
+        assert_eq!(u64_at(cooldown), e.cooldown_entries() as u64);
+        assert_eq!((u64_at(cooldown + 8), u64_at(cooldown + 16)), (key, tag.0));
+
+        let put = |b: &mut Vec<u8>, at: usize, v: u64| {
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        type Edit<'a> = &'a dyn Fn(&mut Vec<u8>);
+        let restore = |edit: Edit| {
+            let mut patched = blob.clone();
+            edit(&mut patched);
+            let payload = patched.len() as u64 - 44;
+            put(&mut patched, 28, payload);
+            let end = patched.len() - 8;
+            let checksum = fnv1a(FNV_OFFSET, &patched[..end]);
+            put(&mut patched, end, checksum);
+            let mut restored = engine(config);
+            restored.restore_bytes(&patched).map(|_| restored)
+        };
+        // an entry keyed before its object's due epoch restores, and
+        // is written back at the due epoch
+        let stale = restore(&|b| put(b, cooldown + 8, key - 1)).unwrap();
+        assert!(stale.checkpoint_bytes(Epoch(39)) == blob);
+
+        let last = row(tags.len() - 1);
+        let hostile: [(Edit, &str); 7] = [
+            (
+                &|b| put(b, last, u64::MAX),
+                "scope row for a tag with no object",
+            ),
+            (
+                &|b| {
+                    b.drain(last..last + 25);
+                    put(b, scopes, tags.len() as u64 - 1);
+                },
+                "object without a scope row",
+            ),
+            (
+                &|b| put(b, row(0) + 16, u64_at(row(0) + 16) + 1),
+                "scope row disagrees with its object",
+            ),
+            (
+                &|b| put(b, cooldown + 16, idle.0),
+                "cooldown entry for an object with no check scheduled",
+            ),
+            (
+                &|b| {
+                    let entry = b[cooldown + 8..cooldown + 24].to_vec();
+                    b.splice(cooldown + 8..cooldown + 8, entry);
+                    put(b, cooldown, e.cooldown_entries() as u64 + 1);
+                },
+                "tag listed twice in the cooldown",
+            ),
+            (
+                &|b| {
+                    b.drain(cooldown + 8..cooldown + 24);
+                    put(b, cooldown, e.cooldown_entries() as u64 - 1);
+                },
+                "scheduled object without a cooldown entry",
+            ),
+            (
+                &|b| put(b, cooldown + 8, key + 1),
+                "cooldown entry past its object's due epoch",
+            ),
+        ];
+        for (edit, why) in hostile {
+            match restore(edit) {
+                Err(CheckpointError::Corrupt(what)) => assert_eq!(what, why),
+                Err(other) => panic!("{why}: refused as {other:?}"),
+                Ok(_) => panic!("{why}: restored"),
             }
         }
     }

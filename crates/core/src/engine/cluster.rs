@@ -139,8 +139,8 @@ impl<P: LocationPrior, S: ReadRateModel> ClusterHead<P, S> {
             readings[(tag.0 % self.num_workers as u64) as usize].push(*tag);
         }
         let reader = e.reader.as_ref().expect("reader initialized");
-        let will_resample = e.config.reader_mode == ReaderMode::Filter
-            && reader.resample_due(e.config.resample_ess_frac);
+        let will_resample =
+            e.config.reader_mode == ReaderMode::Filter && reader.resample_due(RESAMPLE_ESS_FRAC);
         EpochPlan {
             epoch: batch.epoch,
             reader_est,

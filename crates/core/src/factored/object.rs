@@ -283,20 +283,15 @@ impl ObjectFilter {
         Self::from_soa(soa, stamp, 0)
     }
 
-    fn from_soa(soa: ParticleSoa, pointer_stamp: u64, resample_count: u64) -> Self {
+    /// Builds a filter around particle columns (cone initialization,
+    /// decompression, checkpoint restore).
+    pub(crate) fn from_soa(soa: ParticleSoa, pointer_stamp: u64, resample_count: u64) -> Self {
         Self {
             bounds: soa.xy_bounds(),
             soa,
             pointer_stamp,
             resample_count,
         }
-    }
-
-    /// Rebuilds a filter from an explicit particle cloud (used by
-    /// belief decompression).
-    pub(crate) fn from_particles(particles: Vec<ObjectParticle>, stamp: u64) -> Self {
-        debug_assert!(!particles.is_empty(), "object filters are never empty");
-        Self::from_soa(ParticleSoa::from_aos(&particles), stamp, 0)
     }
 
     /// Rebuilds a filter from checkpointed parts, preserving the
@@ -923,7 +918,7 @@ mod tests {
                 log_w: if i == 42 { 0.0 } else { -60.0 },
             })
             .collect();
-        let mut f = ObjectFilter::from_particles(particles, 0);
+        let mut f = ObjectFilter::from_parts(particles, 0, 0);
         // a miss barely moves weights this far from the reader, so the
         // step resamples on the degeneracy it was handed
         assert!(step(&mut f, &model(), &mut reader, false, 0.5, &mut rng).resampled);
@@ -949,7 +944,7 @@ mod tests {
                 log_w: if i < 50 { -0.1 } else { -30.0 },
             })
             .collect();
-        let mut f = ObjectFilter::from_particles(particles, 0);
+        let mut f = ObjectFilter::from_parts(particles, 0, 0);
         f.respawn_half(
             &reader,
             &reader.tables(),
@@ -1028,7 +1023,7 @@ mod tests {
         // a NaN coordinate poisons the bounds; the scan still answers
         let mut particles: Vec<ObjectParticle> = f.iter_particles().collect();
         particles[7].loc.x = f64::NAN;
-        let g = ObjectFilter::from_particles(particles, 0);
+        let g = ObjectFilter::from_parts(particles, 0, 0);
         assert!(g.xy_bounds().min[0].is_nan() && g.xy_bounds().max[1].is_nan());
         assert!(g.any_particle_in(&regions[0]));
         assert!(!g.any_particle_in(&regions[1]));

@@ -47,7 +47,8 @@ mod spatial_hook;
 pub use basic::BasicParticleFilter;
 pub use config::{
     CompressionPolicy, FilterConfig, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
-    MAX_INIT_RANGE, RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+    INIT_RANGE_OVERESTIMATE, MAX_INIT_RANGE, RESAMPLE_ESS_FRAC, RESPAWN_DISTANCE,
+    SMALL_MOVE_DISTANCE,
 };
 pub use engine::{EngineStats, InferenceEngine};
 pub use error::ConfigError;

@@ -7,142 +7,108 @@
 //! "60 seconds after an object came into the scope of the reader during
 //! the current scan".
 //!
-//! [`OutputPolicy`] tracks per-object scope entry and due times. An
-//! object *enters scope* when it is read after a long silence (a new
-//! scan pass); it becomes *due* `report_delay` epochs later, or at
-//! trace end, whichever comes first.
+//! A [`Scope`] is one object's place in that schedule, and holds the
+//! rule. An object *enters scope* when it is read after a long silence
+//! (a new scan pass: more than twice the report delay); it becomes
+//! *due* `report_delay` epochs later, or at trace end, whichever comes
+//! first. The inference engine keeps each object's `Scope` in its
+//! object map; [`OutputPolicy`] is the basic filter's map of them.
 
 use rfid_stream::{Epoch, TagId};
 use std::collections::HashMap;
 
-/// Scope bookkeeping for one object.
-#[derive(Debug, Clone, Copy)]
-struct ScopeState {
-    entered: Epoch,
-    last_read: Epoch,
-    reported: bool,
+/// One object's scope: when its current pass began, when it was last
+/// read, and whether the pass's event has gone out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Scope {
+    pub(crate) entered: Epoch,
+    pub(crate) last_read: Epoch,
+    pub(crate) reported: bool,
 }
 
-/// The event-emission policy.
+impl Scope {
+    /// The scope an object enters on its first read.
+    pub(crate) fn first_read(epoch: Epoch) -> Self {
+        Self {
+            entered: epoch,
+            last_read: epoch,
+            reported: false,
+        }
+    }
+
+    /// Records a read at `epoch`. A read after more than
+    /// `2 × report_delay` silent epochs starts a new pass, which may be
+    /// reported again; returns whether it did.
+    pub(crate) fn on_read(&mut self, epoch: Epoch, report_delay: u64) -> bool {
+        let new_pass = epoch.since(self.last_read) > report_delay.saturating_mul(2);
+        self.last_read = epoch;
+        if new_pass {
+            self.entered = epoch;
+            self.reported = false;
+        }
+        new_pass
+    }
+
+    /// Whether the pass's event is due at `epoch`: at least
+    /// `report_delay` epochs after scope entry and not yet reported.
+    /// Marks it reported. A delay of 0 is the end-of-trace flush:
+    /// every unreported pass is due.
+    pub(crate) fn take_due(&mut self, epoch: Epoch, report_delay: u64) -> bool {
+        let due = !self.reported && epoch.since(self.entered) >= report_delay;
+        self.reported |= due;
+        due
+    }
+}
+
+/// The basic filter's scopes, by tag.
 #[derive(Debug, Clone)]
 pub(crate) struct OutputPolicy {
     report_delay: u64,
-    /// A read after this many silent epochs starts a new scan pass.
-    pass_gap: u64,
-    states: HashMap<TagId, ScopeState>,
+    scopes: HashMap<TagId, Scope>,
 }
 
 impl OutputPolicy {
     /// Creates the policy: events are due `report_delay` epochs after
-    /// scope entry; a read after `pass_gap` silent epochs counts as a
-    /// new pass (and allows re-reporting).
-    pub(crate) fn new(report_delay: u64, pass_gap: u64) -> Self {
+    /// scope entry.
+    pub(crate) fn new(report_delay: u64) -> Self {
         Self {
             report_delay,
-            pass_gap,
-            states: HashMap::new(),
+            scopes: HashMap::new(),
         }
     }
 
-    /// Records that `tag` was read at `epoch`. Returns true when this
-    /// read started a new pass (useful for diagnostics).
-    pub(crate) fn on_read(&mut self, tag: TagId, epoch: Epoch) -> bool {
-        match self.states.get_mut(&tag) {
+    /// Records that `tag` was read at `epoch`.
+    pub(crate) fn on_read(&mut self, tag: TagId, epoch: Epoch) {
+        match self.scopes.get_mut(&tag) {
             Some(s) => {
-                let new_pass = epoch.since(s.last_read) > self.pass_gap;
-                s.last_read = epoch;
-                if new_pass {
-                    s.entered = epoch;
-                    s.reported = false;
-                }
-                new_pass
+                s.on_read(epoch, self.report_delay);
             }
             None => {
-                self.states.insert(
-                    tag,
-                    ScopeState {
-                        entered: epoch,
-                        last_read: epoch,
-                        reported: false,
-                    },
-                );
-                true
+                self.scopes.insert(tag, Scope::first_read(epoch));
             }
         }
     }
 
-    /// Objects whose report is due at `epoch` (entered scope exactly
-    /// `report_delay` epochs ago, not yet reported this pass). Marks
+    /// Objects whose report is due at `epoch`, sorted by tag. Marks
     /// them reported.
     pub(crate) fn due(&mut self, epoch: Epoch) -> Vec<TagId> {
-        let mut out = Vec::new();
-        self.due_into(epoch, &mut out);
-        out
+        self.take_due(epoch, self.report_delay)
     }
 
-    /// [`OutputPolicy::due`] into a caller-owned buffer (cleared first),
-    /// sorted by tag.
-    pub(crate) fn due_into(&mut self, epoch: Epoch, out: &mut Vec<TagId>) {
-        out.clear();
-        for (tag, s) in self.states.iter_mut() {
-            if !s.reported && epoch.since(s.entered) >= self.report_delay {
-                s.reported = true;
-                out.push(*tag);
-            }
-        }
-        out.sort_unstable();
+    /// Objects still unreported (end-of-trace flush), sorted by tag.
+    /// Marks them reported.
+    pub(crate) fn flush(&mut self, epoch: Epoch) -> Vec<TagId> {
+        self.take_due(epoch, 0)
     }
 
-    /// Objects still unreported (end-of-trace flush). Marks them
-    /// reported.
-    pub(crate) fn flush(&mut self) -> Vec<TagId> {
-        let mut out = Vec::new();
-        self.flush_into(&mut out);
-        out
-    }
-
-    /// [`OutputPolicy::flush`] into a caller-owned buffer (cleared
-    /// first), sorted by tag.
-    pub(crate) fn flush_into(&mut self, out: &mut Vec<TagId>) {
-        out.clear();
-        for (tag, s) in self.states.iter_mut() {
-            if !s.reported {
-                s.reported = true;
-                out.push(*tag);
-            }
-        }
-        out.sort_unstable();
-    }
-
-    /// Checkpoint view of the per-object scope states as
-    /// `(tag, entered, last_read, reported)` rows, sorted by tag.
-    pub(crate) fn snapshot_states(&self) -> Vec<(TagId, Epoch, Epoch, bool)> {
-        let mut rows: Vec<_> = self
-            .states
-            .iter()
-            .map(|(tag, s)| (*tag, s.entered, s.last_read, s.reported))
+    fn take_due(&mut self, epoch: Epoch, report_delay: u64) -> Vec<TagId> {
+        let mut out: Vec<TagId> = self
+            .scopes
+            .iter_mut()
+            .filter_map(|(tag, s)| s.take_due(epoch, report_delay).then_some(*tag))
             .collect();
-        rows.sort_unstable_by_key(|r| r.0);
-        rows
-    }
-
-    /// Replaces the per-object scope states with checkpointed rows
-    /// (the inverse of [`snapshot_states`](Self::snapshot_states)).
-    pub(crate) fn restore_states<I>(&mut self, rows: I)
-    where
-        I: IntoIterator<Item = (TagId, Epoch, Epoch, bool)>,
-    {
-        self.states.clear();
-        for (tag, entered, last_read, reported) in rows {
-            self.states.insert(
-                tag,
-                ScopeState {
-                    entered,
-                    last_read,
-                    reported,
-                },
-            );
-        }
+        out.sort_unstable();
+        out
     }
 }
 
@@ -152,17 +118,21 @@ mod tests {
 
     #[test]
     fn first_read_enters_scope() {
-        let mut p = OutputPolicy::new(60, 120);
-        assert!(p.on_read(TagId(1), Epoch(5)));
+        let mut p = OutputPolicy::new(60);
+        p.on_read(TagId(1), Epoch(5));
         assert_eq!(
-            p.snapshot_states(),
-            vec![(TagId(1), Epoch(5), Epoch(5), false)]
+            p.scopes[&TagId(1)],
+            Scope {
+                entered: Epoch(5),
+                last_read: Epoch(5),
+                reported: false
+            }
         );
     }
 
     #[test]
     fn due_fires_after_delay_once() {
-        let mut p = OutputPolicy::new(60, 120);
+        let mut p = OutputPolicy::new(60);
         p.on_read(TagId(1), Epoch(0));
         assert!(p.due(Epoch(59)).is_empty());
         assert_eq!(p.due(Epoch(60)), vec![TagId(1)]);
@@ -171,38 +141,37 @@ mod tests {
 
     #[test]
     fn continued_reads_do_not_restart_the_clock() {
-        let mut p = OutputPolicy::new(60, 120);
-        p.on_read(TagId(1), Epoch(0));
+        let mut s = Scope::first_read(Epoch(0));
         for e in 1..50 {
-            assert!(!p.on_read(TagId(1), Epoch(e)));
+            assert!(!s.on_read(Epoch(e), 60));
         }
-        assert_eq!(p.due(Epoch(60)), vec![TagId(1)]);
+        assert!(s.take_due(Epoch(60), 60));
     }
 
     #[test]
     fn new_pass_after_gap_allows_rereport() {
-        let mut p = OutputPolicy::new(60, 120);
+        let mut p = OutputPolicy::new(60);
         p.on_read(TagId(1), Epoch(0));
         assert_eq!(p.due(Epoch(60)), vec![TagId(1)]);
         // long silence, then read again: new pass
-        assert!(p.on_read(TagId(1), Epoch(300)));
+        assert!(p.scopes.get_mut(&TagId(1)).unwrap().on_read(Epoch(300), 60));
         assert!(p.due(Epoch(310)).is_empty());
         assert_eq!(p.due(Epoch(360)), vec![TagId(1)]);
     }
 
     #[test]
     fn flush_reports_pending_only() {
-        let mut p = OutputPolicy::new(60, 120);
+        let mut p = OutputPolicy::new(60);
         p.on_read(TagId(1), Epoch(0));
         p.on_read(TagId(2), Epoch(10));
         assert_eq!(p.due(Epoch(60)), vec![TagId(1)]);
-        assert_eq!(p.flush(), vec![TagId(2)]);
-        assert!(p.flush().is_empty());
+        assert_eq!(p.flush(Epoch(60)), vec![TagId(2)]);
+        assert!(p.flush(Epoch(60)).is_empty());
     }
 
     #[test]
     fn due_is_sorted_and_complete() {
-        let mut p = OutputPolicy::new(10, 120);
+        let mut p = OutputPolicy::new(10);
         p.on_read(TagId(3), Epoch(0));
         p.on_read(TagId(1), Epoch(0));
         p.on_read(TagId(2), Epoch(0));

@@ -26,7 +26,9 @@
 //! blob at cut 42 (checkpoint epoch 41), written while the engine kept
 //! a separate compression queue: both of its cooldown entries are keyed
 //! at the epoch they were queued, before their objects' due epochs.
-//! Today's engine restores it and finishes on the uninterrupted stream.
+//! Today's engine restores it, writes it back with each entry keyed at
+//! its object's due epoch (the bytes it writes itself at that cut) and
+//! finishes on the uninterrupted stream.
 //!
 //! `fixtures/pr13_four_partitions.ckpt` (7,809 bytes) is a version-1
 //! blob of the same cut and config, written by an engine that still
@@ -39,7 +41,8 @@ use rfid_core::engine::checkpoint::{config_fingerprint, peek_epoch, CheckpointEr
 use rfid_core::engine::run_engine;
 use rfid_core::{
     FilterConfig, InferenceEngine, ReaderMode, DECOMPRESSED_PARTICLES, INIT_CONE_HALF_ANGLE,
-    MAX_INIT_RANGE, RESPAWN_DISTANCE, SMALL_MOVE_DISTANCE,
+    INIT_RANGE_OVERESTIMATE, MAX_INIT_RANGE, RESAMPLE_ESS_FRAC, RESPAWN_DISTANCE,
+    SMALL_MOVE_DISTANCE,
 };
 use rfid_geom::{Aabb, Point3, Pose};
 use rfid_model::{BoxPrior, JointModel, ModelParams, ReadRateModel};
@@ -180,16 +183,16 @@ fn fingerprint_with_table(c: &FilterConfig, table: Option<(f64, f64)>) -> u64 {
     fingerprint_at(c, RESPAWN_DISTANCE, table)
 }
 
-/// [`fingerprint_with_table`] as a build whose respawn distance (a
-/// `FilterConfig` field until PR 23, like the other four constants
-/// named here) was `respawn_distance` computed it.
+/// [`fingerprint_with_table`] as a build whose respawn distance (once
+/// a `FilterConfig` field, like the other constants named here) was
+/// `respawn_distance` computed it.
 fn fingerprint_at(c: &FilterConfig, respawn_distance: f64, table: Option<(f64, f64)>) -> u64 {
     let mut b = Vec::new();
     b.extend((c.particles_per_object as u64).to_le_bytes());
     b.extend((c.reader_particles as u64).to_le_bytes());
     for v in [
-        c.resample_ess_frac,
-        c.init_range_overestimate,
+        RESAMPLE_ESS_FRAC,
+        INIT_RANGE_OVERESTIMATE,
         INIT_CONE_HALF_ANGLE,
         MAX_INIT_RANGE,
         respawn_distance,
@@ -276,6 +279,11 @@ fn a_checkpoint_with_stale_cooldown_keys_finishes_on_the_uninterrupted_digest() 
     let mut resumed = engine(cfg());
     assert_eq!(resumed.restore_bytes(STALE_FIXTURE).unwrap(), at);
     assert_eq!(resumed.cooldown_entries(), 2);
+    // the restored engine keys each entry at its object's due epoch,
+    // as today's engine does at that cut
+    let rewritten = resumed.checkpoint_bytes(at);
+    assert!(rewritten == first.checkpoint_bytes(at), "checkpoint bytes");
+    assert!(rewritten != STALE_FIXTURE, "the stale keys were kept");
     for b in &all[STALE_CUT..] {
         resumed.process_batch_into(b, &mut events);
     }

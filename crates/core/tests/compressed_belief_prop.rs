@@ -11,8 +11,8 @@
 //! * `estimate()`: the fitted mean and the covariance diagonal;
 //! * the stored entries: the fitted matrix's lower triangle, row by row,
 //!   and the fitted matrix is symmetric;
-//! * `decompress`: every particle's location and reader index from the
-//!   same seed, and the RNG state after the draws.
+//! * `decompress`: every particle's location, reader index and uniform
+//!   weight from the same seed, and the RNG state after the draws.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -137,6 +137,7 @@ proptest! {
             let idx = tables.sample_index(&mut plain);
             assert_point_bits(p.loc, loc, &format!("{ctx} particle {i}"));
             prop_assert_eq!(p.reader_idx, idx, "{} particle {}", ctx, i);
+            prop_assert_eq!(p.log_w.to_bits(), (-(k as f64).ln()).to_bits(), "{}", ctx);
         }
         prop_assert_eq!(packed.gen::<u64>(), plain.gen::<u64>(), "{}: rng state", ctx);
     }
