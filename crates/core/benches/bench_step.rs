@@ -23,8 +23,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reference::ReferenceFilter;
 use rfid_core::{
-    log_normalize_exp, CompressedBelief, ObjectFilter, Reach, ReaderFilter, ReaderTables,
-    StepScratch,
+    log_normalize_exp, systematic_resample, CompressedBelief, ObjectFilter, Reach, ReaderFilter,
+    ReaderTables, StepScratch,
 };
 use rfid_geom::{Point3, Pose, Vec3};
 use rfid_model::{BoxPrior, ConeSensor, JointModel, LocationPrior, ModelParams, ReadRateModel};
@@ -252,6 +252,20 @@ fn bench_epoch_components(c: &mut Criterion) {
             b.iter(|| {
                 work.copy_from_slice(&column);
                 log_normalize_exp(&mut work, &mut exps, &mut pending)
+            })
+        });
+    }
+    {
+        // one resample of a 1,000-particle cloud whose mass sits on a
+        // few hundred particles, as after a read at the operating point
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut probs: Vec<f64> = (0..1000).map(|_| rng.gen::<f64>().powi(8)).collect();
+        let total: f64 = probs.iter().sum();
+        probs.iter_mut().for_each(|p| *p /= total);
+        let (mut ancestors, mut sums) = (Vec::new(), Vec::new());
+        g.bench_function("systematic_resample/1000", |b| {
+            b.iter(|| {
+                systematic_resample(black_box(&probs), 1000, &mut ancestors, &mut sums, &mut rng)
             })
         });
     }

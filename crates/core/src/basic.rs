@@ -258,7 +258,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceStage for BasicParticleFilter<
         if effective_sample_size(&w) < RESAMPLE_ESS_FRAC * n as f64 {
             let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
             let mut ancestry = Vec::with_capacity(n);
-            systematic_resample(&probs, n, &mut ancestry, &mut self.rng);
+            systematic_resample(&probs, n, &mut ancestry, &mut Vec::new(), &mut self.rng);
             let uniform = -(n as f64).ln();
             let old = std::mem::take(&mut self.particles);
             self.particles = ancestry

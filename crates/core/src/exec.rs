@@ -50,7 +50,8 @@ pub struct StepScratch {
     /// The resampler's ancestor of every slot, ascending.
     pub(crate) ancestors: Vec<u32>,
     /// The weight pass's per-particle log-likelihood increments; a
-    /// resample then gathers each coordinate column through it.
+    /// resample then holds its running sums and pointers here, and
+    /// gathers each coordinate column through it.
     pub(crate) incr: Vec<f64>,
     /// Indices compacted by a classifying pass: the particles whose
     /// increment the weight pass computes exactly (their verdicts first,

@@ -503,7 +503,13 @@ impl ObjectFilter {
         // -- resample on low joint ESS, in place -----------------------
         let resampled = effective_sample_size_probs(&scratch.probs) < ess_frac * n as f64;
         if resampled {
-            systematic_resample(&scratch.probs, n, &mut scratch.ancestors, rng);
+            systematic_resample(
+                &scratch.probs,
+                n,
+                &mut scratch.ancestors,
+                &mut scratch.incr,
+                rng,
+            );
             self.soa.gather(
                 &scratch.ancestors,
                 -(n as f64).ln(),

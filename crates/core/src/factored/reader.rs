@@ -383,7 +383,7 @@ impl ReaderFilter {
             *w = w.exp();
         }
         let mut ancestry = Vec::with_capacity(n);
-        systematic_resample(&dist, n, &mut ancestry, rng);
+        systematic_resample(&dist, n, &mut ancestry, &mut Vec::new(), rng);
 
         let mut first_descendant = vec![None; n];
         let mut new_particles = Vec::with_capacity(n);
