@@ -144,6 +144,9 @@ pub struct PipelineStats {
     /// Items refused by the synchronizer because their time maps to no
     /// epoch (NaN, infinite, or 2^64 epochs or more).
     pub refused: u64,
+    /// Reports refused by the synchronizer because a coordinate or the
+    /// heading is NaN or infinite.
+    pub refused_poses: u64,
     /// Most epochs ever buffered inside the synchronizer at once.
     pub sync_pending_high_water: usize,
     /// Most drained-but-unprocessed batches ever held at once.
@@ -167,6 +170,7 @@ struct PipelineMetrics {
     events: rfid_obs::Counter,
     late_dropped: rfid_obs::Counter,
     refused: rfid_obs::Counter,
+    refused_poses: rfid_obs::Counter,
     sync_pending_hw: rfid_obs::Gauge,
     batch_buffer_hw: rfid_obs::Gauge,
     event_buffer_hw: rfid_obs::Gauge,
@@ -184,6 +188,7 @@ impl PipelineMetrics {
             events: r.counter("pipeline_events_total"),
             late_dropped: r.counter("pipeline_late_dropped_total"),
             refused: r.counter("pipeline_refused_total"),
+            refused_poses: r.counter("pipeline_refused_poses_total"),
             sync_pending_hw: r.gauge("pipeline_sync_pending_high_water"),
             batch_buffer_hw: r.gauge("pipeline_batch_buffer_high_water"),
             event_buffer_hw: r.gauge("pipeline_event_buffer_high_water"),
@@ -203,6 +208,8 @@ impl PipelineMetrics {
         self.late_dropped
             .add(stats.late_dropped - last.late_dropped);
         self.refused.add(stats.refused - last.refused);
+        self.refused_poses
+            .add(stats.refused_poses - last.refused_poses);
         self.sync_pending_hw
             .record_max(stats.sync_pending_high_water as u64);
         self.batch_buffer_hw
@@ -264,6 +271,7 @@ impl<Stage: InferenceStage, Sink: EventSink> Pipeline<Stage, Sink> {
             .max(self.sync.pending_epochs());
         self.stats.late_dropped = self.sync.late_dropped();
         self.stats.refused = self.sync.refused();
+        self.stats.refused_poses = self.sync.refused_poses();
         self.sync.drain_ready_into(&mut self.batch_buf);
         self.process_buffered();
     }

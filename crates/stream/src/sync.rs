@@ -72,8 +72,10 @@ const EPOCH_LIMIT: f64 = 18_446_744_073_709_551_616.0;
 /// past it, so a silent stream holds few epochs open;
 /// [`StreamSynchronizer::flush`] emits the rest. An item for an emitted
 /// epoch is dropped ([`StreamSynchronizer::late_dropped`]); one whose
-/// time maps to no epoch is refused ([`StreamSynchronizer::refused`])
-/// and moves no watermark. Both are counted.
+/// time maps to no epoch is refused ([`StreamSynchronizer::refused`]),
+/// and so is a report with a NaN or infinite coordinate or heading
+/// ([`StreamSynchronizer::refused_poses`]). A refused item moves no
+/// watermark. All three are counted.
 ///
 /// For time-ordered input (every trace source here) no item is late:
 /// each epoch is emitted whole, as if the trace were grouped at once.
@@ -91,6 +93,8 @@ pub struct StreamSynchronizer {
     late_dropped: u64,
     /// Items whose time maps to no epoch.
     refused: u64,
+    /// Reports whose pose has a non-finite coordinate or heading.
+    refused_poses: u64,
 }
 
 impl StreamSynchronizer {
@@ -106,6 +110,7 @@ impl StreamSynchronizer {
             emitted_below: 0,
             late_dropped: 0,
             refused: 0,
+            refused_poses: 0,
         }
     }
 
@@ -130,6 +135,13 @@ impl StreamSynchronizer {
         self.refused
     }
 
+    /// Reports refused because a coordinate or the heading is NaN or
+    /// infinite: summed into the epoch's average, one would poison the
+    /// averaged pose and, through it, the reader filter.
+    pub fn refused_poses(&self) -> u64 {
+        self.refused_poses
+    }
+
     /// Pushes one raw item of either stream.
     pub fn push(&mut self, item: StreamItem) {
         match item {
@@ -147,8 +159,17 @@ impl StreamSynchronizer {
         self.reading_watermark = self.reading_watermark.max(r.time);
     }
 
-    /// Pushes one raw reader-location report.
+    /// Pushes one raw reader-location report. A report whose pose is
+    /// not finite is refused before its time is looked at.
     pub fn push_report(&mut self, r: ReaderLocationReport) {
+        let p = r.pose;
+        if ![p.pos.x, p.pos.y, p.pos.z, p.phi]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            self.refused_poses += 1;
+            return;
+        }
         let Some(e) = self.place(r.time) else {
             return;
         };

@@ -2,10 +2,11 @@
 //! (time-ordered sources) is pinned elsewhere (`sync_prop.rs`); these
 //! tests drive sources that are out of order *beyond* the skew bound
 //! ([`DEFAULT_MAX_SKEW_EPOCHS`]), where drops **do** occur, and items
-//! whose time maps to no epoch (NaN, ±∞, 2^64 epochs or more), which
-//! are refused. Both losses are surfaced — `late_dropped` and `refused`
-//! on the synchronizer and in `PipelineStats` — never silent, and a
-//! refused item moves no watermark.
+//! whose time maps to no epoch (NaN, ±∞, 2^64 epochs or more) or
+//! reports whose pose is not finite, which are refused. Every loss is
+//! surfaced — `late_dropped`, `refused` and `refused_poses` on the
+//! synchronizer and in `PipelineStats` — never silent, and a refused
+//! item moves no watermark.
 
 use rfid_geom::{Point3, Pose};
 use rfid_stream::pipeline::DEFAULT_MAX_SKEW_EPOCHS;
@@ -151,6 +152,45 @@ fn an_infinite_time_is_refused_and_moves_no_watermark() {
             assert_eq!(b.reader_report.unwrap().pos.y, b.epoch.0 as f64);
         }
     }
+}
+
+#[test]
+fn a_report_with_a_non_finite_pose_is_refused_and_moves_no_watermark() {
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for field in 0..4 {
+        for v in bad {
+            let ctx = format!("field {field} = {v}");
+            let mut sync = StreamSynchronizer::new(1.0);
+            let mut garbage = report(40.5, 7.0);
+            match field {
+                0 => garbage.pose.pos.x = v,
+                1 => garbage.pose.pos.y = v,
+                2 => garbage.pose.pos.z = v,
+                _ => garbage.pose.phi = v,
+            }
+            sync.push_report(garbage);
+            sync.push_reading(reading(0.5, 1));
+            // had it moved the report watermark to epoch 40, the skew
+            // bound would force epoch 0 out now
+            assert!(sync.drain_ready().is_empty(), "{ctx}");
+            sync.push_report(garbage_free(0.2));
+            let batches = sync.flush();
+            assert_eq!((sync.refused_poses(), sync.refused()), (1, 0), "{ctx}");
+            assert_eq!(sync.late_dropped(), 0, "{ctx}");
+            assert_eq!(batches.len(), 1, "{ctx}");
+            assert_eq!(batches[0].epoch, Epoch(0), "{ctx}");
+            assert_eq!(
+                batches[0].reader_report,
+                Some(garbage_free(0.2).pose),
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// A healthy report at `t`.
+fn garbage_free(t: f64) -> ReaderLocationReport {
+    report(t, 3.0)
 }
 
 #[test]

@@ -166,3 +166,71 @@ fn epoch_batches_match_their_pinned_digests() {
     let want: Vec<(String, u64)> = pinned.iter().map(|(n, d)| (n.to_string(), *d)).collect();
     assert_eq!(want, got, "epoch batches moved");
 }
+
+/// The events of `items` through a pipeline into a fresh engine, with
+/// the pipeline's statistics.
+fn pipeline_events(
+    sc: &scenario::Scenario,
+    items: &[StreamItem],
+) -> (Vec<LocationEvent>, PipelineStats) {
+    let mut cfg = FilterConfig::full_default();
+    cfg.particles_per_object = 200;
+    let engine = InferenceEngine::new(
+        JointModel::new(ModelParams::default_warehouse()),
+        sc.layout.clone(),
+        sc.trace.shelf_tags.clone(),
+        cfg,
+    )
+    .unwrap();
+    let mut pipeline = Pipeline::new(sc.trace.epoch_len, engine, Vec::new());
+    let stats = pipeline.run_to_completion(&mut items.iter().copied());
+    let (_, events, _) = pipeline.into_parts();
+    (events, stats)
+}
+
+#[test]
+fn reports_with_a_non_finite_coordinate_or_heading_move_no_event() {
+    use rfid_repro::stream::digest::event_digest;
+    let sc = scenario::small_trace(6, 2, 302);
+    let clean: Vec<StreamItem> = sc.trace.stream().collect();
+    // beside every second report, at its time (so its epoch keeps a
+    // healthy report too), a copy with one coordinate or the heading
+    // NaN or infinite
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut dirty = Vec::new();
+    let (mut reports, mut injected) = (0usize, 0usize);
+    for item in &clean {
+        dirty.push(*item);
+        if let StreamItem::Report(r) = item {
+            reports += 1;
+            if reports % 2 == 0 {
+                let mut g = *r;
+                let v = bad[injected % bad.len()];
+                match (injected / bad.len()) % 4 {
+                    0 => g.pose.pos.x = v,
+                    1 => g.pose.pos.y = v,
+                    2 => g.pose.pos.z = v,
+                    _ => g.pose.phi = v,
+                }
+                dirty.push(StreamItem::Report(g));
+                injected += 1;
+            }
+        }
+    }
+    assert!(
+        injected >= 12,
+        "every field and value at least once: {injected}"
+    );
+    let (want, clean_stats) = pipeline_events(&sc, &clean);
+    let (got, stats) = pipeline_events(&sc, &dirty);
+    assert!(!want.is_empty());
+    assert_eq!(clean_stats.refused_poses, 0);
+    // counted under their own name, apart from refused times
+    assert_eq!((stats.refused_poses, stats.refused), (injected as u64, 0));
+    assert_eq!(stats.reports_in, clean_stats.reports_in + injected as u64);
+    assert_eq!(
+        (got.len(), event_digest(&got)),
+        (want.len(), event_digest(&want)),
+        "a garbage report moved the events"
+    );
+}
