@@ -12,7 +12,8 @@
 //! ```
 //!
 //! and the diff of `tests/golden/*.txt` is then reviewed like any
-//! other behavioral change.
+//! other behavioral change. The digests also depend on the host's math
+//! library; `tests/libm_pin.rs` pins the one they were blessed under.
 
 use rfid_bench::golden::render_digest;
 use rfid_repro::prelude::*;
@@ -57,7 +58,10 @@ fn check_golden(name: &str, sc: &Scenario, cfg: FilterConfig, cfg_desc: &str) {
         rendered,
         "{name}: the engine's event stream drifted from the committed \
          golden digest. If the inference change is intentional, rerun \
-         with RFID_GOLDEN_BLESS=1 and review the diff of {}.",
+         with RFID_GOLDEN_BLESS=1 and review the diff of {}. If the \
+         source did not change, run `cargo test --test libm_pin`: it \
+         names the math-library function whose results differ from \
+         the ones the goldens were blessed under.",
         path.display()
     );
 }
