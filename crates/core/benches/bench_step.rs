@@ -3,11 +3,10 @@
 //! sequence (`weight` → `maybe_resample` → `estimate`, shared with
 //! `tests/fused_equivalence.rs`), per particle count, plus the
 //! surrounding per-epoch components (`refresh_pointers`, `predict`,
-//! first-sighting `init_from_cone`, the `log_normalize_exp` pass on the
-//! two kinds of weight column, one belief compression and
-//! decompression, the index's out-of-reach test and the extent scan
-//! behind it) so a profile of the engine's infer and emit stages
-//! can be cross-checked against isolated numbers.
+//! first-sighting `init_from_cone`, one systematic resample, one belief
+//! compression and decompression, the index's out-of-reach test and
+//! the extent scan behind it) so a profile of the engine's infer and
+//! emit stages can be cross-checked against isolated numbers.
 //!
 //! Three fixtures: the logistic sensor over a box prior, the
 //! benchmark's operating point — `ConeSensor` over a `WarehouseLayout`
@@ -23,8 +22,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reference::ReferenceFilter;
 use rfid_core::{
-    log_normalize_exp, systematic_resample, CompressedBelief, ObjectFilter, Reach, ReaderFilter,
-    ReaderTables, StepScratch,
+    systematic_resample, CompressedBelief, ObjectFilter, Reach, ReaderFilter, ReaderTables,
+    StepScratch,
 };
 use rfid_geom::{Point3, Pose, Vec3};
 use rfid_model::{BoxPrior, ConeSensor, JointModel, LocationPrior, ModelParams, ReadRateModel};
@@ -200,61 +199,14 @@ fn bench_reference(c: &mut Criterion) {
     g.finish();
 }
 
-/// The weight column `log_normalize_exp` sees at the benchmark's
-/// operating point: the cone sensor's likelihood is piecewise constant,
-/// so after a read and then a miss from 2 ft further along the aisle
-/// most weights sit at the maximum or at `−inf` and need no `exp`.
-fn cone_miss_column(n: usize) -> Vec<f64> {
-    let mut f = warehouse(n);
-    let moved = ReaderFilter::new(
-        READER_PARTICLES,
-        Pose::new(Point3::new(0.0, 502.0, 0.0), 0.0),
-    );
-    for (reader, read) in [(&f.reader, true), (&moved, false)] {
-        f.support.fill(0.0);
-        f.filter.step_fused(
-            &f.model,
-            reader,
-            &reader.tables(),
-            read,
-            0.0,
-            &mut f.scratch,
-            &mut f.support,
-            &mut f.rng,
-        );
-    }
-    f.filter.soa().log_w.clone()
-}
-
-/// A column with one maximum and no dead weight (what the logistic
-/// sensor produces): every entry takes the `exp` call, so this row
-/// prices the shortcut's branch where it never fires.
-fn dense_column(n: usize) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(7);
-    (0..n).map(|_| rng.gen::<f64>().ln() * 3.0).collect()
-}
-
 /// The per-epoch steps surrounding the fused step in the engine:
 /// pointer refresh (n reader draws), motion predict (n noise draws),
 /// the first-sighting cone initialization at the operating point
-/// (n reader draws + n rejection-sampled cone points), the one `exp`
-/// pass of the step on its own, and the emit stage's belief
-/// compression with the decompression a re-sighting pays.
+/// (n reader draws + n rejection-sampled cone points), the step's
+/// resampler on its own, and the emit stage's belief compression with
+/// the decompression a re-sighting pays.
 fn bench_epoch_components(c: &mut Criterion) {
     let mut g = c.benchmark_group("step_components");
-    for (name, column) in [
-        ("cone_miss", cone_miss_column(1000)),
-        ("dense", dense_column(1000)),
-    ] {
-        let mut work = column.clone();
-        let (mut exps, mut pending) = (Vec::new(), Vec::new());
-        g.bench_function(format!("log_normalize_exp/1000/{name}"), |b| {
-            b.iter(|| {
-                work.copy_from_slice(&column);
-                log_normalize_exp(&mut work, &mut exps, &mut pending)
-            })
-        });
-    }
     {
         // one resample of a 1,000-particle cloud whose mass sits on a
         // few hundred particles, as after a read at the operating point

@@ -255,8 +255,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceStage for BasicParticleFilter<
 
         // ---- resample -------------------------------------------------
         let n = self.particles.len();
-        if effective_sample_size(&w) < RESAMPLE_ESS_FRAC * n as f64 {
-            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
+        let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
+        if effective_sample_size(&probs) < RESAMPLE_ESS_FRAC * n as f64 {
             let mut ancestry = Vec::with_capacity(n);
             systematic_resample(&probs, n, &mut ancestry, &mut Vec::new(), &mut self.rng);
             let uniform = -(n as f64).ln();

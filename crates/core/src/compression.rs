@@ -99,14 +99,14 @@ impl CompressedBelief {
     ) -> ObjectFilter {
         assert!(n >= 1);
         let gaussian = self.gaussian();
-        let uniform = -(n as f64).ln();
+        let uniform = 1.0 / n as f64;
         let mut soa = ParticleSoa::with_capacity(n);
         for _ in 0..n {
             let loc = gaussian.sample(rng);
             soa.push(ObjectParticle {
                 loc,
                 reader_idx: tables.sample_index(rng),
-                log_w: uniform,
+                w: uniform,
             });
         }
         ObjectFilter::from_soa(soa, stamp, 0)

@@ -15,7 +15,7 @@
 //! A checkpoint is a single binary blob, no serde:
 //!
 //! ```text
-//! magic "RFCKPT01" | version u32 (2) | config fingerprint u64 | epoch u64
+//! magic "RFCKPT01" | version u32 (3) | config fingerprint u64 | epoch u64
 //! payload length u64 | payload bytes | FNV-1a(magic .. payload) u64
 //! ```
 //!
@@ -23,8 +23,12 @@
 //! flipped epoch is refused like a flipped payload byte; [`peek_epoch`]
 //! verifies it before it answers. A reader checks the magic, the
 //! version, the fingerprint, the lengths and then the checksum, in that
-//! order. Any other version, 1 included, is refused as
+//! order. Any other version is refused as
 //! [`CheckpointError::UnsupportedVersion`]; no decoder for it is kept.
+//! Version 3 has version 2's layout, but an object particle's weight
+//! field holds the weight itself, a probability, where version 2 held
+//! its log: a version-2 blob would decode to different beliefs, so it
+//! is refused like version 1.
 //!
 //! All integers and float bit patterns are little-endian, written and
 //! read with the workspace's one byte cursor (`rfid_stream::wire`'s
@@ -96,7 +100,7 @@ use std::path::Path;
 /// File magic: "RFCKPT" + format generation.
 pub(crate) const MAGIC: [u8; 8] = *b"RFCKPT01";
 /// Format version inside the current magic generation.
-pub(crate) const VERSION: u32 = 2;
+pub(crate) const VERSION: u32 = 3;
 
 /// Why a checkpoint could not be read or applied.
 #[derive(Debug)]
@@ -293,7 +297,7 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                     for op in f.iter_particles() {
                         put_point(&mut p, &op.loc);
                         put_u32(&mut p, op.reader_idx);
-                        put_f64(&mut p, op.log_w);
+                        put_f64(&mut p, op.w);
                     }
                     put_u64(&mut p, f.pointer_stamp());
                     put_u64(&mut p, f.resample_count());
@@ -459,12 +463,8 @@ impl<P: LocationPrior, S: ReadRateModel> InferenceEngine<P, S> {
                         if reader_idx as usize >= reader_len {
                             return Err(CheckpointError::Corrupt("reader pointer out of range"));
                         }
-                        let log_w = d.f64()?;
-                        particles.push(ObjectParticle {
-                            loc,
-                            reader_idx,
-                            log_w,
-                        });
+                        let w = d.f64()?;
+                        particles.push(ObjectParticle { loc, reader_idx, w });
                     }
                     let stamp = d.u64()?;
                     let resamples = d.u64()?;

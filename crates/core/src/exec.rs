@@ -16,11 +16,14 @@
 //!    `tag % N` across processes and still emit the single-process
 //!    event stream bit for bit.
 //! 2. **Scratch buffers** ([`StepScratch`]): the joint-probability
-//!    buffer, the resampler's ancestor list, the weight pass's
-//!    columns and compaction list and the cone sampler's boxes are
-//!    owned by the engine and reused
-//!    across objects and epochs, so the steady-state step path performs
-//!    no heap allocation.
+//!    buffer, the weight pass's products, columns and compaction list,
+//!    the resampler's running sums and ancestor list, and the cone
+//!    sampler's boxes are owned by the engine and reused across objects
+//!    and epochs, so the steady-state step path performs no heap
+//!    allocation. The object weights are probabilities, so a step's
+//!    arithmetic is multiplications, sums and divisions over these
+//!    buffers; `exp` and `ln` run only on the log-space fallback for a
+//!    sum that underflows.
 //!
 //! More cores are spent one level up, on cluster workers (one engine
 //! per `tag % N` partition; 1.28× with two workers on the benchmark's
@@ -36,28 +39,24 @@ use rand::SeedableRng;
 /// count on first use and are reused afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct StepScratch {
-    /// Normalized joint (object × reader) log weights — written only
-    /// by the log-space joint pass (the compression sweep's weighted
-    /// cloud and the step's underflow fallback), never by an ordinary
-    /// step.
-    pub joint: Vec<f64>,
-    /// The step's one probability buffer: first `exp(log_w − max)` from
-    /// the object-weight normalization, then — multiplied by the reader
-    /// weights and divided by the sum — the joint probabilities shared
-    /// by the support staging, the ESS decision, the resampler and the
-    /// moment estimate.
+    /// The reader's weights in probability space, exponentiated by the
+    /// compression sweep's weighted cloud (a step reads the epoch's
+    /// `ReaderTables::probs` instead).
+    pub(crate) reader_probs: Vec<f64>,
+    /// The joint probabilities: the object weights times the reader
+    /// weights, divided by their sum — shared by the support staging,
+    /// the ESS decision, the resampler and the moment estimate.
     pub probs: Vec<f64>,
     /// The resampler's ancestor of every slot, ascending.
     pub(crate) ancestors: Vec<u32>,
-    /// The weight pass's per-particle log-likelihood increments; a
-    /// resample then holds its running sums and pointers here, and
-    /// gathers each coordinate column through it.
+    /// The weight pass's products, weight times likelihood (the log
+    /// weights, if the step falls back to log space); a resample then
+    /// holds its running sums and pointers here, and gathers each
+    /// coordinate column through it.
     pub(crate) incr: Vec<f64>,
-    /// Indices compacted by a classifying pass: the particles whose
-    /// increment the weight pass computes exactly (their verdicts first,
-    /// compacted in place), then the weights whose `exp` the
-    /// normalization pays; a resample then gathers the pointer column
-    /// through it.
+    /// The particles whose likelihood the weight pass computes exactly
+    /// (their verdicts first, compacted in place); a resample then
+    /// gathers the pointer column through it.
     pub(crate) pending: Vec<u32>,
     /// The weight pass's columns, one entry per particle: the pointed-to
     /// reader particle's position (`x`, `y`, `z`) and heading trig

@@ -13,20 +13,25 @@
 //! bookkeeping — the point of spatial indexing is that they are not
 //! touched at all.
 //!
-//! The step's two per-particle passes are written for a piecewise
-//! sensor, whose cheap and expensive particles interleave in no
-//! predictable order: the weight pass and the `exp` pass each classify
-//! the whole column first, without a branch on the outcome, compact the
-//! indices that need the expensive line into a list, and pay for that
-//! line over the list only ([`ObjectFilter::accumulate_weights`],
-//! [`log_normalize_exp`]). Every result keeps the bits of the
-//! one-particle-at-a-time computation.
+//! The object weights are probabilities, kept sum-normalized: a step
+//! multiplies each by its particle's read or miss likelihood and
+//! divides by the sum, with no `exp` or `ln` per particle. Log space is
+//! the fallback for a sum that underflows
+//! ([`ObjectFilter::step_fused`]).
+//!
+//! The weight pass is written for a piecewise sensor, whose cheap and
+//! expensive particles interleave in no predictable order: it
+//! classifies the whole column first, without a branch on the outcome,
+//! compacts the indices that need the expensive line into a list, and
+//! pays for that line over the list only
+//! ([`ObjectFilter::accumulate_weights`]). Every result keeps the bits
+//! of the one-particle-at-a-time computation.
 
 use crate::exec::StepScratch;
 use crate::factored::reader::{ReaderFilter, ReaderTables};
 use crate::particle::{
-    effective_sample_size_iter, effective_sample_size_probs, log_normalize, log_normalize_exp,
-    systematic_resample, ObjectParticle, ParticleSoa, XyBounds,
+    effective_sample_size, log_normalize, systematic_resample, ObjectParticle, ParticleSoa,
+    XyBounds,
 };
 use rand::Rng;
 use rfid_geom::{Aabb, Point3, Pose};
@@ -268,7 +273,7 @@ impl ObjectFilter {
         rng: &mut R,
     ) -> Self {
         debug_assert!(n >= 1, "object filters are never empty");
-        let uniform = -(n as f64).ln();
+        let uniform = 1.0 / n as f64;
         let cone = ConeSampler::new(range, half_angle, prior);
         let boxes = ConeSampler::<P>::fresh_boxes(scratch, reader.len());
         let mut soa = ParticleSoa::with_capacity(n);
@@ -277,7 +282,7 @@ impl ObjectFilter {
             soa.push(ObjectParticle {
                 loc: cone.sample_at(reader, tables, j, boxes, rng),
                 reader_idx: j,
-                log_w: uniform,
+                w: uniform,
             });
         }
         Self::from_soa(soa, stamp, 0)
@@ -437,24 +442,18 @@ impl ObjectFilter {
     /// supplied by the caller and **zero heap allocations** once
     /// `scratch` has warmed up.
     ///
-    /// At most one `exp` per particle per step. The weight pass
-    /// ([`accumulate_weights`](Self::accumulate_weights)) classifies
-    /// every particle and pays the sensor's exact line only on the
-    /// compacted list of those that need it. Normalizing the
-    /// object weights exponentiates `log_w − max` once
-    /// ([`log_normalize_exp`], which calls `exp` only on the compacted
-    /// list of results that are not exactly 1 or 0); those values times the reader weights
-    /// `tables.probs`, divided by their sum, are the joint
-    /// probabilities of Eq. 5's expansion, shared by the support
-    /// staging, the ESS decision, the resampler and the moment
-    /// estimate. Resampling carries reader pointers along with the
-    /// survivors, which concentrates object mass on good reader
-    /// hypotheses — the factored analogue of joint resampling; after it
-    /// the object weights are uniform, so the joint probabilities are
-    /// the pointed-to reader weights renormalized — no `exp` at all.
-    /// Only when that product sums to zero or overflows (every
-    /// pointed-to reader weight underflowed) does the step fall back to
-    /// the log-space joint pass (`fill_joint`, two more `exp` passes).
+    /// No `exp` or `ln` per particle: each weight times its likelihood
+    /// ([`accumulate_weights`](Self::accumulate_weights)), divided by
+    /// the sum, is the new object factor; that times the reader weights
+    /// `tables.probs`, divided by the sum, is the joint probability of
+    /// Eq. 5's expansion, shared by the support staging, the ESS
+    /// decision, the resampler and the moment estimate. Resampling
+    /// carries reader pointers along with the survivors — the factored
+    /// analogue of joint resampling — and leaves uniform object weights.
+    /// A sum that is zero or not finite (every product underflowed, or
+    /// a read no particle can see) sends its product to log space
+    /// (`reweigh_in_log_space`, `fill_joint`): the step's only `exp`
+    /// and `ln`.
     ///
     /// `tests/fused_equivalence.rs` pins the particle states, resample
     /// decisions and estimates bit-for-bit against a naive allocating
@@ -481,19 +480,19 @@ impl ObjectFilter {
         debug_assert_eq!(tables.probs.len(), reader.len());
         let n = self.soa.len();
 
-        // -- weight (w_ti of Eq. 5), normalize in place, keep the exps --
+        // -- weight (w_ti of Eq. 5) and normalize ----------------------
         self.accumulate_weights(&model.sensor, reader, tables, read, scratch);
-        log_normalize_exp(
-            &mut self.soa.log_w,
-            &mut scratch.probs,
-            &mut scratch.pending,
-        );
+        let sum: f64 = scratch.incr[..n].iter().sum();
+        if sum > 0.0 && sum.is_finite() {
+            for (w, &q) in self.soa.w.iter_mut().zip(&scratch.incr) {
+                *w = q / sum;
+            }
+        } else {
+            self.reweigh_in_log_space(&model.sensor, reader, tables, read, scratch);
+        }
 
         // -- joint probabilities: object factor × reader factor ---------
-        for (p, &r) in scratch.probs.iter_mut().zip(&self.soa.reader_idx) {
-            *p *= tables.probs[r as usize];
-        }
-        Self::normalize_joint(&self.soa, reader, scratch);
+        Self::joint_into(&self.soa, &tables.probs, reader, &mut scratch.probs);
 
         // stage per-reader support (probability space)
         for (&r, &p) in self.soa.reader_idx.iter().zip(scratch.probs.iter()) {
@@ -501,7 +500,7 @@ impl ObjectFilter {
         }
 
         // -- resample on low joint ESS, in place -----------------------
-        let resampled = effective_sample_size_probs(&scratch.probs) < ess_frac * n as f64;
+        let resampled = effective_sample_size(&scratch.probs) < ess_frac * n as f64;
         if resampled {
             systematic_resample(
                 &scratch.probs,
@@ -512,22 +511,14 @@ impl ObjectFilter {
             );
             self.soa.gather(
                 &scratch.ancestors,
-                -(n as f64).ln(),
+                1.0 / n as f64,
                 &mut scratch.incr,
                 &mut scratch.pending,
             );
             self.resample_count += 1;
             // survivors only: the extent may have shrunk
             self.bounds = self.soa.xy_bounds();
-            // uniform object weights: the joint is the reader factor alone
-            scratch.probs.clear();
-            scratch.probs.extend(
-                self.soa
-                    .reader_idx
-                    .iter()
-                    .map(|&r| tables.probs[r as usize]),
-            );
-            Self::normalize_joint(&self.soa, reader, scratch);
+            Self::joint_into(&self.soa, &tables.probs, reader, &mut scratch.probs);
         }
 
         // -- estimate under the current joint weights ------------------
@@ -538,28 +529,66 @@ impl ObjectFilter {
         }
     }
 
-    /// Divides the unnormalized joint weights in `scratch.probs` by
-    /// their sum. A sum of zero (every product underflowed) or a
-    /// non-finite one cannot be divided by: the joint probabilities are
-    /// then recomputed in log space from the normalized object weights
-    /// and the reader's log weights, which cannot underflow.
-    fn normalize_joint(soa: &ParticleSoa, reader: &ReaderFilter, scratch: &mut StepScratch) {
-        let sum: f64 = scratch.probs.iter().sum();
+    /// The joint probabilities into `probs`: each object weight times
+    /// its reader particle's weight in `reader_probs`, divided by their
+    /// sum, or by [`fill_joint`](Self::fill_joint) when that sum is zero
+    /// or not finite.
+    fn joint_into(
+        soa: &ParticleSoa,
+        reader_probs: &[f64],
+        reader: &ReaderFilter,
+        probs: &mut Vec<f64>,
+    ) {
+        probs.clear();
+        probs.extend(
+            soa.w
+                .iter()
+                .zip(&soa.reader_idx)
+                .map(|(&w, &r)| w * reader_probs[r as usize]),
+        );
+        let sum: f64 = probs.iter().sum();
         if sum > 0.0 && sum.is_finite() {
-            for p in &mut scratch.probs {
+            for p in probs.iter_mut() {
                 *p /= sum;
             }
         } else {
-            Self::fill_joint(soa, reader, &mut scratch.joint, &mut scratch.probs);
+            Self::fill_joint(soa, reader, probs);
         }
     }
 
-    /// The weight pass: adds to every particle's log weight the sensor
-    /// log likelihood of the reading outcome, seen from the reader
-    /// particle it points at (heading trig from `tables`). Each
-    /// increment has the bits of
-    /// `sensor.log_likelihood_pose(pose_of(reader_idx), …, loc, read)`
-    /// and is added with the same `+=`, in index order.
+    /// The weights when their products with the likelihoods sum to zero
+    /// or not finite: `ln w` plus the sensor's log likelihood,
+    /// log-normalized and exponentiated; uniform if every one is `−inf`
+    /// (the observation rules out every particle).
+    fn reweigh_in_log_space<S: ReadRateModel>(
+        &mut self,
+        sensor: &S,
+        reader: &ReaderFilter,
+        tables: &ReaderTables,
+        read: bool,
+        scratch: &mut StepScratch,
+    ) {
+        let (soa, joint) = (&mut self.soa, &mut scratch.incr);
+        joint.clear();
+        joint.extend((0..soa.len()).map(|i| {
+            let r = soa.reader_idx[i];
+            let [c, s] = tables.trig[r as usize];
+            let ll = sensor.log_likelihood_pose(&reader.pose_of(r).pos, c, s, &soa.loc(i), read);
+            soa.w[i].ln() + ll
+        }));
+        if log_normalize(joint).is_some() {
+            for (w, &lw) in soa.w.iter_mut().zip(joint.iter()) {
+                *w = lw.exp();
+            }
+        } else {
+            soa.w.fill(1.0 / joint.len() as f64);
+        }
+    }
+
+    /// The weight pass: returns (in `scratch.incr`) every particle's
+    /// likelihood of the reading outcome seen from the reader particle
+    /// it points at — the bits of `sensor.likelihood_pose(pose_of(r),
+    /// trig, loc, read)` — times its weight, which it leaves alone.
     ///
     /// Under a piecewise sensor the expensive particles sit in
     /// unpredictable order among cheap ones, so the pass branches on no
@@ -574,19 +603,19 @@ impl ObjectFilter {
     /// 3. *compact* the deferred indices into a list: every index is
     ///    written at the list's end, which then grows by the verdict;
     /// 4. compute the *exact line* over that list only;
-    /// 5. *add* the increments.
+    /// 5. *multiply* by the weights.
     ///
     /// A model that keeps [`ReadRateModel::classify_pose`]'s default
     /// never defers: its classify pass is the whole computation and the
     /// list stays empty.
-    pub fn accumulate_weights<S: ReadRateModel>(
-        &mut self,
+    pub fn accumulate_weights<'s, S: ReadRateModel>(
+        &self,
         sensor: &S,
         reader: &ReaderFilter,
         tables: &ReaderTables,
         read: bool,
-        scratch: &mut StepScratch,
-    ) {
+        scratch: &'s mut StepScratch,
+    ) -> &'s [f64] {
         let n = self.soa.len();
         let StepScratch {
             incr,
@@ -632,11 +661,12 @@ impl ObjectFilter {
         }
         for &i in &verdict[..m] {
             let i = i as usize;
-            incr[i] = sensor.log_likelihood_dt(ds[i], cs[i].acos(), read);
+            incr[i] = sensor.likelihood_dt(ds[i], cs[i].acos(), read);
         }
-        for (w, &x) in self.soa.log_w.iter_mut().zip(incr.iter()) {
-            *w += x;
+        for (q, &w) in incr.iter_mut().zip(&self.soa.w) {
+            *q *= w;
         }
+        incr
     }
 
     /// Posterior mean and per-axis variance given probability-space
@@ -662,56 +692,50 @@ impl ObjectFilter {
         (mean, var)
     }
 
-    /// Effective sample size of the (normalized) object-factor weights,
-    /// computed in one streaming pass — no buffer.
+    /// Effective sample size of the (normalized) object-factor
+    /// weights, `1 / Σ w²`.
     pub(crate) fn object_ess(&self) -> f64 {
-        effective_sample_size_iter(self.soa.log_w.iter().copied())
+        effective_sample_size(&self.soa.w)
     }
 
     /// The joint (object factor × reader factor) weights by the
-    /// log-space route: log weights added, normalized with log-sum-exp
-    /// into `joint`, exponentiated into `probs`. Two `exp` passes, but
-    /// no product can underflow — the route of everything off the
-    /// per-step path ([`weighted_cloud_into`](Self::weighted_cloud_into),
-    /// [`normalized_joint_weights`](Self::normalized_joint_weights))
-    /// and the step's fallback.
-    fn fill_joint(
-        soa: &ParticleSoa,
-        reader: &ReaderFilter,
-        joint: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-    ) {
-        joint.clear();
-        joint.extend(
-            soa.log_w
+    /// log-space route, in `probs`: `ln w` plus the reader's log weight,
+    /// normalized with log-sum-exp, exponentiated. No product can
+    /// underflow here — the fallback of [`joint_into`](Self::joint_into).
+    fn fill_joint(soa: &ParticleSoa, reader: &ReaderFilter, probs: &mut Vec<f64>) {
+        probs.clear();
+        probs.extend(
+            soa.w
                 .iter()
                 .zip(soa.reader_idx.iter())
-                .map(|(&w, &r)| w + reader.log_weight_of(r)),
+                .map(|(&w, &r)| w.ln() + reader.log_weight_of(r)),
         );
-        log_normalize(joint);
-        probs.clear();
-        probs.extend(joint.iter().map(|w| w.exp()));
-    }
-
-    /// Normalized joint weights (object factor × reader factor), in
-    /// probability space.
-    pub(crate) fn normalized_joint_weights(&self, reader: &ReaderFilter) -> Vec<f64> {
-        let (mut joint, mut probs) = (Vec::new(), Vec::new());
-        Self::fill_joint(&self.soa, reader, &mut joint, &mut probs);
-        probs
+        log_normalize(probs);
+        for p in probs.iter_mut() {
+            *p = p.exp();
+        }
     }
 
     /// The particle cloud as `(weight, location)` pairs under joint
     /// weights — the input to belief compression — built into
     /// caller-owned buffers (`out` is cleared first; no allocation once
-    /// they are warm).
+    /// they are warm). The reader's weights are exponentiated here, one
+    /// `exp` per reader particle: the sweep that compresses runs after
+    /// the reader has moved on from the epoch's tables.
     pub fn weighted_cloud_into(
         &self,
         reader: &ReaderFilter,
         scratch: &mut StepScratch,
         out: &mut Vec<(f64, Point3)>,
     ) {
-        Self::fill_joint(&self.soa, reader, &mut scratch.joint, &mut scratch.probs);
+        let StepScratch {
+            reader_probs,
+            probs,
+            ..
+        } = scratch;
+        reader_probs.clear();
+        reader_probs.extend(reader.particles().iter().map(|p| p.log_w.exp()));
+        Self::joint_into(&self.soa, reader_probs, reader, probs);
         out.clear();
         out.extend(
             scratch
@@ -739,7 +763,8 @@ impl ObjectFilter {
         rng: &mut R,
     ) {
         let n = self.soa.len();
-        let joint = self.normalized_joint_weights(reader);
+        Self::joint_into(&self.soa, &tables.probs, reader, &mut scratch.probs);
+        let joint = &scratch.probs;
         // order particle indices by joint weight, worst first
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| {
@@ -747,7 +772,7 @@ impl ObjectFilter {
                 .partial_cmp(&joint[b])
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let uniform = -(n as f64).ln();
+        let uniform = 1.0 / n as f64;
         let cone = ConeSampler::new(range, half_angle, prior);
         let boxes = ConeSampler::<P>::fresh_boxes(scratch, reader.len());
         for &i in order.iter().take(n / 2) {
@@ -757,12 +782,12 @@ impl ObjectFilter {
                 ObjectParticle {
                     loc: cone.sample_at(reader, tables, j, boxes, rng),
                     reader_idx: j,
-                    log_w: uniform,
+                    w: uniform,
                 },
             );
         }
         for &i in order.iter().skip(n / 2) {
-            self.soa.log_w[i] = uniform;
+            self.soa.w[i] = uniform;
         }
         self.bounds = self.soa.xy_bounds();
     }
@@ -921,7 +946,7 @@ mod tests {
             .map(|i| ObjectParticle {
                 loc: Point3::new(i as f64, 0.0, 0.0),
                 reader_idx: 0,
-                log_w: if i == 42 { 0.0 } else { -60.0 },
+                w: if i == 42 { 1.0 } else { (-60f64).exp() },
             })
             .collect();
         let mut f = ObjectFilter::from_parts(particles, 0, 0);
@@ -947,7 +972,11 @@ mod tests {
             .map(|i| ObjectParticle {
                 loc: Point3::new(0.0, i as f64 * 0.01, 0.0),
                 reader_idx: 0,
-                log_w: if i < 50 { -0.1 } else { -30.0 },
+                w: if i < 50 {
+                    (-0.1f64).exp()
+                } else {
+                    (-30f64).exp()
+                },
             })
             .collect();
         let mut f = ObjectFilter::from_parts(particles, 0, 0);

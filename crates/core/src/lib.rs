@@ -62,7 +62,6 @@ pub use factored::{
     StepOutcome,
 };
 pub use particle::{
-    log_normalize, log_normalize_exp, systematic_resample, ObjectParticle, ParticleSoa,
-    ReaderParticle, XyBounds,
+    log_normalize, systematic_resample, ObjectParticle, ParticleSoa, ReaderParticle, XyBounds,
 };
 pub use spatial_hook::Reach;

@@ -1,15 +1,14 @@
 //! Particle types and weight arithmetic shared by every filter variant.
 //!
-//! Weights live in log space while being accumulated (sensor and
-//! sensing likelihoods multiply many small numbers) and are normalized
-//! with log-sum-exp. Resampling is *systematic* (one uniform draw, `n`
-//! evenly spaced pointers), the standard low-variance scheme.
-//!
-//! The object step's normalization ([`log_normalize_exp`]) classifies
-//! before it computes: entries whose exponential IEEE 754 fixes exactly
-//! (`exp(0) = 1`, `exp(−inf) = 0`) are written by a branch-free pass
-//! that compacts the others into a list, and `exp` runs over that list
-//! alone — the same shape as the weight pass in front of it.
+//! Reader particles (and the basic filter's joint particles) carry log
+//! weights: the reader update multiplies a location-report likelihood
+//! and many shelf-tag likelihoods, and log-sum-exp normalizes them.
+//! Object particles carry sum-normalized probabilities — the factor
+//! `w_ti` of Eq. 5 itself — because the object step multiplies in one
+//! likelihood per epoch and normalizes at once: it pays no `exp` or
+//! `ln` per particle, and falls back to log space only when a product
+//! underflows. Resampling is *systematic* (one uniform draw, `n` evenly
+//! spaced pointers), the standard low-variance scheme.
 
 use rand::Rng;
 use rfid_geom::{Point3, Pose};
@@ -24,13 +23,15 @@ pub struct ReaderParticle {
 
 /// A hypothesis about one object's location, with a pointer to the
 /// reader particle it was weighted against (Fig. 3(b)) and a factored
-/// log weight (`w_ti` in Eq. 5).
+/// weight (`w_ti` in Eq. 5).
 #[derive(Debug, Clone, Copy)]
 pub struct ObjectParticle {
     pub loc: Point3,
     /// Index into the reader particle list.
     pub reader_idx: u32,
-    pub log_w: f64,
+    /// The factored weight in probability space; an object's weights
+    /// sum to one.
+    pub w: f64,
 }
 
 /// Normalizes log weights in place so that `sum(exp(w)) == 1`.
@@ -55,106 +56,20 @@ pub fn log_normalize(log_w: &mut [f64]) -> Option<f64> {
     Some(log_z)
 }
 
-/// [`log_normalize`] that keeps the exponentials it computes: on return
-/// `exps[i]` is `exp(w_i - max)` of the *incoming* weights — the object
-/// step multiplies them by the reader factor instead of exponentiating
-/// a second and a third time. The weights themselves end up with the
-/// same bits as under [`log_normalize`]. On total depletion they reset
-/// to uniform and `exps` is all ones (equal weights, same scale-free
-/// meaning).
-///
-/// A weight at the maximum and a dead one skip the `exp` call: IEEE 754
-/// fixes `exp(±0) = 1` and `exp(−inf) = +0` exactly, so the shortcut
-/// returns what the call would. A piecewise-constant sensor (the cone
-/// model) leaves most of a column at one of the two, in no predictable
-/// order, so the column is classified first — `1.0` or `0.0` written,
-/// every other index (a finite difference, a NaN) appended to
-/// `pending` without a branch on which — and `exp` then runs over
-/// that list alone. `pending` is scratch; its contents on return mean
-/// nothing.
-pub fn log_normalize_exp(
-    log_w: &mut [f64],
-    exps: &mut Vec<f64>,
-    pending: &mut Vec<u32>,
-) -> Option<f64> {
-    let n = log_w.len();
-    let max = log_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        let u = -(n as f64).ln();
-        for w in log_w.iter_mut() {
-            *w = u;
-        }
-        exps.clear();
-        exps.resize(n, 1.0);
-        return None;
-    }
-    exps.resize(n, 0.0);
-    pending.resize(n, 0);
-    let mut m = 0;
-    for (i, (&w, e)) in log_w.iter().zip(exps.iter_mut()).enumerate() {
-        // d lies in [−inf, 0] or is NaN
-        let d = w - max;
-        *e = if d == 0.0 { 1.0 } else { 0.0 };
-        pending[m] = i as u32;
-        m += usize::from(d != 0.0 && d != f64::NEG_INFINITY);
-    }
-    for &i in &pending[..m] {
-        exps[i as usize] = (log_w[i as usize] - max).exp();
-    }
-    let sum: f64 = exps.iter().sum();
-    let log_z = max + sum.ln();
-    for w in log_w.iter_mut() {
-        *w -= log_z;
-    }
-    Some(log_z)
-}
-
-/// Effective sample size of normalized log weights:
+/// Effective sample size of normalized probability-space weights:
 /// `1 / sum(w_i^2)`. Ranges from 1 (degenerate) to `n` (uniform).
 ///
 /// # Contract
 ///
-/// The input **must** be normalized (`sum(exp(w)) == 1`, e.g. via
-/// [`log_normalize`]); on unnormalized input the result is meaningless
-/// — it silently scales with the square of the stray normalizer. The
-/// contract is checked with a `debug_assert!` so debug/test builds
-/// catch violations while release builds pay nothing.
-///
-/// Each squared weight is computed as `exp(w) * exp(w)` — not
-/// `exp(2w)` — so the result is bit-identical to
-/// [`effective_sample_size_probs`] over the exponentiated weights,
-/// the form the object step applies to its probability buffer.
-pub(crate) fn effective_sample_size(log_w: &[f64]) -> f64 {
-    debug_assert!(
-        log_w.is_empty() || {
-            let total: f64 = log_w.iter().map(|w| w.exp()).sum();
-            (total - 1.0).abs() < 1e-6
-        },
-        "effective_sample_size requires normalized log weights"
-    );
-    let sum_sq: f64 = log_w
-        .iter()
-        .map(|w| {
-            let p = w.exp();
-            p * p
-        })
-        .sum();
-    if sum_sq > 0.0 {
-        1.0 / sum_sq
-    } else {
-        0.0
-    }
-}
-
-/// [`effective_sample_size`] over probability-space weights that were
-/// already exponentiated (`probs[i] == log_w[i].exp()`): a pure
-/// multiply-add reduction the hot path runs against its reusable
-/// probability buffer. Same normalization contract, same result bits
-/// as the log-space version over the corresponding log weights.
-pub(crate) fn effective_sample_size_probs(probs: &[f64]) -> f64 {
+/// The input **must** be normalized (`sum(w) == 1`); on unnormalized
+/// input the result is meaningless — it silently scales with the square
+/// of the stray normalizer. The contract is checked with a
+/// `debug_assert!` so debug/test builds catch violations while release
+/// builds pay nothing.
+pub(crate) fn effective_sample_size(probs: &[f64]) -> f64 {
     debug_assert!(
         probs.is_empty() || (probs.iter().sum::<f64>() - 1.0).abs() < 1e-6,
-        "effective_sample_size_probs requires normalized weights"
+        "effective_sample_size requires normalized weights"
     );
     let sum_sq: f64 = probs.iter().map(|p| p * p).sum();
     if sum_sq > 0.0 {
@@ -167,28 +82,20 @@ pub(crate) fn effective_sample_size_probs(probs: &[f64]) -> f64 {
 /// Systematic resampling: writes into `ancestors` (resized to `n`) the
 /// `n` ancestor indices drawn from the categorical distribution given
 /// by normalized probability-space weights — one uniform draw, `n`
-/// evenly spaced pointers, so the indices come out ascending. The
-/// caller owns both buffers (`sums` is scratch; its contents on return
-/// mean nothing): the object step's are scratch and allocate nothing
-/// once warm.
+/// evenly spaced pointers, so the indices come out ascending. `sums`
+/// is the caller's scratch; nothing allocates once both are warm.
 ///
-/// The ancestors are those of the plain loop — for each pointer `u`,
-/// advance `i` while `cum + probs[i] < u` and `i + 1 < probs.len()`,
-/// then take `i` — written as a merge of the running sums against the
-/// pointers. Both sequences are accumulated first, in the plain loop's
-/// order, so they hold its `cum + probs[i]` and its `u` bit for bit.
-/// Each pointer then makes the next `PROBE` advance tests at once,
-/// loads and compares independent of one another, and advances by the
-/// length of the leading run of passes: the plain loop's comparisons,
-/// in its order, plus a few past the first failure whose verdicts are
-/// dropped. Where the sums and pointers interleave depends on the
-/// weights, so the plain loop's inner `while` mispredicts about once
-/// per pointer; here only a run of `PROBE` or more advances takes the
-/// probe's branch a second time (`step_components/systematic_resample/1000`:
-/// 13.2 µs plain, 10.4 µs probing; a merge of one test per round, every
-/// verdict added rather than branched on, measured 13.7 µs — its
-/// rounds form one load-compare chain). `tests/resampler_prop.rs` pins
-/// it to the plain loop, ancestors and RNG state.
+/// The plain loop advances `i` while `cum + probs[i] < u` (and a later
+/// index exists), then takes `i`; where that stops depends on the
+/// weights, so its inner `while` mispredicts about once per pointer.
+/// Here the running sums and the pointers are accumulated first, in
+/// the plain loop's order and bits, and each pointer advances by the
+/// leading run of passes among the next `PROBE` tests, made at once:
+/// only a run of `PROBE` or more takes the branch again
+/// (`step_components/systematic_resample/1000`: 13.2 µs plain, 10.4 µs
+/// here; one test per round, with no branch at all, 13.7 µs, because
+/// its rounds form one load-compare chain). `tests/resampler_prop.rs`
+/// pins the ancestors and the RNG state to the plain loop.
 pub fn systematic_resample<R: Rng + ?Sized>(
     probs: &[f64],
     n: usize,
@@ -243,13 +150,10 @@ pub fn systematic_resample<R: Rng + ?Sized>(
 /// row 2 measured no faster, 8 slower).
 const PROBE: usize = 4;
 
-/// Streaming variant of [`effective_sample_size`] over an iterator of
-/// normalized log weights — same `debug_assert!`-checked normalization
-/// contract, without materializing a buffer. Keeps the original
-/// `exp(2w)` form: its results land in emitted event statistics
-/// (`ObjectFilter::object_ess`) pinned by the golden traces, so its
-/// bit pattern must not change with the hot path's `exp(w)²`
-/// restructuring (the two differ by at most an ulp per term).
+/// [`effective_sample_size`] over an iterator of normalized log
+/// weights (the reader filter's), as `1 / sum(exp(2 w_i))` — same
+/// `debug_assert!`-checked normalization contract, without
+/// materializing a buffer.
 pub(crate) fn effective_sample_size_iter<I: Iterator<Item = f64> + Clone>(log_w: I) -> f64 {
     debug_assert!(
         {
@@ -376,8 +280,9 @@ pub struct ParticleSoa {
     pub zs: Vec<f64>,
     /// Indices into the reader particle list (Fig. 3(b)).
     pub reader_idx: Vec<u32>,
-    /// Factored log weights (`w_ti` in Eq. 5).
-    pub log_w: Vec<f64>,
+    /// Factored weights (`w_ti` in Eq. 5), probabilities that sum to
+    /// one.
+    pub w: Vec<f64>,
 }
 
 impl ParticleSoa {
@@ -388,7 +293,7 @@ impl ParticleSoa {
             ys: Vec::with_capacity(n),
             zs: Vec::with_capacity(n),
             reader_idx: Vec::with_capacity(n),
-            log_w: Vec::with_capacity(n),
+            w: Vec::with_capacity(n),
         }
     }
 
@@ -417,7 +322,7 @@ impl ParticleSoa {
         self.ys.push(p.loc.y);
         self.zs.push(p.loc.z);
         self.reader_idx.push(p.reader_idx);
-        self.log_w.push(p.log_w);
+        self.w.push(p.w);
     }
 
     /// Particle `i` reassembled as an [`ObjectParticle`] value.
@@ -425,7 +330,7 @@ impl ParticleSoa {
         ObjectParticle {
             loc: Point3::new(self.xs[i], self.ys[i], self.zs[i]),
             reader_idx: self.reader_idx[i],
-            log_w: self.log_w[i],
+            w: self.w[i],
         }
     }
 
@@ -435,7 +340,7 @@ impl ParticleSoa {
         self.ys[i] = p.loc.y;
         self.zs[i] = p.loc.z;
         self.reader_idx[i] = p.reader_idx;
-        self.log_w[i] = p.log_w;
+        self.w[i] = p.w;
     }
 
     /// The location of particle `i`.
@@ -469,14 +374,14 @@ impl ParticleSoa {
     }
 
     /// Replaces the set by the particles `ancestors` names, in that
-    /// order — the resampled set — with every weight set to `log_w`.
+    /// order — the resampled set — with every weight set to `w`.
     /// Each location and pointer column is gathered into `spare` /
     /// `spare_idx` and copied back, so the columns keep their buffers
     /// and nothing allocates once the spares are warm.
     pub(crate) fn gather(
         &mut self,
         ancestors: &[u32],
-        log_w: f64,
+        w: f64,
         spare: &mut Vec<f64>,
         spare_idx: &mut Vec<u32>,
     ) {
@@ -485,7 +390,7 @@ impl ParticleSoa {
             gather_column(col, ancestors, spare);
         }
         gather_column(&mut self.reader_idx, ancestors, spare_idx);
-        self.log_w.fill(log_w);
+        self.w.fill(w);
     }
 }
 
@@ -584,101 +489,11 @@ mod tests {
     }
 
     #[test]
-    fn log_normalize_exp_matches_log_normalize_bitwise() {
-        for seed in 0..10u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut w: Vec<f64> = (0..41).map(|_| rng.gen::<f64>().ln() * 40.0).collect();
-            w[7] = f64::NEG_INFINITY;
-            let raw = w.clone();
-            let mut plain = w.clone();
-            let mut exps = Vec::new();
-            let z = log_normalize_exp(&mut w, &mut exps, &mut Vec::new()).unwrap();
-            assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
-            let max = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            for i in 0..w.len() {
-                assert_eq!(w[i].to_bits(), plain[i].to_bits(), "seed {seed} weight {i}");
-                assert_eq!(exps[i].to_bits(), (raw[i] - max).exp().to_bits());
-            }
-        }
-        // the columns the shortcut exists for, and the ones that could
-        // trip it: every `exps[i]` is what `exp` returns, bit for bit
-        let inf = f64::NEG_INFINITY;
-        let columns: [&[f64]; 9] = [
-            &[-3.25; 5],                          // all equal
-            &[-1.5, -0.5, -7.0, -0.5, -0.5, inf], // several maxima
-            &[-0.0, 0.0, -0.0, -2.0],             // signed zeros at the maximum
-            &[0.0, -0.0],                         // +0 first
-            &[-4.0, -0.0, inf, -0.0],             // the maximum is −0
-            &[inf, inf, -745.2, inf],             // one survivor
-            &[-1.0, f64::NAN, -2.0, inf, -1.0],   // a NaN member
-            &[5e-324, 0.0, -5e-324],              // differences that are not zero
-            &[1e308, -1e308, 1e308],              // w − max overflows to −inf
-        ];
-        for raw in columns {
-            let mut w = raw.to_vec();
-            let mut plain = raw.to_vec();
-            let mut exps = Vec::new();
-            let z = log_normalize_exp(&mut w, &mut exps, &mut Vec::new()).unwrap();
-            assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
-            let max = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            for i in 0..raw.len() {
-                assert_eq!(w[i].to_bits(), plain[i].to_bits(), "{raw:?} weight {i}");
-                assert_eq!(
-                    exps[i].to_bits(),
-                    (raw[i] - max).exp().to_bits(),
-                    "{raw:?} exp {i}"
-                );
-            }
-        }
-        // mixed columns, the classify pass's whole input space in random
-        // order: at the maximum (±0 after subtracting it), dead, finite,
-        // NaN; one pair of buffers across every length, so an entry a
-        // longer column left behind would show
-        let (mut exps, mut pending) = (Vec::new(), Vec::new());
-        for seed in 0..40u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = 1 + (seed as usize * 37) % 90;
-            let top = -rng.gen::<f64>() * 5.0;
-            let raw: Vec<f64> = (0..n)
-                .map(|i| match (i == n / 2, rng.gen_range(0..5u8)) {
-                    (true, _) | (_, 0) => top,
-                    (_, 1) => f64::NEG_INFINITY,
-                    (_, 2) if seed % 4 == 0 => f64::NAN,
-                    _ => top - rng.gen::<f64>() * 50.0,
-                })
-                .collect();
-            let mut w = raw.clone();
-            let mut plain = raw.clone();
-            let z = log_normalize_exp(&mut w, &mut exps, &mut pending).unwrap();
-            assert_eq!(log_normalize(&mut plain).unwrap().to_bits(), z.to_bits());
-            assert_eq!(exps.len(), n);
-            for i in 0..n {
-                assert_eq!(w[i].to_bits(), plain[i].to_bits(), "seed {seed} weight {i}");
-                assert_eq!(
-                    exps[i].to_bits(),
-                    (raw[i] - top).exp().to_bits(),
-                    "seed {seed} exp {i}"
-                );
-            }
-        }
-        // total depletion: uniform weights, equal exponentials
-        let mut w = vec![f64::NEG_INFINITY; 4];
-        let mut exps = vec![9.0];
-        assert!(log_normalize_exp(&mut w, &mut exps, &mut Vec::new()).is_none());
-        assert_eq!(exps, vec![1.0; 4]);
-        assert!(w.iter().all(|x| (x.exp() - 0.25).abs() < 1e-12));
-    }
-
-    #[test]
     fn ess_bounds() {
-        let mut uniform = vec![0.0f64; 10];
-        log_normalize(&mut uniform).unwrap();
-        assert!((effective_sample_size(&uniform) - 10.0).abs() < 1e-9);
-
-        let mut degen = vec![f64::NEG_INFINITY; 10];
-        degen[3] = 0.0;
-        log_normalize(&mut degen).unwrap();
-        assert!((effective_sample_size(&degen) - 1.0).abs() < 1e-9);
+        assert!((effective_sample_size(&[0.1; 10]) - 10.0).abs() < 1e-9);
+        let mut degen = vec![0.0; 10];
+        degen[3] = 1.0;
+        assert_eq!(effective_sample_size(&degen), 1.0);
     }
 
     #[test]
@@ -762,7 +577,7 @@ mod tests {
                 .map(|i| ObjectParticle {
                     loc: Point3::new(i as f64, 100.0 + i as f64, -(i as f64)),
                     reader_idx: 7 * i as u32,
-                    log_w: -0.5 * i as f64,
+                    w: 0.5 * i as f64,
                 })
                 .collect::<Vec<_>>(),
         )
@@ -774,35 +589,20 @@ mod tests {
         let xs = |soa: &ParticleSoa| soa.xs.clone();
         // all mass on the last particle
         let mut soa = numbered(4);
-        soa.gather(&[3, 3, 3, 3], -1.0, &mut spare, &mut spare_idx);
+        soa.gather(&[3, 3, 3, 3], 0.25, &mut spare, &mut spare_idx);
         assert_eq!(xs(&soa), vec![3.0; 4]);
         assert_eq!(soa.reader_idx, vec![21; 4]);
-        assert_eq!(soa.log_w, vec![-1.0; 4]);
+        assert_eq!(soa.w, vec![0.25; 4]);
         // identity ancestors leave the particles in place
         let mut soa = numbered(3);
-        soa.gather(&[0, 1, 2], -1.0, &mut spare, &mut spare_idx);
+        soa.gather(&[0, 1, 2], 0.5, &mut spare, &mut spare_idx);
         assert_eq!(xs(&soa), vec![0.0, 1.0, 2.0]);
         // a middle survivor whose copies land on a later survivor's slot
         let mut soa = numbered(4);
-        soa.gather(&[1, 1, 1, 2], -1.0, &mut spare, &mut spare_idx);
+        soa.gather(&[1, 1, 1, 2], 0.25, &mut spare, &mut spare_idx);
         assert_eq!(xs(&soa), vec![1.0, 1.0, 1.0, 2.0]);
         assert_eq!(soa.zs, vec![-1.0, -1.0, -1.0, -2.0]);
     }
-    #[test]
-    fn ess_probs_matches_log_space_bitwise() {
-        for seed in 0..10u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut w: Vec<f64> = (0..37).map(|_| rng.gen::<f64>().ln() * 3.0).collect();
-            log_normalize(&mut w).unwrap();
-            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
-            assert_eq!(
-                effective_sample_size(&w).to_bits(),
-                effective_sample_size_probs(&probs).to_bits(),
-                "seed {seed}"
-            );
-        }
-    }
-
     #[test]
     fn soa_roundtrips_and_reorders_like_aos() {
         let mut rng = StdRng::seed_from_u64(77);
@@ -811,7 +611,7 @@ mod tests {
                 .map(|i| ObjectParticle {
                     loc: Point3::new(rng.gen(), rng.gen(), rng.gen()),
                     reader_idx: i as u32 % 7,
-                    log_w: -(rng.gen::<f64>() + 0.1),
+                    w: rng.gen::<f64>() + 0.1,
                 })
                 .collect();
             let soa = ParticleSoa::from_aos(&aos);
@@ -819,13 +619,12 @@ mod tests {
             for (i, p) in soa.iter().enumerate() {
                 assert_eq!(p.loc.x.to_bits(), aos[i].loc.x.to_bits());
                 assert_eq!(p.reader_idx, aos[i].reader_idx);
-                assert_eq!(p.log_w.to_bits(), aos[i].log_w.to_bits());
+                assert_eq!(p.w.to_bits(), aos[i].w.to_bits());
             }
 
             // the columnar gather must equal the AoS gather
-            let mut w: Vec<f64> = aos.iter().map(|p| p.log_w).collect();
-            log_normalize(&mut w).unwrap();
-            let probs: Vec<f64> = w.iter().map(|x| x.exp()).collect();
+            let total: f64 = aos.iter().map(|p| p.w).sum();
+            let probs: Vec<f64> = aos.iter().map(|p| p.w / total).collect();
             let mut ancestors = Vec::new();
             systematic_resample(
                 &probs,
@@ -837,13 +636,13 @@ mod tests {
             let aos_gathered: Vec<ObjectParticle> =
                 ancestors.iter().map(|&a| aos[a as usize]).collect();
             let mut soa_gathered = soa.clone();
-            soa_gathered.gather(&ancestors, -2.5, &mut Vec::new(), &mut Vec::new());
+            soa_gathered.gather(&ancestors, 0.125, &mut Vec::new(), &mut Vec::new());
             for (i, p) in soa_gathered.iter().enumerate() {
                 assert_eq!(p.loc.x.to_bits(), aos_gathered[i].loc.x.to_bits());
                 assert_eq!(p.loc.y.to_bits(), aos_gathered[i].loc.y.to_bits());
                 assert_eq!(p.loc.z.to_bits(), aos_gathered[i].loc.z.to_bits());
                 assert_eq!(p.reader_idx, aos_gathered[i].reader_idx);
-                assert_eq!(p.log_w, -2.5);
+                assert_eq!(p.w, 0.125);
             }
         }
     }

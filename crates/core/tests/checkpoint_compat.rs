@@ -1,10 +1,11 @@
 //! The checkpoint format is pinned by literal bytes, not round trips.
 //!
-//! `fixtures/pr34_v2.ckpt` (5 objects, 3 of them compressed, 2
-//! cooldown entries, the spatial index) is a version-2 blob: the
-//! checksum covers the header, and a compressed object stores its
-//! Gaussian and compression epoch only. It was written by this file's
-//! `cfg()`, `engine()` and `batches()`:
+//! `fixtures/v3_cut40.ckpt` (5 objects, 3 of them compressed, 2
+//! cooldown entries, the spatial index) is a version-3 blob: the
+//! checksum covers the header, a compressed object stores its Gaussian
+//! and compression epoch only, and an object particle's weight is a
+//! probability. It was written by this file's `cfg()`, `engine()` and
+//! `batches()`:
 //!
 //! ```ignore
 //! let mut first = engine(cfg());
@@ -16,24 +17,23 @@
 //! ```
 //!
 //! Every list in the payload is in a canonical order, so the bytes do
-//! not depend on how the writing engine laid its state out. The
-//! fixture's engine state predates the box cone sampler, which
-//! re-blessed the goldens: today's engine restores it, writes it back
-//! byte for byte and finishes it on a literal digest, and its own
-//! checkpoint at the same cut finishes on the uninterrupted stream.
+//! not depend on how the writing engine laid its state out. Today's
+//! engine restores it, writes it back byte for byte and finishes it on
+//! a literal digest, and its own checkpoint at the same cut finishes on
+//! the uninterrupted stream.
 //!
-//! `fixtures/pr47_stale_cooldown.ckpt` is the same engine's version-2
-//! blob at cut 42 (checkpoint epoch 41), written while the engine kept
-//! a separate compression queue: both of its cooldown entries are keyed
-//! at the epoch they were queued, before their objects' due epochs.
-//! Today's engine restores it, writes it back with each entry keyed at
-//! its object's due epoch (the bytes it writes itself at that cut) and
-//! finishes on the uninterrupted stream.
+//! Older blobs of the same cut and config are refused by version:
+//! `fixtures/pr34_v2.ckpt` and `fixtures/pr47_stale_cooldown.ckpt`
+//! (version 2, whose object weights were log weights) as
+//! `UnsupportedVersion(2)`, and `fixtures/pr13_four_partitions.ckpt`
+//! (7,809 bytes, version 1, written by an engine that still partitioned
+//! its objects) as `UnsupportedVersion(1)`.
 //!
-//! `fixtures/pr13_four_partitions.ckpt` (7,809 bytes) is a version-1
-//! blob of the same cut and config, written by an engine that still
-//! partitioned its objects. This build refuses it as
-//! `UnsupportedVersion(1)`.
+//! Cooldown entries keyed before their objects' due epochs — what an
+//! engine that kept a separate compression queue wrote, keying each
+//! check at the epoch it was queued — are accepted, and written back
+//! keyed at the due epochs; a blob of today's engine with its keys
+//! moved earlier stands in for one.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,9 +49,12 @@ use rfid_model::{BoxPrior, JointModel, ModelParams, ReadRateModel};
 use rfid_stream::digest::{event_digest, fnv1a, FNV_OFFSET};
 use rfid_stream::{Epoch, EpochBatch, InferenceStage, TagId};
 
-const FIXTURE: &[u8] = include_bytes!("fixtures/pr34_v2.ckpt");
+const FIXTURE: &[u8] = include_bytes!("fixtures/v3_cut40.ckpt");
 const V1_FIXTURE: &[u8] = include_bytes!("fixtures/pr13_four_partitions.ckpt");
-const STALE_FIXTURE: &[u8] = include_bytes!("fixtures/pr47_stale_cooldown.ckpt");
+const V2_FIXTURES: [&[u8]; 2] = [
+    include_bytes!("fixtures/pr34_v2.ckpt"),
+    include_bytes!("fixtures/pr47_stale_cooldown.ckpt"),
+];
 const EPOCHS: u64 = 100;
 /// Batches the fixture's writer had processed.
 const CUT: usize = 40;
@@ -139,9 +142,8 @@ fn parent_written_checkpoint_restores_and_finishes_on_the_uninterrupted_digest()
         (b.epochs, b.object_updates, b.compressions, b.decompressions)
     );
 
-    // the fixture's engine state came from the sampler before the box:
-    // it restores, a restored engine writes it back byte for byte, and
-    // today's engine finishes it on the stream pinned here
+    // the fixture restores, a restored engine writes it back byte for
+    // byte, and today's engine finishes it on the stream pinned here
     assert_eq!(peek_epoch(FIXTURE).unwrap(), at);
     let mut parent = engine(cfg());
     assert_eq!(parent.restore_bytes(FIXTURE).unwrap(), at);
@@ -156,7 +158,7 @@ fn parent_written_checkpoint_restores_and_finishes_on_the_uninterrupted_digest()
     parent.finalize_into(Epoch(EPOCHS - 1), &mut tail);
     assert_eq!(
         (tail.len(), event_digest(&tail)),
-        (6, 0xf316_5618_b442_a66e)
+        (6, 0x3d6f_4c2f_59ae_0ea0)
     );
 }
 
@@ -264,6 +266,59 @@ fn version_1_checkpoint_is_refused() {
 }
 
 #[test]
+fn version_2_checkpoints_are_refused() {
+    for blob in V2_FIXTURES {
+        assert!(matches!(
+            peek_epoch(blob),
+            Err(CheckpointError::UnsupportedVersion(2))
+        ));
+        assert!(matches!(
+            engine(cfg()).restore_bytes(blob),
+            Err(CheckpointError::UnsupportedVersion(2))
+        ));
+    }
+}
+
+/// `blob` with each of its `n` cooldown entries keyed `by` epochs
+/// earlier, checksum resealed. The cooldown section is the count `n`,
+/// then `n` entries — due epoch, then a tracked tag, two little-endian
+/// `u64`s, due epochs past the checkpoint epoch `at` — then the spatial
+/// index's presence byte, 1 for this file's engine; exactly one place
+/// in the blob must read that way.
+fn with_earlier_cooldown_keys(
+    blob: &[u8],
+    tags: &[TagId],
+    at: Epoch,
+    n: usize,
+    by: u64,
+) -> Vec<u8> {
+    let u64_at = |i: usize| u64::from_le_bytes(blob[i..i + 8].try_into().unwrap());
+    let len = 8 + 16 * n + 1;
+    let sections: Vec<usize> = (0..blob.len() - len)
+        .filter(|&i| {
+            u64_at(i) == n as u64
+                && blob[i + len - 1] == 1
+                && (0..n).all(|k| {
+                    let (due, tag) = (u64_at(i + 8 + 16 * k), u64_at(i + 16 + 16 * k));
+                    due > at.0 && due < 2 * EPOCHS && tags.contains(&TagId(tag))
+                })
+        })
+        .collect();
+    let [start] = sections[..] else {
+        panic!("cooldown section at {sections:?}");
+    };
+    let mut out = blob.to_vec();
+    for k in 0..n {
+        let key = start + 8 + 16 * k;
+        out[key..key + 8].copy_from_slice(&(u64_at(key) - by).to_le_bytes());
+    }
+    let end = out.len() - 8;
+    let checksum = fnv1a(FNV_OFFSET, &out[..end]);
+    out[end..].copy_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+#[test]
 fn a_checkpoint_with_stale_cooldown_keys_finishes_on_the_uninterrupted_digest() {
     const STALE_CUT: usize = 42;
     let all = batches();
@@ -275,15 +330,19 @@ fn a_checkpoint_with_stale_cooldown_keys_finishes_on_the_uninterrupted_digest() 
         first.process_batch_into(b, &mut events);
     }
     let at = Epoch(STALE_CUT as u64 - 1);
-    assert_eq!(peek_epoch(STALE_FIXTURE).unwrap(), at);
+    let written = first.checkpoint_bytes(at);
+    let tags: Vec<TagId> = first.tracked_objects().collect();
+    assert_eq!(first.cooldown_entries(), 2);
+    let stale = with_earlier_cooldown_keys(&written, &tags, at, 2, 3);
+    assert_eq!(peek_epoch(&stale).unwrap(), at);
     let mut resumed = engine(cfg());
-    assert_eq!(resumed.restore_bytes(STALE_FIXTURE).unwrap(), at);
+    assert_eq!(resumed.restore_bytes(&stale).unwrap(), at);
     assert_eq!(resumed.cooldown_entries(), 2);
     // the restored engine keys each entry at its object's due epoch,
     // as today's engine does at that cut
     let rewritten = resumed.checkpoint_bytes(at);
-    assert!(rewritten == first.checkpoint_bytes(at), "checkpoint bytes");
-    assert!(rewritten != STALE_FIXTURE, "the stale keys were kept");
+    assert!(rewritten == written, "checkpoint bytes");
+    assert!(rewritten != stale, "the stale keys were kept");
     for b in &all[STALE_CUT..] {
         resumed.process_batch_into(b, &mut events);
     }

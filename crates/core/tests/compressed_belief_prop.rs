@@ -137,7 +137,7 @@ proptest! {
             let idx = tables.sample_index(&mut plain);
             assert_point_bits(p.loc, loc, &format!("{ctx} particle {i}"));
             prop_assert_eq!(p.reader_idx, idx, "{} particle {}", ctx, i);
-            prop_assert_eq!(p.log_w.to_bits(), (-(k as f64).ln()).to_bits(), "{}", ctx);
+            prop_assert_eq!(p.w.to_bits(), (1.0 / k as f64).to_bits(), "{}", ctx);
         }
         prop_assert_eq!(packed.gen::<u64>(), plain.gen::<u64>(), "{}: rng state", ctx);
     }

@@ -163,8 +163,8 @@ fn pinned_full() -> FilterConfig {
 // engine missing either must not notice it — nor any later change to
 // how the index decides: these two streams are pinned by value, not
 // against a second run of the same code.
-// Both were re-blessed once, when cone initialization moved to the
-// box sampler.
+// Both were re-blessed twice: when cone initialization moved to the
+// box sampler, and when the object weights moved to probability space.
 
 #[test]
 fn a_sensor_without_a_hard_edge_keeps_its_digest() {
@@ -180,7 +180,7 @@ fn a_sensor_without_a_hard_edge_keeps_its_digest() {
     let events = run_engine(&mut engine, &sc.trace.epoch_batches());
     assert_eq!(
         (events.len(), event_digest(&events)),
-        (78, 0xd96b6cc352d4a0fd),
+        (78, 0x26c4f662a1836aa1),
         "the logistic-sensor engine's stream moved"
     );
 }
@@ -193,7 +193,7 @@ fn an_engine_without_the_index_keeps_its_digest() {
     let events = run_batch(&sc, cfg);
     assert_eq!(
         (events.len(), event_digest(&events)),
-        (78, 0x746809a564cdb89d),
+        (78, 0x722b31a2c5621cd9),
         "the index-off cone-sensor engine's stream moved"
     );
 }

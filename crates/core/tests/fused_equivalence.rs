@@ -46,11 +46,11 @@ fn assert_particles_identical(a: &ReferenceFilter, b: &ObjectFilter, epoch: usiz
             "epoch {epoch} particle {i}: pointer"
         );
         assert_eq!(
-            pa.log_w.to_bits(),
-            pb.log_w.to_bits(),
-            "epoch {epoch} particle {i}: log weight {} vs {}",
-            pa.log_w,
-            pb.log_w
+            pa.w.to_bits(),
+            pb.w.to_bits(),
+            "epoch {epoch} particle {i}: weight {} vs {}",
+            pa.w,
+            pb.w
         );
     }
 }
@@ -344,8 +344,8 @@ fn fused_support_mass_matches_seed_deposits() {
 // row is a probability distribution (finite, summing to one).
 
 /// A fan of particles in front of the reader, pointers cycling over the
-/// first `pointed` reader particles, object log weights from `log_w`.
-fn fan(n: usize, pointed: u32, log_w: impl Fn(usize) -> f64) -> ObjectFilter {
+/// first `pointed` reader particles, object weights from `w`.
+fn fan(n: usize, pointed: u32, w: impl Fn(usize) -> f64) -> ObjectFilter {
     let particles: Vec<ObjectParticle> = (0..n)
         .map(|i| ObjectParticle {
             loc: Point3::new(
@@ -354,7 +354,7 @@ fn fan(n: usize, pointed: u32, log_w: impl Fn(usize) -> f64) -> ObjectFilter {
                 0.0,
             ),
             reader_idx: i as u32 % pointed,
-            log_w: log_w(i),
+            w: w(i),
         })
         .collect();
     ObjectFilter::from_parts(particles, 0, 0)
@@ -402,9 +402,9 @@ fn drive_edge_case(what: &str, start: &ObjectFilter, reader: &ReaderFilter) {
 #[test]
 fn edge_all_object_weights_impossible_resets_uniform() {
     let uniform = -(10f64).ln();
-    let start = fan(60, 10, |_| f64::NEG_INFINITY);
+    let start = fan(60, 10, |_| 0.0);
     let reader = reader_with(10, |_| uniform);
-    drive_edge_case("all -inf", &start, &reader);
+    drive_edge_case("all zero", &start, &reader);
 
     // the reset itself: one step leaves uniform object weights
     let mut f = start;
@@ -420,14 +420,14 @@ fn edge_all_object_weights_impossible_resets_uniform() {
         &mut support,
         &mut StdRng::seed_from_u64(1),
     );
-    let want = -(60f64).ln();
-    assert!(f.iter_particles().all(|p| p.log_w == want));
+    let want = 1.0 / 60.0;
+    assert!(f.iter_particles().all(|p| p.w == want));
 }
 
 #[test]
 fn edge_one_surviving_particle_takes_all_the_mass() {
     let uniform = -(10f64).ln();
-    let start = fan(60, 10, |i| if i == 23 { -3.0 } else { f64::NEG_INFINITY });
+    let start = fan(60, 10, |i| if i == 23 { (-3f64).exp() } else { 0.0 });
     let reader = reader_with(10, |_| uniform);
     drive_edge_case("one survivor", &start, &reader);
 
@@ -448,16 +448,57 @@ fn edge_one_surviving_particle_takes_all_the_mass() {
     assert_eq!(support[23 % 10], 1.0);
     let survivor = f.iter_particles().nth(23).unwrap();
     assert_eq!(out.estimate.0.x, survivor.loc.x);
-    assert_eq!(survivor.log_w, 0.0);
+    assert_eq!(survivor.w, 1.0);
+}
+
+#[test]
+fn edge_object_products_underflow_take_the_log_space_route() {
+    // weights near the bottom of the subnormals, read from 40 ft away:
+    // every weight times its read likelihood rounds to zero, so the
+    // object factor must come from the log-space pass
+    let m = JointModel::new(ModelParams::default_warehouse());
+    let tiny = 1e-320;
+    let near = fan(48, 10, |i| tiny * (1.0 + 0.01 * i as f64));
+    let far: Vec<ObjectParticle> = near
+        .iter_particles()
+        .map(|p| ObjectParticle {
+            loc: Point3::new(p.loc.x + 40.0, p.loc.y, p.loc.z),
+            ..p
+        })
+        .collect();
+    let start = ObjectFilter::from_parts(far, 0, 0);
+    let reader = reader_with(10, |_| -(10f64).ln());
+    for p in start.iter_particles() {
+        let lik = m.object_weight(reader.pose_of(p.reader_idx), &p.loc, true);
+        assert!(
+            lik > 0.0 && lik * p.w == 0.0,
+            "likelihood {lik} keeps a product"
+        );
+    }
+    drive_edge_case("underflowing object products", &start, &reader);
+    let mut f = start;
+    let mut support = vec![0.0f64; reader.len()];
+    f.step_fused(
+        &m,
+        &reader,
+        &reader.tables(),
+        true,
+        0.0,
+        &mut StepScratch::default(),
+        &mut support,
+        &mut StdRng::seed_from_u64(1),
+    );
+    let total: f64 = f.iter_particles().map(|p| p.w).sum();
+    assert!((total - 1.0).abs() < 1e-9, "weights renormalized: {total}");
 }
 
 #[test]
 fn edge_pointed_reader_weights_underflow_takes_log_space_route() {
     // the object particles point at reader particles 0..4 only; all the
     // reader's mass sits on particle 9, so every product
-    // `exp(log_w - max) * exp(reader log_w)` is exactly zero and the
-    // joint probabilities must come from the log-space pass
-    let start = fan(48, 4, |i| -0.01 * i as f64);
+    // `w * exp(reader log_w)` is exactly zero and the joint
+    // probabilities must come from the log-space pass
+    let start = fan(48, 4, |i| (-0.01 * i as f64).exp() / 48.0);
     let underflow = reader_with(10, |j| if j == 9 { 0.0 } else { -800.0 - j as f64 });
     assert_eq!(underflow.weight_of(0), 0.0, "exp(-800) underflows");
     drive_edge_case("underflowing reader weights", &start, &underflow);
@@ -481,7 +522,13 @@ fn edge_step_after_a_resample_matches() {
     // sharply peaked object weights force a resample on the first step
     // at the default threshold; the steps after it start from uniform
     // object weights and duplicated particles
-    let start = fan(80, 10, |i| if i % 16 == 0 { -1.0 } else { -40.0 });
+    let start = fan(80, 10, |i| {
+        if i % 16 == 0 {
+            (-1f64).exp()
+        } else {
+            (-40f64).exp()
+        }
+    });
     let reader = reader_with(10, |j| ((j + 1) as f64 / 55.0).ln());
     let m = JointModel::new(ModelParams::default_warehouse());
     let (resamples, row) = drive_pair(&m, start, reader, 0.5, |_| true, 6, 29);

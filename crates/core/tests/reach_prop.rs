@@ -3,13 +3,13 @@
 //!
 //! The engine drops a not-read object from an epoch when the test says
 //! no reader particle can see any of its particles, on the ground that
-//! the step it skips would have added `+0.0` to every log weight. That
+//! the step it skips would have multiplied every weight by `1.0`. That
 //! ground is pinned here for what it is — an exact statement about the
 //! sensor, not an approximation: whenever the test answers "cannot
-//! see", `log_likelihood_pose(.., read = false)` is the literal `0.0`
-//! for **every** (reader particle, object particle) pair, evaluated
-//! the way the object step evaluates it (heading trig from the reader
-//! tables). The test may answer "can see" as often as it likes; the
+//! see", `likelihood_pose(.., read = false)` is the literal `1.0` (and
+//! `log_likelihood_pose` the literal `0.0`) for **every** (reader
+//! particle, object particle) pair, evaluated the way the object step
+//! evaluates it (heading trig from the reader tables). The test may answer "can see" as often as it likes; the
 //! named cases hold it to the answers that matter at its edges, and
 //! the sweep checks it is not vacuous.
 //!
@@ -46,15 +46,15 @@ fn object_of(points: &[Point3]) -> ObjectFilter {
         .map(|&loc| ObjectParticle {
             loc,
             reader_idx: 0,
-            log_w: -(points.len() as f64).ln(),
+            w: 1.0 / points.len() as f64,
         })
         .collect();
     ObjectFilter::from_parts(particles, 0, 0)
 }
 
 /// The test's answer for this reader cloud and this object cloud; when
-/// it is "cannot see", every pair's miss log likelihood must be `+0.0`
-/// to the bit.
+/// it is "cannot see", every pair's miss likelihood must be `1.0` and
+/// its log likelihood `+0.0`, to the bit.
 fn cannot_see(sensor: &ConeSensor, poses: &[Pose], points: &[Point3], ctx: &str) -> bool {
     let reader = reader_of(poses);
     let tables = reader.tables();
@@ -68,6 +68,12 @@ fn cannot_see(sensor: &ConeSensor, poses: &[Pose], points: &[Point3], ctx: &str)
                     ll.to_bits(),
                     0f64.to_bits(),
                     "{ctx}: \"cannot see\", yet a miss from {pose:?} at {tag:?} weighs {ll}"
+                );
+                let l = sensor.likelihood_pose(&pose.pos, *c, *s, tag, false);
+                assert_eq!(
+                    l.to_bits(),
+                    1f64.to_bits(),
+                    "{ctx}: \"cannot see\", yet a miss from {pose:?} at {tag:?} has likelihood {l}"
                 );
             }
         }
@@ -355,7 +361,7 @@ fn state_of(e: &InferenceEngine<rfid_sim::WarehouseLayout, ConeSensor>) -> Vec<u
             continue;
         };
         state.push(tag.0);
-        let floats = soa.xs.iter().chain(&soa.ys).chain(&soa.log_w);
+        let floats = soa.xs.iter().chain(&soa.ys).chain(&soa.w);
         state.extend(floats.map(|v| v.to_bits()));
         state.extend(soa.reader_idx.iter().map(|&r| u64::from(r)));
     }

@@ -1,15 +1,17 @@
 //! The naive reference for `ObjectFilter::step_fused`.
 //!
-//! Same arithmetic as the production step — one `exp` pass over
-//! `log_w − max`, those values times the reader weights, divided by
-//! their sum — written the obvious way: array-of-structs particles, a
-//! fresh `Vec` for every intermediate, the sensor model called through
-//! its plain `(pose, location)` entry point with the heading trig
-//! recomputed per particle, an explicit ancestry vector for resampling.
-//! Nothing here shares code with the step beyond the model and the
-//! reader filter, so agreement bit for bit (`fused_equivalence.rs`) pins
-//! the production path's column layout, buffer reuse, per-epoch tables
-//! and in-place reorder as pure re-arrangements of this computation.
+//! Same arithmetic as the production step — each probability-space
+//! weight times its likelihood, divided by the sum; those weights times
+//! the reader weights, divided by their sum; log space only when a sum
+//! cannot be divided by — written the obvious way: array-of-structs
+//! particles, a fresh `Vec` for every intermediate, the sensor model
+//! called through its plain `(pose, location)` entry points with the
+//! heading trig recomputed per particle, an explicit ancestry vector
+//! for resampling. Nothing here shares code with the step beyond the
+//! model and the reader filter, so agreement bit for bit
+//! (`fused_equivalence.rs`) pins the production path's column layout,
+//! buffer reuse, per-epoch tables and in-place reorder as pure
+//! re-arrangements of this computation.
 //!
 //! Compiled into tests and benches only (`mod reference;` from a test,
 //! `#[path]` from `bench_step.rs`); the library holds one step path.
@@ -44,49 +46,47 @@ impl ReferenceFilter {
         reader: &mut ReaderFilter,
         read: bool,
     ) -> Vec<f64> {
-        for p in &mut self.particles {
-            p.log_w += model.object_log_weight(reader.pose_of(p.reader_idx), &p.loc, read);
-        }
-        let max = self
+        let products: Vec<f64> = self
             .particles
             .iter()
-            .map(|p| p.log_w)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = if max.is_finite() {
-            let exps: Vec<f64> = self
+            .map(|p| model.object_weight(reader.pose_of(p.reader_idx), &p.loc, read) * p.w)
+            .collect();
+        let sum: f64 = products.iter().sum();
+        if sum > 0.0 && sum.is_finite() {
+            for (p, q) in self.particles.iter_mut().zip(&products) {
+                p.w = q / sum;
+            }
+        } else {
+            // the products underflowed or every particle is ruled out:
+            // the same update in log space
+            let mut log_w: Vec<f64> = self
                 .particles
                 .iter()
-                .map(|p| (p.log_w - max).exp())
+                .map(|p| {
+                    p.w.ln() + model.object_log_weight(reader.pose_of(p.reader_idx), &p.loc, read)
+                })
                 .collect();
-            let log_z = max + exps.iter().sum::<f64>().ln();
-            for p in &mut self.particles {
-                p.log_w -= log_z;
+            let n = self.particles.len();
+            let depleted = log_normalize(&mut log_w).is_none();
+            for (p, lw) in self.particles.iter_mut().zip(log_w) {
+                // total depletion: uniform reset
+                p.w = if depleted { 1.0 / n as f64 } else { lw.exp() };
             }
-            exps
-        } else {
-            // total depletion: uniform reset
-            let uniform = -(self.particles.len() as f64).ln();
-            for p in &mut self.particles {
-                p.log_w = uniform;
-            }
-            vec![1.0; self.particles.len()]
-        };
-        let probs = self.joint_probs(reader, &exps);
+        }
+        let probs = self.joint_probs(reader);
         for (p, &w) in self.particles.iter().zip(&probs) {
             reader.add_support(p.reader_idx, w);
         }
         probs
     }
 
-    /// Object factor (`exps`, any common scale) × reader factor,
-    /// normalized to sum to one; in log space when the products
-    /// underflow to nothing.
-    fn joint_probs(&self, reader: &ReaderFilter, exps: &[f64]) -> Vec<f64> {
+    /// Object factor × reader factor, normalized to sum to one; in log
+    /// space when the products underflow to nothing.
+    fn joint_probs(&self, reader: &ReaderFilter) -> Vec<f64> {
         let q: Vec<f64> = self
             .particles
             .iter()
-            .zip(exps)
-            .map(|(p, e)| e * reader.weight_of(p.reader_idx))
+            .map(|p| p.w * reader.weight_of(p.reader_idx))
             .collect();
         let sum: f64 = q.iter().sum();
         if sum > 0.0 && sum.is_finite() {
@@ -95,7 +95,7 @@ impl ReferenceFilter {
         let mut joint: Vec<f64> = self
             .particles
             .iter()
-            .map(|p| p.log_w + reader.log_weight_of(p.reader_idx))
+            .map(|p| p.w.ln() + reader.log_weight_of(p.reader_idx))
             .collect();
         log_normalize(&mut joint);
         joint.into_iter().map(f64::exp).collect()
@@ -132,15 +132,15 @@ impl ReferenceFilter {
             ancestry.push(i);
             u += step;
         }
-        let uniform = -(n as f64).ln();
+        let uniform = 1.0 / n as f64;
         self.particles = ancestry
             .into_iter()
             .map(|a| ObjectParticle {
-                log_w: uniform,
+                w: uniform,
                 ..self.particles[a]
             })
             .collect();
-        Some(self.joint_probs(reader, &vec![1.0; n]))
+        Some(self.joint_probs(reader))
     }
 
     /// Posterior mean and per-axis variance under joint probabilities

@@ -3,11 +3,11 @@
 //! `ObjectFilter::accumulate_weights` classifies a whole column first
 //! (`ReadRateModel::classify_pose`: a constant, or "exact, with
 //! `(d, c)`"), computes the exact line over the compacted list of
-//! deferred particles, then adds. Every particle's new log weight must
-//! be, bit for bit, its old one plus the scalar
-//! `log_likelihood(pose_of(reader_idx), loc, read)` — the route the
-//! naive reference in `tests/reference/` takes — and the plain
-//! `range_bearing` → `log_likelihood_dt` arithmetic the classifier
+//! deferred particles, then multiplies by the weights. Every particle's
+//! product must be, bit for bit, the scalar
+//! `likelihood(pose_of(reader_idx), loc, read)` times its weight — the
+//! route the naive reference in `tests/reference/` takes — and the
+//! plain `range_bearing` → `likelihood_dt` arithmetic the classifier
 //! shortcuts. Reads and misses, for
 //! the cone sensors (which defer) and for the logistic and spherical
 //! models (which never do), over:
@@ -37,13 +37,13 @@ use std::f64::consts::PI;
 /// expressions so that they land on its comparisons exactly).
 const MARGIN: f64 = 1e-9;
 
-/// A (reader pose, tag) pair to weigh, with the particle's prior log
+/// A (reader pose, tag) pair to weigh, with the particle's prior
 /// weight.
 #[derive(Debug, Clone, Copy)]
 struct Pair {
     pose: Pose,
     tag: Point3,
-    log_w: f64,
+    w: f64,
 }
 
 /// Runs the column pass over `pairs` (one reader particle per pair, the
@@ -75,14 +75,15 @@ fn check<S: ReadRateModel>(
         .map(|(i, p)| ObjectParticle {
             loc: p.tag,
             reader_idx: i as u32,
-            log_w: p.log_w,
+            w: p.w,
         })
         .collect();
-    let mut f = ObjectFilter::from_parts(particles, 0, 0);
-    f.accumulate_weights(sensor, &reader, &reader.tables(), read, scratch);
+    let f = ObjectFilter::from_parts(particles, 0, 0);
+    let products = f.accumulate_weights(sensor, &reader, &reader.tables(), read, scratch);
+    assert_eq!(products.len(), pairs.len());
     let mut deferred = 0;
-    for (i, (p, got)) in pairs.iter().zip(&f.soa().log_w).enumerate() {
-        let want = p.log_w + sensor.log_likelihood(&p.pose, &p.tag, read);
+    for (i, (p, got)) in pairs.iter().zip(products).enumerate() {
+        let want = sensor.likelihood(&p.pose, &p.tag, read) * p.w;
         assert_eq!(
             got.to_bits(),
             want.to_bits(),
@@ -90,7 +91,7 @@ fn check<S: ReadRateModel>(
         );
         // and both are the plain `(d, θ)` arithmetic, classifier or not
         let (d, th) = p.pose.range_bearing(&p.tag);
-        let plain = p.log_w + sensor.log_likelihood_dt(d, th, read);
+        let plain = sensor.likelihood_dt(d, th, read) * p.w;
         assert_eq!(
             got.to_bits(),
             plain.to_bits(),
@@ -150,11 +151,7 @@ fn pose(x: f64, y: f64, phi: f64) -> Pose {
 }
 
 fn pair(pose: Pose, tag: Point3) -> Pair {
-    Pair {
-        pose,
-        tag,
-        log_w: -1.25,
-    }
+    Pair { pose, tag, w: 0.25 }
 }
 
 /// The bearing cosine the cone computes for a tag at `(dx, dy)` from a
@@ -294,9 +291,9 @@ fn nan_and_infinite_coordinates_and_headings() {
     }
     // a finite particle weight meets every kind of increment; a dead
     // or NaN particle weight stays what it is
-    for log_w in [f64::NEG_INFINITY, nan, 0.0] {
+    for w in [0.0, nan, 1.0] {
         pairs.push(Pair {
-            log_w,
+            w,
             ..pair(facing, Point3::new(1.0, 0.4, 0.0))
         });
     }
@@ -357,10 +354,10 @@ fn random_pairs(seed: u64, n: usize, spread: f64) -> Vec<Pair> {
                 centre.y + rng.gen_range(-6.0..6.0),
                 rng.gen_range(-0.5..0.5),
             ),
-            log_w: match rng.gen_range(0..4u8) {
-                0 => f64::NEG_INFINITY,
-                1 => 0.0,
-                _ => -rng.gen_range(0.0..40.0),
+            w: match rng.gen_range(0..4u8) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen_range(-40.0..0.0f64).exp(),
             },
         })
         .collect()

@@ -185,7 +185,7 @@ pub fn calibrate<P: LocationPrior + Clone>(
             let sub: Vec<(f64, Point3)> = ps
                 .iter()
                 .step_by(step)
-                .map(|p| (p.log_w.exp() * step as f64, p.loc))
+                .map(|p| (p.w * step as f64, p.loc))
                 .filter(|(w, _)| *w > 1e-9)
                 .collect();
             if !sub.is_empty() {

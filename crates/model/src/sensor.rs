@@ -7,14 +7,20 @@
 //! spherical models are what the *world does* in the simulator and the
 //! simulated lab deployment (Fig. 5(a) and 5(d)).
 //!
+//! Every model answers in two spaces: log likelihoods
+//! ([`ReadRateModel::log_likelihood_pose`]), which the reader filter
+//! and the basic filter accumulate, and likelihoods — the probability
+//! `p` of a read or `1 − p` of a miss
+//! ([`ReadRateModel::likelihood_pose`]) — which the object step
+//! multiplies its probability-space weights by.
+//!
 //! A piecewise model answers most (reader pose, tag) pairs with a
-//! constant and a few with an exact `acos` + `ln` line. It says which
-//! in one place, [`ReadRateModel::classify_pose`], without branching on
-//! the answer; the scalar [`ReadRateModel::log_likelihood_pose`] and the
-//! object step's weight pass (classify every particle, then pay the
-//! exact line on the compacted list of those that need it) both call
-//! it, so the thresholds and the margin around them have one write
-//! site.
+//! constant and a few with an exact `acos` line. It says which in one
+//! place without branching on the answer — for the object step's weight
+//! pass [`ReadRateModel::classify_pose`], which classifies every
+//! particle and then pays the exact line on the compacted list of those
+//! that need it — so the thresholds and the margin around them have one
+//! write site.
 
 use crate::params::SensorParams;
 use rfid_geom::{Point3, Pose};
@@ -42,12 +48,13 @@ pub(crate) fn log_sigmoid(x: f64) -> f64 {
 }
 
 /// What [`ReadRateModel::classify_pose`] says about one (reader pose,
-/// tag) pair: the log likelihood itself, or that it is the exact line
-/// `log_likelihood_dt(d, c.acos(), read)` over the pair's distance `d`
-/// and bearing cosine `c`, not yet computed.
+/// tag) pair: the likelihood itself, or that it is the exact line
+/// `likelihood_dt(d, c.acos(), read)` over the pair's distance `d` and
+/// bearing cosine `c`, not yet computed.
 #[derive(Debug, Clone, Copy)]
 pub struct Classified {
-    /// The log likelihood; meaningless when `exact` is set.
+    /// The likelihood (`p` on a read, `1 − p` on a miss); meaningless
+    /// when `exact` is set.
     pub value: f64,
     /// Whether the answer is the exact line over `d` and `c`.
     pub exact: bool,
@@ -116,16 +123,53 @@ pub trait ReadRateModel: Send + Sync {
         self.log_likelihood_dt(d, th, read)
     }
 
-    /// [`log_likelihood_pose`](Self::log_likelihood_pose) in two
-    /// halves, for a weight pass over many pairs that wants to pay for
-    /// the expensive ones on their own: the [`Classified`] answer is
-    /// either the log likelihood or a deferral to
-    /// `log_likelihood_dt(d, c.acos(), read)`, and completing it that
-    /// way gives `log_likelihood_pose`'s bits. An override is meant to
-    /// be cheap straight-line code, free of branches on the pair: the
-    /// caller classifies a whole column before computing anything, and
-    /// a column of such calls compiles to vector instructions. The
-    /// default never defers: it is `log_likelihood_pose` itself.
+    /// Likelihood of a binary reading outcome at distance `d` and
+    /// bearing `theta`: the read probability `p` on a read, `1 − p` on a
+    /// miss — the probability-space twin of
+    /// [`log_likelihood_dt`](Self::log_likelihood_dt), whose default is
+    /// the `ln` of this one's. Implementations with an analytic form
+    /// override for numerical stability.
+    fn likelihood_dt(&self, d: f64, theta: f64, read: bool) -> f64 {
+        let p = self.p_read_dt(d, theta);
+        if read {
+            p
+        } else {
+            1.0 - p
+        }
+    }
+
+    /// Likelihood of a binary reading outcome for a (reader pose, tag)
+    /// pair.
+    fn likelihood(&self, reader: &Pose, tag: &Point3, read: bool) -> f64 {
+        self.likelihood_pose(&reader.pos, reader.phi.cos(), reader.phi.sin(), tag, read)
+    }
+
+    /// [`likelihood`](Self::likelihood) with the reader heading's
+    /// cosine/sine precomputed, by the arithmetic of
+    /// [`log_likelihood_pose`](Self::log_likelihood_pose)'s default.
+    fn likelihood_pose(
+        &self,
+        pos: &Point3,
+        cos_phi: f64,
+        sin_phi: f64,
+        tag: &Point3,
+        read: bool,
+    ) -> f64 {
+        let d = pos.dist(tag);
+        let th = rfid_geom::angles::reader_tag_angle_trig(pos, cos_phi, sin_phi, tag);
+        self.likelihood_dt(d, th, read)
+    }
+
+    /// [`likelihood_pose`](Self::likelihood_pose) in two halves, for a
+    /// weight pass over many pairs that wants to pay for the expensive
+    /// ones on their own: the [`Classified`] answer is either the
+    /// likelihood or a deferral to `likelihood_dt(d, c.acos(), read)`,
+    /// and completing it that way gives `likelihood_pose`'s bits. An
+    /// override is meant to be cheap straight-line code, free of
+    /// branches on the pair: the caller classifies a whole column
+    /// before computing anything, and a column of such calls compiles
+    /// to vector instructions. The default never defers: it is
+    /// `likelihood_pose` itself.
     #[inline]
     fn classify_pose(
         &self,
@@ -136,7 +180,7 @@ pub trait ReadRateModel: Send + Sync {
         read: bool,
     ) -> Classified {
         Classified {
-            value: self.log_likelihood_pose(pos, cos_phi, sin_phi, tag, read),
+            value: self.likelihood_pose(pos, cos_phi, sin_phi, tag, read),
             exact: false,
             d: 0.0,
             c: 0.0,
@@ -231,6 +275,15 @@ impl ReadRateModel for LogisticSensorModel {
             self.log_p_miss_dt(d, theta)
         }
     }
+
+    /// `sigmoid(η)` on a read and `sigmoid(−η)` on a miss, so a read
+    /// rate near one leaves the miss likelihood its small value rather
+    /// than rounding `1 − p` to zero.
+    #[inline]
+    fn likelihood_dt(&self, d: f64, theta: f64, read: bool) -> f64 {
+        let eta = self.params.linear_predictor(d, theta);
+        sigmoid(if read { eta } else { -eta })
+    }
 }
 
 /// The cone-shaped ground-truth model of the paper's simulator
@@ -251,11 +304,13 @@ pub struct ConeSensor {
     max_range: f64,
     // Fast-path constants derived once in `new`: the cone test runs in
     // cosine space (no `acos`) and the piecewise-constant regions
-    // return precomputed log likelihoods (no `ln`).
+    // return precomputed likelihoods and log likelihoods (no `ln`).
     cos_major: f64,
     /// `cos(major + minor)`, or `-2.0` when the outer angle reaches π
     /// (no "outside" region exists — every bearing is within the cone).
     cos_outer: f64,
+    /// `1 − rr_major`, the miss likelihood inside the major cone.
+    miss_major: f64,
     ln_read_major: f64,
     ln_miss_major: f64,
 }
@@ -281,6 +336,7 @@ impl ConeSensor {
             } else {
                 -2.0
             },
+            miss_major: 1.0 - rr_major,
             ln_read_major: rr_major.ln(),
             ln_miss_major: (1.0 - rr_major).ln(),
         }
@@ -329,11 +385,12 @@ impl ReadRateModel for ConeSensor {
         }
     }
 
-    /// The scalar form of [`classify_pose`](Self::classify_pose): the
-    /// constant it picks, or the exact line it defers to. A pair beyond
-    /// range returns before the classifier's bearing division — the
-    /// reader update weighs every shelf tag this way, most of them out
-    /// of range; the classifier picks the same constant there.
+    /// The scalar form of [`classify_pose`](Self::classify_pose) in log
+    /// space: the log of the constant it picks, or the exact line it
+    /// defers to. A pair beyond range returns before the classifier's
+    /// bearing division — the reader update weighs every shelf tag this
+    /// way, most of them out of range; the classifier picks the same
+    /// constant there.
     fn log_likelihood_pose(
         &self,
         pos: &Point3,
@@ -345,7 +402,12 @@ impl ReadRateModel for ConeSensor {
         if (*tag - *pos).norm() > self.max_range {
             return if read { f64::NEG_INFINITY } else { 0.0 };
         }
-        let k = self.classify_pose(pos, cos_phi, sin_phi, tag, read);
+        let constants = if read {
+            [f64::NEG_INFINITY, self.ln_read_major]
+        } else {
+            [0.0, self.ln_miss_major]
+        };
+        let k = self.classify_with(pos, cos_phi, sin_phi, tag, constants);
         if k.exact {
             self.log_likelihood_dt(k.d, k.c.acos(), read)
         } else {
@@ -353,13 +415,30 @@ impl ReadRateModel for ConeSensor {
         }
     }
 
+    /// The scalar form of [`classify_pose`](Self::classify_pose).
+    fn likelihood_pose(
+        &self,
+        pos: &Point3,
+        cos_phi: f64,
+        sin_phi: f64,
+        tag: &Point3,
+        read: bool,
+    ) -> f64 {
+        let k = self.classify_pose(pos, cos_phi, sin_phi, tag, read);
+        if k.exact {
+            self.likelihood_dt(k.d, k.c.acos(), read)
+        } else {
+            k.value
+        }
+    }
+
     /// Classifies the bearing in cosine space, so the common regions
     /// (beyond range, inside the major cone, outside the outer edge)
-    /// cost no `acos` and no `ln` — their log likelihoods are
-    /// constants. Only the minor band, and a vanishing margin strip
-    /// around its two edges, defer to the exact `acos` line. The
-    /// constant is chosen by selects, not branches: which region a
-    /// particle falls in changes from one particle to the next.
+    /// cost no `acos`: their likelihoods are constants. Only the minor
+    /// band, and a vanishing margin strip around its two edges, defer
+    /// to the exact `acos` line. The constant is chosen by selects, not
+    /// branches: which region a particle falls in changes from one
+    /// particle to the next.
     ///
     /// Bit-exactness: for `θ` strictly inside a region, `cos θ`
     /// compared against the cached `cos(boundary)` decides identically
@@ -368,7 +447,7 @@ impl ReadRateModel for ConeSensor {
     /// `MARGIN` (1e-9 in cosine space, ~10⁶× the true rounding window)
     /// defers that strip to the exact line, which computes the
     /// `acos`-based answer of the generic path. The constants are the
-    /// same `ln` the generic path would take of the same
+    /// `p` or `1 − p` the generic path takes of the same
     /// piecewise-constant probability. A NaN distance or cosine fails
     /// every comparison and defers, as the generic path would compute
     /// it.
@@ -381,6 +460,29 @@ impl ReadRateModel for ConeSensor {
         tag: &Point3,
         read: bool,
     ) -> Classified {
+        // p = 0 beyond range and outside: 0 on a read, 1 − 0 on a miss
+        let constants = if read {
+            [0.0, self.rr_major]
+        } else {
+            [1.0, self.miss_major]
+        };
+        self.classify_with(pos, cos_phi, sin_phi, tag, constants)
+    }
+}
+
+impl ConeSensor {
+    /// The classifier behind both spaces: `[zero, inside]` are the
+    /// answers where the read probability is 0 (beyond range, outside
+    /// the outer edge) and inside the major cone.
+    #[inline]
+    fn classify_with(
+        &self,
+        pos: &Point3,
+        cos_phi: f64,
+        sin_phi: f64,
+        tag: &Point3,
+        [zero, inside]: [f64; 2],
+    ) -> Classified {
         const MARGIN: f64 = 1e-9;
         let delta = *tag - *pos;
         let d = delta.norm();
@@ -392,13 +494,6 @@ impl ReadRateModel for ConeSensor {
         let beyond = d > self.max_range;
         let major = c >= self.cos_major + MARGIN;
         let outside = c <= self.cos_outer - MARGIN;
-        // p = 0 beyond range and outside: ln(0) = -inf on a read,
-        // ln(1 - 0) = 0 on a miss
-        let (zero, inside) = if read {
-            (f64::NEG_INFINITY, self.ln_read_major)
-        } else {
-            (0.0, self.ln_miss_major)
-        };
         Classified {
             value: if major & !beyond { inside } else { zero },
             exact: !(beyond | major | outside),
@@ -636,6 +731,23 @@ mod tests {
             let fast = c.log_likelihood(&pose, &tag, read);
             prop_assert_eq!(generic.to_bits(), fast.to_bits(),
                 "d={} th={} generic={} fast={}", d, th, generic, fast);
+            // and in probability space: the classifier's likelihood is
+            // the generic `p` or `1 − p`, and its log the log path's
+            let generic = c.likelihood_dt(d, th, read);
+            let fast = c.likelihood(&pose, &tag, read);
+            prop_assert_eq!(generic.to_bits(), fast.to_bits(),
+                "d={} th={} generic={} fast={}", d, th, generic, fast);
+            prop_assert_eq!(fast.ln().to_bits(), c.log_likelihood(&pose, &tag, read).to_bits());
+        }
+
+        /// The logistic likelihood is the exponential of its log
+        /// likelihood, to rounding, on both outcomes.
+        #[test]
+        fn prop_logistic_likelihood_is_the_exp_of_the_log(
+            d in 0.0..30.0f64, th in 0.0..std::f64::consts::PI, read in any::<bool>()) {
+            let lm = LogisticSensorModel::new(SensorParams::default_cone_like());
+            let (p, lp) = (lm.likelihood_dt(d, th, read), lm.log_likelihood_dt(d, th, read));
+            prop_assert!((p - lp.exp()).abs() <= 1e-12 * p.max(1e-300), "p={} exp(lp)={}", p, lp.exp());
         }
     }
 }
