@@ -469,7 +469,9 @@ fn edge_object_products_underflow_take_the_log_space_route() {
     let start = ObjectFilter::from_parts(far, 0, 0);
     let reader = reader_with(10, |_| -(10f64).ln());
     for p in start.iter_particles() {
-        let lik = m.object_weight(reader.pose_of(p.reader_idx), &p.loc, true);
+        let lik = m
+            .sensor
+            .likelihood(reader.pose_of(p.reader_idx), &p.loc, true);
         assert!(
             lik > 0.0 && lik * p.w == 0.0,
             "likelihood {lik} keeps a product"

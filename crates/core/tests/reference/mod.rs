@@ -49,7 +49,12 @@ impl ReferenceFilter {
         let products: Vec<f64> = self
             .particles
             .iter()
-            .map(|p| model.object_weight(reader.pose_of(p.reader_idx), &p.loc, read) * p.w)
+            .map(|p| {
+                model
+                    .sensor
+                    .likelihood(reader.pose_of(p.reader_idx), &p.loc, read)
+                    * p.w
+            })
             .collect();
         let sum: f64 = products.iter().sum();
         if sum > 0.0 && sum.is_finite() {

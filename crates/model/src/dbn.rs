@@ -92,14 +92,6 @@ impl<S: ReadRateModel> JointModel<S> {
     pub fn object_log_weight(&self, reader: &Pose, object: &Point3, read: bool) -> f64 {
         self.sensor.log_likelihood(reader, object, read)
     }
-
-    /// [`object_log_weight`](Self::object_log_weight) in probability
-    /// space: the likelihood the factored filter's object step
-    /// multiplies its weights by.
-    #[inline]
-    pub fn object_weight(&self, reader: &Pose, object: &Point3, read: bool) -> f64 {
-        self.sensor.likelihood(reader, object, read)
-    }
 }
 
 #[cfg(test)]

@@ -415,23 +415,6 @@ impl ReadRateModel for ConeSensor {
         }
     }
 
-    /// The scalar form of [`classify_pose`](Self::classify_pose).
-    fn likelihood_pose(
-        &self,
-        pos: &Point3,
-        cos_phi: f64,
-        sin_phi: f64,
-        tag: &Point3,
-        read: bool,
-    ) -> f64 {
-        let k = self.classify_pose(pos, cos_phi, sin_phi, tag, read);
-        if k.exact {
-            self.likelihood_dt(k.d, k.c.acos(), read)
-        } else {
-            k.value
-        }
-    }
-
     /// Classifies the bearing in cosine space, so the common regions
     /// (beyond range, inside the major cone, outside the outer edge)
     /// cost no `acos`: their likelihoods are constants. Only the minor
@@ -731,12 +714,14 @@ mod tests {
             let fast = c.log_likelihood(&pose, &tag, read);
             prop_assert_eq!(generic.to_bits(), fast.to_bits(),
                 "d={} th={} generic={} fast={}", d, th, generic, fast);
-            // and in probability space: the classifier's likelihood is
+            // and in probability space: the classifier, completed, is
             // the generic `p` or `1 − p`, and its log the log path's
+            let k = c.classify_pose(&pose.pos, phi.cos(), phi.sin(), &tag, read);
+            let fast = if k.exact { c.likelihood_dt(k.d, k.c.acos(), read) } else { k.value };
             let generic = c.likelihood_dt(d, th, read);
-            let fast = c.likelihood(&pose, &tag, read);
             prop_assert_eq!(generic.to_bits(), fast.to_bits(),
                 "d={} th={} generic={} fast={}", d, th, generic, fast);
+            prop_assert_eq!(fast.to_bits(), c.likelihood(&pose, &tag, read).to_bits());
             prop_assert_eq!(fast.ln().to_bits(), c.log_likelihood(&pose, &tag, read).to_bits());
         }
 
